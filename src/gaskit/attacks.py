@@ -25,14 +25,14 @@ from dataclasses import dataclass, field as dc_field
 
 from . import gas_core, gas_harn, sim, wire
 from .ec import CurvePoint, add, builtin_curve, scalar_mul
-from .field import FieldElement
+from .field import FieldElement, Prime, lagrange_coeff
 from .gas_core import (
     MemberState,
     PeerAuthenticationError,
     PublicShare,
     UnknownMemberError,
 )
-from .sss import verify_commitment
+from .sss import issue_shares, sample_polynomial, verify_commitment
 
 __all__ = [
     "ATTACK_NAMES",
@@ -95,12 +95,9 @@ class Finding:
         }
 
 
-def _setup_group(seed: int, t: int = 3, n: int = 5, curve_ref: str = "builtin:test2017"):
-    curve = builtin_curve(curve_ref.split(":", 1)[1]) if curve_ref.startswith("builtin:") else None
-    if curve is None:
-        raise ValueError("curve_ref must be a builtin for attack scenarios")
+def _setup_group(seed: int, t: int = 3, n: int = 5):
     rng = random.Random(seed)
-    config, shares = gas_core.gm_init(t, n, curve, rng)
+    config, shares = gas_core.gm_init(t, n, builtin_curve("test2017"), rng)
     return rng, config, shares
 
 
@@ -327,12 +324,8 @@ def threshold_boundary_consistent(
 ) -> bool:
     """Theorem-1 boundary: with t-1 shares every candidate secret has a
     consistent polynomial of degree <= t-1 (checked constructively)."""
-    from .field import Prime
-
     q = Prime(q_value)
     rng = random.Random(seed)
-    from .sss import issue_shares, sample_polynomial
-
     poly = sample_polynomial(t, q.random_element(rng), rng)
     xs = [FieldElement(i + 1, q) for i in range(t - 1)]
     observed_shares = issue_shares(poly, xs)
@@ -342,7 +335,7 @@ def threshold_boundary_consistent(
         # result is a degree <= t-1 polynomial hitting every observed point
         ys = [FieldElement(candidate, q)] + [s.y for s in observed_shares]
         value_at = lambda x: sum(
-            (ys[i] * _basis(nodes, i, x) for i in range(len(nodes))),
+            (ys[i] * lagrange_coeff(i, nodes, x) for i in range(len(nodes))),
             FieldElement(0, q),
         )
         if any(value_at(s.x) != s.y for s in observed_shares):
@@ -350,12 +343,6 @@ def threshold_boundary_consistent(
         if value_at(FieldElement(0, q)).residue != candidate:
             return False
     return True
-
-
-def _basis(nodes: list[FieldElement], i: int, x: FieldElement) -> FieldElement:
-    from .field import lagrange_coeff
-
-    return lagrange_coeff(i, nodes, x)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +410,14 @@ def build_honest_transcript(
         for ps in public_shares:
             frames.append(gas_core.public_share_frame(ps, config.epoch))
             public[f"point({ps.member_id})"] = ps.point.x.to_bytes()
-        inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
-        for sender, state in states.items():
+        inboxes = gas_core.seal_shares(states, rng)
+        for sender in states:
             for peer in states:
-                if peer == sender:
-                    continue
-                payload = gas_core.encrypt_share_for_peer(state, peer, rng)
-                inboxes[peer][sender] = payload
-                frames.append(
-                    wire.encode_frame(wire.ENCRYPTED_SHARE, config.epoch, sender, payload)
-                )
-        group_key = None
-        for mid in states:
-            group_key = gas_core.key_agreement_round(states[mid], inboxes[mid])
+                if peer != sender:
+                    frames.append(wire.encode_frame(
+                        wire.ENCRYPTED_SHARE, config.epoch, sender, inboxes[peer][sender]
+                    ))
+        group_key = gas_core.open_shares(states, inboxes)
         for share in shares:
             secrets[f"f(x) of {share.member_id}"] = share.y.to_bytes()
         secrets["group key"] = group_key.to_bytes()
@@ -549,37 +531,30 @@ def dlog_hardness_growth(seed: int = 31, samples: int = 8) -> dict:
 # CLI entry
 
 def run_attack(name: str, **kwargs) -> list[Finding]:
+    """Run one named scenario; options it does not take are ignored.
+
+    Each option left out (seed included) keeps the scenario's own default.
+    """
+    def given(*keys: str) -> dict:
+        return {k: kwargs[k] for k in keys if k in kwargs}
+
+    rotate = kwargs.get("rotate", False)
     if name == "replay":
-        return [replay_attack(rotate=kwargs.get("rotate", False), seed=kwargs.get("seed", 11))]
+        return [replay_attack(rotate, **given("seed"))]
     if name == "dos-invalid-share":
-        return [
-            dos_invalid_share(
-                m=kwargs.get("m", 6),
-                t=kwargs.get("t", 3),
-                mode=kwargs.get("mode", "decentralized"),
-                seed=kwargs.get("seed", 5),
-            )
-        ]
+        return [dos_invalid_share(**given("m", "t", "mode", "seed"))]
     if name == "node-compromise":
-        return [
-            node_compromise(
-                rotate_excluding_victim=kwargs.get("rotate", False),
-                seed=kwargs.get("seed", 23),
-            )
-        ]
+        return [node_compromise(rotate, **given("seed"))]
     if name == "eavesdrop":
+        leaky = kwargs.get("leaky", False)
         frames, secrets, _ = build_honest_transcript(
-            scheme=kwargs.get("scheme", "proposed"),
-            m=kwargs.get("m", 4),
-            t=kwargs.get("t", 3),
-            seed=kwargs.get("seed", 17),
-            leaky=kwargs.get("leaky", False),
+            leaky=leaky, **given("scheme", "m", "t", "seed")
         )
         finding = eavesdrop_secrecy_check(frames, secrets)
-        if kwargs.get("leaky", False):
+        if leaky:
             finding.expected = {"leak_count": 1}
             finding.notes.append("negative control: one raw share deliberately leaked")
         return [finding]
     if name == "flood":
-        return [flood_congestion(m=kwargs.get("m", 30), seed=kwargs.get("seed", 9))]
+        return [flood_congestion(**given("m", "seed"))]
     raise ValueError(f"unknown attack {name!r}; valid names: {ATTACK_NAMES}")

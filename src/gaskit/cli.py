@@ -18,20 +18,13 @@ import random
 import sys
 
 from . import attacks, cost_model, gas_core, gas_harn, sim
-from .ec import (
-    CurveParams,
-    CurvePoint,
-    brute_force_order,
-    builtin_curve,
-    load_curve,
-    scalar_mul,
-)
+from .ec import CurveParams, CurvePoint, brute_force_order, scalar_mul
 from .field import FieldElement, Prime, is_probable_prime
 
 __all__ = ["main"]
 
 
-def _default_seed(fallback: int) -> int:
+def _default_seed(fallback: int | None) -> int | None:
     env = os.environ.get("GAS_SEED")
     if env is None:
         return fallback
@@ -39,12 +32,6 @@ def _default_seed(fallback: int) -> int:
         return int(env)
     except ValueError:
         raise SystemExit(f"GAS_SEED must be an integer, got {env!r}")
-
-
-def _resolve_curve(ref: str) -> CurveParams:
-    if ref.startswith("builtin:"):
-        return builtin_curve(ref.split(":", 1)[1])
-    return load_curve(ref)
 
 
 def _err(msg: str) -> None:
@@ -66,7 +53,7 @@ def _cmd_demo(args) -> int:
         return 2
     if args.scheme == "proposed":
         try:
-            curve = _resolve_curve(args.curve)
+            curve = sim.resolve_curve(args.curve)
         except (ValueError, FileNotFoundError) as exc:
             _err(str(exc))
             return 2
@@ -105,11 +92,7 @@ def _cmd_demo(args) -> int:
         return 0
     # harn
     try:
-        modulus = (
-            gas_harn.builtin_harn_modulus(args.harn.split(":", 1)[1])
-            if args.harn.startswith("builtin:")
-            else gas_harn.load_harn_modulus(args.harn)
-        )
+        modulus = sim.resolve_harn(args.harn)
     except (ValueError, FileNotFoundError) as exc:
         _err(str(exc))
         return 2
@@ -274,7 +257,10 @@ def _cmd_attack(args) -> int:
     if args.name not in attacks.ATTACK_NAMES:
         _err(f"unknown attack {args.name!r}; valid names: {', '.join(attacks.ATTACK_NAMES)}")
         return 2
-    kwargs = {"seed": _default_seed(args.seed), "rotate": args.rotate}
+    kwargs = {"rotate": args.rotate}
+    seed = _default_seed(args.seed)
+    if seed is not None:
+        kwargs["seed"] = seed
     if args.mode is not None:
         kwargs["mode"] = args.mode
     if args.m is not None:
@@ -453,10 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "demo" and args.m is None:
         args.m = args.n
-    if args.command == "attack" and args.seed is None:
-        defaults = {"replay": 11, "dos-invalid-share": 5, "node-compromise": 23,
-                    "eavesdrop": 17, "flood": 9}
-        args.seed = defaults.get(args.name, 1)
     return args.func(args)
 
 

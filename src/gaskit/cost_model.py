@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 __all__ = [
     "SCHEMES",
@@ -28,8 +27,6 @@ __all__ = [
     "TEM_IN_TMULP",
     "TMULP_IN_TMULQ",
     "TEM_TMULQ",
-    "CostProfile",
-    "cost_profile",
     "per_user_cost",
     "savings_ratio",
     "RadioCost",
@@ -57,13 +54,6 @@ CHIEN_VERIFY_TAIL = 6785 - TEM_TMULQ + CHIEN_LAGRANGE_PER_X  # pairing etc.
 DECENTRAL_VERIFY_PER_SHARE = TEM_TMULQ + CHIEN_LAGRANGE_PER_X
 
 
-@dataclass(frozen=True)
-class CostProfile:
-    scheme: str
-    per_user_tmulq: Callable[[int], int]
-    constants: dict
-
-
 def per_user_cost(scheme: str, m: int, harn_slope: str = "text") -> int:
     """Total per-user multiplications for a group of m members."""
     if m < 1:
@@ -78,14 +68,6 @@ def per_user_cost(scheme: str, m: int, harn_slope: str = "text") -> int:
     if scheme == "chien":
         return 7 * m + 6785
     raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
-
-
-def cost_profile(scheme: str, harn_slope: str = "text") -> CostProfile:
-    return CostProfile(
-        scheme=scheme,
-        per_user_tmulq=lambda m: per_user_cost(scheme, m, harn_slope),
-        constants={"TEM_in_tmulp": TEM_IN_TMULP, "tmulp_in_tmulq": TMULP_IN_TMULQ},
-    )
 
 
 def savings_ratio(m: int) -> Fraction:

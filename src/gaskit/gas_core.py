@@ -15,7 +15,6 @@ directly as scalars and the decentralized sum identity is exact.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
@@ -63,6 +62,8 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "run_confirmation",
+    "seal_shares",
+    "open_shares",
     "exchange_group_key",
 ]
 
@@ -544,12 +545,8 @@ def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfi
     )
 
 
-def config_to_json(config: GroupConfig) -> str:
-    return json.dumps(config_to_dict(config), sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
-# Honest-run drivers (used by tests, the demo and the simulator)
+# Honest-run drivers (used by tests, the demo and the attack scenarios)
 
 def run_confirmation(
     config: GroupConfig,
@@ -567,18 +564,36 @@ def run_confirmation(
     return states, public_shares
 
 
-def exchange_group_key(
+def seal_shares(
     states: dict[str, MemberState], rng: random.Random
-) -> FieldElement:
-    """Run the key agreement stage among all states; returns the group key."""
+) -> dict[str, dict[str, bytes]]:
+    """Every member encrypts its share for every peer.
+
+    Returns recipient id -> sender id -> encrypted-share payload.  Seals run
+    sender-major in `states` order, which fixes the rng draws.
+    """
     inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
     for sender_id, state in states.items():
         for peer_id in states:
             if peer_id == sender_id:
                 continue
             inboxes[peer_id][sender_id] = encrypt_share_for_peer(state, peer_id, rng)
+    return inboxes
+
+
+def open_shares(
+    states: dict[str, MemberState], inboxes: Mapping[str, Mapping[str, bytes]]
+) -> FieldElement:
+    """Every member opens its inbox and reconstructs; returns the group key."""
     keys = [key_agreement_round(states[mid], inboxes[mid]) for mid in states]
     first = keys[0]
     if any(k != first for k in keys):  # pragma: no cover - agreement invariant
         raise ProtocolError("members recovered different group keys")
     return first
+
+
+def exchange_group_key(
+    states: dict[str, MemberState], rng: random.Random
+) -> FieldElement:
+    """Run the key agreement stage among all states; returns the group key."""
+    return open_shares(states, seal_shares(states, rng))

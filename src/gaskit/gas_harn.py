@@ -120,18 +120,6 @@ class HarnParams:
         if self.modulus.g.pow(self.s.residue) != self.verification_target:
             raise ValueError("verification target is not g^s")
 
-    @property
-    def public_view(self) -> dict:
-        """Everything an eavesdropper may see (no polynomials, no s)."""
-        return {
-            "p": self.modulus.p.value,
-            "q": self.modulus.q.value,
-            "g": self.modulus.g.residue,
-            "w": (self.w1.residue, self.w2.residue),
-            "d": (self.d1.residue, self.d2.residue),
-            "target": self.verification_target.residue,
-        }
-
 
 def builtin_harn_modulus(name: str) -> HarnModulus:
     if name not in BUILTIN_HARN_MODULI:

@@ -53,6 +53,8 @@ __all__ = [
     "chien_model_row",
     "preset",
     "PRESETS",
+    "resolve_curve",
+    "resolve_harn",
 ]
 
 SCHEME_CHOICES = ("harn", "proposed-centralized", "proposed-decentralized")
@@ -84,7 +86,6 @@ class Scenario:
     radio_tmulq_per_byte: float = 1.0
     tx_j_per_byte: float | None = None
     rx_j_per_byte: float | None = None
-    mac: str = "serialized-broadcast"
     schedule: str = "slotted"
     loss: float = 0.0
     seed: int = 1
@@ -122,10 +123,11 @@ class Scenario:
             problems.append("joules_per_tmulq must be positive")
         if self.radio_tmulq_per_byte < 0:
             problems.append("radio_tmulq_per_byte must be non-negative")
+        for name in ("tx_j_per_byte", "rx_j_per_byte"):
+            if (getattr(self, name) or 0.0) < 0:
+                problems.append(f"{name} must be non-negative")
         if not 0.0 <= self.loss <= 1.0:
             problems.append(f"loss must be in [0, 1], got {self.loss}")
-        if self.mac != "serialized-broadcast":
-            problems.append(f"unsupported mac {self.mac!r}")
         if self.schedule not in SCHEDULE_CHOICES:
             problems.append(f"schedule must be one of {SCHEDULE_CHOICES}")
         if self.scheme == "harn" and self.schedule != "slotted":
@@ -145,6 +147,14 @@ class Scenario:
                 problems.append(f"unknown adversary kind {kind!r}")
         if problems:
             raise ScenarioError("; ".join(problems))
+
+    def radio_cost(self) -> cost_model.RadioCost:
+        """Per-byte radio joules; an unset side costs radio_tmulq_per_byte T_mul,q."""
+        tied = self.radio_tmulq_per_byte * self.joules_per_tmulq
+        return cost_model.RadioCost(
+            self.tx_j_per_byte if self.tx_j_per_byte is not None else tied,
+            self.rx_j_per_byte if self.rx_j_per_byte is not None else tied,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -346,24 +356,15 @@ class _Run:
         culprits: list[str],
     ) -> SimReport:
         scn = self.scn
-        tx_j = (
-            scn.tx_j_per_byte
-            if scn.tx_j_per_byte is not None
-            else scn.radio_tmulq_per_byte * scn.joules_per_tmulq
-        )
-        rx_j = (
-            scn.rx_j_per_byte
-            if scn.rx_j_per_byte is not None
-            else scn.radio_tmulq_per_byte * scn.joules_per_tmulq
-        )
+        radio = scn.radio_cost()
         for rep in self.nodes.values():
             rep.compute_j = rep.tmulq_count * scn.joules_per_tmulq
-            rep.radio_j = rep.bytes_tx * tx_j + rep.bytes_rx * rx_j
+            rep.radio_j = rep.bytes_tx * radio.tx_j_per_byte + rep.bytes_rx * radio.rx_j_per_byte
             rep.total_j = rep.compute_j + rep.radio_j
         return SimReport(
             scheme=scn.scheme,
             m=scn.m,
-            t=scn.t if scn.t is not None else scn.resolved_threshold(),
+            t=scn.resolved_threshold(),
             seed=scn.seed,
             outcome=outcome,
             failure_reason=reason,
@@ -379,13 +380,15 @@ class _Run:
         )
 
 
-def _resolve_curve(ref: str) -> CurveParams:
+def resolve_curve(ref: str) -> CurveParams:
+    """A curve from ``builtin:<name>`` or a parameter file path."""
     if ref.startswith("builtin:"):
         return builtin_curve(ref.split(":", 1)[1])
     return load_curve(ref)
 
 
-def _resolve_harn(ref: str) -> HarnModulus:
+def resolve_harn(ref: str) -> HarnModulus:
+    """A Harn modulus from ``builtin:<name>`` or a parameter file path."""
     if ref.startswith("builtin:"):
         return builtin_harn_modulus(ref.split(":", 1)[1])
     return load_harn_modulus(ref)
@@ -400,7 +403,7 @@ def _adversary_member(scn: Scenario) -> str | None:
 def _run_proposed(scn: Scenario) -> SimReport:
     centralized = scn.scheme == "proposed-centralized"
     t = scn.resolved_threshold()
-    curve = _resolve_curve(scn.curve_ref)
+    curve = resolve_curve(scn.curve_ref)
     run = _Run(scn)
     rng = run.rng
 
@@ -412,24 +415,23 @@ def _run_proposed(scn: Scenario) -> SimReport:
     for mid in member_ids:
         run.add_node(mid, "verifier" if mid == verifier else "member")
 
-    states, _ = gas_core.run_confirmation(config, shares)
-    true_frames = {
-        mid: gas_core.public_share_frame(
-            gas_core.make_public_share(states[mid]), config.epoch
-        )
-        for mid in member_ids
+    # each member's whole confirmation compute: f(x_i)P, once
+    public = {
+        s.member_id: gas_core.make_public_share(gas_core.MemberState(share=s, config=config))
+        for s in shares
     }
     rogue = _adversary_member(scn)
-    if rogue is not None and rogue in member_ids:
+    if rogue is not None and rogue in public:
         # the attacker broadcasts a random on-curve point instead of f(x_i)P
-        true_point = gas_core.make_public_share(states[rogue]).point
+        true_point = public[rogue].point
         fake_point = true_point
         while fake_point == true_point:
             k = rng.randrange(1, curve.subgroup_order)
             fake_point = scalar_mul(k, config.generator, curve)
-        fake = gas_core.PublicShare(member_id=rogue, point=fake_point)
-        true_frames = dict(true_frames)
-        true_frames[rogue] = gas_core.public_share_frame(fake, config.epoch)
+        public[rogue] = gas_core.PublicShare(member_id=rogue, point=fake_point)
+    frames = {
+        mid: gas_core.public_share_frame(ps, config.epoch) for mid, ps in public.items()
+    }
 
     verify_cost = (
         cost_model.TEM_TMULQ
@@ -439,8 +441,6 @@ def _run_proposed(scn: Scenario) -> SimReport:
     member_cost = cost_model.TEM_TMULQ
     participants = list(member_ids)
     culprits: list[str] = []
-    rounds = 0
-    auth_time = 0.0
 
     for round_no in range(scn.max_retries + 1):
         rounds = round_no + 1
@@ -450,53 +450,31 @@ def _run_proposed(scn: Scenario) -> SimReport:
 
         if scn.schedule == "slotted":
             cursor = run.now
-            for mid in participants:
-                end = run.compute(mid, member_cost, cursor, "confirm-compute")
-                frame = true_frames[mid]
-                if mid == verifier:
-                    # the verifier consumes its own share locally but still
-                    # broadcasts it for the rest of the group
-                    deliver_to = []
-                else:
-                    deliver_to = [verifier]
-                done, ok = run.transmit(mid, len(frame), end, deliver_to)
-                if ok or mid == verifier:
-                    delivered[mid] = frame
-                    arrivals.append((done, mid))
-                cursor = done
         else:
             # staggered / flood: everyone precomputes in parallel
             ready = 0.0
             for mid in participants:
                 ready = max(ready, run.compute(mid, member_cost, run.now, "confirm-compute"))
-            if scn.schedule == "staggered":
-                service = verify_cost / run.node_speed(verifier)
-                spacing = max(run.airtime(len(true_frames[participants[0]])), service)
-                cursor = ready
-                for i, mid in enumerate(participants):
-                    start = ready + i * spacing
-                    frame = true_frames[mid]
-                    done, ok = run.transmit(
-                        mid, len(frame), start, [] if mid == verifier else [verifier]
-                    )
-                    if ok or mid == verifier:
-                        delivered[mid] = frame
-                        arrivals.append((done, mid))
-                    cursor = done
-            else:  # flood
-                cursor = ready
-                pending = len(participants)
-                for mid in participants:
-                    cursor += scn.backoff_slot_s * pending
-                    pending -= 1
-                    frame = true_frames[mid]
-                    done, ok = run.transmit(
-                        mid, len(frame), cursor, [] if mid == verifier else [verifier]
-                    )
-                    if ok or mid == verifier:
-                        delivered[mid] = frame
-                        arrivals.append((done, mid))
-                    cursor = done
+            cursor = ready
+            service = verify_cost / run.node_speed(verifier)
+            spacing = max(run.airtime(len(frames[participants[0]])), service)
+        # one frame in flight at a time; the schedule sets each start
+        for i, mid in enumerate(participants):
+            if scn.schedule == "slotted":
+                start = run.compute(mid, member_cost, cursor, "confirm-compute")
+            elif scn.schedule == "staggered":
+                start = ready + i * spacing
+            else:  # flood: backoff shrinks as fewer senders contend
+                start = cursor + scn.backoff_slot_s * (len(participants) - i)
+            frame = frames[mid]
+            # the verifier consumes its own share locally but still
+            # broadcasts it for the rest of the group
+            deliver_to = [] if mid == verifier else [verifier]
+            done, ok = run.transmit(mid, len(frame), start, deliver_to)
+            if ok or mid == verifier:
+                delivered[mid] = frame
+                arrivals.append((done, mid))
+            cursor = done
 
         # verifier pipeline: one verification step per delivered share
         queue_finish: list[float] = []
@@ -562,7 +540,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
 
 def _run_harn(scn: Scenario) -> SimReport:
     t = scn.resolved_threshold()
-    modulus = _resolve_harn(scn.harn_ref)
+    modulus = resolve_harn(scn.harn_ref)
     run = _Run(scn)
     rng = run.rng
 
@@ -596,7 +574,6 @@ def _run_harn(scn: Scenario) -> SimReport:
     )
     accum_cost = cost_model.HARN_ACCUM_PER_MSG
 
-    rounds = 0
     for round_no in range(scn.max_retries + 1):
         rounds = round_no + 1
         run.log(run.now, "round-start", member_ids[0], round=rounds,
@@ -676,9 +653,10 @@ def sweep(
 def chien_model_row(m: int, base: Scenario | None = None) -> str:
     """Synthesize the Chien datapoint under the same timeline assumptions."""
     scn = base if base is not None else Scenario(scheme="proposed-centralized", m=m)
-    curve = _resolve_curve(scn.curve_ref)
-    width = curve.coord_byte_length
-    frame_len = lambda mid: 6 + len(mid) + 4 + 2 * width  # header + point payload
+    generator = resolve_curve(scn.curve_ref).generator
+    frame_len = lambda mid: len(
+        gas_core.public_share_frame(gas_core.PublicShare(mid, generator), 1)
+    )
     ids = [f"U{i + 1}" for i in range(m)]
     release = lambda mm: cost_model.TEM_TMULQ + cost_model.CHIEN_LAGRANGE_PER_X * (mm - 1)
     rate = scn.compute_rate
@@ -687,13 +665,10 @@ def chien_model_row(m: int, base: Scenario | None = None) -> str:
         + cost_model.CHIEN_VERIFY_TAIL / rate
     )
     tmulq = cost_model.per_user_cost("chien", m)
-    jpt = scn.joules_per_tmulq
-    tx_j = scn.tx_j_per_byte if scn.tx_j_per_byte is not None else scn.radio_tmulq_per_byte * jpt
-    rx_j = scn.rx_j_per_byte if scn.rx_j_per_byte is not None else scn.radio_tmulq_per_byte * jpt
     bytes_tx = frame_len(ids[0])
     bytes_rx = sum(frame_len(mid) for mid in ids[1:])
     breakdown = cost_model.energy(
-        "chien", m, jpt, cost_model.RadioCost(tx_j, rx_j), bytes_tx, bytes_rx
+        "chien", m, scn.joules_per_tmulq, scn.radio_cost(), bytes_tx, bytes_rx
     )
     return cost_model.csv_row(
         scheme="chien",

@@ -9,7 +9,6 @@ from gaskit import cost_model
 from gaskit.cost_model import (
     RadioCost,
     calibrate_joules_per_tmulq,
-    cost_profile,
     csv_header,
     csv_row,
     energy,
@@ -48,12 +47,6 @@ def test_affine_slopes():
             for m in range(1, 200)
         }
         assert diffs == {slope}
-
-
-def test_profile_constants():
-    prof = cost_profile("harn", harn_slope="table")
-    assert prof.per_user_tmulq(10) == 1558
-    assert prof.constants == {"TEM_in_tmulp": 29, "tmulp_in_tmulq": 41}
 
 
 def test_decomposition_matches_totals():

@@ -27,11 +27,12 @@ def test_scenario_defaults():
 
 
 def test_scenario_validation_lists_all_problems():
-    scn = Scenario(scheme="rsa", m=0, loss=2.0, bitrate=-1)
+    scn = Scenario(scheme="rsa", m=0, loss=2.0, bitrate=-1, rx_j_per_byte=-1e-6)
     with pytest.raises(ScenarioError) as exc:
         scn.validate()
     msg = str(exc.value)
     assert "scheme" in msg and "m must" in msg and "loss" in msg and "bitrate" in msg
+    assert "rx_j_per_byte" in msg
 
 
 def test_scenario_rejects_harn_flood_and_decentralized_gm():
@@ -50,6 +51,8 @@ def test_scenario_dict_roundtrip(tmp_path):
     assert Scenario.from_json_file(path) == scn
     with pytest.raises(ScenarioError, match="unknown scenario fields"):
         Scenario.from_dict({"scheme": "harn", "m": 3, "warp": 9})
+    with pytest.raises(ScenarioError, match="mac"):
+        Scenario.from_dict({"scheme": "harn", "m": 3, "mac": "serialized-broadcast"})
 
 
 # --- verifier selection ---------------------------------------------------------
