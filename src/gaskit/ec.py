@@ -1,6 +1,10 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
-Affine coordinates with chord-tangent addition.  Protocol scalars are
+Points cross the API in affine coordinates (`CurvePoint` over
+`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul`, the
+one scalar-multiplication path, works on plain integers in Jacobian
+coordinates with mixed addition and a single final inversion, and tallies
+its field multiplications in bulk once per call.  Protocol scalars are
 expected to live modulo `CurveParams.subgroup_order`: the builtin parameter
 sets publish a generator of that prime-order subgroup, and the secret
 sharing layer uses the same prime as its field modulus so that Lagrange
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .field import FieldElement, Prime, active_counter, cached_prime
+from .field import FieldElement, Prime, _tally_muls, active_counter, cached_prime
 
 __all__ = [
     "CurvePoint",
@@ -156,51 +160,111 @@ def negate(pt: CurvePoint) -> CurvePoint:
 
 
 def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
-    """Chord-tangent group law; infinity is the identity."""
+    """Chord-tangent group law; infinity is the identity.
+
+    Tallies the affine formula's field multiplications: 3 for an addition,
+    6 for a doubling (the one inversion is not counted).
+    """
     _require_on_curve(p1, curve)
     _require_on_curve(p2, curve)
-    return _add_unchecked(p1, p2, curve)
-
-
-def _add_unchecked(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
         return p1
-    if p1.x == p2.x:
-        if (p1.y + p2.y).residue == 0:
+    p = curve.modulus.value
+    x1, y1, x2, y2 = p1.x.residue, p1.y.residue, p2.x.residue, p2.y.residue
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
             return _INFINITY
         # doubling: lambda = (3x^2 + A) / (2y)
-        two = FieldElement(2, curve.modulus)
-        three = FieldElement(3, curve.modulus)
-        lam = (three * p1.x * p1.x + curve.a) / (two * p1.y)
+        lam = (3 * x1 * x1 + curve.a.residue) * pow(2 * y1, -1, p) % p
+        muls = 6
     else:
-        lam = (p2.y - p1.y) / (p2.x - p1.x)
-    x3 = lam * lam - p1.x - p2.x
-    y3 = lam * (p1.x - x3) - p1.y
-    return CurvePoint(x3, y3)
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        muls = 3
+    x3 = (lam * lam - x1 - x2) % p
+    _tally_muls(muls)
+    return curve.point(x3, lam * (x1 - x3) - y1)
+
+
+# Field multiplications per Jacobian formula, tallied in bulk by scalar_mul.
+_DOUBLE_MULS = 10  # dbl-1998-cmo-2: 3M + 6S + 1*a
+_MADD_MULS = 11  # madd-2004-hmv: 8M + 3S, adding an affine point
+_MADD_CHECK_MULS = 4  # the part of madd that finds P + P or P + (-P)
+_TO_AFFINE_MULS = 4  # x = X/Z^2, y = Y/Z^3 after one inversion
+
+
+def _double(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
+    """2(X : Y : Z) in Jacobian coordinates; Y = 0 or Z = 0 gives Z3 = 0."""
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + a * ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
 
 
 def scalar_mul(
     k: int, pt: CurvePoint, curve: CurveParams, *, _count: bool = True
 ) -> CurvePoint:
-    """k * pt by double-and-add.  Records one TEM event when counting."""
+    """k * pt by left-to-right double-and-add.  Records one TEM when counting.
+
+    The running point is Jacobian (X : Y : Z), standing for (X/Z^2, Y/Z^3),
+    with Z = 0 the point at infinity (Cohen-Miyaji-Ono, ASIACRYPT'98).  Each
+    bit doubles it; each set bit adds the affine input with a mixed
+    addition.  One inversion at the end returns to affine coordinates.  The
+    field multiplications of those formulas are tallied once, on return;
+    `_count=False` tallies nothing.
+    """
     if k < 0:
         raise ValueError("scalar must be non-negative")
     _require_on_curve(pt, curve)
-    if _count:
-        counter = active_counter()
-        if counter is not None:
-            counter.ec_scalar_muls += 1
-    acc = _INFINITY
-    addend = pt
-    while k:
-        if k & 1:
-            acc = _add_unchecked(acc, addend, curve)
-        k >>= 1
-        if k:
-            addend = _add_unchecked(addend, addend, curve)
-    return acc
+    counter = active_counter() if _count else None
+    if counter is not None:
+        counter.ec_scalar_muls += 1
+    if k == 0 or pt.is_infinity:
+        return _INFINITY
+    p = curve.modulus.value
+    a = curve.a.residue
+    x2, y2 = pt.x.residue, pt.y.residue
+    X, Y, Z = x2, y2, 1
+    muls = 0
+    for bit in bin(k)[3:]:
+        X, Y, Z = _double(X, Y, Z, a, p)
+        muls += _DOUBLE_MULS
+        if bit == "0":
+            continue
+        if not Z:  # infinity + pt
+            X, Y, Z = x2, y2, 1
+            continue
+        ZZ = Z * Z % p
+        H = (x2 * ZZ - X) % p
+        R = (y2 * Z * ZZ - Y) % p
+        if not H:
+            muls += _MADD_CHECK_MULS
+            if R:
+                Z = 0  # (X : Y : Z) = -pt
+            else:
+                X, Y, Z = _double(x2, y2, 1, a, p)
+                muls += _DOUBLE_MULS
+            continue
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X = (R * R - HHH - 2 * V) % p
+        Y = (R * (V - X) - Y * HHH) % p
+        Z = Z * H % p
+        muls += _MADD_MULS
+    if not Z:
+        result = _INFINITY
+    else:
+        z_inv = pow(Z, -1, p)
+        zz_inv = z_inv * z_inv % p
+        result = curve.point(X * zz_inv, Y * zz_inv * z_inv)
+        muls += _TO_AFFINE_MULS
+    if counter is not None:
+        counter.field_muls += muls
+    return result
 
 
 def brute_force_order(curve: CurveParams) -> int:

@@ -3,9 +3,11 @@
 Everything downstream (curve group, secret sharing, the Harn baseline) is
 built on `FieldElement`.  Multiplications are the cost unit of the whole
 toolkit, so `FieldElement.__mul__` and `pow` report into whatever
-`MulCounter` is active in the current execution context.  Inversions are
-*not* counted: they are tracked as separate unit operations in the cost
-model, matching how the per-user operation counts are broken down.
+`MulCounter` is active in the current execution context.  The curve group
+computes on plain integers instead and tallies the multiplications of its
+formulas in bulk, once per `ec.add` or `ec.scalar_mul` call.  Inversions are
+*not* counted anywhere: they are tracked as separate unit operations in the
+cost model, matching how the per-user operation counts are broken down.
 """
 
 from __future__ import annotations
@@ -99,6 +101,11 @@ _ACTIVE: contextvars.ContextVar["MulCounter | None"] = contextvars.ContextVar(
 
 class MulCounter:
     """Counts field multiplications and EC scalar multiplications (TEM events).
+
+    `field_muls` gets one per `FieldElement` multiplication and, from the EC
+    layer, the formula counts of each `ec.add` or `ec.scalar_mul` call in
+    one step; inversions are not counted.  These are measured counts: the
+    modeled T_mul,q costs in `cost_model` never read them.
 
     Used as a context manager::
 

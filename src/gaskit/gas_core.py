@@ -484,21 +484,32 @@ def open_rotated_share(
     payload: bytes,
     new_config: GroupConfig,
 ) -> Share:
+    """Decrypt a member's new share and check it against the new roster.
+
+    Raises `RotationError` when the payload does not authenticate or is
+    malformed, when x is not the member's roster x, or when y is not
+    below q.
+    """
     cipher = ChaCha20Poly1305(_rotation_key(group_key, new_config.epoch, member_id))
     try:
         nonce, ct = wire.decode_encrypted_payload(payload)
         plaintext = cipher.decrypt(
             nonce, ct, _share_aad(new_config.epoch, "GM", member_id)
         )
+        x_bytes, y_bytes = wire.decode_point_payload(plaintext)
     except (InvalidTag, ValueError) as exc:
         raise RotationError(f"cannot decrypt rotated share for {member_id}") from exc
     q = new_config.scalar_field
-    x_bytes, y_bytes = wire.decode_point_payload(plaintext)
-    return Share(
-        x=FieldElement(int.from_bytes(x_bytes, "big"), q),
-        y=FieldElement(int.from_bytes(y_bytes, "big"), q),
-        member_id=member_id,
-    )
+    x = int.from_bytes(x_bytes, "big")
+    y = int.from_bytes(y_bytes, "big")
+    roster_x = new_config.roster_x(member_id)
+    if x != roster_x.residue:
+        raise RotationError(
+            f"rotated share for {member_id} has x={x}, roster has {roster_x.residue}"
+        )
+    if y >= q.value:
+        raise RotationError(f"rotated share for {member_id} has y out of range")
+    return Share(x=roster_x, y=FieldElement(y, q), member_id=member_id)
 
 
 # ---------------------------------------------------------------------------

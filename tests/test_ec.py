@@ -1,8 +1,10 @@
-"""Curve group law against hand oracles and exhaustive small-curve checks."""
+"""Curve group law against hand oracles, exhaustive small-curve checks, the
+affine reference implementation and `cryptography`'s native P-256 ECDH."""
 
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec as crypto_ec
 
 from gaskit.ec import (
     CurveParams,
@@ -175,6 +177,9 @@ def test_scalar_mul_counts_one_tem():
         scalar_mul(23, TEST2017.generator, TEST2017)
     assert ops.ec_scalar_muls == 1
     assert ops.field_muls > 0
+    with MulCounter() as ops:
+        scalar_mul(23, TEST2017.generator, TEST2017, _count=False)
+    assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
 
 
 def test_secp160r1_parameters_validate():
@@ -215,3 +220,160 @@ def test_subgroup_order_validated():
     data["subgroup_order"] = "41"  # prime, but does not annihilate G
     with pytest.raises(ValueError, match="annihilate"):
         curve_from_dict(data)
+
+
+# --- differential checks against the affine reference --------------------------------
+#
+# The chord-tangent group law over FieldElement objects and right-to-left
+# double-and-add, an oracle independent of the integer Jacobian core.  Its
+# FieldElement arithmetic tallies each multiplication itself.
+
+def _ref_add(p1, p2, curve):
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    if p1.x == p2.x:
+        if (p1.y + p2.y).residue == 0:
+            return CurvePoint.infinity()
+        two = FieldElement(2, curve.modulus)
+        three = FieldElement(3, curve.modulus)
+        lam = (three * p1.x * p1.x + curve.a) / (two * p1.y)
+    else:
+        lam = (p2.y - p1.y) / (p2.x - p1.x)
+    x3 = lam * lam - p1.x - p2.x
+    y3 = lam * (p1.x - x3) - p1.y
+    return CurvePoint(x3, y3)
+
+
+def _ref_scalar_mul(k, pt, curve):
+    acc = CurvePoint.infinity()
+    addend = pt
+    while k:
+        if k & 1:
+            acc = _ref_add(acc, addend, curve)
+        k >>= 1
+        if k:
+            addend = _ref_add(addend, addend, curve)
+    return acc
+
+
+def _edge_scalars(curve):
+    n = curve.subgroup_order
+    return [0, 1, 2, n - 1, n, n + 1, 2 * n - 1] + ([curve.order] if curve.order else [])
+
+
+def _assert_scalar_muls_match(pt, scalars, curve):
+    for k in scalars:
+        assert scalar_mul(k, pt, curve) == _ref_scalar_mul(k, pt, curve), (k, pt)
+
+
+def _test2017_points():
+    roots = {}
+    for y in range(2017):
+        roots.setdefault(y * y % 2017, []).append(y)
+    return [TEST2017.point(x, y) for x in range(2017)
+            for y in roots.get((x**3 + 6 * x + 36) % 2017, [])]
+
+
+def _order(pt, curve):
+    k = 1
+    acc = pt
+    while not acc.is_infinity:
+        acc = add(acc, pt, curve)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5"])
+def test_scalar_mul_matches_reference_on_builtin_curves(name):
+    curve = builtin_curve(name)
+    rng = random.Random(name)
+    bound = curve.order or curve.subgroup_order
+    points = [curve.generator] + [
+        scalar_mul(rng.randrange(1, bound), curve.generator, curve) for _ in range(3)
+    ]
+    for pt in points:
+        randoms = [rng.randrange(1, 2**curve.modulus.value.bit_length()) for _ in range(4)]
+        _assert_scalar_muls_match(pt, _edge_scalars(curve) + randoms, curve)
+
+
+def test_scalar_mul_matches_reference_on_every_toy5_point():
+    # order 6 with a Y = 0 point, so doubling to infinity, P + P and
+    # P + (-P) all occur inside the double-and-add loop
+    pts = _toy5_points()
+    assert any(not pt.is_infinity and pt.y.residue == 0 for pt in pts)
+    for pt in pts:
+        _assert_scalar_muls_match(pt, range(40), TOY5)
+
+
+def test_scalar_mul_matches_reference_on_small_order_test2017_points():
+    # cofactor 55: multiplying by 37 lands in the 55-torsion, whose points
+    # have order 1, 5, 11 or 55
+    rng = random.Random(55)
+    pts = _test2017_points()
+    torsion = {scalar_mul(37, pt, TEST2017) for pt in pts}
+    by_order = {}
+    for pt in torsion:
+        by_order.setdefault(_order(pt, TEST2017), []).append(pt)
+    assert sorted(by_order) == [1, 5, 11, 55]
+    for order in (5, 11, 55):
+        for pt in by_order[order][:4]:
+            _assert_scalar_muls_match(pt, range(3 * order), TEST2017)
+    for pt in rng.sample(pts, 100):
+        _assert_scalar_muls_match(pt, _edge_scalars(TEST2017) + [rng.randrange(2**11)], TEST2017)
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5"])
+def test_add_matches_reference_and_its_tally(name):
+    curve = builtin_curve(name)
+    rng = random.Random(name)
+    if name == "toy5":
+        pts = _toy5_points()
+    else:
+        bound = curve.order or curve.subgroup_order
+        pts = [scalar_mul(rng.randrange(1, bound), curve.generator, curve) for _ in range(6)]
+        pts += [CurvePoint.infinity()] + [negate(pt) for pt in pts[:2]]
+    for p1 in pts:
+        for p2 in pts:
+            with MulCounter() as ops:
+                got = add(p1, p2, curve)
+            with MulCounter() as ref_ops:
+                want = _ref_add(p1, p2, curve)
+            assert got == want
+            assert ops.field_muls == ref_ops.field_muls
+
+
+# --- P-256 against cryptography's native ECDH ------------------------------------------
+#
+# A test-only curve: p and n from SEC 2 / FIPS 186-4, G from the library
+# itself, b derived from G and y^2 = x^3 - 3x + b.  CurveParams checks
+# n * G = O on construction, so a wrong n fails here.
+
+P256_P = 2**256 - 2**224 + 2**192 + 2**96 - 1
+P256_N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
+def _p256_curve():
+    g = crypto_ec.derive_private_key(1, crypto_ec.SECP256R1()).public_key().public_numbers()
+    b = (g.y * g.y - g.x**3 + 3 * g.x) % P256_P
+    assert b == 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+    return curve_from_dict(
+        {"p": str(P256_P), "A": str(P256_P - 3), "B": str(b), "Gx": str(g.x),
+         "Gy": str(g.y), "order": str(P256_N), "subgroup_order": str(P256_N)},
+        name="p256-test",
+    )
+
+
+def test_p256_ecdh_matches_cryptography():
+    curve = _p256_curve()
+    rng = random.Random(256)
+    for _ in range(8):
+        d_a, d_b = (rng.randrange(1, P256_N) for _ in range(2))
+        priv_a = crypto_ec.derive_private_key(d_a, crypto_ec.SECP256R1())
+        pub_b = crypto_ec.derive_private_key(d_b, crypto_ec.SECP256R1()).public_key()
+        nums = pub_b.public_numbers()
+        q_b = curve.point(nums.x, nums.y)
+        assert scalar_mul(d_b, curve.generator, curve) == q_b
+        shared = scalar_mul(d_a, q_b, curve)
+        assert shared.x.to_bytes() == priv_a.exchange(crypto_ec.ECDH(), pub_b)

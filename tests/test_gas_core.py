@@ -4,8 +4,9 @@ import dataclasses
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from gaskit import wire
+from gaskit import gas_core, wire
 from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter
 from gaskit.gas_core import (
@@ -353,6 +354,46 @@ def test_rotation_bundle_round_trip_and_access_control():
     wrong_key = key + FieldElement(1, config.scalar_field)
     with pytest.raises(RotationError):
         open_rotated_share("U1", wrong_key, rotation.encrypted_bundle["U1"], rotation.config)
+
+
+def _seal_rotated_share(key, config, member_id, plaintext):
+    """Any plaintext sealed under the member's rotation key, as the GM would."""
+    cipher = ChaCha20Poly1305(gas_core._rotation_key(key, config.epoch, member_id))
+    nonce = bytes(wire.NONCE_LEN)
+    ct = cipher.encrypt(nonce, plaintext, gas_core._share_aad(config.epoch, "GM", member_id))
+    return wire.encode_encrypted_payload(nonce, ct)
+
+
+@pytest.mark.parametrize(
+    "forge", ["x_plus_q", "y_plus_q", "x_equals_q", "other_members_x", "malformed"]
+)
+def test_open_rotated_share_rejects_forged_payload(forge):
+    rng, config, shares = setup_group(t=2, n=3, seed=39)
+    states, _ = run_confirmation(config, shares)
+    key = exchange_group_key(states, rng)
+    rotation = rotate_credentials(config, key, rng)
+    share = rotation.shares[0]
+    q = rotation.config.scalar_field
+
+    def point(x, y):
+        return wire.encode_point_payload(
+            x.to_bytes(q.byte_length, "big"), y.to_bytes(q.byte_length, "big")
+        )
+
+    x, y = share.x.residue, share.y.residue
+    forged = {
+        "x_plus_q": point(x + q.value, y),  # would reduce to the roster x
+        "y_plus_q": point(x, y + q.value),  # would reduce to the dealt y
+        "x_equals_q": point(q.value, y),
+        "other_members_x": point(rotation.shares[1].x.residue, y),
+        "malformed": b"\x00",
+    }[forge]
+    # the honest values sealed the same way open, so only the forgery differs
+    honest = _seal_rotated_share(key, rotation.config, share.member_id, point(x, y))
+    assert open_rotated_share(share.member_id, key, honest, rotation.config) == share
+    payload = _seal_rotated_share(key, rotation.config, share.member_id, forged)
+    with pytest.raises(RotationError):
+        open_rotated_share(share.member_id, key, payload, rotation.config)
 
 
 # --- wire + config export ----------------------------------------------------------------
