@@ -155,13 +155,9 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
         # the attacker's only computable combination of the public points
         # (their sum) does not yield the pairwise key either
         joint = add(replayed.point, gas_core.make_public_share(any_peer).point, config.curve)
-        fake_key = gas_core._kdf(  # structural check, not an API
-            gas_core._PAIRWISE_LABEL,
-            joint.x.to_bytes(),
-            *(mid.encode() for mid in sorted((victim, any_peer.member_id))),
-        )
+        fake_key = gas_core.pairwise_key(joint, victim, any_peer.member_id)
         real = gas_core.derive_pairwise_key(any_peer.share, replayed, config)
-        attacker_key_ok = fake_key == real.key_bytes
+        attacker_key_ok = fake_key == real
         notes.append("attacker cannot authenticate any AEAD exchange")
 
     # an attacker-minted point (anything but the true image) never verifies

@@ -1,14 +1,23 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
 Points cross the API in affine coordinates (`CurvePoint` over
-`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul`, the
-one scalar-multiplication path, works on plain integers in Jacobian
-coordinates with mixed addition and a single final inversion, and tallies
-its field multiplications in bulk once per call.  Protocol scalars are
-expected to live modulo `CurveParams.subgroup_order`: the builtin parameter
-sets publish a generator of that prime-order subgroup, and the secret
-sharing layer uses the same prime as its field modulus so that Lagrange
-arithmetic and scalar arithmetic agree.
+`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul` works
+on plain integers in Jacobian coordinates with mixed addition and a single
+final inversion, and tallies its field multiplications in bulk once per
+call.  It has two paths:
+
+* fixed base, for the curve's own generator when `subgroup_order` is set:
+  k is reduced mod n and split into 3-bit digits, and one precomputed
+  affine point per nonzero digit is added, with no doublings.  The table
+  (ceil(bitlen(n)/3) rows of 7 points; 54 rows, about 60 KB, for
+  secp160r1) is built once per `CurveParams`, on the first such call, and
+  is held on that instance;
+* variable base, for every other point: left-to-right double-and-add.
+
+Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
+the builtin parameter sets publish a generator of that prime-order
+subgroup, and the secret sharing layer uses the same prime as its field
+modulus so that Lagrange arithmetic and scalar arithmetic agree.
 
 Builtin parameter sets (see ``data/``):
 
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import FieldElement, Prime, _tally_muls, active_counter, cached_prime
@@ -130,11 +139,20 @@ class CurveParams:
             FieldElement(x, self.modulus), FieldElement(y, self.modulus)
         )
 
+    @cached_property
+    def _generator_table(self) -> list[list[tuple[int, int] | None]]:
+        """Fixed-base table of `scalar_mul`, built on first use; see there."""
+        return _build_generator_table(self)
+
 
 def is_probable_subgroup(curve: CurveParams) -> bool:
-    if scalar_mul(curve.subgroup_order, curve.generator, curve, _count=False) != _INFINITY:
+    # The variable-base path on purpose: the fixed-base path reduces k mod
+    # subgroup_order, which is what this check has yet to justify.
+    n, g = curve.subgroup_order, curve.generator
+    p, a = curve.modulus.value, curve.a.residue
+    if n < 1 or _var_base(n, g.x.residue, g.y.residue, a, p)[2]:
         return False
-    return curve.order is None or curve.order % curve.subgroup_order == 0
+    return curve.order is None or curve.order % n == 0
 
 
 def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
@@ -193,6 +211,11 @@ _MADD_MULS = 11  # madd-2004-hmv: 8M + 3S, adding an affine point
 _MADD_CHECK_MULS = 4  # the part of madd that finds P + P or P + (-P)
 _TO_AFFINE_MULS = 4  # x = X/Z^2, y = Y/Z^3 after one inversion
 
+# Digit width of the fixed-base path.  4-bit windows are faster still, but
+# then a secp160r1 TEM can tally fewer than a third of the modeled 1189
+# field multiplications, the floor tests/test_cost_model.py holds.
+_WINDOW = 3
+
 
 def _double(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
     """2(X : Y : Z) in Jacobian coordinates; Y = 0 or Z = 0 gives Z3 = 0."""
@@ -204,57 +227,127 @@ def _double(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
     return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
 
 
-def scalar_mul(
-    k: int, pt: CurvePoint, curve: CurveParams, *, _count: bool = True
-) -> CurvePoint:
-    """k * pt by left-to-right double-and-add.  Records one TEM when counting.
+def _madd(
+    X: int, Y: int, Z: int, x2: int, y2: int, a: int, p: int
+) -> tuple[int, int, int, int]:
+    """(X : Y : Z) + (x2, y2) and the field multiplications it took.
 
-    The running point is Jacobian (X : Y : Z), standing for (X/Z^2, Y/Z^3),
-    with Z = 0 the point at infinity (Cohen-Miyaji-Ono, ASIACRYPT'98).  Each
-    bit doubles it; each set bit adds the affine input with a mixed
-    addition.  One inversion at the end returns to affine coordinates.  The
-    field multiplications of those formulas are tallied once, on return;
-    `_count=False` tallies nothing.
+    Infinity (Z = 0) plus the affine point is that point; P + P doubles and
+    P + (-P) gives Z = 0.
     """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    _require_on_curve(pt, curve)
-    counter = active_counter() if _count else None
-    if counter is not None:
-        counter.ec_scalar_muls += 1
-    if k == 0 or pt.is_infinity:
-        return _INFINITY
-    p = curve.modulus.value
-    a = curve.a.residue
-    x2, y2 = pt.x.residue, pt.y.residue
+    if not Z:
+        return x2, y2, 1, 0
+    ZZ = Z * Z % p
+    H = (x2 * ZZ - X) % p
+    R = (y2 * Z * ZZ - Y) % p
+    if not H:
+        if R:
+            return X, Y, 0, _MADD_CHECK_MULS
+        return (*_double(x2, y2, 1, a, p), _MADD_CHECK_MULS + _DOUBLE_MULS)
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p, _MADD_MULS
+
+
+def _var_base(k: int, x2: int, y2: int, a: int, p: int) -> tuple[int, int, int, int]:
+    """k * (x2, y2) for k >= 1 by left-to-right double-and-add: (X, Y, Z, muls)."""
     X, Y, Z = x2, y2, 1
     muls = 0
     for bit in bin(k)[3:]:
         X, Y, Z = _double(X, Y, Z, a, p)
         muls += _DOUBLE_MULS
-        if bit == "0":
-            continue
-        if not Z:  # infinity + pt
-            X, Y, Z = x2, y2, 1
-            continue
-        ZZ = Z * Z % p
-        H = (x2 * ZZ - X) % p
-        R = (y2 * Z * ZZ - Y) % p
-        if not H:
-            muls += _MADD_CHECK_MULS
-            if R:
-                Z = 0  # (X : Y : Z) = -pt
-            else:
-                X, Y, Z = _double(x2, y2, 1, a, p)
-                muls += _DOUBLE_MULS
-            continue
-        HH = H * H % p
-        HHH = H * HH % p
-        V = X * HH % p
-        X = (R * R - HHH - 2 * V) % p
-        Y = (R * (V - X) - Y * HHH) % p
-        Z = Z * H % p
-        muls += _MADD_MULS
+        if bit == "1":
+            X, Y, Z, m = _madd(X, Y, Z, x2, y2, a, p)
+            muls += m
+    return X, Y, Z, muls
+
+
+def _fixed_base(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
+    """k * G from the generator table: (X, Y, Z, muls)."""
+    p, a = curve.modulus.value, curve.a.residue
+    mask = (1 << _WINDOW) - 1
+    k %= curve.subgroup_order
+    X, Y, Z = 1, 1, 0
+    muls = 0
+    for row in curve._generator_table:
+        entry = row[k & mask]
+        k >>= _WINDOW
+        if entry is not None:
+            X, Y, Z, m = _madd(X, Y, Z, *entry, a, p)
+            muls += m
+    return X, Y, Z, muls
+
+
+def _build_generator_table(curve: CurveParams) -> list[list[tuple[int, int] | None]]:
+    """Rows T[j][d] = d * 2^(3j) * G for d < 8, affine, None for infinity.
+
+    Row 0 comes from the variable-base path, each later row from three
+    doublings of the one before, and all of it returns to affine with one
+    Montgomery batch inversion.  Tallies nothing.
+    """
+    p, a = curve.modulus.value, curve.a.residue
+    gx, gy = curve.generator.x.residue, curve.generator.y.residue
+    rows = -(-curve.subgroup_order.bit_length() // _WINDOW)
+    row = [(1, 1, 0)] + [_var_base(d, gx, gy, a, p)[:3] for d in range(1, 1 << _WINDOW)]
+    jacobian = [row]
+    for _ in range(rows - 1):
+        for _ in range(_WINDOW):
+            row = [_double(X, Y, Z, a, p) for X, Y, Z in row]
+        jacobian.append(row)
+    flat = [pt for row in jacobian for pt in row]
+    zs = [Z or 1 for _, _, Z in flat]
+    prefix = [1]
+    for z in zs:
+        prefix.append(prefix[-1] * z % p)
+    inv = pow(prefix[-1], -1, p)
+    z_invs = [0] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        z_invs[i] = inv * prefix[i] % p
+        inv = inv * zs[i] % p
+    affine = []
+    for (X, Y, Z), z_inv in zip(flat, z_invs):
+        zz_inv = z_inv * z_inv % p
+        affine.append((X * zz_inv % p, Y * zz_inv * z_inv % p) if Z else None)
+    width = 1 << _WINDOW
+    return [affine[i : i + width] for i in range(0, len(affine), width)]
+
+
+def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
+    """k * pt.  Records one TEM in the active `MulCounter`.
+
+    The running point is Jacobian (X : Y : Z), standing for (X/Z^2, Y/Z^3),
+    with Z = 0 the point at infinity (Cohen-Miyaji-Ono, ASIACRYPT'98); one
+    inversion at the end returns to affine coordinates.
+
+    * Fixed base, when pt equals `curve.generator` and `subgroup_order` n is
+      set: k mod n is split into 3-bit digits d_j, and the precomputed
+      affine point d_j * 2^(3j) * G of each nonzero digit is added with a
+      mixed addition, with no doublings (fixed-base windowing,
+      Brickell-Gordon-McCurley-Wilson, EUROCRYPT'92).  The first such call
+      on a `CurveParams` builds its table of ceil(bitlen(n)/3) rows of 7
+      points (about 10 ms for secp160r1), untallied.
+    * Variable base, for any other point: each bit of k doubles, each set
+      bit adds pt with a mixed addition.
+
+    The field multiplications of the formulas run are tallied once, on
+    return: 10 per doubling, 11 per mixed addition, 4 to return to affine.
+    A secp160r1 TEM of G tallies about 500, of any other point about 2.4k.
+    """
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
+    _require_on_curve(pt, curve)
+    counter = active_counter()
+    if counter is not None:
+        counter.ec_scalar_muls += 1
+    if k == 0 or pt.is_infinity:
+        return _INFINITY
+    p = curve.modulus.value
+    if curve.subgroup_order is not None and pt == curve.generator:
+        X, Y, Z, muls = _fixed_base(k, curve)
+    else:
+        X, Y, Z, muls = _var_base(k, pt.x.residue, pt.y.residue, curve.a.residue, p)
     if not Z:
         result = _INFINITY
     else:

@@ -104,8 +104,12 @@ class MulCounter:
 
     `field_muls` gets one per `FieldElement` multiplication and, from the EC
     layer, the formula counts of each `ec.add` or `ec.scalar_mul` call in
-    one step; inversions are not counted.  These are measured counts: the
-    modeled T_mul,q costs in `cost_model` never read them.
+    one step; inversions are not counted.  A scalar multiplication tallies
+    the formulas it ran, so the same TEM counts differently by path: about
+    500 on secp160r1 for the generator (fixed-base table, whose one-off
+    build tallies nothing), about 2.4k for any other point.  These are
+    measured counts: the modeled T_mul,q costs in `cost_model` never read
+    them.
 
     Used as a context manager::
 

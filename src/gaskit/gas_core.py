@@ -53,6 +53,7 @@ __all__ = [
     "public_share_from_frame",
     "gm_verify",
     "decentralized_verify",
+    "pairwise_key",
     "derive_pairwise_key",
     "ensure_pairwise_keys",
     "encrypt_share_for_peer",
@@ -358,9 +359,14 @@ def derive_pairwise_key(
     if not is_on_curve(peer.point, config.curve):
         raise ValueError(f"peer point from {peer.member_id} is off-curve")
     shared = scalar_mul(own.y.residue, peer.point, config.curve)
+    return pairwise_key(shared, own.member_id, peer.member_id)
+
+
+def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> SymmetricKey:
+    """K = SHA-256 over the label, x(shared) and the two ids in sorted order."""
     if shared.is_infinity:
         raise ValueError("degenerate shared point; re-keying required")
-    id_a, id_b = sorted((own.member_id, peer.member_id))
+    id_a, id_b = sorted((member_a, member_b))
     key = _kdf(
         _PAIRWISE_LABEL,
         shared.x.to_bytes(),

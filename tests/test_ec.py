@@ -18,6 +18,7 @@ from gaskit.ec import (
     negate,
     scalar_mul,
 )
+from gaskit import gas_core
 from gaskit.field import FieldElement, MulCounter, Prime
 
 TEST2017 = builtin_curve("test2017")
@@ -177,9 +178,6 @@ def test_scalar_mul_counts_one_tem():
         scalar_mul(23, TEST2017.generator, TEST2017)
     assert ops.ec_scalar_muls == 1
     assert ops.field_muls > 0
-    with MulCounter() as ops:
-        scalar_mul(23, TEST2017.generator, TEST2017, _count=False)
-    assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
 
 
 def test_secp160r1_parameters_validate():
@@ -216,10 +214,21 @@ def test_load_curve_from_file(tmp_path):
 
 
 def test_subgroup_order_validated():
-    data = curve_to_dict(TEST2017)
-    data["subgroup_order"] = "41"  # prime, but does not annihilate G
-    with pytest.raises(ValueError, match="annihilate"):
-        curve_from_dict(data)
+    for sub, keep_order in [
+        ("41", True),  # prime, but does not annihilate G
+        # prime and divides the group order 2035, but 11 * G != O: a check
+        # that reduced the scalar mod subgroup_order first would pass it
+        ("11", True),
+        ("11", False),
+        ("0", True),
+        ("-37", True),
+    ]:
+        data = curve_to_dict(TEST2017)
+        data["subgroup_order"] = sub
+        if not keep_order:
+            del data["order"]
+        with pytest.raises(ValueError, match="annihilate"):
+            curve_from_dict(data)
 
 
 # --- differential checks against the affine reference --------------------------------
@@ -377,3 +386,56 @@ def test_p256_ecdh_matches_cryptography():
         assert scalar_mul(d_b, curve.generator, curve) == q_b
         shared = scalar_mul(d_a, q_b, curve)
         assert shared.x.to_bytes() == priv_a.exchange(crypto_ec.ECDH(), pub_b)
+
+
+# --- the fixed-base path for the generator ----------------------------------------------
+
+def _fresh_curve(name):
+    """A new `CurveParams`, so that no other test has built its table yet."""
+    if name == "p256":
+        return _p256_curve()
+    return curve_from_dict(curve_to_dict(builtin_curve(name)), name=name)
+
+
+def _fixed_base_muls(k, curve):
+    """Tally of k * G on the fixed-base path when no P + P or P + (-P) occurs."""
+    k %= curve.subgroup_order
+    digits = 0
+    while k:
+        digits += bool(k & 7)
+        k >>= 3
+    return 11 * (digits - 1) + 4 if digits else 0
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5", "p256"])
+def test_fixed_base_matches_reference(name):
+    curve = _fresh_curve(name)
+    assert "_generator_table" not in vars(curve)  # built on first use, not on load
+    g = _fresh_curve(name).generator
+    assert g == curve.generator and g is not curve.generator
+    rng = random.Random(name)
+    randoms = [rng.randrange(2**curve.modulus.value.bit_length()) for _ in range(8)]
+    for k in _edge_scalars(curve) + randoms:
+        assert scalar_mul(k, g, curve) == _ref_scalar_mul(k, curve.generator, curve), k
+    assert "_generator_table" in vars(curve)
+
+
+def test_fixed_base_tally_and_config_roundtrip():
+    # the first call builds the table inside the counter: the build tallies
+    # nothing, the call only its mixed additions and the return to affine
+    curve = _fresh_curve("secp160r1")
+    n = curve.subgroup_order
+    rng = random.Random(160)
+    k = rng.randrange(1, n)
+    with MulCounter() as ops:
+        scalar_mul(k, curve.generator, curve)
+    assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(k, curve))
+    # a generator that arrives as an equal but distinct point takes the same path
+    config, _ = gas_core.gm_init(3, 5, curve, rng)
+    g = gas_core.config_from_dict(gas_core.config_to_dict(config), curve=curve).generator
+    assert g is not curve.generator
+    for k in [rng.randrange(1, n) for _ in range(20)] + [n + 1, 2 * n - 1, 2**200 + 3]:
+        with MulCounter() as ops:
+            got = scalar_mul(k, g, curve)
+        assert got == _ref_scalar_mul(k % n, curve.generator, curve)
+        assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(k, curve))

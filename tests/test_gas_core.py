@@ -20,6 +20,7 @@ from gaskit.gas_core import (
     config_to_dict,
     decentralized_verify,
     derive_pairwise_key,
+    pairwise_key,
     encrypt_share_for_peer,
     exchange_group_key,
     gm_init,
@@ -246,6 +247,7 @@ def test_pairwise_key_matches_bruteforce_ecdh_oracle():
         + len(idb.encode()).to_bytes(2, "big") + idb.encode()
     ).digest()
     assert derive_pairwise_key(shares[0], public_shares[1], config).key_bytes == expected
+    assert pairwise_key(shared, "U2", "U1").key_bytes == expected
 
 
 def test_pairwise_key_not_attacker_computable_combination():
