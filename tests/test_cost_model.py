@@ -130,3 +130,23 @@ def test_measured_scalar_mul_count_within_3x_of_model():
         with MulCounter() as ops:
             scalar_mul(k, curve.generator, curve)
         assert 1189 / 3 <= ops.field_muls <= 1189 * 3
+
+
+def test_measured_variable_base_count_within_3x_of_model():
+    """The same contract for a point other than the generator (the pairwise
+    ECDH), which takes the double-and-add path: 10 field muls per doubling,
+    11 per mixed addition, 4 to return to affine."""
+    from gaskit.ec import builtin_curve, scalar_mul
+    from gaskit.field import MulCounter
+
+    curve = builtin_curve("secp160r1")
+    rng = random.Random(13)
+    pt = scalar_mul(rng.randrange(2, curve.subgroup_order), curve.generator, curve)
+    for _ in range(3):
+        k = rng.randrange(1, curve.subgroup_order)
+        with MulCounter() as ops:
+            scalar_mul(k, pt, curve)
+        doublings, adds = k.bit_length() - 1, bin(k).count("1") - 1
+        assert ops.ec_scalar_muls == 1
+        assert ops.field_muls == 10 * doublings + 11 * adds + 4
+        assert 1189 / 3 <= ops.field_muls <= 1189 * 3

@@ -174,10 +174,20 @@ def test_scalar_mul_matches_repeated_addition():
 
 
 def test_scalar_mul_counts_one_tem():
+    # loading a curve checks n * G = O on the variable-base path, untallied
     with MulCounter() as ops:
-        scalar_mul(23, TEST2017.generator, TEST2017)
-    assert ops.ec_scalar_muls == 1
-    assert ops.field_muls > 0
+        curve_from_dict(curve_to_dict(TEST2017))
+    assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
+    g = TEST2017.generator
+    # fixed base: 23 = 0o27, two digits, so one mixed addition, then affine
+    with MulCounter() as ops:
+        scalar_mul(23, g, TEST2017)
+    assert (ops.ec_scalar_muls, ops.field_muls) == (1, 11 + 4)
+    # variable base: 23 = 0b10111, 4 doublings and 3 mixed additions, then affine
+    pt = scalar_mul(5, g, TEST2017)
+    with MulCounter() as ops:
+        scalar_mul(23, pt, TEST2017)
+    assert (ops.ec_scalar_muls, ops.field_muls) == (1, 4 * 10 + 3 * 11 + 4)
 
 
 def test_secp160r1_parameters_validate():
