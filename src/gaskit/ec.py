@@ -12,7 +12,14 @@ call.  It has two paths:
   (ceil(bitlen(n)/3) rows of 7 points; 54 rows, about 60 KB, for
   secp160r1) is built once per `CurveParams`, on the first such call, and
   is held on that instance;
-* variable base, for every other point: left-to-right double-and-add.
+* variable base, for every other point: a width-4 NAF over the affine
+  odd multiples P, 3P, 5P, 7P, built per call from one doubling, three
+  mixed additions and one batch inversion, for scalars of `_NAF_MIN_BITS`
+  (32) bits or more; left-to-right binary double-and-add for shorter
+  ones, on which the precompute costs more than it saves.
+
+Where a = -3 mod p (secp160r1, P-256), the NAF loop doubles with the
+cheaper a = -3 formula.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -207,14 +214,28 @@ def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
 
 # Field multiplications per Jacobian formula, tallied in bulk by scalar_mul.
 _DOUBLE_MULS = 10  # dbl-1998-cmo-2: 3M + 6S + 1*a
+_DOUBLE_A3_MULS = 8  # dbl-2001-b: 3M + 5S, for a = -3
 _MADD_MULS = 11  # madd-2004-hmv: 8M + 3S, adding an affine point
 _MADD_CHECK_MULS = 4  # the part of madd that finds P + P or P + (-P)
 _TO_AFFINE_MULS = 4  # x = X/Z^2, y = Y/Z^3 after one inversion
+# The width-4 NAF precompute beyond its doubling and mixed additions: 6 to
+# move P and a to the curve on which 2P is affine and 3 to scale the Z of
+# 3P, 5P and 7P back, then per finite one 3 in the batch inversion and 4 to
+# return to affine.
+_NAF_ISO_MULS = 6 + 3
+_NAF_ENTRY_MULS = 3 + _TO_AFFINE_MULS
 
 # Digit width of the fixed-base path.  4-bit windows are faster still, but
 # then a secp160r1 TEM can tally fewer than a third of the modeled 1189
 # field multiplications, the floor tests/test_cost_model.py holds.
 _WINDOW = 3
+
+# Shortest scalar, in bits, on the variable-base width-4 NAF path.  Below it
+# the NAF's precompute costs more than it saves, and binary double-and-add
+# runs instead.  Measured: the two tie at about 32 bits on secp160r1 and
+# P-256 (CPython 3.11, 2-vCPU KVM guest); on test2017 the binary loop is
+# still ahead there, but its protocol scalars are under 6 bits.
+_NAF_MIN_BITS = 32
 
 
 def _double(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
@@ -225,6 +246,27 @@ def _double(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
     M = (3 * X * X + a * ZZ * ZZ) % p
     X3 = (M * M - 2 * S) % p
     return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _double_a3(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
+    """`_double` for a curve with a = -3 mod p; `a` itself is not read.
+
+    M = 3X^2 - 3Z^4 = 3(X - Z^2)(X + Z^2) saves two multiplications
+    (dbl-2001-b, Explicit-Formulas Database).
+    """
+    ZZ = Z * Z % p
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    M = 3 * (X - ZZ) * (X + ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _doubling(a: int, p: int):
+    """The Jacobian doubling for this curve's a, and its field muls."""
+    if (a + 3) % p == 0:
+        return _double_a3, _DOUBLE_A3_MULS
+    return _double, _DOUBLE_MULS
 
 
 def _madd(
@@ -255,13 +297,23 @@ def _to_affine(X: int, Y: int, Z: int, p: int) -> tuple[int, int] | None:
     """(X/Z^2, Y/Z^3) after one inversion, or None for Z = 0 (infinity)."""
     if not Z:
         return None
-    z_inv = pow(Z, -1, p)
+    return _scale_to_affine(X, Y, pow(Z, -1, p), p)
+
+
+def _scale_to_affine(X: int, Y: int, z_inv: int, p: int) -> tuple[int, int]:
+    """(X/Z^2, Y/Z^3) given z_inv = 1/Z."""
     zz_inv = z_inv * z_inv % p
     return X * zz_inv % p, Y * zz_inv * z_inv % p
 
 
 def _var_base(k: int, x2: int, y2: int, a: int, p: int) -> tuple[int, int, int, int]:
-    """k * (x2, y2) for k >= 1 by left-to-right double-and-add: (X, Y, Z, muls)."""
+    """k * (x2, y2) for k >= 1: (X, Y, Z, muls).
+
+    Width-4 NAF from `_NAF_MIN_BITS` bits on, left-to-right binary
+    double-and-add below.
+    """
+    if k.bit_length() >= _NAF_MIN_BITS:
+        return _var_base_naf(k, x2, y2, a, p)
     X, Y, Z = x2, y2, 1
     muls = 0
     for bit in bin(k)[3:]:
@@ -269,6 +321,110 @@ def _var_base(k: int, x2: int, y2: int, a: int, p: int) -> tuple[int, int, int, 
         muls += _DOUBLE_MULS
         if bit == "1":
             X, Y, Z, m = _madd(X, Y, Z, x2, y2, a, p)
+            muls += m
+    return X, Y, Z, muls
+
+
+def _naf4(k: int) -> list[tuple[int, int]]:
+    """The nonzero digits of the width-4 NAF of k >= 1, as (position, digit),
+    least significant first.
+
+    Each digit is odd with |d| < 8, the top one positive, and two digits are
+    at least 4 positions apart (Hankerson-Menezes-Vanstone, Alg. 3.35).
+    """
+    digits = []
+    pos = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & 15
+        if d > 8:
+            d -= 16
+        digits.append((pos, d))
+        k = (k - d) >> 4
+        pos += 4
+    return digits
+
+
+def _batch_inverse(zs: list[int], p: int) -> list[int]:
+    """1/z mod p for each z, 0 for z = 0, from one inversion.
+
+    Montgomery's trick: 3 multiplications per nonzero z.
+    """
+    prefix, acc = [], 1
+    for z in zs:
+        prefix.append(acc)
+        if z:
+            acc = acc * z % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(zs)
+    for i in reversed(range(len(zs))):
+        if zs[i]:
+            out[i] = inv * prefix[i] % p
+            inv = inv * zs[i] % p
+    return out
+
+
+def _odd_multiples(
+    x: int, y: int, a: int, p: int
+) -> tuple[list[tuple[int, int] | None], int]:
+    """Affine d * (x, y) for d = 1, 3, 5, 7 (None for infinity), and the muls.
+
+    One doubling gives 2P = (X2 : Y2 : Z).  On the isomorphic curve
+    (u, v) -> (Z^2 u, Z^3 v), with a' = Z^4 a, 2P is the affine (X2, Y2), so
+    three mixed additions give 3P, 5P and 7P there; a point (X : Y : Z') of
+    that curve is (X : Y : Z' Z) of this one.  One batch inversion then
+    returns all of them to affine.
+    """
+    dbl, muls = _doubling(a, p)
+    X2, Y2, Z = dbl(x, y, 1, a, p)
+    if not Z:  # 2P = O: P has order 2, and every odd multiple is P
+        return [(x, y)] * 4, muls
+    ZZ = Z * Z % p
+    a_iso = a * ZZ * ZZ % p
+    X, Y, Zi = x * ZZ % p, y * ZZ * Z % p, 1
+    muls += _NAF_ISO_MULS
+    jacobian = []
+    for _ in range(3):
+        X, Y, Zi, m = _madd(X, Y, Zi, X2, Y2, a_iso, p)
+        jacobian.append((X, Y, Zi * Z % p))
+        muls += m
+    z_invs = _batch_inverse([Zi for _, _, Zi in jacobian], p)
+    odd = [(x, y)]
+    for (X, Y, Zi), z_inv in zip(jacobian, z_invs):
+        odd.append(_scale_to_affine(X, Y, z_inv, p) if Zi else None)
+        muls += _NAF_ENTRY_MULS if Zi else 0
+    return odd, muls
+
+
+def _var_base_naf(k: int, x2: int, y2: int, a: int, p: int) -> tuple[int, int, int, int]:
+    """k * (x2, y2) for k >= 1 by a width-4 NAF: (X, Y, Z, muls).
+
+    One doubling per position below the top digit, and one mixed addition
+    of +-d * (x2, y2) from `_odd_multiples` per other nonzero digit d
+    (Hankerson-Menezes-Vanstone, Alg. 3.36).
+    """
+    odd, muls = _odd_multiples(x2, y2, a, p)
+    table: list[tuple[int, int] | None] = [None] * 16  # table[d], d in -7..7
+    for i, entry in enumerate(odd):
+        if entry is not None:
+            table[2 * i + 1] = entry
+            table[-2 * i - 1] = entry[0], -entry[1] % p
+    dbl, dbl_muls = _doubling(a, p)
+    digits = _naf4(k)
+    top, d = digits.pop()
+    entry = table[d]
+    X, Y, Z = (*entry, 1) if entry is not None else (1, 1, 0)
+    muls += dbl_muls * top
+    # (0, 0) adds the doublings below the lowest digit, and no addition
+    for pos, d in reversed([(0, 0)] + digits):
+        for _ in range(top - pos):
+            X, Y, Z = dbl(X, Y, Z, a, p)
+        top = pos
+        entry = table[d]
+        if entry is not None:
+            X, Y, Z, m = _madd(X, Y, Z, *entry, a, p)
             muls += m
     return X, Y, Z, muls
 
@@ -323,15 +479,25 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
       Brickell-Gordon-McCurley-Wilson, EUROCRYPT'92).  The first such call
       on a `CurveParams` builds its table of ceil(bitlen(n)/3) rows of 7
       points (about 11 ms for secp160r1), untallied.
-    * Variable base, for any other point: each bit of k doubles, each set
-      bit adds pt with a mixed addition.
+    * Variable base, for any other point: k of 32 bits or more is recoded
+      as a width-4 NAF, whose nonzero digits are odd, below 8 in absolute
+      value and at least 4 positions apart.  A per-call table of the
+      affine P, 3P, 5P, 7P (one doubling, three mixed additions on the
+      isomorphic curve where 2P is affine, one Montgomery batch
+      inversion) turns each digit into one doubling and each nonzero digit
+      d into one mixed addition of +-|d| P (Hankerson-Menezes-Vanstone,
+      Guide to ECC, Alg. 3.35-3.36).  Shorter k runs binary double-and-add:
+      each bit doubles, each set bit adds pt.
 
     The field multiplications of the formulas run are tallied once, on
-    return: 10 per doubling, 11 per mixed addition, 4 to return to affine.
-    A secp160r1 TEM of any point but G tallies about 2.4k, within 3x of
-    the modeled 1189 for every scalar of 41 to 161 bits.  One of G tallies
-    509 on average, but about 1 random scalar in 10^4 has 36 or fewer
-    nonzero digits and tallies 389 or less, under 1189/3.
+    return: 8 per doubling when a = -3 mod p (dbl-2001-b) and 10 otherwise
+    (the binary loop always uses the general one), 11 per mixed addition,
+    4 to return to affine; the NAF precompute adds 71 on an a = -3 curve
+    (8 + 9 + 3 * 11 + 3 * 7, see `_odd_multiples`).  A secp160r1 TEM of
+    any point but G tallies about 1.7k, within 3x of the modeled 1189 for
+    every scalar of 42 to 325 bits.  One of G tallies 509 on average, but
+    about 1 random scalar in 10^4 has 36 or fewer nonzero digits and
+    tallies 389 or less, under 1189/3.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")

@@ -107,11 +107,12 @@ class MulCounter:
     one step; inversions are not counted.  A scalar multiplication tallies
     the formulas it ran, so the same TEM counts differently by path: about
     509 on average on secp160r1 for the generator (fixed-base table, whose
-    one-off build tallies nothing), about 2.4k for any other point.  The
-    variable-base count lies within 3x of the modeled 1189 for every
-    scalar of 41 to 161 bits; about 1 random generator scalar in 10^4
-    tallies 389 or less, under 1189/3.  These are measured counts: the
-    modeled T_mul,q costs in `cost_model` never read them.
+    one-off build tallies nothing), about 1.7k for any other point (width-4
+    NAF, its per-call precompute included).  The variable-base count lies
+    within 3x of the modeled 1189 for every scalar of 42 to 325 bits;
+    about 1 random generator scalar in 10^4 tallies 389 or less, under
+    1189/3.  These are measured counts: the modeled T_mul,q costs in
+    `cost_model` never read them.
 
     Used as a context manager::
 

@@ -155,8 +155,9 @@ class GroupConfig:
         xs = [x for _, x in self.roster]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate member ids in roster")
-        if len(set(xs)) != len(xs) or any(x == 0 for x in xs):
-            raise ValueError("roster x values must be distinct and nonzero")
+        q = self.scalar_field.value
+        if len(set(xs)) != len(xs) or not all(1 <= x < q for x in xs):
+            raise ValueError(f"roster x values must be distinct and in [1, {q})")
         if not 1 <= self.threshold <= len(self.roster):
             raise ValueError(
                 f"threshold {self.threshold} out of range for {len(self.roster)} members"
@@ -273,17 +274,22 @@ def public_share_frame(ps: PublicShare, epoch: int) -> bytes:
     return wire.encode_frame(wire.PUBLIC_SHARE, epoch, ps.member_id, payload)
 
 
+def _point_in_range(x: int, y: int, curve: CurveParams) -> CurvePoint:
+    """The point (x, y); ValueError unless both lie in [0, p)."""
+    p = curve.modulus
+    if not (0 <= x < p.value and 0 <= y < p.value):
+        raise ValueError("coordinate out of field range")
+    return CurvePoint(FieldElement(x, p), FieldElement(y, p))
+
+
 def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, PublicShare]:
     frame = wire.decode_frame(buf)
     if frame.msg_type != wire.PUBLIC_SHARE:
         raise ValueError(f"expected public-share frame, got type {frame.msg_type}")
     x_bytes, y_bytes = wire.decode_point_payload(frame.payload)
-    p = config.curve.modulus
-    x = int.from_bytes(x_bytes, "big")
-    y = int.from_bytes(y_bytes, "big")
-    if x >= p.value or y >= p.value:
-        raise ValueError("coordinate out of field range")
-    point = CurvePoint(FieldElement(x, p), FieldElement(y, p))
+    point = _point_in_range(
+        int.from_bytes(x_bytes, "big"), int.from_bytes(y_bytes, "big"), config.curve
+    )
     if not is_on_curve(point, config.curve):
         raise ValueError("decoded point is off-curve")
     return frame.epoch, PublicShare(member_id=frame.member_id, point=point)
@@ -543,17 +549,10 @@ def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfi
         if not ref:
             raise ValueError("config has no curve_ref; pass curve= explicitly")
         curve = builtin_curve(ref)
-    p = curve.modulus
-    gen = CurvePoint(
-        FieldElement(int(data["P"][0]), p), FieldElement(int(data["P"][1]), p)
-    )
-    q_point = CurvePoint(
-        FieldElement(int(data["Q"][0]), p), FieldElement(int(data["Q"][1]), p)
-    )
     return GroupConfig(
         curve=curve,
-        generator=gen,
-        group_public_key=q_point,
+        generator=_point_in_range(int(data["P"][0]), int(data["P"][1]), curve),
+        group_public_key=_point_in_range(int(data["Q"][0]), int(data["Q"][1]), curve),
         commitment=SecretCommitment(bytes.fromhex(data["H_s"])),
         threshold=int(data["t"]),
         roster=tuple((mid, int(x)) for mid, x in data["roster"]),

@@ -7,8 +7,12 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ec as crypto_ec
 
 from gaskit.ec import (
+    _NAF_MIN_BITS,
     CurveParams,
     CurvePoint,
+    _double,
+    _double_a3,
+    _naf4,
     add,
     brute_force_order,
     builtin_curve,
@@ -188,6 +192,37 @@ def test_scalar_mul_counts_one_tem():
     with MulCounter() as ops:
         scalar_mul(23, pt, TEST2017)
     assert (ops.ec_scalar_muls, ops.field_muls) == (1, 4 * 10 + 3 * 11 + 4)
+    # variable base, long scalar on secp160r1 (a = -3): the width-4 NAF
+    curve = builtin_curve("secp160r1")
+    pt = scalar_mul(5, curve.generator, curve)
+    k = random.Random(23).randrange(2**159, curve.subgroup_order)
+    with MulCounter() as ops:
+        scalar_mul(k, pt, curve)
+    assert (ops.ec_scalar_muls, ops.field_muls) == (1, _naf_a3_muls(k))
+
+
+def _ref_naf4(k):
+    """Width-4 NAF digits of k, least significant first, one per position."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k % 16 - 16 if k % 16 > 8 else k % 16
+            k -= d
+        digits.append(d)
+        k //= 2
+    return digits
+
+
+def _naf_a3_muls(k):
+    """Tally of k * P on the NAF path of an a = -3 curve, when no table entry
+    is infinity and no P + P or P + (-P) occurs: the precompute (one 8-mul
+    doubling, 9 for the isomorphism, 3 mixed additions, 3 + 4 per entry to
+    batch-invert and return to affine), 8 per doubling, 11 per mixed
+    addition, 4 to return to affine."""
+    digits = _ref_naf4(k)
+    nonzero = sum(1 for d in digits if d)
+    return 8 + 9 + 3 * 11 + 3 * 7 + 8 * (len(digits) - 1) + 11 * (nonzero - 1) + 4
 
 
 def test_secp160r1_parameters_validate():
@@ -282,6 +317,17 @@ def _edge_scalars(curve):
     return [0, 1, 2, n - 1, n, n + 1, 2 * n - 1] + ([curve.order] if curve.order else [])
 
 
+def _long_scalars(rng, order=None):
+    """Scalars on the NAF path: random 64- and 200-bit ones and, for a
+    point of small order, a run through every residue mod that order."""
+    scalars = [rng.getrandbits(64) | 1 << 63, rng.getrandbits(200) | 1 << 199]
+    if order is not None:
+        base = (rng.getrandbits(64) | 1 << 63) // order * order
+        scalars += [base + j for j in range(-1, order + 1)]
+    assert min(scalars).bit_length() >= _NAF_MIN_BITS
+    return scalars
+
+
 def _assert_scalar_muls_match(pt, scalars, curve):
     for k in scalars:
         assert scalar_mul(k, pt, curve) == _ref_scalar_mul(k, pt, curve), (k, pt)
@@ -304,9 +350,9 @@ def _order(pt, curve):
     return k
 
 
-@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5"])
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5", "p256"])
 def test_scalar_mul_matches_reference_on_builtin_curves(name):
-    curve = builtin_curve(name)
+    curve = _p256_curve() if name == "p256" else builtin_curve(name)
     rng = random.Random(name)
     bound = curve.order or curve.subgroup_order
     points = [curve.generator] + [
@@ -314,21 +360,24 @@ def test_scalar_mul_matches_reference_on_builtin_curves(name):
     ]
     for pt in points:
         randoms = [rng.randrange(1, 2**curve.modulus.value.bit_length()) for _ in range(4)]
-        _assert_scalar_muls_match(pt, _edge_scalars(curve) + randoms, curve)
+        _assert_scalar_muls_match(pt, _edge_scalars(curve) + randoms + _long_scalars(rng), curve)
 
 
 def test_scalar_mul_matches_reference_on_every_toy5_point():
     # order 6 with a Y = 0 point, so doubling to infinity, P + P and
-    # P + (-P) all occur inside the double-and-add loop
+    # P + (-P) all occur inside the double-and-add loop; on the NAF path the
+    # Y = 0 point's 2P, from which the table is built, is infinity
+    rng = random.Random(6)
     pts = _toy5_points()
     assert any(not pt.is_infinity and pt.y.residue == 0 for pt in pts)
     for pt in pts:
-        _assert_scalar_muls_match(pt, range(40), TOY5)
+        _assert_scalar_muls_match(pt, list(range(40)) + _long_scalars(rng, 6), TOY5)
 
 
 def test_scalar_mul_matches_reference_on_small_order_test2017_points():
     # cofactor 55: multiplying by 37 lands in the 55-torsion, whose points
-    # have order 1, 5, 11 or 55
+    # have order 1, 5, 11 or 55; on the NAF path, 5T = O, 7T = -4T, ... put
+    # infinity into the table and P + P or P + (-P) into the loop
     rng = random.Random(55)
     pts = _test2017_points()
     torsion = {scalar_mul(37, pt, TEST2017) for pt in pts}
@@ -338,7 +387,9 @@ def test_scalar_mul_matches_reference_on_small_order_test2017_points():
     assert sorted(by_order) == [1, 5, 11, 55]
     for order in (5, 11, 55):
         for pt in by_order[order][:4]:
-            _assert_scalar_muls_match(pt, range(3 * order), TEST2017)
+            _assert_scalar_muls_match(
+                pt, list(range(3 * order)) + _long_scalars(rng, order), TEST2017
+            )
     for pt in rng.sample(pts, 100):
         _assert_scalar_muls_match(pt, _edge_scalars(TEST2017) + [rng.randrange(2**11)], TEST2017)
 
@@ -449,3 +500,54 @@ def test_fixed_base_tally_and_config_roundtrip():
             got = scalar_mul(k, g, curve)
         assert got == _ref_scalar_mul(k % n, curve.generator, curve)
         assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(k, curve))
+
+
+# --- the width-4 NAF variable-base path -------------------------------------------------
+
+def test_naf4_recoding():
+    rng = random.Random(4)
+    scalars = list(range(1, 600)) + [2**k + e for k in (31, 64, 160) for e in (-1, 0, 1)]
+    scalars += [rng.getrandbits(bits) | 1 for bits in (32, 64, 161, 256) for _ in range(50)]
+    for k in scalars:
+        digits = _naf4(k)
+        assert sum(d << pos for pos, d in digits) == k
+        assert all(d % 2 == 1 and abs(d) < 8 for _, d in digits)
+        positions = [pos for pos, _ in digits]
+        assert all(hi - lo >= 4 for lo, hi in zip(positions, positions[1:]))
+        assert digits[-1][1] > 0
+        dense = _ref_naf4(k)
+        assert [(pos, d) for pos, d in enumerate(dense) if d] == digits
+
+
+@pytest.mark.parametrize("name", ["secp160r1", "p256"])
+def test_a3_doubling_matches_general_doubling(name):
+    curve = _p256_curve() if name == "p256" else builtin_curve(name)
+    p, a = curve.modulus.value, curve.a.residue
+    assert a == p - 3
+    rng = random.Random("dbl" + name)
+    inputs = []
+    for _ in range(20):
+        pt = scalar_mul(rng.randrange(1, curve.subgroup_order), curve.generator, curve)
+        z = rng.randrange(1, p)
+        inputs.append((pt.x.residue * z * z % p, pt.y.residue * z**3 % p, z))
+    inputs += [(rng.randrange(p), rng.randrange(p), 0) for _ in range(5)]  # infinity
+    inputs += [(rng.randrange(p), 0, rng.randrange(1, p)) for _ in range(5)]  # Y = 0
+    for X, Y, Z in inputs:
+        got = _double_a3(X, Y, Z, a, p)
+        assert got == _double(X, Y, Z, a, p)
+        if not Y or not Z:
+            assert got[2] == 0
+
+
+def test_naf_path_on_every_point_of_a_small_a3_curve():
+    # y^2 = x^3 - 3x + 4 mod 23 has order 30 = 2 * 3 * 5, so points of order
+    # 2, 3, 5, 6, 10, 15 and 30.  For one of order 3, 7P = 5P + 2P is a
+    # doubling on the curve where the table is built, whose a is Z^4 a
+    curve = curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"})
+    assert brute_force_order(curve) == 30
+    rng = random.Random(23)
+    pts = [curve.point(x, y) for x in range(23) for y in range(23)
+           if is_on_curve(curve.point(x, y), curve)]
+    assert sorted({_order(pt, curve) for pt in pts}) == [2, 3, 5, 6, 10, 15, 30]
+    for pt in pts:
+        _assert_scalar_muls_match(pt, _long_scalars(rng, 30), curve)

@@ -447,6 +447,29 @@ def test_config_from_dict_needs_curve():
     assert config_from_dict(data, curve=CURVE) == config
 
 
+def test_config_rejects_roster_x_outside_scalar_field():
+    # x = q would become 0 in roster_x, and x = q + 1 the same element as 1
+    _, config, _ = setup_group(n=3)
+    q = config.scalar_field.value
+    for xs in ([1, 2, q], [1, 2, q + 1], [0, 1, 2], [-1, 1, 2]):
+        roster = tuple(zip(config.member_ids, xs))
+        with pytest.raises(ValueError, match="roster x"):
+            dataclasses.replace(config, roster=roster)
+    assert dataclasses.replace(config, roster=tuple(zip(config.member_ids, [1, 2, q - 1])))
+
+
+def test_config_from_dict_rejects_coordinates_outside_field():
+    _, config, _ = setup_group()
+    p = CURVE.modulus.value
+    for key in ("P", "Q"):
+        for i in (0, 1):
+            for shift in (p, -p):
+                data = config_to_dict(config)
+                data[key][i] = str(int(data[key][i]) + shift)
+                with pytest.raises(ValueError, match="out of field range"):
+                    config_from_dict(data)
+
+
 def test_gm_init_random_xs():
     rng = random.Random(41)
     config, shares = gm_init(3, 8, CURVE, rng, random_xs=True)
