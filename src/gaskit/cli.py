@@ -19,7 +19,7 @@ import sys
 
 from . import attacks, cost_model, gas_core, gas_harn, sim
 from .ec import CurveParams, CurvePoint, brute_force_order, scalar_mul
-from .field import FieldElement, Prime, is_probable_prime
+from .field import Prime, is_probable_prime
 
 __all__ = ["main"]
 
@@ -308,15 +308,9 @@ def _cmd_gen_params(args) -> int:
     elif args.kind == "curve":
         try:
             p = Prime(args.modulus)
-            curve = CurveParams(
-                a=FieldElement(args.a, p),
-                b=FieldElement(args.b, p),
-                modulus=p,
-                generator=CurvePoint(
-                    FieldElement(args.gx, p), FieldElement(args.gy, p)
-                ),
-                name="generated",
-            )
+            a, b, gx, gy = map(p.element, (args.a, args.b, args.gx, args.gy))
+            curve = CurveParams(a=a, b=b, modulus=p, generator=CurvePoint(gx, gy),
+                                name="generated")
         except ValueError as exc:
             _err(str(exc))
             return 2

@@ -48,6 +48,7 @@ __all__ = [
     "CurvePoint",
     "CurveParams",
     "is_on_curve",
+    "validate_point",
     "add",
     "negate",
     "scalar_mul",
@@ -171,6 +172,19 @@ def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
         return False
     x, y = pt.x.residue, pt.y.residue
     return (y * y - (x * x * x + curve.a.residue * x + curve.b.residue)) % p == 0
+
+
+def validate_point(x: FieldElement, y: FieldElement, curve: CurveParams) -> CurvePoint:
+    """The affine point (x, y) read from the wire or a file.
+
+    The coordinates come from `Prime.element` or `Prime.from_bytes`, which
+    hold the range and width checks; ValueError unless the point is on the
+    curve.  Infinity has no affine encoding, so it never passes.
+    """
+    pt = CurvePoint(x, y)
+    if not is_on_curve(pt, curve):
+        raise ValueError(f"point ({x.residue}, {y.residue}) is off-curve")
+    return pt
 
 
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
@@ -548,10 +562,7 @@ BUILTIN_CURVES = ("test2017", "secp160r1", "toy5")
 def curve_from_dict(data: dict, name: str = "") -> CurveParams:
     try:
         p = Prime(int(data["p"]))
-        a = FieldElement(int(data["A"]), p)
-        b = FieldElement(int(data["B"]), p)
-        gx = FieldElement(int(data["Gx"]), p)
-        gy = FieldElement(int(data["Gy"]), p)
+        a, b, gx, gy = (p.element(int(data[k])) for k in ("A", "B", "Gx", "Gy"))
     except KeyError as exc:
         raise ValueError(f"curve file missing field {exc}") from exc
     order = int(data["order"]) if data.get("order") else None

@@ -76,8 +76,17 @@ class Prime:
     def byte_length(self) -> int:
         return (self.value.bit_length() + 7) // 8
 
-    def element(self, residue: int) -> "FieldElement":
-        return FieldElement(residue, self)
+    def element(self, value: int) -> "FieldElement":
+        """The field element `value`; ValueError unless 0 <= value < p."""
+        if not 0 <= value < self.value:
+            raise ValueError(f"{value} out of field range [0, {self.value})")
+        return FieldElement(value, self)
+
+    def from_bytes(self, data: bytes) -> "FieldElement":
+        """Checked inverse of `FieldElement.to_bytes`: exactly `byte_length` bytes."""
+        if len(data) != self.byte_length:
+            raise ValueError(f"expected {self.byte_length} bytes, got {len(data)}")
+        return self.element(int.from_bytes(data, "big"))
 
     def random_element(self, rng: random.Random) -> "FieldElement":
         return FieldElement(rng.randrange(self.value), self)
@@ -210,24 +219,12 @@ class FieldElement:
         return FieldElement(pow(self.residue, -1, self.modulus.value), self.modulus)
 
     def pow(self, exp: int) -> "FieldElement":
-        """base**exp by square-and-multiply; tallies every multiplication."""
+        """base**exp; tallies square-and-multiply's bitlen-1 + popcount muls."""
         if exp < 0:
             raise ValueError("exponent must be non-negative")
-        q = self.modulus.value
-        result = 1
-        base = self.residue
-        muls = 0
-        e = exp
-        while e:
-            if e & 1:
-                result = result * base % q
-                muls += 1
-            e >>= 1
-            if e:
-                base = base * base % q
-                muls += 1
-        _tally_muls(muls)
-        return FieldElement(result, self.modulus)
+        if exp:
+            _tally_muls(exp.bit_length() - 1 + exp.bit_count())
+        return FieldElement(pow(self.residue, exp, self.modulus.value), self.modulus)
 
     def to_bytes(self) -> bytes:
         """Canonical encoding: big-endian, fixed width of the modulus."""

@@ -23,7 +23,9 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
-from .ec import CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul
+from .ec import (
+    CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul, validate_point,
+)
 from .field import FieldElement, Prime, lagrange_coeff_at_zero
 from .sss import (
     SecretCommitment,
@@ -274,24 +276,13 @@ def public_share_frame(ps: PublicShare, epoch: int) -> bytes:
     return wire.encode_frame(wire.PUBLIC_SHARE, epoch, ps.member_id, payload)
 
 
-def _point_in_range(x: int, y: int, curve: CurveParams) -> CurvePoint:
-    """The point (x, y); ValueError unless both lie in [0, p)."""
-    p = curve.modulus
-    if not (0 <= x < p.value and 0 <= y < p.value):
-        raise ValueError("coordinate out of field range")
-    return CurvePoint(FieldElement(x, p), FieldElement(y, p))
-
-
 def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, PublicShare]:
     frame = wire.decode_frame(buf)
     if frame.msg_type != wire.PUBLIC_SHARE:
         raise ValueError(f"expected public-share frame, got type {frame.msg_type}")
-    x_bytes, y_bytes = wire.decode_point_payload(frame.payload)
-    point = _point_in_range(
-        int.from_bytes(x_bytes, "big"), int.from_bytes(y_bytes, "big"), config.curve
-    )
-    if not is_on_curve(point, config.curve):
-        raise ValueError("decoded point is off-curve")
+    fp = config.curve.modulus
+    x, y = map(fp.from_bytes, wire.decode_point_payload(frame.payload))
+    point = validate_point(x, y, config.curve)
     return frame.epoch, PublicShare(member_id=frame.member_id, point=point)
 
 
@@ -317,9 +308,8 @@ def gm_verify(
         expected = scalar_mul(
             by_id[ps.member_id].y.residue, config.generator, config.curve
         )
-        verdicts[ps.member_id] = (
-            is_on_curve(ps.point, config.curve) and ps.point == expected
-        )
+        # equal to the on-curve `expected`, so on the curve too
+        verdicts[ps.member_id] = ps.point == expected
     return verdicts
 
 
@@ -395,6 +385,22 @@ def _share_aad(epoch: int, sender: str, recipient: str) -> bytes:
     )
 
 
+def _seal(key: bytes, aad: bytes, plaintext: bytes, rng: random.Random) -> bytes:
+    """AEAD-encrypt under a fresh nonce; returns the encrypted-share payload."""
+    nonce = rng.randbytes(wire.NONCE_LEN)
+    ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+    return wire.encode_encrypted_payload(nonce, ct)
+
+
+def _open(key: bytes, aad: bytes, payload: bytes) -> bytes:
+    """Inverse of `_seal`; ValueError if the payload is malformed or forged."""
+    nonce, ct = wire.decode_encrypted_payload(payload)
+    try:
+        return ChaCha20Poly1305(key).decrypt(nonce, ct, aad)
+    except InvalidTag as exc:
+        raise ValueError("AEAD tag check failed") from exc
+
+
 def encrypt_share_for_peer(
     state: MemberState, peer_id: str, rng: random.Random
 ) -> bytes:
@@ -402,14 +408,12 @@ def encrypt_share_for_peer(
     ensure_pairwise_keys(state)
     if peer_id not in state.pairwise_keys:
         raise UnknownMemberError(f"no pairwise key for {peer_id!r}")
-    nonce = rng.randbytes(wire.NONCE_LEN)
-    cipher = ChaCha20Poly1305(state.pairwise_keys[peer_id].key_bytes)
-    ct = cipher.encrypt(
-        nonce,
-        state.share.y.to_bytes(),
+    return _seal(
+        state.pairwise_keys[peer_id].key_bytes,
         _share_aad(state.config.epoch, state.member_id, peer_id),
+        state.share.y.to_bytes(),
+        rng,
     )
-    return wire.encode_encrypted_payload(nonce, ct)
 
 
 def key_agreement_round(
@@ -429,20 +433,13 @@ def key_agreement_round(
     for sender in sorted(incoming):
         if sender not in state.pairwise_keys:
             raise UnknownMemberError(f"ciphertext from unknown peer {sender!r}")
-        cipher = ChaCha20Poly1305(state.pairwise_keys[sender].key_bytes)
+        key = state.pairwise_keys[sender].key_bytes
+        aad = _share_aad(config.epoch, sender, state.member_id)
         try:
-            nonce, ct = wire.decode_encrypted_payload(incoming[sender])
-            plaintext = cipher.decrypt(
-                nonce, ct, _share_aad(config.epoch, sender, state.member_id)
-            )
-        except (InvalidTag, ValueError) as exc:
+            y = q.from_bytes(_open(key, aad, incoming[sender]))
+        except ValueError as exc:
             raise PeerAuthenticationError(sender) from exc
-        if len(plaintext) != q.byte_length:
-            raise PeerAuthenticationError(sender, f"bad share length from {sender}")
-        y = int.from_bytes(plaintext, "big")
-        if y >= q.value:
-            raise PeerAuthenticationError(sender, f"share out of range from {sender}")
-        shares.append(Share(config.roster_x(sender), FieldElement(y, q), sender))
+        shares.append(Share(config.roster_x(sender), y, sender))
     recovered = reconstruct(shares, config.threshold)
     if not verify_commitment(recovered, config.commitment):
         raise CommitmentMismatchError("H(s') does not match the published H(s)")
@@ -480,13 +477,12 @@ def rotate_credentials(
     )
     bundle: dict[str, bytes] = {}
     for share in new_shares:
-        cipher = ChaCha20Poly1305(_rotation_key(group_key, new_epoch, share.member_id))
-        nonce = rng.randbytes(wire.NONCE_LEN)
-        plaintext = wire.encode_point_payload(share.x.to_bytes(), share.y.to_bytes())
-        ct = cipher.encrypt(
-            nonce, plaintext, _share_aad(new_epoch, "GM", share.member_id)
+        bundle[share.member_id] = _seal(
+            _rotation_key(group_key, new_epoch, share.member_id),
+            _share_aad(new_epoch, "GM", share.member_id),
+            wire.encode_point_payload(share.x.to_bytes(), share.y.to_bytes()),
+            rng,
         )
-        bundle[share.member_id] = wire.encode_encrypted_payload(nonce, ct)
     return RotationResult(config=new_config, shares=new_shares, encrypted_bundle=bundle)
 
 
@@ -499,29 +495,25 @@ def open_rotated_share(
     """Decrypt a member's new share and check it against the new roster.
 
     Raises `RotationError` when the payload does not authenticate or is
-    malformed, when x is not the member's roster x, or when y is not
-    below q.
+    malformed, when x or y is not a canonical element of the scalar field,
+    or when x is not the member's roster x.
     """
-    cipher = ChaCha20Poly1305(_rotation_key(group_key, new_config.epoch, member_id))
+    epoch, q = new_config.epoch, new_config.scalar_field
     try:
-        nonce, ct = wire.decode_encrypted_payload(payload)
-        plaintext = cipher.decrypt(
-            nonce, ct, _share_aad(new_config.epoch, "GM", member_id)
+        plaintext = _open(
+            _rotation_key(group_key, epoch, member_id),
+            _share_aad(epoch, "GM", member_id),
+            payload,
         )
-        x_bytes, y_bytes = wire.decode_point_payload(plaintext)
-    except (InvalidTag, ValueError) as exc:
-        raise RotationError(f"cannot decrypt rotated share for {member_id}") from exc
-    q = new_config.scalar_field
-    x = int.from_bytes(x_bytes, "big")
-    y = int.from_bytes(y_bytes, "big")
+        x, y = map(q.from_bytes, wire.decode_point_payload(plaintext))
+    except ValueError as exc:
+        raise RotationError(f"cannot open rotated share for {member_id}") from exc
     roster_x = new_config.roster_x(member_id)
-    if x != roster_x.residue:
+    if x != roster_x:
         raise RotationError(
-            f"rotated share for {member_id} has x={x}, roster has {roster_x.residue}"
+            f"rotated share for {member_id} has x={x.residue}, roster has {roster_x.residue}"
         )
-    if y >= q.value:
-        raise RotationError(f"rotated share for {member_id} has y out of range")
-    return Share(x=roster_x, y=FieldElement(y, q), member_id=member_id)
+    return Share(x=roster_x, y=y, member_id=member_id)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +541,13 @@ def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfi
         if not ref:
             raise ValueError("config has no curve_ref; pass curve= explicitly")
         curve = builtin_curve(ref)
+    fp = curve.modulus
+    px, py = (fp.element(int(v)) for v in data["P"])
+    qx, qy = (fp.element(int(v)) for v in data["Q"])
     return GroupConfig(
         curve=curve,
-        generator=_point_in_range(int(data["P"][0]), int(data["P"][1]), curve),
-        group_public_key=_point_in_range(int(data["Q"][0]), int(data["Q"][1]), curve),
+        generator=validate_point(px, py, curve),
+        group_public_key=validate_point(qx, qy, curve),
         commitment=SecretCommitment(bytes.fromhex(data["H_s"])),
         threshold=int(data["t"]),
         roster=tuple((mid, int(x)) for mid, x in data["roster"]),

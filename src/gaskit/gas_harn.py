@@ -137,7 +137,7 @@ def _modulus_from_dict(data: dict) -> HarnModulus:
     p = Prime(int(data["p"]))
     q = Prime(int(data["q"]))
     if data.get("g"):
-        g = FieldElement(int(data["g"]), p)
+        g = p.element(int(data["g"]))
     else:
         g = derive_generator(p, q)
     return HarnModulus(p=p, q=q, g=g)

@@ -214,8 +214,8 @@ def read_shares(fh, modulus: Prime) -> list[Share]:
         rec = json.loads(line)
         shares.append(
             Share(
-                x=FieldElement(int(rec["x"]), modulus),
-                y=FieldElement(int(rec["y"]), modulus),
+                x=modulus.element(int(rec["x"])),
+                y=modulus.element(int(rec["y"])),
                 member_id=rec["member_id"],
             )
         )

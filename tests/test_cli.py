@@ -211,6 +211,16 @@ def test_gen_params_curve_rederives_builtin(capsys):
     assert (data["Gx"], data["Gy"]) == ("1368", "374")
 
 
+def test_gen_params_curve_rejects_values_outside_field(capsys):
+    # --a 2023 = 6 mod 2017 would pass and be written out as "2023";
+    # a negative value is refused too, so a = -3 is given as p - 3
+    for flag in ("--a", "--b", "--gx", "--gy"):
+        for value in ("2023", "-3"):
+            code, out, err = run_cli(capsys, "gen-params", "--kind", "curve", flag, value)
+            assert code == 2 and out == ""
+            assert "out of field range" in err
+
+
 def test_gen_params_harn_small(capsys):
     code, out, _ = run_cli(capsys, "gen-params", "--kind", "harn",
                            "--p-bits", "64", "--q-bits", "32", "--seed", "4")

@@ -21,6 +21,7 @@ from gaskit.ec import (
     is_on_curve,
     negate,
     scalar_mul,
+    validate_point,
 )
 from gaskit import gas_core
 from gaskit.field import FieldElement, MulCounter, Prime
@@ -243,6 +244,16 @@ def test_curve_dict_roundtrip(tmp_path):
         curve_from_dict({"p": "2017"})
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_curve("nope")
+
+
+@pytest.mark.parametrize("key", ["A", "B", "Gx", "Gy"])
+def test_curve_from_dict_rejects_values_outside_field(key):
+    # v + p would reduce to the same curve and generator
+    for shift in (2017, -2017):
+        data = curve_to_dict(TEST2017)
+        data[key] = str(int(data[key]) + shift)
+        with pytest.raises(ValueError, match="out of field range"):
+            curve_from_dict(data)
 
 
 def test_load_curve_from_file(tmp_path):
@@ -551,3 +562,29 @@ def test_naf_path_on_every_point_of_a_small_a3_curve():
     assert sorted({_order(pt, curve) for pt in pts}) == [2, 3, 5, 6, 10, 15, 30]
     for pt in pts:
         _assert_scalar_muls_match(pt, _long_scalars(rng, 30), curve)
+
+
+# --- boundary decoder ----------------------------------------------------------------
+
+@pytest.mark.parametrize("curve", [
+    TOY5,
+    curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}),
+], ids=["toy5", "a3-mod-23"])
+def test_validate_point_accepts_exactly_the_affine_points(curve):
+    fp = curve.modulus
+    p, a, b = fp.value, curve.a.residue, curve.b.residue
+    affine = {(x, y) for x in range(p) for y in range(p)
+              if (y * y - x**3 - a * x - b) % p == 0}
+    assert len(affine) + 1 == brute_force_order(curve)  # plus infinity
+    for x in range(p):
+        for y in range(p):
+            if (x, y) in affine:
+                assert validate_point(fp.element(x), fp.element(y), curve) == curve.point(x, y)
+            else:
+                with pytest.raises(ValueError, match="off-curve"):
+                    validate_point(fp.element(x), fp.element(y), curve)
+    # -1 and p would reduce to valid coordinates; decoding refuses them first
+    for x, y in affine:
+        for bad in ((-1, y), (p, y), (x, -1), (x, p)):
+            with pytest.raises(ValueError, match="out of field range"):
+                validate_point(*map(fp.element, bad), curve)

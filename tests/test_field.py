@@ -177,6 +177,18 @@ def test_counter_pow_square_and_multiply():
     with MulCounter() as ops:
         el(3).pow(0)
     assert ops.field_muls == 0
+    # the same tally as a square-and-multiply loop, and the same value
+    rng = random.Random(5)
+    for exp in [0, 1, 2, 3, 2**16 - 1, 2**16] + [rng.getrandbits(200) for _ in range(20)]:
+        muls, e = 0, exp
+        while e:
+            muls += e & 1
+            e >>= 1
+            muls += e > 0
+        with MulCounter() as ops:
+            got = el(3, F2027).pow(exp)
+        assert ops.field_muls == muls
+        assert got.residue == pow(3, exp, 2027)
 
 
 def test_counter_ignores_inversions():
@@ -194,3 +206,21 @@ def test_counter_scoped():
         el(5) * el(7)
     assert inner.field_muls == 1
     assert outer.field_muls == 2
+
+
+# --- checked decoders --------------------------------------------------------
+
+def test_element_accepts_exactly_the_residues():
+    assert [F17.element(v) for v in range(17)] == [el(v) for v in range(17)]
+    for v in (-17, -1, 17, 18, 34):
+        with pytest.raises(ValueError, match="out of field range"):
+            F17.element(v)
+
+
+def test_from_bytes_is_the_checked_inverse_of_to_bytes():
+    for v in range(2027):
+        assert F2027.from_bytes(el(v, F2027).to_bytes()) == el(v, F2027)
+    # too short, too long (padded), p itself, above p
+    for data in (b"", b"\x07", b"\x00\x00\x07", (2027).to_bytes(2, "big"), b"\xff\xff"):
+        with pytest.raises(ValueError):
+            F2027.from_bytes(data)

@@ -284,6 +284,32 @@ def test_key_agreement_garbage_ciphertext_names_peer():
     assert states["U1"].group_key is None  # no partial key accepted
 
 
+@pytest.mark.parametrize("forge", ["y_plus_q", "y_padded", "empty"])
+def test_key_agreement_names_peer_whose_plaintext_is_not_a_scalar(forge):
+    rng, config, shares = setup_group(t=2, n=3, seed=25)
+    states, _ = run_confirmation(config, shares)
+    gas_core.ensure_pairwise_keys(states["U1"])
+    q = config.scalar_field
+    y = states["U3"].share.y.residue
+    plaintext = {
+        "y_plus_q": (y + q.value).to_bytes(q.byte_length, "big"),
+        "y_padded": b"\x00" + y.to_bytes(q.byte_length, "big"),
+        "empty": b"",
+    }[forge]
+    # authentic under the U3-U1 key, so only the plaintext is at fault
+    forged = gas_core._seal(
+        states["U1"].pairwise_keys["U3"].key_bytes,
+        gas_core._share_aad(config.epoch, "U3", "U1"),
+        plaintext,
+        rng,
+    )
+    good = encrypt_share_for_peer(states["U2"], "U1", rng)
+    with pytest.raises(PeerAuthenticationError) as exc:
+        key_agreement_round(states["U1"], {"U2": good, "U3": forged})
+    assert exc.value.peer_id == "U3"
+    assert states["U1"].group_key is None
+
+
 def test_key_agreement_below_threshold():
     rng, config, shares = setup_group(t=3, n=5, seed=27)
     states, _ = run_confirmation(config, shares, ["U1", "U2"])
@@ -367,7 +393,8 @@ def _seal_rotated_share(key, config, member_id, plaintext):
 
 
 @pytest.mark.parametrize(
-    "forge", ["x_plus_q", "y_plus_q", "x_equals_q", "other_members_x", "malformed"]
+    "forge",
+    ["x_plus_q", "y_plus_q", "x_equals_q", "x_padded", "other_members_x", "malformed"],
 )
 def test_open_rotated_share_rejects_forged_payload(forge):
     rng, config, shares = setup_group(t=2, n=3, seed=39)
@@ -387,6 +414,9 @@ def test_open_rotated_share_rejects_forged_payload(forge):
         "x_plus_q": point(x + q.value, y),  # would reduce to the roster x
         "y_plus_q": point(x, y + q.value),  # would reduce to the dealt y
         "x_equals_q": point(q.value, y),
+        "x_padded": wire.encode_point_payload(  # non-canonical width
+            b"\x00" + x.to_bytes(q.byte_length, "big"), y.to_bytes(q.byte_length, "big")
+        ),
         "other_members_x": point(rotation.shares[1].x.residue, y),
         "malformed": b"\x00",
     }[forge]
@@ -425,6 +455,13 @@ def test_public_share_frame_rejects_bad_points():
     wrong_type = wire.encode_frame(wire.VERDICT, 1, "U1", b"\x01")
     with pytest.raises(ValueError, match="expected public-share"):
         public_share_from_frame(wrong_type, config)
+    pt = config.generator
+    padded = wire.encode_frame(  # an on-curve x with one extra leading zero byte
+        wire.PUBLIC_SHARE, 1, "U1",
+        wire.encode_point_payload(b"\x00" + pt.x.to_bytes(), pt.y.to_bytes()),
+    )
+    with pytest.raises(ValueError, match="bytes"):
+        public_share_from_frame(padded, config)
 
 
 def test_config_dict_roundtrip():

@@ -1,5 +1,6 @@
 """Harn baseline: telescoping product identity against interpolation oracles."""
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from gaskit.gas_harn import (
     harn_init,
     harn_release,
     harn_verify,
+    load_harn_modulus,
 )
 from gaskit.sss import SecretPolynomial, ThresholdError
 
@@ -210,3 +212,14 @@ def test_member_cost_grows_linearly_with_roster():
     assert counts[0] < counts[1] < counts[2]
     # the Lagrange products contribute ~4 multiplications per roster member
     assert counts[2] - counts[1] > 2 * (200 - 50)
+
+
+def test_modulus_file_rejects_g_outside_field(tmp_path):
+    path = tmp_path / "harn.json"
+    path.write_text(json.dumps({"p": "23", "q": "11", "g": "3"}))
+    assert load_harn_modulus(path) == TINY
+    # g + p would load as g
+    for g in (3 + 23, -20):
+        path.write_text(json.dumps({"p": "23", "q": "11", "g": str(g)}))
+        with pytest.raises(ValueError, match="out of field range"):
+            load_harn_modulus(path)

@@ -230,3 +230,11 @@ def test_share_file_roundtrip():
     buf.seek(0)
     again = read_shares(buf, F17)
     assert again == shares
+
+
+def test_read_shares_rejects_values_outside_the_field():
+    # x = 18 and y = 20 would load as 1 and 3 mod 17
+    for x, y in ((18, 3), (1, 20), (1, 17), (-1, 3), (1, -1)):
+        line = f'{{"member_id": "U1", "x": "{x}", "y": "{y}"}}\n'
+        with pytest.raises(ValueError, match="out of field range"):
+            read_shares(io.StringIO(line), F17)
