@@ -137,23 +137,14 @@ def _cmd_cost(args) -> int:
         _err(str(exc))
         return 2
     print(cost_model.csv_header())
-    jpt = sim.DEFAULT_JOULES_PER_TMULQ
-    rate = sim.DEFAULT_COMPUTE_RATE
+    no_radio = cost_model.RadioCost(0.0, 0.0)
     for m in ms:
         for scheme in cost_model.SCHEMES:
             tmulq = cost_model.per_user_cost(scheme, m, harn_slope=args.harn_slope)
-            compute_j = tmulq * jpt
-            print(
-                cost_model.csv_row(
-                    scheme=scheme,
-                    m=m,
-                    tmulq=tmulq,
-                    compute_j=compute_j,
-                    radio_j=0.0,
-                    total_j=compute_j,
-                    auth_time_s=tmulq / rate,
-                )
-            )
+            spent = cost_model.energy(tmulq, sim.DEFAULT_JOULES_PER_TMULQ, no_radio, 0, 0)
+            print(cost_model.csv_row(
+                scheme, m, tmulq, spent, tmulq / sim.DEFAULT_COMPUTE_RATE
+            ))
     return 0
 
 
@@ -222,29 +213,17 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    sim_schemes = [s for s in schemes if s != "chien"]
-    bad = [s for s in sim_schemes if s not in sim.SCHEME_CHOICES]
-    if bad:
-        _err(f"unknown schemes {bad}; valid: {list(sim.SCHEME_CHOICES)} plus chien")
-        return 2
     base = sim.Scenario(
         scheme="proposed-centralized", m=1, seed=_default_seed(args.seed)
     )
-    print(cost_model.csv_header())
-    reports: list[sim.SimReport] = []
     try:
-        for scheme in schemes:
-            if scheme == "chien":
-                for m in ms:
-                    print(sim.chien_model_row(m, base))
-                continue
-            rows, reps = sim.sweep([scheme], ms, base, jobs=args.jobs)
-            reports.extend(reps)
-            for row in rows:
-                print(row)
+        rows, reports = sim.sweep(schemes, ms, base, jobs=args.jobs)
     except (sim.ScenarioError, ValueError) as exc:
         _err(str(exc))
         return 2
+    print(cost_model.csv_header())
+    for row in rows:
+        print(row)
     if args.events:
         _write_events(args.events, reports)
     return 0

@@ -32,7 +32,6 @@ __all__ = [
     "RadioCost",
     "EnergyBreakdown",
     "energy",
-    "calibrate_joules_per_tmulq",
     "CSV_FIELDS",
     "csv_header",
     "csv_row",
@@ -96,39 +95,24 @@ class EnergyBreakdown:
 
 
 def energy(
-    scheme: str,
-    m: int,
+    tmulq: int,
     joules_per_tmulq: float,
     radio: RadioCost,
     bytes_tx: int,
     bytes_rx: int,
-    harn_slope: str = "text",
 ) -> EnergyBreakdown:
-    """Convert a per-user count plus byte counts into joules (split report)."""
+    """Price a node's T_mul,q count and radio bytes in joules (split report).
+
+    The only place work is turned into joules: the simulator's nodes, the
+    modeled Chien row and the `cost` table all call it.
+    """
     if joules_per_tmulq <= 0:
         raise ValueError("joules_per_tmulq must be positive")
-    if bytes_tx < 0 or bytes_rx < 0:
-        raise ValueError("byte counts must be non-negative")
-    compute = per_user_cost(scheme, m, harn_slope) * joules_per_tmulq
+    if tmulq < 0 or bytes_tx < 0 or bytes_rx < 0:
+        raise ValueError("operation and byte counts must be non-negative")
+    compute = tmulq * joules_per_tmulq
     radio_j = bytes_tx * radio.tx_j_per_byte + bytes_rx * radio.rx_j_per_byte
     return EnergyBreakdown(compute_j=compute, radio_j=radio_j)
-
-
-def calibrate_joules_per_tmulq(
-    target_j: float,
-    m: int = 10,
-    scheme: str = "proposed",
-    extra_tmulq_equiv: float = 0.0,
-) -> float:
-    """One-point fit: choose J/T_mul,q so the scheme's node hits target_j.
-
-    `extra_tmulq_equiv` folds radio bytes (expressed in multiplication
-    equivalents) into the same calibration point.
-    """
-    if target_j <= 0:
-        raise ValueError("target energy must be positive")
-    denom = per_user_cost(scheme, m) + extra_tmulq_equiv
-    return target_j / denom
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +126,16 @@ def csv_header() -> str:
 
 
 def csv_row(
-    scheme: str,
-    m: int,
-    tmulq: int,
-    compute_j: float,
-    radio_j: float,
-    total_j: float,
-    auth_time_s: float,
+    scheme: str, m: int, tmulq: int, energy: EnergyBreakdown, auth_time_s: float
 ) -> str:
     return ",".join(
         (
             scheme,
             str(m),
             str(tmulq),
-            f"{compute_j:.9g}",
-            f"{radio_j:.9g}",
-            f"{total_j:.9g}",
+            f"{energy.compute_j:.9g}",
+            f"{energy.radio_j:.9g}",
+            f"{energy.total_j:.9g}",
             f"{auth_time_s:.9g}",
         )
     )

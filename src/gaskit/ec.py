@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .field import FieldElement, Prime, _tally_muls, active_counter, cached_prime
+from .field import FieldElement, Prime, _tally_muls, active_counter, cached_prime, json_int
 
 __all__ = [
     "CurvePoint",
@@ -561,12 +561,13 @@ BUILTIN_CURVES = ("test2017", "secp160r1", "toy5")
 
 def curve_from_dict(data: dict, name: str = "") -> CurveParams:
     try:
-        p = Prime(int(data["p"]))
-        a, b, gx, gy = (p.element(int(data[k])) for k in ("A", "B", "Gx", "Gy"))
+        p = Prime(json_int(data["p"], "p"))
+        a, b, gx, gy = (p.element(json_int(data[k], k)) for k in ("A", "B", "Gx", "Gy"))
     except KeyError as exc:
         raise ValueError(f"curve file missing field {exc}") from exc
-    order = int(data["order"]) if data.get("order") else None
-    sub = int(data["subgroup_order"]) if data.get("subgroup_order") else None
+    order, sub = (
+        json_int(data[k], k) if data.get(k) else None for k in ("order", "subgroup_order")
+    )
     return CurveParams(
         a=a,
         b=b,

@@ -23,6 +23,7 @@ __all__ = [
     "MulCounter",
     "active_counter",
     "is_probable_prime",
+    "json_int",
     "lagrange_coeff",
     "lagrange_coeff_at_zero",
 ]
@@ -58,6 +59,23 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
         else:
             return False
     return True
+
+
+def json_int(value: object, name: str) -> int:
+    """An integer read from a JSON file: an int, or the decimal string of one.
+
+    The string form is what the writers emit, ``str(n)``: ASCII digits with
+    an optional leading minus sign.  Anything else raises ValueError,
+    including the floats and booleans that ``int()`` would silently truncate
+    or coerce (``1.9`` -> 1, ``true`` -> 1).
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    raise ValueError(f"{name} must be an integer or a decimal string, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,7 +26,7 @@ from . import wire
 from .ec import (
     CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul, validate_point,
 )
-from .field import FieldElement, Prime, lagrange_coeff_at_zero
+from .field import FieldElement, Prime, json_int, lagrange_coeff_at_zero
 from .sss import (
     SecretCommitment,
     Share,
@@ -373,10 +373,20 @@ def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> SymmetricK
 
 
 def ensure_pairwise_keys(state: MemberState) -> None:
-    for mid, ps in state.received_public_shares.items():
-        if mid == state.member_id or mid in state.pairwise_keys:
-            continue
-        state.pairwise_keys[mid] = derive_pairwise_key(state.share, ps, state.config)
+    for mid in state.received_public_shares:
+        if mid != state.member_id:
+            _pairwise_key_for(state, mid)
+
+
+def _pairwise_key_for(state: MemberState, peer_id: str) -> SymmetricKey:
+    """The key shared with one peer, derived on first use from its public share."""
+    key = state.pairwise_keys.get(peer_id)
+    if key is None:
+        ps = state.received_public_shares.get(peer_id)
+        if ps is None or peer_id == state.member_id:
+            raise UnknownMemberError(f"no pairwise key for {peer_id!r}")
+        key = state.pairwise_keys[peer_id] = derive_pairwise_key(state.share, ps, state.config)
+    return key
 
 
 def _share_aad(epoch: int, sender: str, recipient: str) -> bytes:
@@ -405,11 +415,8 @@ def encrypt_share_for_peer(
     state: MemberState, peer_id: str, rng: random.Random
 ) -> bytes:
     """Encrypt the member's own y for one peer; returns the wire payload."""
-    ensure_pairwise_keys(state)
-    if peer_id not in state.pairwise_keys:
-        raise UnknownMemberError(f"no pairwise key for {peer_id!r}")
     return _seal(
-        state.pairwise_keys[peer_id].key_bytes,
+        _pairwise_key_for(state, peer_id).key_bytes,
         _share_aad(state.config.epoch, state.member_id, peer_id),
         state.share.y.to_bytes(),
         rng,
@@ -542,17 +549,17 @@ def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfi
             raise ValueError("config has no curve_ref; pass curve= explicitly")
         curve = builtin_curve(ref)
     fp = curve.modulus
-    px, py = (fp.element(int(v)) for v in data["P"])
-    qx, qy = (fp.element(int(v)) for v in data["Q"])
+    px, py = (fp.element(json_int(v, "P")) for v in data["P"])
+    qx, qy = (fp.element(json_int(v, "Q")) for v in data["Q"])
     return GroupConfig(
         curve=curve,
         generator=validate_point(px, py, curve),
         group_public_key=validate_point(qx, qy, curve),
         commitment=SecretCommitment(bytes.fromhex(data["H_s"])),
-        threshold=int(data["t"]),
-        roster=tuple((mid, int(x)) for mid, x in data["roster"]),
+        threshold=json_int(data["t"], "t"),
+        roster=tuple((mid, json_int(x, f"roster x of {mid}")) for mid, x in data["roster"]),
         cipher_suite_id=data.get("cipher_suite_id", CIPHER_SUITE_ID),
-        epoch=int(data.get("epoch", 1)),
+        epoch=json_int(data.get("epoch", 1), "epoch"),
     )
 
 

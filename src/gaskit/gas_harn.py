@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .field import FieldElement, Prime, lagrange_coeff
+from .field import FieldElement, Prime, json_int, lagrange_coeff
 from .sss import SecretPolynomial, ThresholdError, sample_polynomial
 
 __all__ = [
@@ -134,10 +134,10 @@ def load_harn_modulus(path) -> HarnModulus:
 
 
 def _modulus_from_dict(data: dict) -> HarnModulus:
-    p = Prime(int(data["p"]))
-    q = Prime(int(data["q"]))
+    p = Prime(json_int(data["p"], "p"))
+    q = Prime(json_int(data["q"], "q"))
     if data.get("g"):
-        g = p.element(int(data["g"]))
+        g = p.element(json_int(data["g"], "g"))
     else:
         g = derive_generator(p, q)
     return HarnModulus(p=p, q=q, g=g)

@@ -28,7 +28,9 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Mapping
 
 from . import cost_model, gas_core, gas_harn, wire
@@ -106,24 +108,23 @@ class Scenario:
         return "gm" if self.scheme != "proposed-decentralized" else "max-battery"
 
     def validate(self) -> None:
-        problems = []
+        problems = [
+            f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
+            for f in fields(self)
+            if not _admits(_FIELD_HINTS[f.name], getattr(self, f.name))
+        ]
+        if problems:  # the checks below compare values of the declared types
+            raise ScenarioError("; ".join(problems))
         if self.scheme not in SCHEME_CHOICES:
             problems.append(f"scheme must be one of {SCHEME_CHOICES}, got {self.scheme!r}")
         if self.m < 1:
             problems.append(f"m must be >= 1, got {self.m}")
         if self.t is not None and not 1 <= self.t <= self.m:
             problems.append(f"t must satisfy 1 <= t <= m, got t={self.t} m={self.m}")
-        if self.bitrate <= 0:
-            problems.append("bitrate must be positive")
-        if self.compute_rate <= 0:
-            problems.append("compute_rate must be positive")
-        if self.gm_speedup <= 0:
-            problems.append("gm_speedup must be positive")
-        if self.joules_per_tmulq <= 0:
-            problems.append("joules_per_tmulq must be positive")
-        if self.radio_tmulq_per_byte < 0:
-            problems.append("radio_tmulq_per_byte must be non-negative")
-        for name in ("tx_j_per_byte", "rx_j_per_byte"):
+        for name in ("bitrate", "compute_rate", "gm_speedup", "joules_per_tmulq"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name} must be positive")
+        for name in ("radio_tmulq_per_byte", "tx_j_per_byte", "rx_j_per_byte", "backoff_slot_s"):
             if (getattr(self, name) or 0.0) < 0:
                 problems.append(f"{name} must be non-negative")
         if not 0.0 <= self.loss <= 1.0:
@@ -134,8 +135,6 @@ class Scenario:
             problems.append("harn supports only the slotted schedule")
         if self.max_retries < 0:
             problems.append("max_retries must be >= 0")
-        if self.backoff_slot_s < 0:
-            problems.append("backoff_slot_s must be non-negative")
         policy = self.resolved_policy()
         if policy not in ("gm", "max-battery") and not policy.startswith("fixed:"):
             problems.append(f"unknown verifier policy {policy!r}")
@@ -145,6 +144,8 @@ class Scenario:
             kind = self.adversary.get("kind")
             if kind not in ("invalid-share",):
                 problems.append(f"unknown adversary kind {kind!r}")
+            if not isinstance(self.adversary.get("member_id", "U1"), str):
+                problems.append("adversary member_id must be a member id string")
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -161,16 +162,41 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
+        if not isinstance(data, Mapping):
+            raise ScenarioError(f"a scenario must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ScenarioError(f"missing scenario fields: {missing}")
         return cls(**data)
 
     @classmethod
     def from_json_file(cls, path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_FIELD_HINTS = typing.get_type_hints(Scenario)
+
+
+def _admits(hint, value) -> bool:
+    """Whether a value read from JSON has the type a Scenario field declares.
+
+    A float field takes ints too; a bool is never a number.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_admits(arg, value) for arg in args)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _admits(args[0], k) and _admits(args[1], v) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -198,10 +224,10 @@ class SimReport:
     rounds_used: int
     verifier: str
     culprits: list[str]
-    per_node: list[NodeReport]
     channel_bytes_transmitted: int
     channel_bytes_delivered: int
     max_verifier_queue: int
+    per_node: list[NodeReport]
     events: list[dict]
 
     @property
@@ -221,24 +247,9 @@ class SimReport:
         return self.per_node[0]
 
     def to_dict(self, include_events: bool = False) -> dict:
-        data = {
-            "scheme": self.scheme,
-            "m": self.m,
-            "t": self.t,
-            "seed": self.seed,
-            "outcome": self.outcome,
-            "failure_reason": self.failure_reason,
-            "auth_time_s": self.auth_time_s,
-            "rounds_used": self.rounds_used,
-            "verifier": self.verifier,
-            "culprits": self.culprits,
-            "channel_bytes_transmitted": self.channel_bytes_transmitted,
-            "channel_bytes_delivered": self.channel_bytes_delivered,
-            "max_verifier_queue": self.max_verifier_queue,
-            "per_node": [asdict(rep) for rep in self.per_node],
-        }
-        if include_events:
-            data["events"] = self.events
+        data = asdict(self)
+        if not include_events:
+            del data["events"]
         return data
 
     def to_json(self, include_events: bool = False) -> str:
@@ -247,13 +258,11 @@ class SimReport:
     def csv_row(self) -> str:
         rep = self.representative_member()
         return cost_model.csv_row(
-            scheme=self.scheme,
-            m=self.m,
-            tmulq=rep.tmulq_count,
-            compute_j=rep.compute_j,
-            radio_j=rep.radio_j,
-            total_j=rep.total_j,
-            auth_time_s=self.auth_time_s,
+            self.scheme,
+            self.m,
+            rep.tmulq_count,
+            cost_model.EnergyBreakdown(rep.compute_j, rep.radio_j),
+            self.auth_time_s,
         )
 
 
@@ -358,9 +367,10 @@ class _Run:
         scn = self.scn
         radio = scn.radio_cost()
         for rep in self.nodes.values():
-            rep.compute_j = rep.tmulq_count * scn.joules_per_tmulq
-            rep.radio_j = rep.bytes_tx * radio.tx_j_per_byte + rep.bytes_rx * radio.rx_j_per_byte
-            rep.total_j = rep.compute_j + rep.radio_j
+            spent = cost_model.energy(
+                rep.tmulq_count, scn.joules_per_tmulq, radio, rep.bytes_tx, rep.bytes_rx
+            )
+            rep.compute_j, rep.radio_j, rep.total_j = spent.compute_j, spent.radio_j, spent.total_j
         return SimReport(
             scheme=scn.scheme,
             m=scn.m,
@@ -625,16 +635,24 @@ def sweep(
     base: Scenario | None = None,
     jobs: int = 1,
 ) -> tuple[list[str], list[SimReport]]:
-    """One run per (scheme, m); seeds derived from the base seed.
+    """One CSV row per (scheme, m), scheme-major; seeds derived from the base seed.
 
-    `jobs` > 1 runs scenarios in parallel worker processes; each run has an
-    isolated rng, and output keeps the (scheme, m) submission order.
+    A scheme is one of `SCHEME_CHOICES`, run in the simulator, or "chien",
+    whose rows come from the cost model (`chien_model_row`).  Unknown names
+    raise ScenarioError before any run.  The reports are those of the
+    simulator runs only, in row order.  `jobs` > 1 runs the simulator in
+    parallel worker processes; each run has an isolated rng, so the output
+    does not depend on it.
     """
+    bad = [s for s in schemes if s != "chien" and s not in SCHEME_CHOICES]
+    if bad:
+        raise ScenarioError(f"unknown schemes {bad}; valid: {list(SCHEME_CHOICES)} plus chien")
     if base is None:
         base = Scenario(scheme="proposed-centralized", m=1)
     scenarios = [
         replace(base, scheme=scheme, m=m, t=None, seed=derive_seed(base.seed, scheme, m))
         for scheme in schemes
+        if scheme != "chien"
         for m in ms
     ]
     if jobs > 1 and len(scenarios) > 1:
@@ -644,7 +662,13 @@ def sweep(
             reports = list(pool.map(run, scenarios))
     else:
         reports = [run(scn) for scn in scenarios]
-    return [rep.csv_row() for rep in reports], reports
+    simulated = iter(reports)
+    rows = [
+        chien_model_row(m, base) if scheme == "chien" else next(simulated).csv_row()
+        for scheme in schemes
+        for m in ms
+    ]
+    return rows, reports
 
 
 # ---------------------------------------------------------------------------
@@ -665,20 +689,14 @@ def chien_model_row(m: int, base: Scenario | None = None) -> str:
         + cost_model.CHIEN_VERIFY_TAIL / rate
     )
     tmulq = cost_model.per_user_cost("chien", m)
-    bytes_tx = frame_len(ids[0])
-    bytes_rx = sum(frame_len(mid) for mid in ids[1:])
-    breakdown = cost_model.energy(
-        "chien", m, scn.joules_per_tmulq, scn.radio_cost(), bytes_tx, bytes_rx
+    spent = cost_model.energy(
+        tmulq,
+        scn.joules_per_tmulq,
+        scn.radio_cost(),
+        frame_len(ids[0]),
+        sum(frame_len(mid) for mid in ids[1:]),
     )
-    return cost_model.csv_row(
-        scheme="chien",
-        m=m,
-        tmulq=tmulq,
-        compute_j=breakdown.compute_j,
-        radio_j=breakdown.radio_j,
-        total_j=breakdown.total_j,
-        auth_time_s=auth_time,
-    )
+    return cost_model.csv_row("chien", m, tmulq, spent, auth_time)
 
 
 def preset(name: str, base: Scenario | None = None) -> tuple[list[str], list[SimReport]]:
@@ -688,16 +706,7 @@ def preset(name: str, base: Scenario | None = None) -> tuple[list[str], list[Sim
     m = 10 if name == "paper-fig3" else 50
     if base is None:
         base = Scenario(scheme="proposed-centralized", m=m)
-    rows: list[str] = []
-    reports: list[SimReport] = []
-    harn_rows, harn_reports = sweep(["harn"], [m], base)
-    rows += harn_rows
-    reports += harn_reports
-    rows.append(chien_model_row(m, base))
-    prop_rows, prop_reports = sweep(["proposed-centralized"], [m], base)
-    rows += prop_rows
-    reports += prop_reports
-    return rows, reports
+    return sweep(["harn", "chien", "proposed-centralized"], [m], base)
 
 
 # ---------------------------------------------------------------------------

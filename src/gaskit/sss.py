@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, Prime, lagrange_coeff_at_zero
+from .field import FieldElement, Prime, json_int, lagrange_coeff_at_zero
 
 __all__ = [
     "ThresholdError",
@@ -214,8 +214,8 @@ def read_shares(fh, modulus: Prime) -> list[Share]:
         rec = json.loads(line)
         shares.append(
             Share(
-                x=modulus.element(int(rec["x"])),
-                y=modulus.element(int(rec["y"])),
+                x=modulus.element(json_int(rec["x"], "x")),
+                y=modulus.element(json_int(rec["y"], "y")),
                 member_id=rec["member_id"],
             )
         )

@@ -73,33 +73,25 @@ def decode_frame(buf: bytes) -> Frame:
     return Frame(msg_type, epoch, member_id, bytes(buf[6 + mid_len :]))
 
 
-def _encode_two_fields(a: bytes, b: bytes) -> bytes:
-    if len(a) > 0xFFFF or len(b) > 0xFFFF:
-        raise ValueError("field longer than u16 length prefix allows")
-    return struct.pack(">H", len(a)) + a + struct.pack(">H", len(b)) + b
-
-
-def _decode_two_fields(payload: bytes) -> tuple[bytes, bytes]:
-    if len(payload) < 2:
-        raise ValueError("truncated payload")
-    (a_len,) = struct.unpack_from(">H", payload)
-    off = 2 + a_len
-    if len(payload) < off + 2:
-        raise ValueError("truncated payload")
-    (b_len,) = struct.unpack_from(">H", payload, off)
-    end = off + 2 + b_len
-    if len(payload) != end:
-        raise ValueError("payload length mismatch")
-    return bytes(payload[2 : 2 + a_len]), bytes(payload[off + 2 : end])
-
-
 def encode_point_payload(x: bytes, y: bytes) -> bytes:
     """Used for both curve points (x, y) and Harn releases (x_i, e_i)."""
-    return _encode_two_fields(x, y)
+    if len(x) > 0xFFFF or len(y) > 0xFFFF:
+        raise ValueError("field longer than u16 length prefix allows")
+    return struct.pack(">H", len(x)) + x + struct.pack(">H", len(y)) + y
 
 
 def decode_point_payload(payload: bytes) -> tuple[bytes, bytes]:
-    return _decode_two_fields(payload)
+    if len(payload) < 2:
+        raise ValueError("truncated payload")
+    (x_len,) = struct.unpack_from(">H", payload)
+    off = 2 + x_len
+    if len(payload) < off + 2:
+        raise ValueError("truncated payload")
+    (y_len,) = struct.unpack_from(">H", payload, off)
+    end = off + 2 + y_len
+    if len(payload) != end:
+        raise ValueError("payload length mismatch")
+    return bytes(payload[2 : 2 + x_len]), bytes(payload[off + 2 : end])
 
 
 def encode_encrypted_payload(nonce: bytes, ciphertext: bytes) -> bytes:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gaskit.cli import main
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
@@ -139,6 +141,36 @@ def test_simulate_validation_errors_listed(capsys, tmp_path):
     assert "scheme" in err and "loss" in err and "m must" in err
 
 
+@pytest.mark.parametrize(("fields", "problem"), [
+    ({"m": "10"}, "m must be int, got '10'"),
+    ({"adversary": "x"}, "adversary must be dict | None, got 'x'"),
+    ({"scheme": "proposed-decentralized", "verifier_policy": "max-battery",
+      "battery": {"U2": "high"}}, "battery must be dict[str, float] | None"),
+    ({"m": 4.0, "loss": True}, "m must be int, got 4.0; loss must be float, got True"),
+])
+def test_simulate_mistyped_scenario_fields_exit_2(capsys, tmp_path, fields, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scheme": "proposed-centralized", "m": 4,
+                                "curve_ref": "builtin:test2017", **fields}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert problem in err
+
+
+@pytest.mark.parametrize(("text", "problem"), [
+    ('["harn", 4]', "must be a JSON object"),
+    ('{"scheme": "harn"}', "missing scenario fields: ['m']"),
+])
+def test_simulate_malformed_scenario_file_exit_2(capsys, tmp_path, text, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert problem in err
+
+
 def test_simulate_requires_scheme_or_scenario(capsys):
     code, _, err = run_cli(capsys, "simulate")
     assert code == 2
@@ -164,6 +196,14 @@ def test_sweep_unknown_scheme(capsys):
     code, _, err = run_cli(capsys, "sweep", "--schemes", "quantum", "--m-list", "4")
     assert code == 2
     assert "unknown schemes" in err
+
+
+def test_sweep_invalid_run_prints_no_rows(capsys):
+    # the whole grid runs before the first row is printed
+    code, out, err = run_cli(capsys, "sweep", "--schemes", "chien,harn", "--m-list", "4,0")
+    assert code == 2
+    assert out == ""
+    assert "m must be >= 1" in err
 
 
 # --- attack ---------------------------------------------------------------------

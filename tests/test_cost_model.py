@@ -7,8 +7,8 @@ import pytest
 
 from gaskit import cost_model
 from gaskit.cost_model import (
+    EnergyBreakdown,
     RadioCost,
-    calibrate_joules_per_tmulq,
     csv_header,
     csv_row,
     energy,
@@ -80,13 +80,13 @@ def test_savings_ratio_at_least_80_percent():
 
 def test_energy_split_and_proportionality():
     nothing = RadioCost(0.0, 0.0)
-    e10 = energy("proposed", 10, 1e-5, nothing, 100, 900)
-    e50 = energy("proposed", 50, 1e-5, nothing, 100, 900)
+    e10 = energy(per_user_cost("proposed", 10), 1e-5, nothing, 100, 900)
+    e50 = energy(per_user_cost("proposed", 50), 1e-5, nothing, 100, 900)
     assert e10.radio_j == 0.0
     assert e10.compute_j == e50.compute_j == 1189 * 1e-5  # constant profile
     assert e10.total_j == e10.compute_j
     radio = RadioCost(2e-6, 1e-6)
-    e = energy("harn", 10, 1e-5, radio, 100, 900)
+    e = energy(per_user_cost("harn", 10), 1e-5, radio, 100, 900)
     assert e.compute_j == pytest.approx(1868 * 1e-5)
     assert e.radio_j == pytest.approx(100 * 2e-6 + 900 * 1e-6)
     assert e.total_j == pytest.approx(e.compute_j + e.radio_j)
@@ -94,27 +94,19 @@ def test_energy_split_and_proportionality():
 
 def test_energy_validation():
     with pytest.raises(ValueError, match="positive"):
-        energy("proposed", 10, 0.0, RadioCost(0, 0), 0, 0)
+        energy(1189, 0.0, RadioCost(0, 0), 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
         RadioCost(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        energy("proposed", 10, 1e-5, RadioCost(0, 0), -1, 0)
-
-
-def test_calibration_fit():
-    jpt = calibrate_joules_per_tmulq(0.014, m=10)
-    assert jpt * per_user_cost("proposed", 10) == pytest.approx(0.014)
-    jpt2 = calibrate_joules_per_tmulq(0.014, m=10, extra_tmulq_equiv=61)
-    assert jpt2 == pytest.approx(0.014 / 1250)
-    with pytest.raises(ValueError):
-        calibrate_joules_per_tmulq(0.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        energy(1189, 1e-5, RadioCost(0, 0), -1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        energy(-1, 1e-5, RadioCost(0, 0), 0, 0)
 
 
 def test_csv_schema():
     assert csv_header() == "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
-    row = csv_row("proposed", 10, 1189, 0.0133, 0.0007, 0.014, 1.3)
-    assert row.split(",")[:3] == ["proposed", "10", "1189"]
-    assert len(row.split(",")) == 7
+    row = csv_row("proposed", 10, 1189, EnergyBreakdown(0.0133, 0.0007), 1.3)
+    assert row.split(",") == ["proposed", "10", "1189", "0.0133", "0.0007", "0.014", "1.3"]
 
 
 def test_measured_scalar_mul_count_within_3x_of_model():

@@ -256,6 +256,16 @@ def test_curve_from_dict_rejects_values_outside_field(key):
             curve_from_dict(data)
 
 
+@pytest.mark.parametrize(("key", "bad"), [("p", 2017.2), ("Gx", 1368.7), ("A", True),
+                                          ("subgroup_order", True)])
+def test_curve_from_dict_rejects_non_integer_numbers(key, bad):
+    # int() would truncate 2017.2 to p = 2017 and coerce true to 1
+    data = curve_to_dict(TEST2017)
+    data[key] = bad
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        curve_from_dict(data)
+
+
 def test_load_curve_from_file(tmp_path):
     import json
 

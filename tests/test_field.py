@@ -9,6 +9,7 @@ from gaskit.field import (
     MulCounter,
     Prime,
     is_probable_prime,
+    json_int,
     lagrange_coeff,
     lagrange_coeff_at_zero,
 )
@@ -224,3 +225,13 @@ def test_from_bytes_is_the_checked_inverse_of_to_bytes():
     for data in (b"", b"\x07", b"\x00\x00\x07", (2027).to_bytes(2, "big"), b"\xff\xff"):
         with pytest.raises(ValueError):
             F2027.from_bytes(data)
+
+
+def test_json_int_takes_ints_and_decimal_strings_only():
+    assert [json_int(v, "p") for v in (0, 7, -3, "0", "2017", "-37", "007")] == [
+        0, 7, -3, 0, 2017, -37, 7,
+    ]
+    for bad in (1.9, 2.0, True, False, None, "1.9", "0x10", " 7", "+7", "1_000", "", "-",
+                "\u0663", [1], {"v": 1}):
+        with pytest.raises(ValueError, match="p must be an integer or a decimal string"):
+            json_int(bad, "p")

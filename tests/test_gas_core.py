@@ -273,6 +273,25 @@ def test_key_agreement_end_to_end():
     assert all(st.group_key == key for st in states.values())
 
 
+def test_encrypt_for_peer_derives_only_that_peers_key():
+    rng, config, shares = setup_group(t=3, n=5, seed=21)
+    states, _ = run_confirmation(config, shares)
+    u1 = states["U1"]
+    with MulCounter() as ops:
+        encrypt_share_for_peer(u1, "U3", rng)
+        encrypt_share_for_peer(u1, "U3", rng)
+    assert ops.ec_scalar_muls == 1
+    assert list(u1.pairwise_keys) == ["U3"]
+    with pytest.raises(UnknownMemberError):
+        encrypt_share_for_peer(u1, "U1", rng)
+    with pytest.raises(UnknownMemberError):
+        encrypt_share_for_peer(u1, "U9", rng)
+    # the whole stage still derives each of the m(m-1) keys exactly once
+    with MulCounter() as ops:
+        exchange_group_key(states, rng)
+    assert ops.ec_scalar_muls == 5 * 4 - 1
+
+
 def test_key_agreement_garbage_ciphertext_names_peer():
     rng, config, shares = setup_group(t=2, n=4, seed=25)
     states, _ = run_confirmation(config, shares)
@@ -505,6 +524,22 @@ def test_config_from_dict_rejects_coordinates_outside_field():
                 data[key][i] = str(int(data[key][i]) + shift)
                 with pytest.raises(ValueError, match="out of field range"):
                     config_from_dict(data)
+
+
+@pytest.mark.parametrize(("key", "bad"), [("t", 3.0), ("t", 2.7), ("epoch", True),
+                                          ("P", 1368.0), ("roster", 1.5)])
+def test_config_from_dict_rejects_non_integer_numbers(key, bad):
+    # int() would load t = 2.7 as 2 and epoch = true as 1
+    _, config, _ = setup_group()
+    data = config_to_dict(config)
+    if key == "P":
+        data["P"][0] = bad
+    elif key == "roster":
+        data["roster"][0][1] = bad
+    else:
+        data[key] = bad
+    with pytest.raises(ValueError, match="must be an integer"):
+        config_from_dict(data)
 
 
 def test_gm_init_random_xs():

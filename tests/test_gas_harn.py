@@ -223,3 +223,13 @@ def test_modulus_file_rejects_g_outside_field(tmp_path):
         path.write_text(json.dumps({"p": "23", "q": "11", "g": str(g)}))
         with pytest.raises(ValueError, match="out of field range"):
             load_harn_modulus(path)
+
+
+@pytest.mark.parametrize(("key", "bad"), [("p", 23.9), ("q", 11.0), ("g", True)])
+def test_modulus_file_rejects_non_integer_numbers(tmp_path, key, bad):
+    # int() would load p = 23.9 as 23 and g = true as 1
+    data = {"p": "23", "q": "11", "g": "3", key: bad}
+    path = tmp_path / "harn.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        load_harn_modulus(path)

@@ -15,6 +15,10 @@ import pytest
 from gaskit.cli import main
 
 TOY = ("--curve", "builtin:test2017", "--m", "12")
+SWEEP = ("sweep", "--schemes", "harn,chien,proposed-centralized,proposed-decentralized",
+         "--m-list", "10,50", "--seed", "1")
+SWEEP_CSV = "f410e680ee055b5341b17ea161ad106fd68b8fa38fa43e50a30a3cc8d709daaf"
+SWEEP_EVENTS = "dc66c3e2b54dad02b9f52011366c9352bf96d1773b16297d597514464178db11"
 
 # name -> (argv, exit code, stdout sha256, events sha256 or None)
 CASES = {
@@ -59,6 +63,21 @@ CASES = {
         "a573a22014aaf2897db636f40693c71760dde3a6807f594b021f40f1baa3e7a3",
         "f5a8574c0c4566bc5be01378fe2958d5fd7b1d1e341c8a8b418ac9160c59ea1b",
     ),
+    "cost": (
+        ["cost", "--m-range", "10:50:10"],
+        0,
+        "ca02d50f0df4465b2b8fb44dd055bcb1a1ebec6ae7db92cb038809be35a72510",
+        None,
+    ),
+    "cost-table-slope": (
+        ["cost", "--m-range", "10:50:10", "--harn-slope", "table"],
+        0,
+        "d14e26a38256d82a8851f35db32f59c95cf53342961289c19e899b6486ff54e6",
+        None,
+    ),
+    # the worker count must not change a byte
+    "sweep-jobs1": ([*SWEEP, "--jobs", "1"], 0, SWEEP_CSV, SWEEP_EVENTS),
+    "sweep-jobs2": ([*SWEEP, "--jobs", "2"], 0, SWEEP_CSV, SWEEP_EVENTS),
     "attack-replay": (
         ["attack", "--name", "replay"],
         0,

@@ -222,6 +222,30 @@ def test_sweep_rows():
     assert dup_rows[0] == dup_rows[1]
 
 
+def test_sweep_interleaves_modeled_chien_rows():
+    base = tiny(seed=5)
+    rows, reports = sim.sweep(["harn", "chien", "proposed-centralized"], [3, 5], base)
+    assert [row.split(",")[:2] for row in rows] == [
+        ["harn", "3"], ["harn", "5"], ["chien", "3"], ["chien", "5"],
+        ["proposed-centralized", "3"], ["proposed-centralized", "5"],
+    ]
+    assert rows[2:4] == [sim.chien_model_row(3, base), sim.chien_model_row(5, base)]
+    # reports are for the simulator runs only, in row order
+    assert [(rep.scheme, rep.m) for rep in reports] == [
+        ("harn", 3), ("harn", 5), ("proposed-centralized", 3), ("proposed-centralized", 5),
+    ]
+    assert [rep.csv_row() for rep in reports] == rows[:2] + rows[4:]
+
+
+def test_sweep_refuses_unknown_schemes_before_any_run(monkeypatch):
+    def no_run(scenario):
+        raise AssertionError("ran a scenario")
+
+    monkeypatch.setattr(sim, "run", no_run)
+    with pytest.raises(ScenarioError, match=r"unknown schemes \['rsa'\]"):
+        sim.sweep(["harn", "rsa", "chien"], [3], tiny())
+
+
 def test_preset_fig3_shape():
     rows, reports = sim.preset("paper-fig3")
     assert len(rows) == 3

@@ -238,3 +238,11 @@ def test_read_shares_rejects_values_outside_the_field():
         line = f'{{"member_id": "U1", "x": "{x}", "y": "{y}"}}\n'
         with pytest.raises(ValueError, match="out of field range"):
             read_shares(io.StringIO(line), F17)
+
+
+@pytest.mark.parametrize("bad", [1.9, "true"])
+def test_read_shares_rejects_non_integer_numbers(bad):
+    # int() would load x = 1.9 and x = true both as 1
+    line = f'{{"member_id": "U1", "x": {bad}, "y": "3"}}\n'
+    with pytest.raises(ValueError, match="x must be an integer"):
+        read_shares(io.StringIO(line), F17)
