@@ -165,7 +165,7 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
     rogue_point = true_point
     while rogue_point == true_point:
         rogue_point = scalar_mul(rng.randrange(1, config.curve.subgroup_order),
-                                 config.generator, config.curve)
+                                 config.curve.generator, config.curve)
     rogue = PublicShare(member_id=honest_ids[0], point=rogue_point)
     rogue_accepted = gas_core.gm_verify(config, shares, [rogue])[honest_ids[0]]
 
@@ -233,7 +233,7 @@ def dos_invalid_share(
         "rounds_used": report.rounds_used,
     }
     notes = [
-        f"retry bound {scenario.max_retries}; verdict false every round"
+        f"retry bound {sim.MAX_RETRIES}; verdict false every round"
         if mode == "decentralized"
         else "per-member verdicts isolate the culprit; honest subset re-runs",
     ]
@@ -435,14 +435,7 @@ def build_honest_transcript(
         roster_xs = [tok.x for tok in tokens]
         for tok in tokens:
             rel = gas_harn.harn_release(tok, roster_xs, params)
-            frames.append(
-                wire.encode_frame(
-                    wire.HARN_RELEASE,
-                    1,
-                    tok.member_id,
-                    wire.encode_point_payload(rel.x.to_bytes(), rel.e.to_bytes()),
-                )
-            )
+            frames.append(gas_harn.release_frame(rel))
             public[f"e({tok.member_id})"] = rel.e.to_bytes()
             secrets[f"f1(x) of {tok.member_id}"] = tok.y1.to_bytes()
             secrets[f"f2(x) of {tok.member_id}"] = tok.y2.to_bytes()

@@ -12,13 +12,14 @@ default seed of any command that takes one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
 import sys
 
 from . import attacks, cost_model, gas_core, gas_harn, sim
-from .ec import CurveParams, CurvePoint, brute_force_order, scalar_mul
+from .ec import CurveParams, CurvePoint, brute_force_order, curve_to_dict, scalar_mul
 from .field import Prime, is_probable_prime
 
 __all__ = ["main"]
@@ -62,7 +63,7 @@ def _cmd_demo(args) -> int:
         print(f"curve: {curve.name or args.curve} "
               f"(p={curve.modulus.value}, subgroup order {curve.subgroup_order})")
         print(f"group: n={args.n}, threshold t={args.t}, epoch {config.epoch}")
-        print(f"published: P={_point_str(config.generator)} "
+        print(f"published: P={_point_str(curve.generator)} "
               f"Q={_point_str(config.group_public_key)} H(s)={config.commitment.hex()[:16]}...")
         participants = [s.member_id for s in shares[: args.m]]
         states, public_shares = gas_core.run_confirmation(config, shares, participants)
@@ -137,11 +138,10 @@ def _cmd_cost(args) -> int:
         _err(str(exc))
         return 2
     print(cost_model.csv_header())
-    no_radio = cost_model.RadioCost(0.0, 0.0)
     for m in ms:
         for scheme in cost_model.SCHEMES:
             tmulq = cost_model.per_user_cost(scheme, m, harn_slope=args.harn_slope)
-            spent = cost_model.energy(tmulq, sim.DEFAULT_JOULES_PER_TMULQ, no_radio, 0, 0)
+            spent = cost_model.energy(tmulq, sim.DEFAULT_JOULES_PER_TMULQ, 0, 0)
             print(cost_model.csv_row(
                 scheme, m, tmulq, spent, tmulq / sim.DEFAULT_COMPUTE_RATE
             ))
@@ -299,16 +299,9 @@ def _cmd_gen_params(args) -> int:
         if gen.is_infinity:
             _err("base point collapses under cofactor clearing; pick another")
             return 2
-        out = {
-            "name": "generated",
-            "p": str(p.value),
-            "A": str(args.a),
-            "B": str(args.b),
-            "Gx": str(gen.x.residue),
-            "Gy": str(gen.y.residue),
-            "order": str(order),
-            "subgroup_order": str(sub),
-        }
+        out = curve_to_dict(
+            dataclasses.replace(curve, generator=gen, order=order, subgroup_order=sub)
+        )
     else:
         _err(f"unknown kind {args.kind!r}")
         return 2

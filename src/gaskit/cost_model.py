@@ -29,7 +29,6 @@ __all__ = [
     "TEM_TMULQ",
     "per_user_cost",
     "savings_ratio",
-    "RadioCost",
     "EnergyBreakdown",
     "energy",
     "CSV_FIELDS",
@@ -75,16 +74,6 @@ def savings_ratio(m: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RadioCost:
-    tx_j_per_byte: float
-    rx_j_per_byte: float
-
-    def __post_init__(self) -> None:
-        if self.tx_j_per_byte < 0 or self.rx_j_per_byte < 0:
-            raise ValueError("radio byte costs must be non-negative")
-
-
-@dataclass(frozen=True)
 class EnergyBreakdown:
     compute_j: float
     radio_j: float
@@ -95,23 +84,20 @@ class EnergyBreakdown:
 
 
 def energy(
-    tmulq: int,
-    joules_per_tmulq: float,
-    radio: RadioCost,
-    bytes_tx: int,
-    bytes_rx: int,
+    tmulq: int, joules_per_tmulq: float, bytes_tx: int, bytes_rx: int
 ) -> EnergyBreakdown:
     """Price a node's T_mul,q count and radio bytes in joules (split report).
 
-    The only place work is turned into joules: the simulator's nodes, the
-    modeled Chien row and the `cost` table all call it.
+    A radio byte, sent or received, costs one T_mul,q.  The only place work
+    is turned into joules: the simulator's nodes, the modeled Chien row and
+    the `cost` table all call it.
     """
     if joules_per_tmulq <= 0:
         raise ValueError("joules_per_tmulq must be positive")
     if tmulq < 0 or bytes_tx < 0 or bytes_rx < 0:
         raise ValueError("operation and byte counts must be non-negative")
     compute = tmulq * joules_per_tmulq
-    radio_j = bytes_tx * radio.tx_j_per_byte + bytes_rx * radio.rx_j_per_byte
+    radio_j = bytes_tx * joules_per_tmulq + bytes_rx * joules_per_tmulq
     return EnergyBreakdown(compute_j=compute, radio_j=radio_j)
 
 

@@ -137,22 +137,24 @@ class PublicShare:
 
 @dataclass(frozen=True)
 class GroupConfig:
-    """The GM's published bundle; holds no secret material."""
+    """The GM's published bundle; holds no secret material.
+
+    P is the curve's generator and the cipher suite is `CIPHER_SUITE_ID`;
+    `config_to_dict` writes both, `config_from_dict` refuses any other.
+    """
 
     curve: CurveParams
-    generator: CurvePoint
     group_public_key: CurvePoint  # Q = s * P
     commitment: SecretCommitment  # H(s)
     threshold: int
     roster: tuple[tuple[str, int], ...]  # (member_id, x residue)
-    cipher_suite_id: str = CIPHER_SUITE_ID
     epoch: int = 1
 
     def __post_init__(self) -> None:
         if not is_on_curve(self.group_public_key, self.curve):
             raise ValueError("Q is not on the curve")
-        if not is_on_curve(self.generator, self.curve):
-            raise ValueError("P is not on the curve")
+        if not 0 <= self.epoch < 2**32:  # the frame header's u32
+            raise ValueError(f"epoch {self.epoch} out of u32 range")
         ids = [mid for mid, _ in self.roster]
         xs = [x for _, x in self.roster]
         if len(set(ids)) != len(ids):
@@ -224,7 +226,6 @@ def _deal_group(
     q_point = scalar_mul(secret.residue, curve.generator, curve)
     config = GroupConfig(
         curve=curve,
-        generator=curve.generator,
         group_public_key=q_point,
         commitment=commit(secret),
         threshold=t,
@@ -265,9 +266,8 @@ def gm_init(
 
 def make_public_share(state: MemberState) -> PublicShare:
     """Compute f(x_i)*P - the member's entire confirmation-stage compute."""
-    point = scalar_mul(
-        state.share.y.residue, state.config.generator, state.config.curve
-    )
+    curve = state.config.curve
+    point = scalar_mul(state.share.y.residue, curve.generator, curve)
     return PublicShare(member_id=state.member_id, point=point)
 
 
@@ -306,27 +306,20 @@ def gm_verify(
             raise ValueError(f"duplicate public share from {ps.member_id!r}")
         seen.add(ps.member_id)
         expected = scalar_mul(
-            by_id[ps.member_id].y.residue, config.generator, config.curve
+            by_id[ps.member_id].y.residue, config.curve.generator, config.curve
         )
         # equal to the on-curve `expected`, so on the curve too
         verdicts[ps.member_id] = ps.point == expected
     return verdicts
 
 
-def decentralized_verify(
-    config: GroupConfig,
-    received: list[PublicShare],
-    m: int | None = None,
-) -> bool:
+def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bool:
     """GM-less confirmation: sum(L_i(0) * f(x_i)P) must equal Q.
 
     The Lagrange coefficients are computed in the curve's scalar field, so
     they are already reduced for scalar multiplication.
     """
-    if m is None:
-        m = len(received)
-    if m != len(received):
-        raise ValueError(f"m={m} but {len(received)} public shares supplied")
+    m = len(received)
     if m < config.threshold:
         raise ThresholdError(
             f"m must be equal or larger than t (m={m}, t={config.threshold})"
@@ -527,9 +520,10 @@ def open_rotated_share(
 # Config export
 
 def config_to_dict(config: GroupConfig) -> dict:
+    generator = config.curve.generator
     return {
         "curve_ref": config.curve.name or None,
-        "P": [str(config.generator.x.residue), str(config.generator.y.residue)],
+        "P": [str(generator.x.residue), str(generator.y.residue)],
         "Q": [
             str(config.group_public_key.x.residue),
             str(config.group_public_key.y.residue),
@@ -537,7 +531,7 @@ def config_to_dict(config: GroupConfig) -> dict:
         "H_s": config.commitment.hex(),
         "t": config.threshold,
         "roster": [[mid, str(x)] for mid, x in config.roster],
-        "cipher_suite_id": config.cipher_suite_id,
+        "cipher_suite_id": CIPHER_SUITE_ID,
         "epoch": config.epoch,
     }
 
@@ -551,14 +545,17 @@ def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfi
     fp = curve.modulus
     px, py = (fp.element(json_int(v, "P")) for v in data["P"])
     qx, qy = (fp.element(json_int(v, "Q")) for v in data["Q"])
+    if CurvePoint(px, py) != curve.generator:
+        raise ValueError(f"P is not the generator of curve {curve.name!r}")
+    suite = data.get("cipher_suite_id", CIPHER_SUITE_ID)
+    if suite != CIPHER_SUITE_ID:
+        raise ValueError(f"unsupported cipher suite {suite!r}; expected {CIPHER_SUITE_ID!r}")
     return GroupConfig(
         curve=curve,
-        generator=validate_point(px, py, curve),
         group_public_key=validate_point(qx, qy, curve),
         commitment=SecretCommitment(bytes.fromhex(data["H_s"])),
         threshold=json_int(data["t"], "t"),
         roster=tuple((mid, json_int(x, f"roster x of {mid}")) for mid, x in data["roster"]),
-        cipher_suite_id=data.get("cipher_suite_id", CIPHER_SUITE_ID),
         epoch=json_int(data.get("epoch", 1), "epoch"),
     )
 

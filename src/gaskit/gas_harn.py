@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
+from . import wire
 from .field import FieldElement, Prime, json_int, lagrange_coeff
 from .sss import SecretPolynomial, ThresholdError, sample_polynomial
 
@@ -37,6 +38,7 @@ __all__ = [
     "builtin_harn_modulus",
     "load_harn_modulus",
     "derive_generator",
+    "release_frame",
     "BUILTIN_HARN_MODULI",
 ]
 
@@ -210,6 +212,12 @@ def harn_release(
         + params.d2 * token.y2 * lagrange_coeff(idx, roster_xs, params.w2)
     )
     return HarnRelease(member_id=token.member_id, x=token.x, e=params.modulus.g.pow(c.residue))
+
+
+def release_frame(rel: HarnRelease) -> bytes:
+    """The HARN_RELEASE frame a member broadcasts (Harn has no epochs: always 1)."""
+    payload = wire.encode_point_payload(rel.x.to_bytes(), rel.e.to_bytes())
+    return wire.encode_frame(wire.HARN_RELEASE, 1, rel.member_id, payload)
 
 
 def harn_verify(releases: list[HarnRelease], params: HarnParams) -> bool:

@@ -1,7 +1,7 @@
 """Deterministic simulator of a one-hop wireless group authentication run.
 
 One GM (centralized variants) plus m member nodes share a serialized
-broadcast channel: one frame in flight at a time, airtime = bytes*8/bitrate,
+broadcast channel: one frame in flight at a time at 1 Mbit/s (`BITRATE`),
 optional uniform frame loss.  The default ``slotted`` schedule grants each
 member one slot per round in which it performs its confirmation compute and
 then transmits - duty-cycled sensors driven by the channel schedule.  That
@@ -16,10 +16,8 @@ Two ledgers run side by side:
   from `cost_model` (T_mul,q units), so a node's simulated work matches the
   published per-user totals exactly.
 
-Energy per node = joules_per_tmulq * tmulq + per-byte radio costs.  By
-default the per-byte cost is tied to the multiplication cost
-(``radio_tmulq_per_byte`` equivalents), so one calibration point fixes both
-scales.
+Energy per node = joules_per_tmulq * (tmulq + bytes sent + bytes received):
+a radio byte costs one T_mul,q, so one calibration point fixes both scales.
 """
 
 from __future__ import annotations
@@ -42,6 +40,10 @@ __all__ = [
     "SCHEDULE_CHOICES",
     "DEFAULT_COMPUTE_RATE",
     "DEFAULT_JOULES_PER_TMULQ",
+    "BITRATE",
+    "GM_SPEEDUP",
+    "MAX_RETRIES",
+    "BACKOFF_SLOT_S",
     "ScenarioError",
     "Scenario",
     "NodeReport",
@@ -69,6 +71,12 @@ PRESETS = ("paper-fig3", "paper-fig4")
 DEFAULT_COMPUTE_RATE = 9267.3278634885  # T_mul,q per second per member node
 DEFAULT_JOULES_PER_TMULQ = 1.12e-05  # joules (0.014 J / (1189 + 61 byte-equivalents))
 
+# The node model the published figures assume, the same in every run.
+BITRATE = 1_000_000.0  # channel bits per second
+GM_SPEEDUP = 10.0  # the GM computes this many times faster than a member
+MAX_RETRIES = 3  # confirmation rounds after the first
+BACKOFF_SLOT_S = 0.01  # flood schedule backoff slot
+
 _VERDICT_PAYLOAD = b"\x01"
 
 
@@ -81,20 +89,13 @@ class Scenario:
     scheme: str
     m: int
     t: int | None = None
-    bitrate: float = 1_000_000.0
     compute_rate: float = DEFAULT_COMPUTE_RATE
-    gm_speedup: float = 10.0
     joules_per_tmulq: float = DEFAULT_JOULES_PER_TMULQ
-    radio_tmulq_per_byte: float = 1.0
-    tx_j_per_byte: float | None = None
-    rx_j_per_byte: float | None = None
     schedule: str = "slotted"
     loss: float = 0.0
     seed: int = 1
     verifier_policy: str | None = None
     battery: dict[str, float] | None = None
-    max_retries: int = 3
-    backoff_slot_s: float = 0.01
     curve_ref: str = "builtin:secp160r1"
     harn_ref: str = "builtin:harn-1024-160"
     adversary: dict | None = None
@@ -121,20 +122,20 @@ class Scenario:
             problems.append(f"m must be >= 1, got {self.m}")
         if self.t is not None and not 1 <= self.t <= self.m:
             problems.append(f"t must satisfy 1 <= t <= m, got t={self.t} m={self.m}")
-        for name in ("bitrate", "compute_rate", "gm_speedup", "joules_per_tmulq"):
-            if getattr(self, name) <= 0:
+        numbers = {"compute_rate": self.compute_rate,
+                   "joules_per_tmulq": self.joules_per_tmulq, "loss": self.loss}
+        numbers.update((f"battery level of {mid}", v) for mid, v in (self.battery or {}).items())
+        not_finite = [name for name, v in numbers.items() if not math.isfinite(v)]
+        problems += [f"{name} must be finite" for name in not_finite]
+        for name in ("compute_rate", "joules_per_tmulq"):
+            if name not in not_finite and getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive")
-        for name in ("radio_tmulq_per_byte", "tx_j_per_byte", "rx_j_per_byte", "backoff_slot_s"):
-            if (getattr(self, name) or 0.0) < 0:
-                problems.append(f"{name} must be non-negative")
-        if not 0.0 <= self.loss <= 1.0:
+        if "loss" not in not_finite and not 0.0 <= self.loss <= 1.0:
             problems.append(f"loss must be in [0, 1], got {self.loss}")
         if self.schedule not in SCHEDULE_CHOICES:
             problems.append(f"schedule must be one of {SCHEDULE_CHOICES}")
         if self.scheme == "harn" and self.schedule != "slotted":
             problems.append("harn supports only the slotted schedule")
-        if self.max_retries < 0:
-            problems.append("max_retries must be >= 0")
         policy = self.resolved_policy()
         if policy not in ("gm", "max-battery") and not policy.startswith("fixed:"):
             problems.append(f"unknown verifier policy {policy!r}")
@@ -148,14 +149,6 @@ class Scenario:
                 problems.append("adversary member_id must be a member id string")
         if problems:
             raise ScenarioError("; ".join(problems))
-
-    def radio_cost(self) -> cost_model.RadioCost:
-        """Per-byte radio joules; an unset side costs radio_tmulq_per_byte T_mul,q."""
-        tied = self.radio_tmulq_per_byte * self.joules_per_tmulq
-        return cost_model.RadioCost(
-            self.tx_j_per_byte if self.tx_j_per_byte is not None else tied,
-            self.rx_j_per_byte if self.rx_j_per_byte is not None else tied,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -321,7 +314,7 @@ class _Run:
         self.events.append({"t": round(t, 9), "kind": kind, "node": node, **info})
 
     def node_speed(self, member_id: str) -> float:
-        factor = self.scn.gm_speedup if member_id == "GM" else 1.0
+        factor = GM_SPEEDUP if member_id == "GM" else 1.0
         return self.scn.compute_rate * factor
 
     def compute(self, member_id: str, tmulq: int, start: float, kind: str) -> float:
@@ -334,7 +327,7 @@ class _Run:
         return end
 
     def airtime(self, nbytes: int) -> float:
-        return nbytes * 8.0 / self.scn.bitrate
+        return nbytes * 8.0 / BITRATE
 
     def transmit(
         self, sender: str, nbytes: int, start: float, receivers: list[str]
@@ -365,10 +358,9 @@ class _Run:
         culprits: list[str],
     ) -> SimReport:
         scn = self.scn
-        radio = scn.radio_cost()
         for rep in self.nodes.values():
             spent = cost_model.energy(
-                rep.tmulq_count, scn.joules_per_tmulq, radio, rep.bytes_tx, rep.bytes_rx
+                rep.tmulq_count, scn.joules_per_tmulq, rep.bytes_tx, rep.bytes_rx
             )
             rep.compute_j, rep.radio_j, rep.total_j = spent.compute_j, spent.radio_j, spent.total_j
         return SimReport(
@@ -437,7 +429,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
         fake_point = true_point
         while fake_point == true_point:
             k = rng.randrange(1, curve.subgroup_order)
-            fake_point = scalar_mul(k, config.generator, curve)
+            fake_point = scalar_mul(k, curve.generator, curve)
         public[rogue] = gas_core.PublicShare(member_id=rogue, point=fake_point)
     frames = {
         mid: gas_core.public_share_frame(ps, config.epoch) for mid, ps in public.items()
@@ -452,7 +444,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
     participants = list(member_ids)
     culprits: list[str] = []
 
-    for round_no in range(scn.max_retries + 1):
+    for round_no in range(MAX_RETRIES + 1):
         rounds = round_no + 1
         run.log(run.now, "round-start", verifier, round=rounds, participants=len(participants))
         delivered: dict[str, bytes] = {}
@@ -475,7 +467,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
             elif scn.schedule == "staggered":
                 start = ready + i * spacing
             else:  # flood: backoff shrinks as fewer senders contend
-                start = cursor + scn.backoff_slot_s * (len(participants) - i)
+                start = cursor + BACKOFF_SLOT_S * (len(participants) - i)
             frame = frames[mid]
             # the verifier consumes its own share locally but still
             # broadcasts it for the rest of the group
@@ -541,7 +533,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
                     rounds, verifier, culprits,
                 )
 
-        if round_no == scn.max_retries:
+        if round_no == MAX_RETRIES:
             reason = "no-progress" if missing else "denial-of-authentication"
             return run.finish("failed", reason, decision_at, rounds, verifier, culprits)
 
@@ -569,22 +561,14 @@ def _run_harn(scn: Scenario) -> SimReport:
         releases[rogue] = gas_harn.HarnRelease(
             member_id=bad.member_id, x=bad.x, e=bad.e * params.modulus.g
         )
-    frames = {
-        mid: wire.encode_frame(
-            wire.HARN_RELEASE,
-            1,
-            mid,
-            wire.encode_point_payload(rel.x.to_bytes(), rel.e.to_bytes()),
-        )
-        for mid, rel in releases.items()
-    }
+    frames = {mid: gas_harn.release_frame(rel) for mid, rel in releases.items()}
 
     release_cost = (
         cost_model.HARN_RELEASE_BASE + cost_model.HARN_LAGRANGE_PER_X * scn.m
     )
     accum_cost = cost_model.HARN_ACCUM_PER_MSG
 
-    for round_no in range(scn.max_retries + 1):
+    for round_no in range(MAX_RETRIES + 1):
         rounds = round_no + 1
         run.log(run.now, "round-start", member_ids[0], round=rounds,
                 participants=len(member_ids))
@@ -615,7 +599,7 @@ def _run_harn(scn: Scenario) -> SimReport:
                 missing=missing)
         if accepted:
             return run.finish("authenticated", None, decision_at, rounds, "all", [])
-        if round_no == scn.max_retries:
+        if round_no == MAX_RETRIES:
             reason = "no-progress" if missing else "denial-of-authentication"
             return run.finish("failed", reason, decision_at, rounds, "all", [])
 
@@ -685,16 +669,12 @@ def chien_model_row(m: int, base: Scenario | None = None) -> str:
     release = lambda mm: cost_model.TEM_TMULQ + cost_model.CHIEN_LAGRANGE_PER_X * (mm - 1)
     rate = scn.compute_rate
     auth_time = (
-        sum(release(m) / rate + frame_len(mid) * 8.0 / scn.bitrate for mid in ids)
+        sum(release(m) / rate + frame_len(mid) * 8.0 / BITRATE for mid in ids)
         + cost_model.CHIEN_VERIFY_TAIL / rate
     )
     tmulq = cost_model.per_user_cost("chien", m)
     spent = cost_model.energy(
-        tmulq,
-        scn.joules_per_tmulq,
-        scn.radio_cost(),
-        frame_len(ids[0]),
-        sum(frame_len(mid) for mid in ids[1:]),
+        tmulq, scn.joules_per_tmulq, frame_len(ids[0]), sum(frame_len(mid) for mid in ids[1:])
     )
     return cost_model.csv_row("chien", m, tmulq, spent, auth_time)
 
@@ -755,9 +735,5 @@ def calibrate_joules_per_tmulq(
     if base is None:
         base = Scenario(scheme="proposed-centralized", m=m)
     probe = replace(base, scheme="proposed-centralized", m=m, t=None)
-    report = run(probe)
-    rep = report.representative_member()
-    if probe.tx_j_per_byte is not None or probe.rx_j_per_byte is not None:
-        raise ValueError("joint calibration requires radio costs tied to tmulq")
-    equiv = rep.tmulq_count + probe.radio_tmulq_per_byte * (rep.bytes_tx + rep.bytes_rx)
-    return target_j / equiv
+    rep = run(probe).representative_member()
+    return target_j / (rep.tmulq_count + rep.bytes_tx + rep.bytes_rx)

@@ -171,6 +171,34 @@ def test_simulate_malformed_scenario_file_exit_2(capsys, tmp_path, text, problem
     assert problem in err
 
 
+@pytest.mark.parametrize(("number", "problem"), [
+    ('"compute_rate": Infinity', "compute_rate must be finite"),
+    ('"joules_per_tmulq": NaN', "joules_per_tmulq must be finite"),
+])
+def test_simulate_non_finite_scenario_numbers_exit_2(capsys, tmp_path, number, problem):
+    # json reads NaN and Infinity; a run would price them as nan J or zero time
+    path = tmp_path / "bad.json"
+    path.write_text('{"scheme": "proposed-centralized", "m": 4, '
+                    f'"curve_ref": "builtin:test2017", {number}}}')
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert problem in err
+
+
+@pytest.mark.parametrize("name", ["bitrate", "gm_speedup", "radio_tmulq_per_byte",
+                                  "tx_j_per_byte", "rx_j_per_byte", "max_retries",
+                                  "backoff_slot_s"])
+def test_simulate_refuses_fixed_model_constants_as_fields(capsys, tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scheme": "proposed-centralized", "m": 4,
+                                "curve_ref": "builtin:test2017", name: 1}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"unknown scenario fields: ['{name}']" in err
+
+
 def test_simulate_requires_scheme_or_scenario(capsys):
     code, _, err = run_cli(capsys, "simulate")
     assert code == 2

@@ -8,7 +8,6 @@ import pytest
 from gaskit import cost_model
 from gaskit.cost_model import (
     EnergyBreakdown,
-    RadioCost,
     csv_header,
     csv_row,
     energy,
@@ -79,28 +78,27 @@ def test_savings_ratio_at_least_80_percent():
 
 
 def test_energy_split_and_proportionality():
-    nothing = RadioCost(0.0, 0.0)
-    e10 = energy(per_user_cost("proposed", 10), 1e-5, nothing, 100, 900)
-    e50 = energy(per_user_cost("proposed", 50), 1e-5, nothing, 100, 900)
+    e10 = energy(per_user_cost("proposed", 10), 1e-5, 0, 0)
+    e50 = energy(per_user_cost("proposed", 50), 1e-5, 0, 0)
     assert e10.radio_j == 0.0
     assert e10.compute_j == e50.compute_j == 1189 * 1e-5  # constant profile
     assert e10.total_j == e10.compute_j
-    radio = RadioCost(2e-6, 1e-6)
-    e = energy(per_user_cost("harn", 10), 1e-5, radio, 100, 900)
+    # a radio byte, sent or received, costs one T_mul,q
+    e = energy(per_user_cost("harn", 10), 1e-5, 100, 900)
     assert e.compute_j == pytest.approx(1868 * 1e-5)
-    assert e.radio_j == pytest.approx(100 * 2e-6 + 900 * 1e-6)
+    assert e.radio_j == 100 * 1e-5 + 900 * 1e-5
     assert e.total_j == pytest.approx(e.compute_j + e.radio_j)
 
 
 def test_energy_validation():
     with pytest.raises(ValueError, match="positive"):
-        energy(1189, 0.0, RadioCost(0, 0), 0, 0)
+        energy(1189, 0.0, 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
-        RadioCost(-1.0, 0.0)
+        energy(1189, 1e-5, -1, 0)
     with pytest.raises(ValueError, match="non-negative"):
-        energy(1189, 1e-5, RadioCost(0, 0), -1, 0)
+        energy(1189, 1e-5, 0, -1)
     with pytest.raises(ValueError, match="non-negative"):
-        energy(-1, 1e-5, RadioCost(0, 0), 0, 0)
+        energy(-1, 1e-5, 0, 0)
 
 
 def test_csv_schema():

@@ -52,7 +52,7 @@ def test_gm_init_composes_with_sss_and_ec_oracles():
     # any 3 shares reconstruct the secret whose point is Q and whose hash is H(s)
     for chosen in ([0, 1, 2], [2, 3, 4], [0, 2, 4]):
         s = reconstruct([shares[i] for i in chosen], 3)
-        assert scalar_mul(s.residue, config.generator, CURVE) == config.group_public_key
+        assert scalar_mul(s.residue, config.curve.generator, CURVE) == config.group_public_key
         assert verify_commitment(s, config.commitment)
 
 
@@ -61,7 +61,7 @@ def test_gm_init_t1_degenerate():
     ys = {s.y.residue for s in shares}
     assert len(ys) == 1  # constant polynomial: every y is the secret
     s = reconstruct(shares[:1], 1)
-    assert scalar_mul(s.residue, config.generator, CURVE) == config.group_public_key
+    assert scalar_mul(s.residue, config.curve.generator, CURVE) == config.group_public_key
 
 
 def test_gm_init_validation():
@@ -102,7 +102,7 @@ def test_make_public_share_matches_repeated_addition():
     ps = make_public_share(state)
     acc = CurvePoint.infinity()
     for _ in range(shares[2].y.residue):
-        acc = add(acc, config.generator, CURVE)
+        acc = add(acc, config.curve.generator, CURVE)
     assert ps.point == acc
 
 
@@ -139,7 +139,7 @@ def test_gm_verify_flags_random_point():
     expected = public_shares[1].point
     point = expected
     while point == expected:
-        point = scalar_mul(rng.randrange(1, 37), config.generator, CURVE)
+        point = scalar_mul(rng.randrange(1, 37), config.curve.generator, CURVE)
     forged = [ps if ps.member_id != "U2" else PublicShare("U2", point)
               for ps in public_shares]
     verdicts = gm_verify(config, shares, forged)
@@ -163,7 +163,7 @@ def test_decentralized_verify_at_threshold_and_above():
     _, public_shares = run_confirmation(config, shares)
     assert decentralized_verify(config, public_shares[:3])
     assert decentralized_verify(config, public_shares[:5])
-    assert decentralized_verify(config, public_shares, m=6)
+    assert decentralized_verify(config, public_shares)
 
 
 def test_decentralized_verify_agrees_with_sss_reconstruction():
@@ -173,7 +173,7 @@ def test_decentralized_verify_agrees_with_sss_reconstruction():
     states, _ = run_confirmation(config, shares)
     pss = [make_public_share(states[sh.member_id]) for sh in subset]
     assert decentralized_verify(config, pss)
-    assert scalar_mul(s.residue, config.generator, CURVE) == config.group_public_key
+    assert scalar_mul(s.residue, config.curve.generator, CURVE) == config.group_public_key
 
 
 def test_decentralized_verify_rejects_corruption():
@@ -182,7 +182,7 @@ def test_decentralized_verify_rejects_corruption():
     honest_point = public_shares[0].point
     bad_point = honest_point
     while bad_point == honest_point:
-        bad_point = scalar_mul(rng.randrange(1, 37), config.generator, CURVE)
+        bad_point = scalar_mul(rng.randrange(1, 37), config.curve.generator, CURVE)
     tampered = [PublicShare("U1", bad_point)] + public_shares[1:]
     assert not decentralized_verify(config, tampered)
 
@@ -196,8 +196,6 @@ def test_decentralized_verify_threshold_and_membership():
         decentralized_verify(
             config, public_shares[:2] + [PublicShare("U99", public_shares[0].point)]
         )
-    with pytest.raises(ValueError, match="m="):
-        decentralized_verify(config, public_shares, m=3)
     with pytest.raises(ValueError, match="duplicate"):
         decentralized_verify(config, [public_shares[0]] * 3)
 
@@ -232,13 +230,13 @@ def test_pairwise_key_matches_bruteforce_ecdh_oracle():
         for k in range(37):
             if acc == point:
                 return k
-            acc = add(acc, config.generator, CURVE)
+            acc = add(acc, config.curve.generator, CURVE)
         raise AssertionError("dlog not found")
 
     y_i = dlog(public_shares[0].point)
     y_j = dlog(public_shares[1].point)
     assert y_i == shares[0].y.residue and y_j == shares[1].y.residue
-    shared = scalar_mul(y_i * y_j % 37, config.generator, CURVE)
+    shared = scalar_mul(y_i * y_j % 37, config.curve.generator, CURVE)
     ida, idb = sorted(("U1", "U2"))
     expected = hashlib.sha256(
         b"gaskit/pairwise/v1"
@@ -474,7 +472,7 @@ def test_public_share_frame_rejects_bad_points():
     wrong_type = wire.encode_frame(wire.VERDICT, 1, "U1", b"\x01")
     with pytest.raises(ValueError, match="expected public-share"):
         public_share_from_frame(wrong_type, config)
-    pt = config.generator
+    pt = config.curve.generator
     padded = wire.encode_frame(  # an on-curve x with one extra leading zero byte
         wire.PUBLIC_SHARE, 1, "U1",
         wire.encode_point_payload(b"\x00" + pt.x.to_bytes(), pt.y.to_bytes()),
@@ -492,6 +490,39 @@ def test_config_dict_roundtrip():
     }
     again = config_from_dict(data)
     assert again == config
+
+
+def test_config_from_dict_refuses_a_p_other_than_the_generator():
+    # (1981, 1664) is on test2017 but has order 5: five members' f(x_i)P
+    # would fall into a 5-point subgroup
+    _, config, _ = setup_group()
+    point = CurvePoint(*map(CURVE.modulus.element, (1981, 1664)))
+    assert scalar_mul(5, point, CURVE).is_infinity
+    data = config_to_dict(config)
+    data["P"] = ["1981", "1664"]
+    with pytest.raises(ValueError, match="P is not the generator"):
+        config_from_dict(data)
+
+
+def test_config_from_dict_refuses_other_cipher_suites():
+    _, config, _ = setup_group()
+    data = config_to_dict(config)
+    data["cipher_suite_id"] = "rot13"
+    with pytest.raises(ValueError, match="cipher suite"):
+        config_from_dict(data)
+
+
+def test_config_epoch_fits_the_frame_header():
+    _, config, _ = setup_group()
+    data = config_to_dict(config)
+    for epoch in (-1, 2**32):
+        data["epoch"] = epoch
+        with pytest.raises(ValueError, match="out of u32 range"):
+            config_from_dict(data)
+    data["epoch"] = 2**32 - 1
+    last = config_from_dict(data)
+    with pytest.raises(ValueError, match="out of u32 range"):
+        rotate_credentials(last, FieldElement(1, last.scalar_field), random.Random(1))
 
 
 def test_config_from_dict_needs_curve():
@@ -549,7 +580,7 @@ def test_gm_init_random_xs():
     assert len(set(xs)) == 8 and all(0 < x < 37 for x in xs)
     assert xs != list(range(1, 9))  # actually randomized under this seed
     s = reconstruct(shares[:3], 3)
-    assert scalar_mul(s.residue, config.generator, CURVE) == config.group_public_key
+    assert scalar_mul(s.residue, config.curve.generator, CURVE) == config.group_public_key
 
 
 def test_decentralized_soundness_by_enumeration():
@@ -559,12 +590,12 @@ def test_decentralized_soundness_by_enumeration():
     states, public_shares = run_confirmation(config, shares)
     honest_rest = public_shares[1:]
     accepted_points = []
-    point = config.generator
+    point = config.curve.generator
     for k in range(1, 37):  # every non-infinity point of the 37-subgroup
         candidate = PublicShare("U1", point)
         if decentralized_verify(config, [candidate] + honest_rest):
             accepted_points.append(point)
-        point = add(point, config.generator, CURVE)
+        point = add(point, config.curve.generator, CURVE)
     assert accepted_points == [public_shares[0].point]
 
 

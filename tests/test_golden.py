@@ -126,6 +126,19 @@ CASES = {
         "38fcef629e8eb5ea9c53c0d16d494076f59451d0d04c53955b23fdb82a4d219c",
         None,
     ),
+    "gen-params-curve": (
+        ["gen-params", "--kind", "curve"],
+        0,
+        "4f2bba6b4e2424468663642461e1eee8f943f4e35b7f8c2916d4dbab71a03f96",
+        None,
+    ),
+    "gen-params-curve-23": (
+        ["gen-params", "--kind", "curve", "--modulus", "23", "--a", "1", "--b", "4",
+         "--gx", "0", "--gy", "2"],
+        0,
+        "9445b8ab05e58fadedc3713a94da9aa19a101341e32917a68e1967b4392236d3",
+        None,
+    ),
     "attack-flood": (
         ["attack", "--name", "flood"],
         0,

@@ -27,12 +27,24 @@ def test_scenario_defaults():
 
 
 def test_scenario_validation_lists_all_problems():
-    scn = Scenario(scheme="rsa", m=0, loss=2.0, bitrate=-1, rx_j_per_byte=-1e-6)
+    scn = Scenario(scheme="rsa", m=0, loss=2.0, compute_rate=-1, joules_per_tmulq=0)
     with pytest.raises(ScenarioError) as exc:
         scn.validate()
     msg = str(exc.value)
-    assert "scheme" in msg and "m must" in msg and "loss" in msg and "bitrate" in msg
-    assert "rx_j_per_byte" in msg
+    assert "scheme" in msg and "m must" in msg and "loss" in msg
+    assert "compute_rate must be positive" in msg and "joules_per_tmulq must be positive" in msg
+
+
+def test_scenario_numbers_must_be_finite():
+    nan, inf = float("nan"), float("inf")
+    scn = tiny("proposed-decentralized", compute_rate=inf, joules_per_tmulq=nan,
+               loss=-inf, battery={"U1": 0.5, "U2": nan})
+    with pytest.raises(ScenarioError) as exc:
+        scn.validate()
+    assert str(exc.value) == (
+        "compute_rate must be finite; joules_per_tmulq must be finite; "
+        "loss must be finite; battery level of U2 must be finite"
+    )
 
 
 def test_scenario_rejects_harn_flood_and_decentralized_gm():
