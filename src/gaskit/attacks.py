@@ -351,7 +351,6 @@ def flood_congestion(m: int = 30, seed: int = 9) -> Finding:
         m=m,
         seed=seed,
         curve_ref="builtin:test2017",
-        verifier_policy="fixed:U1",
     )
     staggered = sim.run(sim.Scenario(schedule="staggered", **base))
     flooded = sim.run(sim.Scenario(schedule="flood", **base))

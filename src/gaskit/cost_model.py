@@ -47,8 +47,9 @@ TEM_TMULQ = TEM_IN_TMULP * TMULP_IN_TMULQ  # 1189
 HARN_RELEASE_BASE = 1418   # exponentiation + fixed work at release time
 HARN_LAGRANGE_PER_X = 4    # release-time Lagrange work per roster member
 HARN_ACCUM_PER_MSG = 41    # one 1024-bit multiplication per received e_i
+CHIEN_BASE = 6785          # the constant term of Chien's per-user total
 CHIEN_LAGRANGE_PER_X = 7   # per-term multiplication + inverse
-CHIEN_VERIFY_TAIL = 6785 - TEM_TMULQ + CHIEN_LAGRANGE_PER_X  # pairing etc.
+CHIEN_VERIFY_TAIL = CHIEN_BASE - TEM_TMULQ + CHIEN_LAGRANGE_PER_X  # pairing etc.
 DECENTRAL_VERIFY_PER_SHARE = TEM_TMULQ + CHIEN_LAGRANGE_PER_X
 
 
@@ -61,10 +62,11 @@ def per_user_cost(scheme: str, m: int, harn_slope: str = "text") -> int:
     if scheme == "harn":
         if harn_slope not in HARN_SLOPES:
             raise ValueError(f"harn_slope must be one of {HARN_SLOPES}")
-        slope = 45 if harn_slope == "text" else 14
-        return slope * m + 1418
+        # the text's slope is what a simulated Harn node does per member
+        slope = HARN_LAGRANGE_PER_X + HARN_ACCUM_PER_MSG if harn_slope == "text" else 14
+        return slope * m + HARN_RELEASE_BASE
     if scheme == "chien":
-        return 7 * m + 6785
+        return CHIEN_LAGRANGE_PER_X * m + CHIEN_BASE
     raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
 
 

@@ -42,7 +42,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .field import FieldElement, Prime, _tally_muls, active_counter, cached_prime, json_int
+from .field import (
+    FieldElement, Prime, _tally_muls, active_counter, cached_prime, json_int, json_object,
+)
 
 __all__ = [
     "CurvePoint",
@@ -128,6 +130,8 @@ class CurveParams:
             raise ValueError("generator is not on the curve")
         if self.generator.is_infinity:
             raise ValueError("generator must not be the point at infinity")
+        if self.order is not None and self.order < 1:
+            raise ValueError(f"group order must be >= 1, got {self.order}")
         if self.subgroup_order is not None:
             if not is_probable_subgroup(self):
                 raise ValueError("subgroup_order does not annihilate the generator")
@@ -560,13 +564,12 @@ BUILTIN_CURVES = ("test2017", "secp160r1", "toy5")
 
 
 def curve_from_dict(data: dict, name: str = "") -> CurveParams:
-    try:
-        p = Prime(json_int(data["p"], "p"))
-        a, b, gx, gy = (p.element(json_int(data[k], k)) for k in ("A", "B", "Gx", "Gy"))
-    except KeyError as exc:
-        raise ValueError(f"curve file missing field {exc}") from exc
+    data = json_object(data, "curve file", ("p", "A", "B", "Gx", "Gy"))
+    p = Prime(json_int(data["p"], "p"))
+    a, b, gx, gy = (p.element(json_int(data[k], k)) for k in ("A", "B", "Gx", "Gy"))
     order, sub = (
-        json_int(data[k], k) if data.get(k) else None for k in ("order", "subgroup_order")
+        None if data.get(k) is None else json_int(data[k], k)
+        for k in ("order", "subgroup_order")
     )
     return CurveParams(
         a=a,

@@ -24,6 +24,9 @@ __all__ = [
     "active_counter",
     "is_probable_prime",
     "json_int",
+    "json_object",
+    "json_array",
+    "json_str",
     "lagrange_coeff",
     "lagrange_coeff_at_zero",
 ]
@@ -76,6 +79,36 @@ def json_int(value: object, name: str) -> int:
         if digits.isascii() and digits.isdigit():
             return int(value)
     raise ValueError(f"{name} must be an integer or a decimal string, got {value!r}")
+
+
+# The shapes around those integers.  Each raises ValueError, never the
+# KeyError, TypeError or AttributeError that indexing or unpacking the
+# wrong shape would.  An optional key counts as absent only when it is
+# missing or null: readers test ``data.get(key) is None``.
+
+def json_object(value: object, name: str, required: tuple[str, ...]) -> dict:
+    """A JSON object that holds every key in `required`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{name} missing fields: {missing}")
+    return value
+
+
+def json_array(value: object, name: str, length: int | None = None) -> list:
+    """A JSON array, of exactly `length` items when one is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "an array" if length is None else f"an array of {length}"
+        raise ValueError(f"{name} must be {shape}, got {value!r}")
+    return value
+
+
+def json_str(value: object, name: str) -> str:
+    """A JSON string, such as a member id."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)

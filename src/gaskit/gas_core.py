@@ -26,7 +26,9 @@ from . import wire
 from .ec import (
     CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul, validate_point,
 )
-from .field import FieldElement, Prime, json_int, lagrange_coeff_at_zero
+from .field import (
+    FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_coeff_at_zero,
+)
 from .sss import (
     SecretCommitment,
     Share,
@@ -537,25 +539,28 @@ def config_to_dict(config: GroupConfig) -> dict:
 
 
 def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfig:
+    data = json_object(data, "group config", ("P", "Q", "H_s", "t", "roster"))
     if curve is None:
         ref = data.get("curve_ref")
-        if not ref:
+        if ref is None:
             raise ValueError("config has no curve_ref; pass curve= explicitly")
-        curve = builtin_curve(ref)
+        curve = builtin_curve(json_str(ref, "curve_ref"))
     fp = curve.modulus
-    px, py = (fp.element(json_int(v, "P")) for v in data["P"])
-    qx, qy = (fp.element(json_int(v, "Q")) for v in data["Q"])
+    px, py = (fp.element(json_int(v, "P")) for v in json_array(data["P"], "P", 2))
+    qx, qy = (fp.element(json_int(v, "Q")) for v in json_array(data["Q"], "Q", 2))
     if CurvePoint(px, py) != curve.generator:
         raise ValueError(f"P is not the generator of curve {curve.name!r}")
     suite = data.get("cipher_suite_id", CIPHER_SUITE_ID)
     if suite != CIPHER_SUITE_ID:
         raise ValueError(f"unsupported cipher suite {suite!r}; expected {CIPHER_SUITE_ID!r}")
+    pairs = [json_array(e, "roster entry", 2) for e in json_array(data["roster"], "roster")]
+    roster = tuple((json_str(m, "member id"), json_int(x, f"roster x of {m}")) for m, x in pairs)
     return GroupConfig(
         curve=curve,
         group_public_key=validate_point(qx, qy, curve),
-        commitment=SecretCommitment(bytes.fromhex(data["H_s"])),
+        commitment=SecretCommitment(bytes.fromhex(json_str(data["H_s"], "H_s"))),
         threshold=json_int(data["t"], "t"),
-        roster=tuple((mid, json_int(x, f"roster x of {mid}")) for mid, x in data["roster"]),
+        roster=roster,
         epoch=json_int(data.get("epoch", 1), "epoch"),
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import wire
-from .field import FieldElement, Prime, json_int, lagrange_coeff
+from .field import FieldElement, Prime, json_int, json_object, lagrange_coeff
 from .sss import SecretPolynomial, ThresholdError, sample_polynomial
 
 __all__ = [
@@ -136,12 +136,10 @@ def load_harn_modulus(path) -> HarnModulus:
 
 
 def _modulus_from_dict(data: dict) -> HarnModulus:
+    data = json_object(data, "Harn modulus", ("p", "q"))
     p = Prime(json_int(data["p"], "p"))
     q = Prime(json_int(data["q"], "q"))
-    if data.get("g"):
-        g = p.element(json_int(data["g"], "g"))
-    else:
-        g = derive_generator(p, q)
+    g = derive_generator(p, q) if data.get("g") is None else p.element(json_int(data["g"], "g"))
     return HarnModulus(p=p, q=q, g=g)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "SimReport",
     "run",
     "sweep",
-    "select_verifier",
     "derive_seed",
     "calibrate_compute_rate",
     "calibrate_joules_per_tmulq",
@@ -94,19 +93,12 @@ class Scenario:
     schedule: str = "slotted"
     loss: float = 0.0
     seed: int = 1
-    verifier_policy: str | None = None
-    battery: dict[str, float] | None = None
     curve_ref: str = "builtin:secp160r1"
     harn_ref: str = "builtin:harn-1024-160"
     adversary: dict | None = None
 
     def resolved_threshold(self) -> int:
         return self.t if self.t is not None else max(1, math.ceil(self.m / 2))
-
-    def resolved_policy(self) -> str:
-        if self.verifier_policy is not None:
-            return self.verifier_policy
-        return "gm" if self.scheme != "proposed-decentralized" else "max-battery"
 
     def validate(self) -> None:
         problems = [
@@ -124,7 +116,6 @@ class Scenario:
             problems.append(f"t must satisfy 1 <= t <= m, got t={self.t} m={self.m}")
         numbers = {"compute_rate": self.compute_rate,
                    "joules_per_tmulq": self.joules_per_tmulq, "loss": self.loss}
-        numbers.update((f"battery level of {mid}", v) for mid, v in (self.battery or {}).items())
         not_finite = [name for name, v in numbers.items() if not math.isfinite(v)]
         problems += [f"{name} must be finite" for name in not_finite]
         for name in ("compute_rate", "joules_per_tmulq"):
@@ -136,17 +127,13 @@ class Scenario:
             problems.append(f"schedule must be one of {SCHEDULE_CHOICES}")
         if self.scheme == "harn" and self.schedule != "slotted":
             problems.append("harn supports only the slotted schedule")
-        policy = self.resolved_policy()
-        if policy not in ("gm", "max-battery") and not policy.startswith("fixed:"):
-            problems.append(f"unknown verifier policy {policy!r}")
-        if self.scheme == "proposed-decentralized" and policy == "gm":
-            problems.append("decentralized runs have no GM to verify")
         if self.adversary is not None:
             kind = self.adversary.get("kind")
             if kind not in ("invalid-share",):
                 problems.append(f"unknown adversary kind {kind!r}")
-            if not isinstance(self.adversary.get("member_id", "U1"), str):
-                problems.append("adversary member_id must be a member id string")
+            rogue = self.adversary.get("member_id", "U1")
+            if rogue not in [f"U{i + 1}" for i in range(self.m)]:  # gm_init, harn_init ids
+                problems.append(f"adversary member_id must be one of U1..U{self.m}, got {rogue!r}")
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -183,10 +170,6 @@ def _admits(hint, value) -> bool:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
         return any(_admits(arg, value) for arg in args)
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _admits(args[0], k) and _admits(args[1], v) for k, v in value.items()
-        )
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -257,31 +240,6 @@ class SimReport:
             cost_model.EnergyBreakdown(rep.compute_j, rep.radio_j),
             self.auth_time_s,
         )
-
-
-def select_verifier(
-    policy: str, battery: Mapping[str, float] | None, member_ids: list[str]
-) -> str:
-    """Deterministic verifier choice; battery ties break to the earliest id."""
-    if not member_ids:
-        raise ValueError("empty group")
-    if policy == "gm":
-        return "GM"
-    if policy.startswith("fixed:"):
-        target = policy.split(":", 1)[1]
-        if target not in member_ids:
-            raise ValueError(f"fixed verifier {target!r} is not a group member")
-        return target
-    if policy == "max-battery":
-        levels = battery or {}
-        best = member_ids[0]
-        best_level = levels.get(best, 0.0)
-        for mid in member_ids[1:]:
-            level = levels.get(mid, 0.0)
-            if level > best_level:
-                best, best_level = mid, level
-        return best
-    raise ValueError(f"unknown verifier policy {policy!r}")
 
 
 def derive_seed(base_seed: int, scheme: str, m: int) -> int:
@@ -397,9 +355,8 @@ def resolve_harn(ref: str) -> HarnModulus:
 
 
 def _adversary_member(scn: Scenario) -> str | None:
-    if scn.adversary and scn.adversary.get("kind") == "invalid-share":
-        return scn.adversary.get("member_id", "U1")
-    return None
+    # validate admits one kind, "invalid-share", and only a dealt member id
+    return None if scn.adversary is None else scn.adversary.get("member_id", "U1")
 
 
 def _run_proposed(scn: Scenario) -> SimReport:
@@ -411,7 +368,8 @@ def _run_proposed(scn: Scenario) -> SimReport:
 
     config, shares = gas_core.gm_init(t, scn.m, curve, rng)
     member_ids = config.member_ids
-    verifier = select_verifier(scn.resolved_policy(), scn.battery, member_ids)
+    # the GM checks a centralized round; any member could check a decentralized one
+    verifier = "GM" if centralized else member_ids[0]
     if centralized:
         run.add_node("GM", "gm")
     for mid in member_ids:
@@ -423,7 +381,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
         for s in shares
     }
     rogue = _adversary_member(scn)
-    if rogue is not None and rogue in public:
+    if rogue is not None:
         # the attacker broadcasts a random on-curve point instead of f(x_i)P
         true_point = public[rogue].point
         fake_point = true_point
@@ -555,7 +513,7 @@ def _run_harn(scn: Scenario) -> SimReport:
         tok.member_id: gas_harn.harn_release(tok, roster_xs, params) for tok in tokens
     }
     rogue = _adversary_member(scn)
-    if rogue is not None and rogue in releases:
+    if rogue is not None:
         bad = releases[rogue]
         releases = dict(releases)
         releases[rogue] = gas_harn.HarnRelease(

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, Prime, json_int, lagrange_coeff_at_zero
+from .field import FieldElement, Prime, json_int, json_object, json_str, lagrange_coeff_at_zero
 
 __all__ = [
     "ThresholdError",
@@ -211,12 +211,12 @@ def read_shares(fh, modulus: Prime) -> list[Share]:
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
+        rec = json_object(json.loads(line), "share record", ("member_id", "x", "y"))
         shares.append(
             Share(
                 x=modulus.element(json_int(rec["x"], "x")),
                 y=modulus.element(json_int(rec["y"], "y")),
-                member_id=rec["member_id"],
+                member_id=json_str(rec["member_id"], "member_id"),
             )
         )
     return shares

@@ -144,8 +144,8 @@ def test_simulate_validation_errors_listed(capsys, tmp_path):
 @pytest.mark.parametrize(("fields", "problem"), [
     ({"m": "10"}, "m must be int, got '10'"),
     ({"adversary": "x"}, "adversary must be dict | None, got 'x'"),
-    ({"scheme": "proposed-decentralized", "verifier_policy": "max-battery",
-      "battery": {"U2": "high"}}, "battery must be dict[str, float] | None"),
+    ({"adversary": {"kind": "invalid-share", "member_id": 5}},
+     "adversary member_id must be one of U1..U4, got 5"),
     ({"m": 4.0, "loss": True}, "m must be int, got 4.0; loss must be float, got True"),
 ])
 def test_simulate_mistyped_scenario_fields_exit_2(capsys, tmp_path, fields, problem):
@@ -188,7 +188,7 @@ def test_simulate_non_finite_scenario_numbers_exit_2(capsys, tmp_path, number, p
 
 @pytest.mark.parametrize("name", ["bitrate", "gm_speedup", "radio_tmulq_per_byte",
                                   "tx_j_per_byte", "rx_j_per_byte", "max_retries",
-                                  "backoff_slot_s"])
+                                  "backoff_slot_s", "verifier_policy", "battery"])
 def test_simulate_refuses_fixed_model_constants_as_fields(capsys, tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scheme": "proposed-centralized", "m": 4,
@@ -197,6 +197,20 @@ def test_simulate_refuses_fixed_model_constants_as_fields(capsys, tmp_path, name
     assert code == 2
     assert out == ""
     assert f"unknown scenario fields: ['{name}']" in err
+
+
+@pytest.mark.parametrize("scheme", ["proposed-centralized", "harn"])
+def test_simulate_refuses_an_adversary_outside_the_group(capsys, tmp_path, scheme):
+    # U99 is dealt no share at m = 4; the run would be an honest one
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "scheme": scheme, "m": 4, "curve_ref": "builtin:test2017", "harn_ref": "builtin:harn-tiny",
+        "adversary": {"kind": "invalid-share", "member_id": "U99"},
+    }))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert "adversary member_id must be one of U1..U4, got 'U99'" in err
 
 
 def test_simulate_requires_scheme_or_scenario(capsys):

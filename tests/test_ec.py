@@ -1,6 +1,7 @@
 """Curve group law against hand oracles, exhaustive small-curve checks, the
 affine reference implementation and `cryptography`'s native P-256 ECDH."""
 
+import dataclasses
 import random
 
 import pytest
@@ -295,6 +296,33 @@ def test_subgroup_order_validated():
             del data["order"]
         with pytest.raises(ValueError, match="annihilate"):
             curve_from_dict(data)
+
+
+def test_curve_from_dict_refuses_a_non_object():
+    with pytest.raises(ValueError, match="curve file must be a JSON object, got list"):
+        curve_from_dict([curve_to_dict(TEST2017)])
+
+
+@pytest.mark.parametrize(("key", "value", "problem"), [
+    # optional keys are absent only when missing or null: 0 and "0" are values
+    ("subgroup_order", 0, "annihilate"),
+    ("order", 0, "group order must be >= 1, got 0"),
+    ("order", "0", "group order must be >= 1, got 0"),
+    ("order", "-2035", "group order must be >= 1, got -2035"),
+])
+def test_curve_from_dict_refuses_zero_and_negative_orders(key, value, problem):
+    data = curve_to_dict(TEST2017)
+    data[key] = value
+    with pytest.raises(ValueError, match=problem):
+        curve_from_dict(data)
+
+
+def test_curve_from_dict_reads_null_orders_as_absent():
+    data = dict(curve_to_dict(TEST2017), order=None, subgroup_order=None)
+    curve = curve_from_dict(data)
+    assert curve.order is None and curve.subgroup_order is None
+    with pytest.raises(ValueError, match="group order must be >= 1"):
+        dataclasses.replace(curve, order=-TEST2017_ORDER)
 
 
 # --- differential checks against the affine reference --------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -571,6 +572,37 @@ def test_config_from_dict_rejects_non_integer_numbers(key, bad):
         data[key] = bad
     with pytest.raises(ValueError, match="must be an integer"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(("key", "value", "problem"), [
+    ("P", ..., "missing fields: ['P']"),  # ... deletes the key
+    ("Q", ..., "missing fields: ['Q']"),
+    ("H_s", ..., "missing fields: ['H_s']"),
+    ("t", ..., "missing fields: ['t']"),
+    ("roster", ..., "missing fields: ['roster']"),
+    ("P", "1368", "P must be an array of 2"),
+    ("Q", ["1", "2", "3"], "Q must be an array of 2"),
+    ("H_s", 7, "H_s must be a string"),
+    ("roster", 5, "roster must be an array"),
+    ("roster", [["U1", "1", "x"]], "roster entry must be an array of 2"),
+    ("roster", [[1, "1"], [2, "2"]], "member id must be a string, got 1"),
+    ("curve_ref", ["test2017"], "curve_ref must be a string"),
+])
+def test_config_from_dict_refuses_malformed_shapes(key, value, problem):
+    _, config, _ = setup_group()
+    data = config_to_dict(config)
+    if value is ...:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        config_from_dict(data)
+
+
+def test_config_from_dict_refuses_a_non_object():
+    _, config, _ = setup_group()
+    with pytest.raises(ValueError, match="group config must be a JSON object, got list"):
+        config_from_dict([config_to_dict(config)])
 
 
 def test_gm_init_random_xs():

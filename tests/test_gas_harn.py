@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -233,3 +234,24 @@ def test_modulus_file_rejects_non_integer_numbers(tmp_path, key, bad):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         load_harn_modulus(path)
+
+
+@pytest.mark.parametrize(("data", "problem"), [
+    (["23", "11"], "Harn modulus must be a JSON object, got list"),
+    ({"q": "11"}, "Harn modulus missing fields: ['p']"),
+    # g is optional only when missing or null; 0 and "" used to derive g = 3
+    ({"p": "23", "q": "11", "g": 0}, "generator must not be trivial"),
+    ({"p": "23", "q": "11", "g": ""}, "g must be an integer"),
+])
+def test_modulus_file_refuses_malformed_records(tmp_path, data, problem):
+    path = tmp_path / "harn.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        load_harn_modulus(path)
+
+
+def test_modulus_file_derives_g_when_missing_or_null(tmp_path):
+    path = tmp_path / "harn.json"
+    for data in ({"p": "23", "q": "11"}, {"p": "23", "q": "11", "g": None}):
+        path.write_text(json.dumps(data))
+        assert load_harn_modulus(path) == TINY

@@ -6,7 +6,7 @@ import pytest
 
 from gaskit import sim
 from gaskit.cost_model import csv_header
-from gaskit.sim import Scenario, ScenarioError, select_verifier
+from gaskit.sim import Scenario, ScenarioError
 
 
 def tiny(scheme="proposed-centralized", **kw):
@@ -22,8 +22,6 @@ def test_scenario_defaults():
     scn = Scenario(scheme="proposed-centralized", m=10)
     scn.validate()
     assert scn.resolved_threshold() == 5
-    assert scn.resolved_policy() == "gm"
-    assert Scenario(scheme="proposed-decentralized", m=4).resolved_policy() == "max-battery"
 
 
 def test_scenario_validation_lists_all_problems():
@@ -37,21 +35,17 @@ def test_scenario_validation_lists_all_problems():
 
 def test_scenario_numbers_must_be_finite():
     nan, inf = float("nan"), float("inf")
-    scn = tiny("proposed-decentralized", compute_rate=inf, joules_per_tmulq=nan,
-               loss=-inf, battery={"U1": 0.5, "U2": nan})
+    scn = tiny("proposed-decentralized", compute_rate=inf, joules_per_tmulq=nan, loss=-inf)
     with pytest.raises(ScenarioError) as exc:
         scn.validate()
     assert str(exc.value) == (
-        "compute_rate must be finite; joules_per_tmulq must be finite; "
-        "loss must be finite; battery level of U2 must be finite"
+        "compute_rate must be finite; joules_per_tmulq must be finite; loss must be finite"
     )
 
 
 def test_scenario_rejects_harn_flood_and_decentralized_gm():
     with pytest.raises(ScenarioError, match="slotted"):
         tiny("harn", schedule="flood").validate()
-    with pytest.raises(ScenarioError, match="no GM"):
-        tiny("proposed-decentralized", verifier_policy="gm").validate()
 
 
 def test_scenario_dict_roundtrip(tmp_path):
@@ -67,20 +61,20 @@ def test_scenario_dict_roundtrip(tmp_path):
         Scenario.from_dict({"scheme": "harn", "m": 3, "mac": "serialized-broadcast"})
 
 
-# --- verifier selection ---------------------------------------------------------
+# --- who verifies -----------------------------------------------------------------
 
-def test_select_verifier_policies():
-    ids = ["U1", "U2", "U3"]
-    assert select_verifier("gm", None, ids) == "GM"
-    assert select_verifier("fixed:U2", None, ids) == "U2"
-    assert select_verifier("max-battery", {"U1": 0.2, "U2": 0.9, "U3": 0.5}, ids) == "U2"
-    # tie breaks to the earliest roster position
-    assert select_verifier("max-battery", {"U1": 0.5, "U2": 0.5, "U3": 0.5}, ids) == "U1"
-    assert select_verifier("max-battery", None, ids) == "U1"
-    with pytest.raises(ValueError):
-        select_verifier("fixed:U9", None, ids)
-    with pytest.raises(ValueError):
-        select_verifier("gm", None, [])
+def test_the_scheme_fixes_the_verifier():
+    # the GM checks a centralized round, the first member a decentralized one
+    decentral = sim.run(tiny("proposed-decentralized", m=4))
+    assert decentral.verifier == "U1"
+    assert [(n.member_id, n.role) for n in decentral.per_node] == [
+        ("U1", "verifier"), ("U2", "member"), ("U3", "member"), ("U4", "member"),
+    ]
+    central = sim.run(tiny("proposed-centralized", m=4))
+    assert central.verifier == "GM"
+    assert [(n.member_id, n.role) for n in central.per_node] == [
+        ("GM", "gm"), ("U1", "member"), ("U2", "member"), ("U3", "member"), ("U4", "member"),
+    ]
 
 
 # --- determinism and conservation ------------------------------------------------
@@ -279,7 +273,7 @@ def test_chien_model_row_values():
 # --- flood vs staggered -------------------------------------------------------------------
 
 def test_flood_inflates_queue_and_time():
-    base = dict(m=20, seed=3, curve_ref="builtin:test2017", verifier_policy="fixed:U1")
+    base = dict(m=20, seed=3, curve_ref="builtin:test2017")
     stag = sim.run(Scenario(scheme="proposed-decentralized", schedule="staggered", **base))
     flood = sim.run(Scenario(scheme="proposed-decentralized", schedule="flood", **base))
     assert flood.max_verifier_queue > stag.max_verifier_queue

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 
 import pytest
 
@@ -246,3 +247,13 @@ def test_read_shares_rejects_non_integer_numbers(bad):
     line = f'{{"member_id": "U1", "x": {bad}, "y": "3"}}\n'
     with pytest.raises(ValueError, match="x must be an integer"):
         read_shares(io.StringIO(line), F17)
+
+
+@pytest.mark.parametrize(("line", "problem"), [
+    ("[1, 2]", "share record must be a JSON object, got list"),
+    ('{"member_id": "U1", "x": "1"}', "share record missing fields: ['y']"),
+    ('{"member_id": 5, "x": "1", "y": "3"}', "member_id must be a string, got 5"),
+])
+def test_read_shares_refuses_malformed_records(line, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        read_shares(io.StringIO(line + "\n"), F17)
