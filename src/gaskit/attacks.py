@@ -113,9 +113,9 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
     """
     rng, config, shares = _setup_group(seed, t, n)
     victim = shares[1].member_id
-    states, public_shares = gas_core.run_confirmation(config, shares)
+    states, _ = gas_core.run_confirmation(config, shares)
     recorded_frame = gas_core.public_share_frame(
-        gas_core.make_public_share(states[victim]), config.epoch
+        states[victim].received_public_shares[victim], config.epoch
     )
 
     notes: list[str] = []
@@ -128,11 +128,9 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
     # target round: honest members present their (possibly fresh) shares,
     # the attacker injects the recorded frame in the victim's place
     honest_ids = [s.member_id for s in shares if s.member_id != victim]
-    states2, _ = gas_core.run_confirmation(config, shares, honest_ids)
+    states2, honest_shares = gas_core.run_confirmation(config, shares, honest_ids)
     _, replayed = gas_core.public_share_from_frame(recorded_frame, config)
-    received = [gas_core.make_public_share(states2[mid]) for mid in honest_ids]
-    received.append(replayed)
-    verdicts = gas_core.gm_verify(config, shares, received)
+    verdicts = gas_core.gm_verify(config, shares, [*honest_shares, replayed])
     confirmation_accepted = all(verdicts.values())
 
     attacker_key_ok = False
@@ -143,7 +141,6 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
         # honest peers address ciphertexts to the "victim"; the attacker
         # cannot decrypt them and answers with garbage of the right shape
         any_peer = states2[honest_ids[0]]
-        gas_core.encrypt_share_for_peer(any_peer, victim, rng)
         garbage = wire.encode_encrypted_payload(
             rng.randbytes(wire.NONCE_LEN),
             rng.randbytes(config.scalar_field.byte_length + 16),
@@ -154,14 +151,14 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
             peers_flag_attacker = exc.peer_id == victim
         # the attacker's only computable combination of the public points
         # (their sum) does not yield the pairwise key either
-        joint = add(replayed.point, gas_core.make_public_share(any_peer).point, config.curve)
+        joint = add(replayed.point, honest_shares[0].point, config.curve)
         fake_key = gas_core.pairwise_key(joint, victim, any_peer.member_id)
         real = gas_core.derive_pairwise_key(any_peer.share, replayed, config)
         attacker_key_ok = fake_key == real
         notes.append("attacker cannot authenticate any AEAD exchange")
 
     # an attacker-minted point (anything but the true image) never verifies
-    true_point = gas_core.make_public_share(states2[honest_ids[0]]).point
+    true_point = honest_shares[0].point
     rogue_point = true_point
     while rogue_point == true_point:
         rogue_point = scalar_mul(rng.randrange(1, config.curve.subgroup_order),
@@ -266,9 +263,9 @@ def node_compromise(
     attacker_state = MemberState(share=stolen, config=config)
     for ps in public_shares:
         attacker_state.receive_public_share(ps)
-    verdicts = gas_core.gm_verify(
-        config, shares, [gas_core.make_public_share(attacker_state)]
-    )
+    # f(x_i)P from the stolen share, the victim's own public share
+    forged = gas_core.make_public_share(attacker_state)
+    verdicts = gas_core.gm_verify(config, shares, [forged])
     confirmation_accepted = verdicts[victim]
 
     inbox = {}
@@ -284,11 +281,7 @@ def node_compromise(
         reduced = tuple(entry for entry in config.roster if entry[0] != victim)
         rotation = gas_core.rotate_credentials(config, recovered, rng, roster=reduced)
         try:
-            gas_core.gm_verify(
-                rotation.config,
-                rotation.shares,
-                [gas_core.make_public_share(attacker_state)],
-            )
+            gas_core.gm_verify(rotation.config, rotation.shares, [forged])
             post_rotation_rejected = False
         except UnknownMemberError:
             post_rotation_rejected = True
@@ -545,4 +538,4 @@ def run_attack(name: str, **kwargs) -> list[Finding]:
         return [finding]
     if name == "flood":
         return [flood_congestion(**given("m", "seed"))]
-    raise ValueError(f"unknown attack {name!r}; valid names: {ATTACK_NAMES}")
+    raise ValueError(f"unknown attack {name!r}; valid names: {', '.join(ATTACK_NAMES)}")

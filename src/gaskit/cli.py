@@ -7,6 +7,13 @@ findings) and ``gen-params`` (parameter-set generation).
 
 Data goes to stdout, diagnostics to stderr.  ``GAS_SEED`` overrides the
 default seed of any command that takes one.
+
+Exit codes: 0 for success; 1 when ``demo`` fails to authenticate or an
+``attack`` verdict does not match; 2 for any bad argument, file, parameter
+set or ``GAS_SEED``, reported as one ``gaskit: <message>`` line on stderr.
+``main`` turns every `ValueError` and `OSError` a command raises into exit 2.
+Output already printed stays: with ``--events`` on an unwritable path the
+CSV is on stdout when the command exits 2.
 """
 
 from __future__ import annotations
@@ -29,10 +36,9 @@ def _default_seed(fallback: int | None) -> int | None:
     env = os.environ.get("GAS_SEED")
     if env is None:
         return fallback
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(f"GAS_SEED must be an integer, got {env!r}")
+    if not env.strip().lstrip("+-").isdecimal():
+        raise ValueError(f"GAS_SEED must be an integer, got {env!r}")
+    return int(env)
 
 
 def _err(msg: str) -> None:
@@ -47,17 +53,11 @@ def _point_str(pt) -> str:
 
 
 def _cmd_demo(args) -> int:
-    seed = _default_seed(args.seed)
-    rng = random.Random(seed)
+    rng = random.Random(_default_seed(args.seed))
     if not 1 <= args.t <= args.m <= args.n:
-        _err(f"need 1 <= t <= m <= n, got t={args.t} m={args.m} n={args.n}")
-        return 2
+        raise ValueError(f"need 1 <= t <= m <= n, got t={args.t} m={args.m} n={args.n}")
     if args.scheme == "proposed":
-        try:
-            curve = sim.resolve_curve(args.curve)
-        except (ValueError, FileNotFoundError) as exc:
-            _err(str(exc))
-            return 2
+        curve = sim.resolve_curve(args.curve)
         config, shares = gas_core.gm_init(args.t, args.n, curve, rng)
         print("== Initialization Phase ==")
         print(f"curve: {curve.name or args.curve} "
@@ -92,11 +92,7 @@ def _cmd_demo(args) -> int:
         del key
         return 0
     # harn
-    try:
-        modulus = sim.resolve_harn(args.harn)
-    except (ValueError, FileNotFoundError) as exc:
-        _err(str(exc))
-        return 2
+    modulus = sim.resolve_harn(args.harn)
     params, tokens = gas_harn.harn_init(args.t, args.n, modulus, rng)
     print("== Initialization Phase ==")
     print(f"harn parameters: p={modulus.p.value} q={modulus.q.value} g={modulus.g.residue}")
@@ -132,11 +128,7 @@ def _parse_m_range(spec: str) -> list[int]:
 
 
 def _cmd_cost(args) -> int:
-    try:
-        ms = _parse_m_range(args.m_range)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    ms = _parse_m_range(args.m_range)
     print(cost_model.csv_header())
     for m in ms:
         for scheme in cost_model.SCHEMES:
@@ -173,28 +165,17 @@ def _write_events(path: str, reports: list[sim.SimReport]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    try:
+    if args.scenario is not None and args.scenario.startswith("builtin:"):
+        rows, reports = sim.preset(args.scenario.split(":", 1)[1])
+    else:
         if args.scenario is not None:
-            if args.scenario.startswith("builtin:"):
-                name = args.scenario.split(":", 1)[1]
-                rows, reports = sim.preset(name)
-            else:
-                scenario = sim.Scenario.from_json_file(args.scenario)
-                report = sim.run(scenario)
-                rows, reports = [report.csv_row()], [report]
+            scenario = sim.Scenario.from_json_file(args.scenario)
+        elif args.scheme is None or args.m is None:
+            raise ValueError("either --scenario or both --scheme and --m are required")
         else:
-            if args.scheme is None or args.m is None:
-                _err("either --scenario or both --scheme and --m are required")
-                return 2
             scenario = _scenario_from_args(args)
-            report = sim.run(scenario)
-            rows, reports = [report.csv_row()], [report]
-    except FileNotFoundError as exc:
-        _err(f"scenario file not found: {exc.filename}")
-        return 2
-    except (sim.ScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+        report = sim.run(scenario)
+        rows, reports = [report.csv_row()], [report]
     print(cost_model.csv_header())
     for row in rows:
         print(row)
@@ -208,19 +189,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    try:
-        ms = [int(m) for m in args.m_list.split(",") if m.strip()]
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    ms = [int(m) for m in args.m_list.split(",") if m.strip()]
     base = sim.Scenario(
         scheme="proposed-centralized", m=1, seed=_default_seed(args.seed)
     )
-    try:
-        rows, reports = sim.sweep(schemes, ms, base, jobs=args.jobs)
-    except (sim.ScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    rows, reports = sim.sweep(schemes, ms, base, jobs=args.jobs)
     print(cost_model.csv_header())
     for row in rows:
         print(row)
@@ -233,9 +206,6 @@ def _cmd_sweep(args) -> int:
 # attack
 
 def _cmd_attack(args) -> int:
-    if args.name not in attacks.ATTACK_NAMES:
-        _err(f"unknown attack {args.name!r}; valid names: {', '.join(attacks.ATTACK_NAMES)}")
-        return 2
     kwargs = {"rotate": args.rotate}
     seed = _default_seed(args.seed)
     if seed is not None:
@@ -248,11 +218,7 @@ def _cmd_attack(args) -> int:
         kwargs["t"] = args.t
     if args.leaky:
         kwargs["leaky"] = True
-    try:
-        findings = attacks.run_attack(args.name, **kwargs)
-    except (ValueError, sim.ScenarioError) as exc:
-        _err(str(exc))
-        return 2
+    findings = attacks.run_attack(args.name, **kwargs)
     print(json.dumps([f.to_dict() for f in findings], indent=1))
     return 0 if all(f.matched for f in findings) else 1
 
@@ -270,9 +236,10 @@ def _gen_prime(bits: int, rng: random.Random) -> int:
 def _cmd_gen_params(args) -> int:
     rng = random.Random(_default_seed(args.seed))
     if args.kind == "harn":
+        if args.q_bits < 2:  # a 1-bit candidate is always 1, never prime
+            raise ValueError(f"--q-bits must be at least 2, got {args.q_bits}")
         if args.q_bits >= args.p_bits - 1:
-            _err("q-bits must be well below p-bits")
-            return 2
+            raise ValueError("q-bits must be well below p-bits")
         q = _gen_prime(args.q_bits, rng)
         while True:
             k = rng.getrandbits(args.p_bits - args.q_bits - 1) | (
@@ -284,27 +251,19 @@ def _cmd_gen_params(args) -> int:
         g = gas_harn.derive_generator(Prime(p), Prime(q))
         out = {"name": f"harn-{args.p_bits}-{args.q_bits}", "p": str(p), "q": str(q),
                "g": str(g.residue)}
-    elif args.kind == "curve":
-        try:
-            p = Prime(args.modulus)
-            a, b, gx, gy = map(p.element, (args.a, args.b, args.gx, args.gy))
-            curve = CurveParams(a=a, b=b, modulus=p, generator=CurvePoint(gx, gy),
-                                name="generated")
-        except ValueError as exc:
-            _err(str(exc))
-            return 2
+    else:  # curve
+        p = Prime(args.modulus)
+        a, b, gx, gy = map(p.element, (args.a, args.b, args.gx, args.gy))
+        curve = CurveParams(a=a, b=b, modulus=p, generator=CurvePoint(gx, gy),
+                            name="generated")
         order = brute_force_order(curve)
         sub, cofactor = _largest_prime_factor(order)
         gen = scalar_mul(cofactor, curve.generator, curve)
         if gen.is_infinity:
-            _err("base point collapses under cofactor clearing; pick another")
-            return 2
+            raise ValueError("base point collapses under cofactor clearing; pick another")
         out = curve_to_dict(
             dataclasses.replace(curve, generator=gen, order=order, subgroup_order=sub)
         )
-    else:
-        _err(f"unknown kind {args.kind!r}")
-        return 2
     print(json.dumps(out, indent=1))
     return 0
 
@@ -405,7 +364,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "demo" and args.m is None:
         args.m = args.n
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable or unwritable file
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        _err(f"{reason}: {exc.filename}" if exc.filename is not None else str(exc))
+    except ValueError as exc:  # bad input; ScenarioError and JSON errors included
+        _err(str(exc))
+    return 2
 
 
 if __name__ == "__main__":

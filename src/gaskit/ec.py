@@ -44,6 +44,7 @@ from importlib import resources
 
 from .field import (
     FieldElement, Prime, _tally_muls, active_counter, cached_prime, json_int, json_object,
+    json_str,
 )
 
 __all__ = [
@@ -571,6 +572,7 @@ def curve_from_dict(data: dict, name: str = "") -> CurveParams:
         None if data.get(k) is None else json_int(data[k], k)
         for k in ("order", "subgroup_order")
     )
+    label = "" if data.get("name") is None else json_str(data["name"], "name")
     return CurveParams(
         a=a,
         b=b,
@@ -578,7 +580,7 @@ def curve_from_dict(data: dict, name: str = "") -> CurveParams:
         generator=CurvePoint(gx, gy),
         order=order,
         subgroup_order=sub,
-        name=name or data.get("name", ""),
+        name=name or label,
     )
 
 

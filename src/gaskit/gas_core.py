@@ -24,7 +24,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
 from .ec import (
-    CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul, validate_point,
+    BUILTIN_CURVES, CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul,
+    validate_point,
 )
 from .field import (
     FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_coeff_at_zero,
@@ -522,9 +523,11 @@ def open_rotated_share(
 # Config export
 
 def config_to_dict(config: GroupConfig) -> dict:
-    generator = config.curve.generator
+    """The config as JSON; ``curve_ref`` names a builtin curve, else is null."""
+    curve, generator = config.curve, config.curve.generator
+    builtin = curve.name in BUILTIN_CURVES and builtin_curve(curve.name) == curve
     return {
-        "curve_ref": config.curve.name or None,
+        "curve_ref": curve.name if builtin else None,
         "P": [str(generator.x.residue), str(generator.y.residue)],
         "Q": [
             str(config.group_public_key.x.residue),

@@ -128,6 +128,9 @@ class Scenario:
         if self.scheme == "harn" and self.schedule != "slotted":
             problems.append("harn supports only the slotted schedule")
         if self.adversary is not None:
+            unknown = sorted(set(self.adversary) - {"kind", "member_id"})
+            if unknown:
+                problems.append(f"unknown adversary keys: {unknown}")
             kind = self.adversary.get("kind")
             if kind not in ("invalid-share",):
                 problems.append(f"unknown adversary kind {kind!r}")

@@ -54,7 +54,7 @@ def test_demo_harn(capsys):
 
 def test_demo_unknown_curve(capsys):
     code, _, err = run_cli(capsys, "demo", "--curve", "builtin:nope")
-    assert code != 0 or "unknown" in err
+    assert code == 2 and "unknown builtin curve" in err
 
 
 # --- cost -----------------------------------------------------------------
@@ -147,6 +147,9 @@ def test_simulate_validation_errors_listed(capsys, tmp_path):
     ({"adversary": {"kind": "invalid-share", "member_id": 5}},
      "adversary member_id must be one of U1..U4, got 5"),
     ({"m": 4.0, "loss": True}, "m must be int, got 4.0; loss must be float, got True"),
+    # a misspelt member_id would run the attack as U1
+    ({"adversary": {"kind": "invalid-share", "membr_id": "U3"}},
+     "unknown adversary keys: ['membr_id']"),
 ])
 def test_simulate_mistyped_scenario_fields_exit_2(capsys, tmp_path, fields, problem):
     path = tmp_path / "bad.json"
@@ -303,6 +306,14 @@ def test_gen_params_curve_rejects_values_outside_field(capsys):
             assert "out of field range" in err
 
 
+@pytest.mark.parametrize("bits", ["1", "0", "-5"])
+def test_gen_params_harn_refuses_q_bits_below_2(capsys, bits):
+    # a 1-bit candidate is always 1, so the prime search would never end
+    code, out, err = run_cli(capsys, "gen-params", "--kind", "harn", "--q-bits", bits)
+    assert code == 2 and out == ""
+    assert f"--q-bits must be at least 2, got {bits}" in err
+
+
 def test_gen_params_harn_small(capsys):
     code, out, _ = run_cli(capsys, "gen-params", "--kind", "harn",
                            "--p-bits", "64", "--q-bits", "32", "--seed", "4")
@@ -323,3 +334,42 @@ def test_gas_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GAS_SEED", "1")
     _, out_env1, _ = run_cli(capsys, "demo", "--seed", "7")
     assert out_env1 == out_default
+
+
+# --- exit codes -----------------------------------------------------------------------
+
+SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
+             "--curve", "builtin:test2017")
+
+
+@pytest.mark.parametrize(("argv", "env", "problem"), [
+    pytest.param(("demo", "--n", "40"), None,
+                 "group size 40 needs 40 distinct nonzero x values", id="demo-n-over-field"),
+    pytest.param(("demo", "--scheme", "harn", "--n", "20"), None,
+                 "group size 20 does not fit in F_11", id="demo-harn-n-over-field"),
+    pytest.param(("demo", "--curve", "{dir}"), None, "Is a directory: {dir}",
+                 id="demo-curve-directory"),
+    pytest.param(("simulate", "--scenario", "{dir}"), None, "Is a directory: {dir}",
+                 id="simulate-scenario-directory"),
+    pytest.param(("gen-params", "--kind", "curve", "--modulus", "1000003", "--a", "1",
+                  "--b", "1", "--gx", "0", "--gy", "1"), None,
+                 "modulus 1000003 too large to enumerate", id="gen-params-modulus-too-large"),
+    pytest.param((*SMALL_SIM, "--events", "{dir}/missing/x.json"), None,
+                 "file not found: {dir}/missing/x.json", id="simulate-events-unwritable"),
+    pytest.param(("demo",), "x", "GAS_SEED must be an integer, got 'x'", id="gas-seed-x"),
+    pytest.param(("simulate", "--scheme", "harn", "--m", "4", "--harn", "{dir}/nope.json"),
+                 None, "gaskit: file not found: {dir}/nope.json", id="simulate-harn-missing"),
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv, env,
+                                               problem):
+    if env is not None:
+        monkeypatch.setenv("GAS_SEED", env)
+    code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    if "--events" in argv:  # the CSV is printed before the event log is written
+        assert out.startswith(CSV_HEADER + "\nproposed-centralized,4,")
+    else:
+        assert out == ""
+    assert err.count("gaskit:") == 1 and err.startswith("gaskit: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert problem.format(dir=tmp_path) in err

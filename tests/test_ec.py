@@ -317,6 +317,14 @@ def test_curve_from_dict_refuses_zero_and_negative_orders(key, value, problem):
         curve_from_dict(data)
 
 
+def test_curve_from_dict_reads_name_as_a_string():
+    data = dict(curve_to_dict(TEST2017), name=[1])
+    with pytest.raises(ValueError, match=r"name must be a string, got \[1\]"):
+        curve_from_dict(data)
+    assert curve_from_dict(dict(data, name=None)).name == ""
+    assert curve_from_dict(dict(data, name="mine")).name == "mine"
+
+
 def test_curve_from_dict_reads_null_orders_as_absent():
     data = dict(curve_to_dict(TEST2017), order=None, subgroup_order=None)
     curve = curve_from_dict(data)

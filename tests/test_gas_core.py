@@ -1,6 +1,7 @@
 """Protocol state machine: confirmation, pairwise keys, key agreement, rotation."""
 
 import dataclasses
+import json
 import random
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
-from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
+from gaskit.ec import CurvePoint, add, builtin_curve, curve_to_dict, load_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter
 from gaskit.gas_core import (
     CommitmentMismatchError,
@@ -533,6 +534,19 @@ def test_config_from_dict_needs_curve():
     with pytest.raises(ValueError, match="curve"):
         config_from_dict(data)
     assert config_from_dict(data, curve=CURVE) == config
+
+
+def test_config_on_a_curve_file_writes_no_curve_ref(tmp_path):
+    # the file's path is the curve's name, not a builtin one
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(curve_to_dict(CURVE)))
+    curve = load_curve(path)
+    config, _ = gm_init(3, 5, curve, random.Random(1))
+    data = config_to_dict(config)
+    assert data["curve_ref"] is None
+    assert config_from_dict(data, curve=curve) == config
+    with pytest.raises(ValueError, match="pass curve= explicitly"):
+        config_from_dict(data)
 
 
 def test_config_rejects_roster_x_outside_scalar_field():
