@@ -238,16 +238,22 @@ def _cmd_gen_params(args) -> int:
     if args.kind == "harn":
         if args.q_bits < 2:  # a 1-bit candidate is always 1, never prime
             raise ValueError(f"--q-bits must be at least 2, got {args.q_bits}")
-        if args.q_bits >= args.p_bits - 1:
-            raise ValueError("q-bits must be well below p-bits")
-        q = _gen_prime(args.q_bits, rng)
-        while True:
-            k = rng.getrandbits(args.p_bits - args.q_bits - 1) | (
-                1 << (args.p_bits - args.q_bits - 2)
+        # p = 2kq + 1 with k of k_bits bits; at k_bits = 1 (k = 1), p is
+        # always one bit short of --p-bits
+        k_bits = args.p_bits - args.q_bits - 1
+        if k_bits < 2:
+            raise ValueError(
+                f"--q-bits must be below --p-bits - 2, got {args.q_bits} and {args.p_bits}"
             )
+        q, tried = _gen_prime(args.q_bits, rng), set()
+        while True:
+            k = rng.getrandbits(k_bits) | (1 << (k_bits - 1))
             p = 2 * k * q + 1
             if p.bit_length() == args.p_bits and is_probable_prime(p):
                 break
+            tried.add(k)
+            if len(tried) == 1 << (k_bits - 1):  # no k works for this q
+                q, tried = _gen_prime(args.q_bits, rng), set()
         g = gas_harn.derive_generator(Prime(p), Prime(q))
         out = {"name": f"harn-{args.p_bits}-{args.q_bits}", "p": str(p), "q": str(q),
                "g": str(g.residue)}

@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, Prime, _tally_muls, active_counter, cached_prime, json_int, json_object,
-    json_str,
+    FieldElement, Prime, active_counter, cached_prime, json_int, json_object, json_str,
+    tally_muls,
 )
 
 __all__ = [
@@ -227,7 +227,7 @@ def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
         lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         muls = 3
     x3 = (lam * lam - x1 - x2) % p
-    _tally_muls(muls)
+    tally_muls(muls)
     return curve.point(x3, lam * (x1 - x3) - y1)
 
 

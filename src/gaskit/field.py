@@ -1,13 +1,15 @@
 """Prime-field arithmetic with an optional per-context multiplication counter.
 
-Everything downstream (curve group, secret sharing, the Harn baseline) is
-built on `FieldElement`.  Multiplications are the cost unit of the whole
-toolkit, so `FieldElement.__mul__` and `pow` report into whatever
-`MulCounter` is active in the current execution context.  The curve group
-computes on plain integers instead and tallies the multiplications of its
-formulas in bulk, once per `ec.add` or `ec.scalar_mul` call.  Inversions are
-*not* counted anywhere: they are tracked as separate unit operations in the
-cost model, matching how the per-user operation counts are broken down.
+`FieldElement` is the checked type at API boundaries: shares, curve
+coordinates, Harn tokens and releases.  Multiplications are the cost unit of
+the whole toolkit, so `FieldElement.__mul__` and `pow` report into whatever
+`MulCounter` is active in the current execution context.  The hot paths
+compute on plain integers instead and tally the multiplications they did in
+bulk, once per call: the curve group (`ec.add`, `ec.scalar_mul`), the
+Lagrange weights of the verifiers (`lagrange_weight`) and Harn's fixed-base
+g^c.  Inversions are *not* counted anywhere: they are tracked as separate
+unit operations in the cost model, matching how the per-user operation
+counts are broken down.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "json_str",
     "lagrange_coeff",
     "lagrange_coeff_at_zero",
+    "lagrange_weight",
+    "tally_muls",
 ]
 
 _MR_ROUNDS = 64
@@ -162,14 +166,17 @@ _ACTIVE: contextvars.ContextVar["MulCounter | None"] = contextvars.ContextVar(
 class MulCounter:
     """Counts field multiplications and EC scalar multiplications (TEM events).
 
-    `field_muls` gets one per `FieldElement` multiplication and, from the EC
-    layer, the formula counts of each `ec.add` or `ec.scalar_mul` call in
-    one step; inversions are not counted.  A scalar multiplication tallies
-    the formulas it ran, so the same TEM counts differently by path: about
-    509 on average on secp160r1 for the generator (fixed-base table, whose
-    one-off build tallies nothing), about 1.7k for any other point (width-4
-    NAF, its per-call precompute included).  The variable-base count lies
-    within 3x of the modeled 1189 for every scalar of 42 to 325 bits;
+    `field_muls` gets one per `FieldElement` multiplication and, in one step
+    per call, the multiplications of the plain-int paths: the formula counts
+    of each `ec.add` or `ec.scalar_mul`, the 2m-1 of each `lagrange_weight`
+    and, for Harn's g^c (`HarnModulus.g_pow`), one per nonzero 4-bit digit
+    of c (its table, like the generator table of `ec`, is built untallied);
+    inversions are not counted.  A scalar multiplication tallies the
+    formulas it ran, so the same TEM counts differently by path: about 509
+    on average on secp160r1 for the generator (fixed-base table), about 1.7k
+    for any other point (width-4 NAF, its per-call precompute included).
+    The variable-base count lies within 3x of the modeled 1189 for every
+    scalar of 42 to 325 bits;
     about 1 random generator scalar in 10^4 tallies 389 or less, under
     1189/3.  These are measured counts: the modeled T_mul,q costs in
     `cost_model` never read them.
@@ -204,7 +211,8 @@ def active_counter() -> MulCounter | None:
     return _ACTIVE.get()
 
 
-def _tally_muls(n: int) -> None:
+def tally_muls(n: int) -> None:
+    """Add n field multiplications, done on plain ints, to the active counter."""
     counter = _ACTIVE.get()
     if counter is not None:
         counter.field_muls += n
@@ -240,7 +248,7 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        _tally_muls(1)
+        tally_muls(1)
         return FieldElement(self.residue * other.residue, self.modulus)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
@@ -274,7 +282,7 @@ class FieldElement:
         if exp < 0:
             raise ValueError("exponent must be non-negative")
         if exp:
-            _tally_muls(exp.bit_length() - 1 + exp.bit_count())
+            tally_muls(exp.bit_length() - 1 + exp.bit_count())
         return FieldElement(pow(self.residue, exp, self.modulus.value), self.modulus)
 
     def to_bytes(self) -> bytes:
@@ -309,3 +317,25 @@ def lagrange_coeff_at_zero(idx: int, xs: list[FieldElement]) -> FieldElement:
     if not xs:
         raise ValueError("empty node list")
     return lagrange_coeff(idx, xs, FieldElement(0, xs[0].modulus))
+
+
+def lagrange_weight(idx: int, xs: list[int], at: int, q: int) -> int:
+    """The residue of `lagrange_coeff` on plain ints modulo the prime q.
+
+    One inversion per weight.  Tallies the 2m-1 multiplications that
+    `lagrange_coeff` tallies for m = len(xs) nodes, in one step.
+    """
+    if not 0 <= idx < len(xs):
+        raise IndexError(f"idx {idx} out of range for {len(xs)} nodes")
+    x_i = xs[idx]
+    num = den = 1
+    for r, x_r in enumerate(xs):
+        if r == idx:
+            continue
+        diff = (x_i - x_r) % q
+        if diff == 0:
+            raise ValueError(f"duplicate x-coordinate {x_r % q}")
+        num = num * (at - x_r) % q
+        den = den * diff % q
+    tally_muls(2 * len(xs) - 1)
+    return num * pow(den, -1, q) % q

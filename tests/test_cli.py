@@ -314,6 +314,26 @@ def test_gen_params_harn_refuses_q_bits_below_2(capsys, bits):
     assert f"--q-bits must be at least 2, got {bits}" in err
 
 
+def test_gen_params_harn_refuses_q_bits_too_close_to_p_bits(capsys):
+    # --q-bits 8 leaves k = 1, and p = 2q + 1 has 9 bits, never 10
+    code, out, err = run_cli(capsys, "gen-params", "--kind", "harn",
+                             "--p-bits", "10", "--q-bits", "8")
+    assert code == 2 and out == ""
+    assert "--q-bits must be below --p-bits - 2, got 8 and 10" in err
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+def test_gen_params_harn_redraws_q_when_no_k_fits(capsys, seed):
+    # only k = 3 can give a 16-bit p = 2kq + 1 from a 13-bit q, and for most
+    # q it does not give a prime
+    code, out, _ = run_cli(capsys, "gen-params", "--kind", "harn",
+                           "--p-bits", "16", "--q-bits", "13", "--seed", seed)
+    assert code == 0
+    data = json.loads(out)
+    p, q = int(data["p"]), int(data["q"])
+    assert p.bit_length() == 16 and q.bit_length() == 13 and (p - 1) % q == 0
+
+
 def test_gen_params_harn_small(capsys):
     code, out, _ = run_cli(capsys, "gen-params", "--kind", "harn",
                            "--p-bits", "64", "--q-bits", "32", "--seed", "4")
@@ -322,6 +342,8 @@ def test_gen_params_harn_small(capsys):
     p, q, g = int(data["p"]), int(data["q"]), int(data["g"])
     assert p.bit_length() == 64 and q.bit_length() == 32
     assert (p - 1) % q == 0 and pow(g, q, p) == 1 and g != 1
+    # the draws of a seed stay the same: q once, then k until p fits
+    assert (p, q) == (10649301062938260071, 3097603021)
 
 
 # --- seeding ------------------------------------------------------------------------

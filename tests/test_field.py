@@ -16,6 +16,7 @@ from gaskit.field import (
     json_str,
     lagrange_coeff,
     lagrange_coeff_at_zero,
+    lagrange_weight,
 )
 
 F17 = Prime(17)
@@ -88,6 +89,36 @@ def test_lagrange_duplicate_rejected():
         lagrange_coeff_at_zero(2, [el(1), el(2)])
     with pytest.raises(ValueError):
         lagrange_coeff_at_zero(0, [])
+
+
+def test_lagrange_weight_matches_field_element_reference():
+    # the plain-int weight is the residue of lagrange_coeff, at 0 and at any
+    # point, and tallies the same 2m-1 multiplications
+    rng = random.Random(31)
+    secp160_n = Prime(0x0100000000000000000001F4C8F927AED3CA752257)
+    for _ in range(300):
+        q = rng.choice([F17, Prime(37), F2027, secp160_n])
+        k = rng.randrange(1, 10)
+        xs = [FieldElement(v, q) for v in rng.sample(range(1, min(q.value, 10**6)), k)]
+        at = FieldElement(rng.choice([0, rng.randrange(q.value)]), q)
+        for i in range(k):
+            with MulCounter() as ref_ops:
+                want = lagrange_coeff(i, xs, at).residue
+            with MulCounter() as ops:
+                got = lagrange_weight(i, [x.residue for x in xs], at.residue, q.value)
+            assert got == want
+            assert ops.field_muls == ref_ops.field_muls == 2 * k - 1
+
+
+def test_lagrange_weight_rejects_duplicates_and_bad_idx():
+    with pytest.raises(ValueError, match="duplicate x-coordinate 3"):
+        lagrange_weight(0, [3, 5, 20], 0, 17)  # 20 = 3 mod 17
+    with pytest.raises(IndexError):
+        lagrange_weight(2, [1, 2], 0, 17)
+    with pytest.raises(IndexError):
+        lagrange_weight(-1, [1, 2], 0, 17)
+    with pytest.raises(IndexError):
+        lagrange_weight(0, [], 0, 17)
 
 
 # --- modulus discipline ----------------------------------------------------

@@ -202,6 +202,21 @@ def test_decentralized_verify_threshold_and_membership():
         decentralized_verify(config, [public_shares[0]] * 3)
 
 
+@pytest.mark.parametrize(("curve", "t", "n", "counts"), [
+    ("test2017", 3, 7, (436, 7)),
+    ("secp160r1", 4, 9, (6653, 9)),
+])
+def test_decentralized_verify_tally_pinned(curve, t, n, counts):
+    # m Lagrange weights of 2m-1 each, the m variable-base scalar mults and
+    # the m affine additions; the plain-int weights tally what the
+    # FieldElement ones did
+    config, shares = gm_init(t, n, builtin_curve(curve), random.Random(41))
+    _, public_shares = run_confirmation(config, shares)
+    with MulCounter() as ops:
+        assert decentralized_verify(config, public_shares)
+    assert (ops.field_muls, ops.ec_scalar_muls) == counts
+
+
 def test_decentralized_accepts_when_gm_accepts():
     for seed in range(5):
         _, config, shares = setup_group(t=2, n=6, seed=seed)
@@ -209,6 +224,32 @@ def test_decentralized_accepts_when_gm_accepts():
         verdicts = gm_verify(config, shares, public_shares)
         assert all(verdicts.values())
         assert decentralized_verify(config, public_shares)
+
+
+def test_receive_public_share_same_point_again_is_a_no_op():
+    _, config, shares = setup_group(t=2, n=4, seed=43)
+    states, public_shares = run_confirmation(config, shares)
+    u1 = states["U1"]
+    held = dict(u1.received_public_shares)
+    for ps in public_shares:
+        u1.receive_public_share(PublicShare(ps.member_id, ps.point))
+    assert u1.received_public_shares == held
+
+
+@pytest.mark.parametrize("peer", ["U2", "U1"])  # a peer's entry and the member's own
+def test_receive_public_share_refuses_a_conflicting_point(peer):
+    rng, config, shares = setup_group(t=2, n=4, seed=43)
+    states, public_shares = run_confirmation(config, shares)
+    u1 = states["U1"]
+    encrypt_share_for_peer(u1, "U2", rng)  # keys the U1-U2 channel
+    key_before = u1.pairwise_keys["U2"]
+    held = u1.received_public_shares[peer]
+    other = add(held.point, config.curve.generator, CURVE)
+    with pytest.raises(PeerAuthenticationError) as exc:
+        u1.receive_public_share(PublicShare(peer, other))
+    assert exc.value.peer_id == peer
+    assert u1.received_public_shares[peer] is held
+    assert u1.pairwise_keys["U2"] == key_before
 
 
 # --- pairwise keys ------------------------------------------------------------------

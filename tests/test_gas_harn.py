@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from gaskit.field import FieldElement, MulCounter, Prime
+from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff
 from gaskit.gas_harn import (
     HarnModulus,
     HarnParams,
@@ -24,12 +24,25 @@ TINY = builtin_harn_modulus("harn-tiny")       # p=23, q=11, g=3
 FIXTURE = builtin_harn_modulus("harn-1024-160")
 
 
+def _is_safe_pair(modulus):
+    return modulus.p.value - 1 == 2 * modulus.q.value
+
+
+def _nonzero_digits(e):
+    """Nonzero 4-bit digits of e: what `g_pow` tallies."""
+    count = 0
+    while e:
+        count += (e & 15) != 0
+        e >>= 4
+    return count
+
+
 def test_builtin_moduli():
     assert TINY.p.value == 23 and TINY.q.value == 11
-    assert TINY.is_safe_pair
+    assert _is_safe_pair(TINY)
     assert FIXTURE.p.value.bit_length() == 1024
     assert FIXTURE.q.value.bit_length() == 160
-    assert not FIXTURE.is_safe_pair  # Schnorr pair: q | p-1 with large cofactor
+    assert not _is_safe_pair(FIXTURE)  # Schnorr pair: q | p-1 with large cofactor
     assert (FIXTURE.p.value - 1) % FIXTURE.q.value == 0
 
 
@@ -50,6 +63,66 @@ def test_modulus_validation():
         HarnModulus(p=Prime(23), q=Prime(11), g=FieldElement(1, Prime(23)))
     with pytest.raises(ValueError, match="order"):
         HarnModulus(p=Prime(23), q=Prime(11), g=FieldElement(7, Prime(23)))
+
+
+@pytest.mark.parametrize("name", ["harn-tiny", "harn-1024-160"])
+def test_g_table_built_on_first_use_untallied(name):
+    modulus = builtin_harn_modulus(name)  # a fresh instance, no table yet
+    assert "_g_table" not in vars(modulus)
+    with MulCounter() as ops:
+        table = modulus._g_table
+    assert ops.field_muls == 0
+    rows = -(-modulus.q.value.bit_length() // 4)
+    assert [len(row) for row in table] == [15] * rows  # 40 rows at 160 bits
+    p, g = modulus.p.value, modulus.g.residue
+    assert all(row[d - 1] == pow(g, d << (4 * j), p)
+               for j, row in enumerate(table) for d in range(1, 16))
+
+
+@pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
+def test_g_pow_matches_pow(modulus):
+    p, q, g = modulus.p.value, modulus.q.value, modulus.g.residue
+    rng = random.Random(12)
+    exps = [0, 1, q - 1, q, q + 1, 2 * q + 5] + [rng.randrange(q) for _ in range(50)]
+    for e in exps:
+        with MulCounter() as ops:
+            got = modulus.g_pow(e)
+        assert got == FieldElement(pow(g, e, p), modulus.p)
+        assert ops.field_muls == _nonzero_digits(e % q)
+
+
+def test_params_check_does_not_build_the_table():
+    modulus = builtin_harn_modulus("harn-tiny")
+    q = modulus.q
+    f1 = SecretPolynomial((FieldElement(4, q), FieldElement(7, q)))
+    f2 = SecretPolynomial((FieldElement(9, q), FieldElement(2, q)))
+    HarnParams(
+        modulus=modulus, threshold=2, f1=f1, f2=f2,
+        w1=FieldElement(5, q), w2=FieldElement(8, q),
+        d1=FieldElement(3, q), d2=FieldElement(6, q),
+        s=FieldElement(3, q), verification_target=modulus.g.pow(3),
+    )
+    assert "_g_table" not in vars(modulus)
+
+
+@pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
+def test_release_matches_field_element_reference(modulus):
+    """e_i against c_i formed with `lagrange_coeff` on FieldElements, and the
+    tally: the two weights' 2(2m-1), the 4 products, c_i's nonzero digits."""
+    rng = random.Random(13)
+    for _ in range(5):
+        n = rng.randrange(2, min(9, modulus.q.value - 2) + 1)
+        params, tokens = harn_init(rng.randrange(1, n + 1), n, modulus, rng)
+        roster = [tok.x for tok in tokens]
+        for idx, tok in enumerate(tokens):
+            c = (
+                params.d1 * tok.y1 * lagrange_coeff(idx, roster, params.w1)
+                + params.d2 * tok.y2 * lagrange_coeff(idx, roster, params.w2)
+            ).residue
+            with MulCounter() as ops:
+                rel = harn_release(tok, roster, params)
+            assert rel.e == modulus.g.pow(c)
+            assert ops.field_muls == 2 * (2 * n - 1) + 4 + _nonzero_digits(c)
 
 
 def _interp_at(points, at, q):
