@@ -109,7 +109,8 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
 
     Without rotation the stale frame still passes confirmation (the point is
     unchanged) but the attacker owns no f(x_i), so every key-agreement AEAD
-    exchange fails.  After rotation even confirmation rejects the frame.
+    exchange fails.  After rotation even confirmation rejects the frame: it
+    is of the old epoch, and `public_share_from_frame` refuses it.
     """
     rng, config, shares = _setup_group(seed, t, n)
     victim = shares[1].member_id
@@ -129,9 +130,13 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
     # the attacker injects the recorded frame in the victim's place
     honest_ids = [s.member_id for s in shares if s.member_id != victim]
     states2, honest_shares = gas_core.run_confirmation(config, shares, honest_ids)
-    _, replayed = gas_core.public_share_from_frame(recorded_frame, config)
-    verdicts = gas_core.gm_verify(config, shares, [*honest_shares, replayed])
-    confirmation_accepted = all(verdicts.values())
+    try:
+        _, replayed = gas_core.public_share_from_frame(recorded_frame, config)
+    except ValueError:
+        confirmation_accepted = False
+    else:
+        verdicts = gas_core.gm_verify(config, shares, [*honest_shares, replayed])
+        confirmation_accepted = all(verdicts.values())
 
     attacker_key_ok = False
     peers_flag_attacker = False

@@ -74,8 +74,8 @@ class CurvePoint:
     def __init__(self, x: FieldElement | None, y: FieldElement | None):
         if (x is None) != (y is None):
             raise ValueError("both coordinates or neither")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvePoint is immutable")
@@ -102,6 +102,9 @@ class CurvePoint:
         return f"CurvePoint({self.x.residue}, {self.y.residue})"
 
 
+# The slots' own setters, which `__init__` calls because `__setattr__` raises.
+_set_x = CurvePoint.x.__set__
+_set_y = CurvePoint.y.__set__
 _INFINITY = CurvePoint(None, None)
 
 
@@ -136,10 +139,6 @@ class CurveParams:
         if self.subgroup_order is not None:
             if not is_probable_subgroup(self):
                 raise ValueError("subgroup_order does not annihilate the generator")
-
-    @property
-    def coord_byte_length(self) -> int:
-        return self.modulus.byte_length
 
     def scalar_field(self) -> Prime:
         """The prime scalar ring; requires a published subgroup order."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextvars
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
@@ -117,19 +117,17 @@ def json_str(value: object, name: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Prime:
-    """A checked prime modulus (>= 3)."""
+    """A checked prime modulus (>= 3) and the width of its elements in bytes."""
 
     value: int
+    byte_length: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.value < 3:
             raise ValueError(f"modulus must be >= 3, got {self.value}")
         if not is_probable_prime(self.value):
             raise ValueError(f"modulus {self.value} is not prime")
-
-    @property
-    def byte_length(self) -> int:
-        return (self.value.bit_length() + 7) // 8
+        object.__setattr__(self, "byte_length", (self.value.bit_length() + 7) // 8)
 
     def element(self, value: int) -> "FieldElement":
         """The field element `value`; ValueError unless 0 <= value < p."""
@@ -224,8 +222,8 @@ class FieldElement:
     __slots__ = ("residue", "modulus")
 
     def __init__(self, residue: int, modulus: Prime):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", residue % modulus.value)
+        _set_modulus(self, modulus)
+        _set_residue(self, residue % modulus.value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -288,6 +286,11 @@ class FieldElement:
     def to_bytes(self) -> bytes:
         """Canonical encoding: big-endian, fixed width of the modulus."""
         return self.residue.to_bytes(self.modulus.byte_length, "big")
+
+
+# The slots' own setters, which `__init__` calls because `__setattr__` raises.
+_set_residue = FieldElement.residue.__set__
+_set_modulus = FieldElement.modulus.__set__
 
 
 def lagrange_coeff(idx: int, xs: list[FieldElement], at: FieldElement) -> FieldElement:

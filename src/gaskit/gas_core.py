@@ -158,6 +158,8 @@ class GroupConfig:
     threshold: int
     roster: tuple[tuple[str, int], ...]  # (member_id, x residue)
     epoch: int = 1
+    # member_id -> x, built from `roster` at construction, in roster order
+    _x_by_id: dict[str, FieldElement] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_on_curve(self.group_public_key, self.curve):
@@ -168,27 +170,30 @@ class GroupConfig:
         xs = [x for _, x in self.roster]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate member ids in roster")
-        q = self.scalar_field.value
+        fq = self.scalar_field
+        q = fq.value
         if len(set(xs)) != len(xs) or not all(1 <= x < q for x in xs):
             raise ValueError(f"roster x values must be distinct and in [1, {q})")
         if not 1 <= self.threshold <= len(self.roster):
             raise ValueError(
                 f"threshold {self.threshold} out of range for {len(self.roster)} members"
             )
+        x_by_id = {mid: FieldElement(x, fq) for mid, x in self.roster}
+        object.__setattr__(self, "_x_by_id", x_by_id)
 
     @property
     def scalar_field(self) -> Prime:
         return self.curve.scalar_field()
 
     def roster_x(self, member_id: str) -> FieldElement:
-        for mid, x in self.roster:
-            if mid == member_id:
-                return FieldElement(x, self.scalar_field)
-        raise UnknownMemberError(f"member {member_id!r} not in roster")
+        try:
+            return self._x_by_id[member_id]
+        except KeyError:
+            raise UnknownMemberError(f"member {member_id!r} not in roster") from None
 
     @property
     def member_ids(self) -> list[str]:
-        return [mid for mid, _ in self.roster]
+        return list(self._x_by_id)
 
 
 @dataclass
@@ -216,7 +221,7 @@ class MemberState:
             raise ValueError(f"public share from {ps.member_id} is off-curve")
         self.config.roster_x(ps.member_id)  # raises UnknownMemberError
         held = self.received_public_shares.setdefault(ps.member_id, ps)
-        if held.point != ps.point:
+        if held is not ps and held.point != ps.point:
             raise PeerAuthenticationError(
                 ps.member_id, f"conflicting public share from {ps.member_id}"
             )
@@ -296,9 +301,18 @@ def public_share_frame(ps: PublicShare, epoch: int) -> bytes:
 
 
 def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, PublicShare]:
+    """The (epoch, share) of a public-share frame of the config's epoch.
+
+    ValueError for any other message type, a frame of another epoch, or a
+    point that does not decode to one on the curve.
+    """
     frame = wire.decode_frame(buf)
     if frame.msg_type != wire.PUBLIC_SHARE:
         raise ValueError(f"expected public-share frame, got type {frame.msg_type}")
+    if frame.epoch != config.epoch:
+        raise ValueError(
+            f"public-share frame of epoch {frame.epoch}, config is epoch {config.epoch}"
+        )
     fp = config.curve.modulus
     x, y = map(fp.from_bytes, wire.decode_point_payload(frame.payload))
     point = validate_point(x, y, config.curve)

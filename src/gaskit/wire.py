@@ -10,12 +10,15 @@ Payloads::
     encrypted share := nonce(12) | ct_len:u16 | ciphertext+tag  (type ENCRYPTED_SHARE)
     harn release    := x_len:u16 | x | e_len:u16 | e        (type HARN_RELEASE)
     verdict         := accepted:u8                          (type VERDICT)
+
+`decode_frame` returns a `Frame`, an immutable `NamedTuple` of the four
+header and payload fields.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "PUBLIC_SHARE",
@@ -42,8 +45,7 @@ NONCE_LEN = 12
 _MSG_TYPES = (PUBLIC_SHARE, ENCRYPTED_SHARE, HARN_RELEASE, VERDICT)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     msg_type: int
     epoch: int
     member_id: str

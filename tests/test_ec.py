@@ -231,7 +231,7 @@ def test_secp160r1_parameters_validate():
     curve = builtin_curve("secp160r1")
     assert curve.order == curve.subgroup_order  # prime order, cofactor 1
     assert curve.modulus.value.bit_length() == 160
-    assert curve.coord_byte_length == 20
+    assert curve.modulus.byte_length == 20
     # n * G = infinity is checked at construction; spot-check a multiple
     assert not scalar_mul(12345, curve.generator, curve).is_infinity
 

@@ -262,6 +262,16 @@ def test_from_bytes_is_the_checked_inverse_of_to_bytes():
             F2027.from_bytes(data)
 
 
+def test_byte_length_at_width_boundaries():
+    secp160r1_p = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFF
+    secp160r1_n = 0x0100000000000000000001F4C8F927AED3CA752257
+    widths = {251: 1, 257: 2, 65521: 2, 65537: 3, secp160r1_p: 20, secp160r1_n: 21}
+    for p, width in widths.items():
+        q = Prime(p)
+        assert q.byte_length == width
+        assert len(FieldElement(p - 1, q).to_bytes()) == width
+
+
 def test_json_int_takes_ints_and_decimal_strings_only():
     assert [json_int(v, "p") for v in (0, 7, -3, "0", "2017", "-37", "007")] == [
         0, 7, -3, 0, 2017, -37, 7,

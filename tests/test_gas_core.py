@@ -87,6 +87,23 @@ def test_config_invariants():
     assert config.member_ids == [f"U{i}" for i in range(1, 6)]
 
 
+def test_roster_index_answers_for_its_own_roster():
+    config, _ = gm_init(18, 36, CURVE, random.Random(3), random_xs=True)
+    assert [config.roster_x(mid).residue for mid, _ in config.roster] == [
+        x for _, x in config.roster
+    ]
+    assert config.member_ids == [mid for mid, _ in config.roster]
+    with pytest.raises(UnknownMemberError, match="'U99'"):
+        config.roster_x("U99")
+    # a replaced roster is indexed anew, not read from the old index
+    roster = tuple(zip(config.member_ids[:-1], [x for _, x in config.roster][::-1]))
+    smaller = dataclasses.replace(config, roster=roster)
+    assert [smaller.roster_x(mid).residue for mid, _ in roster] == [x for _, x in roster]
+    assert smaller.member_ids == config.member_ids[:-1]
+    with pytest.raises(UnknownMemberError, match="'U36'"):
+        smaller.roster_x("U36")
+
+
 # --- public shares --------------------------------------------------------------
 
 def test_make_public_share_is_one_scalar_mul():
@@ -522,6 +539,48 @@ def test_public_share_frame_rejects_bad_points():
     )
     with pytest.raises(ValueError, match="bytes"):
         public_share_from_frame(padded, config)
+
+
+def test_public_share_frame_of_another_epoch_is_refused():
+    rng, config, shares = setup_group()
+    states, public_shares = run_confirmation(config, shares)
+    ps = public_shares[0]
+    with pytest.raises(ValueError, match="epoch 7"):
+        public_share_from_frame(public_share_frame(ps, 7), config)
+    # after a rotation the frames of epoch 1 no longer decode
+    rotation = rotate_credentials(config, exchange_group_key(states, rng), rng)
+    with pytest.raises(ValueError, match="epoch 1"):
+        public_share_from_frame(public_share_frame(ps, config.epoch), rotation.config)
+
+
+def test_wired_session_counts_pinned():
+    # An honest test2017 session, m = 8, t = 4, whose every public share
+    # crosses the wire: the scalar mults are deal 1 + confirm m + gm_verify
+    # m + decentralized m + ECDH m(m-1) + rotation deal 1 = m^2 + 2m + 2.
+    m, t = 8, 4
+    rng = random.Random(5)
+    with MulCounter() as ops:
+        config, shares = gm_init(t, m, CURVE, rng)
+        states = {s.member_id: MemberState(share=s, config=config) for s in shares}
+        frames = [
+            public_share_frame(make_public_share(st), config.epoch) for st in states.values()
+        ]
+        for frame in frames:
+            for state in states.values():
+                _, ps = public_share_from_frame(frame, config)
+                state.receive_public_share(ps)
+        received = list(states["U1"].received_public_shares.values())
+        assert len(received) == m and all(gm_verify(config, shares, received).values())
+        assert decentralized_verify(config, received)
+        key = exchange_group_key(states, rng)
+        rotation = rotate_credentials(config, key, rng)
+        opened = [
+            open_rotated_share(mid, key, rotation.encrypted_bundle[mid], rotation.config)
+            for mid in config.member_ids
+        ]
+    assert opened == rotation.shares
+    assert ops.ec_scalar_muls == m * m + 2 * m + 2 == 82
+    assert ops.field_muls == 5138
 
 
 def test_config_dict_roundtrip():

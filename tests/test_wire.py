@@ -12,6 +12,10 @@ def test_frame_roundtrip():
     assert frame.epoch == 7
     assert frame.member_id == "U12"
     assert frame.payload == b"\x01\x02"
+    assert frame == wire.Frame(wire.PUBLIC_SHARE, 7, "U12", b"\x01\x02")
+    assert wire.encode_frame(*frame) == buf
+    with pytest.raises(AttributeError):  # immutable
+        frame.epoch = 8
 
 
 def test_frame_golden_bytes():
