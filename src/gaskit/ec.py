@@ -1,25 +1,28 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
 Points cross the API in affine coordinates (`CurvePoint` over
-`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul` works
-on plain integers in Jacobian coordinates with mixed addition and a single
-final inversion, and tallies its field multiplications in bulk once per
-call.  It has two paths:
+`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul` and
+`multi_scalar_mul` work on plain integers in Jacobian coordinates with
+mixed addition and a single final inversion, record one TEM per scalar
+multiplication, and tally their field multiplications in bulk once per
+call.  There are two loops:
 
-* fixed base, for the curve's own generator when `subgroup_order` is set:
-  k is reduced mod n and split into 3-bit digits, and one precomputed
-  affine point per nonzero digit is added, with no doublings.  The table
-  (ceil(bitlen(n)/3) rows of 7 points; 54 rows, about 60 KB, for
-  secp160r1) is built once per `CurveParams`, on the first such call, and
-  is held on that instance;
-* variable base, for every other point: a width-4 NAF over the affine
-  odd multiples P, 3P, 5P, 7P, built per call from one doubling, three
-  mixed additions and one batch inversion, for scalars of `_NAF_MIN_BITS`
-  (32) bits or more; left-to-right binary double-and-add for shorter
-  ones, on which the precompute costs more than it saves.
+* fixed base, for `scalar_mul` of the curve's own generator when
+  `subgroup_order` is set: k is reduced mod n and split into 3-bit digits,
+  and one precomputed affine point per nonzero digit is added, with no
+  doublings.  The table (ceil(bitlen(n)/3) rows of 7 points; 54 rows,
+  about 60 KB, for secp160r1) is built once per `CurveParams`, on the first
+  such call, and is held on that instance;
+* interleaved, for `multi_scalar_mul`, sum k_i P_i, and for `scalar_mul`
+  of any other point as its one term: each k_i is recoded as a width-4 NAF
+  over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
+  `_NAF_MIN_BITS` (32) bits or more, or as binary digits when shorter, on
+  which the table costs more than it saves.  All terms' mixed additions
+  run under one shared sequence of doublings, and one batch inversion
+  returns every term's table to affine.
 
-Where a = -3 mod p (secp160r1, P-256), the NAF loop doubles with the
-cheaper a = -3 formula.
+Where a = -3 mod p (secp160r1, P-256), a loop with a NAF term doubles with
+the cheaper a = -3 formula.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -43,8 +46,8 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, Prime, active_counter, cached_prime, json_int, json_object, json_str,
-    tally_muls,
+    FieldElement, MulCounter, Prime, active_counter, cached_prime, json_int, json_object,
+    json_str, tally_muls,
 )
 
 __all__ = [
@@ -53,8 +56,8 @@ __all__ = [
     "is_on_curve",
     "validate_point",
     "add",
-    "negate",
     "scalar_mul",
+    "multi_scalar_mul",
     "brute_force_order",
     "builtin_curve",
     "load_curve",
@@ -79,6 +82,10 @@ class CurvePoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvePoint is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the raising __setattr__
+        return CurvePoint, (self.x, self.y)
 
     @classmethod
     def infinity(cls) -> "CurvePoint":
@@ -162,7 +169,7 @@ def is_probable_subgroup(curve: CurveParams) -> bool:
     # subgroup_order, which is what this check has yet to justify.
     n, g = curve.subgroup_order, curve.generator
     p, a = curve.modulus.value, curve.a.residue
-    if n < 1 or _var_base(n, g.x.residue, g.y.residue, a, p)[2]:
+    if n < 1 or _interleaved([(n, g.x.residue, g.y.residue)], a, p)[2]:
         return False
     return curve.order is None or curve.order % n == 0
 
@@ -194,12 +201,6 @@ def validate_point(x: FieldElement, y: FieldElement, curve: CurveParams) -> Curv
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
     if not is_on_curve(pt, curve):
         raise ValueError(f"point {pt!r} is not on curve {curve.name or '<anonymous>'}")
-
-
-def negate(pt: CurvePoint) -> CurvePoint:
-    if pt.is_infinity:
-        return pt
-    return CurvePoint(pt.x, -pt.y)
 
 
 def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
@@ -324,25 +325,6 @@ def _scale_to_affine(X: int, Y: int, z_inv: int, p: int) -> tuple[int, int]:
     return X * zz_inv % p, Y * zz_inv * z_inv % p
 
 
-def _var_base(k: int, x2: int, y2: int, a: int, p: int) -> tuple[int, int, int, int]:
-    """k * (x2, y2) for k >= 1: (X, Y, Z, muls).
-
-    Width-4 NAF from `_NAF_MIN_BITS` bits on, left-to-right binary
-    double-and-add below.
-    """
-    if k.bit_length() >= _NAF_MIN_BITS:
-        return _var_base_naf(k, x2, y2, a, p)
-    X, Y, Z = x2, y2, 1
-    muls = 0
-    for bit in bin(k)[3:]:
-        X, Y, Z = _double(X, Y, Z, a, p)
-        muls += _DOUBLE_MULS
-        if bit == "1":
-            X, Y, Z, m = _madd(X, Y, Z, x2, y2, a, p)
-            muls += m
-    return X, Y, Z, muls
-
-
 def _naf4(k: int) -> list[tuple[int, int]]:
     """The nonzero digits of the width-4 NAF of k >= 1, as (position, digit),
     least significant first.
@@ -385,65 +367,93 @@ def _batch_inverse(zs: list[int], p: int) -> list[int]:
 
 
 def _odd_multiples(
-    x: int, y: int, a: int, p: int
-) -> tuple[list[tuple[int, int] | None], int]:
-    """Affine d * (x, y) for d = 1, 3, 5, 7 (None for infinity), and the muls.
+    points: list[tuple[int, int]], a: int, p: int
+) -> tuple[list[list[tuple[int, int] | None]], int]:
+    """Per point P = (x, y), the table of affine d * P indexed by d in -7..7
+    (odd d only, None for infinity), and the muls of building them all.
 
     One doubling gives 2P = (X2 : Y2 : Z).  On the isomorphic curve
     (u, v) -> (Z^2 u, Z^3 v), with a' = Z^4 a, 2P is the affine (X2, Y2), so
     three mixed additions give 3P, 5P and 7P there; a point (X : Y : Z') of
     that curve is (X : Y : Z' Z) of this one.  One batch inversion then
-    returns all of them to affine.
+    returns every point's 3P, 5P and 7P to affine.
     """
-    dbl, muls = _doubling(a, p)
-    X2, Y2, Z = dbl(x, y, 1, a, p)
-    if not Z:  # 2P = O: P has order 2, and every odd multiple is P
-        return [(x, y)] * 4, muls
-    ZZ = Z * Z % p
-    a_iso = a * ZZ * ZZ % p
-    X, Y, Zi = x * ZZ % p, y * ZZ * Z % p, 1
-    muls += _NAF_ISO_MULS
-    jacobian = []
-    for _ in range(3):
-        X, Y, Zi, m = _madd(X, Y, Zi, X2, Y2, a_iso, p)
-        jacobian.append((X, Y, Zi * Z % p))
-        muls += m
-    z_invs = _batch_inverse([Zi for _, _, Zi in jacobian], p)
-    odd = [(x, y)]
-    for (X, Y, Zi), z_inv in zip(jacobian, z_invs):
-        odd.append(_scale_to_affine(X, Y, z_inv, p) if Zi else None)
-        muls += _NAF_ENTRY_MULS if Zi else 0
-    return odd, muls
-
-
-def _var_base_naf(k: int, x2: int, y2: int, a: int, p: int) -> tuple[int, int, int, int]:
-    """k * (x2, y2) for k >= 1 by a width-4 NAF: (X, Y, Z, muls).
-
-    One doubling per position below the top digit, and one mixed addition
-    of +-d * (x2, y2) from `_odd_multiples` per other nonzero digit d
-    (Hankerson-Menezes-Vanstone, Alg. 3.36).
-    """
-    odd, muls = _odd_multiples(x2, y2, a, p)
-    table: list[tuple[int, int] | None] = [None] * 16  # table[d], d in -7..7
-    for i, entry in enumerate(odd):
-        if entry is not None:
-            table[2 * i + 1] = entry
-            table[-2 * i - 1] = entry[0], -entry[1] % p
     dbl, dbl_muls = _doubling(a, p)
-    digits = _naf4(k)
-    top, d = digits.pop()
-    entry = table[d]
-    X, Y, Z = (*entry, 1) if entry is not None else (1, 1, 0)
-    muls += dbl_muls * top
-    # (0, 0) adds the doublings below the lowest digit, and no addition
-    for pos, d in reversed([(0, 0)] + digits):
-        for _ in range(top - pos):
-            X, Y, Z = dbl(X, Y, Z, a, p)
-        top = pos
-        entry = table[d]
-        if entry is not None:
-            X, Y, Z, m = _madd(X, Y, Z, *entry, a, p)
+    muls = dbl_muls * len(points)
+    tables, jacobian = [], []
+    for x, y in points:
+        table: list[tuple[int, int] | None] = [None] * 16
+        tables.append(table)
+        X2, Y2, Z = dbl(x, y, 1, a, p)
+        if not Z:  # 2P = O: P has order 2, and every odd multiple is P
+            for d in (1, 3, 5, 7):
+                table[d] = table[-d] = x, y
+            continue
+        table[1], table[-1] = (x, y), (x, -y % p)
+        ZZ = Z * Z % p
+        a_iso = a * ZZ * ZZ % p
+        X, Y, Zi = x * ZZ % p, y * ZZ * Z % p, 1
+        muls += _NAF_ISO_MULS
+        for d in (3, 5, 7):
+            X, Y, Zi, m = _madd(X, Y, Zi, X2, Y2, a_iso, p)
+            jacobian.append((table, d, X, Y, Zi * Z % p))
             muls += m
+    z_invs = _batch_inverse([Z for *_, Z in jacobian], p)
+    for (table, d, X, Y, Z), z_inv in zip(jacobian, z_invs):
+        if Z:
+            x, y = _scale_to_affine(X, Y, z_inv, p)
+            table[d], table[-d] = (x, y), (x, -y % p)
+            muls += _NAF_ENTRY_MULS
+    return tables, muls
+
+
+def _interleaved(
+    terms: list[tuple[int, int, int]], a: int, p: int
+) -> tuple[int, int, int, int]:
+    """sum k * (x, y) over terms (k, x, y) with k >= 1: (X, Y, Z, muls).
+
+    Each k is recoded on its own: from `_NAF_MIN_BITS` bits on as a width-4
+    NAF over its point's `_odd_multiples` table, below as binary digits of
+    its point.  All terms' additions then run under one shared sequence of
+    doublings from the highest top digit down, in term order at each
+    position (Straus's interleaving; Hankerson-Menezes-Vanstone, Alg. 3.51).
+    The doublings use the a = -3 formula on such a curve when some k is on
+    the NAF; a call with binary digits only doubles with the general one.
+    One term runs the formulas of a single width-4 NAF or binary
+    double-and-add, in the same order.
+    """
+    naf_points = [(x, y) for k, x, y in terms if k.bit_length() >= _NAF_MIN_BITS]
+    if naf_points:
+        tables, muls = _odd_multiples(naf_points, a, p)
+        tables = iter(tables)
+        dbl, dbl_muls = _doubling(a, p)
+    else:
+        muls = 0
+        dbl, dbl_muls = _double, _DOUBLE_MULS
+    adds = []  # (position, -term index, affine addend)
+    top = 0
+    for i, (k, x, y) in enumerate(terms):
+        bits = k.bit_length()
+        if bits >= _NAF_MIN_BITS:
+            table = next(tables)
+            digits = _naf4(k)
+            adds += [(pos, -i, *table[d]) for pos, d in digits if table[d] is not None]
+            top = max(top, digits[-1][0])
+        else:
+            adds += [(pos, -i, x, y) for pos in range(bits) if k >> pos & 1]
+            top = max(top, bits - 1)
+    adds.sort(reverse=True)  # from the top position down, in term order within one
+    muls += dbl_muls * top
+    X, Y, Z = 1, 1, 0
+    at = top  # the digit position the running point has reached
+    for pos, _, x2, y2 in adds:
+        for _ in range(at - pos):
+            X, Y, Z = dbl(X, Y, Z, a, p)
+        at = pos
+        X, Y, Z, m = _madd(X, Y, Z, x2, y2, a, p)
+        muls += m
+    for _ in range(at):
+        X, Y, Z = dbl(X, Y, Z, a, p)
     return X, Y, Z, muls
 
 
@@ -473,7 +483,9 @@ def _build_generator_table(curve: CurveParams) -> list[list[tuple[int, int] | No
     p, a = curve.modulus.value, curve.a.residue
     gx, gy = curve.generator.x.residue, curve.generator.y.residue
     rows = -(-curve.subgroup_order.bit_length() // _WINDOW)
-    row = [(1, 1, 0)] + [_var_base(d, gx, gy, a, p)[:3] for d in range(1, 1 << _WINDOW)]
+    row = [(1, 1, 0)] + [
+        _interleaved([(d, gx, gy)], a, p)[:3] for d in range(1, 1 << _WINDOW)
+    ]
     table = []
     for j in range(rows):
         if j:
@@ -497,15 +509,15 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
       Brickell-Gordon-McCurley-Wilson, EUROCRYPT'92).  The first such call
       on a `CurveParams` builds its table of ceil(bitlen(n)/3) rows of 7
       points (about 11 ms for secp160r1), untallied.
-    * Variable base, for any other point: k of 32 bits or more is recoded
-      as a width-4 NAF, whose nonzero digits are odd, below 8 in absolute
-      value and at least 4 positions apart.  A per-call table of the
-      affine P, 3P, 5P, 7P (one doubling, three mixed additions on the
-      isomorphic curve where 2P is affine, one Montgomery batch
-      inversion) turns each digit into one doubling and each nonzero digit
-      d into one mixed addition of +-|d| P (Hankerson-Menezes-Vanstone,
-      Guide to ECC, Alg. 3.35-3.36).  Shorter k runs binary double-and-add:
-      each bit doubles, each set bit adds pt.
+    * Variable base, for any other point: the loop of `multi_scalar_mul`
+      with one term.  k of 32 bits or more is recoded as a width-4 NAF,
+      whose nonzero digits are odd, below 8 in absolute value and at least
+      4 positions apart.  A per-call table of the affine P, 3P, 5P, 7P (one
+      doubling, three mixed additions on the isomorphic curve where 2P is
+      affine, one Montgomery batch inversion) turns each digit into one
+      doubling and each nonzero digit d into one mixed addition of +-|d| P
+      (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.35-3.36).  Shorter
+      k runs binary double-and-add: each bit doubles, each set bit adds pt.
 
     The field multiplications of the formulas run are tallied once, on
     return: 8 per doubling when a = -3 mod p (dbl-2001-b) and 10 otherwise
@@ -525,12 +537,51 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
         counter.ec_scalar_muls += 1
     if k == 0 or pt.is_infinity:
         return _INFINITY
-    p = curve.modulus.value
     if curve.subgroup_order is not None and pt == curve.generator:
         X, Y, Z, muls = _fixed_base(k, curve)
     else:
-        X, Y, Z, muls = _var_base(k, pt.x.residue, pt.y.residue, curve.a.residue, p)
-    xy = _to_affine(X, Y, Z, p)
+        X, Y, Z, muls = _interleaved(
+            [(k, pt.x.residue, pt.y.residue)], curve.a.residue, curve.modulus.value
+        )
+    return _affine_result(X, Y, Z, muls, curve, counter)
+
+
+def multi_scalar_mul(
+    terms: list[tuple[int, CurvePoint]], curve: CurveParams
+) -> CurvePoint:
+    """sum k_i * P_i over terms (k_i, P_i).  Records one TEM per term.
+
+    Every k_i >= 0 and every P_i on the curve, or ValueError; no k_i is
+    reduced, and the generator gets no fixed-base path here.  Each term is
+    recoded as in `scalar_mul`'s variable base, and all terms' mixed
+    additions run under one shared sequence of doublings (Straus 1964;
+    Moller, SAC 2001): about 160 doublings for m secp160r1 weights, instead
+    of 160 m.  One batch inversion returns every NAF term's 3P, 5P and 7P to
+    affine, and one more the sum.  Tallies, once on return, 71 per NAF
+    term's table on an a = -3 curve (73 otherwise), 8 or 10 per shared
+    doubling, 11 per mixed addition and 4 to return to affine.  A one-term
+    call is `scalar_mul` of a point other than the generator, in value and
+    in tally.
+    """
+    for k, pt in terms:
+        if k < 0:
+            raise ValueError("scalar must be non-negative")
+        _require_on_curve(pt, curve)
+    counter = active_counter()
+    if counter is not None:
+        counter.ec_scalar_muls += len(terms)
+    ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
+    if not ints:
+        return _INFINITY
+    X, Y, Z, muls = _interleaved(ints, curve.a.residue, curve.modulus.value)
+    return _affine_result(X, Y, Z, muls, curve, counter)
+
+
+def _affine_result(
+    X: int, Y: int, Z: int, muls: int, curve: CurveParams, counter: MulCounter | None
+) -> CurvePoint:
+    """The affine point of (X : Y : Z); tallies muls and the return to affine."""
+    xy = _to_affine(X, Y, Z, curve.modulus.value)
     if xy is None:
         result = _INFINITY
     else:

@@ -166,18 +166,22 @@ class MulCounter:
 
     `field_muls` gets one per `FieldElement` multiplication and, in one step
     per call, the multiplications of the plain-int paths: the formula counts
-    of each `ec.add` or `ec.scalar_mul`, the 2m-1 of each `lagrange_weight`
-    and, for Harn's g^c (`HarnModulus.g_pow`), one per nonzero 4-bit digit
-    of c (its table, like the generator table of `ec`, is built untallied);
-    inversions are not counted.  A scalar multiplication tallies the
-    formulas it ran, so the same TEM counts differently by path: about 509
-    on average on secp160r1 for the generator (fixed-base table), about 1.7k
-    for any other point (width-4 NAF, its per-call precompute included).
-    The variable-base count lies within 3x of the modeled 1189 for every
-    scalar of 42 to 325 bits;
+    of each `ec.add`, `ec.scalar_mul` or `ec.multi_scalar_mul`, the 2m-1 of
+    each `lagrange_weight` and, for Harn's g^c (`HarnModulus.g_pow`), one
+    per nonzero 4-bit digit of c (its table, like the generator table of
+    `ec`, is built untallied); inversions are not counted.  A scalar
+    multiplication tallies the formulas it ran, so the same TEM counts
+    differently by path: about 509 on average on secp160r1 for the
+    generator (fixed-base table), about 1.7k for any other point (width-4
+    NAF, its per-call precompute included).  The variable-base count lies
+    within 3x of the modeled 1189 for every scalar of 42 to 325 bits;
     about 1 random generator scalar in 10^4 tallies 389 or less, under
-    1189/3.  These are measured counts: the modeled T_mul,q costs in
-    `cost_model` never read them.
+    1189/3.  `ec.multi_scalar_mul` records one TEM per term, but its terms
+    share one run of doublings: m random secp160r1 terms tally about 420
+    each for their tables and additions, plus about 1.3k for the doublings,
+    once.
+    These are measured counts: the modeled T_mul,q costs in `cost_model`
+    never read them.
 
     Used as a context manager::
 
@@ -227,6 +231,10 @@ class FieldElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the raising __setattr__
+        return FieldElement, (self.residue, self.modulus)
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):

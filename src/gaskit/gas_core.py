@@ -24,8 +24,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
 from .ec import (
-    BUILTIN_CURVES, CurveParams, CurvePoint, add, builtin_curve, is_on_curve, scalar_mul,
-    validate_point,
+    BUILTIN_CURVES, CurveParams, CurvePoint, builtin_curve, is_on_curve, multi_scalar_mul,
+    scalar_mul, validate_point,
 )
 from .field import (
     FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weight,
@@ -350,7 +350,8 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     """GM-less confirmation: sum(L_i(0) * f(x_i)P) must equal Q.
 
     The Lagrange coefficients are computed in the curve's scalar field, so
-    they are already reduced for scalar multiplication.
+    they are already reduced for scalar multiplication.  The m products and
+    their sum are one `multi_scalar_mul`: m TEMs under shared doublings.
     """
     m = len(received)
     if m < config.threshold:
@@ -365,11 +366,8 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
         if not is_on_curve(ps.point, config.curve):
             raise ValueError(f"public share from {ps.member_id} is off-curve")
     q = config.scalar_field.value
-    total = CurvePoint.infinity()
-    for i, ps in enumerate(received):
-        lam = lagrange_weight(i, xs, 0, q)
-        total = add(total, scalar_mul(lam, ps.point, config.curve), config.curve)
-    return total == config.group_public_key
+    terms = [(lagrange_weight(i, xs, 0, q), ps.point) for i, ps in enumerate(received)]
+    return multi_scalar_mul(terms, config.curve) == config.group_public_key
 
 
 # ---------------------------------------------------------------------------

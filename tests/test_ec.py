@@ -20,7 +20,7 @@ from gaskit.ec import (
     curve_from_dict,
     curve_to_dict,
     is_on_curve,
-    negate,
+    multi_scalar_mul,
     scalar_mul,
     validate_point,
 )
@@ -46,7 +46,7 @@ def test_identity_and_inverse():
     inf = CurvePoint.infinity()
     assert add(p, inf, TEST2017) == p
     assert add(inf, p, TEST2017) == p
-    assert add(p, negate(p), TEST2017) == inf
+    assert add(p, _negate(p), TEST2017) == inf
 
 
 def test_doubling_matches_hand_oracle():
@@ -216,6 +216,54 @@ def _ref_naf4(k):
     return digits
 
 
+def _interleaved_muls(terms, curve):
+    """Tally of `multi_scalar_mul(terms, curve)`, rebuilt on the affine
+    reference from the digits of each k: `_ref_naf4` from 32 bits on (each
+    such point of order above 7, so that its table of P, 3P, 5P, 7P costs
+    one doubling + 9 + 3 * 11 + 3 * 7), binary below.  One shared doubling
+    per position under the highest top digit: 8 when the curve has a = -3
+    and some k is on the NAF, 10 otherwise.  Per nonzero digit, in term
+    order at each position: nothing into infinity, 4 + 10 for P + P, 4 for
+    P + (-P), 11 otherwise.  Then 4 to return a finite sum to affine."""
+    p = curve.modulus.value
+    rows = []
+    for k, pt in terms:
+        if k and not pt.is_infinity:
+            naf = k.bit_length() >= 32
+            rows.append((_ref_naf4(k) if naf else [int(b) for b in bin(k)[:1:-1]], pt, naf))
+    if not rows:
+        return 0
+    any_naf = any(naf for _, _, naf in rows)
+    dbl = 8 if any_naf and (curve.a.residue + 3) % p == 0 else 10
+    muls = 0
+    for _, pt, naf in rows:
+        if naf:
+            assert not any(_ref_scalar_mul(d, pt, curve).is_infinity for d in (2, 3, 5, 7))
+            muls += dbl + 9 + 3 * 11 + 3 * 7
+    top = max(len(digits) for digits, _, _ in rows) - 1
+    muls += dbl * top
+    acc = CurvePoint.infinity()
+    for pos in range(top, -1, -1):
+        if pos < top:
+            acc = _ref_add(acc, acc, curve)
+        for digits, pt, _ in rows:
+            d = digits[pos] if pos < len(digits) else 0
+            if not d:
+                continue
+            addend = _ref_scalar_mul(abs(d), pt, curve)
+            addend = addend if d > 0 else _negate(addend)
+            if acc.is_infinity:
+                pass
+            elif acc == addend:
+                muls += 4 + 10
+            elif acc == _negate(addend):
+                muls += 4
+            else:
+                muls += 11
+            acc = _ref_add(acc, addend, curve)
+    return muls + (0 if acc.is_infinity else 4)
+
+
 def _naf_a3_muls(k):
     """Tally of k * P on the NAF path of an a = -3 curve, when no table entry
     is infinity and no P + P or P + (-P) occurs: the precompute (one 8-mul
@@ -357,6 +405,12 @@ def _ref_add(p1, p2, curve):
     return CurvePoint(x3, y3)
 
 
+def _negate(pt):
+    if pt.is_infinity:
+        return pt
+    return CurvePoint(pt.x, -pt.y)
+
+
 def _ref_scalar_mul(k, pt, curve):
     acc = CurvePoint.infinity()
     addend = pt
@@ -398,6 +452,14 @@ def _test2017_points():
             for y in roots.get((x**3 + 6 * x + 36) % 2017, [])]
 
 
+def _test2017_torsion():
+    """The 55-torsion of test2017, 37 times every point, by point order."""
+    by_order = {}
+    for pt in {scalar_mul(37, pt, TEST2017) for pt in _test2017_points()}:
+        by_order.setdefault(_order(pt, TEST2017), []).append(pt)
+    return by_order
+
+
 def _order(pt, curve):
     k = 1
     acc = pt
@@ -437,10 +499,7 @@ def test_scalar_mul_matches_reference_on_small_order_test2017_points():
     # infinity into the table and P + P or P + (-P) into the loop
     rng = random.Random(55)
     pts = _test2017_points()
-    torsion = {scalar_mul(37, pt, TEST2017) for pt in pts}
-    by_order = {}
-    for pt in torsion:
-        by_order.setdefault(_order(pt, TEST2017), []).append(pt)
+    by_order = _test2017_torsion()
     assert sorted(by_order) == [1, 5, 11, 55]
     for order in (5, 11, 55):
         for pt in by_order[order][:4]:
@@ -460,7 +519,7 @@ def test_add_matches_reference_and_its_tally(name):
     else:
         bound = curve.order or curve.subgroup_order
         pts = [scalar_mul(rng.randrange(1, bound), curve.generator, curve) for _ in range(6)]
-        pts += [CurvePoint.infinity()] + [negate(pt) for pt in pts[:2]]
+        pts += [CurvePoint.infinity()] + [_negate(pt) for pt in pts[:2]]
     for p1 in pts:
         for p2 in pts:
             with MulCounter() as ops:
@@ -609,6 +668,152 @@ def test_naf_path_on_every_point_of_a_small_a3_curve():
     assert sorted({_order(pt, curve) for pt in pts}) == [2, 3, 5, 6, 10, 15, 30]
     for pt in pts:
         _assert_scalar_muls_match(pt, _long_scalars(rng, 30), curve)
+
+
+# --- multi-scalar multiplication ---------------------------------------------------------
+
+A3_MOD_23 = {"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}
+
+
+def _ref_multi(terms, curve):
+    total = CurvePoint.infinity()
+    for k, pt in terms:
+        total = _ref_add(total, _ref_scalar_mul(k, pt, curve), curve)
+    return total
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5", "p256", "a3-mod-23"])
+def test_multi_scalar_mul_matches_reference(name):
+    # on test2017, every point of order 5, 11 and 55 is a term: the NAF
+    # tables hold infinity and the loop meets P + P and P + (-P)
+    if name == "a3-mod-23":
+        curve = curve_from_dict(A3_MOD_23)
+        pts = [curve.point(x, y) for x in range(23) for y in range(23)
+               if is_on_curve(curve.point(x, y), curve)]
+    elif name == "toy5":
+        curve, pts = TOY5, _toy5_points()
+    else:
+        curve = _p256_curve() if name == "p256" else builtin_curve(name)
+        rng = random.Random(name)
+        pts = [scalar_mul(rng.randrange(1, curve.subgroup_order), curve.generator, curve)
+               for _ in range(5)] + [curve.generator]
+        if name == "test2017":
+            by_order = _test2017_torsion()
+            pts += by_order[5] + by_order[11] + by_order[55]
+            assert len(pts) == 6 + 4 + 10 + 40
+    rng = random.Random("msm" + name)
+    for _ in range(2):
+        short = [(rng.randrange(2**12), pt) for pt in pts]
+        long = [(rng.getrandbits(rng.choice((64, 200))) | 1 << 63, pt) for pt in pts]
+        mixed = [rng.choice((a, b)) for a, b in zip(short, long)]
+        for terms in (short, long, mixed):
+            assert multi_scalar_mul(terms, curve) == _ref_multi(terms, curve)
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1"])
+def test_multi_scalar_mul_edge_terms(name):
+    curve = builtin_curve(name)
+    n = curve.subgroup_order
+    rng = random.Random("edge" + name)
+    pt, other = (scalar_mul(rng.randrange(1, n), curve.generator, curve) for _ in range(2))
+    short, long = rng.randrange(2, 2**12), rng.getrandbits(160) | 1 << 159
+    inf = CurvePoint.infinity()
+    cancelling = [[(k, pt), (k, _negate(pt))] for k in (short, long)]
+    cases = cancelling + [
+        [],
+        [(0, pt)],
+        [(0, pt), (short, other)],
+        [(n, pt)],
+        [(n + 1, pt), (2 * n - 1, other), (curve.order, pt)],
+        [(short, inf)],
+        [(long, inf), (short, pt)],
+        [(short, pt), (short, pt)],  # P + P in `_madd`
+        [(long, pt), (long, pt)],
+        [(short, pt), (long, other), (1, pt), (long, curve.generator), (2**31, other)],
+    ]
+    for terms in cases:
+        with MulCounter() as ops:
+            got = multi_scalar_mul(terms, curve)
+        assert got == _ref_multi(terms, curve), terms
+        assert ops.ec_scalar_muls == len(terms)
+        assert ops.field_muls == _interleaved_muls(terms, curve)
+    for terms in cancelling + [[]]:
+        assert multi_scalar_mul(terms, curve).is_infinity
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5", "a3-mod-23"])
+def test_one_term_multi_scalar_mul_is_scalar_mul(name):
+    # every scalar_mul but the generator's is this one-term call
+    rng = random.Random("one" + name)
+    if name == "a3-mod-23":
+        curve = curve_from_dict(A3_MOD_23)
+        pts = [curve.point(x, y) for x in range(23) for y in range(23)
+               if is_on_curve(curve.point(x, y), curve)]
+        scalars = []
+    else:
+        curve = builtin_curve(name)
+        pts = [scalar_mul(rng.randrange(2, curve.order), curve.generator, curve)
+               for _ in range(4)]
+        scalars = _edge_scalars(curve)
+    if name == "test2017":
+        pts += _test2017_torsion()[55][:4]
+    scalars += [0, 1, 2, 3, 2**31 - 1, 2**31, 2**32 + 1, rng.getrandbits(160)]
+    scalars += _long_scalars(rng)
+    for pt in pts:
+        if pt == curve.generator:  # the fixed-base path
+            continue
+        for k in scalars:
+            with MulCounter() as want_ops:
+                want = scalar_mul(k, pt, curve)
+            with MulCounter() as ops:
+                got = multi_scalar_mul([(k, pt)], curve)
+            assert got == want == _ref_scalar_mul(k, pt, curve), (k, pt)
+            assert (ops.ec_scalar_muls, ops.field_muls) == (1, want_ops.field_muls)
+            assert want_ops.ec_scalar_muls == 1
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1", "p256"])
+def test_multi_scalar_mul_tally_matches_recount(name):
+    # m terms share one run of doublings: well under m single TEMs
+    curve = _p256_curve() if name == "p256" else builtin_curve(name)
+    rng = random.Random("tally" + name)
+    n = curve.subgroup_order
+    for m in (1, 2, 9, 30):
+        terms = [(rng.randrange(n), scalar_mul(rng.randrange(1, n), curve.generator, curve))
+                 for _ in range(m)]
+        with MulCounter() as ops:
+            multi_scalar_mul(terms, curve)
+        with MulCounter() as single_ops:
+            for k, pt in terms:
+                scalar_mul(k, pt, curve)
+        assert ops.ec_scalar_muls == single_ops.ec_scalar_muls == m
+        assert ops.field_muls == _interleaved_muls(terms, curve)
+        if m > 2 and name != "test2017":
+            assert ops.field_muls < single_ops.field_muls / 2
+
+
+def test_multi_scalar_mul_refuses_bad_terms():
+    g = TEST2017.generator
+    off = TEST2017.point(0, 7)
+    for terms in ([(-1, g)], [(3, g), (-1, g)], [(3, off)], [(3, g), (5, off)]):
+        with MulCounter() as ops, pytest.raises(ValueError):
+            multi_scalar_mul(terms, TEST2017)
+        assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
+
+
+def test_curve_point_pickles_and_copies_as_an_immutable_equal():
+    import copy
+    import pickle
+
+    pts = [TEST2017.generator, TEST2017.point(0, 6), CurvePoint.infinity()]
+    for pt in pts:
+        for again in (pickle.loads(pickle.dumps(pt)), copy.copy(pt), copy.deepcopy(pt)):
+            assert again == pt and hash(again) == hash(pt)
+            assert again.is_infinity == pt.is_infinity
+            with pytest.raises(AttributeError, match="immutable"):
+                again.x = None
+    assert scalar_mul(5, copy.deepcopy(TEST2017.generator), TEST2017) == scalar_mul(
+        5, TEST2017.generator, TEST2017)
 
 
 # --- boundary decoder ----------------------------------------------------------------

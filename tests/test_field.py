@@ -139,6 +139,19 @@ def test_residue_reduced_and_immutable():
         el(1).residue = 5
 
 
+def test_field_element_pickles_and_copies_as_an_immutable_equal():
+    import copy
+    import pickle
+
+    for x in (el(0), el(16), FieldElement(2026, F2027)):
+        for again in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert again == x and hash(again) == hash(x)
+            assert again.modulus.byte_length == x.modulus.byte_length
+            with pytest.raises(AttributeError, match="immutable"):
+                again.residue = 5
+            assert (again * x).residue == x.residue**2 % x.modulus.value
+
+
 # --- axioms (randomized) ----------------------------------------------------
 
 @pytest.mark.parametrize("qv", [17, 2027, 37])

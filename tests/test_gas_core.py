@@ -36,6 +36,7 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
+from test_ec import _interleaved_muls
 
 CURVE = builtin_curve("test2017")
 
@@ -204,6 +205,22 @@ def test_decentralized_verify_rejects_corruption():
         bad_point = scalar_mul(rng.randrange(1, 37), config.curve.generator, CURVE)
     tampered = [PublicShare("U1", bad_point)] + public_shares[1:]
     assert not decentralized_verify(config, tampered)
+    # on secp160r1 the weights take the width-4 NAF: a tampered share, two
+    # members' points swapped, a negated share
+    rng = random.Random(19)
+    config, shares = gm_init(3, 5, builtin_curve("secp160r1"), rng)
+    _, public_shares = run_confirmation(config, shares)
+    assert decentralized_verify(config, public_shares)
+    first, second = public_shares[:2]
+    curve = config.curve
+    bad_point = scalar_mul(rng.randrange(1, curve.subgroup_order), curve.generator, curve)
+    negated = CurvePoint(first.point.x, -first.point.y)
+    for corrupt in (
+        [PublicShare(first.member_id, bad_point), second],
+        [PublicShare(first.member_id, second.point), PublicShare(second.member_id, first.point)],
+        [PublicShare(first.member_id, negated), second],
+    ):
+        assert not decentralized_verify(config, corrupt + public_shares[2:])
 
 
 def test_decentralized_verify_threshold_and_membership():
@@ -219,19 +236,35 @@ def test_decentralized_verify_threshold_and_membership():
         decentralized_verify(config, [public_shares[0]] * 3)
 
 
+def _lagrange_terms(config, received):
+    """(L_i(0), C_i) for each received share, the weights by hand."""
+    q = config.curve.subgroup_order
+    xs = [config.roster_x(ps.member_id).residue for ps in received]
+    terms = []
+    for i, ps in enumerate(received):
+        lam = 1
+        for j, x_j in enumerate(xs):
+            if j != i:
+                lam = lam * x_j * pow(x_j - xs[i], -1, q) % q
+        terms.append((lam, ps.point))
+    return terms
+
+
 @pytest.mark.parametrize(("curve", "t", "n", "counts"), [
-    ("test2017", 3, 7, (436, 7)),
-    ("secp160r1", 4, 9, (6653, 9)),
+    # m = n weights of 2m-1 multiplications each, and m TEMs
+    ("test2017", 3, 7, (7 * 13, 7)),
+    ("secp160r1", 4, 9, (9 * 17, 9)),
 ])
 def test_decentralized_verify_tally_pinned(curve, t, n, counts):
-    # m Lagrange weights of 2m-1 each, the m variable-base scalar mults and
-    # the m affine additions; the plain-int weights tally what the
-    # FieldElement ones did
+    # the weights, then one interleaved multi-scalar multiplication, whose
+    # tally is rebuilt from the weights' digits
     config, shares = gm_init(t, n, builtin_curve(curve), random.Random(41))
     _, public_shares = run_confirmation(config, shares)
     with MulCounter() as ops:
         assert decentralized_verify(config, public_shares)
-    assert (ops.field_muls, ops.ec_scalar_muls) == counts
+    weight_muls, tems = counts
+    interleaved = _interleaved_muls(_lagrange_terms(config, public_shares), config.curve)
+    assert (ops.field_muls, ops.ec_scalar_muls) == (weight_muls + interleaved, tems)
 
 
 def test_decentralized_accepts_when_gm_accepts():
@@ -580,7 +613,10 @@ def test_wired_session_counts_pinned():
         ]
     assert opened == rotation.shares
     assert ops.ec_scalar_muls == m * m + 2 * m + 2 == 82
-    assert ops.field_muls == 5138
+    # every step but decentralized_verify tallies 4624; that one, its m
+    # weights of 2m - 1 and its interleaved sum, recounted
+    interleaved = _interleaved_muls(_lagrange_terms(config, received), CURVE)
+    assert ops.field_muls == 4624 + m * (2 * m - 1) + interleaved
 
 
 def test_config_dict_roundtrip():
