@@ -14,8 +14,7 @@ threat model:
 * verifier flooding - congestion at the confirmation point, measured as
   queue depth and authentication-time inflation;
 * eavesdropping - a transcript byte-scan showing no secret material in
-  the clear (a structural smoke test, not a proof), plus a brute-force
-  discrete-log oracle whose cost grows with the subgroup order.
+  the clear (a structural smoke test, not a proof).
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gas_core, gas_harn, sim, wire
-from .ec import CurvePoint, add, builtin_curve, scalar_mul
-from .field import FieldElement, Prime, lagrange_coeff
+from .ec import add, builtin_curve, scalar_mul
 from .gas_core import (
     MemberState,
     PeerAuthenticationError,
     PublicShare,
     UnknownMemberError,
 )
-from .sss import issue_shares, sample_polynomial, verify_commitment
+from .sss import verify_commitment
 
 __all__ = [
     "ATTACK_NAMES",
@@ -44,8 +42,6 @@ __all__ = [
     "flood_congestion",
     "eavesdrop_secrecy_check",
     "build_honest_transcript",
-    "discrete_log_steps",
-    "dlog_hardness_growth",
     "run_attack",
 ]
 
@@ -63,8 +59,7 @@ class AdversaryScript:
     target: str | None = None
 
     def __post_init__(self) -> None:
-        base = self.capability.split("(", 1)[0]
-        if base not in _CAPABILITIES:
+        if self.capability not in _CAPABILITIES:
             raise ValueError(f"unknown capability {self.capability!r}")
 
 
@@ -313,32 +308,6 @@ def node_compromise(
     )
 
 
-def threshold_boundary_consistent(
-    q_value: int = 37, t: int = 3, seed: int = 3
-) -> bool:
-    """Theorem-1 boundary: with t-1 shares every candidate secret has a
-    consistent polynomial of degree <= t-1 (checked constructively)."""
-    q = Prime(q_value)
-    rng = random.Random(seed)
-    poly = sample_polynomial(t, q.random_element(rng), rng)
-    xs = [FieldElement(i + 1, q) for i in range(t - 1)]
-    observed_shares = issue_shares(poly, xs)
-    nodes = [FieldElement(0, q)] + xs
-    for candidate in range(q_value):
-        # interpolate through (0, candidate) and the observed shares; the
-        # result is a degree <= t-1 polynomial hitting every observed point
-        ys = [FieldElement(candidate, q)] + [s.y for s in observed_shares]
-        value_at = lambda x: sum(
-            (ys[i] * lagrange_coeff(i, nodes, x) for i in range(len(nodes))),
-            FieldElement(0, q),
-        )
-        if any(value_at(s.x) != s.y for s in observed_shares):
-            return False
-        if value_at(FieldElement(0, q)).residue != candidate:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Verifier flooding (Vulnerability 3)
 
@@ -376,7 +345,7 @@ def flood_congestion(m: int = 30, seed: int = 9) -> Finding:
 
 
 # ---------------------------------------------------------------------------
-# Eavesdropping: transcript secrecy scan + discrete-log oracle
+# Eavesdropping: transcript secrecy scan
 
 def build_honest_transcript(
     scheme: str = "proposed",
@@ -478,39 +447,6 @@ def eavesdrop_secrecy_check(
         observed=observed,
         notes=notes,
     )
-
-
-def discrete_log_steps(target: CurvePoint, curve) -> tuple[int, int]:
-    """Brute-force k with k*P = target; returns (k, multiples tried)."""
-    acc = CurvePoint.infinity()
-    steps = 0
-    k = 0
-    while True:
-        if acc == target:
-            return k, steps
-        acc = add(acc, curve.generator, curve)
-        k += 1
-        steps += 1
-        if k > (curve.subgroup_order or curve.order or 10**6):
-            raise ValueError("target not in the generator's subgroup")
-
-
-def dlog_hardness_growth(seed: int = 31, samples: int = 8) -> dict:
-    """Mean brute-force cost on two subgroup sizes; grows with the order."""
-    rng = random.Random(seed)
-    out = {}
-    for name in ("toy5", "test2017"):
-        curve = builtin_curve(name)
-        order = curve.subgroup_order
-        total = 0
-        for _ in range(samples):
-            k = rng.randrange(1, order)
-            _, steps = discrete_log_steps(
-                scalar_mul(k, curve.generator, curve), curve
-            )
-            total += steps
-        out[name] = {"subgroup_order": order, "mean_steps": total / samples}
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def _scenario_from_args(args) -> sim.Scenario:
 
 def _write_events(path: str, reports: list[sim.SimReport]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([rep.to_dict(include_events=True) for rep in reports], fh, indent=1)
+        json.dump([rep.to_dict() for rep in reports], fh, indent=1)
 
 
 def _cmd_simulate(args) -> int:
@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", default="10,50")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (output order is deterministic)")
+                   help="worker processes, at most one per simulated run; output order is fixed")
     p.add_argument("--events", default=None)
     p.set_defaults(func=_cmd_sweep)
 

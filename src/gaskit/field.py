@@ -257,10 +257,6 @@ class FieldElement:
         tally_muls(1)
         return FieldElement(self.residue * other.residue, self.modulus)
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inv()
-
     def __neg__(self) -> "FieldElement":
         return FieldElement(-self.residue, self.modulus)
 

@@ -198,8 +198,8 @@ def harn_init(
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t} n={n}")
     q = modulus.q
-    if n >= q.value:
-        raise ValueError(f"group size {n} does not fit in F_{q.value}")
+    if n + 2 > q.value:  # n member x's and two w's, all distinct
+        raise ValueError(f"group size {n} does not fit in F_{q.value} beside w_1 and w_2")
     f1 = sample_polynomial(t, q.random_element(rng), rng)
     f2 = sample_polynomial(t, q.random_element(rng), rng)
     xs = [FieldElement(i + 1, q) for i in range(n)]

@@ -225,14 +225,8 @@ class SimReport:
                 return rep
         return self.per_node[0]
 
-    def to_dict(self, include_events: bool = False) -> dict:
-        data = asdict(self)
-        if not include_events:
-            del data["events"]
-        return data
-
-    def to_json(self, include_events: bool = False) -> str:
-        return json.dumps(self.to_dict(include_events), sort_keys=True)
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def csv_row(self) -> str:
         rep = self.representative_member()
@@ -585,10 +579,12 @@ def sweep(
     A scheme is one of `SCHEME_CHOICES`, run in the simulator, or "chien",
     whose rows come from the cost model (`chien_model_row`).  Unknown names
     raise ScenarioError before any run.  The reports are those of the
-    simulator runs only, in row order.  `jobs` > 1 runs the simulator in
-    parallel worker processes; each run has an isolated rng, so the output
-    does not depend on it.
+    simulator runs only, in row order.  `jobs` > 1 runs them in parallel
+    worker processes, at most one per run; `jobs` < 1 raises ValueError.
+    Each run has an isolated rng, so the output does not depend on `jobs`.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     bad = [s for s in schemes if s != "chien" and s not in SCHEME_CHOICES]
     if bad:
         raise ScenarioError(f"unknown schemes {bad}; valid: {list(SCHEME_CHOICES)} plus chien")
@@ -603,7 +599,7 @@ def sweep(
     if jobs > 1 and len(scenarios) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
             reports = list(pool.map(run, scenarios))
     else:
         reports = [run(scn) for scn in scenarios]

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, Prime, json_int, json_object, json_str, lagrange_coeff_at_zero
+from .field import FieldElement, Prime, lagrange_coeff_at_zero
 
 __all__ = [
     "ThresholdError",
@@ -27,8 +26,6 @@ __all__ = [
     "reconstruct",
     "commit",
     "verify_commitment",
-    "write_shares",
-    "read_shares",
 ]
 
 _REDRAW_LIMIT = 1000
@@ -187,36 +184,3 @@ def dealer_polynomial_with_nonzero_shares(
         f" over F_{secret_field.value}"
     )
 
-
-# ---------------------------------------------------------------------------
-# Share file format: JSON lines, one record per member.
-
-def write_shares(fh, shares: list[Share]) -> None:
-    for share in shares:
-        fh.write(
-            json.dumps(
-                {
-                    "member_id": share.member_id,
-                    "x": str(share.x.residue),
-                    "y": str(share.y.residue),
-                }
-            )
-            + "\n"
-        )
-
-
-def read_shares(fh, modulus: Prime) -> list[Share]:
-    shares = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json_object(json.loads(line), "share record", ("member_id", "x", "y"))
-        shares.append(
-            Share(
-                x=modulus.element(json_int(rec["x"], "x")),
-                y=modulus.element(json_int(rec["y"], "y")),
-                member_id=json_str(rec["member_id"], "member_id"),
-            )
-        )
-    return shares

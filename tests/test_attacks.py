@@ -5,17 +5,13 @@ import pytest
 from gaskit.attacks import (
     AdversaryScript,
     build_honest_transcript,
-    discrete_log_steps,
-    dlog_hardness_growth,
     dos_invalid_share,
     eavesdrop_secrecy_check,
     flood_congestion,
     node_compromise,
     replay_attack,
     run_attack,
-    threshold_boundary_consistent,
 )
-from gaskit.ec import builtin_curve, scalar_mul
 
 
 def test_adversary_script_validation():
@@ -74,11 +70,6 @@ def test_node_compromise_defeated_by_exclusion_rotation():
     assert finding.observed["post_rotation_rejected"] is True
 
 
-def test_threshold_boundary_enumeration():
-    assert threshold_boundary_consistent(q_value=37, t=3)
-    assert threshold_boundary_consistent(q_value=37, t=2)
-
-
 def test_eavesdrop_clean_run_has_no_leaks():
     frames, secrets, _ = build_honest_transcript("proposed", m=4, t=3)
     finding = eavesdrop_secrecy_check(frames, secrets)
@@ -103,16 +94,6 @@ def test_harn_transcript_exposes_e_but_not_c():
     assert finding.observed["leak_count"] == 0
     blob = b"".join(frames)
     assert all(e_bytes in blob for e_bytes in public.values())
-
-
-def test_discrete_log_oracle_and_growth():
-    curve = builtin_curve("test2017")
-    k, steps = discrete_log_steps(scalar_mul(19, curve.generator, curve), curve)
-    assert k == 19 and steps == 19
-    growth = dlog_hardness_growth()
-    assert growth["toy5"]["subgroup_order"] == 3
-    assert growth["test2017"]["subgroup_order"] == 37
-    assert growth["test2017"]["mean_steps"] > 4 * growth["toy5"]["mean_steps"]
 
 
 def test_flood_congestion_metrics():

@@ -381,6 +381,7 @@ SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
     pytest.param(("demo",), "x", "GAS_SEED must be an integer, got 'x'", id="gas-seed-x"),
     pytest.param(("simulate", "--scheme", "harn", "--m", "4", "--harn", "{dir}/nope.json"),
                  None, "gaskit: file not found: {dir}/nope.json", id="simulate-harn-missing"),
+    pytest.param(("sweep", "--jobs", "0"), None, "jobs must be >= 1, got 0", id="sweep-jobs-0"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv, env,
                                                problem):

@@ -397,9 +397,9 @@ def _ref_add(p1, p2, curve):
             return CurvePoint.infinity()
         two = FieldElement(2, curve.modulus)
         three = FieldElement(3, curve.modulus)
-        lam = (three * p1.x * p1.x + curve.a) / (two * p1.y)
+        lam = (three * p1.x * p1.x + curve.a) * (two * p1.y).inv()
     else:
-        lam = (p2.y - p1.y) / (p2.x - p1.x)
+        lam = (p2.y - p1.y) * (p2.x - p1.x).inv()
     x3 = lam * lam - p1.x - p2.x
     y3 = lam * (p1.x - x3) - p1.y
     return CurvePoint(x3, y3)

@@ -272,6 +272,11 @@ def test_init_validation():
         harn_init(5, 3, TINY, rng)
     with pytest.raises(ValueError, match="does not fit"):
         harn_init(2, 11, TINY, rng)
+    # 10 member x's leave one residue of F_11 for the two points w_1, w_2
+    with pytest.raises(ValueError, match="group size 10 does not fit in F_11 beside"):
+        harn_init(2, 10, TINY, rng)
+    params, _ = harn_init(2, 9, TINY, rng)
+    assert {params.w1.residue, params.w2.residue} == {0, 10}
 
 
 def test_member_cost_grows_linearly_with_roster():

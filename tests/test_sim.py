@@ -83,9 +83,9 @@ def test_the_scheme_fixes_the_verifier():
 def test_byte_identical_reports(scheme):
     a = sim.run(tiny(scheme, seed=42))
     b = sim.run(tiny(scheme, seed=42))
-    assert a.to_json(include_events=True) == b.to_json(include_events=True)
+    assert a.to_dict() == b.to_dict()
     c = sim.run(tiny(scheme, seed=43))
-    assert c.to_json() != a.to_json()
+    assert c.to_dict() != a.to_dict()
 
 
 @pytest.mark.parametrize("scheme", ["proposed-centralized", "proposed-decentralized", "harn"])
@@ -286,6 +286,50 @@ def test_sweep_parallel_matches_sequential():
     rows_seq, _ = sim.sweep(["proposed-centralized", "harn"], [3, 5], base, jobs=1)
     rows_par, _ = sim.sweep(["proposed-centralized", "harn"], [3, 5], base, jobs=2)
     assert rows_par == rows_seq
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool `sweep` opens; runs map in-process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_sweep_starts_at_most_one_worker_per_run(pool_sizes):
+    base = tiny(seed=5)
+    schemes = ["proposed-centralized", "chien", "harn"]
+    rows_seq, reports_seq = sim.sweep(schemes, [3, 5], base, jobs=1)
+    assert pool_sizes == []
+    # four simulator runs: chien's rows come from the cost model
+    rows_par, reports_par = sim.sweep(schemes, [3, 5], base, jobs=5000)
+    assert pool_sizes == [4]
+    assert rows_par == rows_seq and reports_par == reports_seq
+    sim.sweep(["harn"], [3, 4, 5], base, jobs=2)
+    assert pool_sizes == [4, 2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_refuses_jobs_below_one(pool_sizes, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        sim.sweep(["proposed-centralized"], [3, 5], tiny(), jobs=jobs)
+    assert pool_sizes == []
 
 
 def test_single_member_group():

@@ -1,8 +1,6 @@
 """Secret sharing: frozen examples, round trips, exhaustive threshold secrecy."""
 
-import io
 import random
-import re
 
 import pytest
 
@@ -14,11 +12,9 @@ from gaskit.sss import (
     commit,
     dealer_polynomial_with_nonzero_shares,
     issue_shares,
-    read_shares,
     reconstruct,
     sample_polynomial,
     verify_commitment,
-    write_shares,
 )
 
 F17 = Prime(17)
@@ -218,42 +214,3 @@ def test_dealer_avoids_zero_shares():
         assert all(s.y.residue != 0 for s in shares)
         assert reconstruct(shares[:3], 3) == poly.secret
 
-
-# --- share file format -----------------------------------------------------------
-
-def test_share_file_roundtrip():
-    shares = issue_shares(poly_5_3(), [el(1), el(2)])
-    buf = io.StringIO()
-    write_shares(buf, shares)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 2
-    assert '"member_id"' in lines[0]
-    buf.seek(0)
-    again = read_shares(buf, F17)
-    assert again == shares
-
-
-def test_read_shares_rejects_values_outside_the_field():
-    # x = 18 and y = 20 would load as 1 and 3 mod 17
-    for x, y in ((18, 3), (1, 20), (1, 17), (-1, 3), (1, -1)):
-        line = f'{{"member_id": "U1", "x": "{x}", "y": "{y}"}}\n'
-        with pytest.raises(ValueError, match="out of field range"):
-            read_shares(io.StringIO(line), F17)
-
-
-@pytest.mark.parametrize("bad", [1.9, "true"])
-def test_read_shares_rejects_non_integer_numbers(bad):
-    # int() would load x = 1.9 and x = true both as 1
-    line = f'{{"member_id": "U1", "x": {bad}, "y": "3"}}\n'
-    with pytest.raises(ValueError, match="x must be an integer"):
-        read_shares(io.StringIO(line), F17)
-
-
-@pytest.mark.parametrize(("line", "problem"), [
-    ("[1, 2]", "share record must be a JSON object, got list"),
-    ('{"member_id": "U1", "x": "1"}', "share record missing fields: ['y']"),
-    ('{"member_id": 5, "x": "1", "y": "3"}', "member_id must be a string, got 5"),
-])
-def test_read_shares_refuses_malformed_records(line, problem):
-    with pytest.raises(ValueError, match=re.escape(problem)):
-        read_shares(io.StringIO(line + "\n"), F17)
