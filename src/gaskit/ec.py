@@ -19,7 +19,7 @@ call.  There are two loops:
   `_NAF_MIN_BITS` (32) bits or more, or as binary digits when shorter, on
   which the table costs more than it saves.  All terms' mixed additions
   run under one shared sequence of doublings, and one batch inversion
-  returns every term's table to affine.
+  (`field.batch_inverse`) returns every term's table to affine.
 
 Where a = -3 mod p (secp160r1, P-256), a loop with a NAF term doubles with
 the cheaper a = -3 formula.
@@ -46,8 +46,8 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, MulCounter, Prime, active_counter, cached_prime, json_int, json_object,
-    json_str, tally_muls,
+    FieldElement, MulCounter, Prime, _reduced, active_counter, batch_inverse, cached_prime,
+    json_int, json_object, json_str, tally_muls,
 )
 
 __all__ = [
@@ -113,6 +113,14 @@ class CurvePoint:
 _set_x = CurvePoint.x.__set__
 _set_y = CurvePoint.y.__set__
 _INFINITY = CurvePoint(None, None)
+
+
+def _point(x: FieldElement, y: FieldElement) -> CurvePoint:
+    """The finite point (x, y) of two coordinates, without `__init__`'s check."""
+    pt = object.__new__(CurvePoint)
+    _set_x(pt, x)
+    _set_y(pt, y)
+    return pt
 
 
 @dataclass(frozen=True)
@@ -189,13 +197,20 @@ def validate_point(x: FieldElement, y: FieldElement, curve: CurveParams) -> Curv
     """The affine point (x, y) read from the wire or a file.
 
     The coordinates come from `Prime.element` or `Prime.from_bytes`, which
-    hold the range and width checks; ValueError unless the point is on the
-    curve.  Infinity has no affine encoding, so it never passes.
+    hold the range and width checks; ValueError unless both are elements of
+    the curve's field and satisfy its equation, tested on their residues
+    before the point is built.  Infinity has no affine encoding, so it never
+    passes.
     """
-    pt = CurvePoint(x, y)
-    if not is_on_curve(pt, curve):
-        raise ValueError(f"point ({x.residue}, {y.residue}) is off-curve")
-    return pt
+    p = curve.modulus.value
+    xr, yr = x.residue, y.residue
+    if (
+        x.modulus.value != p
+        or y.modulus.value != p
+        or (yr * yr - (xr * xr + curve.a.residue) * xr - curve.b.residue) % p
+    ):
+        raise ValueError(f"point ({xr}, {yr}) is off-curve")
+    return _point(x, y)
 
 
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
@@ -347,25 +362,6 @@ def _naf4(k: int) -> list[tuple[int, int]]:
     return digits
 
 
-def _batch_inverse(zs: list[int], p: int) -> list[int]:
-    """1/z mod p for each z, 0 for z = 0, from one inversion.
-
-    Montgomery's trick: 3 multiplications per nonzero z.
-    """
-    prefix, acc = [], 1
-    for z in zs:
-        prefix.append(acc)
-        if z:
-            acc = acc * z % p
-    inv = pow(acc, -1, p)
-    out = [0] * len(zs)
-    for i in reversed(range(len(zs))):
-        if zs[i]:
-            out[i] = inv * prefix[i] % p
-            inv = inv * zs[i] % p
-    return out
-
-
 def _odd_multiples(
     points: list[tuple[int, int]], a: int, p: int
 ) -> tuple[list[list[tuple[int, int] | None]], int]:
@@ -398,7 +394,7 @@ def _odd_multiples(
             X, Y, Zi, m = _madd(X, Y, Zi, X2, Y2, a_iso, p)
             jacobian.append((table, d, X, Y, Zi * Z % p))
             muls += m
-    z_invs = _batch_inverse([Z for *_, Z in jacobian], p)
+    z_invs = batch_inverse([Z for *_, Z in jacobian], p)
     for (table, d, X, Y, Z), z_inv in zip(jacobian, z_invs):
         if Z:
             x, y = _scale_to_affine(X, Y, z_inv, p)
@@ -430,35 +426,41 @@ def _interleaved(
     else:
         muls = 0
         dbl, dbl_muls = _double, _DOUBLE_MULS
-    adds = []  # (position, -term index, affine addend)
+    adds = []  # (position, -term index, affine addend); a term's in descending position
     top = 0
     for i, (k, x, y) in enumerate(terms):
         bits = k.bit_length()
         if bits >= _NAF_MIN_BITS:
             table = next(tables)
             digits = _naf4(k)
-            adds += [(pos, -i, *table[d]) for pos, d in digits if table[d] is not None]
+            adds += [(pos, -i, *table[d]) for pos, d in reversed(digits) if table[d] is not None]
             top = max(top, digits[-1][0])
         else:
-            adds += [(pos, -i, x, y) for pos in range(bits) if k >> pos & 1]
+            adds += [(pos, -i, x, y) for pos in range(bits - 1, -1, -1) if k >> pos & 1]
             top = max(top, bits - 1)
-    adds.sort(reverse=True)  # from the top position down, in term order within one
+    if len(terms) > 1:
+        adds.sort(reverse=True)  # merge the terms, in term order within one position
     muls += dbl_muls * top
     X, Y, Z = 1, 1, 0
     at = top  # the digit position the running point has reached
     for pos, _, x2, y2 in adds:
-        for _ in range(at - pos):
+        while at > pos:
             X, Y, Z = dbl(X, Y, Z, a, p)
-        at = pos
+            at -= 1
         X, Y, Z, m = _madd(X, Y, Z, x2, y2, a, p)
         muls += m
-    for _ in range(at):
+    while at:
         X, Y, Z = dbl(X, Y, Z, a, p)
+        at -= 1
     return X, Y, Z, muls
 
 
 def _fixed_base(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
-    """k * G from the generator table: (X, Y, Z, muls)."""
+    """k * G from the generator table: (X, Y, Z, muls).
+
+    The general case of `_madd` runs inline; the first addition (Z = 0) and
+    P + P or P + (-P) (H = 0) go through `_madd` itself.
+    """
     p, a = curve.modulus.value, curve.a.residue
     mask = (1 << _WINDOW) - 1
     k %= curve.subgroup_order
@@ -467,9 +469,24 @@ def _fixed_base(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
     for row in curve._generator_table:
         entry = row[k & mask]
         k >>= _WINDOW
-        if entry is not None:
-            X, Y, Z, m = _madd(X, Y, Z, *entry, a, p)
-            muls += m
+        if entry is None:
+            continue
+        x2, y2 = entry
+        if Z:
+            ZZ = Z * Z % p
+            H = (x2 * ZZ - X) % p
+            if H:
+                R = (y2 * Z * ZZ - Y) % p
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X = (R * R - HHH - 2 * V) % p
+                Y = (R * (V - X) - Y * HHH) % p
+                Z = Z * H % p
+                muls += _MADD_MULS
+                continue
+        X, Y, Z, m = _madd(X, Y, Z, x2, y2, a, p)
+        muls += m
     return X, Y, Z, muls
 
 
@@ -531,13 +548,15 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
-    _require_on_curve(pt, curve)
+    generator = pt is curve.generator or pt == curve.generator
+    if not generator:  # the generator was checked when the curve was built
+        _require_on_curve(pt, curve)
     counter = active_counter()
     if counter is not None:
         counter.ec_scalar_muls += 1
     if k == 0 or pt.is_infinity:
         return _INFINITY
-    if curve.subgroup_order is not None and pt == curve.generator:
+    if generator and curve.subgroup_order is not None:
         X, Y, Z, muls = _fixed_base(k, curve)
     else:
         X, Y, Z, muls = _interleaved(
@@ -552,11 +571,14 @@ def multi_scalar_mul(
     """sum k_i * P_i over terms (k_i, P_i).  Records one TEM per term.
 
     Every k_i >= 0 and every P_i on the curve, or ValueError; no k_i is
-    reduced, and the generator gets no fixed-base path here.  Each term is
-    recoded as in `scalar_mul`'s variable base, and all terms' mixed
-    additions run under one shared sequence of doublings (Straus 1964;
-    Moller, SAC 2001): about 160 doublings for m secp160r1 weights, instead
-    of 160 m.  One batch inversion returns every NAF term's 3P, 5P and 7P to
+    reduced or negated, and the generator gets no fixed-base path here.  A
+    caller whose points all have prime order n can pass a k above n/2 as the
+    shorter term (n - k, -P), as `gas_core.decentralized_verify` does with
+    its Lagrange weights.  Each term is recoded as in `scalar_mul`'s
+    variable base, and all terms' mixed additions run under one shared
+    sequence of doublings (Straus 1964; Moller, SAC 2001): about 160
+    doublings for m random secp160r1 scalars, instead of 160 m.  One batch
+    inversion returns every NAF term's 3P, 5P and 7P to
     affine, and one more the sum.  Tallies, once on return, 71 per NAF
     term's table on an a = -3 curve (73 otherwise), 8 or 10 per shared
     doubling, 11 per mixed addition and 4 to return to affine.  A one-term
@@ -581,11 +603,12 @@ def _affine_result(
     X: int, Y: int, Z: int, muls: int, curve: CurveParams, counter: MulCounter | None
 ) -> CurvePoint:
     """The affine point of (X : Y : Z); tallies muls and the return to affine."""
-    xy = _to_affine(X, Y, Z, curve.modulus.value)
+    fp = curve.modulus
+    xy = _to_affine(X, Y, Z, fp.value)
     if xy is None:
         result = _INFINITY
     else:
-        result = curve.point(*xy)
+        result = _point(_reduced(xy[0], fp), _reduced(xy[1], fp))
         muls += _TO_AFFINE_MULS
     if counter is not None:
         counter.field_muls += muls

@@ -28,7 +28,7 @@ from .ec import (
     scalar_mul, validate_point,
 )
 from .field import (
-    FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weight,
+    FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weights,
 )
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff_at_zero  # noqa: F401
@@ -132,16 +132,24 @@ class SymmetricKey:
             raise ValueError("key must be 32 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PublicShare:
-    """Broadcast confirmation value f(x_i)*P together with the sender id."""
+    """Broadcast confirmation value f(x_i)*P together with the sender id.
+
+    Frozen, with the generated eq, hash and repr.  `__init__` is written
+    out: it fills the instance dict directly, where the generated one calls
+    `object.__setattr__` once per field.
+    """
 
     member_id: str
     point: CurvePoint
 
-    def __post_init__(self) -> None:
-        if self.point.is_infinity:
+    def __init__(self, member_id: str, point: CurvePoint) -> None:
+        if point.x is None:
             raise ValueError("public share point must not be infinity")
+        fields = self.__dict__
+        fields["member_id"] = member_id
+        fields["point"] = point
 
 
 @dataclass(frozen=True)
@@ -215,10 +223,10 @@ class MemberState:
 
         A different point under an id already held raises
         `PeerAuthenticationError` naming that id: the stored point may
-        already have keyed a pairwise channel.
+        already have keyed a pairwise channel.  The point is not checked
+        again: a decoded share passed `validate_point`, and one built in
+        process comes from `scalar_mul`.
         """
-        if not is_on_curve(ps.point, self.config.curve):
-            raise ValueError(f"public share from {ps.member_id} is off-curve")
         self.config.roster_x(ps.member_id)  # raises UnknownMemberError
         held = self.received_public_shares.setdefault(ps.member_id, ps)
         if held is not ps and held.point != ps.point:
@@ -314,9 +322,9 @@ def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, Publi
             f"public-share frame of epoch {frame.epoch}, config is epoch {config.epoch}"
         )
     fp = config.curve.modulus
-    x, y = map(fp.from_bytes, wire.decode_point_payload(frame.payload))
-    point = validate_point(x, y, config.curve)
-    return frame.epoch, PublicShare(member_id=frame.member_id, point=point)
+    x, y = wire.decode_point_payload(frame.payload)
+    point = validate_point(fp.from_bytes(x), fp.from_bytes(y), config.curve)
+    return frame.epoch, PublicShare(frame.member_id, point)
 
 
 def gm_verify(
@@ -349,9 +357,13 @@ def gm_verify(
 def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bool:
     """GM-less confirmation: sum(L_i(0) * f(x_i)P) must equal Q.
 
-    The Lagrange coefficients are computed in the curve's scalar field, so
-    they are already reduced for scalar multiplication.  The m products and
-    their sum are one `multi_scalar_mul`: m TEMs under shared doublings.
+    The m weights L_i(0) come from one `lagrange_weights` call in the
+    curve's scalar field q.  A weight w above q/2 enters as the term
+    (q - w, -f(x_i)P), the same product for a point of order q.  With the
+    default roster x = 1..m, L_i(0) = +-C(m, i), so on secp160r1 every
+    term's scalar is then C(m, i), at most 2^(m-1), where about half of them
+    would be as long as q.  The m terms and their sum are one
+    `multi_scalar_mul`: m TEMs under shared doublings.
     """
     m = len(received)
     if m < config.threshold:
@@ -366,7 +378,10 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
         if not is_on_curve(ps.point, config.curve):
             raise ValueError(f"public share from {ps.member_id} is off-curve")
     q = config.scalar_field.value
-    terms = [(lagrange_weight(i, xs, 0, q), ps.point) for i, ps in enumerate(received)]
+    terms = []
+    for w, ps in zip(lagrange_weights(xs, 0, q), received):
+        pt = ps.point
+        terms.append((q - w, CurvePoint(pt.x, -pt.y)) if w > q >> 1 else (w, pt))
     return multi_scalar_mul(terms, config.curve) == config.group_public_key
 
 
@@ -377,8 +392,6 @@ def derive_pairwise_key(
     own: Share, peer: PublicShare, config: GroupConfig
 ) -> SymmetricKey:
     """ECDH: K from the shared point y_i * (y_j P), plus the sorted id pair."""
-    if not is_on_curve(peer.point, config.curve):
-        raise ValueError(f"peer point from {peer.member_id} is off-curve")
     shared = scalar_mul(own.y.residue, peer.point, config.curve)
     return pairwise_key(shared, own.member_id, peer.member_id)
 

@@ -318,6 +318,9 @@ class _Run:
                 rep.tmulq_count, scn.joules_per_tmulq, rep.bytes_tx, rep.bytes_rx
             )
             rep.compute_j, rep.radio_j, rep.total_j = spent.compute_j, spent.radio_j, spent.total_j
+        _require_finite(
+            scn, [auth_time, *self.node_busy.values()], [r.total_j for r in self.nodes.values()]
+        )
         return SimReport(
             scheme=scn.scheme,
             m=scn.m,
@@ -334,6 +337,22 @@ class _Run:
             channel_bytes_delivered=self.channel_rx,
             max_verifier_queue=self.max_queue,
             events=self.events,
+        )
+
+
+def _require_finite(scn: Scenario, times: list[float], joules: list[float]) -> None:
+    """ScenarioError naming the field whose finite value made a result overflow.
+
+    Every time is work / `compute_rate` plus airtime, and every energy is
+    `joules_per_tmulq` times a count, so an infinite one comes from that field.
+    """
+    if not all(map(math.isfinite, times)):
+        raise ScenarioError(
+            f"compute_rate {scn.compute_rate!r} is too small: the run's times overflow"
+        )
+    if not all(map(math.isfinite, joules)):
+        raise ScenarioError(
+            f"joules_per_tmulq {scn.joules_per_tmulq!r} is too large: the run's energy overflows"
         )
 
 
@@ -633,6 +652,7 @@ def chien_model_row(m: int, base: Scenario | None = None) -> str:
     spent = cost_model.energy(
         tmulq, scn.joules_per_tmulq, frame_len(ids[0]), sum(frame_len(mid) for mid in ids[1:])
     )
+    _require_finite(scn, [auth_time], [spent.total_j])
     return cost_model.csv_row("chien", m, tmulq, spent, auth_time)
 
 

@@ -12,7 +12,8 @@ Payloads::
     verdict         := accepted:u8                          (type VERDICT)
 
 `decode_frame` returns a `Frame`, an immutable `NamedTuple` of the four
-header and payload fields.
+header and payload fields.  The decoders take `bytes` and return slices of
+it, so each field is copied once.
 """
 
 from __future__ import annotations
@@ -44,12 +45,19 @@ NONCE_LEN = 12
 
 _MSG_TYPES = (PUBLIC_SHARE, ENCRYPTED_SHARE, HARN_RELEASE, VERDICT)
 
+_HEADER = struct.Struct(">BIB")  # type, epoch, member id length
+_U16 = struct.Struct(">H")  # a length prefix
+
 
 class Frame(NamedTuple):
     msg_type: int
     epoch: int
     member_id: str
     payload: bytes
+
+
+# Builds a Frame from its four fields without the generated `__new__`.
+_new_frame = tuple.__new__
 
 
 def encode_frame(msg_type: int, epoch: int, member_id: str, payload: bytes) -> bytes:
@@ -60,40 +68,40 @@ def encode_frame(msg_type: int, epoch: int, member_id: str, payload: bytes) -> b
     mid = member_id.encode("utf-8")
     if len(mid) > 255:
         raise ValueError("member id longer than 255 bytes")
-    return struct.pack(">BIB", msg_type, epoch, len(mid)) + mid + payload
+    return _HEADER.pack(msg_type, epoch, len(mid)) + mid + payload
 
 
 def decode_frame(buf: bytes) -> Frame:
     if len(buf) < 6:
         raise ValueError("truncated frame header")
-    msg_type, epoch, mid_len = struct.unpack_from(">BIB", buf)
+    msg_type, epoch, mid_len = _HEADER.unpack_from(buf)
     if msg_type not in _MSG_TYPES:
         raise ValueError(f"unknown message type {msg_type}")
-    if len(buf) < 6 + mid_len:
+    end = 6 + mid_len
+    if len(buf) < end:
         raise ValueError("truncated member id")
-    member_id = buf[6 : 6 + mid_len].decode("utf-8")
-    return Frame(msg_type, epoch, member_id, bytes(buf[6 + mid_len :]))
+    return _new_frame(Frame, (msg_type, epoch, buf[6:end].decode(), buf[end:]))
 
 
 def encode_point_payload(x: bytes, y: bytes) -> bytes:
     """Used for both curve points (x, y) and Harn releases (x_i, e_i)."""
     if len(x) > 0xFFFF or len(y) > 0xFFFF:
         raise ValueError("field longer than u16 length prefix allows")
-    return struct.pack(">H", len(x)) + x + struct.pack(">H", len(y)) + y
+    return _U16.pack(len(x)) + x + _U16.pack(len(y)) + y
 
 
 def decode_point_payload(payload: bytes) -> tuple[bytes, bytes]:
-    if len(payload) < 2:
+    size = len(payload)
+    if size < 2:
         raise ValueError("truncated payload")
-    (x_len,) = struct.unpack_from(">H", payload)
+    (x_len,) = _U16.unpack_from(payload)
     off = 2 + x_len
-    if len(payload) < off + 2:
+    if size < off + 2:
         raise ValueError("truncated payload")
-    (y_len,) = struct.unpack_from(">H", payload, off)
-    end = off + 2 + y_len
-    if len(payload) != end:
+    (y_len,) = _U16.unpack_from(payload, off)
+    if size != off + 2 + y_len:
         raise ValueError("payload length mismatch")
-    return bytes(payload[2 : 2 + x_len]), bytes(payload[off + 2 : end])
+    return payload[2:off], payload[off + 2:]
 
 
 def encode_encrypted_payload(nonce: bytes, ciphertext: bytes) -> bytes:
@@ -101,15 +109,13 @@ def encode_encrypted_payload(nonce: bytes, ciphertext: bytes) -> bytes:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     if len(ciphertext) > 0xFFFF:
         raise ValueError("ciphertext longer than u16 length prefix allows")
-    return nonce + struct.pack(">H", len(ciphertext)) + ciphertext
+    return nonce + _U16.pack(len(ciphertext)) + ciphertext
 
 
 def decode_encrypted_payload(payload: bytes) -> tuple[bytes, bytes]:
     if len(payload) < NONCE_LEN + 2:
         raise ValueError("truncated encrypted payload")
-    nonce = bytes(payload[:NONCE_LEN])
-    (ct_len,) = struct.unpack_from(">H", payload, NONCE_LEN)
-    ct = bytes(payload[NONCE_LEN + 2 :])
-    if len(ct) != ct_len:
+    (ct_len,) = _U16.unpack_from(payload, NONCE_LEN)
+    if len(payload) != NONCE_LEN + 2 + ct_len:
         raise ValueError("ciphertext length mismatch")
-    return nonce, ct
+    return payload[:NONCE_LEN], payload[NONCE_LEN + 2:]

@@ -189,6 +189,26 @@ def test_simulate_non_finite_scenario_numbers_exit_2(capsys, tmp_path, number, p
     assert problem in err
 
 
+@pytest.mark.parametrize(("number", "problem"), [
+    ('"compute_rate": 5e-324', "compute_rate 5e-324 is too small"),
+    ('"joules_per_tmulq": 1e308', "joules_per_tmulq 1e+308 is too large"),
+])
+def test_simulate_overflowing_scenario_numbers_exit_2(capsys, tmp_path, number, problem):
+    # finite, but the run's times or joules overflow to inf, which the CSV
+    # would print as inf and the --events JSON as Infinity
+    path = tmp_path / "bad.json"
+    events = tmp_path / "events.json"
+    path.write_text('{"scheme": "proposed-centralized", "m": 4, '
+                    f'"curve_ref": "builtin:test2017", {number}}}')
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", str(path), "--events", str(events)
+    )
+    assert code == 2
+    assert out == ""
+    assert problem in err
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("name", ["bitrate", "gm_speedup", "radio_tmulq_per_byte",
                                   "tx_j_per_byte", "rx_j_per_byte", "max_retries",
                                   "backoff_slot_s", "verifier_policy", "battery"])

@@ -840,3 +840,9 @@ def test_validate_point_accepts_exactly_the_affine_points(curve):
         for bad in ((-1, y), (p, y), (x, -1), (x, p)):
             with pytest.raises(ValueError, match="out of field range"):
                 validate_point(*map(fp.element, bad), curve)
+    # the same residues as elements of another field are not on this curve
+    other = Prime(29)
+    for x, y in affine:
+        for xe, ye in ((other.element(x), fp.element(y)), (fp.element(x), other.element(y))):
+            with pytest.raises(ValueError, match="off-curve"):
+                validate_point(xe, ye, curve)

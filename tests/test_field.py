@@ -9,6 +9,7 @@ from gaskit.field import (
     FieldElement,
     MulCounter,
     Prime,
+    batch_inverse,
     is_probable_prime,
     json_array,
     json_int,
@@ -17,6 +18,7 @@ from gaskit.field import (
     lagrange_coeff,
     lagrange_coeff_at_zero,
     lagrange_weight,
+    lagrange_weights,
 )
 
 F17 = Prime(17)
@@ -119,6 +121,39 @@ def test_lagrange_weight_rejects_duplicates_and_bad_idx():
         lagrange_weight(-1, [1, 2], 0, 17)
     with pytest.raises(IndexError):
         lagrange_weight(0, [], 0, 17)
+
+
+def test_lagrange_weights_match_lagrange_weight():
+    # one batch inversion gives every weight of the set, each equal to
+    # lagrange_weight's, at 0, at any point and at a node; m^2 + 6m muls
+    rng = random.Random(37)
+    secp160_n = Prime(0x0100000000000000000001F4C8F927AED3CA752257)
+    for _ in range(300):
+        q = rng.choice([F17, Prime(37), F2027, secp160_n]).value
+        m = rng.randrange(1, 13)
+        xs = rng.sample(range(1, min(q, 10**6)), m)
+        at = rng.choice([0, rng.randrange(q), rng.choice(xs)])
+        want = [lagrange_weight(i, xs, at, q) for i in range(m)]
+        with MulCounter() as ops:
+            assert lagrange_weights(xs, at, q) == want
+        assert ops.field_muls == m * m + 6 * m
+    assert lagrange_weights([], 0, 17) == []
+
+
+def test_lagrange_weights_reject_duplicates():
+    with pytest.raises(ValueError, match="duplicate x-coordinate 3"):
+        lagrange_weights([3, 5, 20], 0, 17)  # 20 = 3 mod 17
+    with pytest.raises(ValueError, match="duplicate x-coordinate 5"):
+        lagrange_weights([1, 5, 2, 5], 0, 17)
+
+
+def test_batch_inverse_inverts_each_nonzero_and_keeps_zero():
+    rng = random.Random(3)
+    for p in (17, 2027, 0x0100000000000000000001F4C8F927AED3CA752257):
+        zs = [rng.randrange(p) for _ in range(20)] + [0, 1, p - 1]
+        rng.shuffle(zs)
+        assert batch_inverse(zs, p) == [pow(z, -1, p) if z else 0 for z in zs]
+    assert batch_inverse([], 17) == []
 
 
 # --- modulus discipline ----------------------------------------------------

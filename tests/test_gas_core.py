@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
 from gaskit.ec import CurvePoint, add, builtin_curve, curve_to_dict, load_curve, scalar_mul
-from gaskit.field import FieldElement, MulCounter
+from gaskit.field import FieldElement, MulCounter, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
     MemberState,
@@ -36,7 +36,7 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
-from test_ec import _interleaved_muls
+from test_ec import _interleaved_muls, _negate
 
 CURVE = builtin_curve("test2017")
 
@@ -223,6 +223,35 @@ def test_decentralized_verify_rejects_corruption():
         assert not decentralized_verify(config, corrupt + public_shares[2:])
 
 
+@pytest.mark.parametrize(("name", "t", "n", "flipped"), [
+    # x = 1..m, so L_i(0) = +-C(m, i): on secp160r1 every even x is q - C(m, i)
+    ("secp160r1", 15, 30, list(range(1, 30, 2))),
+    ("test2017", 3, 7, [2, 4, 5]),  # 35, 21 and 37 - 7 = 30, above 37/2
+])
+def test_decentralized_verify_tampered_share_in_a_flipped_term(name, t, n, flipped):
+    # a weight above q/2 enters as (q - w, -C_i); a share tampered in such a
+    # term, or replaced by its own negation, is still refused
+    rng = random.Random(59)
+    config, shares = gm_init(t, n, builtin_curve(name), rng)
+    _, public_shares = run_confirmation(config, shares)
+    assert decentralized_verify(config, public_shares)
+    curve, q = config.curve, config.curve.subgroup_order
+    xs = [config.roster_x(ps.member_id).residue for ps in public_shares]
+    assert [i for i, w in enumerate(lagrange_weights(xs, 0, q)) if 2 * w > q] == flipped
+    for i in flipped:
+        honest = public_shares[i]
+        shifted = add(honest.point, curve.generator, curve)
+        negated = CurvePoint(honest.point.x, -honest.point.y)
+        for bad in (shifted, negated):
+            tampered = list(public_shares)
+            tampered[i] = PublicShare(honest.member_id, bad)
+            assert not decentralized_verify(config, tampered)
+    # a t-subset holding flipped shares has other weights, and is accepted
+    chosen = [public_shares[i] for i in flipped[:t]]
+    chosen += [ps for j, ps in enumerate(public_shares) if j not in flipped][: t - len(chosen)]
+    assert decentralized_verify(config, chosen)
+
+
 def test_decentralized_verify_threshold_and_membership():
     _, config, shares = setup_group(t=3, n=5)
     _, public_shares = run_confirmation(config, shares)
@@ -237,7 +266,8 @@ def test_decentralized_verify_threshold_and_membership():
 
 
 def _lagrange_terms(config, received):
-    """(L_i(0), C_i) for each received share, the weights by hand."""
+    """The signed term of each received share, the weights by hand: (L_i(0),
+    C_i), or (q - L_i(0), -C_i) when L_i(0) > q/2."""
     q = config.curve.subgroup_order
     xs = [config.roster_x(ps.member_id).residue for ps in received]
     terms = []
@@ -246,18 +276,18 @@ def _lagrange_terms(config, received):
         for j, x_j in enumerate(xs):
             if j != i:
                 lam = lam * x_j * pow(x_j - xs[i], -1, q) % q
-        terms.append((lam, ps.point))
+        terms.append((q - lam, _negate(ps.point)) if 2 * lam > q else (lam, ps.point))
     return terms
 
 
 @pytest.mark.parametrize(("curve", "t", "n", "counts"), [
-    # m = n weights of 2m-1 multiplications each, and m TEMs
-    ("test2017", 3, 7, (7 * 13, 7)),
-    ("secp160r1", 4, 9, (9 * 17, 9)),
+    # m = n weights from one batch inversion, m^2 + 6m multiplications, and m TEMs
+    ("test2017", 3, 7, (7 * 7 + 6 * 7, 7)),
+    ("secp160r1", 4, 9, (9 * 9 + 6 * 9, 9)),
 ])
 def test_decentralized_verify_tally_pinned(curve, t, n, counts):
-    # the weights, then one interleaved multi-scalar multiplication, whose
-    # tally is rebuilt from the weights' digits
+    # the weights, then one interleaved multi-scalar multiplication of the
+    # signed terms, whose tally is rebuilt from their digits
     config, shares = gm_init(t, n, builtin_curve(curve), random.Random(41))
     _, public_shares = run_confirmation(config, shares)
     with MulCounter() as ops:
@@ -562,16 +592,37 @@ def test_public_share_frame_rejects_bad_points():
     )
     with pytest.raises(ValueError, match="out of field range"):
         public_share_from_frame(out_of_range, config)
+    pt = config.curve.generator
+    p = (2017).to_bytes(2, "big")  # fits the coordinate width; only the range refuses it
+    for x, y in ((p, pt.y.to_bytes()), (pt.x.to_bytes(), p)):
+        at_p = wire.encode_frame(wire.PUBLIC_SHARE, 1, "U1", wire.encode_point_payload(x, y))
+        with pytest.raises(ValueError, match="out of field range"):
+            public_share_from_frame(at_p, config)
     wrong_type = wire.encode_frame(wire.VERDICT, 1, "U1", b"\x01")
     with pytest.raises(ValueError, match="expected public-share"):
         public_share_from_frame(wrong_type, config)
-    pt = config.curve.generator
     padded = wire.encode_frame(  # an on-curve x with one extra leading zero byte
         wire.PUBLIC_SHARE, 1, "U1",
         wire.encode_point_payload(b"\x00" + pt.x.to_bytes(), pt.y.to_bytes()),
     )
     with pytest.raises(ValueError, match="bytes"):
         public_share_from_frame(padded, config)
+
+
+def test_public_share_is_immutable_hashable_and_never_infinity():
+    _, config, _ = setup_group()
+    point = scalar_mul(5, config.curve.generator, CURVE)
+    ps = PublicShare("U1", point)
+    assert ps == PublicShare(member_id="U1", point=scalar_mul(5, config.curve.generator, CURVE))
+    assert ps != PublicShare("U2", point) and ps != ("U1", point)
+    assert hash(ps) == hash(PublicShare("U1", point)) and len({ps, PublicShare("U1", point)}) == 1
+    assert repr(ps) == f"PublicShare(member_id='U1', point={point!r})"
+    with pytest.raises(AttributeError):
+        ps.member_id = "U2"
+    with pytest.raises(AttributeError):
+        ps.extra = 1
+    with pytest.raises(ValueError, match="infinity"):
+        PublicShare("U1", CurvePoint.infinity())
 
 
 def test_public_share_frame_of_another_epoch_is_refused():
@@ -614,9 +665,10 @@ def test_wired_session_counts_pinned():
     assert opened == rotation.shares
     assert ops.ec_scalar_muls == m * m + 2 * m + 2 == 82
     # every step but decentralized_verify tallies 4624; that one, its m
-    # weights of 2m - 1 and its interleaved sum, recounted
+    # weights from one batch inversion (m^2 + 6m) and its interleaved sum of
+    # signed terms, recounted
     interleaved = _interleaved_muls(_lagrange_terms(config, received), CURVE)
-    assert ops.field_muls == 4624 + m * (2 * m - 1) + interleaved
+    assert ops.field_muls == 4624 + m * m + 6 * m + interleaved
 
 
 def test_config_dict_roundtrip():

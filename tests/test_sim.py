@@ -43,6 +43,24 @@ def test_scenario_numbers_must_be_finite():
     )
 
 
+@pytest.mark.parametrize("scheme", ["harn", "proposed-centralized", "proposed-decentralized"])
+def test_overflowing_results_name_the_field(scheme):
+    # valid, finite numbers whose run times or joules overflow to inf
+    with pytest.raises(ScenarioError, match="compute_rate 5e-324 is too small"):
+        sim.run(tiny(scheme, compute_rate=5e-324))
+    with pytest.raises(ScenarioError, match="joules_per_tmulq 1e[+]308 is too large"):
+        sim.run(tiny(scheme, joules_per_tmulq=1e308))
+    # large but finite results still run
+    assert sim.run(tiny(scheme, compute_rate=1e-200)).auth_time_s > 1e200
+
+
+def test_overflowing_chien_row_names_the_field():
+    with pytest.raises(ScenarioError, match="compute_rate 5e-324 is too small"):
+        sim.chien_model_row(4, tiny(compute_rate=5e-324))
+    with pytest.raises(ScenarioError, match="joules_per_tmulq 1e[+]308 is too large"):
+        sim.sweep(["chien"], [4], tiny(joules_per_tmulq=1e308))
+
+
 def test_scenario_rejects_harn_flood_and_decentralized_gm():
     with pytest.raises(ScenarioError, match="slotted"):
         tiny("harn", schedule="flood").validate()
