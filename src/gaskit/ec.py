@@ -1,28 +1,36 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
 Points cross the API in affine coordinates (`CurvePoint` over
-`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul` and
-`multi_scalar_mul` work on plain integers in Jacobian coordinates with
-mixed addition and a single final inversion, record one TEM per scalar
-multiplication, and tally their field multiplications in bulk once per
-call.  There are two loops:
+`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul`,
+`multi_scalar_mul` and `scalar_mul_many` work on plain integers, record one
+TEM per scalar multiplication, and tally their field multiplications in
+bulk once per call.  There are three loops:
 
 * fixed base, for `scalar_mul` of the curve's own generator when
   `subgroup_order` is set: k is reduced mod n and split into 3-bit digits,
   and one precomputed affine point per nonzero digit is added, with no
   doublings.  The table (ceil(bitlen(n)/3) rows of 7 points; 54 rows,
   about 60 KB, for secp160r1) is built once per `CurveParams`, on the first
-  such call, and is held on that instance;
+  such call, and is held on that instance.  Tallies 11 per mixed addition
+  and 4 to return to affine;
 * interleaved, for `multi_scalar_mul`, sum k_i P_i, and for `scalar_mul`
   of any other point as its one term: each k_i is recoded as a width-4 NAF
   over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
   `_NAF_MIN_BITS` (32) bits or more, or as binary digits when shorter, on
   which the table costs more than it saves.  All terms' mixed additions
-  run under one shared sequence of doublings, and one batch inversion
-  (`field.batch_inverse`) returns every term's table to affine.
+  run under one shared sequence of Jacobian doublings, and one batch
+  inversion (`field.batch_inverse`) returns every term's table to affine.
+  Tallies 71 per NAF table on an a = -3 curve, 8 per doubling there and
+  10 otherwise, 11 per mixed addition and 4 to return to affine;
+* lockstep, for `scalar_mul_many`, k P_i for one k and many points (a
+  member's pairwise ECDH): k is recoded once, in the same way, and every
+  point runs its digits together in affine coordinates, each doubling or
+  addition taking all points' denominators from one inversion.  Tallies,
+  per point, 7 per doubling and 6 per addition, the NAF table being one
+  doubling and three additions.
 
-Where a = -3 mod p (secp160r1, P-256), a loop with a NAF term doubles with
-the cheaper a = -3 formula.
+Where a = -3 mod p (secp160r1, P-256), a Jacobian loop with a NAF term
+doubles with the cheaper a = -3 formula.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -58,6 +66,7 @@ __all__ = [
     "add",
     "scalar_mul",
     "multi_scalar_mul",
+    "scalar_mul_many",
     "brute_force_order",
     "builtin_curve",
     "load_curve",
@@ -258,6 +267,10 @@ _TO_AFFINE_MULS = 4  # x = X/Z^2, y = Y/Z^3 after one inversion
 # return to affine.
 _NAF_ISO_MULS = 6 + 3
 _NAF_ENTRY_MULS = 3 + _TO_AFFINE_MULS
+# Per point and step of `scalar_mul_many`'s affine lockstep: the formula,
+# then 3 for the point's share of the step's one batch inversion.
+_AFFINE_DOUBLE_MULS = 4 + 3  # lambda = (3x^2 + a) / 2y, then x3 and y3
+_AFFINE_ADD_MULS = 3 + 3  # lambda = (y2 - y) / (x2 - x), then x3 and y3
 
 # Digit width of the fixed-base path.  4-bit windows are faster still, but
 # then a secp160r1 TEM can tally fewer than a third of the modeled 1189
@@ -597,6 +610,111 @@ def multi_scalar_mul(
         return _INFINITY
     X, Y, Z, muls = _interleaved(ints, curve.a.residue, curve.modulus.value)
     return _affine_result(X, Y, Z, muls, curve, counter)
+
+
+def scalar_mul_many(k: int, points: list[CurvePoint], curve: CurveParams) -> list[CurvePoint]:
+    """[k * P for P in points], each what `scalar_mul(k, P, curve)` returns.
+
+    Records one TEM per point.  k >= 0 and every point on the curve, or
+    ValueError before any TEM is counted; k is not reduced, and fewer than
+    2 points are `scalar_mul` itself.  Otherwise k is recoded once, as in
+    `scalar_mul`'s variable base, and all points run its digits in
+    lockstep in affine coordinates: on the width-4 NAF, 2P, 3P, 5P and 7P
+    come first, and each accumulator starts from its point's multiple of
+    the top digit.  Every shared doubling or addition takes all points'
+    1/(2y) or 1/(x2 - x) from one inversion (Montgomery, Math. Comp. 48,
+    1987), so there is no return to affine.  Tallies, once on return, 7
+    per point and doubling (4 for the formula, 3 for its share of the
+    batch inversion) and 6 per point and addition, 25 of them per NAF
+    table; a secp160r1 TEM tallies about 1.3k.  A zero denominator means
+    some point met infinity, P + P or P - P, which only a point of small
+    order does (for one of prime order n, 1 <= k < n never does): the
+    pass is then dropped, untallied, and every point goes through
+    `scalar_mul`.
+    """
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
+    if len(points) < 2:
+        return [scalar_mul(k, pt, curve) for pt in points]
+    for pt in points:
+        _require_on_curve(pt, curve)
+    finite = [(pt.x.residue, pt.y.residue) for pt in points if k and not pt.is_infinity]
+    xys, muls = _lockstep(k, finite, curve.a.residue, curve.modulus.value) if finite else ([], 0)
+    if xys is None:
+        return [scalar_mul(k, pt, curve) for pt in points]
+    counter = active_counter()
+    if counter is not None:
+        counter.ec_scalar_muls += len(points)
+        counter.field_muls += muls
+    fp = curve.modulus
+    found = iter([_point(_reduced(x, fp), _reduced(y, fp)) for x, y in xys])
+    return [next(found) if k and not pt.is_infinity else _INFINITY for pt in points]
+
+
+def _lockstep(
+    k: int, points: list[tuple[int, int]], a: int, p: int
+) -> tuple[list[tuple[int, int]] | None, int]:
+    """k * (x, y) for every point, k >= 1, as affine ints, and the muls; None
+    if a step meets infinity, P + P or P - P (a zero denominator).
+
+    On the width-4 NAF the odd multiples are one doubling and three
+    additions of 2P, in lockstep too.
+    """
+    table = {1: points}
+    if k.bit_length() >= _NAF_MIN_BITS:
+        digits = _naf4(k)
+        two = _affine_step(points, None, a, p)
+        for d in (3, 5, 7):
+            table[d] = two and table[d - 2] and _affine_step(table[d - 2], two, a, p)
+        for d in (1, 3, 5, 7):
+            table[-d] = table[d] and [(x, -y % p) for x, y in table[d]]
+        muls = _AFFINE_DOUBLE_MULS + 3 * _AFFINE_ADD_MULS
+    else:
+        digits = [(pos, 1) for pos in range(k.bit_length()) if k >> pos & 1]
+        muls = 0
+    at, d = digits.pop()
+    muls += _AFFINE_DOUBLE_MULS * at + _AFFINE_ADD_MULS * len(digits)
+    acc = table[d]
+    # the digits below the top one, highest first; (0, 0) doubles down to 0
+    for pos, d in reversed([(0, 0)] + digits):
+        while acc and at > pos:
+            acc = _affine_step(acc, None, a, p)
+            at -= 1
+        if acc and d:
+            acc = table[d] and _affine_step(acc, table[d], a, p)
+    return acc, muls * len(points)
+
+
+def _affine_step(
+    points: list[tuple[int, int]], addends: list[tuple[int, int]] | None, a: int, p: int
+) -> list[tuple[int, int]] | None:
+    """Every point doubled, or plus addends[i], with one inversion for all
+    (Montgomery's trick); None if a denominator is zero."""
+    if addends is None:
+        dens = [y + y for _, y in points]
+    else:
+        dens = [x2 - x for (x, _), (x2, _) in zip(points, addends)]
+    suffix, acc = [], 1  # suffix[-1 - i] is the product of the dens after i
+    for den in reversed(dens):
+        suffix.append(acc)
+        acc = acc * den % p
+    if not acc:
+        return None
+    inv = pow(acc, -1, p)  # then 1 / the product of the dens from i on
+    out = []
+    if addends is None:
+        for (x, y), den, suf in zip(points, dens, reversed(suffix)):
+            lam = (3 * x * x + a) * inv * suf % p
+            inv = inv * den % p
+            x3 = (lam * lam - x - x) % p
+            out.append((x3, (lam * (x - x3) - y) % p))
+    else:
+        for (x, y), (x2, y2), den, suf in zip(points, addends, dens, reversed(suffix)):
+            lam = (y2 - y) * inv * suf % p
+            inv = inv * den % p
+            x3 = (lam * lam - x - x2) % p
+            out.append((x3, (lam * (x - x3) - y) % p))
+    return out
 
 
 def _affine_result(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
@@ -25,7 +26,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from . import wire
 from .ec import (
     BUILTIN_CURVES, CurveParams, CurvePoint, builtin_curve, is_on_curve, multi_scalar_mul,
-    scalar_mul, validate_point,
+    scalar_mul, scalar_mul_many, validate_point,
 )
 from .field import (
     FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weights,
@@ -288,10 +289,15 @@ def gm_init(
             f"group size {n} needs {n} distinct nonzero x values, "
             f"but the scalar field has only {q.value - 1}"
         )
-    if random_xs:
-        xs = rng.sample(range(1, q.value), n)
-    else:
+    if not random_xs:
         xs = [i + 1 for i in range(n)]
+    elif q.value - 1 <= sys.maxsize:
+        xs = rng.sample(range(1, q.value), n)
+    else:  # sample() cannot take the len() of so long a range
+        drawn: dict[int, None] = {}
+        while len(drawn) < n:
+            drawn[rng.randrange(1, q.value)] = None
+        xs = list(drawn)
     roster = tuple((f"U{i + 1}", x) for i, x in enumerate(xs))
     return _deal_group(curve, t, roster, rng, epoch=1)
 
@@ -411,9 +417,19 @@ def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> SymmetricK
 
 
 def ensure_pairwise_keys(state: MemberState) -> None:
-    for mid in state.received_public_shares:
-        if mid != state.member_id:
-            _pairwise_key_for(state, mid)
+    """Derive every missing pairwise key, in `received_public_shares` order.
+
+    The member's one scalar y_i multiplies all peers' points in one
+    `scalar_mul_many` call; a degenerate shared point raises as in
+    `pairwise_key`, after the keys of the peers before it are stored.
+    """
+    peers = [
+        ps for mid, ps in state.received_public_shares.items()
+        if mid != state.member_id and mid not in state.pairwise_keys
+    ]
+    shared = scalar_mul_many(state.share.y.residue, [ps.point for ps in peers], state.config.curve)
+    for ps, point in zip(peers, shared):
+        state.pairwise_keys[ps.member_id] = pairwise_key(point, state.member_id, ps.member_id)
 
 
 def _pairwise_key_for(state: MemberState, peer_id: str) -> SymmetricKey:
@@ -634,11 +650,13 @@ def seal_shares(
 ) -> dict[str, dict[str, bytes]]:
     """Every member encrypts its share for every peer.
 
-    Returns recipient id -> sender id -> encrypted-share payload.  Seals run
+    Returns recipient id -> sender id -> encrypted-share payload.  Each
+    sender first derives all its pairwise keys in one batch.  Seals run
     sender-major in `states` order, which fixes the rng draws.
     """
     inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
     for sender_id, state in states.items():
+        ensure_pairwise_keys(state)
         for peer_id in states:
             if peer_id == sender_id:
                 continue

@@ -152,3 +152,24 @@ def test_measured_variable_base_count_within_3x_of_model():
         assert ops.ec_scalar_muls == 1
         assert ops.field_muls == 71 + 8 * doublings + 11 * adds + 4
         assert 1189 / 3 <= ops.field_muls <= 1189 * 3
+
+
+def test_measured_batched_ecdh_count_within_3x_of_model():
+    """The same contract for each TEM of a member's batched ECDH: one scalar
+    times 29 peers' points in lockstep tallies, per point, 7 per affine
+    doubling and 6 per affine addition, each with its share of the step's
+    one batch inversion, and 25 for its table of P, 3P, 5P, 7P."""
+    from gaskit.ec import builtin_curve, scalar_mul, scalar_mul_many
+    from gaskit.field import MulCounter
+
+    curve = builtin_curve("secp160r1")
+    rng = random.Random(14)
+    pts = [scalar_mul(rng.randrange(2, curve.subgroup_order), curve.generator, curve)
+           for _ in range(29)]
+    for _ in range(3):
+        k = rng.randrange(1, curve.subgroup_order)
+        with MulCounter() as ops:
+            scalar_mul_many(k, pts, curve)
+        assert ops.ec_scalar_muls == len(pts)
+        assert ops.field_muls % len(pts) == 0
+        assert 1189 / 3 <= ops.field_muls / len(pts) <= 1189 * 3

@@ -22,6 +22,7 @@ from gaskit.ec import (
     is_on_curve,
     multi_scalar_mul,
     scalar_mul,
+    scalar_mul_many,
     validate_point,
 )
 from gaskit import gas_core
@@ -798,6 +799,122 @@ def test_multi_scalar_mul_refuses_bad_terms():
     for terms in ([(-1, g)], [(3, g), (-1, g)], [(3, off)], [(3, g), (5, off)]):
         with MulCounter() as ops, pytest.raises(ValueError):
             multi_scalar_mul(terms, TEST2017)
+        assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
+
+
+def _lockstep_digits(k):
+    """The digits `scalar_mul_many` runs, one per position, least significant
+    first: `_ref_naf4` from 32 bits on, binary below."""
+    return _ref_naf4(k) if k.bit_length() >= 32 else [int(b) for b in bin(k)[:1:-1]]
+
+
+def _lockstep_runs(k, order):
+    """Whether the affine lockstep of k >= 1 runs through for a point of this
+    order.  On the NAF, building 2P, 3P, 5P and 7P meets infinity, P + P or
+    P - P just for orders 2, 3, 5 and 7.  Then the running multiple j never
+    has 2j = 0 (doubling a point with y = 0), and no addition of d has
+    j = +-d (P + P or P - P) or d = 0 (adding infinity), all mod the order."""
+    digits = _lockstep_digits(k)
+    if k.bit_length() >= 32 and order in (2, 3, 5, 7):
+        return False
+    j = digits[-1]
+    if j % order == 0:
+        return False
+    for d in reversed(digits[:-1]):
+        if 2 * j % order == 0:
+            return False
+        j *= 2
+        if d and (d % order == 0 or (j - d) % order == 0 or (j + d) % order == 0):
+            return False
+        j += d
+    return True
+
+
+def _lockstep_muls(k, count):
+    """Tally of a `scalar_mul_many` of `count` finite points whose lockstep
+    runs through: per point 7 per affine doubling and 6 per affine addition,
+    on a width-4 NAF first one doubling and three additions for the table
+    of P, 3P, 5P, 7P, then one of each per position and nonzero digit after
+    the top one.  The same on every curve: the affine doubling does not
+    depend on a."""
+    if not k or not count:
+        return 0
+    digits = _lockstep_digits(k)
+    nonzero = sum(1 for d in digits if d)
+    table = 7 + 3 * 6 if k.bit_length() >= 32 else 0
+    return count * (table + 7 * (len(digits) - 1) + 6 * (nonzero - 1))
+
+
+def _assert_many_is_per_point(k, pts, orders, curve):
+    """`scalar_mul_many` equals per-point `scalar_mul` in values and TEMs;
+    its tally is the lockstep recount when every point's pass runs through
+    and the per-point tallies otherwise.  Returns whether it ran through."""
+    with MulCounter() as want_ops:
+        want = [scalar_mul(k, pt, curve) for pt in pts]
+    with MulCounter() as ops:
+        got = scalar_mul_many(k, pts, curve)
+    assert got == want, (k, pts)
+    assert ops.ec_scalar_muls == want_ops.ec_scalar_muls == len(pts)
+    finite = [order for pt, order in zip(pts, orders) if not pt.is_infinity]
+    runs = len(pts) < 2 or not k or all(_lockstep_runs(k, order) for order in finite)
+    if len(pts) >= 2 and runs:
+        assert ops.field_muls == _lockstep_muls(k, len(finite)), (k, pts)
+    else:
+        assert ops.field_muls == want_ops.field_muls, (k, pts)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["toy5", "test2017", "secp160r1"])
+def test_scalar_mul_many_matches_scalar_mul(name):
+    curve = builtin_curve(name)
+    n = curve.subgroup_order
+    rng = random.Random("many" + name)
+    if name == "toy5":  # orders 1, 2, 3 and 6: every lockstep degenerates somewhere
+        pts = _toy5_points()
+        orders = [_order(pt, curve) if not pt.is_infinity else 1 for pt in pts]
+    else:
+        pts = [scalar_mul(rng.randrange(1, n), curve.generator, curve) for _ in range(6)]
+        orders = [n] * len(pts)
+    scalars = [0, 1, 2, n - 1, n, n + 1, rng.randrange(3, 2**12), rng.getrandbits(160) | 1 << 159]
+    for k in scalars:
+        assert _assert_many_is_per_point(k, [], [], curve)
+        for count in (1, 2, len(pts)):
+            runs = _assert_many_is_per_point(k, pts[:count], orders[:count], curve)
+            if name != "toy5" and 1 <= k < n:  # prime order: never degenerates
+                assert runs
+    # the generator and infinity among the points
+    if name != "toy5":
+        k = rng.getrandbits(160) | 1 << 159
+        mixed = [pts[0], curve.generator, CurvePoint.infinity(), pts[1]]
+        _assert_many_is_per_point(k, mixed, [n, n, 1, n], curve)
+
+
+def test_scalar_mul_many_falls_back_on_torsion_points():
+    # test2017's 5-, 11- and 55-torsion among honest points of order 37:
+    # the lockstep meets infinity, P + P or P - P and every point goes
+    # through scalar_mul; short, NAF and order-spanning scalars
+    rng = random.Random("many-torsion")
+    by_order = _test2017_torsion()
+    honest = [scalar_mul(rng.randrange(1, 37), TEST2017.generator, TEST2017) for _ in range(3)]
+    fell_back = ran = 0
+    for order in (5, 11, 55):
+        for torsion in by_order[order][:3]:
+            pts = [honest[0], torsion, honest[1], honest[2]]
+            orders = [37, order, 37, 37]
+            for k in list(range(3 * order)) + _long_scalars(rng, order):
+                if _assert_many_is_per_point(k, pts, orders, TEST2017):
+                    ran += 1
+                else:
+                    fell_back += 1
+    assert fell_back > 200 and ran > 200
+
+
+def test_scalar_mul_many_refuses_bad_input_before_counting():
+    g = TEST2017.generator
+    off = TEST2017.point(0, 7)
+    for k, pts in ((3, [g, off]), (3, [off, g]), (3, [off]), (-1, [g, g]), (-1, [g]), (-1, [])):
+        with MulCounter() as ops, pytest.raises(ValueError):
+            scalar_mul_many(k, pts, TEST2017)
         assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
 
 

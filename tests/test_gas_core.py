@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import re
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -424,6 +425,67 @@ def test_key_agreement_garbage_ciphertext_names_peer():
     assert states["U1"].group_key is None  # no partial key accepted
 
 
+def _per_peer_keys(state):
+    """One `derive_pairwise_key` per peer, in `received_public_shares` order:
+    the keys derived and the peer whose shared point was degenerate, if any."""
+    keys = {}
+    for mid, ps in state.received_public_shares.items():
+        if mid != state.member_id:
+            try:
+                keys[mid] = derive_pairwise_key(state.share, ps, state.config)
+            except ValueError:
+                return keys, mid
+    return keys, None
+
+
+@pytest.mark.parametrize("curve_name", ["test2017", "secp160r1"])
+def test_ensure_pairwise_keys_matches_per_peer_derivation(curve_name):
+    rng = random.Random(31)
+    config, shares = gm_init(4, 7, builtin_curve(curve_name), rng)
+    states, _ = run_confirmation(config, shares)
+    for mid, state in states.items():
+        with MulCounter() as ops:
+            gas_core.ensure_pairwise_keys(state)
+        assert ops.ec_scalar_muls == 6
+        assert state.pairwise_keys == _per_peer_keys(state)[0]
+        assert len(state.pairwise_keys) == 6 and mid not in state.pairwise_keys
+    # only missing keys are derived; one already held is kept as it is
+    state = MemberState(share=shares[0], config=config)
+    for ps in states["U1"].received_public_shares.values():
+        state.receive_public_share(ps)
+    encrypt_share_for_peer(state, "U4", rng)
+    held = state.pairwise_keys["U4"]
+    with MulCounter() as ops:
+        gas_core.ensure_pairwise_keys(state)
+    assert ops.ec_scalar_muls == 5
+    assert state.pairwise_keys["U4"] is held
+    assert state.pairwise_keys == states["U1"].pairwise_keys
+
+
+def test_ensure_pairwise_keys_raises_at_the_same_peer_as_per_peer_derivation():
+    # T = (1981, 1664) has order 5.  U1's y = 35 makes y T and y 2T
+    # infinity, stored under U3 and U6; U5's y = 3 does not, but T still
+    # sends its batch through the per-point fallback
+    rng = random.Random(5)
+    config, shares = gm_init(4, 8, CURVE, rng)
+    assert [s.y.residue for s in shares][0:5:4] == [35, 3]
+    states, _ = run_confirmation(config, shares)
+    torsion = CurvePoint(*map(CURVE.modulus.element, (1981, 1664)))
+    for mid in ("U1", "U5"):
+        received = states[mid].received_public_shares
+        received["U3"] = PublicShare("U3", torsion)
+        received["U6"] = PublicShare("U6", add(torsion, torsion, CURVE))
+    want, culprit = _per_peer_keys(states["U1"])
+    assert culprit == "U3" and list(want) == ["U2"]
+    with pytest.raises(ValueError, match="degenerate shared point"):
+        gas_core.ensure_pairwise_keys(states["U1"])
+    assert states["U1"].pairwise_keys == want
+    want, culprit = _per_peer_keys(states["U5"])
+    assert culprit is None and len(want) == 7
+    gas_core.ensure_pairwise_keys(states["U5"])
+    assert states["U5"].pairwise_keys == want
+
+
 @pytest.mark.parametrize("forge", ["y_plus_q", "y_padded", "empty"])
 def test_key_agreement_names_peer_whose_plaintext_is_not_a_scalar(forge):
     rng, config, shares = setup_group(t=2, n=3, seed=25)
@@ -664,11 +726,18 @@ def test_wired_session_counts_pinned():
         ]
     assert opened == rotation.shares
     assert ops.ec_scalar_muls == m * m + 2 * m + 2 == 82
-    # every step but decentralized_verify tallies 4624; that one, its m
-    # weights from one batch inversion (m^2 + 6m) and its interleaved sum of
-    # signed terms, recounted
+    # every step but the ECDH and decentralized_verify tallies 1292.  Each
+    # member's m - 1 shared points run the binary digits of its y (under 6
+    # bits) in lockstep: 7 per point and doubling, 6 per point and addition.
+    # decentralized_verify: its m weights from one batch inversion
+    # (m^2 + 6m) and its interleaved sum of signed terms, recounted
+    ecdh = sum(
+        (m - 1) * (7 * (y.bit_length() - 1) + 6 * (bin(y).count("1") - 1))
+        for y in (s.y.residue for s in shares)
+    )
+    assert ecdh == 2009
     interleaved = _interleaved_muls(_lagrange_terms(config, received), CURVE)
-    assert ops.field_muls == 4624 + m * m + 6 * m + interleaved
+    assert ops.field_muls == 1292 + ecdh + m * m + 6 * m + interleaved
 
 
 def test_config_dict_roundtrip():
@@ -815,6 +884,27 @@ def test_gm_init_random_xs():
     assert xs != list(range(1, 9))  # actually randomized under this seed
     s = reconstruct(shares[:3], 3)
     assert scalar_mul(s.residue, config.curve.generator, CURVE) == config.group_public_key
+
+
+def test_random_roster_session_on_secp160r1():
+    # q - 1 > sys.maxsize: rng.sample cannot take the range, so the x's are
+    # drawn one at a time; the session then runs through confirmation, both
+    # verifies and the batched key agreement
+    rng = random.Random(16)
+    curve = builtin_curve("secp160r1")
+    config, shares = gm_init(3, 5, curve, rng, random_xs=True)
+    xs = [x for _, x in config.roster]
+    assert len(set(xs)) == 5 and all(0 < x < curve.subgroup_order for x in xs)
+    assert max(xs) > sys.maxsize
+    states, public_shares = run_confirmation(config, shares)
+    assert all(gm_verify(config, shares, public_shares).values())
+    assert decentralized_verify(config, public_shares)
+    with MulCounter() as ops:
+        key = exchange_group_key(states, rng)
+    assert ops.ec_scalar_muls == 5 * 4
+    assert verify_commitment(key, config.commitment)
+    assert all(state.group_key == key for state in states.values())
+    assert states["U1"].pairwise_keys == _per_peer_keys(states["U1"])[0]
 
 
 def test_decentralized_soundness_by_enumeration():
