@@ -869,7 +869,7 @@ def test_scalar_mul_many_matches_scalar_mul(name):
     curve = builtin_curve(name)
     n = curve.subgroup_order
     rng = random.Random("many" + name)
-    if name == "toy5":  # orders 1, 2, 3 and 6: every lockstep degenerates somewhere
+    if name == "toy5":  # infinity and orders 2, 3 and 6: most k fall back
         pts = _toy5_points()
         orders = [_order(pt, curve) if not pt.is_infinity else 1 for pt in pts]
     else:
