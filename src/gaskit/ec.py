@@ -691,8 +691,11 @@ def _affine_step(
     """Every point doubled, or plus addends[i], with one inversion for all
     (Montgomery's trick); None if a denominator is zero."""
     if addends is None:
+        addends = points
+        nums = [3 * x * x + a for x, _ in points]
         dens = [y + y for _, y in points]
     else:
+        nums = [y2 - y for (_, y), (_, y2) in zip(points, addends)]
         dens = [x2 - x for (x, _), (x2, _) in zip(points, addends)]
     suffix, acc = [], 1  # suffix[-1 - i] is the product of the dens after i
     for den in reversed(dens):
@@ -702,18 +705,11 @@ def _affine_step(
         return None
     inv = pow(acc, -1, p)  # then 1 / the product of the dens from i on
     out = []
-    if addends is None:
-        for (x, y), den, suf in zip(points, dens, reversed(suffix)):
-            lam = (3 * x * x + a) * inv * suf % p
-            inv = inv * den % p
-            x3 = (lam * lam - x - x) % p
-            out.append((x3, (lam * (x - x3) - y) % p))
-    else:
-        for (x, y), (x2, y2), den, suf in zip(points, addends, dens, reversed(suffix)):
-            lam = (y2 - y) * inv * suf % p
-            inv = inv * den % p
-            x3 = (lam * lam - x - x2) % p
-            out.append((x3, (lam * (x - x3) - y) % p))
+    for (x, y), (x2, _), num, den, suf in zip(points, addends, nums, dens, reversed(suffix)):
+        lam = num * inv * suf % p
+        inv = inv * den % p
+        x3 = (lam * lam - x - x2) % p
+        out.append((x3, (lam * (x - x3) - y) % p))
     return out
 
 

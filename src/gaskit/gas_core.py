@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
@@ -291,9 +290,7 @@ def gm_init(
         )
     if not random_xs:
         xs = [i + 1 for i in range(n)]
-    elif q.value - 1 <= sys.maxsize:
-        xs = rng.sample(range(1, q.value), n)
-    else:  # sample() cannot take the len() of so long a range
+    else:  # not rng.sample: it takes the len() of the range, above sys.maxsize here
         drawn: dict[int, None] = {}
         while len(drawn) < n:
             drawn[rng.randrange(1, q.value)] = None
@@ -421,7 +418,9 @@ def ensure_pairwise_keys(state: MemberState) -> None:
 
     The member's one scalar y_i multiplies all peers' points in one
     `scalar_mul_many` call; a degenerate shared point raises as in
-    `pairwise_key`, after the keys of the peers before it are stored.
+    `pairwise_key`, after the keys of the peers before it are stored.  An
+    off-curve peer point raises ValueError before any key is stored
+    (decoded public shares are already on the curve).
     """
     peers = [
         ps for mid, ps in state.received_public_shares.items()

@@ -484,6 +484,14 @@ def test_ensure_pairwise_keys_raises_at_the_same_peer_as_per_peer_derivation():
     assert culprit is None and len(want) == 7
     gas_core.ensure_pairwise_keys(states["U5"])
     assert states["U5"].pairwise_keys == want
+    # an off-curve point is refused before any key is stored, where the
+    # per-peer loop would have stored U2's first
+    received = states["U2"].received_public_shares
+    received["U3"] = PublicShare("U3", CurvePoint(*map(CURVE.modulus.element, (1, 1))))
+    assert list(_per_peer_keys(states["U2"])[0]) == ["U1"]
+    with pytest.raises(ValueError, match="not on curve"):
+        gas_core.ensure_pairwise_keys(states["U2"])
+    assert states["U2"].pairwise_keys == {}
 
 
 @pytest.mark.parametrize("forge", ["y_plus_q", "y_padded", "empty"])
@@ -887,9 +895,8 @@ def test_gm_init_random_xs():
 
 
 def test_random_roster_session_on_secp160r1():
-    # q - 1 > sys.maxsize: rng.sample cannot take the range, so the x's are
-    # drawn one at a time; the session then runs through confirmation, both
-    # verifies and the batched key agreement
+    # q - 1 > sys.maxsize, a range rng.sample cannot take; the session then
+    # runs through confirmation, both verifies and the batched key agreement
     rng = random.Random(16)
     curve = builtin_curve("secp160r1")
     config, shares = gm_init(3, 5, curve, rng, random_xs=True)
