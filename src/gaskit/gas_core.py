@@ -288,13 +288,13 @@ def gm_init(
             f"group size {n} needs {n} distinct nonzero x values, "
             f"but the scalar field has only {q.value - 1}"
         )
-    if not random_xs:
-        xs = [i + 1 for i in range(n)]
-    else:  # not rng.sample: it takes the len() of the range, above sys.maxsize here
+    if random_xs:  # rng.sample needs len(range(1, q)), above sys.maxsize on secp160r1
         drawn: dict[int, None] = {}
         while len(drawn) < n:
             drawn[rng.randrange(1, q.value)] = None
         xs = list(drawn)
+    else:
+        xs = [i + 1 for i in range(n)]
     roster = tuple((f"U{i + 1}", x) for i, x in enumerate(xs))
     return _deal_group(curve, t, roster, rng, epoch=1)
 
