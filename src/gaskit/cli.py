@@ -83,13 +83,12 @@ def _cmd_demo(args) -> int:
         print("== Group Key Agreement Stage ==")
         print(f"members exchange encrypted shares (m={args.m})")
         try:
-            key = gas_core.exchange_group_key(states, rng)
+            gas_core.exchange_group_key(states, rng)
         except gas_core.ProtocolError as exc:
             _err(str(exc))
             return 1
         print("H(s') == H(s) -> ok")
         print("Group Key is recovered.")
-        del key
         return 0
     # harn
     modulus = sim.resolve_harn(args.harn)

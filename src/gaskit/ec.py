@@ -18,19 +18,18 @@ bulk once per call.  There are three loops:
   over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
   `_NAF_MIN_BITS` (32) bits or more, or as binary digits when shorter, on
   which the table costs more than it saves.  All terms' mixed additions
-  run under one shared sequence of Jacobian doublings, and one batch
-  inversion (`field.batch_inverse`) returns every term's table to affine.
-  Tallies 71 per NAF table on an a = -3 curve, 8 per doubling there and
-  10 otherwise, 11 per mixed addition and 4 to return to affine;
+  run under one shared sequence of Jacobian doublings.  Tallies 25 per NAF
+  table, 8 per doubling where a = -3 mod p (secp160r1, P-256) and 10
+  otherwise, 11 per mixed addition and 4 to return to affine;
 * lockstep, for `scalar_mul_many`, k P_i for one k and many points (a
   member's pairwise ECDH): k is recoded once, in the same way, and every
   point runs its digits together in affine coordinates, each doubling or
   addition taking all points' denominators from one inversion.  Tallies,
-  per point, 7 per doubling and 6 per addition, the NAF table being one
-  doubling and three additions.
+  per point, 7 per doubling and 6 per addition.
 
-Where a = -3 mod p (secp160r1, P-256), a Jacobian loop with a NAF term
-doubles with the cheaper a = -3 formula.
+Both build their NAF tables with `_odd_multiples`.  A point of order 2, 3,
+5 or 7 has none: the interleaved loop then runs every term on binary
+digits, and the lockstep hands every point to `scalar_mul`.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -54,7 +53,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, MulCounter, Prime, _reduced, active_counter, batch_inverse, cached_prime,
+    FieldElement, MulCounter, Prime, _reduced, active_counter, cached_prime,
     json_int, json_object, json_str, tally_muls,
 )
 
@@ -261,16 +260,11 @@ _DOUBLE_A3_MULS = 8  # dbl-2001-b: 3M + 5S, for a = -3
 _MADD_MULS = 11  # madd-2004-hmv: 8M + 3S, adding an affine point
 _MADD_CHECK_MULS = 4  # the part of madd that finds P + P or P + (-P)
 _TO_AFFINE_MULS = 4  # x = X/Z^2, y = Y/Z^3 after one inversion
-# The width-4 NAF precompute beyond its doubling and mixed additions: 6 to
-# move P and a to the curve on which 2P is affine and 3 to scale the Z of
-# 3P, 5P and 7P back, then per finite one 3 in the batch inversion and 4 to
-# return to affine.
-_NAF_ISO_MULS = 6 + 3
-_NAF_ENTRY_MULS = 3 + _TO_AFFINE_MULS
-# Per point and step of `scalar_mul_many`'s affine lockstep: the formula,
-# then 3 for the point's share of the step's one batch inversion.
+# Per point and step of the affine lockstep: the formula, then 3 for the
+# point's share of the step's one batch inversion.
 _AFFINE_DOUBLE_MULS = 4 + 3  # lambda = (3x^2 + a) / 2y, then x3 and y3
 _AFFINE_ADD_MULS = 3 + 3  # lambda = (y2 - y) / (x2 - x), then x3 and y3
+_NAF_TABLE_MULS = _AFFINE_DOUBLE_MULS + 3 * _AFFINE_ADD_MULS  # per point: 2P, 3P, 5P, 7P
 
 # Digit width of the fixed-base path.  4-bit windows are faster still, but
 # then a secp160r1 TEM can tally fewer than a third of the modeled 1189
@@ -344,13 +338,14 @@ def _to_affine(X: int, Y: int, Z: int, p: int) -> tuple[int, int] | None:
     """(X/Z^2, Y/Z^3) after one inversion, or None for Z = 0 (infinity)."""
     if not Z:
         return None
-    return _scale_to_affine(X, Y, pow(Z, -1, p), p)
-
-
-def _scale_to_affine(X: int, Y: int, z_inv: int, p: int) -> tuple[int, int]:
-    """(X/Z^2, Y/Z^3) given z_inv = 1/Z."""
+    z_inv = pow(Z, -1, p)
     zz_inv = z_inv * z_inv % p
     return X * zz_inv % p, Y * zz_inv * z_inv % p
+
+
+def _binary(k: int) -> list[tuple[int, int]]:
+    """The set bits of k >= 1 as (position, 1), least significant first."""
+    return [(pos, 1) for pos in range(k.bit_length()) if k >> pos & 1]
 
 
 def _naf4(k: int) -> list[tuple[int, int]]:
@@ -377,43 +372,24 @@ def _naf4(k: int) -> list[tuple[int, int]]:
 
 def _odd_multiples(
     points: list[tuple[int, int]], a: int, p: int
-) -> tuple[list[list[tuple[int, int] | None]], int]:
-    """Per point P = (x, y), the table of affine d * P indexed by d in -7..7
-    (odd d only, None for infinity), and the muls of building them all.
+) -> dict[int, list[tuple[int, int]]] | None:
+    """The affine d * P of every point P, as table[d][i] for d in +-1, +-3,
+    +-5, +-7; None if a point has order 2, 3, 5 or 7.
 
-    One doubling gives 2P = (X2 : Y2 : Z).  On the isomorphic curve
-    (u, v) -> (Z^2 u, Z^3 v), with a' = Z^4 a, 2P is the affine (X2, Y2), so
-    three mixed additions give 3P, 5P and 7P there; a point (X : Y : Z') of
-    that curve is (X : Y : Z' Z) of this one.  One batch inversion then
-    returns every point's 3P, 5P and 7P to affine.
+    2P, then 3P, 5P and 7P as 2P plus the one before, each step for all
+    points at once with one inversion (`_affine_step`).  Only such an order
+    makes a step's denominator zero: 2P = O, or 3P or 5P = +-2P.  Costs
+    `_NAF_TABLE_MULS` per point, tallied by the caller.
     """
-    dbl, dbl_muls = _doubling(a, p)
-    muls = dbl_muls * len(points)
-    tables, jacobian = [], []
-    for x, y in points:
-        table: list[tuple[int, int] | None] = [None] * 16
-        tables.append(table)
-        X2, Y2, Z = dbl(x, y, 1, a, p)
-        if not Z:  # 2P = O: P has order 2, and every odd multiple is P
-            for d in (1, 3, 5, 7):
-                table[d] = table[-d] = x, y
-            continue
-        table[1], table[-1] = (x, y), (x, -y % p)
-        ZZ = Z * Z % p
-        a_iso = a * ZZ * ZZ % p
-        X, Y, Zi = x * ZZ % p, y * ZZ * Z % p, 1
-        muls += _NAF_ISO_MULS
-        for d in (3, 5, 7):
-            X, Y, Zi, m = _madd(X, Y, Zi, X2, Y2, a_iso, p)
-            jacobian.append((table, d, X, Y, Zi * Z % p))
-            muls += m
-    z_invs = batch_inverse([Z for *_, Z in jacobian], p)
-    for (table, d, X, Y, Z), z_inv in zip(jacobian, z_invs):
-        if Z:
-            x, y = _scale_to_affine(X, Y, z_inv, p)
-            table[d], table[-d] = (x, y), (x, -y % p)
-            muls += _NAF_ENTRY_MULS
-    return tables, muls
+    two = _affine_step(points, None, a, p)
+    table = {1: points}
+    for d in (3, 5, 7):
+        table[d] = two and table[d - 2] and _affine_step(table[d - 2], two, a, p)
+    if table[7] is None:
+        return None
+    for d in (1, 3, 5, 7):
+        table[-d] = [(x, -y % p) for x, y in table[d]]
+    return table
 
 
 def _interleaved(
@@ -422,35 +398,30 @@ def _interleaved(
     """sum k * (x, y) over terms (k, x, y) with k >= 1: (X, Y, Z, muls).
 
     Each k is recoded on its own: from `_NAF_MIN_BITS` bits on as a width-4
-    NAF over its point's `_odd_multiples` table, below as binary digits of
-    its point.  All terms' additions then run under one shared sequence of
-    doublings from the highest top digit down, in term order at each
+    NAF over its point's column of one `_odd_multiples` table, below as
+    binary digits of its point; when that table is None, every term runs
+    binary digits.  All terms' additions then run under one shared sequence
+    of doublings from the highest top digit down, in term order at each
     position (Straus's interleaving; Hankerson-Menezes-Vanstone, Alg. 3.51).
-    The doublings use the a = -3 formula on such a curve when some k is on
-    the NAF; a call with binary digits only doubles with the general one.
     One term runs the formulas of a single width-4 NAF or binary
     double-and-add, in the same order.
     """
     naf_points = [(x, y) for k, x, y in terms if k.bit_length() >= _NAF_MIN_BITS]
-    if naf_points:
-        tables, muls = _odd_multiples(naf_points, a, p)
-        tables = iter(tables)
-        dbl, dbl_muls = _doubling(a, p)
-    else:
-        muls = 0
-        dbl, dbl_muls = _double, _DOUBLE_MULS
+    table = _odd_multiples(naf_points, a, p) if naf_points else None
+    muls = _NAF_TABLE_MULS * len(naf_points) if table else 0
+    dbl, dbl_muls = _doubling(a, p)
     adds = []  # (position, -term index, affine addend); a term's in descending position
     top = 0
+    column = 0  # the next NAF term's column of the table
     for i, (k, x, y) in enumerate(terms):
-        bits = k.bit_length()
-        if bits >= _NAF_MIN_BITS:
-            table = next(tables)
+        if table and k.bit_length() >= _NAF_MIN_BITS:
             digits = _naf4(k)
-            adds += [(pos, -i, *table[d]) for pos, d in reversed(digits) if table[d] is not None]
-            top = max(top, digits[-1][0])
+            adds += [(pos, -i, *table[d][column]) for pos, d in reversed(digits)]
+            column += 1
         else:
-            adds += [(pos, -i, x, y) for pos in range(bits - 1, -1, -1) if k >> pos & 1]
-            top = max(top, bits - 1)
+            digits = _binary(k)
+            adds += [(pos, -i, x, y) for pos, _ in reversed(digits)]
+        top = max(top, digits[-1][0])
     if len(terms) > 1:
         adds.sort(reverse=True)  # merge the terms, in term order within one position
     muls += dbl_muls * top
@@ -542,22 +513,22 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     * Variable base, for any other point: the loop of `multi_scalar_mul`
       with one term.  k of 32 bits or more is recoded as a width-4 NAF,
       whose nonzero digits are odd, below 8 in absolute value and at least
-      4 positions apart.  A per-call table of the affine P, 3P, 5P, 7P (one
-      doubling, three mixed additions on the isomorphic curve where 2P is
-      affine, one Montgomery batch inversion) turns each digit into one
-      doubling and each nonzero digit d into one mixed addition of +-|d| P
+      4 positions apart.  A per-call table of the affine P, 3P, 5P, 7P
+      (`_odd_multiples`) turns each digit into one doubling and each
+      nonzero digit d into one mixed addition of +-|d| P
       (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.35-3.36).  Shorter
-      k runs binary double-and-add: each bit doubles, each set bit adds pt.
+      k, or a point of order 2, 3, 5 or 7, runs binary double-and-add:
+      each bit doubles, each set bit adds pt.
 
     The field multiplications of the formulas run are tallied once, on
-    return: 8 per doubling when a = -3 mod p (dbl-2001-b) and 10 otherwise
-    (the binary loop always uses the general one), 11 per mixed addition,
-    4 to return to affine; the NAF precompute adds 71 on an a = -3 curve
-    (8 + 9 + 3 * 11 + 3 * 7, see `_odd_multiples`).  A secp160r1 TEM of
-    any point but G tallies about 1.7k, within 3x of the modeled 1189 for
-    every scalar of 42 to 325 bits.  One of G tallies 509 on average, but
-    about 1 random scalar in 10^4 has 36 or fewer nonzero digits and
-    tallies 389 or less, under 1189/3.
+    return: 8 per doubling when a = -3 mod p (dbl-2001-b) and 10 otherwise,
+    11 per mixed addition, 4 to return to affine; the NAF table adds 25
+    (one affine doubling, 7, and three affine additions, 6 each, with
+    their shares of the batch inversions).  A secp160r1 TEM of any point
+    but G tallies about 1.6k, within 3x of the modeled 1189 for every
+    scalar of 47 to 329 bits.  One of G tallies 509 on average, but about
+    1 random scalar in 10^4 has 36 or fewer nonzero digits and tallies 389
+    or less, under 1189/3.
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
@@ -590,13 +561,13 @@ def multi_scalar_mul(
     its Lagrange weights.  Each term is recoded as in `scalar_mul`'s
     variable base, and all terms' mixed additions run under one shared
     sequence of doublings (Straus 1964; Moller, SAC 2001): about 160
-    doublings for m random secp160r1 scalars, instead of 160 m.  One batch
-    inversion returns every NAF term's 3P, 5P and 7P to
-    affine, and one more the sum.  Tallies, once on return, 71 per NAF
-    term's table on an a = -3 curve (73 otherwise), 8 or 10 per shared
-    doubling, 11 per mixed addition and 4 to return to affine.  A one-term
-    call is `scalar_mul` of a point other than the generator, in value and
-    in tally.
+    doublings for m random secp160r1 scalars, instead of 160 m.  The NAF
+    terms' tables come from one `_odd_multiples` call; if one of their
+    points has order 2, 3, 5 or 7, every term runs binary digits.  Tallies,
+    once on return, 25 per NAF term's table, 8 or 10 per shared doubling,
+    11 per mixed addition and 4 to return to affine.  A one-term call is
+    `scalar_mul` of a point other than the generator, in value and in
+    tally.
     """
     for k, pt in terms:
         if k < 0:
@@ -619,17 +590,17 @@ def scalar_mul_many(k: int, points: list[CurvePoint], curve: CurveParams) -> lis
     ValueError before any TEM is counted; k is not reduced, and fewer than
     2 points are `scalar_mul` itself.  Otherwise k is recoded once, as in
     `scalar_mul`'s variable base, and all points run its digits in
-    lockstep in affine coordinates: on the width-4 NAF, 2P, 3P, 5P and 7P
-    come first, and each accumulator starts from its point's multiple of
-    the top digit.  Every shared doubling or addition takes all points'
-    1/(2y) or 1/(x2 - x) from one inversion (Montgomery, Math. Comp. 48,
-    1987), so there is no return to affine.  Tallies, once on return, 7
-    per point and doubling (4 for the formula, 3 for its share of the
-    batch inversion) and 6 per point and addition, 25 of them per NAF
-    table; a secp160r1 TEM tallies about 1.3k.  A zero denominator means
-    some point met infinity, P + P or P - P, which only a point of small
-    order does (for one of prime order n, 1 <= k < n never does): the
-    pass is then dropped, untallied, and every point goes through
+    lockstep in affine coordinates: on the width-4 NAF, the table of
+    `_odd_multiples` comes first, and each accumulator starts from its
+    point's multiple of the top digit.  Every shared doubling or addition
+    takes all points' 1/(2y) or 1/(x2 - x) from one inversion (Montgomery,
+    Math. Comp. 48, 1987), so there is no return to affine.  Tallies, once
+    on return, 7 per point and doubling (4 for the formula, 3 for its
+    share of the batch inversion) and 6 per point and addition, 25 of them
+    per NAF table; a secp160r1 TEM tallies about 1.3k.  A zero denominator
+    means some point met infinity, P + P or P - P, which only a point of
+    small order does (for one of prime order n, 1 <= k < n never does):
+    the pass is then dropped, untallied, and every point goes through
     `scalar_mul`.
     """
     if k < 0:
@@ -655,22 +626,16 @@ def _lockstep(
     k: int, points: list[tuple[int, int]], a: int, p: int
 ) -> tuple[list[tuple[int, int]] | None, int]:
     """k * (x, y) for every point, k >= 1, as affine ints, and the muls; None
-    if a step meets infinity, P + P or P - P (a zero denominator).
-
-    On the width-4 NAF the odd multiples are one doubling and three
-    additions of 2P, in lockstep too.
-    """
-    table = {1: points}
+    if a step meets infinity, P + P or P - P (a zero denominator)."""
     if k.bit_length() >= _NAF_MIN_BITS:
         digits = _naf4(k)
-        two = _affine_step(points, None, a, p)
-        for d in (3, 5, 7):
-            table[d] = two and table[d - 2] and _affine_step(table[d - 2], two, a, p)
-        for d in (1, 3, 5, 7):
-            table[-d] = table[d] and [(x, -y % p) for x, y in table[d]]
-        muls = _AFFINE_DOUBLE_MULS + 3 * _AFFINE_ADD_MULS
+        table = _odd_multiples(points, a, p)
+        if table is None:
+            return None, 0
+        muls = _NAF_TABLE_MULS
     else:
-        digits = [(pos, 1) for pos in range(k.bit_length()) if k >> pos & 1]
+        digits = _binary(k)
+        table = {1: points}
         muls = 0
     at, d = digits.pop()
     muls += _AFFINE_DOUBLE_MULS * at + _AFFINE_ADD_MULS * len(digits)
@@ -681,7 +646,7 @@ def _lockstep(
             acc = _affine_step(acc, None, a, p)
             at -= 1
         if acc and d:
-            acc = table[d] and _affine_step(acc, table[d], a, p)
+            acc = _affine_step(acc, table[d], a, p)
     return acc, muls * len(points)
 
 

@@ -179,15 +179,15 @@ class MulCounter:
     `ec`, is built untallied); inversions are not counted.  A scalar
     multiplication tallies the formulas it ran, so the same TEM counts
     differently by path: about 509 on average on secp160r1 for the
-    generator (fixed-base table), about 1.7k for any other point (width-4
-    NAF, its per-call precompute included).  The variable-base count lies
-    within 3x of the modeled 1189 for every scalar of 42 to 325 bits;
+    generator (fixed-base table), about 1.6k for any other point (width-4
+    NAF, its per-call table included).  The variable-base count lies
+    within 3x of the modeled 1189 for every scalar of 47 to 329 bits;
     about 1 random generator scalar in 10^4 tallies 389 or less, under
     1189/3.  `ec.multi_scalar_mul` records one TEM per term, but its terms
-    share one run of doublings: m random secp160r1 terms tally about 420
+    share one run of doublings: m random secp160r1 terms tally about 382
     each for their tables and additions, plus about 1.3k for the doublings,
     once.  `gas_core.decentralized_verify` passes it short signed weights
-    instead: an honest secp160r1 group of 30 (x = 1..30) tallies 4918 in
+    instead: an honest secp160r1 group of 30 (x = 1..30) tallies 4864 in
     all, weights included.
     These are measured counts: the modeled T_mul,q costs in `cost_model`
     never read them.

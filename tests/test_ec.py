@@ -14,6 +14,7 @@ from gaskit.ec import (
     _double,
     _double_a3,
     _naf4,
+    _odd_multiples,
     add,
     brute_force_order,
     builtin_curve,
@@ -219,35 +220,32 @@ def _ref_naf4(k):
 
 def _interleaved_muls(terms, curve):
     """Tally of `multi_scalar_mul(terms, curve)`, rebuilt on the affine
-    reference from the digits of each k: `_ref_naf4` from 32 bits on (each
-    such point of order above 7, so that its table of P, 3P, 5P, 7P costs
-    one doubling + 9 + 3 * 11 + 3 * 7), binary below.  One shared doubling
-    per position under the highest top digit: 8 when the curve has a = -3
-    and some k is on the NAF, 10 otherwise.  Per nonzero digit, in term
-    order at each position: nothing into infinity, 4 + 10 for P + P, 4 for
-    P + (-P), 11 otherwise.  Then 4 to return a finite sum to affine."""
+    reference from the digits of each k: `_ref_naf4` from 32 bits on, binary
+    below, and binary for every term when a k of 32 bits or more has a point
+    of order 2, 3, 5 or 7, which has no table.  Otherwise each such point's
+    table of P, 3P, 5P, 7P costs one affine doubling and three affine
+    additions, 7 + 3 * 6.  One shared doubling per position under the
+    highest top digit: 8 when the curve has a = -3, 10 otherwise.  Per
+    nonzero digit, in term order at each position: nothing into infinity,
+    4 + 10 for P + P, 4 for P + (-P), 11 otherwise.  Then 4 to return a
+    finite sum to affine."""
     p = curve.modulus.value
-    rows = []
-    for k, pt in terms:
-        if k and not pt.is_infinity:
-            naf = k.bit_length() >= 32
-            rows.append((_ref_naf4(k) if naf else [int(b) for b in bin(k)[:1:-1]], pt, naf))
-    if not rows:
+    terms = [(k, pt) for k, pt in terms if k and not pt.is_infinity]
+    if not terms:
         return 0
-    any_naf = any(naf for _, _, naf in rows)
-    dbl = 8 if any_naf and (curve.a.residue + 3) % p == 0 else 10
-    muls = 0
-    for _, pt, naf in rows:
-        if naf:
-            assert not any(_ref_scalar_mul(d, pt, curve).is_infinity for d in (2, 3, 5, 7))
-            muls += dbl + 9 + 3 * 11 + 3 * 7
-    top = max(len(digits) for digits, _, _ in rows) - 1
+    long = [pt for k, pt in terms if k.bit_length() >= 32]
+    naf = not any(_ref_scalar_mul(d, pt, curve).is_infinity for pt in long for d in (2, 3, 5, 7))
+    muls = (7 + 3 * 6) * len(long) if naf else 0
+    rows = [(_ref_naf4(k) if naf and k.bit_length() >= 32 else [int(b) for b in bin(k)[:1:-1]], pt)
+            for k, pt in terms]
+    dbl = 8 if (curve.a.residue + 3) % p == 0 else 10
+    top = max(len(digits) for digits, _ in rows) - 1
     muls += dbl * top
     acc = CurvePoint.infinity()
     for pos in range(top, -1, -1):
         if pos < top:
             acc = _ref_add(acc, acc, curve)
-        for digits, pt, _ in rows:
+        for digits, pt in rows:
             d = digits[pos] if pos < len(digits) else 0
             if not d:
                 continue
@@ -266,14 +264,13 @@ def _interleaved_muls(terms, curve):
 
 
 def _naf_a3_muls(k):
-    """Tally of k * P on the NAF path of an a = -3 curve, when no table entry
-    is infinity and no P + P or P + (-P) occurs: the precompute (one 8-mul
-    doubling, 9 for the isomorphism, 3 mixed additions, 3 + 4 per entry to
-    batch-invert and return to affine), 8 per doubling, 11 per mixed
-    addition, 4 to return to affine."""
+    """Tally of k * P on the NAF path of an a = -3 curve, when P has a table
+    and no P + P or P + (-P) occurs: the table (one affine doubling, 7, and
+    three affine additions, 6 each), 8 per doubling, 11 per mixed addition,
+    4 to return to affine."""
     digits = _ref_naf4(k)
     nonzero = sum(1 for d in digits if d)
-    return 8 + 9 + 3 * 11 + 3 * 7 + 8 * (len(digits) - 1) + 11 * (nonzero - 1) + 4
+    return 7 + 3 * 6 + 8 * (len(digits) - 1) + 11 * (nonzero - 1) + 4
 
 
 def test_secp160r1_parameters_validate():
@@ -659,8 +656,8 @@ def test_a3_doubling_matches_general_doubling(name):
 
 def test_naf_path_on_every_point_of_a_small_a3_curve():
     # y^2 = x^3 - 3x + 4 mod 23 has order 30 = 2 * 3 * 5, so points of order
-    # 2, 3, 5, 6, 10, 15 and 30.  For one of order 3, 7P = 5P + 2P is a
-    # doubling on the curve where the table is built, whose a is Z^4 a
+    # 2, 3, 5, 6, 10, 15 and 30.  Those of order 2, 3 and 5 have no table of
+    # P, 3P, 5P, 7P and run binary digits; the rest run the NAF
     curve = curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"})
     assert brute_force_order(curve) == 30
     rng = random.Random(23)
@@ -683,10 +680,45 @@ def _ref_multi(terms, curve):
     return total
 
 
+def test_odd_multiples_match_reference_and_refuse_orders_2_3_5_7():
+    # alone and in batches: the table is +-d P for d = 1, 3, 5, 7, each point
+    # in its own column, and None exactly when the batch has a point of
+    # order 2, 3, 5 or 7
+    a3 = curve_from_dict(A3_MOD_23)
+    secp = builtin_curve("secp160r1")
+    rng = random.Random("odd")
+    torsion = [pt for order, pts in _test2017_torsion().items() if order > 1 for pt in pts]
+    cases = [
+        (TOY5, _toy5_points()[1:]),
+        (a3, [a3.point(x, y) for x in range(23) for y in range(23)
+              if is_on_curve(a3.point(x, y), a3)]),
+        (TEST2017, torsion),
+        (secp, [scalar_mul(rng.randrange(1, secp.subgroup_order), secp.generator, secp)
+                for _ in range(4)]),
+    ]
+    for curve, pts in cases:
+        p, a = curve.modulus.value, curve.a.residue
+        small = [curve is not secp and _order(pt, curve) in (2, 3, 5, 7) for pt in pts]
+        assert any(small) == (curve is not secp)
+        batches = [[i] for i in range(len(pts))]
+        batches += [list(range(len(pts))), [i for i in range(len(pts)) if not small[i]]]
+        for batch in batches:
+            table = _odd_multiples([(pts[i].x.residue, pts[i].y.residue) for i in batch], a, p)
+            if any(small[i] for i in batch):
+                assert table is None, batch
+                continue
+            assert sorted(table) == [-7, -5, -3, -1, 1, 3, 5, 7]
+            for d, column in table.items():
+                want = [_ref_scalar_mul(abs(d), pts[i], curve) for i in batch]
+                want = [pt if d > 0 else _negate(pt) for pt in want]
+                assert column == [(pt.x.residue, pt.y.residue) for pt in want], (d, batch)
+
+
 @pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5", "p256", "a3-mod-23"])
 def test_multi_scalar_mul_matches_reference(name):
-    # on test2017, every point of order 5, 11 and 55 is a term: the NAF
-    # tables hold infinity and the loop meets P + P and P + (-P)
+    # on test2017, every point of order 5, 11 and 55 is a term: one of order
+    # 5 has no table, so every term of a call with a long k runs binary
+    # digits, and the loop meets P + P and P + (-P)
     if name == "a3-mod-23":
         curve = curve_from_dict(A3_MOD_23)
         pts = [curve.point(x, y) for x in range(23) for y in range(23)
@@ -708,7 +740,10 @@ def test_multi_scalar_mul_matches_reference(name):
         long = [(rng.getrandbits(rng.choice((64, 200))) | 1 << 63, pt) for pt in pts]
         mixed = [rng.choice((a, b)) for a, b in zip(short, long)]
         for terms in (short, long, mixed):
-            assert multi_scalar_mul(terms, curve) == _ref_multi(terms, curve)
+            with MulCounter() as ops:
+                got = multi_scalar_mul(terms, curve)
+            assert got == _ref_multi(terms, curve)
+            assert ops.field_muls == _interleaved_muls(terms, curve)
 
 
 @pytest.mark.parametrize("name", ["test2017", "secp160r1"])
