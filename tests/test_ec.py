@@ -717,8 +717,8 @@ def test_odd_multiples_match_reference_and_refuse_orders_2_3_5_7():
 @pytest.mark.parametrize("name", ["test2017", "secp160r1", "toy5", "p256", "a3-mod-23"])
 def test_multi_scalar_mul_matches_reference(name):
     # on test2017, every point of order 5, 11 and 55 is a term: one of order
-    # 5 has no table, so every term of a call with a long k runs binary
-    # digits, and the loop meets P + P and P + (-P)
+    # 5 has no table, so a call that gives it a long k runs every term on
+    # binary digits, and the loop meets P + P and P + (-P)
     if name == "a3-mod-23":
         curve = curve_from_dict(A3_MOD_23)
         pts = [curve.point(x, y) for x in range(23) for y in range(23)
