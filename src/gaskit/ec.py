@@ -378,7 +378,7 @@ def _odd_multiples(
 
     2P, then 3P, 5P and 7P as 2P plus the one before, each step for all
     points at once with one inversion (`_affine_step`).  Only such an order
-    makes a step's denominator zero: 2P = O, or 3P or 5P = +-2P.  Costs
+    makes a step's denominator zero: 2P = O, or P, 3P or 5P = +-2P.  Costs
     `_NAF_TABLE_MULS` per point, tallied by the caller.
     """
     two = _affine_step(points, None, a, p)
