@@ -61,6 +61,7 @@ __all__ = [
     "CurvePoint",
     "CurveParams",
     "is_on_curve",
+    "affine_point",
     "validate_point",
     "add",
     "scalar_mul",
@@ -104,9 +105,16 @@ class CurvePoint:
         return self.x is None
 
     def __eq__(self, other) -> bool:
+        # `FieldElement.__eq__` on both coordinates, inline
         if not isinstance(other, CurvePoint):
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        x, y, ox, oy = self.x, self.y, other.x, other.y
+        if x is None or ox is None:  # infinity equals only infinity
+            return x is ox
+        return (
+            x.residue == ox.residue and y.residue == oy.residue
+            and x.modulus.value == ox.modulus.value and y.modulus.value == oy.modulus.value
+        )
 
     def __hash__(self) -> int:
         return hash((self.x, self.y))
@@ -201,24 +209,33 @@ def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
     return (y * y - (x * x * x + curve.a.residue * x + curve.b.residue)) % p == 0
 
 
-def validate_point(x: FieldElement, y: FieldElement, curve: CurveParams) -> CurvePoint:
-    """The affine point (x, y) read from the wire or a file.
+def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
+    """The affine point (x, y) of two integers read from the wire or a file.
 
-    The coordinates come from `Prime.element` or `Prime.from_bytes`, which
-    hold the range and width checks; ValueError unless both are elements of
-    the curve's field and satisfy its equation, tested on their residues
-    before the point is built.  Infinity has no affine encoding, so it never
+    ValueError unless both lie in [0, p) and satisfy the curve's equation,
+    tested before the point is built; its coordinates are elements of
+    `curve.modulus` itself.  Infinity has no affine encoding, so it never
     passes.
     """
-    p = curve.modulus.value
-    xr, yr = x.residue, y.residue
-    if (
-        x.modulus.value != p
-        or y.modulus.value != p
-        or (yr * yr - (xr * xr + curve.a.residue) * xr - curve.b.residue) % p
-    ):
-        raise ValueError(f"point ({xr}, {yr}) is off-curve")
-    return _point(x, y)
+    fp = curve.modulus
+    p = fp.value
+    if not (0 <= x < p and 0 <= y < p):
+        raise ValueError(f"{y if 0 <= x < p else x} out of field range [0, {p})")
+    if (y * y - (x * x + curve.a.residue) * x - curve.b.residue) % p:
+        raise ValueError(f"point ({x}, {y}) is off-curve")
+    return _point(_reduced(x, fp), _reduced(y, fp))
+
+
+def validate_point(x: FieldElement, y: FieldElement, curve: CurveParams) -> CurvePoint:
+    """The affine point (x, y) of two field elements, such as a config's Q.
+
+    ValueError unless both are elements of the curve's field and their
+    residues pass `affine_point`, the one check of a point read from
+    outside; the public-share decoder calls that on the integers it reads.
+    """
+    if x.modulus.value != curve.modulus.value or y.modulus.value != curve.modulus.value:
+        raise ValueError(f"point ({x.residue}, {y.residue}) is off-curve")
+    return affine_point(x.residue, y.residue, curve)
 
 
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
@@ -558,28 +575,36 @@ def multi_scalar_mul(
     reduced or negated, and the generator gets no fixed-base path here.  A
     caller whose points all have prime order n can pass a k above n/2 as the
     shorter term (n - k, -P), as `gas_core.decentralized_verify` does with
-    its Lagrange weights.  Each term is recoded as in `scalar_mul`'s
-    variable base, and all terms' mixed additions run under one shared
-    sequence of doublings (Straus 1964; Moller, SAC 2001): about 160
-    doublings for m random secp160r1 scalars, instead of 160 m.  The NAF
-    terms' tables come from one `_odd_multiples` call; if one of their
-    points has order 2, 3, 5 or 7, every term runs binary digits.  Tallies,
-    once on return, 25 per NAF term's table, 8 or 10 per shared doubling,
-    11 per mixed addition and 4 to return to affine.  A one-term call is
-    `scalar_mul` of a point other than the generator, in value and in
-    tally.
+    its Lagrange weights (on integers, through `_multi_scalar_ints`).  Each
+    term is recoded as in `scalar_mul`'s variable base, and all terms'
+    mixed additions run under one shared sequence of doublings (Straus
+    1964; Moller, SAC 2001): about 160 doublings for m random secp160r1
+    scalars, instead of 160 m.  The NAF terms' tables come from one
+    `_odd_multiples` call; if one of their points has order 2, 3, 5 or 7,
+    every term runs binary digits.  Tallies, once on return, 25 per NAF
+    term's table, 8 or 10 per shared doubling, 11 per mixed addition and 4
+    to return to affine.  A one-term call is `scalar_mul` of a point other
+    than the generator, in value and in tally.
     """
     for k, pt in terms:
         if k < 0:
             raise ValueError("scalar must be non-negative")
         _require_on_curve(pt, curve)
+    ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
+    return _multi_scalar_ints(ints, len(terms), curve)
+
+
+def _multi_scalar_ints(
+    terms: list[tuple[int, int, int]], tems: int, curve: CurveParams
+) -> CurvePoint:
+    """`multi_scalar_mul` of terms (k, x, y), every k >= 1 and (x, y) on the
+    curve, unchecked; records `tems` TEMs."""
     counter = active_counter()
     if counter is not None:
-        counter.ec_scalar_muls += len(terms)
-    ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
-    if not ints:
+        counter.ec_scalar_muls += tems
+    if not terms:
         return _INFINITY
-    X, Y, Z, muls = _interleaved(ints, curve.a.residue, curve.modulus.value)
+    X, Y, Z, muls = _interleaved(terms, curve.a.residue, curve.modulus.value)
     return _affine_result(X, Y, Z, muls, curve, counter)
 
 

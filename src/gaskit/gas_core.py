@@ -24,8 +24,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
 from .ec import (
-    BUILTIN_CURVES, CurveParams, CurvePoint, builtin_curve, is_on_curve, multi_scalar_mul,
-    scalar_mul, scalar_mul_many, validate_point,
+    BUILTIN_CURVES, CurveParams, CurvePoint, _multi_scalar_ints, affine_point, builtin_curve,
+    is_on_curve, scalar_mul, scalar_mul_many, validate_point,
 )
 from .field import (
     FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weights,
@@ -136,9 +136,10 @@ class SymmetricKey:
 class PublicShare:
     """Broadcast confirmation value f(x_i)*P together with the sender id.
 
-    Frozen, with the generated eq, hash and repr.  `__init__` is written
-    out: it fills the instance dict directly, where the generated one calls
-    `object.__setattr__` once per field.
+    Frozen, with the generated hash and repr.  `__init__` is written out:
+    it fills the instance dict directly, where the generated one calls
+    `object.__setattr__` once per field.  So is `__eq__`, which compares
+    the fields without building the generated one's two tuples.
     """
 
     member_id: str
@@ -150,6 +151,18 @@ class PublicShare:
         fields = self.__dict__
         fields["member_id"] = member_id
         fields["point"] = point
+
+    def __eq__(self, other) -> bool:
+        # `CurvePoint.__eq__` inline, where neither point is infinity
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pt, opt = self.point, other.point
+        x, y, ox, oy = pt.x, pt.y, opt.x, opt.y
+        return (
+            self.member_id == other.member_id
+            and x.residue == ox.residue and y.residue == oy.residue
+            and x.modulus.value == ox.modulus.value and y.modulus.value == oy.modulus.value
+        )
 
 
 @dataclass(frozen=True)
@@ -224,7 +237,7 @@ class MemberState:
         A different point under an id already held raises
         `PeerAuthenticationError` naming that id: the stored point may
         already have keyed a pairwise channel.  The point is not checked
-        again: a decoded share passed `validate_point`, and one built in
+        again: a decoded share passed `affine_point`, and one built in
         process comes from `scalar_mul`.
         """
         self.config.roster_x(ps.member_id)  # raises UnknownMemberError
@@ -315,19 +328,15 @@ def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, Publi
     """The (epoch, share) of a public-share frame of the config's epoch.
 
     ValueError for any other message type, a frame of another epoch, or a
-    point that does not decode to one on the curve.
+    point that does not decode to one on the curve.  One pass: the frame
+    through `wire.decode_public_share`, its coordinates through
+    `affine_point`.
     """
-    frame = wire.decode_frame(buf)
-    if frame.msg_type != wire.PUBLIC_SHARE:
-        raise ValueError(f"expected public-share frame, got type {frame.msg_type}")
-    if frame.epoch != config.epoch:
-        raise ValueError(
-            f"public-share frame of epoch {frame.epoch}, config is epoch {config.epoch}"
-        )
-    fp = config.curve.modulus
-    x, y = wire.decode_point_payload(frame.payload)
-    point = validate_point(fp.from_bytes(x), fp.from_bytes(y), config.curve)
-    return frame.epoch, PublicShare(frame.member_id, point)
+    curve = config.curve
+    epoch, member_id, x, y = wire.decode_public_share(buf, curve.modulus.byte_length)
+    if epoch != config.epoch:
+        raise ValueError(f"public-share frame of epoch {epoch}, config is epoch {config.epoch}")
+    return epoch, PublicShare(member_id, affine_point(x, y, curve))
 
 
 def gm_verify(
@@ -365,8 +374,9 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     (q - w, -f(x_i)P), the same product for a point of order q.  With the
     default roster x = 1..m, L_i(0) = +-C(m, i), so on secp160r1 every
     term's scalar is then C(m, i), at most 2^(m-1), where about half of them
-    would be as long as q.  The m terms and their sum are one
-    `multi_scalar_mul`: m TEMs under shared doublings.
+    would be as long as q.  The m terms and their sum are one run of
+    `multi_scalar_mul`'s loop, on integers: m TEMs under shared doublings,
+    and each point checked once, here.
     """
     m = len(received)
     if m < config.threshold:
@@ -380,12 +390,12 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     for ps in received:
         if not is_on_curve(ps.point, config.curve):
             raise ValueError(f"public share from {ps.member_id} is off-curve")
-    q = config.scalar_field.value
-    terms = []
+    q, p = config.scalar_field.value, config.curve.modulus.value
+    terms = []  # every weight is nonzero: the roster's xs are distinct and nonzero
     for w, ps in zip(lagrange_weights(xs, 0, q), received):
-        pt = ps.point
-        terms.append((q - w, CurvePoint(pt.x, -pt.y)) if w > q >> 1 else (w, pt))
-    return multi_scalar_mul(terms, config.curve) == config.group_public_key
+        x, y = ps.point.x.residue, ps.point.y.residue
+        terms.append((q - w, x, -y % p) if w > q >> 1 else (w, x, y))
+    return _multi_scalar_ints(terms, m, config.curve) == config.group_public_key
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Payloads::
 
 `decode_frame` returns a `Frame`, an immutable `NamedTuple` of the four
 header and payload fields.  The decoders take `bytes` and return slices of
-it, so each field is copied once.
+it, so each field is copied once.  `decode_public_share` reads a whole
+public-share frame in one pass instead, both coordinates as integers of a
+fixed width; it refuses what `decode_frame` and `decode_point_payload`
+refuse, and a coordinate of any other width.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "Frame",
     "encode_frame",
     "decode_frame",
+    "decode_public_share",
     "encode_point_payload",
     "decode_point_payload",
     "encode_encrypted_payload",
@@ -47,6 +51,8 @@ _MSG_TYPES = (PUBLIC_SHARE, ENCRYPTED_SHARE, HARN_RELEASE, VERDICT)
 
 _HEADER = struct.Struct(">BIB")  # type, epoch, member id length
 _U16 = struct.Struct(">H")  # a length prefix
+# coordinate width -> x_len, x, y_len, y of a public-share payload
+_COORDS: dict[int, struct.Struct] = {}
 
 
 class Frame(NamedTuple):
@@ -81,6 +87,27 @@ def decode_frame(buf: bytes) -> Frame:
     if len(buf) < end:
         raise ValueError("truncated member id")
     return _new_frame(Frame, (msg_type, epoch, buf[6:end].decode(), buf[end:]))
+
+
+def decode_public_share(buf: bytes, width: int) -> tuple[int, str, int, int]:
+    """(epoch, member id, x, y) of a public-share frame whose coordinates
+    are `width` bytes each, read in one pass; ValueError for any other frame.
+    """
+    if len(buf) < 6:
+        raise ValueError("truncated frame header")
+    msg_type, epoch, mid_len = _HEADER.unpack_from(buf)
+    if msg_type != PUBLIC_SHARE:
+        raise ValueError(f"expected public-share frame, got type {msg_type}")
+    end = 6 + mid_len
+    coords = _COORDS.get(width) or _COORDS.setdefault(width, struct.Struct(f">H{width}sH{width}s"))
+    if len(buf) == end + coords.size:
+        x_len, x, y_len, y = coords.unpack_from(buf, end)
+        if x_len == width == y_len:
+            return epoch, buf[6:end].decode(), int.from_bytes(x, "big"), int.from_bytes(y, "big")
+    if len(buf) < end:
+        raise ValueError("truncated member id")
+    x, y = decode_point_payload(buf[end:])  # names a malformed payload
+    raise ValueError(f"expected {width} bytes per coordinate, got {len(x)} and {len(y)}")
 
 
 def encode_point_payload(x: bytes, y: bytes) -> bytes:

@@ -953,6 +953,29 @@ def test_scalar_mul_many_refuses_bad_input_before_counting():
         assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
 
 
+def test_curve_point_equality_contract():
+    g = TEST2017.generator
+    gx, gy = g.x.residue, g.y.residue
+    fresh = Prime(2017)  # equal to the curve's modulus, not the same instance
+    same = CurvePoint(FieldElement(gx, fresh), FieldElement(gy, fresh))
+    assert same == g and not same != g and hash(same) == hash(g)
+    assert len({g, same, TEST2017.point(gx, gy)}) == 1
+    # the same residues over another field are another point
+    other = Prime(2027)
+    for x, y in ((other, other), (other, fresh), (fresh, other)):
+        pt = CurvePoint(FieldElement(gx, x), FieldElement(gy, y))
+        assert pt != g and g != pt and not pt == g
+    assert g != TEST2017.point(gx, 2017 - gy) and g != TEST2017.point(gy, gx)
+    # infinity equals only infinity
+    inf = CurvePoint.infinity()
+    assert inf == CurvePoint(None, None) and hash(inf) == hash(CurvePoint(None, None))
+    assert inf != g and g != inf and not inf == g
+    # anything that is not a point compares unequal, with no error
+    for alien in ((gx, gy), (g.x, g.y), None, 0, "G"):
+        assert g != alien and alien != g and not g == alien
+    assert inf != None and inf != (None, None)  # noqa: E711
+
+
 def test_curve_point_pickles_and_copies_as_an_immutable_equal():
     import copy
     import pickle

@@ -11,7 +11,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
 from gaskit.ec import CurvePoint, add, builtin_curve, curve_to_dict, load_curve, scalar_mul
-from gaskit.field import FieldElement, MulCounter, lagrange_weights
+from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
     MemberState,
@@ -296,6 +296,27 @@ def test_decentralized_verify_tally_pinned(curve, t, n, counts):
     weight_muls, tems = counts
     interleaved = _interleaved_muls(_lagrange_terms(config, public_shares), config.curve)
     assert (ops.field_muls, ops.ec_scalar_muls) == (weight_muls + interleaved, tems)
+
+
+def test_decentralized_verify_checks_each_point_once(monkeypatch):
+    # its own loop, which names the peer, is the only on-curve check
+    import gaskit.ec
+
+    calls = []
+    real = gaskit.ec.is_on_curve
+
+    def counted(pt, curve):
+        calls.append(pt)
+        return real(pt, curve)
+
+    monkeypatch.setattr(gaskit.ec, "is_on_curve", counted)
+    monkeypatch.setattr(gas_core, "is_on_curve", counted)
+    for name, t, n in (("test2017", 3, 7), ("secp160r1", 4, 9)):
+        config, shares = gm_init(t, n, builtin_curve(name), random.Random(41))
+        _, public_shares = run_confirmation(config, shares)
+        calls.clear()
+        assert decentralized_verify(config, public_shares)
+        assert calls == [ps.point for ps in public_shares]
 
 
 def test_decentralized_accepts_when_gm_accepts():
@@ -693,6 +714,28 @@ def test_public_share_is_immutable_hashable_and_never_infinity():
         ps.extra = 1
     with pytest.raises(ValueError, match="infinity"):
         PublicShare("U1", CurvePoint.infinity())
+
+
+def test_public_share_equality_contract():
+    _, config, shares = setup_group()
+    _, public_shares = run_confirmation(config, shares)
+    ps = public_shares[0]
+    x, y = ps.point.x.residue, ps.point.y.residue
+    # a decoded copy is another object, equal and of the same hash
+    _, copy = public_share_from_frame(public_share_frame(ps, config.epoch), config)
+    assert copy is not ps and copy.point is not ps.point
+    assert copy == ps and ps == copy and not copy != ps and hash(copy) == hash(ps)
+    assert len({ps, copy}) == 1
+    # equal only with the same id and the same residues over the same field
+    assert ps != PublicShare("U2", ps.point)
+    assert ps != PublicShare(ps.member_id, CURVE.point(x, -y))
+    other = Prime(2027)
+    for fx, fy in ((other, other), (other, CURVE.modulus), (CURVE.modulus, other)):
+        moved = PublicShare(ps.member_id, CurvePoint(FieldElement(x, fx), FieldElement(y, fy)))
+        assert moved != ps and ps != moved
+    # anything that is not a share compares unequal, with no error
+    for alien in ((ps.member_id, ps.point), None, ps.point, ps.member_id):
+        assert ps != alien and alien != ps and not ps == alien
 
 
 def test_public_share_frame_of_another_epoch_is_refused():

@@ -13,12 +13,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gaskit import gas_core, wire  # noqa: E402
-from gaskit.ec import builtin_curve  # noqa: E402
+from gaskit.ec import builtin_curve, validate_point  # noqa: E402
 
-_CONFIGS = {
-    name: gas_core.gm_init(3, 5, builtin_curve(name), random.Random(name))[0]
+_DEALT = {
+    name: gas_core.gm_init(3, 5, builtin_curve(name), random.Random(name))
     for name in ("secp160r1", "test2017")
 }
+_CONFIGS = {name: config for name, (config, _) in _DEALT.items()}
 
 # seeded from the test, so that a run is reproducible; no example database
 _fuzz = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -79,3 +80,105 @@ def test_fuzz_decode_encrypted_payload(buf):
 @given(st.one_of(_any_bytes, _near_valid_frames))
 def test_fuzz_public_share_from_frame(name, buf):
     _decodes_or_value_error(gas_core.public_share_from_frame, buf, _CONFIGS[name])
+
+
+# --- the one-pass public-share decoder against the chain it replaced ----------
+
+def _reference_decode(buf, config):
+    """frame, then payload, then each coordinate, then the point: one step each."""
+    frame = wire.decode_frame(buf)
+    if frame.msg_type != wire.PUBLIC_SHARE:
+        raise ValueError("not a public-share frame")
+    if frame.epoch != config.epoch:
+        raise ValueError("another epoch")
+    x, y = wire.decode_point_payload(frame.payload)
+    fp = config.curve.modulus
+    point = validate_point(fp.from_bytes(x), fp.from_bytes(y), config.curve)
+    return frame.epoch, gas_core.PublicShare(frame.member_id, point)
+
+
+def _outcome(decode, buf, config):
+    try:
+        return decode(buf, config)
+    except ValueError:
+        return ValueError
+
+
+def _assert_same_outcome(buf, config):
+    got = _outcome(gas_core.public_share_from_frame, buf, config)
+    assert got == _outcome(_reference_decode, buf, config)
+    if got is not ValueError:
+        point = got[1].point
+        assert point.x.modulus is config.curve.modulus
+        assert point.y.modulus is config.curve.modulus
+
+
+def _frame(msg_type, epoch, member_id, coords):
+    """A frame built by hand; `coords` are (value, length) pairs, and a value
+    too long for its length keeps its low-order bytes."""
+    payload = b"".join(
+        length.to_bytes(2, "big") + (value % 256**length).to_bytes(length, "big")
+        for value, length in coords
+    )
+    header = bytes([msg_type]) + epoch.to_bytes(4, "big") + bytes([len(member_id)])
+    return header + member_id + payload
+
+
+# every member's public share, per curve
+_PUBLIC_SHARES = {name: gas_core.run_confirmation(*dealt)[1] for name, dealt in _DEALT.items()}
+
+
+def _coordinate_cases(name):
+    """Each public share's (x, y); then, of the first, x or y at p - 1 or p,
+    x or y plus p (on the curve mod p, where it fits the width), and y + 1;
+    on a small field, also (p, y) for the points (0, y) of the curve."""
+    curve = _CONFIGS[name].curve
+    p, b = curve.modulus.value, curve.b.residue
+    points = [(ps.point.x.residue, ps.point.y.residue) for ps in _PUBLIC_SHARES[name]]
+    x, y = points[0]
+    edges = [(p - 1, y), (p, y), (x, p - 1), (x, p), (x + p, y), (x, y + p), (x, (y + 1) % p)]
+    if p < 2**16:
+        edges += [(p, y0) for y0 in range(p) if (y0 * y0 - b) % p == 0]
+    return points + edges
+
+
+_CASES = {name: _coordinate_cases(name) for name in _CONFIGS}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_public_share_decode_matches_reference_on_every_truncation(name):
+    config = _CONFIGS[name]
+    for ps in _PUBLIC_SHARES[name]:
+        frame = gas_core.public_share_frame(ps, config.epoch)
+        assert _outcome(gas_core.public_share_from_frame, frame, config) != ValueError
+        for buf in [frame[:cut] for cut in range(len(frame))] + [frame + b"\x00"]:
+            _assert_same_outcome(buf, config)
+
+
+@st.composite
+def _built_frames(draw, name):
+    config = _CONFIGS[name]
+    width = config.curve.modulus.byte_length
+    x, y = draw(st.sampled_from(_CASES[name]))
+    lengths = st.sampled_from((width, width, width - 1, width + 1))
+    buf = _frame(
+        draw(st.sampled_from((wire.PUBLIC_SHARE,) * 4 + (0, 2, 3, 4, 5, 255))),
+        draw(st.sampled_from((config.epoch,) * 3 + (0, 2, 2**32 - 1))),
+        draw(st.sampled_from(("U1".encode(), "Ü9".encode(), b"\xff\xfe", b""))),
+        [(x, draw(lengths)), (y, draw(lengths))],
+    )
+    edit = draw(st.sampled_from(("none", "none", "truncate", "extend")))
+    if edit == "truncate":
+        return buf[:draw(st.integers(0, len(buf) - 1))]
+    if edit == "extend":
+        return buf + bytes([draw(st.integers(0, 255))])
+    return buf
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+@_fuzz
+@given(st.data())
+def test_public_share_decode_matches_reference(name, data):
+    config = _CONFIGS[name]
+    buf = data.draw(st.one_of(_built_frames(name), _near_valid_frames, _any_bytes))
+    _assert_same_outcome(buf, config)
