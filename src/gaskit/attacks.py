@@ -153,7 +153,7 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
         # (their sum) does not yield the pairwise key either
         joint = add(replayed.point, honest_shares[0].point, config.curve)
         fake_key = gas_core.pairwise_key(joint, victim, any_peer.member_id)
-        real = gas_core.derive_pairwise_key(any_peer.share, replayed, config)
+        real = any_peer.pairwise_keys[victim]  # derived by key_agreement_round
         attacker_key_ok = fake_key == real
         notes.append("attacker cannot authenticate any AEAD exchange")
 

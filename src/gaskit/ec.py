@@ -62,7 +62,6 @@ __all__ = [
     "CurveParams",
     "is_on_curve",
     "affine_point",
-    "validate_point",
     "add",
     "scalar_mul",
     "multi_scalar_mul",
@@ -210,12 +209,13 @@ def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
 
 
 def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
-    """The affine point (x, y) of two integers read from the wire or a file.
+    """The affine point (x, y) of two integers read from the wire.
 
-    ValueError unless both lie in [0, p) and satisfy the curve's equation,
-    tested before the point is built; its coordinates are elements of
-    `curve.modulus` itself.  Infinity has no affine encoding, so it never
-    passes.
+    The one check of a point from outside; the public-share decoder calls
+    it on the two integers it reads.  ValueError unless both lie in [0, p)
+    and satisfy the curve's equation, tested before the point is built; its
+    coordinates are elements of `curve.modulus` itself.  Infinity has no
+    affine encoding, so it never passes.
     """
     fp = curve.modulus
     p = fp.value
@@ -224,18 +224,6 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
     if (y * y - (x * x + curve.a.residue) * x - curve.b.residue) % p:
         raise ValueError(f"point ({x}, {y}) is off-curve")
     return _point(_reduced(x, fp), _reduced(y, fp))
-
-
-def validate_point(x: FieldElement, y: FieldElement, curve: CurveParams) -> CurvePoint:
-    """The affine point (x, y) of two field elements, such as a config's Q.
-
-    ValueError unless both are elements of the curve's field and their
-    residues pass `affine_point`, the one check of a point read from
-    outside; the public-share decoder calls that on the integers it reads.
-    """
-    if x.modulus.value != curve.modulus.value or y.modulus.value != curve.modulus.value:
-        raise ValueError(f"point ({x.residue}, {y.residue}) is off-curve")
-    return affine_point(x.residue, y.residue, curve)
 
 
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:

@@ -29,7 +29,6 @@ __all__ = [
     "is_probable_prime",
     "json_int",
     "json_object",
-    "json_array",
     "json_str",
     "lagrange_coeff",
     "lagrange_coeff_at_zero",
@@ -42,8 +41,8 @@ _MR_ROUNDS = 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
-    """Miller-Rabin with deterministic bases derived from n (reproducible)."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin, 64 rounds, with bases derived from n (reproducible)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -57,7 +56,7 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
         d //= 2
         r += 1
     rng = random.Random(n)
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -103,16 +102,8 @@ def json_object(value: object, name: str, required: tuple[str, ...]) -> dict:
     return value
 
 
-def json_array(value: object, name: str, length: int | None = None) -> list:
-    """A JSON array, of exactly `length` items when one is given."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        shape = "an array" if length is None else f"an array of {length}"
-        raise ValueError(f"{name} must be {shape}, got {value!r}")
-    return value
-
-
 def json_str(value: object, name: str) -> str:
-    """A JSON string, such as a member id."""
+    """A JSON string, such as a curve's name."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     return value
@@ -172,11 +163,11 @@ class MulCounter:
 
     `field_muls` gets one per `FieldElement` multiplication and, in one step
     per call, the multiplications of the plain-int paths: the formula counts
-    of each `ec.add`, `ec.scalar_mul` or `ec.multi_scalar_mul`, the 2m-1 of
-    each `lagrange_weight`, the m^2 + 6m of each `lagrange_weights` and, for
-    Harn's g^c (`HarnModulus.g_pow`), one
-    per nonzero 4-bit digit of c (its table, like the generator table of
-    `ec`, is built untallied); inversions are not counted.  A scalar
+    of each `ec.add`, `ec.scalar_mul`, `ec.multi_scalar_mul` or
+    `ec.scalar_mul_many`, the 2m-1 of each `lagrange_weight`, the m^2 + 6m
+    of each `lagrange_weights` and, for Harn's g^c (`HarnModulus.g_pow`),
+    one per nonzero 4-bit digit of c (its table, like the generator table
+    of `ec`, is built untallied); inversions are not counted.  A scalar
     multiplication tallies the formulas it ran, so the same TEM counts
     differently by path: about 509 on average on secp160r1 for the
     generator (fixed-base table), about 1.6k for any other point (width-4

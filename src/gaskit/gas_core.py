@@ -24,12 +24,10 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
 from .ec import (
-    BUILTIN_CURVES, CurveParams, CurvePoint, _multi_scalar_ints, affine_point, builtin_curve,
-    is_on_curve, scalar_mul, scalar_mul_many, validate_point,
+    CurveParams, CurvePoint, _multi_scalar_ints, affine_point, is_on_curve, scalar_mul,
+    scalar_mul_many,
 )
-from .field import (
-    FieldElement, Prime, json_array, json_int, json_object, json_str, lagrange_weights,
-)
+from .field import FieldElement, Prime, lagrange_weights
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff_at_zero  # noqa: F401
 from .sss import (
@@ -39,11 +37,11 @@ from .sss import (
     commit,
     dealer_polynomial_with_nonzero_shares,
     reconstruct,
+    roster_ids,
     verify_commitment,
 )
 
 __all__ = [
-    "CIPHER_SUITE_ID",
     "ProtocolError",
     "UnknownMemberError",
     "PeerAuthenticationError",
@@ -61,21 +59,16 @@ __all__ = [
     "gm_verify",
     "decentralized_verify",
     "pairwise_key",
-    "derive_pairwise_key",
     "ensure_pairwise_keys",
     "encrypt_share_for_peer",
     "key_agreement_round",
     "rotate_credentials",
     "open_rotated_share",
-    "config_to_dict",
-    "config_from_dict",
     "run_confirmation",
     "seal_shares",
     "open_shares",
     "exchange_group_key",
 ]
-
-CIPHER_SUITE_ID = "sss-ecdh-chacha20poly1305-sha256"
 
 _PAIRWISE_LABEL = b"gaskit/pairwise/v1"
 _ROTATE_LABEL = b"gaskit/rotate/v1"
@@ -169,8 +162,9 @@ class PublicShare:
 class GroupConfig:
     """The GM's published bundle; holds no secret material.
 
-    P is the curve's generator and the cipher suite is `CIPHER_SUITE_ID`;
-    `config_to_dict` writes both, `config_from_dict` refuses any other.
+    P is the curve's generator.  `__post_init__` holds every check: Q on
+    the curve, the epoch in the frame header's u32 range, distinct member
+    ids, distinct roster x's in [1, q) and 1 <= t <= n.
     """
 
     curve: CurveParams
@@ -308,7 +302,7 @@ def gm_init(
         xs = list(drawn)
     else:
         xs = [i + 1 for i in range(n)]
-    roster = tuple((f"U{i + 1}", x) for i, x in enumerate(xs))
+    roster = tuple(zip(roster_ids(n), xs))
     return _deal_group(curve, t, roster, rng, epoch=1)
 
 
@@ -401,14 +395,6 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
 # ---------------------------------------------------------------------------
 # Key agreement stage
 
-def derive_pairwise_key(
-    own: Share, peer: PublicShare, config: GroupConfig
-) -> SymmetricKey:
-    """ECDH: K from the shared point y_i * (y_j P), plus the sorted id pair."""
-    shared = scalar_mul(own.y.residue, peer.point, config.curve)
-    return pairwise_key(shared, own.member_id, peer.member_id)
-
-
 def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> SymmetricKey:
     """K = SHA-256 over the label, x(shared) and the two ids in sorted order."""
     if shared.is_infinity:
@@ -426,7 +412,8 @@ def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> SymmetricK
 def ensure_pairwise_keys(state: MemberState) -> None:
     """Derive every missing pairwise key, in `received_public_shares` order.
 
-    The member's one scalar y_i multiplies all peers' points in one
+    ECDH: the key with peer j is `pairwise_key` of y_i * (y_j P).  The
+    member's one scalar y_i multiplies all peers' points in one
     `scalar_mul_many` call; a degenerate shared point raises as in
     `pairwise_key`, after the keys of the peers before it are stored.  An
     off-curve peer point raises ValueError before any key is stored
@@ -439,17 +426,6 @@ def ensure_pairwise_keys(state: MemberState) -> None:
     shared = scalar_mul_many(state.share.y.residue, [ps.point for ps in peers], state.config.curve)
     for ps, point in zip(peers, shared):
         state.pairwise_keys[ps.member_id] = pairwise_key(point, state.member_id, ps.member_id)
-
-
-def _pairwise_key_for(state: MemberState, peer_id: str) -> SymmetricKey:
-    """The key shared with one peer, derived on first use from its public share."""
-    key = state.pairwise_keys.get(peer_id)
-    if key is None:
-        ps = state.received_public_shares.get(peer_id)
-        if ps is None or peer_id == state.member_id:
-            raise UnknownMemberError(f"no pairwise key for {peer_id!r}")
-        key = state.pairwise_keys[peer_id] = derive_pairwise_key(state.share, ps, state.config)
-    return key
 
 
 def _share_aad(epoch: int, sender: str, recipient: str) -> bytes:
@@ -477,9 +453,20 @@ def _open(key: bytes, aad: bytes, payload: bytes) -> bytes:
 def encrypt_share_for_peer(
     state: MemberState, peer_id: str, rng: random.Random
 ) -> bytes:
-    """Encrypt the member's own y for one peer; returns the wire payload."""
+    """Encrypt the member's own y for one peer; returns the wire payload.
+
+    A missing key is derived by `ensure_pairwise_keys`, with all the
+    member's other missing keys.  UnknownMemberError for the member itself
+    and for a peer whose public share is not held.
+    """
+    key = state.pairwise_keys.get(peer_id)
+    if key is None:
+        if peer_id == state.member_id or peer_id not in state.received_public_shares:
+            raise UnknownMemberError(f"no pairwise key for {peer_id!r}")
+        ensure_pairwise_keys(state)
+        key = state.pairwise_keys[peer_id]
     return _seal(
-        _pairwise_key_for(state, peer_id).key_bytes,
+        key.key_bytes,
         _share_aad(state.config.epoch, state.member_id, peer_id),
         state.share.y.to_bytes(),
         rng,
@@ -587,55 +574,6 @@ def open_rotated_share(
 
 
 # ---------------------------------------------------------------------------
-# Config export
-
-def config_to_dict(config: GroupConfig) -> dict:
-    """The config as JSON; ``curve_ref`` names a builtin curve, else is null."""
-    curve, generator = config.curve, config.curve.generator
-    builtin = curve.name in BUILTIN_CURVES and builtin_curve(curve.name) == curve
-    return {
-        "curve_ref": curve.name if builtin else None,
-        "P": [str(generator.x.residue), str(generator.y.residue)],
-        "Q": [
-            str(config.group_public_key.x.residue),
-            str(config.group_public_key.y.residue),
-        ],
-        "H_s": config.commitment.hex(),
-        "t": config.threshold,
-        "roster": [[mid, str(x)] for mid, x in config.roster],
-        "cipher_suite_id": CIPHER_SUITE_ID,
-        "epoch": config.epoch,
-    }
-
-
-def config_from_dict(data: dict, curve: CurveParams | None = None) -> GroupConfig:
-    data = json_object(data, "group config", ("P", "Q", "H_s", "t", "roster"))
-    if curve is None:
-        ref = data.get("curve_ref")
-        if ref is None:
-            raise ValueError("config has no curve_ref; pass curve= explicitly")
-        curve = builtin_curve(json_str(ref, "curve_ref"))
-    fp = curve.modulus
-    px, py = (fp.element(json_int(v, "P")) for v in json_array(data["P"], "P", 2))
-    qx, qy = (fp.element(json_int(v, "Q")) for v in json_array(data["Q"], "Q", 2))
-    if CurvePoint(px, py) != curve.generator:
-        raise ValueError(f"P is not the generator of curve {curve.name!r}")
-    suite = data.get("cipher_suite_id", CIPHER_SUITE_ID)
-    if suite != CIPHER_SUITE_ID:
-        raise ValueError(f"unsupported cipher suite {suite!r}; expected {CIPHER_SUITE_ID!r}")
-    pairs = [json_array(e, "roster entry", 2) for e in json_array(data["roster"], "roster")]
-    roster = tuple((json_str(m, "member id"), json_int(x, f"roster x of {m}")) for m, x in pairs)
-    return GroupConfig(
-        curve=curve,
-        group_public_key=validate_point(qx, qy, curve),
-        commitment=SecretCommitment(bytes.fromhex(json_str(data["H_s"], "H_s"))),
-        threshold=json_int(data["t"], "t"),
-        roster=roster,
-        epoch=json_int(data.get("epoch", 1), "epoch"),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Honest-run drivers (used by tests, the demo and the attack scenarios)
 
 def run_confirmation(
@@ -659,13 +597,12 @@ def seal_shares(
 ) -> dict[str, dict[str, bytes]]:
     """Every member encrypts its share for every peer.
 
-    Returns recipient id -> sender id -> encrypted-share payload.  Each
-    sender first derives all its pairwise keys in one batch.  Seals run
-    sender-major in `states` order, which fixes the rng draws.
+    Returns recipient id -> sender id -> encrypted-share payload.  A
+    sender's first seal derives all its pairwise keys in one batch.  Seals
+    run sender-major in `states` order, which fixes the rng draws.
     """
     inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
     for sender_id, state in states.items():
-        ensure_pairwise_keys(state)
         for peer_id in states:
             if peer_id == sender_id:
                 continue

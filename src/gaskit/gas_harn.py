@@ -35,7 +35,7 @@ from . import wire
 from .field import FieldElement, Prime, json_int, json_object, lagrange_weight, tally_muls
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff  # noqa: F401
-from .sss import SecretPolynomial, ThresholdError, sample_polynomial
+from .sss import SecretPolynomial, ThresholdError, roster_ids, sample_polynomial
 
 __all__ = [
     "HarnParams",
@@ -116,11 +116,11 @@ class HarnModulus:
         return FieldElement(acc, self.p)
 
 
-def derive_generator(p: Prime, q: Prime, base: int = _GENERATOR_BASE) -> FieldElement:
-    """base^((p-1)/q) mod p; lands in the order-q subgroup."""
-    g = pow(base, (p.value - 1) // q.value, p.value)
+def derive_generator(p: Prime, q: Prime) -> FieldElement:
+    """7^((p-1)/q) mod p; lands in the order-q subgroup."""
+    g = pow(_GENERATOR_BASE, (p.value - 1) // q.value, p.value)
     if g == 1:
-        raise ValueError(f"base {base} collapses to 1; pick another base")
+        raise ValueError(f"base {_GENERATOR_BASE} collapses to 1 for p={p.value}, q={q.value}")
     return FieldElement(g, p)
 
 
@@ -230,8 +230,8 @@ def harn_init(
         verification_target=modulus.g_pow(s.residue),
     )
     tokens = [
-        HarnToken(member_id=f"U{i + 1}", x=x, y1=f1.evaluate(x), y2=f2.evaluate(x))
-        for i, x in enumerate(xs)
+        HarnToken(member_id=mid, x=x, y1=f1.evaluate(x), y2=f2.evaluate(x))
+        for mid, x in zip(roster_ids(n), xs)
     ]
     return params, tokens
 

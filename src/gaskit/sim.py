@@ -34,6 +34,7 @@ from typing import Mapping
 from . import cost_model, gas_core, gas_harn, wire
 from .ec import CurveParams, builtin_curve, load_curve, scalar_mul
 from .gas_harn import HarnModulus, builtin_harn_modulus, load_harn_modulus
+from .sss import roster_ids
 
 __all__ = [
     "SCHEME_CHOICES",
@@ -135,7 +136,7 @@ class Scenario:
             if kind not in ("invalid-share",):
                 problems.append(f"unknown adversary kind {kind!r}")
             rogue = self.adversary.get("member_id", "U1")
-            if rogue not in [f"U{i + 1}" for i in range(self.m)]:  # gm_init, harn_init ids
+            if rogue not in roster_ids(self.m):  # gm_init, harn_init ids
                 problems.append(f"adversary member_id must be one of U1..U{self.m}, got {rogue!r}")
         if problems:
             raise ScenarioError("; ".join(problems))
@@ -641,7 +642,7 @@ def chien_model_row(m: int, base: Scenario | None = None) -> str:
     frame_len = lambda mid: len(
         gas_core.public_share_frame(gas_core.PublicShare(mid, generator), 1)
     )
-    ids = [f"U{i + 1}" for i in range(m)]
+    ids = roster_ids(m)
     release = lambda mm: cost_model.TEM_TMULQ + cost_model.CHIEN_LAGRANGE_PER_X * (mm - 1)
     rate = scn.compute_rate
     auth_time = (

@@ -23,6 +23,7 @@ __all__ = [
     "SecretCommitment",
     "sample_polynomial",
     "issue_shares",
+    "roster_ids",
     "reconstruct",
     "commit",
     "verify_commitment",
@@ -114,16 +115,16 @@ def sample_polynomial(
     return SecretPolynomial(tuple(coeffs))
 
 
-def issue_shares(
-    poly: SecretPolynomial,
-    xs: list[FieldElement],
-    member_ids: list[str] | None = None,
-) -> list[Share]:
-    """Evaluate the polynomial at each x (Horner); x's distinct and nonzero."""
-    if member_ids is None:
-        member_ids = [f"U{i + 1}" for i in range(len(xs))]
-    if len(member_ids) != len(xs):
-        raise ValueError("one member id per x")
+def roster_ids(n: int) -> list[str]:
+    """The member ids of an n-member group in roster order: U1, ..., Un."""
+    return [f"U{i + 1}" for i in range(n)]
+
+
+def issue_shares(poly: SecretPolynomial, xs: list[FieldElement]) -> list[Share]:
+    """Evaluate the polynomial at each x (Horner); x's distinct and nonzero.
+
+    The shares carry the `roster_ids` of len(xs) members, in order.
+    """
     seen: set[int] = set()
     for x in xs:
         if x.residue == 0:
@@ -133,7 +134,7 @@ def issue_shares(
         seen.add(x.residue)
     return [
         Share(x=x, y=poly.evaluate(x), member_id=mid)
-        for x, mid in zip(xs, member_ids)
+        for x, mid in zip(xs, roster_ids(len(xs)))
     ]
 
 

@@ -16,6 +16,7 @@ from gaskit.ec import (
     _naf4,
     _odd_multiples,
     add,
+    affine_point,
     brute_force_order,
     builtin_curve,
     curve_from_dict,
@@ -24,9 +25,7 @@ from gaskit.ec import (
     multi_scalar_mul,
     scalar_mul,
     scalar_mul_many,
-    validate_point,
 )
-from gaskit import gas_core
 from gaskit.field import FieldElement, MulCounter, Prime
 
 TEST2017 = builtin_curve("test2017")
@@ -605,10 +604,9 @@ def test_fixed_base_tally_and_config_roundtrip():
     with MulCounter() as ops:
         scalar_mul(k, curve.generator, curve)
     assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(k, curve))
-    # a generator that arrives as an equal but distinct point (here the P a
-    # config file carries) takes the same path
-    config, _ = gas_core.gm_init(3, 5, curve, rng)
-    g = CurvePoint(*map(curve.modulus.element, map(int, gas_core.config_to_dict(config)["P"])))
+    # a generator that arrives as an equal but distinct point, built from
+    # its residues, takes the same path
+    g = curve.point(curve.generator.x.residue, curve.generator.y.residue)
     assert g is not curve.generator
     for k in [rng.randrange(1, n) for _ in range(20)] + [n + 1, 2 * n - 1, 2**200 + 3]:
         with MulCounter() as ops:
@@ -997,7 +995,7 @@ def test_curve_point_pickles_and_copies_as_an_immutable_equal():
     TOY5,
     curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}),
 ], ids=["toy5", "a3-mod-23"])
-def test_validate_point_accepts_exactly_the_affine_points(curve):
+def test_affine_point_accepts_exactly_the_affine_points(curve):
     fp = curve.modulus
     p, a, b = fp.value, curve.a.residue, curve.b.residue
     affine = {(x, y) for x in range(p) for y in range(p)
@@ -1006,18 +1004,14 @@ def test_validate_point_accepts_exactly_the_affine_points(curve):
     for x in range(p):
         for y in range(p):
             if (x, y) in affine:
-                assert validate_point(fp.element(x), fp.element(y), curve) == curve.point(x, y)
+                pt = affine_point(x, y, curve)
+                assert pt == curve.point(x, y)
+                assert pt.x.modulus is fp and pt.y.modulus is fp
             else:
                 with pytest.raises(ValueError, match="off-curve"):
-                    validate_point(fp.element(x), fp.element(y), curve)
+                    affine_point(x, y, curve)
     # -1 and p would reduce to valid coordinates; decoding refuses them first
     for x, y in affine:
         for bad in ((-1, y), (p, y), (x, -1), (x, p)):
             with pytest.raises(ValueError, match="out of field range"):
-                validate_point(*map(fp.element, bad), curve)
-    # the same residues as elements of another field are not on this curve
-    other = Prime(29)
-    for x, y in affine:
-        for xe, ye in ((other.element(x), fp.element(y)), (fp.element(x), other.element(y))):
-            with pytest.raises(ValueError, match="off-curve"):
-                validate_point(xe, ye, curve)
+                affine_point(*bad, curve)

@@ -1,14 +1,13 @@
 """File readers on arbitrary and near-valid JSON: exit 0 or 2, never a traceback.
 
-Scenario, curve and Harn modulus files go through ``gaskit simulate``; group
-configs, which no command reads, through `gas_core.config_from_dict`.
+Scenario, curve and Harn modulus files, the files a command reads, go
+through ``gaskit simulate``.
 Property tests; they need the optional `hypothesis` package (the `test`
 extra) and are skipped where it is not installed.
 """
 
 import io
 import json
-import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gaskit import cli, gas_core, sim  # noqa: E402
+from gaskit import cli, sim  # noqa: E402
 from gaskit.ec import builtin_curve, curve_to_dict  # noqa: E402
 
 # seeded from the test, so that a run is reproducible; no example database
@@ -55,9 +54,6 @@ _HARN = {"name": "harn-tiny", "p": "23", "q": "11", "g": "3"}
 # p = 2kq + 1 over small q, prime or not: groups that nearly fill F_q
 _SMALL_HARN = st.builds(lambda q, k: {"p": str(2 * k * q + 1), "q": str(q)},
                         st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 12))
-_CONFIG = gas_core.config_to_dict(
-    gas_core.gm_init(3, 5, builtin_curve("test2017"), random.Random(3))[0]
-)
 
 
 def _mutations(base, values):
@@ -111,12 +107,3 @@ def test_fuzz_curve_file(tmp_path_factory, data, scheme, m):
 @given(st.one_of(_json, _mutations(_HARN, _values), _SMALL_HARN), st.integers(1, 6))
 def test_fuzz_harn_modulus_file(tmp_path_factory, data, m):
     _simulate(tmp_path_factory, data, "--scheme", "harn", "--m", str(m), "--harn", None)
-
-
-@_fuzz
-@given(st.one_of(_json, _mutations(_CONFIG, _values)))
-def test_fuzz_config_from_dict(data):
-    try:
-        gas_core.config_from_dict(data)
-    except ValueError:
-        pass

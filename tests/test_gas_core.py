@@ -1,16 +1,14 @@
 """Protocol state machine: confirmation, pairwise keys, key agreement, rotation."""
 
 import dataclasses
-import json
 import random
-import re
 import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
-from gaskit.ec import CurvePoint, add, builtin_curve, curve_to_dict, load_curve, scalar_mul
+from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
@@ -19,10 +17,7 @@ from gaskit.gas_core import (
     PublicShare,
     RotationError,
     UnknownMemberError,
-    config_from_dict,
-    config_to_dict,
     decentralized_verify,
-    derive_pairwise_key,
     pairwise_key,
     encrypt_share_for_peer,
     exchange_group_key,
@@ -356,12 +351,24 @@ def test_receive_public_share_refuses_a_conflicting_point(peer):
 
 # --- pairwise keys ------------------------------------------------------------------
 
+def _reference_key(own, peer, config):
+    """ECDH one peer at a time: K from y_i * (y_j P), as `ensure_pairwise_keys` batches it."""
+    shared = scalar_mul(own.y.residue, peer.point, config.curve)
+    return pairwise_key(shared, own.member_id, peer.member_id)
+
+
 def test_pairwise_key_symmetry():
     _, config, shares = setup_group()
     states, public_shares = run_confirmation(config, shares)
-    k_ij = derive_pairwise_key(shares[0], public_shares[1], config)
-    k_ji = derive_pairwise_key(shares[1], public_shares[0], config)
-    assert k_ij == k_ji
+    for state in states.values():
+        gas_core.ensure_pairwise_keys(state)
+    for a in states:
+        for b in states:
+            if a != b:
+                assert states[a].pairwise_keys[b] == states[b].pairwise_keys[a]
+    k_ij = _reference_key(shares[0], public_shares[1], config)
+    k_ji = _reference_key(shares[1], public_shares[0], config)
+    assert k_ij == k_ji == states["U1"].pairwise_keys["U2"]
 
 
 def test_pairwise_key_matches_bruteforce_ecdh_oracle():
@@ -389,16 +396,19 @@ def test_pairwise_key_matches_bruteforce_ecdh_oracle():
         + len(ida.encode()).to_bytes(2, "big") + ida.encode()
         + len(idb.encode()).to_bytes(2, "big") + idb.encode()
     ).digest()
-    assert derive_pairwise_key(shares[0], public_shares[1], config).key_bytes == expected
+    gas_core.ensure_pairwise_keys(states["U1"])
+    assert states["U1"].pairwise_keys["U2"].key_bytes == expected
+    assert _reference_key(shares[0], public_shares[1], config).key_bytes == expected
     assert pairwise_key(shared, "U2", "U1").key_bytes == expected
 
 
 def test_pairwise_key_not_attacker_computable_combination():
     _, config, shares = setup_group()
-    _, public_shares = run_confirmation(config, shares)
-    real = derive_pairwise_key(shares[0], public_shares[1], config)
+    states, public_shares = run_confirmation(config, shares)
+    gas_core.ensure_pairwise_keys(states["U1"])
+    real = states["U1"].pairwise_keys["U2"]
     joint = add(public_shares[0].point, public_shares[1].point, CURVE)
-    bogus = derive_pairwise_key(
+    bogus = _reference_key(
         Share(x=shares[0].x, y=FieldElement(1, config.scalar_field), member_id="U1"),
         PublicShare("U2", joint),
         config,
@@ -416,23 +426,30 @@ def test_key_agreement_end_to_end():
     assert all(st.group_key == key for st in states.values())
 
 
-def test_encrypt_for_peer_derives_only_that_peers_key():
+def test_encrypt_for_peer_derives_every_missing_key_in_one_batch():
     rng, config, shares = setup_group(t=3, n=5, seed=21)
     states, _ = run_confirmation(config, shares)
     u1 = states["U1"]
     with MulCounter() as ops:
         encrypt_share_for_peer(u1, "U3", rng)
+    assert ops.ec_scalar_muls == 4
+    assert list(u1.pairwise_keys) == ["U2", "U3", "U4", "U5"]
+    assert u1.pairwise_keys == _per_peer_keys(u1)[0]
+    with MulCounter() as ops:
         encrypt_share_for_peer(u1, "U3", rng)
-    assert ops.ec_scalar_muls == 1
-    assert list(u1.pairwise_keys) == ["U3"]
-    with pytest.raises(UnknownMemberError):
-        encrypt_share_for_peer(u1, "U1", rng)
-    with pytest.raises(UnknownMemberError):
-        encrypt_share_for_peer(u1, "U9", rng)
+        encrypt_share_for_peer(u1, "U5", rng)
+    assert ops.ec_scalar_muls == 0
+    # the member itself and an unknown peer are refused before any derivation
+    u2 = states["U2"]
+    with MulCounter() as ops:
+        for peer in ("U2", "U9"):
+            with pytest.raises(UnknownMemberError):
+                encrypt_share_for_peer(u2, peer, rng)
+    assert ops.ec_scalar_muls == 0 and u2.pairwise_keys == {}
     # the whole stage still derives each of the m(m-1) keys exactly once
     with MulCounter() as ops:
         exchange_group_key(states, rng)
-    assert ops.ec_scalar_muls == 5 * 4 - 1
+    assert ops.ec_scalar_muls == 5 * 4 - 4
 
 
 def test_key_agreement_garbage_ciphertext_names_peer():
@@ -447,13 +464,13 @@ def test_key_agreement_garbage_ciphertext_names_peer():
 
 
 def _per_peer_keys(state):
-    """One `derive_pairwise_key` per peer, in `received_public_shares` order:
+    """One `_reference_key` per peer, in `received_public_shares` order:
     the keys derived and the peer whose shared point was degenerate, if any."""
     keys = {}
     for mid, ps in state.received_public_shares.items():
         if mid != state.member_id:
             try:
-                keys[mid] = derive_pairwise_key(state.share, ps, state.config)
+                keys[mid] = _reference_key(state.share, ps, state.config)
             except ValueError:
                 return keys, mid
     return keys, None
@@ -474,8 +491,8 @@ def test_ensure_pairwise_keys_matches_per_peer_derivation(curve_name):
     state = MemberState(share=shares[0], config=config)
     for ps in states["U1"].received_public_shares.values():
         state.receive_public_share(ps)
-    encrypt_share_for_peer(state, "U4", rng)
-    held = state.pairwise_keys["U4"]
+    held = _reference_key(shares[0], state.received_public_shares["U4"], config)
+    state.pairwise_keys["U4"] = held
     with MulCounter() as ops:
         gas_core.ensure_pairwise_keys(state)
     assert ops.ec_scalar_muls == 5
@@ -791,70 +808,14 @@ def test_wired_session_counts_pinned():
     assert ops.field_muls == 1292 + ecdh + m * m + 6 * m + interleaved
 
 
-def test_config_dict_roundtrip():
-    _, config, _ = setup_group()
-    data = config_to_dict(config)
-    assert data["curve_ref"] == "test2017"
-    assert set(data) == {
-        "curve_ref", "P", "Q", "H_s", "t", "roster", "cipher_suite_id", "epoch",
-    }
-    again = config_from_dict(data)
-    assert again == config
-
-
-def test_config_from_dict_refuses_a_p_other_than_the_generator():
-    # (1981, 1664) is on test2017 but has order 5: five members' f(x_i)P
-    # would fall into a 5-point subgroup
-    _, config, _ = setup_group()
-    point = CurvePoint(*map(CURVE.modulus.element, (1981, 1664)))
-    assert scalar_mul(5, point, CURVE).is_infinity
-    data = config_to_dict(config)
-    data["P"] = ["1981", "1664"]
-    with pytest.raises(ValueError, match="P is not the generator"):
-        config_from_dict(data)
-
-
-def test_config_from_dict_refuses_other_cipher_suites():
-    _, config, _ = setup_group()
-    data = config_to_dict(config)
-    data["cipher_suite_id"] = "rot13"
-    with pytest.raises(ValueError, match="cipher suite"):
-        config_from_dict(data)
-
-
 def test_config_epoch_fits_the_frame_header():
     _, config, _ = setup_group()
-    data = config_to_dict(config)
     for epoch in (-1, 2**32):
-        data["epoch"] = epoch
         with pytest.raises(ValueError, match="out of u32 range"):
-            config_from_dict(data)
-    data["epoch"] = 2**32 - 1
-    last = config_from_dict(data)
+            dataclasses.replace(config, epoch=epoch)
+    last = dataclasses.replace(config, epoch=2**32 - 1)
     with pytest.raises(ValueError, match="out of u32 range"):
         rotate_credentials(last, FieldElement(1, last.scalar_field), random.Random(1))
-
-
-def test_config_from_dict_needs_curve():
-    _, config, _ = setup_group()
-    data = config_to_dict(config)
-    data["curve_ref"] = None
-    with pytest.raises(ValueError, match="curve"):
-        config_from_dict(data)
-    assert config_from_dict(data, curve=CURVE) == config
-
-
-def test_config_on_a_curve_file_writes_no_curve_ref(tmp_path):
-    # the file's path is the curve's name, not a builtin one
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(curve_to_dict(CURVE)))
-    curve = load_curve(path)
-    config, _ = gm_init(3, 5, curve, random.Random(1))
-    data = config_to_dict(config)
-    assert data["curve_ref"] is None
-    assert config_from_dict(data, curve=curve) == config
-    with pytest.raises(ValueError, match="pass curve= explicitly"):
-        config_from_dict(data)
 
 
 def test_config_rejects_roster_x_outside_scalar_field():
@@ -866,65 +827,6 @@ def test_config_rejects_roster_x_outside_scalar_field():
         with pytest.raises(ValueError, match="roster x"):
             dataclasses.replace(config, roster=roster)
     assert dataclasses.replace(config, roster=tuple(zip(config.member_ids, [1, 2, q - 1])))
-
-
-def test_config_from_dict_rejects_coordinates_outside_field():
-    _, config, _ = setup_group()
-    p = CURVE.modulus.value
-    for key in ("P", "Q"):
-        for i in (0, 1):
-            for shift in (p, -p):
-                data = config_to_dict(config)
-                data[key][i] = str(int(data[key][i]) + shift)
-                with pytest.raises(ValueError, match="out of field range"):
-                    config_from_dict(data)
-
-
-@pytest.mark.parametrize(("key", "bad"), [("t", 3.0), ("t", 2.7), ("epoch", True),
-                                          ("P", 1368.0), ("roster", 1.5)])
-def test_config_from_dict_rejects_non_integer_numbers(key, bad):
-    # int() would load t = 2.7 as 2 and epoch = true as 1
-    _, config, _ = setup_group()
-    data = config_to_dict(config)
-    if key == "P":
-        data["P"][0] = bad
-    elif key == "roster":
-        data["roster"][0][1] = bad
-    else:
-        data[key] = bad
-    with pytest.raises(ValueError, match="must be an integer"):
-        config_from_dict(data)
-
-
-@pytest.mark.parametrize(("key", "value", "problem"), [
-    ("P", ..., "missing fields: ['P']"),  # ... deletes the key
-    ("Q", ..., "missing fields: ['Q']"),
-    ("H_s", ..., "missing fields: ['H_s']"),
-    ("t", ..., "missing fields: ['t']"),
-    ("roster", ..., "missing fields: ['roster']"),
-    ("P", "1368", "P must be an array of 2"),
-    ("Q", ["1", "2", "3"], "Q must be an array of 2"),
-    ("H_s", 7, "H_s must be a string"),
-    ("roster", 5, "roster must be an array"),
-    ("roster", [["U1", "1", "x"]], "roster entry must be an array of 2"),
-    ("roster", [[1, "1"], [2, "2"]], "member id must be a string, got 1"),
-    ("curve_ref", ["test2017"], "curve_ref must be a string"),
-])
-def test_config_from_dict_refuses_malformed_shapes(key, value, problem):
-    _, config, _ = setup_group()
-    data = config_to_dict(config)
-    if value is ...:
-        del data[key]
-    else:
-        data[key] = value
-    with pytest.raises(ValueError, match=re.escape(problem)):
-        config_from_dict(data)
-
-
-def test_config_from_dict_refuses_a_non_object():
-    _, config, _ = setup_group()
-    with pytest.raises(ValueError, match="group config must be a JSON object, got list"):
-        config_from_dict([config_to_dict(config)])
 
 
 def test_gm_init_random_xs():

@@ -13,7 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gaskit import gas_core, wire  # noqa: E402
-from gaskit.ec import builtin_curve, validate_point  # noqa: E402
+from gaskit.ec import affine_point, builtin_curve  # noqa: E402
 
 _DEALT = {
     name: gas_core.gm_init(3, 5, builtin_curve(name), random.Random(name))
@@ -93,7 +93,7 @@ def _reference_decode(buf, config):
         raise ValueError("another epoch")
     x, y = wire.decode_point_payload(frame.payload)
     fp = config.curve.modulus
-    point = validate_point(fp.from_bytes(x), fp.from_bytes(y), config.curve)
+    point = affine_point(fp.from_bytes(x).residue, fp.from_bytes(y).residue, config.curve)
     return frame.epoch, gas_core.PublicShare(frame.member_id, point)
 
 
