@@ -16,11 +16,13 @@ bulk once per call.  There are three loops:
 * interleaved, for `multi_scalar_mul`, sum k_i P_i, and for `scalar_mul`
   of any other point as its one term: each k_i is recoded as a width-4 NAF
   over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
-  `_NAF_MIN_BITS` (32) bits or more, or as binary digits when shorter, on
-  which the table costs more than it saves.  All terms' mixed additions
-  run under one shared sequence of Jacobian doublings.  Tallies 25 per NAF
-  table, 8 per doubling where a = -3 mod p (secp160r1, P-256) and 10
-  otherwise, 11 per mixed addition and 4 to return to affine;
+  `_NAF_MIN_BITS` (32) bits or more, or `_SHARED_NAF_MIN_BITS` (8) in a
+  sum of two or more terms, whose doublings are shared, and as binary
+  digits when shorter, on which the table costs more than it saves.  All
+  terms' mixed additions run under one shared sequence of Jacobian
+  doublings.  Tallies 25 per NAF table, 8 per doubling where a = -3 mod p
+  (secp160r1, P-256) and 10 otherwise, 11 per mixed addition and 4 to
+  return to affine;
 * lockstep, for `scalar_mul_many`, k P_i for one k and many points (a
   member's pairwise ECDH): k is recoded once, in the same way, and every
   point runs its digits together in affine coordinates, each doubling or
@@ -30,6 +32,11 @@ bulk once per call.  There are three loops:
 Both build their NAF tables with `_odd_multiples`.  A point of order 2, 3,
 5 or 7 has none: the interleaved loop then runs every term on binary
 digits, and the lockstep hands every point to `scalar_mul`.
+
+A verifier that only compares its result with a given point keeps it in
+Jacobian coordinates: `_jacobian_is` tests X = x Z^2 and Y = y Z^3 with the
+4 multiplications of the return to affine, tallied the same, and no
+inversion.  `gas_core.gm_verify` and `decentralized_verify` use it.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -283,6 +290,11 @@ _WINDOW = 3
 # still ahead there, but its protocol scalars are under 6 bits.
 _NAF_MIN_BITS = 32
 
+# The same for a term of a sum of two or more, whose doublings are shared:
+# per term of b bits, binary digits then cost about 11 b/2 multiplications
+# and the width-4 NAF 25 + 11 b/5, which tie near 8 bits.
+_SHARED_NAF_MIN_BITS = 8
+
 
 def _double(X: int, Y: int, Z: int, a: int, p: int) -> tuple[int, int, int]:
     """2(X : Y : Z) in Jacobian coordinates; Y = 0 or Z = 0 gives Z3 = 0."""
@@ -402,16 +414,18 @@ def _interleaved(
 ) -> tuple[int, int, int, int]:
     """sum k * (x, y) over terms (k, x, y) with k >= 1: (X, Y, Z, muls).
 
-    Each k is recoded on its own: from `_NAF_MIN_BITS` bits on as a width-4
-    NAF over its point's column of one `_odd_multiples` table, below as
-    binary digits of its point; when that table is None, every term runs
-    binary digits.  All terms' additions then run under one shared sequence
-    of doublings from the highest top digit down, in term order at each
-    position (Straus's interleaving; Hankerson-Menezes-Vanstone, Alg. 3.51).
+    Each k is recoded on its own: from `_NAF_MIN_BITS` bits on for one term,
+    `_SHARED_NAF_MIN_BITS` for more, as a width-4 NAF over its point's
+    column of one `_odd_multiples` table, below as binary digits of its
+    point; when that table is None, every term runs binary digits.  All
+    terms' additions then run under one shared sequence of doublings from
+    the highest top digit down, in term order at each position (Straus's
+    interleaving; Hankerson-Menezes-Vanstone, Alg. 3.51).
     One term runs the formulas of a single width-4 NAF or binary
     double-and-add, in the same order.
     """
-    naf_points = [(x, y) for k, x, y in terms if k.bit_length() >= _NAF_MIN_BITS]
+    min_bits = _NAF_MIN_BITS if len(terms) == 1 else _SHARED_NAF_MIN_BITS
+    naf_points = [(x, y) for k, x, y in terms if k.bit_length() >= min_bits]
     table = _odd_multiples(naf_points, a, p) if naf_points else None
     muls = _NAF_TABLE_MULS * len(naf_points) if table else 0
     dbl, dbl_muls = _doubling(a, p)
@@ -419,7 +433,7 @@ def _interleaved(
     top = 0
     column = 0  # the next NAF term's column of the table
     for i, (k, x, y) in enumerate(terms):
-        if table and k.bit_length() >= _NAF_MIN_BITS:
+        if table and k.bit_length() >= min_bits:
             digits = _naf4(k)
             adds += [(pos, -i, *table[d][column]) for pos, d in reversed(digits)]
             column += 1
@@ -554,6 +568,16 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     return _affine_result(X, Y, Z, muls, curve, counter)
 
 
+def _generator_jacobian(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
+    """k * G for k >= 0, as `scalar_mul` runs it on a curve with
+    `subgroup_order` set, up to its return to affine: (X, Y, Z, muls), with
+    the TEM recorded."""
+    counter = active_counter()
+    if counter is not None:
+        counter.ec_scalar_muls += 1
+    return _fixed_base(k, curve)
+
+
 def multi_scalar_mul(
     terms: list[tuple[int, CurvePoint]], curve: CurveParams
 ) -> CurvePoint:
@@ -563,11 +587,14 @@ def multi_scalar_mul(
     reduced or negated, and the generator gets no fixed-base path here.  A
     caller whose points all have prime order n can pass a k above n/2 as the
     shorter term (n - k, -P), as `gas_core.decentralized_verify` does with
-    its Lagrange weights (on integers, through `_multi_scalar_ints`).  Each
-    term is recoded as in `scalar_mul`'s variable base, and all terms'
-    mixed additions run under one shared sequence of doublings (Straus
-    1964; Moller, SAC 2001): about 160 doublings for m random secp160r1
-    scalars, instead of 160 m.  The NAF terms' tables come from one
+    its Lagrange weights (on integers, through `_multi_scalar_jacobian`).
+    All terms' mixed additions run under one shared sequence of doublings
+    (Straus 1964; Moller, SAC 2001): about 160 doublings for m random
+    secp160r1 scalars, instead of 160 m.  Each term is recoded as in
+    `scalar_mul`'s variable base, but with two or more terms a k of 8 bits
+    or more takes the NAF (`_SHARED_NAF_MIN_BITS`): under shared doublings
+    a b-bit term costs about 11 b/2 multiplications on binary digits and
+    25 + 11 b/5 on the NAF.  The NAF terms' tables come from one
     `_odd_multiples` call; if one of their points has order 2, 3, 5 or 7,
     every term runs binary digits.  Tallies, once on return, 25 per NAF
     term's table, 8 or 10 per shared doubling, 11 per mixed addition and 4
@@ -579,21 +606,22 @@ def multi_scalar_mul(
             raise ValueError("scalar must be non-negative")
         _require_on_curve(pt, curve)
     ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
-    return _multi_scalar_ints(ints, len(terms), curve)
+    X, Y, Z, muls = _multi_scalar_jacobian(ints, len(terms), curve)
+    return _affine_result(X, Y, Z, muls, curve, active_counter())
 
 
-def _multi_scalar_ints(
+def _multi_scalar_jacobian(
     terms: list[tuple[int, int, int]], tems: int, curve: CurveParams
-) -> CurvePoint:
+) -> tuple[int, int, int, int]:
     """`multi_scalar_mul` of terms (k, x, y), every k >= 1 and (x, y) on the
-    curve, unchecked; records `tems` TEMs."""
+    curve, unchecked, up to its return to affine: (X, Y, Z, muls), with
+    `tems` TEMs recorded."""
     counter = active_counter()
     if counter is not None:
         counter.ec_scalar_muls += tems
     if not terms:
-        return _INFINITY
-    X, Y, Z, muls = _interleaved(terms, curve.a.residue, curve.modulus.value)
-    return _affine_result(X, Y, Z, muls, curve, counter)
+        return 1, 1, 0, 0
+    return _interleaved(terms, curve.a.residue, curve.modulus.value)
 
 
 def scalar_mul_many(k: int, points: list[CurvePoint], curve: CurveParams) -> list[CurvePoint]:
@@ -705,6 +733,26 @@ def _affine_result(
     if counter is not None:
         counter.field_muls += muls
     return result
+
+
+def _jacobian_is(X: int, Y: int, Z: int, muls: int, pt: CurvePoint, curve: CurveParams) -> bool:
+    """Whether `_affine_result` of (X : Y : Z) would equal pt, without its
+    inversion; tallies what it would.
+
+    A finite pt equals (X/Z^2, Y/Z^3) iff both its coordinates are elements
+    of the curve's prime p, Z != 0, X = x Z^2 and Y = y Z^3 (mod p): 4
+    multiplications, the 4 of the return to affine, tallied whatever the
+    verdict.  Infinity (Z = 0) equals only infinity.
+    """
+    if not Z:
+        tally_muls(muls)
+        return pt.x is None
+    tally_muls(muls + _TO_AFFINE_MULS)
+    x, y, p = pt.x, pt.y, curve.modulus.value
+    if x is None or x.modulus.value != p or y.modulus.value != p:
+        return False
+    ZZ = Z * Z % p
+    return (x.residue * ZZ - X) % p == 0 and (y.residue * ZZ * Z - Y) % p == 0
 
 
 def brute_force_order(curve: CurveParams) -> int:

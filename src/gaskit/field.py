@@ -178,8 +178,11 @@ class MulCounter:
     share one run of doublings: m random secp160r1 terms tally about 382
     each for their tables and additions, plus about 1.3k for the doublings,
     once.  `gas_core.decentralized_verify` passes it short signed weights
-    instead: an honest secp160r1 group of 30 (x = 1..30) tallies 4864 in
-    all, weights included.
+    instead, 27 of them at 8 bits or more, where a term of a sum takes the
+    width-4 NAF: an honest secp160r1 group of 30 (x = 1..30) tallies 3556
+    in all, weights included.  The verifiers compare their Jacobian result
+    with the point they check, and tally the 4 of a return to affine for
+    it.
     These are measured counts: the modeled T_mul,q costs in `cost_model`
     never read them.
 

@@ -24,8 +24,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
 from .ec import (
-    CurveParams, CurvePoint, _multi_scalar_ints, affine_point, is_on_curve, scalar_mul,
-    scalar_mul_many,
+    CurveParams, CurvePoint, _generator_jacobian, _jacobian_is, _multi_scalar_jacobian,
+    affine_point, is_on_curve, scalar_mul, scalar_mul_many,
 )
 from .field import FieldElement, Prime, lagrange_weights
 # Not called here; the benchmark's tracer binds it by name in this module.
@@ -85,8 +85,9 @@ class UnknownMemberError(ProtocolError):
 class PeerAuthenticationError(ProtocolError):
     """A peer failed authentication; names it.
 
-    Raised when its ciphertext fails the AEAD tag check, and when it sends
-    a public share that conflicts with the one already held for it.
+    Raised when its ciphertext fails the AEAD tag check, when it sends a
+    public share that conflicts with the one already held for it, and when
+    its point gives a degenerate pairwise ECDH point.
     """
 
     def __init__(self, peer_id: str, message: str | None = None):
@@ -234,7 +235,8 @@ class MemberState:
         again: a decoded share passed `affine_point`, and one built in
         process comes from `scalar_mul`.
         """
-        self.config.roster_x(ps.member_id)  # raises UnknownMemberError
+        if ps.member_id not in self.config._x_by_id:
+            raise UnknownMemberError(f"member {ps.member_id!r} not in roster")
         held = self.received_public_shares.setdefault(ps.member_id, ps)
         if held is not ps and held.point != ps.point:
             raise PeerAuthenticationError(
@@ -341,8 +343,11 @@ def gm_verify(
     """Centralized confirmation: recompute f(x_i)*P per member and compare.
 
     Returns a verdict per received member id; the round is accepted iff all
-    verdicts are true.
+    verdicts are true.  Each f(x_i)*P stays in Jacobian coordinates and is
+    compared with the received point by `ec._jacobian_is`, which saves the
+    inversion of a return to affine and tallies the same 4 multiplications.
     """
+    curve = config.curve
     by_id = {s.member_id: s for s in gm_shares}
     seen: set[str] = set()
     verdicts: dict[str, bool] = {}
@@ -352,11 +357,9 @@ def gm_verify(
         if ps.member_id in seen:
             raise ValueError(f"duplicate public share from {ps.member_id!r}")
         seen.add(ps.member_id)
-        expected = scalar_mul(
-            by_id[ps.member_id].y.residue, config.curve.generator, config.curve
-        )
+        expected = _generator_jacobian(by_id[ps.member_id].y.residue, curve)
         # equal to the on-curve `expected`, so on the curve too
-        verdicts[ps.member_id] = ps.point == expected
+        verdicts[ps.member_id] = _jacobian_is(*expected, ps.point, curve)
     return verdicts
 
 
@@ -370,7 +373,9 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     term's scalar is then C(m, i), at most 2^(m-1), where about half of them
     would be as long as q.  The m terms and their sum are one run of
     `multi_scalar_mul`'s loop, on integers: m TEMs under shared doublings,
-    and each point checked once, here.
+    and each point checked once, here.  The sum stays in Jacobian
+    coordinates and is compared with Q by `ec._jacobian_is`, as in
+    `gm_verify`.
     """
     m = len(received)
     if m < config.threshold:
@@ -389,7 +394,9 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     for w, ps in zip(lagrange_weights(xs, 0, q), received):
         x, y = ps.point.x.residue, ps.point.y.residue
         terms.append((q - w, x, -y % p) if w > q >> 1 else (w, x, y))
-    return _multi_scalar_ints(terms, m, config.curve) == config.group_public_key
+    return _jacobian_is(
+        *_multi_scalar_jacobian(terms, m, config.curve), config.group_public_key, config.curve
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +421,11 @@ def ensure_pairwise_keys(state: MemberState) -> None:
 
     ECDH: the key with peer j is `pairwise_key` of y_i * (y_j P).  The
     member's one scalar y_i multiplies all peers' points in one
-    `scalar_mul_many` call; a degenerate shared point raises as in
-    `pairwise_key`, after the keys of the peers before it are stored.  An
-    off-curve peer point raises ValueError before any key is stored
-    (decoded public shares are already on the curve).
+    `scalar_mul_many` call.  A degenerate shared point (infinity) raises
+    `PeerAuthenticationError` naming the peer whose point made it, after
+    the keys of the peers before it are stored.  An off-curve peer point
+    raises ValueError before any key is stored (decoded public shares are
+    already on the curve).
     """
     peers = [
         ps for mid, ps in state.received_public_shares.items()
@@ -425,6 +433,11 @@ def ensure_pairwise_keys(state: MemberState) -> None:
     ]
     shared = scalar_mul_many(state.share.y.residue, [ps.point for ps in peers], state.config.curve)
     for ps, point in zip(peers, shared):
+        if point.is_infinity:
+            raise PeerAuthenticationError(
+                ps.member_id,
+                f"degenerate shared point with {ps.member_id}; re-keying required",
+            )
         state.pairwise_keys[ps.member_id] = pairwise_key(point, state.member_id, ps.member_id)
 
 

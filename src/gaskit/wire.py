@@ -14,8 +14,8 @@ Payloads::
 `decode_frame` returns a `Frame`, an immutable `NamedTuple` of the four
 header and payload fields.  The decoders take `bytes` and return slices of
 it, so each field is copied once.  `decode_public_share` reads a whole
-public-share frame in one pass instead, both coordinates as integers of a
-fixed width; it refuses what `decode_frame` and `decode_point_payload`
+public-share frame with one unpack instead, both coordinates as integers
+of a fixed width; it refuses what `decode_frame` and `decode_point_payload`
 refuse, and a coordinate of any other width.
 """
 
@@ -51,8 +51,9 @@ _MSG_TYPES = (PUBLIC_SHARE, ENCRYPTED_SHARE, HARN_RELEASE, VERDICT)
 
 _HEADER = struct.Struct(">BIB")  # type, epoch, member id length
 _U16 = struct.Struct(">H")  # a length prefix
-# coordinate width -> x_len, x, y_len, y of a public-share payload
-_COORDS: dict[int, struct.Struct] = {}
+# coordinate width -> the struct of a whole public-share frame per member id
+# length, built on first use
+_PUBLIC_SHARES: dict[int, list[struct.Struct | None]] = {}
 
 
 class Frame(NamedTuple):
@@ -91,19 +92,24 @@ def decode_frame(buf: bytes) -> Frame:
 
 def decode_public_share(buf: bytes, width: int) -> tuple[int, str, int, int]:
     """(epoch, member id, x, y) of a public-share frame whose coordinates
-    are `width` bytes each, read in one pass; ValueError for any other frame.
+    are `width` bytes each, read with one unpack of a struct built once per
+    (member id length, width); ValueError for any other frame, named step
+    by step.
     """
     if len(buf) < 6:
         raise ValueError("truncated frame header")
+    structs = _PUBLIC_SHARES.get(width) or _PUBLIC_SHARES.setdefault(width, [None] * 256)
+    frame = structs[buf[5]]
+    if frame is None:
+        frame = structs[buf[5]] = struct.Struct(f">BIB{buf[5]}sH{width}sH{width}s")
+    if len(buf) == frame.size:
+        msg_type, epoch, _, mid, x_len, x, y_len, y = frame.unpack(buf)
+        if msg_type == PUBLIC_SHARE and x_len == width == y_len:
+            return epoch, mid.decode(), int.from_bytes(x, "big"), int.from_bytes(y, "big")
     msg_type, epoch, mid_len = _HEADER.unpack_from(buf)
     if msg_type != PUBLIC_SHARE:
         raise ValueError(f"expected public-share frame, got type {msg_type}")
     end = 6 + mid_len
-    coords = _COORDS.get(width) or _COORDS.setdefault(width, struct.Struct(f">H{width}sH{width}s"))
-    if len(buf) == end + coords.size:
-        x_len, x, y_len, y = coords.unpack_from(buf, end)
-        if x_len == width == y_len:
-            return epoch, buf[6:end].decode(), int.from_bytes(x, "big"), int.from_bytes(y, "big")
     if len(buf) < end:
         raise ValueError("truncated member id")
     x, y = decode_point_payload(buf[end:])  # names a malformed payload

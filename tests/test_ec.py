@@ -13,6 +13,7 @@ from gaskit.ec import (
     CurvePoint,
     _double,
     _double_a3,
+    _jacobian_is,
     _naf4,
     _odd_multiples,
     add,
@@ -26,7 +27,7 @@ from gaskit.ec import (
     scalar_mul,
     scalar_mul_many,
 )
-from gaskit.field import FieldElement, MulCounter, Prime
+from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime
 
 TEST2017 = builtin_curve("test2017")
 TOY5 = builtin_curve("toy5")
@@ -219,9 +220,10 @@ def _ref_naf4(k):
 
 def _interleaved_muls(terms, curve):
     """Tally of `multi_scalar_mul(terms, curve)`, rebuilt on the affine
-    reference from the digits of each k: `_ref_naf4` from 32 bits on, binary
-    below, and binary for every term when a k of 32 bits or more has a point
-    of order 2, 3, 5 or 7, which has no table.  Otherwise each such point's
+    reference from the digits of each k: `_ref_naf4` from 32 bits on when
+    one term is left after dropping k = 0 and infinity, from 8 bits on when
+    more are, binary below, and binary for every term when such a k has a
+    point of order 2, 3, 5 or 7, which has no table.  Otherwise each such point's
     table of P, 3P, 5P, 7P costs one affine doubling and three affine
     additions, 7 + 3 * 6.  One shared doubling per position under the
     highest top digit: 8 when the curve has a = -3, 10 otherwise.  Per
@@ -232,11 +234,16 @@ def _interleaved_muls(terms, curve):
     terms = [(k, pt) for k, pt in terms if k and not pt.is_infinity]
     if not terms:
         return 0
-    long = [pt for k, pt in terms if k.bit_length() >= 32]
+    min_bits = 32 if len(terms) == 1 else 8
+    long = [pt for k, pt in terms if k.bit_length() >= min_bits]
     naf = not any(_ref_scalar_mul(d, pt, curve).is_infinity for pt in long for d in (2, 3, 5, 7))
     muls = (7 + 3 * 6) * len(long) if naf else 0
-    rows = [(_ref_naf4(k) if naf and k.bit_length() >= 32 else [int(b) for b in bin(k)[:1:-1]], pt)
-            for k, pt in terms]
+    def recode(k):
+        if naf and k.bit_length() >= min_bits:
+            return _ref_naf4(k)
+        return [int(b) for b in bin(k)[:1:-1]]
+
+    rows = [(recode(k), pt) for k, pt in terms]
     dbl = 8 if (curve.a.residue + 3) % p == 0 else 10
     top = max(len(digits) for digits, _ in rows) - 1
     muls += dbl * top
@@ -764,6 +771,7 @@ def test_multi_scalar_mul_edge_terms(name):
         [(short, pt), (short, pt)],  # P + P in `_madd`
         [(long, pt), (long, pt)],
         [(short, pt), (long, other), (1, pt), (long, curve.generator), (2**31, other)],
+        [(2**7 - 1, pt), (2**7, other), (2**8 - 1, pt)],  # binary, then NAF from 8 bits
     ]
     for terms in cases:
         with MulCounter() as ops:
@@ -833,6 +841,35 @@ def test_multi_scalar_mul_refuses_bad_terms():
         with MulCounter() as ops, pytest.raises(ValueError):
             multi_scalar_mul(terms, TEST2017)
         assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1"])
+def test_jacobian_is_matches_affine_equality(name):
+    # (X : Y : Z) against an affine point without inverting Z: every
+    # Jacobian form of P equals P and nothing else, and the 4 multiplications
+    # of the return to affine are tallied whatever the verdict
+    curve = builtin_curve(name)
+    p, n = curve.modulus.value, curve.subgroup_order
+    rng = random.Random("jacobian" + name)
+    pt, other = (scalar_mul(rng.randrange(2, n), curve.generator, curve) for _ in range(2))
+    foreign = Prime(next(v for v in range(p + 1, 2 * p) if is_probable_prime(v)))
+    candidates = [
+        pt, _negate(pt), other, CurvePoint.infinity(),
+        CurvePoint(*(foreign.element(c.residue) for c in (pt.x, pt.y))),
+        CurvePoint(pt.x, foreign.element(pt.y.residue)),
+    ]
+    x, y = pt.x.residue, pt.y.residue
+    for z in (1, 2, p - 1, rng.randrange(2, p)):
+        jacobian = (x * z * z % p, y * z**3 % p, z)
+        for cand in candidates:
+            with MulCounter() as ops:
+                got = _jacobian_is(*jacobian, 7, cand, curve)
+            assert got == (cand == pt), (z, cand)
+            assert ops.field_muls == 7 + 4
+    for cand in candidates:
+        with MulCounter() as ops:
+            assert _jacobian_is(1, 1, 0, 7, cand, curve) == cand.is_infinity
+        assert ops.field_muls == 7
 
 
 def _lockstep_digits(k):

@@ -8,8 +8,8 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
-from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
-from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
+from gaskit.ec import CurvePoint, add, builtin_curve, multi_scalar_mul, scalar_mul
+from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
     MemberState,
@@ -259,6 +259,54 @@ def test_decentralized_verify_threshold_and_membership():
         )
     with pytest.raises(ValueError, match="duplicate"):
         decentralized_verify(config, [public_shares[0]] * 3)
+
+
+@pytest.mark.parametrize("name", ["test2017", "secp160r1"])
+def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
+    # gm_verify and decentralized_verify compare a Jacobian result with the
+    # point they check: each verdict is the affine `==`'s, and gm_verify
+    # tallies per member what `scalar_mul` of its share does
+    config, shares = gm_init(3, 6, builtin_curve(name), random.Random(61))
+    _, honest = run_confirmation(config, shares)
+    curve = config.curve
+    p, q = curve.modulus.value, config.scalar_field.value
+    by_id = {s.member_id: s for s in shares}
+    first, second = honest[:2]
+    x, y = first.point.x, first.point.y
+    other = Prime(next(v for v in range(p + 1, 2 * p) if is_probable_prime(v)))
+    negated = PublicShare(first.member_id, CurvePoint(x, -y))
+    foreign = PublicShare(first.member_id, CurvePoint(other.element(x.residue),
+                                                      other.element(y.residue)))
+    foreign_y = PublicShare(first.member_id, CurvePoint(x, other.element(y.residue)))
+    wrong_id = PublicShare(first.member_id, second.point)
+    for ps, accepted in [*((ps, True) for ps in honest), (negated, False), (foreign, False),
+                         (foreign_y, False), (wrong_id, False)]:
+        with MulCounter() as want_ops:
+            want = scalar_mul(by_id[ps.member_id].y.residue, curve.generator, curve) == ps.point
+        with MulCounter() as ops:
+            got = gm_verify(config, shares, [ps])
+        assert got == {ps.member_id: want} == {ps.member_id: accepted}
+        assert (ops.ec_scalar_muls, ops.field_muls) == (1, want_ops.field_muls)
+    # every share negated: the weighted sum is -Q, of Q's x
+    all_negated = [PublicShare(ps.member_id, CurvePoint(ps.point.x, -ps.point.y))
+                   for ps in honest]
+    weights = lagrange_weights([config.roster_x(ps.member_id).residue for ps in honest], 0, q)
+    minus_q = multi_scalar_mul([(w, ps.point) for w, ps in zip(weights, all_negated)], curve)
+    assert minus_q == CurvePoint(config.group_public_key.x, -config.group_public_key.y)
+    m = len(honest)
+    for received, accepted in [
+        (honest, True),
+        ([negated, *honest[1:]], False),
+        ([wrong_id, *honest[1:]], False),
+        ([wrong_id, PublicShare(second.member_id, first.point), *honest[2:]], False),
+        (all_negated, False),
+    ]:
+        with MulCounter() as ops:
+            assert decentralized_verify(config, received) is accepted
+        interleaved = _interleaved_muls(_lagrange_terms(config, received), curve)
+        assert (ops.ec_scalar_muls, ops.field_muls) == (m, m * m + 6 * m + interleaved)
+    with pytest.raises(ValueError, match="off-curve"):
+        decentralized_verify(config, [foreign, *honest[1:]])
 
 
 def _lagrange_terms(config, received):
@@ -515,8 +563,9 @@ def test_ensure_pairwise_keys_raises_at_the_same_peer_as_per_peer_derivation():
         received["U6"] = PublicShare("U6", add(torsion, torsion, CURVE))
     want, culprit = _per_peer_keys(states["U1"])
     assert culprit == "U3" and list(want) == ["U2"]
-    with pytest.raises(ValueError, match="degenerate shared point"):
+    with pytest.raises(PeerAuthenticationError, match="degenerate shared point") as exc:
         gas_core.ensure_pairwise_keys(states["U1"])
+    assert exc.value.peer_id == "U3"
     assert states["U1"].pairwise_keys == want
     want, culprit = _per_peer_keys(states["U5"])
     assert culprit is None and len(want) == 7

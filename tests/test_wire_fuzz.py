@@ -155,6 +155,14 @@ def test_public_share_decode_matches_reference_on_every_truncation(name):
             _assert_same_outcome(buf, config)
 
 
+# member ids of 0, 2, 3, 127 and 255 bytes (the longest the header's length
+# byte allows), valid UTF-8 or not
+_MEMBER_IDS = (
+    "U1".encode(), "Ü9".encode(), "Ü".encode(), b"\xff\xfe", b"",
+    b"U" * 127, ("é" * 127 + "U").encode(), b"\xff" * 255,
+)
+
+
 @st.composite
 def _built_frames(draw, name):
     config = _CONFIGS[name]
@@ -164,14 +172,17 @@ def _built_frames(draw, name):
     buf = _frame(
         draw(st.sampled_from((wire.PUBLIC_SHARE,) * 4 + (0, 2, 3, 4, 5, 255))),
         draw(st.sampled_from((config.epoch,) * 3 + (0, 2, 2**32 - 1))),
-        draw(st.sampled_from(("U1".encode(), "Ü9".encode(), b"\xff\xfe", b""))),
+        draw(st.sampled_from(_MEMBER_IDS)),
         [(x, draw(lengths)), (y, draw(lengths))],
     )
-    edit = draw(st.sampled_from(("none", "none", "truncate", "extend")))
+    edit = draw(st.sampled_from(("none", "none", "truncate", "extend", "id_past_end")))
     if edit == "truncate":
         return buf[:draw(st.integers(0, len(buf) - 1))]
     if edit == "extend":
         return buf + bytes([draw(st.integers(0, 255))])
+    if edit == "id_past_end":  # the id-length byte counts more bytes than follow it
+        mid_len = draw(st.integers(1, 255))
+        return buf[:5] + bytes([mid_len]) + buf[6:5 + mid_len]
     return buf
 
 
@@ -182,3 +193,17 @@ def test_public_share_decode_matches_reference(name, data):
     config = _CONFIGS[name]
     buf = data.draw(st.one_of(_built_frames(name), _near_valid_frames, _any_bytes))
     _assert_same_outcome(buf, config)
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_public_share_decode_reads_every_member_id_length(name):
+    # one struct per (member id length, width): valid frames with ids of 0
+    # to 255 bytes decode, and the same frames one byte short or long do not
+    config = _CONFIGS[name]
+    point = _PUBLIC_SHARES[name][0].point
+    for member_id in ("", "U", "Ü", "U" * 127, "é" * 127 + "U"):
+        ps = gas_core.PublicShare(member_id, point)
+        frame = gas_core.public_share_frame(ps, config.epoch)
+        assert gas_core.public_share_from_frame(frame, config) == (config.epoch, ps)
+        for buf in (frame[:-1], frame + b"\x00", frame[:6 + len(member_id.encode()) - 1]):
+            _assert_same_outcome(buf, config)
