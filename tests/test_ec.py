@@ -843,6 +843,11 @@ def test_multi_scalar_mul_refuses_bad_terms():
         assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
 
 
+def _prime_above(p):
+    """The least prime above p, as a `Prime`: a field other than p's."""
+    return Prime(next(v for v in range(p + 1, 2 * p) if is_probable_prime(v)))
+
+
 @pytest.mark.parametrize("name", ["test2017", "secp160r1"])
 def test_jacobian_is_matches_affine_equality(name):
     # (X : Y : Z) against an affine point without inverting Z: every
@@ -852,7 +857,7 @@ def test_jacobian_is_matches_affine_equality(name):
     p, n = curve.modulus.value, curve.subgroup_order
     rng = random.Random("jacobian" + name)
     pt, other = (scalar_mul(rng.randrange(2, n), curve.generator, curve) for _ in range(2))
-    foreign = Prime(next(v for v in range(p + 1, 2 * p) if is_probable_prime(v)))
+    foreign = _prime_above(p)
     candidates = [
         pt, _negate(pt), other, CurvePoint.infinity(),
         CurvePoint(*(foreign.element(c.residue) for c in (pt.x, pt.y))),

@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
 from gaskit.ec import CurvePoint, add, builtin_curve, multi_scalar_mul, scalar_mul
-from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime, lagrange_weights
+from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
     MemberState,
@@ -32,7 +32,7 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
-from test_ec import _interleaved_muls, _negate
+from test_ec import _interleaved_muls, _negate, _prime_above
 
 CURVE = builtin_curve("test2017")
 
@@ -273,7 +273,7 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     by_id = {s.member_id: s for s in shares}
     first, second = honest[:2]
     x, y = first.point.x, first.point.y
-    other = Prime(next(v for v in range(p + 1, 2 * p) if is_probable_prime(v)))
+    other = _prime_above(p)
     negated = PublicShare(first.member_id, CurvePoint(x, -y))
     foreign = PublicShare(first.member_id, CurvePoint(other.element(x.residue),
                                                       other.element(y.residue)))
