@@ -6,12 +6,19 @@ recorded before the simulator and attack code were last restructured.  A
 refactor of `sim`, `attacks` or `cli` must leave every digest unchanged;
 a change that is meant to alter output must re-record the digest and say
 why.
+
+Every attack case is also run under ``GAS_SEED`` 2 and 3.  Its JSON holds
+verdicts, member ids and counts, none of which moves with the seed, so each
+seed must print the default seed's bytes.  No CLI output shows a nonce: the
+frames of `attacks.build_honest_transcript` are pinned on their own, which
+is what catches a change in the order the seal nonces are drawn.
 """
 
 import hashlib
 
 import pytest
 
+from gaskit import attacks
 from gaskit.cli import main
 
 TOY = ("--curve", "builtin:test2017", "--m", "12")
@@ -145,6 +152,45 @@ CASES = {
         "430016704bddbce6e2721dd8ce1a671d7da3dbb0f02547cd6bf53732a2ee6e03",
         None,
     ),
+    "demo": (
+        ["demo"],
+        0,
+        "57a1d3a44ad3cc69c0260244634195fa44c6d1f72c2569cfa06b48cb87ecfb21",
+        None,
+    ),
+    # m < n: only the first m members take part
+    "demo-subset": (
+        ["demo", "--t", "3", "--m", "4", "--n", "6"],
+        0,
+        "677c6ecba668ceb0f9182cd9535a556a6e73841dbb3f4295f79afbde2dcb18c0",
+        None,
+    ),
+    "demo-secp160r1": (
+        ["demo", "--curve", "builtin:secp160r1", "--t", "8", "--n", "16"],
+        0,
+        "9fdf24e1cf57cee5a8a542189966b8003f824e168453fd75f32521a1660075b1",
+        None,
+    ),
+    "demo-test2017-36": (
+        ["demo", "--curve", "builtin:test2017", "--t", "18", "--n", "36"],
+        0,
+        "aa84257c37baeed31b042068bc745dbc38b986604cce4006cb58c554ef73698e",
+        None,
+    ),
+    "demo-harn": (
+        ["demo", "--scheme", "harn"],
+        0,
+        "d47fddc57768c6117d3e8dd511843c742eaf5da7918d3c4dc3d7f7acc970a996",
+        None,
+    ),
+}
+
+ATTACK_CASES = sorted(name for name in CASES if name.startswith("attack-"))
+
+# scheme -> (frame count, sha256 of the length-prefixed frames)
+TRANSCRIPTS = {
+    "proposed": (16, "fcbd81ab6e8fda38721dc14cacad067eb92ce9c6d5f9e20f75b2b87c1535db71"),
+    "harn": (4, "9665332929aae9e728d7e38e1358efdbf520cd148da880bdf9f86d09d69226d8"),
 }
 
 
@@ -172,3 +218,19 @@ def run_case(name, tmp_path, capsys):
 def test_output_pinned(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GAS_SEED", raising=False)
     assert run_case(name, tmp_path, capsys) == CASES[name][1:]
+
+
+@pytest.mark.parametrize("seed", ["2", "3"])
+@pytest.mark.parametrize("name", ATTACK_CASES)
+def test_attack_pinned_under_gas_seed(name, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GAS_SEED", seed)
+    assert run_case(name, tmp_path, capsys) == CASES[name][1:]
+
+
+@pytest.mark.parametrize("scheme", sorted(TRANSCRIPTS))
+def test_honest_transcript_pinned(scheme):
+    frames, _, _ = attacks.build_honest_transcript(scheme)
+    digest = hashlib.sha256()
+    for frame in frames:
+        digest.update(len(frame).to_bytes(4, "big") + frame)
+    assert (len(frames), digest.hexdigest()) == TRANSCRIPTS[scheme]
