@@ -90,6 +90,11 @@ class Finding:
         }
 
 
+def _recorder(frames: list[bytes]):
+    """A session driver's tap that appends each frame to `frames` and delivers it."""
+    return lambda frame: frames.append(frame) or frame
+
+
 def _setup_group(seed: int, t: int = 3, n: int = 5):
     rng = random.Random(seed)
     config, shares = gas_core.gm_init(t, n, builtin_curve("test2017"), rng)
@@ -109,10 +114,9 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
     """
     rng, config, shares = _setup_group(seed, t, n)
     victim = shares[1].member_id
-    states, _ = gas_core.run_confirmation(config, shares)
-    recorded_frame = gas_core.public_share_frame(
-        states[victim].received_public_shares[victim], config.epoch
-    )
+    recorded: list[bytes] = []
+    states, _ = gas_core.run_confirmation(config, shares, tap=_recorder(recorded))
+    recorded_frame = recorded[1]  # broadcast in roster order: the victim's
 
     notes: list[str] = []
     if rotate:
@@ -354,12 +358,14 @@ def build_honest_transcript(
     seed: int = 17,
     leaky: bool = False,
 ) -> tuple[list[bytes], dict[str, bytes], dict[str, bytes]]:
-    """Run an honest session and capture every frame an eavesdropper sees.
+    """Run an honest session and record every frame an eavesdropper sees.
 
-    Returns (frames, secret_material, public_material).  Runs on the
-    160-bit parameter sets so secret byte patterns are long enough to scan
-    for without false positives.  `leaky` appends a deliberately broken
-    broadcast of a raw private share (negative control for the scanner).
+    Returns (frames, secret_material, public_material); the proposed
+    scheme's frames are those a recording tap sees on the session drivers.
+    Runs on the 160-bit parameter sets so secret byte patterns are long
+    enough to scan for without false positives.  `leaky` appends a
+    deliberately broken broadcast of a raw private share (negative control
+    for the scanner).
     """
     rng = random.Random(seed)
     frames: list[bytes] = []
@@ -368,18 +374,11 @@ def build_honest_transcript(
     if scheme == "proposed":
         curve = builtin_curve("secp160r1")
         config, shares = gas_core.gm_init(t, m, curve, rng)
-        states, public_shares = gas_core.run_confirmation(config, shares)
+        tap = _recorder(frames)
+        states, public_shares = gas_core.run_confirmation(config, shares, tap=tap)
         for ps in public_shares:
-            frames.append(gas_core.public_share_frame(ps, config.epoch))
             public[f"point({ps.member_id})"] = ps.point.x.to_bytes()
-        inboxes = gas_core.seal_shares(states, rng)
-        for sender in states:
-            for peer in states:
-                if peer != sender:
-                    frames.append(wire.encode_frame(
-                        wire.ENCRYPTED_SHARE, config.epoch, sender, inboxes[peer][sender]
-                    ))
-        group_key = gas_core.open_shares(states, inboxes)
+        group_key = gas_core.exchange_group_key(states, rng, tap=tap)
         for share in shares:
             secrets[f"f(x) of {share.member_id}"] = share.y.to_bytes()
         secrets["group key"] = group_key.to_bytes()

@@ -2,8 +2,8 @@
 
 Points cross the API in affine coordinates (`CurvePoint` over
 `FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul`,
-`multi_scalar_mul` and `scalar_mul_many` work on plain integers, record one
-TEM per scalar multiplication, and tally their field multiplications in
+`_multi_scalar_jacobian` and `scalar_mul_many` work on plain integers, record
+one TEM per scalar multiplication, and tally their field multiplications in
 bulk once per call.  There are three loops:
 
 * fixed base, for `scalar_mul` of the curve's own generator when
@@ -13,9 +13,9 @@ bulk once per call.  There are three loops:
   about 60 KB, for secp160r1) is built once per `CurveParams`, on the first
   such call, and is held on that instance.  Tallies 11 per mixed addition
   and 4 to return to affine;
-* interleaved, for `multi_scalar_mul`, sum k_i P_i, and for `scalar_mul`
-  of any other point as its one term: each k_i is recoded as a width-4 NAF
-  over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
+* interleaved, for `_multi_scalar_jacobian`, sum k_i P_i, and for
+  `scalar_mul` of any other point as its one term: each k_i is recoded as a
+  width-4 NAF over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
   `_NAF_MIN_BITS` (32) bits or more, or `_SHARED_NAF_MIN_BITS` (8) in a
   sum of two or more terms, whose doublings are shared, and as binary
   digits when shorter, on which the table costs more than it saves.  All
@@ -71,7 +71,6 @@ __all__ = [
     "affine_point",
     "add",
     "scalar_mul",
-    "multi_scalar_mul",
     "scalar_mul_many",
     "brute_force_order",
     "builtin_curve",
@@ -204,15 +203,20 @@ def is_probable_subgroup(curve: CurveParams) -> bool:
     return curve.order is None or curve.order % n == 0
 
 
+def _satisfies(x: int, y: int, curve: CurveParams) -> bool:
+    """Whether the integers x and y lie in [0, p) and satisfy the curve's
+    equation: the one point predicate, on plain ints."""
+    p, a, b = curve.modulus.value, curve.a.residue, curve.b.residue
+    return 0 <= x < p and 0 <= y < p and not (y * y - (x * x + a) * x - b) % p
+
+
 def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
-    """Raw-integer membership check (does not touch the mul counter)."""
+    """Infinity, or a point of two elements of the curve's prime that
+    `_satisfies` its equation (does not touch the mul counter)."""
     if pt.is_infinity:
         return True
-    p = curve.modulus.value
-    if pt.x.modulus.value != p:
-        return False
-    x, y = pt.x.residue, pt.y.residue
-    return (y * y - (x * x * x + curve.a.residue * x + curve.b.residue)) % p == 0
+    x, y, p = pt.x, pt.y, curve.modulus.value
+    return x.modulus.value == p == y.modulus.value and _satisfies(x.residue, y.residue, curve)
 
 
 def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
@@ -225,11 +229,11 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
     affine encoding, so it never passes.
     """
     fp = curve.modulus
-    p = fp.value
-    if not (0 <= x < p and 0 <= y < p):
+    if not _satisfies(x, y, curve):
+        p = fp.value
+        if 0 <= x < p and 0 <= y < p:
+            raise ValueError(f"point ({x}, {y}) is off-curve")
         raise ValueError(f"{y if 0 <= x < p else x} out of field range [0, {p})")
-    if (y * y - (x * x + curve.a.residue) * x - curve.b.residue) % p:
-        raise ValueError(f"point ({x}, {y}) is off-curve")
     return _point(_reduced(x, fp), _reduced(y, fp))
 
 
@@ -529,12 +533,12 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
       Brickell-Gordon-McCurley-Wilson, EUROCRYPT'92).  The first such call
       on a `CurveParams` builds its table of ceil(bitlen(n)/3) rows of 7
       points (about 11 ms for secp160r1), untallied.
-    * Variable base, for any other point: the loop of `multi_scalar_mul`
-      with one term.  k of 32 bits or more is recoded as a width-4 NAF,
-      whose nonzero digits are odd, below 8 in absolute value and at least
-      4 positions apart.  A per-call table of the affine P, 3P, 5P, 7P
-      (`_odd_multiples`) turns each digit into one doubling and each
-      nonzero digit d into one mixed addition of +-|d| P
+    * Variable base, for any other point: the loop of
+      `_multi_scalar_jacobian` with one term.  k of 32 bits or more is
+      recoded as a width-4 NAF, whose nonzero digits are odd, below 8 in
+      absolute value and at least 4 positions apart.  A per-call table of
+      the affine P, 3P, 5P, 7P (`_odd_multiples`) turns each digit into one
+      doubling and each nonzero digit d into one mixed addition of +-|d| P
       (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.35-3.36).  Shorter
       k, or a point of order 2, 3, 5 or 7, runs binary double-and-add:
       each bit doubles, each set bit adds pt.
@@ -578,44 +582,29 @@ def _generator_jacobian(k: int, curve: CurveParams) -> tuple[int, int, int, int]
     return _fixed_base(k, curve)
 
 
-def multi_scalar_mul(
-    terms: list[tuple[int, CurvePoint]], curve: CurveParams
-) -> CurvePoint:
-    """sum k_i * P_i over terms (k_i, P_i).  Records one TEM per term.
-
-    Every k_i >= 0 and every P_i on the curve, or ValueError; no k_i is
-    reduced or negated, and the generator gets no fixed-base path here.  A
-    caller whose points all have prime order n can pass a k above n/2 as the
-    shorter term (n - k, -P), as `gas_core.decentralized_verify` does with
-    its Lagrange weights (on integers, through `_multi_scalar_jacobian`).
-    All terms' mixed additions run under one shared sequence of doublings
-    (Straus 1964; Moller, SAC 2001): about 160 doublings for m random
-    secp160r1 scalars, instead of 160 m.  Each term is recoded as in
-    `scalar_mul`'s variable base, but with two or more terms a k of 8 bits
-    or more takes the NAF (`_SHARED_NAF_MIN_BITS`): under shared doublings
-    a b-bit term costs about 11 b/2 multiplications on binary digits and
-    25 + 11 b/5 on the NAF.  The NAF terms' tables come from one
-    `_odd_multiples` call; if one of their points has order 2, 3, 5 or 7,
-    every term runs binary digits.  Tallies, once on return, 25 per NAF
-    term's table, 8 or 10 per shared doubling, 11 per mixed addition and 4
-    to return to affine.  A one-term call is `scalar_mul` of a point other
-    than the generator, in value and in tally.
-    """
-    for k, pt in terms:
-        if k < 0:
-            raise ValueError("scalar must be non-negative")
-        _require_on_curve(pt, curve)
-    ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
-    X, Y, Z, muls = _multi_scalar_jacobian(ints, len(terms), curve)
-    return _affine_result(X, Y, Z, muls, curve, active_counter())
-
-
 def _multi_scalar_jacobian(
     terms: list[tuple[int, int, int]], tems: int, curve: CurveParams
 ) -> tuple[int, int, int, int]:
-    """`multi_scalar_mul` of terms (k, x, y), every k >= 1 and (x, y) on the
-    curve, unchecked, up to its return to affine: (X, Y, Z, muls), with
-    `tems` TEMs recorded."""
+    """sum k_i * (x_i, y_i) over terms (k_i, x_i, y_i), every k_i >= 1 and
+    (x_i, y_i) on the curve, unchecked, up to the return to affine:
+    (X, Y, Z, muls), with `tems` TEMs recorded.
+
+    No k_i is reduced or negated, and the generator gets no fixed-base path
+    here.  A caller whose points all have prime order n can pass a k above
+    n/2 as the shorter term (n - k, -P), as `gas_core.decentralized_verify`
+    does with its Lagrange weights.  All terms' mixed additions run under
+    one shared sequence of doublings (Straus 1964; Moller, SAC 2001): about
+    160 doublings for m random secp160r1 scalars, instead of 160 m.  Each
+    term is recoded as in `scalar_mul`'s variable base, but with two or
+    more terms a k of 8 bits or more takes the NAF (`_SHARED_NAF_MIN_BITS`):
+    under shared doublings a b-bit term costs about 11 b/2 multiplications
+    on binary digits and 25 + 11 b/5 on the NAF.  The NAF terms' tables come
+    from one `_odd_multiples` call; if one of their points has order 2, 3,
+    5 or 7, every term runs binary digits.  muls counts 25 per NAF term's
+    table, 8 or 10 per shared doubling and 11 per mixed addition.  With one
+    term and `_affine_result`, this is `scalar_mul` of a point other than
+    the generator, in value and in tally.
+    """
     counter = active_counter()
     if counter is not None:
         counter.ec_scalar_muls += tems

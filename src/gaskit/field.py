@@ -163,7 +163,7 @@ class MulCounter:
 
     `field_muls` gets one per `FieldElement` multiplication and, in one step
     per call, the multiplications of the plain-int paths: the formula counts
-    of each `ec.add`, `ec.scalar_mul`, `ec.multi_scalar_mul` or
+    of each `ec.add`, `ec.scalar_mul`, `ec._multi_scalar_jacobian` or
     `ec.scalar_mul_many`, the 2m-1 of each `lagrange_weight`, the m^2 + 6m
     of each `lagrange_weights` and, for Harn's g^c (`HarnModulus.g_pow`),
     one per nonzero 4-bit digit of c (its table, like the generator table
@@ -174,10 +174,10 @@ class MulCounter:
     NAF, its per-call table included).  The variable-base count lies
     within 3x of the modeled 1189 for every scalar of 47 to 329 bits;
     about 1 random generator scalar in 10^4 tallies 389 or less, under
-    1189/3.  `ec.multi_scalar_mul` records one TEM per term, but its terms
-    share one run of doublings: m random secp160r1 terms tally about 382
-    each for their tables and additions, plus about 1.3k for the doublings,
-    once.  `gas_core.decentralized_verify` passes it short signed weights
+    1189/3.  `ec._multi_scalar_jacobian` records one TEM per term, but its
+    terms share one run of doublings: m random secp160r1 terms tally about
+    382 each for their tables and additions, plus about 1.3k for the
+    doublings, once.  `gas_core.decentralized_verify` passes it short signed weights
     instead, 27 of them at 8 bits or more, where a term of a sum takes the
     width-4 NAF: an honest secp160r1 group of 30 (x = 1..30) tallies 3556
     in all, weights included.  The verifiers compare their Jacobian result

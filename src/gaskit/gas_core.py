@@ -65,8 +65,6 @@ __all__ = [
     "rotate_credentials",
     "open_rotated_share",
     "run_confirmation",
-    "seal_shares",
-    "open_shares",
     "exchange_group_key",
 ]
 
@@ -372,7 +370,7 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     default roster x = 1..m, L_i(0) = +-C(m, i), so on secp160r1 every
     term's scalar is then C(m, i), at most 2^(m-1), where about half of them
     would be as long as q.  The m terms and their sum are one run of
-    `multi_scalar_mul`'s loop, on integers: m TEMs under shared doublings,
+    `ec._multi_scalar_jacobian`, on integers: m TEMs under shared doublings,
     and each point checked once, here.  The sum stays in Jacobian
     coordinates and is compared with Q by `ec._jacobian_is`, as in
     `gm_verify`.
@@ -587,55 +585,67 @@ def open_rotated_share(
 
 
 # ---------------------------------------------------------------------------
-# Honest-run drivers (used by tests, the demo and the attack scenarios)
+# Session drivers (used by tests, the demo and the attack scenarios).  Every
+# message crosses `wire` as a frame.  An optional `tap(frame)` sees each
+# frame once, as it leaves its sender, and returns the bytes to deliver:
+# the frame itself to record it, other bytes to replace it, None to drop it.
 
 def run_confirmation(
-    config: GroupConfig,
-    shares: list[Share],
-    participant_ids: list[str] | None = None,
+    config: GroupConfig, shares: list[Share], participant_ids: list[str] | None = None, tap=None
 ) -> tuple[dict[str, MemberState], list[PublicShare]]:
-    """Build member states for the participants and broadcast their shares."""
+    """Build member states for the participants and broadcast their shares.
+
+    Each participant's public share leaves once, in participant order, as a
+    `public_share_frame` broadcast; every other participant takes it in
+    through `public_share_from_frame` and `receive_public_share`, which
+    raise as they say.  Returns the states and each delivered frame's share
+    as an observer (the GM) decodes it, in the same order.
+    """
     by_id = {s.member_id: s for s in shares}
     ids = participant_ids if participant_ids is not None else list(by_id)
     states = {mid: MemberState(share=by_id[mid], config=config) for mid in ids}
-    public_shares = [make_public_share(states[mid]) for mid in ids]
-    for state in states.values():
-        for ps in public_shares:
-            state.receive_public_share(ps)
-    return states, public_shares
-
-
-def seal_shares(
-    states: dict[str, MemberState], rng: random.Random
-) -> dict[str, dict[str, bytes]]:
-    """Every member encrypts its share for every peer.
-
-    Returns recipient id -> sender id -> encrypted-share payload.  A
-    sender's first seal derives all its pairwise keys in one batch.  Seals
-    run sender-major in `states` order, which fixes the rng draws.
-    """
-    inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
-    for sender_id, state in states.items():
-        for peer_id in states:
-            if peer_id == sender_id:
-                continue
-            inboxes[peer_id][sender_id] = encrypt_share_for_peer(state, peer_id, rng)
-    return inboxes
-
-
-def open_shares(
-    states: dict[str, MemberState], inboxes: Mapping[str, Mapping[str, bytes]]
-) -> FieldElement:
-    """Every member opens its inbox and reconstructs; returns the group key."""
-    keys = [key_agreement_round(states[mid], inboxes[mid]) for mid in states]
-    first = keys[0]
-    if any(k != first for k in keys):  # pragma: no cover - agreement invariant
-        raise ProtocolError("members recovered different group keys")
-    return first
+    delivered = []
+    for sender, state in states.items():
+        own = make_public_share(state)
+        state.receive_public_share(own)
+        frame = public_share_frame(own, config.epoch)
+        if tap is not None and (frame := tap(frame)) is None:
+            continue
+        for mid, peer in states.items():
+            if mid != sender:
+                peer.receive_public_share(public_share_from_frame(frame, config)[1])
+        delivered.append(public_share_from_frame(frame, config)[1])
+    return states, delivered
 
 
 def exchange_group_key(
-    states: dict[str, MemberState], rng: random.Random
+    states: dict[str, MemberState], rng: random.Random, tap=None
 ) -> FieldElement:
-    """Run the key agreement stage among all states; returns the group key."""
-    return open_shares(states, seal_shares(states, rng))
+    """Run the key agreement stage among all states; returns the group key.
+
+    Every member seals its share for every peer with
+    `encrypt_share_for_peer`, sender-major in `states` order, which fixes
+    the rng draws; a sender's first seal derives all its pairwise keys in
+    one batch.  Each seal leaves as an `ENCRYPTED_SHARE` frame.  ValueError
+    for a delivered frame of another type, of another epoch than its
+    recipient's config, or naming another sender.  Then every member opens
+    what reached it with `key_agreement_round`, which raises as it says.
+    """
+    inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
+    for sender, state in states.items():
+        for mid, peer in states.items():
+            if mid == sender:
+                continue
+            payload = encrypt_share_for_peer(state, mid, rng)
+            frame = wire.encode_frame(wire.ENCRYPTED_SHARE, state.config.epoch, sender, payload)
+            if tap is not None and (frame := tap(frame)) is None:
+                continue
+            msg_type, epoch, claimed, payload = wire.decode_frame(frame)
+            if (msg_type, epoch, claimed) != (wire.ENCRYPTED_SHARE, peer.config.epoch, sender):
+                raise ValueError(f"{sender} -> {mid}: a type {msg_type} frame of epoch "
+                                 f"{epoch} from {claimed} is not {sender}'s encrypted share")
+            inboxes[mid][sender] = payload
+    keys = {key_agreement_round(states[mid], inboxes[mid]) for mid in states}
+    if len(keys) != 1:  # pragma: no cover - agreement invariant
+        raise ProtocolError("members recovered different group keys")
+    return keys.pop()

@@ -8,7 +8,8 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
-from gaskit.ec import CurvePoint, add, builtin_curve, multi_scalar_mul, scalar_mul
+from gaskit.attacks import _recorder
+from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
@@ -32,7 +33,7 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
-from test_ec import _interleaved_muls, _negate, _prime_above
+from test_ec import _interleaved_muls, _multi_scalar_mul, _negate, _prime_above
 
 CURVE = builtin_curve("test2017")
 
@@ -291,7 +292,7 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     all_negated = [PublicShare(ps.member_id, CurvePoint(ps.point.x, -ps.point.y))
                    for ps in honest]
     weights = lagrange_weights([config.roster_x(ps.member_id).residue for ps in honest], 0, q)
-    minus_q = multi_scalar_mul([(w, ps.point) for w, ps in zip(weights, all_negated)], curve)
+    minus_q = _multi_scalar_mul([(w, ps.point) for w, ps in zip(weights, all_negated)], curve)
     assert minus_q == CurvePoint(config.group_public_key.x, -config.group_public_key.y)
     m = len(honest)
     for received, accepted in [
@@ -305,8 +306,10 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
             assert decentralized_verify(config, received) is accepted
         interleaved = _interleaved_muls(_lagrange_terms(config, received), curve)
         assert (ops.ec_scalar_muls, ops.field_muls) == (m, m * m + 6 * m + interleaved)
-    with pytest.raises(ValueError, match="off-curve"):
-        decentralized_verify(config, [foreign, *honest[1:]])
+    # a y of another prime too, though its residue satisfies the equation
+    for ps in (foreign, foreign_y):
+        with pytest.raises(ValueError, match="off-curve"):
+            decentralized_verify(config, [ps, *honest[1:]])
 
 
 def _lagrange_terms(config, received):
@@ -640,6 +643,102 @@ def test_key_agreement_rejects_replayed_ciphertext_for_other_recipient():
     to_u3 = encrypt_share_for_peer(states["U2"], "U3", rng)
     with pytest.raises(PeerAuthenticationError):
         key_agreement_round(states["U1"], {"U2": to_u3, "U3": encrypt_share_for_peer(states["U3"], "U1", rng)})
+
+
+# --- session drivers: every message as a frame ---------------------------------------
+
+def _driver_group(m=6):
+    """An honest test2017 group of m members, t = 3, and the rng of its seals."""
+    config, shares = gm_init(3, m, CURVE, random.Random(31))
+    return config, shares, random.Random(32)
+
+
+def test_drivers_deliver_every_message_as_one_frame():
+    # m public-share broadcasts, then m(m-1) sealed shares sender-major, each
+    # seen once by the tap; every member holds its peers' shares as decoded
+    m = 6
+    config, shares, rng = _driver_group(m)
+    frames = []
+    states, public_shares = run_confirmation(config, shares, tap=_recorder(frames))
+    key = exchange_group_key(states, rng, tap=_recorder(frames))
+    assert verify_commitment(key, config.commitment)
+    headers = [wire.decode_frame(f)[:3] for f in frames]
+    ids = config.member_ids
+    assert headers == (
+        [(wire.PUBLIC_SHARE, config.epoch, mid) for mid in ids]
+        + [(wire.ENCRYPTED_SHARE, config.epoch, mid) for mid in ids for _ in range(m - 1)]
+    )
+    assert frames[:m] == [public_share_frame(ps, config.epoch) for ps in public_shares]
+    for mid, state in states.items():
+        assert list(state.received_public_shares) == ids
+        for peer in ids:
+            held = state.received_public_shares[peer]
+            assert held == public_shares[ids.index(peer)]
+            assert (held is states[peer].received_public_shares[peer]) == (peer == mid)
+    # recording changes nothing: untapped, the session gives the same shares and key
+    untapped_states, untapped_shares = run_confirmation(config, shares)
+    assert untapped_shares == public_shares
+    assert exchange_group_key(untapped_states, _driver_group(m)[2]) == key
+
+
+def test_exchange_group_key_names_the_sender_of_a_corrupted_frame():
+    config, shares, rng = _driver_group()
+    states, _ = run_confirmation(config, shares)
+    frames = []
+
+    def corrupt(frame):  # flips one tag bit of the 8th seal, U2's to U4
+        frames.append(frame)
+        return frame[:-1] + bytes([frame[-1] ^ 1]) if len(frames) == 8 else frame
+
+    with pytest.raises(PeerAuthenticationError) as err:
+        exchange_group_key(states, rng, tap=corrupt)
+    assert err.value.peer_id == wire.decode_frame(frames[7]).member_id == "U2"
+
+
+def test_run_confirmation_refuses_a_frame_restamped_with_another_epoch():
+    config, shares, _ = _driver_group()
+
+    def restamp(frame):
+        f = wire.decode_frame(frame)
+        epoch = f.epoch + 1 if f.member_id == "U3" else f.epoch
+        return wire.encode_frame(f.msg_type, epoch, f.member_id, f.payload)
+
+    with pytest.raises(ValueError, match="frame of epoch 2, config is epoch 1"):
+        run_confirmation(config, shares, tap=restamp)
+
+
+@pytest.mark.parametrize("field", ["msg_type", "epoch", "member_id"])
+def test_exchange_group_key_checks_each_sealed_frame_header(field):
+    config, shares, rng = _driver_group()
+    states, _ = run_confirmation(config, shares)
+    changed = {"msg_type": wire.VERDICT, "epoch": config.epoch + 1, "member_id": "U5"}
+
+    def rewrite(frame):
+        f = wire.decode_frame(frame)
+        if f.member_id != "U2":
+            return frame
+        return wire.encode_frame(*f._replace(**{field: changed[field]}))
+
+    with pytest.raises(ValueError, match="is not U2's encrypted share"):
+        exchange_group_key(states, rng, tap=rewrite)
+
+
+def test_drivers_run_on_with_dropped_frames():
+    # a dropped broadcast reaches no one; each member missing one peer's seal
+    # still holds t shares
+    config, shares, rng = _driver_group()
+
+    def drop_u6(frame):
+        return None if wire.decode_frame(frame).member_id == "U6" else frame
+
+    states, public_shares = run_confirmation(config, shares, tap=drop_u6)
+    ids = ["U1", "U2", "U3", "U4", "U5"]
+    assert [ps.member_id for ps in public_shares] == ids
+    for mid, state in states.items():
+        assert list(state.received_public_shares) == (ids + ["U6"] if mid == "U6" else ids)
+    states, _ = run_confirmation(config, shares)
+    key = exchange_group_key(states, rng, tap=drop_u6)
+    assert verify_commitment(key, config.commitment)
 
 
 # --- rotation -------------------------------------------------------------------------
