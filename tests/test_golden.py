@@ -12,13 +12,18 @@ verdicts, member ids and counts, none of which moves with the seed, so each
 seed must print the default seed's bytes.  No CLI output shows a nonce: the
 frames of `attacks.build_honest_transcript` are pinned on their own, which
 is what catches a change in the order the seal nonces are drawn.
+
+The simulator's invalid-share adversary shows in no CLI output either: its
+`sim.run` reports are pinned on their own, under frame loss, so that a
+change in the rng draws of the rogue's point moves every later loss draw.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from gaskit import attacks
+from gaskit import attacks, sim
 from gaskit.cli import main
 
 TOY = ("--curve", "builtin:test2017", "--m", "12")
@@ -70,6 +75,12 @@ CASES = {
         "a573a22014aaf2897db636f40693c71760dde3a6807f594b021f40f1baa3e7a3",
         "f5a8574c0c4566bc5be01378fe2958d5fd7b1d1e341c8a8b418ac9160c59ea1b",
     ),
+    "paper-fig4": (
+        ["simulate", "--scenario", "builtin:paper-fig4"],
+        0,
+        "ed05149465eea39783c4357f9aa28730a12caca13aee28369727ac50f27e3d00",
+        "e792475e57595a98bc49b8bc4fce31702bf6c1b71e2208baa13a83591a01c2c6",
+    ),
     "cost": (
         ["cost", "--m-range", "10:50:10"],
         0,
@@ -85,6 +96,12 @@ CASES = {
     # the worker count must not change a byte
     "sweep-jobs1": ([*SWEEP, "--jobs", "1"], 0, SWEEP_CSV, SWEEP_EVENTS),
     "sweep-jobs2": ([*SWEEP, "--jobs", "2"], 0, SWEEP_CSV, SWEEP_EVENTS),
+    "sweep-default": (
+        ["sweep"],
+        0,
+        "15198af89a40ef691958595b045876b423ee5ea866c98f41bd26711d20c60f3e",
+        "c320293c81a1a9c5d20927c90d57ce3e28089fc5c559f20fcc5498b510fa2631",
+    ),
     "attack-replay": (
         ["attack", "--name", "replay"],
         0,
@@ -194,6 +211,10 @@ TRANSCRIPTS = {
 }
 
 
+# sha256 of the newline-joined `to_dict()` JSON of every adversary run below
+ADVERSARY_REPORTS = "422b4f56040eab738ef7f15ae08961d814f45418c61e5ed6db4fcea0f36cc059"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -234,3 +255,18 @@ def test_honest_transcript_pinned(scheme):
     for frame in frames:
         digest.update(len(frame).to_bytes(4, "big") + frame)
     assert (len(frames), digest.hexdigest()) == TRANSCRIPTS[scheme]
+
+
+def test_invalid_share_adversary_pinned():
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for scheme in ("proposed-centralized", "proposed-decentralized"):
+            for schedule in sim.SCHEDULE_CHOICES:
+                for curve in ("builtin:test2017", "builtin:secp160r1"):
+                    report = sim.run(sim.Scenario(
+                        scheme=scheme, m=7, t=3, schedule=schedule, loss=0.2, seed=seed,
+                        curve_ref=curve,
+                        adversary={"kind": "invalid-share", "member_id": "U4"},
+                    ))
+                    digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == ADVERSARY_REPORTS
