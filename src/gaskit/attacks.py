@@ -15,6 +15,12 @@ threat model:
   queue depth and authentication-time inflation;
 * eavesdropping - a transcript byte-scan showing no secret material in
   the clear (a structural smoke test, not a proof).
+
+An attacker inside the group plays a member's seat on the code honest
+members run (`gas_core.run_confirmation` and `exchange_group_key`, or
+`sim.run`): the seat holds a stolen share, or the `sss.guessed_share` of
+an attacker who lacks one, and a tap may swap the seat's frames for
+recorded ones.
 """
 
 from __future__ import annotations
@@ -23,14 +29,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gas_core, gas_harn, sim, wire
-from .ec import add, builtin_curve, scalar_mul
-from .gas_core import (
-    MemberState,
-    PeerAuthenticationError,
-    PublicShare,
-    UnknownMemberError,
-)
-from .sss import verify_commitment
+from .ec import builtin_curve
+from .gas_core import MemberState, PeerAuthenticationError, UnknownMemberError
+from .sss import guessed_share, roster_ids, verify_commitment
 
 __all__ = [
     "ATTACK_NAMES",
@@ -95,24 +96,28 @@ def _recorder(frames: list[bytes]):
     return lambda frame: frames.append(frame) or frame
 
 
-def _setup_group(seed: int, t: int = 3, n: int = 5):
+def _setup_group(seed: int):
     rng = random.Random(seed)
-    config, shares = gas_core.gm_init(t, n, builtin_curve("test2017"), rng)
+    config, shares = gas_core.gm_init(3, 5, builtin_curve("test2017"), rng)
     return rng, config, shares
 
 
 # ---------------------------------------------------------------------------
 # Replay
 
-def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Finding:
+def replay_attack(rotate: bool, seed: int = 11) -> Finding:
     """Replay a recorded public-share frame in a later authentication round.
 
-    Without rotation the stale frame still passes confirmation (the point is
-    unchanged) but the attacker owns no f(x_i), so every key-agreement AEAD
-    exchange fails.  After rotation even confirmation rejects the frame: it
-    is of the old epoch, and `public_share_from_frame` refuses it.
+    The attacker records the victim's frame in epoch 1, then takes the
+    victim's seat in the target round with a guessed share, behind a tap
+    that swaps the seat's public-share frame for the recorded one.  Without
+    rotation the stale frame still passes confirmation (the point is
+    unchanged), but the seat's pairwise keys are not its peers', so the
+    first peer to open its seal names it.  After rotation even confirmation
+    rejects the frame: it is of the old epoch, and the recipients' decode
+    refuses it.
     """
-    rng, config, shares = _setup_group(seed, t, n)
+    rng, config, shares = _setup_group(seed)
     victim = shares[1].member_id
     recorded: list[bytes] = []
     states, _ = gas_core.run_confirmation(config, shares, tap=_recorder(recorded))
@@ -125,50 +130,35 @@ def replay_attack(rotate: bool, seed: int = 11, t: int = 3, n: int = 5) -> Findi
         config, shares = rotation.config, rotation.shares
         notes.append(f"credentials rotated to epoch {config.epoch}")
 
-    # target round: honest members present their (possibly fresh) shares,
-    # the attacker injects the recorded frame in the victim's place
-    honest_ids = [s.member_id for s in shares if s.member_id != victim]
-    states2, honest_shares = gas_core.run_confirmation(config, shares, honest_ids)
+    # target round: the attacker sits in the victim's seat without f(x_i)
+    seats = list(shares)
+    seats[1] = guessed_share(shares[1], rng)
+
+    def swap(frame: bytes) -> bytes:
+        msg_type, _, sender, _ = wire.decode_frame(frame)
+        return recorded_frame if (msg_type, sender) == (wire.PUBLIC_SHARE, victim) else frame
+
+    peers_flag_attacker = attacker_key_ok = False
     try:
-        _, replayed = gas_core.public_share_from_frame(recorded_frame, config)
+        states2, delivered = gas_core.run_confirmation(config, seats, tap=swap)
     except ValueError:
         confirmation_accepted = False
     else:
-        verdicts = gas_core.gm_verify(config, shares, [*honest_shares, replayed])
-        confirmation_accepted = all(verdicts.values())
-
-    attacker_key_ok = False
-    peers_flag_attacker = False
+        confirmation_accepted = all(gas_core.gm_verify(config, shares, delivered).values())
     if confirmation_accepted:
-        for state in states2.values():
-            state.receive_public_share(replayed)
-        # honest peers address ciphertexts to the "victim"; the attacker
-        # cannot decrypt them and answers with garbage of the right shape
-        any_peer = states2[honest_ids[0]]
-        garbage = wire.encode_encrypted_payload(
-            rng.randbytes(wire.NONCE_LEN),
-            rng.randbytes(config.scalar_field.byte_length + 16),
-        )
         try:
-            gas_core.key_agreement_round(any_peer, {victim: garbage})
+            gas_core.exchange_group_key(states2, rng)
         except PeerAuthenticationError as exc:
             peers_flag_attacker = exc.peer_id == victim
-        # the attacker's only computable combination of the public points
-        # (their sum) does not yield the pairwise key either
-        joint = add(replayed.point, honest_shares[0].point, config.curve)
-        fake_key = gas_core.pairwise_key(joint, victim, any_peer.member_id)
-        real = any_peer.pairwise_keys[victim]  # derived by key_agreement_round
-        attacker_key_ok = fake_key == real
+        peer = shares[0].member_id
+        attacker_key_ok = (
+            states2[victim].pairwise_keys[peer] == states2[peer].pairwise_keys[victim]
+        )
         notes.append("attacker cannot authenticate any AEAD exchange")
 
-    # an attacker-minted point (anything but the true image) never verifies
-    true_point = honest_shares[0].point
-    rogue_point = true_point
-    while rogue_point == true_point:
-        rogue_point = scalar_mul(rng.randrange(1, config.curve.subgroup_order),
-                                 config.curve.generator, config.curve)
-    rogue = PublicShare(member_id=honest_ids[0], point=rogue_point)
-    rogue_accepted = gas_core.gm_verify(config, shares, [rogue])[honest_ids[0]]
+    # the point of the seat's own guess never verifies
+    forged = gas_core.make_public_share(MemberState(share=seats[1], config=config))
+    rogue_accepted = gas_core.gm_verify(config, shares, [forged])[victim]
 
     expected = {
         "confirmation_accepted": not rotate,
@@ -207,12 +197,16 @@ def dos_invalid_share(
     m: int = 6,
     t: int = 3,
     mode: str = "decentralized",
-    attacker: str = "U3",
     seed: int = 5,
 ) -> Finding:
-    """One participant broadcasts a random point every round."""
+    """One participant broadcasts a random point every round.
+
+    The simulator seats U3 with a guessed share, whose point it broadcasts
+    in place of f(x_i)P.
+    """
     if mode not in ("centralized", "decentralized"):
         raise ValueError("mode must be centralized or decentralized")
+    attacker = "U3"
     scheme = "proposed-centralized" if mode == "centralized" else "proposed-decentralized"
     scenario = sim.Scenario(
         scheme=scheme,
@@ -254,29 +248,21 @@ def dos_invalid_share(
 # ---------------------------------------------------------------------------
 # Node compromise (Vulnerability 2)
 
-def node_compromise(
-    rotate_excluding_victim: bool = False, seed: int = 23, t: int = 3, n: int = 5
-) -> Finding:
-    """Attacker holding a member's share impersonates it end to end."""
-    rng, config, shares = _setup_group(seed, t, n)
+def node_compromise(rotate_excluding_victim: bool = False, seed: int = 23) -> Finding:
+    """Attacker holding a member's share impersonates it end to end.
+
+    The victim's seat on the session drivers holds the stolen share, so the
+    point it delivers is the forged one and the group key it recovers is the
+    attacker's.
+    """
+    rng, config, shares = _setup_group(seed)
     victim = shares[1].member_id
-    stolen = shares[1]
 
-    # attacker runs the protocol as the victim alongside honest members
-    states, public_shares = gas_core.run_confirmation(config, shares)
-    attacker_state = MemberState(share=stolen, config=config)
-    for ps in public_shares:
-        attacker_state.receive_public_share(ps)
-    # f(x_i)P from the stolen share, the victim's own public share
-    forged = gas_core.make_public_share(attacker_state)
-    verdicts = gas_core.gm_verify(config, shares, [forged])
-    confirmation_accepted = verdicts[victim]
-
-    inbox = {}
-    for mid, state in states.items():
-        if mid != victim:
-            inbox[mid] = gas_core.encrypt_share_for_peer(state, victim, rng)
-    recovered = gas_core.key_agreement_round(attacker_state, inbox)
+    states, delivered = gas_core.run_confirmation(config, shares)
+    forged = delivered[1]  # f(x_i)P from the stolen share
+    confirmation_accepted = all(gas_core.gm_verify(config, shares, delivered).values())
+    gas_core.exchange_group_key(states, rng)
+    recovered = states[victim].group_key
     key_recovered = verify_commitment(recovered, config.commitment)
 
     post_rotation_rejected = None
@@ -387,13 +373,6 @@ def build_honest_transcript(
                 secrets[f"pairwise {min(state.member_id, peer)}-{max(state.member_id, peer)}"] = (
                     key.key_bytes
                 )
-        if leaky:
-            worst = shares[0]
-            frames.append(
-                wire.encode_frame(
-                    wire.PUBLIC_SHARE, config.epoch, worst.member_id, worst.y.to_bytes()
-                )
-            )
     elif scheme == "harn":
         modulus = gas_harn.builtin_harn_modulus("harn-1024-160")
         params, tokens = gas_harn.harn_init(t, m, modulus, rng)
@@ -407,6 +386,9 @@ def build_honest_transcript(
         secrets["harn secret"] = params.s.to_bytes()
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if leaky:
+        first = roster_ids(m)[0]  # both schemes' first secret is U1's share
+        frames.append(wire.encode_frame(wire.PUBLIC_SHARE, 1, first, next(iter(secrets.values()))))
     return frames, secrets, public
 
 

@@ -32,9 +32,11 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Mapping
 
 from . import cost_model, gas_core, gas_harn, wire
-from .ec import CurveParams, builtin_curve, load_curve, scalar_mul
+from .ec import CurveParams, builtin_curve, load_curve
+# Not called here; the benchmark's tracer binds it by name in this module.
+from .ec import scalar_mul  # noqa: F401
 from .gas_harn import HarnModulus, builtin_harn_modulus, load_harn_modulus
-from .sss import roster_ids
+from .sss import guessed_share, roster_ids
 
 __all__ = [
     "SCHEME_CHOICES",
@@ -392,22 +394,15 @@ def _run_proposed(scn: Scenario) -> SimReport:
     for mid in member_ids:
         run.add_node(mid, "verifier" if mid == verifier else "member")
 
-    # each member's whole confirmation compute: f(x_i)P, once
-    public = {
-        s.member_id: gas_core.make_public_share(gas_core.MemberState(share=s, config=config))
-        for s in shares
-    }
+    # each member's whole confirmation compute: f(x_i)P, once; the attacker
+    # lacks f(x_i) and broadcasts the point of a guessed share in its place
     rogue = _adversary_member(scn)
-    if rogue is not None:
-        # the attacker broadcasts a random on-curve point instead of f(x_i)P
-        true_point = public[rogue].point
-        fake_point = true_point
-        while fake_point == true_point:
-            k = rng.randrange(1, curve.subgroup_order)
-            fake_point = scalar_mul(k, curve.generator, curve)
-        public[rogue] = gas_core.PublicShare(member_id=rogue, point=fake_point)
+    seats = [guessed_share(s, rng) if s.member_id == rogue else s for s in shares]
     frames = {
-        mid: gas_core.public_share_frame(ps, config.epoch) for mid, ps in public.items()
+        s.member_id: gas_core.public_share_frame(
+            gas_core.make_public_share(gas_core.MemberState(share=s, config=config)), config.epoch
+        )
+        for s in seats
     }
 
     verify_cost = (
@@ -638,10 +633,9 @@ def sweep(
 def chien_model_row(m: int, base: Scenario | None = None) -> str:
     """Synthesize the Chien datapoint under the same timeline assumptions."""
     scn = base if base is not None else Scenario(scheme="proposed-centralized", m=m)
-    generator = resolve_curve(scn.curve_ref).generator
-    frame_len = lambda mid: len(
-        gas_core.public_share_frame(gas_core.PublicShare(mid, generator), 1)
-    )
+    g = resolve_curve(scn.curve_ref).generator
+    point = wire.encode_point_payload(g.x.to_bytes(), g.y.to_bytes())  # a public share's size
+    frame_len = lambda mid: len(wire.encode_frame(wire.PUBLIC_SHARE, 1, mid, point))
     ids = roster_ids(m)
     release = lambda mm: cost_model.TEM_TMULQ + cost_model.CHIEN_LAGRANGE_PER_X * (mm - 1)
     rate = scn.compute_rate

@@ -24,6 +24,7 @@ __all__ = [
     "sample_polynomial",
     "issue_shares",
     "roster_ids",
+    "guessed_share",
     "reconstruct",
     "commit",
     "verify_commitment",
@@ -136,6 +137,19 @@ def issue_shares(poly: SecretPolynomial, xs: list[FieldElement]) -> list[Share]:
         Share(x=x, y=poly.evaluate(x), member_id=mid)
         for x, mid in zip(xs, roster_ids(len(xs)))
     ]
+
+
+def guessed_share(share: Share, rng: random.Random) -> Share:
+    """The share of an attacker who lacks `share` but plays its member's seat.
+
+    Same x and member id; y is redrawn from [1, q) until it differs from
+    the share's own.
+    """
+    q = share.y.modulus
+    y = share.y.residue
+    while y == share.y.residue:
+        y = rng.randrange(1, q.value)
+    return Share(x=share.x, y=FieldElement(y, q), member_id=share.member_id)
 
 
 def reconstruct(shares: list[Share], t: int) -> FieldElement:

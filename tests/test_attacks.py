@@ -88,6 +88,13 @@ def test_eavesdrop_negative_control_detects_leak():
     assert leak["secret"].startswith("f(x)")
 
 
+def test_harn_negative_control_detects_leak():
+    finding = run_attack("eavesdrop", scheme="harn", leaky=True)[0]
+    assert finding.matched
+    assert finding.observed["frames_scanned"] == 5
+    assert [leak["secret"] for leak in finding.observed["leaks"]] == ["f1(x) of U1"]
+
+
 def test_harn_transcript_exposes_e_but_not_c():
     frames, secrets, public = build_honest_transcript("harn", m=4, t=2)
     finding = eavesdrop_secrecy_check(frames, secrets)

@@ -19,6 +19,7 @@ change in the rng draws of the rogue's point moves every later loss draw.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -259,14 +260,15 @@ def test_honest_transcript_pinned(scheme):
 
 def test_invalid_share_adversary_pinned():
     digest = hashlib.sha256()
-    for seed in (1, 2, 3):
-        for scheme in ("proposed-centralized", "proposed-decentralized"):
-            for schedule in sim.SCHEDULE_CHOICES:
-                for curve in ("builtin:test2017", "builtin:secp160r1"):
-                    report = sim.run(sim.Scenario(
-                        scheme=scheme, m=7, t=3, schedule=schedule, loss=0.2, seed=seed,
-                        curve_ref=curve,
-                        adversary={"kind": "invalid-share", "member_id": "U4"},
-                    ))
-                    digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    for seed, scheme, schedule, curve in itertools.product(
+        (1, 2, 3),
+        ("proposed-centralized", "proposed-decentralized"),
+        sim.SCHEDULE_CHOICES,
+        ("builtin:test2017", "builtin:secp160r1"),
+    ):
+        report = sim.run(sim.Scenario(
+            scheme=scheme, m=7, t=3, schedule=schedule, loss=0.2, seed=seed, curve_ref=curve,
+            adversary={"kind": "invalid-share", "member_id": "U4"},
+        ))
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == ADVERSARY_REPORTS

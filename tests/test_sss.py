@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from gaskit.ec import builtin_curve
 from gaskit.field import FieldElement, Prime
+from gaskit.gas_core import gm_init
 from gaskit.sss import (
     SecretPolynomial,
     Share,
     ThresholdError,
     commit,
     dealer_polynomial_with_nonzero_shares,
+    guessed_share,
     issue_shares,
     reconstruct,
     sample_polynomial,
@@ -214,3 +217,26 @@ def test_dealer_avoids_zero_shares():
         assert all(s.y.residue != 0 for s in shares)
         assert reconstruct(shares[:3], 3) == poly.secret
 
+
+
+# --- an attacker's guessed share --------------------------------------------------
+
+def test_guessed_share_on_toy5_is_the_other_nonzero_y():
+    q = builtin_curve("toy5").scalar_field()
+    assert q.value == 3
+    for y in (1, 2):
+        share = Share(FieldElement(1, q), FieldElement(y, q), "U1")
+        for seed in range(20):
+            assert guessed_share(share, random.Random(seed)).y.residue == 3 - y
+
+
+def test_guessed_share_keeps_the_seat_and_misses_y():
+    _, shares = gm_init(3, 5, builtin_curve("test2017"), random.Random(0))
+    q = shares[0].y.modulus.value
+    for seed in range(200):
+        rng = random.Random(seed)
+        for share in shares:
+            guess = guessed_share(share, rng)
+            assert (guess.x, guess.member_id) == (share.x, share.member_id)
+            assert 1 <= guess.y.residue < q and guess.y != share.y
+            assert guess.y.modulus == share.y.modulus
