@@ -82,6 +82,10 @@ __all__ = [
 
 _BRUTE_FORCE_LIMIT = 10**6
 
+# Largest subgroup order n whose points `affine_point` looks up in a set
+# (test2017's n is 37); above it, or with no group order, it multiplies by n.
+_SUBGROUP_LIST_MAX = 1 << 16
+
 
 class CurvePoint:
     """Affine point (x, y) or the point at infinity."""
@@ -192,6 +196,29 @@ class CurveParams:
         """Fixed-base table of `scalar_mul`, built on first use; see there."""
         return _build_generator_table(self)
 
+    @cached_property
+    def _subgroup_xs(self) -> frozenset[int] | None:
+        """The x of every affine point of the generator's subgroup, or None.
+
+        x alone decides membership for a point on the curve: the only other
+        point with its x is its negative, which is in the subgroup exactly
+        when it is.  Listed when the cofactor, order // subgroup_order, is
+        above 1 and the subgroup order n is at most `_SUBGROUP_LIST_MAX`:
+        built on first use, untallied, from 2G, 3G, ..., (n - 1)G, each the
+        one before plus the generator.  test2017 lists the 18 x of its 36
+        points.  None otherwise.
+        """
+        n = self.subgroup_order
+        if n is None or self.order is None or self.order // n <= 1 or n > _SUBGROUP_LIST_MAX:
+            return None
+        p, a = self.modulus.value, self.a.residue
+        g = [(self.generator.x.residue, self.generator.y.residue)]
+        xs, acc = {g[0][0]}, g
+        for k in range(2, n):  # k G = (k - 1) G + G, doubling G for k = 2
+            acc = _affine_step(acc, None if k == 2 else g, a, p)
+            xs.add(acc[0][0])
+        return frozenset(xs)
+
 
 def is_probable_subgroup(curve: CurveParams) -> bool:
     # The variable-base path on purpose: the fixed-base path reduces k mod
@@ -223,10 +250,19 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
     """The affine point (x, y) of two integers read from the wire.
 
     The one check of a point from outside; the public-share decoder calls
-    it on the two integers it reads.  ValueError unless both lie in [0, p)
-    and satisfy the curve's equation, tested before the point is built; its
+    it on the two integers it reads.  ValueError unless both lie in [0, p),
+    satisfy the curve's equation and, when `subgroup_order` n is set, lie
+    in the generator's subgroup, all tested before the point is built; its
     coordinates are elements of `curve.modulus` itself.  Infinity has no
     affine encoding, so it never passes.
+
+    The subgroup test refuses a point of small order, such as test2017's
+    T = (1981, 1664) of order 5, from which a peer could learn the other
+    side's ECDH scalar mod 5 (SEC 1 v2, section 3.2.2).  With cofactor 1
+    (order = n, as on secp160r1) every point passes it at no cost.
+    Otherwise x is looked up in `CurveParams._subgroup_xs`, or, when that
+    is None (n above 2^16, or no group order), n * (x, y) must be
+    infinity; neither is tallied.
     """
     fp = curve.modulus
     if not _satisfies(x, y, curve):
@@ -234,6 +270,18 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
         if 0 <= x < p and 0 <= y < p:
             raise ValueError(f"point ({x}, {y}) is off-curve")
         raise ValueError(f"{y if 0 <= x < p else x} out of field range [0, {p})")
+    xs = curve._subgroup_xs
+    if xs is not None:
+        outside = x not in xs
+    else:
+        n = curve.subgroup_order
+        outside = (
+            n is not None and curve.order != n
+            and _interleaved([(n, x, y)], curve.a.residue, fp.value)[2]
+        )
+    if outside:
+        raise ValueError(f"point ({x}, {y}) is outside the subgroup of order "
+                         f"{curve.subgroup_order}")
     return _point(_reduced(x, fp), _reduced(y, fp))
 
 

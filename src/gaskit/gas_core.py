@@ -10,17 +10,23 @@ authenticated encryption, reconstruct s and check it against H(s).
 
 The secret sharing field is the curve's subgroup order, so shares act
 directly as scalars and the decentralized sum identity is exact.
+
+The AEAD library (`cryptography`, with its bundled OpenSSL) is imported at
+the first seal or open, not with this module: commands that never encrypt
+(`simulate`, `sweep`, `cost`, `gen-params`) never load it.  Its two names,
+`ChaCha20Poly1305` and `InvalidTag`, resolve through the module's
+`__getattr__` on first access (PEP 562) and are then plain module globals.
+`_seal` and `_open` read the cipher as the module attribute on every call,
+so a replacement bound by name (a tracer, a test) sees every seal and open.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import wire
 from .ec import (
@@ -70,6 +76,23 @@ __all__ = [
 
 _PAIRWISE_LABEL = b"gaskit/pairwise/v1"
 _ROTATE_LABEL = b"gaskit/rotate/v1"
+
+# This module as an object: `_seal` and `_open` read the AEAD names from it,
+# so the first read goes through `__getattr__` and a rebinding is seen.
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import `ChaCha20Poly1305` or `InvalidTag` on first access and keep it
+    as a module global; AttributeError for any other missing name."""
+    if name == "ChaCha20Poly1305":
+        from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305 as value
+    elif name == "InvalidTag":
+        from cryptography.exceptions import InvalidTag as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 class ProtocolError(Exception):
@@ -448,7 +471,7 @@ def _share_aad(epoch: int, sender: str, recipient: str) -> bytes:
 def _seal(key: bytes, aad: bytes, plaintext: bytes, rng: random.Random) -> bytes:
     """AEAD-encrypt under a fresh nonce; returns the encrypted-share payload."""
     nonce = rng.randbytes(wire.NONCE_LEN)
-    ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+    ct = _module.ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
     return wire.encode_encrypted_payload(nonce, ct)
 
 
@@ -456,8 +479,8 @@ def _open(key: bytes, aad: bytes, payload: bytes) -> bytes:
     """Inverse of `_seal`; ValueError if the payload is malformed or forged."""
     nonce, ct = wire.decode_encrypted_payload(payload)
     try:
-        return ChaCha20Poly1305(key).decrypt(nonce, ct, aad)
-    except InvalidTag as exc:
+        return _module.ChaCha20Poly1305(key).decrypt(nonce, ct, aad)
+    except _module.InvalidTag as exc:
         raise ValueError("AEAD tag check failed") from exc
 
 

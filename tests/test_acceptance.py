@@ -1,10 +1,15 @@
 """Acceptance suite: the toolkit's exit criteria, one test per criterion.
 
 Each test prints a single [PASS]/[FAIL] line (visible with `pytest -s` or
-in the captured output) and enforces its stated tolerance.
+in the captured output) and enforces its stated tolerance.  A [PASS] line
+must then match its digest in `test_golden.ACCEPTANCE_LINES` with the wall
+time cut out, which catches a change in a printed figure that stays within
+its tolerance.
 """
 
+import hashlib
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -15,16 +20,24 @@ from gaskit import attacks, cost_model, gas_core, gas_harn, sim
 from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff_at_zero
 from gaskit.sss import ThresholdError, issue_shares, reconstruct, sample_polynomial, verify_commitment
+from test_golden import ACCEPTANCE_LINES
 
 TEST2017 = builtin_curve("test2017")
 SECP160R1 = builtin_curve("secp160r1")
 
 
+# the wall time, where a line shows one: the last field of its detail
+_WALL_TIME = re.compile(r"\d+\.\d+s\)$")
+
+
 def _report(num, description, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    print(f"[{tag}] criterion {num}: {description}{suffix}")
+    line = f"[{tag}] criterion {num}: {description}{suffix}"
+    print(line)
     assert ok, f"criterion {num} failed: {description}{suffix}"
+    pinned = _WALL_TIME.sub(")", line)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == ACCEPTANCE_LINES[num], pinned
 
 
 def test_criterion_1_cost_model_reproduction():

@@ -465,6 +465,13 @@ def _test2017_torsion():
     return by_order
 
 
+def _subgroup_of(points, curve):
+    """The affine (x, y) among `points` whose order divides the curve's
+    subgroup order, by repeated addition; all of them when it has none."""
+    n = curve.subgroup_order
+    return {(x, y) for x, y in points if n is None or n % _order(curve.point(x, y), curve) == 0}
+
+
 def _order(pt, curve):
     k = 1
     acc = pt
@@ -1039,17 +1046,24 @@ def test_curve_point_pickles_and_copies_as_an_immutable_equal():
     curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}),
 ], ids=["toy5", "a3-mod-23"])
 def test_affine_point_accepts_exactly_the_affine_points(curve):
+    # toy5 (order 6) publishes a generator of order n = 3: its points of
+    # order 2 and 6 are on the curve but refused; a3-mod-23 publishes no n
     fp = curve.modulus
     p, a, b = fp.value, curve.a.residue, curve.b.residue
     affine = {(x, y) for x in range(p) for y in range(p)
               if (y * y - x**3 - a * x - b) % p == 0}
     assert len(affine) + 1 == brute_force_order(curve)  # plus infinity
+    subgroup = _subgroup_of(affine, curve)
+    assert len(subgroup) + 1 == (curve.subgroup_order or brute_force_order(curve))
     for x in range(p):
         for y in range(p):
-            if (x, y) in affine:
+            if (x, y) in subgroup:
                 pt = affine_point(x, y, curve)
                 assert pt == curve.point(x, y)
                 assert pt.x.modulus is fp and pt.y.modulus is fp
+            elif (x, y) in affine:
+                with pytest.raises(ValueError, match="outside the subgroup"):
+                    affine_point(x, y, curve)
             else:
                 with pytest.raises(ValueError, match="off-curve"):
                     affine_point(x, y, curve)
@@ -1065,8 +1079,9 @@ def test_affine_point_accepts_exactly_the_affine_points(curve):
     curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}),
 ], ids=["toy5", "a3-mod-23"])
 def test_is_on_curve_is_affine_points_predicate_on_both_fields(curve):
-    # a point is on the curve iff `affine_point` accepts its residues and
-    # both coordinates are elements of the curve's own prime, y as well as x
+    # a subgroup point is on the curve iff `affine_point` accepts its
+    # residues and both coordinates are elements of the curve's own prime,
+    # y as well as x; `affine_point` accepts no point outside the subgroup
     fp = curve.modulus
     other = _prime_above(fp.value)
     for x in range(fp.value):
@@ -1075,8 +1090,45 @@ def test_is_on_curve_is_affine_points_predicate_on_both_fields(curve):
                 accepted = affine_point(x, y, curve) == curve.point(x, y)
             except ValueError:
                 accepted = False
-            assert is_on_curve(curve.point(x, y), curve) is accepted
+            on_curve = is_on_curve(curve.point(x, y), curve)
+            assert (on_curve and bool(_subgroup_of({(x, y)}, curve))) is accepted
             if accepted:
                 for pt in (CurvePoint(fp.element(x), other.element(y)),
                            CurvePoint(other.element(x), fp.element(y))):
                     assert not is_on_curve(pt, curve)
+
+
+@pytest.mark.parametrize("check", ["listed", "no-order", "n-above-list"])
+def test_affine_point_subgroup_check_on_each_path(check, monkeypatch):
+    # test2017's subgroup (n = 37) is listed; with no group order, or with n
+    # above the listing's limit, affine_point multiplies by n instead, and
+    # refuses and accepts the same points.  No path tallies.
+    from gaskit import ec
+
+    curve = dataclasses.replace(TEST2017, order=None if check == "no-order" else 2035)
+    if check == "n-above-list":
+        monkeypatch.setattr(ec, "_SUBGROUP_LIST_MAX", 36)
+    subgroup = {scalar_mul(k, curve.generator, curve) for k in range(1, 37)}
+    torsion = [pt for order, pts in _test2017_torsion().items() if order > 1 for pt in pts]
+    mixed = [add(pt, curve.generator, curve) for pt in torsion]
+    with MulCounter() as ops:
+        for pt in subgroup:
+            assert affine_point(pt.x.residue, pt.y.residue, curve) == pt
+        for pt in torsion + mixed:
+            with pytest.raises(ValueError, match="outside the subgroup of order 37"):
+                affine_point(pt.x.residue, pt.y.residue, curve)
+    assert (ops.field_muls, ops.ec_scalar_muls) == (0, 0)
+    assert (curve._subgroup_xs is None) == (check != "listed")
+    if check == "listed":
+        assert curve._subgroup_xs == {pt.x.residue for pt in subgroup}
+        assert len(curve._subgroup_xs) == 18
+
+
+def test_affine_point_with_cofactor_1_runs_no_subgroup_check(monkeypatch):
+    from gaskit import ec
+
+    curve = dataclasses.replace(builtin_curve("secp160r1"))
+    monkeypatch.setattr(ec, "_interleaved", None)  # the n * C path would fail
+    g = curve.generator
+    assert affine_point(g.x.residue, g.y.residue, curve) == g
+    assert curve._subgroup_xs is None

@@ -33,7 +33,7 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
-from test_ec import _interleaved_muls, _multi_scalar_mul, _negate, _prime_above
+from test_ec import _interleaved_muls, _multi_scalar_mul, _negate, _prime_above, _test2017_torsion
 
 CURVE = builtin_curve("test2017")
 
@@ -681,6 +681,33 @@ def test_drivers_deliver_every_message_as_one_frame():
     assert exchange_group_key(untapped_states, _driver_group(m)[2]) == key
 
 
+def test_every_seal_and_open_reads_the_module_binding(monkeypatch):
+    # The benchmark's tracer replaces gas_core.ChaCha20Poly1305 by name and
+    # counts a span per seal and open; a class bound that way must see all
+    # m(m - 1) of each in one group-key exchange
+    real = gas_core.ChaCha20Poly1305
+    calls = []
+
+    class Recording:
+        def __init__(self, key):
+            self._inner = real(key)
+
+        def encrypt(self, *args):
+            calls.append("seal")
+            return self._inner.encrypt(*args)
+
+        def decrypt(self, *args):
+            calls.append("open")
+            return self._inner.decrypt(*args)
+
+    monkeypatch.setattr(gas_core, "ChaCha20Poly1305", Recording)
+    m = 4
+    config, shares, rng = _driver_group(m)
+    states, _ = run_confirmation(config, shares)
+    assert verify_commitment(exchange_group_key(states, rng), config.commitment)
+    assert calls == ["seal"] * (m * (m - 1)) + ["open"] * (m * (m - 1))
+
+
 def test_exchange_group_key_names_the_sender_of_a_corrupted_frame():
     config, shares, rng = _driver_group()
     states, _ = run_confirmation(config, shares)
@@ -863,6 +890,28 @@ def test_public_share_frame_rejects_bad_points():
     )
     with pytest.raises(ValueError, match="bytes"):
         public_share_from_frame(padded, config)
+
+
+def test_public_share_frame_refuses_the_small_subgroup():
+    # test2017 has cofactor 55: T = (1981, 1664) has order 5, and a peer
+    # who sent it would learn each ECDH partner's y mod 5 in 5 guesses
+    _, config, shares = setup_group()
+    _, public_shares = run_confirmation(config, shares)
+    torsion = _test2017_torsion()
+    assert sorted(torsion) == [1, 5, 11, 55]
+    T = CURVE.point(1981, 1664)
+    assert T in torsion[5]
+    small = [pt for order in (5, 11, 55) for pt in torsion[order]]
+    shifted = [add(ps.point, pt, CURVE) for ps in public_shares for pt in small]
+    for pt in [T, *small, *shifted]:
+        frame = public_share_frame(PublicShare("U1", pt), config.epoch)
+        with pytest.raises(ValueError, match="outside the subgroup of order 37"):
+            public_share_from_frame(frame, config)
+    # every honest share still decodes, and the listing is built untallied
+    with MulCounter() as ops:
+        for ps in public_shares:
+            assert public_share_from_frame(public_share_frame(ps, 1), config)[1] == ps
+    assert (ops.field_muls, ops.ec_scalar_muls) == (0, 0)
 
 
 def test_public_share_is_immutable_hashable_and_never_infinity():

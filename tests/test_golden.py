@@ -16,6 +16,9 @@ is what catches a change in the order the seal nonces are drawn.
 The simulator's invalid-share adversary shows in no CLI output either: its
 `sim.run` reports are pinned on their own, under frame loss, so that a
 change in the rng draws of the rogue's point moves every later loss draw.
+
+The acceptance criteria's [PASS] lines are pinned here too, in
+`ACCEPTANCE_LINES`, but checked where they are printed.
 """
 
 import hashlib
@@ -214,6 +217,21 @@ TRANSCRIPTS = {
 
 # sha256 of the newline-joined `to_dict()` JSON of every adversary run below
 ADVERSARY_REPORTS = "422b4f56040eab738ef7f15ae08961d814f45418c61e5ed6db4fcea0f36cc059"
+
+# acceptance criterion -> sha256 of its [PASS] line with the wall time, the
+# line's last field, cut out.  tests/test_acceptance.py checks each line as
+# it prints it, so that no criterion runs twice.
+ACCEPTANCE_LINES = {
+    1: "544ad1e25e267f03c341bd98efbb7d159cdd0c969164ab97b18343bf5f127daf",
+    2: "032a85ab8180aa4ec4ee7b282f1e48dc7fd3a80a0d8c4acaec7a7f73b7231505",
+    3: "91495daf8c1c604036481a45609750654efc2d06d9a0c7db66e80f9067a38ad4",
+    4: "45068822ff56bf001bbb3233fe61cd9d411a555d2c5272d4f33e225c4f4d542b",
+    5: "f7424d9f02d43a3ee4a5aa1399c34acbcad055b7339219b7a55052b6176dd869",
+    6: "5491107ce9a30119ec1c6b7006fa5f6e03e6c8133ecfb43c6eb3908830612c1e",
+    7: "b45632acf5b7f7bb9c860acdb8fcf5ceffe630802ace3d75fd19f92282ae9f28",
+    8: "1a3fe1bc5710aece89a29add358b9ebd8fdd1440aa960e4434d1670645cf8f41",
+    9: "1832c5f27ab0900b948a667a3a2014cd7d96489f1ad049837b4196f9b939f662",
+}
 
 
 def _sha256(data: bytes) -> str:
