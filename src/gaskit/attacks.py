@@ -216,7 +216,8 @@ def dos_invalid_share(
         curve_ref="builtin:test2017",
         adversary={"kind": "invalid-share", "member_id": attacker},
     )
-    report = sim.run(scenario)
+    with sim.event_log(False):
+        report = sim.run(scenario)
     if mode == "centralized":
         expected = {"authenticated": True, "culprits": [attacker]}
     else:
@@ -309,8 +310,9 @@ def flood_congestion(m: int = 30, seed: int = 9) -> Finding:
         seed=seed,
         curve_ref="builtin:test2017",
     )
-    staggered = sim.run(sim.Scenario(schedule="staggered", **base))
-    flooded = sim.run(sim.Scenario(schedule="flood", **base))
+    with sim.event_log(False):
+        staggered = sim.run(sim.Scenario(schedule="staggered", **base))
+        flooded = sim.run(sim.Scenario(schedule="flood", **base))
     inflation = flooded.auth_time_s / staggered.auth_time_s
     expected = {"queue_grows": True, "auth_time_inflates": True}
     observed = {

@@ -14,6 +14,16 @@ set or ``GAS_SEED``, reported as one ``gaskit: <message>`` line on stderr.
 ``main`` turns every `ValueError` and `OSError` a command raises into exit 2.
 Output already printed stays: with ``--events`` on an unwritable path the
 CSV is on stdout when the command exits 2.
+
+``simulate`` and ``sweep`` build the simulator's event log only under
+``--events`` (`sim.event_log`): m^2 + 2m + 2 events per Harn run, 3m + 3
+per proposed run; without it the CSV is the same and no log is built.
+
+Work is bounded at validation, before any is done: a group (``demo
+--n``, ``simulate --m``, every ``sweep`` m) of at most
+`sim.MAX_GROUP_SIZE` members, at most `MAX_M_VALUES` values in
+``--m-list`` or ``--m-range`` and a Harn ``--p-bits`` of at most
+`MAX_P_BITS`.  Anything above exits 2.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ from .ec import CurveParams, CurvePoint, brute_force_order, curve_to_dict, scala
 from .field import Prime, is_probable_prime
 
 __all__ = ["main"]
+
+MAX_M_VALUES = 100  # in --m-list or --m-range; the paper's figures use 5
+MAX_P_BITS = 2048  # Harn's p; the paper uses 1024, and 2048 takes about 10 s to generate
 
 
 def _default_seed(fallback: int | None) -> int | None:
@@ -56,6 +69,8 @@ def _cmd_demo(args) -> int:
     rng = random.Random(_default_seed(args.seed))
     if not 1 <= args.t <= args.m <= args.n:
         raise ValueError(f"need 1 <= t <= m <= n, got t={args.t} m={args.m} n={args.n}")
+    if args.n > sim.MAX_GROUP_SIZE:
+        raise ValueError(f"n must be <= {sim.MAX_GROUP_SIZE}, got {args.n}")
     if args.scheme == "proposed":
         curve = sim.resolve_curve(args.curve)
         config, shares = gas_core.gm_init(args.t, args.n, curve, rng)
@@ -123,7 +138,10 @@ def _parse_m_range(spec: str) -> list[int]:
     a, b, step = (int(p) for p in parts)
     if step <= 0 or a < 1:
         raise ValueError("m-range needs a >= 1 and step >= 1")
-    return list(range(a, b + 1, step))
+    ms = range(a, b + 1, step)
+    if len(ms) > MAX_M_VALUES:
+        raise ValueError(f"--m-range holds at most {MAX_M_VALUES} values, got {len(ms)}")
+    return list(ms)
 
 
 def _cmd_cost(args) -> int:
@@ -164,17 +182,18 @@ def _write_events(path: str, reports: list[sim.SimReport]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.scenario is not None and args.scenario.startswith("builtin:"):
-        rows, reports = sim.preset(args.scenario.split(":", 1)[1])
-    else:
-        if args.scenario is not None:
-            scenario = sim.Scenario.from_json_file(args.scenario)
-        elif args.scheme is None or args.m is None:
-            raise ValueError("either --scenario or both --scheme and --m are required")
+    with sim.event_log(args.events is not None):
+        if args.scenario is not None and args.scenario.startswith("builtin:"):
+            rows, reports = sim.preset(args.scenario.split(":", 1)[1])
         else:
-            scenario = _scenario_from_args(args)
-        report = sim.run(scenario)
-        rows, reports = [report.csv_row()], [report]
+            if args.scenario is not None:
+                scenario = sim.Scenario.from_json_file(args.scenario)
+            elif args.scheme is None or args.m is None:
+                raise ValueError("either --scenario or both --scheme and --m are required")
+            else:
+                scenario = _scenario_from_args(args)
+            report = sim.run(scenario)
+            rows, reports = [report.csv_row()], [report]
     print(cost_model.csv_header())
     for row in rows:
         print(row)
@@ -189,10 +208,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     ms = [int(m) for m in args.m_list.split(",") if m.strip()]
+    if len(ms) > MAX_M_VALUES:
+        raise ValueError(f"--m-list holds at most {MAX_M_VALUES} values, got {len(ms)}")
     base = sim.Scenario(
         scheme="proposed-centralized", m=1, seed=_default_seed(args.seed)
     )
-    rows, reports = sim.sweep(schemes, ms, base, jobs=args.jobs)
+    with sim.event_log(args.events is not None):
+        rows, reports = sim.sweep(schemes, ms, base, jobs=args.jobs)
     print(cost_model.csv_header())
     for row in rows:
         print(row)
@@ -235,6 +257,8 @@ def _gen_prime(bits: int, rng: random.Random) -> int:
 def _cmd_gen_params(args) -> int:
     rng = random.Random(_default_seed(args.seed))
     if args.kind == "harn":
+        if args.p_bits > MAX_P_BITS:
+            raise ValueError(f"--p-bits must be at most {MAX_P_BITS}, got {args.p_bits}")
         if args.q_bits < 2:  # a 1-bit candidate is always 1, never prime
             raise ValueError(f"--q-bits must be at least 2, got {args.q_bits}")
         # p = 2kq + 1 with k of k_bits bits; at k_bits = 1 (k = 1), p is
@@ -323,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=sim.SCHEDULE_CHOICES, default="slotted")
     p.add_argument("--curve", default=None)
     p.add_argument("--harn", default=None)
-    p.add_argument("--events", default=None, help="write a JSON event log to this path")
+    p.add_argument("--events", default=None,
+                   help="write the reports with their event logs as JSON to this path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="grid of (scheme, m) runs (CSV)")
@@ -333,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per simulated run; output order is fixed")
-    p.add_argument("--events", default=None)
+    p.add_argument("--events", default=None,
+                   help="write the reports with their event logs as JSON to this path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("attack", help="run an adversary scenario (JSON findings)")

@@ -18,10 +18,20 @@ Two ledgers run side by side:
 
 Energy per node = joules_per_tmulq * (tmulq + bytes sent + bytes received):
 a radio byte costs one T_mul,q, so one calibration point fixes both scales.
+
+Each run records an event log (`SimReport.events`: every compute step,
+frame and decision) unless it runs inside ``event_log(False)``; then it
+builds none and its `events` is empty, every other field the same.  The
+log is a run's only O(m^2) memory: m^2 + 2m + 2 events per authenticated
+Harn run, 3m + 3 per authenticated proposed run.  The CLI records only
+under ``--events``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import hashlib
 import json
 import math
@@ -47,11 +57,13 @@ __all__ = [
     "GM_SPEEDUP",
     "MAX_RETRIES",
     "BACKOFF_SLOT_S",
+    "MAX_GROUP_SIZE",
     "ScenarioError",
     "Scenario",
     "NodeReport",
     "SimReport",
     "run",
+    "event_log",
     "sweep",
     "derive_seed",
     "calibrate_compute_rate",
@@ -78,6 +90,10 @@ BITRATE = 1_000_000.0  # channel bits per second
 GM_SPEEDUP = 10.0  # the GM computes this many times faster than a member
 MAX_RETRIES = 3  # confirmation rounds after the first
 BACKOFF_SLOT_S = 0.01  # flood schedule backoff slot
+
+# The largest group a scenario may ask for, 20 times the paper's largest
+# (m = 50); a Harn run's work grows as m^2.
+MAX_GROUP_SIZE = 1000
 
 _VERDICT_PAYLOAD = b"\x01"
 
@@ -115,6 +131,8 @@ class Scenario:
             problems.append(f"scheme must be one of {SCHEME_CHOICES}, got {self.scheme!r}")
         if self.m < 1:
             problems.append(f"m must be >= 1, got {self.m}")
+        if self.m > MAX_GROUP_SIZE:
+            problems.append(f"m must be <= {MAX_GROUP_SIZE}, got {self.m}")
         if self.t is not None and not 1 <= self.t <= self.m:
             problems.append(f"t must satisfy 1 <= t <= m, got t={self.t} m={self.m}")
         numbers = {"compute_rate": self.compute_rate,
@@ -138,7 +156,8 @@ class Scenario:
             if kind not in ("invalid-share",):
                 problems.append(f"unknown adversary kind {kind!r}")
             rogue = self.adversary.get("member_id", "U1")
-            if rogue not in roster_ids(self.m):  # gm_init, harn_init ids
+            # gm_init, harn_init ids; an m over the bound is reported above
+            if self.m <= MAX_GROUP_SIZE and rogue not in roster_ids(self.m):
                 problems.append(f"adversary member_id must be one of U1..U{self.m}, got {rogue!r}")
         if problems:
             raise ScenarioError("; ".join(problems))
@@ -210,7 +229,7 @@ class SimReport:
     channel_bytes_delivered: int
     max_verifier_queue: int
     per_node: list[NodeReport]
-    events: list[dict]
+    events: list[dict]  # empty unless the run recorded; see `event_log`
 
     @property
     def authenticated(self) -> bool:
@@ -250,6 +269,27 @@ def derive_seed(base_seed: int, scheme: str, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Engine internals
 
+# Whether runs in this execution context record their event log; see
+# `event_log`.  `contextvars` keeps the choice isolated across threads/tasks.
+_RECORD: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "gaskit_sim_event_log", default=True
+)
+
+
+@contextlib.contextmanager
+def event_log(enabled: bool):
+    """Record (or not) the event log of every `run` inside the block.
+
+    Outside any block runs record.  A worker process of `sweep` gets the
+    choice of the caller's context as an argument, not by inheritance.
+    """
+    token = _RECORD.set(enabled)
+    try:
+        yield
+    finally:
+        _RECORD.reset(token)
+
+
 class _Run:
     """Mutable state of one simulation: clocks, ledgers, event log."""
 
@@ -257,6 +297,7 @@ class _Run:
         self.scn = scenario
         self.rng = random.Random(scenario.seed)
         self.now = 0.0
+        self.recording = _RECORD.get()  # read once per run
         self.events: list[dict] = []
         self.nodes: dict[str, NodeReport] = {}
         self.node_busy: dict[str, float] = {}
@@ -269,7 +310,8 @@ class _Run:
         self.node_busy[member_id] = 0.0
 
     def log(self, t: float, kind: str, node: str, **info) -> None:
-        self.events.append({"t": round(t, 9), "kind": kind, "node": node, **info})
+        if self.recording:
+            self.events.append({"t": round(t, 9), "kind": kind, "node": node, **info})
 
     def node_speed(self, member_id: str) -> float:
         factor = GM_SPEEDUP if member_id == "GM" else 1.0
@@ -583,6 +625,12 @@ def run(scenario: Scenario) -> SimReport:
     return _run_proposed(scenario)
 
 
+def _run_with_log(record: bool, scenario: Scenario) -> SimReport:
+    """`run` under ``event_log(record)``: what a `sweep` worker process runs."""
+    with event_log(record):
+        return run(scenario)
+
+
 def sweep(
     schemes: list[str],
     ms: list[int],
@@ -597,6 +645,8 @@ def sweep(
     simulator runs only, in row order.  `jobs` > 1 runs them in parallel
     worker processes, at most one per run; `jobs` < 1 raises ValueError.
     Each run has an isolated rng, so the output does not depend on `jobs`.
+    Every scenario is validated before the first run.  A run records its
+    event log as the caller's `event_log` context says, in a worker too.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -611,11 +661,14 @@ def sweep(
         if scheme != "chien"
         for m in ms
     ]
+    for scn in scenarios:
+        scn.validate()
     if jobs > 1 and len(scenarios) > 1:
         import concurrent.futures
 
+        work = functools.partial(_run_with_log, _RECORD.get())
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
-            reports = list(pool.map(run, scenarios))
+            reports = list(pool.map(work, scenarios))
     else:
         reports = [run(scn) for scn in scenarios]
     simulated = iter(reports)
@@ -632,6 +685,8 @@ def sweep(
 
 def chien_model_row(m: int, base: Scenario | None = None) -> str:
     """Synthesize the Chien datapoint under the same timeline assumptions."""
+    if m > MAX_GROUP_SIZE:  # sized by roster_ids(m); runs are bounded by validate
+        raise ScenarioError(f"m must be <= {MAX_GROUP_SIZE}, got {m}")
     scn = base if base is not None else Scenario(scheme="proposed-centralized", m=m)
     g = resolve_curve(scn.curve_ref).generator
     point = wire.encode_point_payload(g.x.to_bytes(), g.y.to_bytes())  # a public share's size
@@ -677,7 +732,8 @@ def calibrate_compute_rate(
     probe = replace(base, scheme="proposed-centralized", m=m, t=None)
 
     def auth(rate: float) -> float:
-        return run(replace(probe, compute_rate=rate)).auth_time_s
+        with event_log(False):
+            return run(replace(probe, compute_rate=rate)).auth_time_s
 
     r1, r2 = 1000.0, 2000.0
     t1, t2 = auth(r1), auth(r2)
@@ -707,5 +763,6 @@ def calibrate_joules_per_tmulq(
     if base is None:
         base = Scenario(scheme="proposed-centralized", m=m)
     probe = replace(base, scheme="proposed-centralized", m=m, t=None)
-    rep = run(probe).representative_member()
+    with event_log(False):
+        rep = run(probe).representative_member()
     return target_j / (rep.tmulq_count + rep.bytes_tx + rep.bytes_rx)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gaskit import sim
 from gaskit.attacks import (
     AdversaryScript,
     build_honest_transcript,
@@ -110,6 +111,15 @@ def test_flood_congestion_metrics():
     assert obs["flood_max_queue"] > obs["staggered_max_queue"]
     assert obs["inflation"] > 1.1
     assert obs["flood_auth_time_s"] > obs["staggered_auth_time_s"]
+
+
+def test_simulated_attacks_build_no_event_log(monkeypatch):
+    reports, run = [], sim.run
+    monkeypatch.setattr(sim, "run", lambda scn: reports.append(run(scn)) or reports[-1])
+    assert flood_congestion(m=6).matched
+    assert dos_invalid_share(mode="centralized").matched
+    assert dos_invalid_share(mode="decentralized").matched
+    assert len(reports) == 4 and all(rep.events == [] for rep in reports)
 
 
 def test_run_attack_dispatch():

@@ -1,9 +1,11 @@
 """CLI: transcript shapes, CSV goldens, exit codes, seeding."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from gaskit import cli, cost_model, gas_core, sim
 from gaskit.cli import main
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
@@ -112,6 +114,36 @@ def test_simulate_inline_flags(capsys, tmp_path):
     log = json.loads(events.read_text())
     assert len(log) == 1 and log[0]["outcome"] == "authenticated"
     assert log[0]["events"], "event log must be populated"
+
+
+def test_simulate_builds_no_event_log_without_events(capsys):
+    # recording, this run builds m^2 + 2m + 2 = 90,602 event dicts, a peak of about 21 MB
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scheme", "harn", "--m", "300", "--t", "10"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out.startswith(CSV_HEADER)
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(("scheme", "events_per_run"), [
+    ("harn", lambda m: m * m + 2 * m + 2),
+    ("proposed-centralized", lambda m: 3 * m + 3),
+    ("proposed-decentralized", lambda m: 3 * m + 3),
+])
+def test_simulate_csv_is_the_same_with_and_without_events(capsys, tmp_path, scheme,
+                                                         events_per_run):
+    argv = ["simulate", "--scheme", scheme, "--m", "7", "--t", "3",
+            "--curve", "builtin:test2017", "--harn", "builtin:harn-tiny"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    events = tmp_path / "events.json"
+    code, logged, _ = run_cli(capsys, *argv, "--events", str(events))
+    assert code == 0 and logged == plain
+    (report,) = json.loads(events.read_text())
+    assert len(report["events"]) == events_per_run(7)
 
 
 def test_simulate_missing_file(capsys):
@@ -269,6 +301,52 @@ def test_sweep_invalid_run_prints_no_rows(capsys):
     assert code == 2
     assert out == ""
     assert "m must be >= 1" in err
+
+
+def test_sweep_events_do_not_depend_on_jobs(capsys, tmp_path):
+    argv = ["sweep", "--schemes", "harn,proposed-centralized", "--m-list", "10,20"]
+    outputs = []
+    for jobs in ("2", "1"):
+        path = tmp_path / f"jobs{jobs}.json"
+        code, out, _ = run_cli(capsys, *argv, "--jobs", jobs, "--events", str(path))
+        assert code == 0
+        outputs.append((out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert all(rep["events"] for rep in json.loads(outputs[0][1]))
+
+
+# --- work bounds ------------------------------------------------------------------
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the work ran; the bound must refuse it at validation")
+
+
+@pytest.mark.parametrize(("argv", "owner", "work", "problem"), [
+    pytest.param(("demo", "--t", "2", "--m", "3", "--n", "30000000"), gas_core, "gm_init",
+                 "n must be <= 1000, got 30000000", id="demo-n"),
+    pytest.param(("sweep", "--m-list", "100000"), sim, "run",
+                 "m must be <= 1000, got 100000", id="sweep-m"),
+    pytest.param(("sweep", "--schemes", "proposed-centralized,harn", "--m-list", "10,1001"),
+                 sim, "run", "m must be <= 1000, got 1001", id="sweep-m-after-a-valid-one"),
+    pytest.param(("sweep", "--m-list", ",".join(["10"] * 101)), sim, "run",
+                 "--m-list holds at most 100 values, got 101", id="sweep-m-list-length"),
+    pytest.param(("sweep", "--schemes", "chien", "--m-list", "100000"), sim, "roster_ids",
+                 "m must be <= 1000, got 100000", id="sweep-chien-m"),
+    pytest.param(("cost", "--m-range", "1:200:1"), cost_model, "per_user_cost",
+                 "--m-range holds at most 100 values, got 200", id="cost-m-range-length"),
+    pytest.param(("gen-params", "--kind", "harn", "--p-bits", "4096"), cli, "_gen_prime",
+                 "--p-bits must be at most 2048, got 4096", id="gen-params-p-bits"),
+    pytest.param(("simulate", "--scheme", "harn", "--m", "1001"), sim, "_run_harn",
+                 "m must be <= 1000, got 1001", id="simulate-harn-m"),
+    pytest.param(("simulate", "--scheme", "proposed-centralized", "--m", "100000"), sim,
+                 "_run_proposed", "m must be <= 1000, got 100000", id="simulate-proposed-m"),
+])
+def test_work_above_the_bounds_exits_2_before_any_work(capsys, monkeypatch, argv, owner,
+                                                      work, problem):
+    monkeypatch.setattr(owner, work, _unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"gaskit: {problem}\n"
 
 
 # --- attack ---------------------------------------------------------------------

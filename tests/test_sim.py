@@ -299,6 +299,69 @@ def test_flood_inflates_queue_and_time():
     assert stag.authenticated and flood.authenticated
 
 
+@pytest.mark.parametrize("scheme", sim.SCHEME_CHOICES)
+def test_event_log_off_leaves_every_other_field(scheme):
+    scn = tiny(scheme, loss=0.3, seed=4)  # frames lost and rounds retried
+    recorded = sim.run(scn)
+    with sim.event_log(False):
+        bare = sim.run(scn)
+        with sim.event_log(True):
+            assert sim.run(scn) == recorded
+        assert sim.run(scn) == bare
+    assert sim.run(scn) == recorded  # the default records
+    assert recorded.events and bare.events == []
+    assert {**recorded.to_dict(), "events": []} == bare.to_dict()
+
+
+def test_calibrations_build_no_event_log(monkeypatch):
+    reports, run = [], sim.run
+    monkeypatch.setattr(sim, "run", lambda scn: reports.append(run(scn)) or reports[-1])
+    sim.calibrate_joules_per_tmulq()
+    sim.calibrate_compute_rate()
+    assert len(reports) == 4 and all(rep.events == [] for rep in reports)
+
+
+def test_sweep_passes_the_recording_choice_to_its_workers(monkeypatch):
+    """Workers get the choice as an argument; a spawned one inherits no context."""
+    import concurrent.futures
+    import contextvars
+
+    class FreshContextPool:  # each run starts from an empty context, as in spawn
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return [contextvars.Context().run(fn, item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FreshContextPool)
+    base = tiny(seed=5)
+    for record in (False, True):
+        with sim.event_log(record):
+            rows_par, reports_par = sim.sweep(["proposed-centralized", "harn"], [3, 5], base,
+                                              jobs=2)
+            rows_seq, reports_seq = sim.sweep(["proposed-centralized", "harn"], [3, 5], base)
+        assert rows_par == rows_seq and reports_par == reports_seq
+        assert all(bool(rep.events) == record for rep in reports_par)
+
+
+def test_scenario_refuses_a_group_above_the_bound(monkeypatch):
+    def roster(m):
+        raise AssertionError(f"built a roster of {m}")
+
+    monkeypatch.setattr(sim, "roster_ids", roster)
+    scn = tiny("harn", m=10**9, adversary={"kind": "invalid-share"})
+    with pytest.raises(ScenarioError, match=f"m must be <= {sim.MAX_GROUP_SIZE}, got 10+$"):
+        scn.validate()
+    monkeypatch.undo()
+    tiny("harn", m=sim.MAX_GROUP_SIZE, adversary={"kind": "invalid-share"}).validate()
+
+
 def test_sweep_parallel_matches_sequential():
     base = tiny(seed=5)
     rows_seq, _ = sim.sweep(["proposed-centralized", "harn"], [3, 5], base, jobs=1)
