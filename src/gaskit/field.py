@@ -6,9 +6,11 @@ the whole toolkit, so `FieldElement.__mul__` and `pow` report into whatever
 `MulCounter` is active in the current execution context.  The hot paths
 compute on plain integers instead and tally the multiplications they did in
 bulk, once per call: the curve group (`ec.add`, `ec.scalar_mul`), the
-Lagrange weights of the verifiers (`lagrange_weight` one at a time,
-`lagrange_weights` all of a set from one `batch_inverse`) and Harn's
-fixed-base g^c.  Inversions are *not* counted anywhere: they are tracked as separate
+Lagrange weights (`lagrange_weight`, one node's at several points from one
+inversion, for a Harn release; `lagrange_weights`, all of a set from one
+`batch_inverse`, for the verifiers), Horner dealing
+(`sss.SecretPolynomial.evaluate`) and Harn's g^c, parameter check and
+product check.  Inversions are *not* counted anywhere: they are tracked as separate
 unit operations in the cost model, matching how the per-user operation
 counts are broken down.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,6 +37,7 @@ __all__ = [
     "lagrange_coeff_at_zero",
     "lagrange_weight",
     "lagrange_weights",
+    "pow_mod",
     "tally_muls",
 ]
 
@@ -164,10 +168,14 @@ class MulCounter:
     `field_muls` gets one per `FieldElement` multiplication and, in one step
     per call, the multiplications of the plain-int paths: the formula counts
     of each `ec.add`, `ec.scalar_mul`, `ec._multi_scalar_jacobian` or
-    `ec.scalar_mul_many`, the 2m-1 of each `lagrange_weight`, the m^2 + 6m
-    of each `lagrange_weights` and, for Harn's g^c (`HarnModulus.g_pow`),
-    one per nonzero 4-bit digit of c (its table, like the generator table
-    of `ec`, is built untallied); inversions are not counted.  A scalar
+    `ec.scalar_mul_many`, the (k + 1)(m - 1) + k of each `lagrange_weight`
+    at k points (2m - 1 at one, 3m - 1 at a Harn release's two), the
+    m^2 + 6m of each `lagrange_weights`, the t of each Horner evaluation of
+    a degree t - 1 polynomial, the bitlen - 1 + popcount of each `pow_mod`,
+    the m of a Harn product check (`gas_harn.harn_verify`) and, for Harn's
+    g^c (`HarnModulus.g_pow`), one per nonzero 4-bit digit of c (its
+    table, like the generator table of `ec`, is built untallied);
+    inversions are not counted.  A scalar
     multiplication tallies the formulas it ran, so the same TEM counts
     differently by path: about 509 on average on secp160r1 for the
     generator (fixed-base table), about 1.6k for any other point (width-4
@@ -283,12 +291,8 @@ class FieldElement:
         return FieldElement(pow(self.residue, -1, self.modulus.value), self.modulus)
 
     def pow(self, exp: int) -> "FieldElement":
-        """base**exp; tallies square-and-multiply's bitlen-1 + popcount muls."""
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
-        if exp:
-            tally_muls(exp.bit_length() - 1 + exp.bit_count())
-        return FieldElement(pow(self.residue, exp, self.modulus.value), self.modulus)
+        """base**exp; tallies what `pow_mod` tallies."""
+        return _reduced(pow_mod(self.residue, exp, self.modulus.value), self.modulus)
 
     def to_bytes(self) -> bytes:
         """Canonical encoding: big-endian, fixed width of the modulus."""
@@ -307,6 +311,15 @@ def _reduced(residue: int, modulus: Prime) -> FieldElement:
     _set_modulus(el, modulus)
     _set_residue(el, residue)
     return el
+
+
+def pow_mod(base: int, exp: int, p: int) -> int:
+    """base**exp mod p on plain ints; tallies square-and-multiply's bitlen-1 + popcount muls."""
+    if exp < 0:
+        raise ValueError("exponent must be non-negative")
+    if exp:
+        tally_muls(exp.bit_length() - 1 + exp.bit_count())
+    return pow(base, exp, p)
 
 
 def batch_inverse(zs: list[int], p: int) -> list[int]:
@@ -357,26 +370,33 @@ def lagrange_coeff_at_zero(idx: int, xs: list[FieldElement]) -> FieldElement:
     return lagrange_coeff(idx, xs, FieldElement(0, xs[0].modulus))
 
 
-def lagrange_weight(idx: int, xs: list[int], at: int, q: int) -> int:
-    """The residue of `lagrange_coeff` on plain ints modulo the prime q.
+def lagrange_weight(idx: int, xs: list[int], ats: Sequence[int], q: int) -> list[int]:
+    """Node idx's `lagrange_coeff` residue at each point of `ats`, on plain ints mod q.
 
-    One inversion per weight.  Tallies the 2m-1 multiplications that
-    `lagrange_coeff` tallies for m = len(xs) nodes, in one step.
+    The denominator prod_{r != idx} (x_idx - x_r) and its one inversion
+    serve every point.  Tallies (k + 1)(m - 1) + k multiplications in one
+    step for k points and m = len(xs) nodes: the denominator's m - 1, each
+    numerator's m - 1 and one to divide each; at one point that is the
+    2m - 1 of `lagrange_coeff`.
     """
     if not 0 <= idx < len(xs):
         raise IndexError(f"idx {idx} out of range for {len(xs)} nodes")
     x_i = xs[idx]
-    num = den = 1
-    for r, x_r in enumerate(xs):
-        if r == idx:
-            continue
-        diff = (x_i - x_r) % q
-        if diff == 0:
-            raise ValueError(f"duplicate x-coordinate {x_r % q}")
-        num = num * (at - x_r) % q
-        den = den * diff % q
-    tally_muls(2 * len(xs) - 1)
-    return num * pow(den, -1, q) % q
+    others = xs[:idx] + xs[idx + 1:]
+    den = 1
+    for x_r in others:
+        den = den * (x_i - x_r) % q
+    if not den:
+        raise ValueError(f"duplicate x-coordinate {x_i % q}")
+    inv = pow(den, -1, q)
+    weights = []
+    for at in ats:
+        num = 1
+        for x_r in others:
+            num = num * (at - x_r) % q
+        weights.append(num * inv % q)
+    tally_muls((len(ats) + 1) * len(others) + len(ats))
+    return weights
 
 
 def lagrange_weights(xs: list[int], at: int, q: int) -> list[int]:

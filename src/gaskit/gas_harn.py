@@ -16,11 +16,13 @@ to divide p-1 (the tiny pair p=23, q=11 happens to be a safe-prime pair);
 the generator is derived from base 7 by cofactor exponentiation so its
 order is exactly q.
 
-Tokens, parameters and releases hold `FieldElement`s.  A release computes
-on plain ints: c_i from `field.lagrange_weight`, and g^{c_i} from the fixed
-generator's table (`HarnModulus.g_pow`), as the proposed scheme does for
-multiples of its own generator.  Both tally their field multiplications in
-one step.
+Tokens, parameters and releases hold `FieldElement`s; everything computes
+on plain ints and tallies its field multiplications in one step per call.
+A release takes both of its Lagrange terms from one `field.lagrange_weight`
+call, which shares their denominator and its inversion, and g^{c_i} from
+the fixed generator's table (`HarnModulus.g_pow`), as the proposed scheme
+does for multiples of its own generator.  The check multiplies the m
+releases as residues mod p.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from functools import cached_property
 from importlib import resources
 
 from . import wire
-from .field import FieldElement, Prime, json_int, json_object, lagrange_weight, tally_muls
+from .field import (
+    FieldElement, Prime, json_int, json_object, lagrange_weight, pow_mod, tally_muls,
+)
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff  # noqa: F401
 from .sss import SecretPolynomial, ThresholdError, roster_ids, sample_polynomial
@@ -157,15 +161,33 @@ class HarnParams:
     verification_target: FieldElement  # g^s mod p
 
     def __post_init__(self) -> None:
+        q, p = self.modulus.q, self.modulus.p
+        if self.verification_target.modulus != p or any(
+            v.modulus != q for v in (self.w1, self.w2, self.d1, self.d2, self.s)
+        ):
+            raise ValueError("w_j, d_j and s must live mod q, the verification target mod p")
         if self.d1.residue == 0 and self.d2.residue == 0:
             raise ValueError("d1 = d2 = 0 makes the secret degenerate")
-        expected = self.d1 * self.f1.evaluate(self.w1) + self.d2 * self.f2.evaluate(
-            self.w2
-        )
-        if expected != self.s:
+        if _group_secret(self.f1, self.f2, self.w1, self.w2, self.d1, self.d2) != self.s.residue:
             raise ValueError("s is inconsistent with d_j * f_j(w_j)")
-        if self.modulus.g.pow(self.s.residue) != self.verification_target:
+        g, s = self.modulus.g.residue, self.s.residue
+        if pow_mod(g, s, p.value) != self.verification_target.residue:
             raise ValueError("verification target is not g^s")
+
+
+def _group_secret(
+    f1: SecretPolynomial,
+    f2: SecretPolynomial,
+    w1: FieldElement,
+    w2: FieldElement,
+    d1: FieldElement,
+    d2: FieldElement,
+) -> int:
+    """s = d_1*f_1(w_1) + d_2*f_2(w_2) mod q; tallies the two products."""
+    tally_muls(2)
+    return (
+        d1.residue * f1.evaluate(w1).residue + d2.residue * f2.evaluate(w2).residue
+    ) % f1.field.value
 
 
 def builtin_harn_modulus(name: str) -> HarnModulus:
@@ -216,7 +238,7 @@ def harn_init(
     d1, d2 = q.random_element(rng), q.random_element(rng)
     while d1.residue == 0 and d2.residue == 0:
         d1, d2 = q.random_element(rng), q.random_element(rng)
-    s = d1 * f1.evaluate(w1) + d2 * f2.evaluate(w2)
+    s = q.element(_group_secret(f1, f2, w1, w2, d1, d2))
     params = HarnParams(
         modulus=modulus,
         threshold=t,
@@ -241,8 +263,11 @@ def harn_release(
 ) -> HarnRelease:
     """c_i = sum_j d_j * f_j(x_i) * prod_{r != i} (w_j - x_r)/(x_i - x_r); e_i = g^{c_i}.
 
-    Tallies the 2(2m-1) multiplications of the two Lagrange weights, the 4
-    products that form c_i, and the nonzero digits of c_i in `g_pow`.
+    Both weights share the denominator prod_{r != i} (x_i - x_r) and its one
+    inversion.  Tallies 3(m-1) + 6 multiplications for a roster of m: the
+    weights' 3(m-1) + 2 and the 4 products that form c_i; then the nonzero
+    digits of c_i in `g_pow`.  ValueError when x_i is not on the roster or
+    appears on it twice.
     """
     if len(roster_xs) < params.threshold:
         raise ThresholdError(
@@ -256,8 +281,7 @@ def harn_release(
             f"member x={token.x.residue} is not in the participating roster"
         ) from None
     q = params.modulus.q.value
-    l1 = lagrange_weight(idx, xs, params.w1.residue, q)
-    l2 = lagrange_weight(idx, xs, params.w2.residue, q)
+    l1, l2 = lagrange_weight(idx, xs, (params.w1.residue, params.w2.residue), q)
     c = (params.d1.residue * token.y1.residue * l1 + params.d2.residue * token.y2.residue * l2) % q
     tally_muls(4)
     return HarnRelease(member_id=token.member_id, x=token.x, e=params.modulus.g_pow(c))
@@ -270,7 +294,11 @@ def release_frame(rel: HarnRelease) -> bytes:
 
 
 def harn_verify(releases: list[HarnRelease], params: HarnParams) -> bool:
-    """prod(e_i) must equal g^s; needs >= t distinct contributors."""
+    """prod(e_i) must equal g^s; needs >= t distinct contributors.
+
+    Multiplies the residues mod p and tallies the m multiplications in one
+    step.
+    """
     if len(releases) < params.threshold:
         raise ThresholdError(
             f"need at least {params.threshold} releases, got {len(releases)}"
@@ -278,7 +306,11 @@ def harn_verify(releases: list[HarnRelease], params: HarnParams) -> bool:
     xs = [rel.x.residue for rel in releases]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate releases")
-    product = FieldElement(1, params.modulus.p)
+    p = params.modulus.p
+    product = 1
     for rel in releases:
-        product = product * rel.e
-    return product == params.verification_target
+        if rel.e.modulus.value != p.value:
+            raise ValueError(f"release of {rel.member_id} does not live mod p = {p.value}")
+        product = product * rel.e.residue % p.value
+    tally_muls(len(releases))
+    return product == params.verification_target.residue

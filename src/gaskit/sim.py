@@ -21,7 +21,8 @@ a radio byte costs one T_mul,q, so one calibration point fixes both scales.
 
 Each run records an event log (`SimReport.events`: every compute step,
 frame and decision) unless it runs inside ``event_log(False)``; then it
-builds none and its `events` is empty, every other field the same.  The
+builds none, not even an event's arguments, and its `events` is empty,
+every other field the same.  The
 log is a run's only O(m^2) memory: m^2 + 2m + 2 events per authenticated
 Harn run, 3m + 3 per authenticated proposed run.  The CLI records only
 under ``--events``.
@@ -310,8 +311,9 @@ class _Run:
         self.node_busy[member_id] = 0.0
 
     def log(self, t: float, kind: str, node: str, **info) -> None:
-        if self.recording:
-            self.events.append({"t": round(t, 9), "kind": kind, "node": node, **info})
+        """Append one event; callers test `recording` first, so a run that
+        records nothing does not even build the arguments."""
+        self.events.append({"t": round(t, 9), "kind": kind, "node": node, **info})
 
     def node_speed(self, member_id: str) -> float:
         factor = GM_SPEEDUP if member_id == "GM" else 1.0
@@ -323,7 +325,8 @@ class _Run:
         end = begin + tmulq / self.node_speed(member_id)
         self.node_busy[member_id] = end
         self.nodes[member_id].tmulq_count += tmulq
-        self.log(begin, kind, member_id, tmulq=tmulq, end=round(end, 9))
+        if self.recording:
+            self.log(begin, kind, member_id, tmulq=tmulq, end=round(end, 9))
         return end
 
     def airtime(self, nbytes: int) -> float:
@@ -339,13 +342,15 @@ class _Run:
         self.channel_tx += nbytes
         lost = self.rng.random() < self.scn.loss
         if lost:
-            self.log(start, "frame-lost", sender, bytes=nbytes)
+            if self.recording:
+                self.log(start, "frame-lost", sender, bytes=nbytes)
             return end, False
         self.channel_rx += nbytes
         for rx in receivers:
             self.nodes[rx].bytes_rx += nbytes
             self.nodes[rx].messages += 1
-        self.log(start, "tx", sender, bytes=nbytes, delivered_at=round(end, 9))
+        if self.recording:
+            self.log(start, "tx", sender, bytes=nbytes, delivered_at=round(end, 9))
         return end, True
 
     def finish(
@@ -458,7 +463,9 @@ def _run_proposed(scn: Scenario) -> SimReport:
 
     for round_no in range(MAX_RETRIES + 1):
         rounds = round_no + 1
-        run.log(run.now, "round-start", verifier, round=rounds, participants=len(participants))
+        if run.recording:
+            run.log(run.now, "round-start", verifier, round=rounds,
+                    participants=len(participants))
         delivered: dict[str, bytes] = {}
         arrivals: list[tuple[float, str]] = []
 
@@ -521,8 +528,9 @@ def _run_proposed(scn: Scenario) -> SimReport:
                 accepted = not round_culprits
             else:
                 accepted = gas_core.decentralized_verify(config, received)
-        run.log(run.now, "decision", verifier, round=rounds, accepted=accepted,
-                missing=missing, culprits=round_culprits)
+        if run.recording:
+            run.log(run.now, "decision", verifier, round=rounds, accepted=accepted,
+                    missing=missing, culprits=round_culprits)
 
         # verdict broadcast (everyone but the verifier listens)
         verdict_frame = wire.encode_frame(
@@ -582,8 +590,9 @@ def _run_harn(scn: Scenario) -> SimReport:
 
     for round_no in range(MAX_RETRIES + 1):
         rounds = round_no + 1
-        run.log(run.now, "round-start", member_ids[0], round=rounds,
-                participants=len(member_ids))
+        if run.recording:
+            run.log(run.now, "round-start", member_ids[0], round=rounds,
+                    participants=len(member_ids))
         cursor = run.now
         delivered: set[str] = set()
         for mid in member_ids:
@@ -607,8 +616,9 @@ def _run_harn(scn: Scenario) -> SimReport:
             accepted = gas_harn.harn_verify(
                 [releases[mid] for mid in member_ids], params
             )
-        run.log(run.now, "decision", member_ids[0], round=rounds, accepted=accepted,
-                missing=missing)
+        if run.recording:
+            run.log(run.now, "decision", member_ids[0], round=rounds, accepted=accepted,
+                    missing=missing)
         if accepted:
             return run.finish("authenticated", None, decision_at, rounds, "all", [])
         if round_no == MAX_RETRIES:

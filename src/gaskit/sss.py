@@ -14,7 +14,7 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, Prime, lagrange_coeff_at_zero
+from .field import FieldElement, Prime, lagrange_coeff_at_zero, tally_muls
 
 __all__ = [
     "ThresholdError",
@@ -62,10 +62,15 @@ class SecretPolynomial:
         return self.coefficients[0].modulus
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = FieldElement(0, self.field)
+        """f(x) by Horner on plain ints; tallies its t multiplications in one step."""
+        q = self.field
+        if x.modulus.value != q.value:
+            raise ValueError(f"modulus mismatch: {q.value} vs {x.modulus.value}")
+        at, acc = x.residue, 0
         for coeff in reversed(self.coefficients):
-            acc = acc * x + coeff
-        return acc
+            acc = (acc * at + coeff.residue) % q.value
+        tally_muls(len(self.coefficients))
+        return q.element(acc)
 
 
 @dataclass(frozen=True)

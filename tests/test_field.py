@@ -18,6 +18,7 @@ from gaskit.field import (
     lagrange_coeff_at_zero,
     lagrange_weight,
     lagrange_weights,
+    pow_mod,
 )
 
 F17 = Prime(17)
@@ -93,33 +94,40 @@ def test_lagrange_duplicate_rejected():
 
 
 def test_lagrange_weight_matches_field_element_reference():
-    # the plain-int weight is the residue of lagrange_coeff, at 0 and at any
-    # point, and tallies the same 2m-1 multiplications
+    # each plain-int weight is the residue of lagrange_coeff, at 0, at any
+    # point and at a node; the points share one denominator, so k points
+    # tally (k+1)(m-1) + k, and one point the 2m-1 of lagrange_coeff
     rng = random.Random(31)
     secp160_n = Prime(0x0100000000000000000001F4C8F927AED3CA752257)
     for _ in range(300):
         q = rng.choice([F17, Prime(37), F2027, secp160_n])
-        k = rng.randrange(1, 10)
-        xs = [FieldElement(v, q) for v in rng.sample(range(1, min(q.value, 10**6)), k)]
-        at = FieldElement(rng.choice([0, rng.randrange(q.value)]), q)
-        for i in range(k):
+        m = rng.randrange(1, 10)
+        xs = [FieldElement(v, q) for v in rng.sample(range(1, min(q.value, 10**6)), m)]
+        ats = [FieldElement(rng.choice([0, rng.randrange(q.value), rng.choice(xs).residue]), q)
+               for _ in range(rng.randrange(1, 4))]
+        k = len(ats)
+        for i in range(m):
             with MulCounter() as ref_ops:
-                want = lagrange_coeff(i, xs, at).residue
+                want = [lagrange_coeff(i, xs, at).residue for at in ats]
             with MulCounter() as ops:
-                got = lagrange_weight(i, [x.residue for x in xs], at.residue, q.value)
+                got = lagrange_weight(i, [x.residue for x in xs], [at.residue for at in ats],
+                                      q.value)
             assert got == want
-            assert ops.field_muls == ref_ops.field_muls == 2 * k - 1
+            assert ref_ops.field_muls == k * (2 * m - 1)
+            assert ops.field_muls == (k + 1) * (m - 1) + k
+            if k == 1:
+                assert ops.field_muls == ref_ops.field_muls
 
 
 def test_lagrange_weight_rejects_duplicates_and_bad_idx():
     with pytest.raises(ValueError, match="duplicate x-coordinate 3"):
-        lagrange_weight(0, [3, 5, 20], 0, 17)  # 20 = 3 mod 17
+        lagrange_weight(0, [3, 5, 20], [0, 4], 17)  # 20 = 3 mod 17
     with pytest.raises(IndexError):
-        lagrange_weight(2, [1, 2], 0, 17)
+        lagrange_weight(2, [1, 2], [0], 17)
     with pytest.raises(IndexError):
-        lagrange_weight(-1, [1, 2], 0, 17)
+        lagrange_weight(-1, [1, 2], [0], 17)
     with pytest.raises(IndexError):
-        lagrange_weight(0, [], 0, 17)
+        lagrange_weight(0, [], [0], 17)
 
 
 def test_lagrange_weights_match_lagrange_weight():
@@ -132,7 +140,7 @@ def test_lagrange_weights_match_lagrange_weight():
         m = rng.randrange(1, 13)
         xs = rng.sample(range(1, min(q, 10**6)), m)
         at = rng.choice([0, rng.randrange(q), rng.choice(xs)])
-        want = [lagrange_weight(i, xs, at, q) for i in range(m)]
+        want = [lagrange_weight(i, xs, [at], q)[0] for i in range(m)]
         with MulCounter() as ops:
             assert lagrange_weights(xs, at, q) == want
         assert ops.field_muls == m * m + 6 * m
@@ -272,6 +280,11 @@ def test_counter_pow_square_and_multiply():
             got = el(3, F2027).pow(exp)
         assert ops.field_muls == muls
         assert got.residue == pow(3, exp, 2027)
+        with MulCounter() as ops:  # the plain-int form that Harn's check runs
+            assert pow_mod(3, exp, 2027) == got.residue
+        assert ops.field_muls == muls
+    with pytest.raises(ValueError, match="non-negative"):
+        pow_mod(3, -1, 2027)
 
 
 def test_counter_ignores_inversions():

@@ -11,6 +11,7 @@ from gaskit.gas_harn import (
     HarnModulus,
     HarnParams,
     HarnRelease,
+    HarnToken,
     builtin_harn_modulus,
     derive_generator,
     harn_init,
@@ -105,24 +106,79 @@ def test_params_check_does_not_build_the_table():
     assert "_g_table" not in vars(modulus)
 
 
+def _random_roster(params, n, rng):
+    """n tokens at distinct random x's, none of them w_1 or w_2, in random order."""
+    q = params.modulus.q
+    taken, xs = {params.w1.residue, params.w2.residue}, []
+    while len(xs) < n:
+        x = rng.randrange(q.value)
+        if x not in taken:
+            taken.add(x)
+            xs.append(FieldElement(x, q))
+    return [HarnToken(f"U{i + 1}", x, params.f1.evaluate(x), params.f2.evaluate(x))
+            for i, x in enumerate(xs)]
+
+
 @pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
 def test_release_matches_field_element_reference(modulus):
-    """e_i against c_i formed with `lagrange_coeff` on FieldElements, and the
-    tally: the two weights' 2(2m-1), the 4 products, c_i's nonzero digits."""
+    """e_i against c_i formed with `lagrange_coeff` on FieldElements, on the
+    dealt roster x = 1..n and on a random one, and the tally: the shared
+    denominator's n-1, the two numerators' 2(n-1), the two divisions, the 4
+    products, c_i's nonzero digits."""
     rng = random.Random(13)
     for _ in range(5):
         n = rng.randrange(2, min(9, modulus.q.value - 2) + 1)
-        params, tokens = harn_init(rng.randrange(1, n + 1), n, modulus, rng)
+        params, dealt = harn_init(rng.randrange(1, n + 1), n, modulus, rng)
+        for tokens in (dealt, _random_roster(params, n, rng)):
+            roster = [tok.x for tok in tokens]
+            releases = []
+            for idx, tok in enumerate(tokens):
+                c = (
+                    params.d1 * tok.y1 * lagrange_coeff(idx, roster, params.w1)
+                    + params.d2 * tok.y2 * lagrange_coeff(idx, roster, params.w2)
+                ).residue
+                with MulCounter() as ops:
+                    releases.append(harn_release(tok, roster, params))
+                assert releases[-1].e == modulus.g.pow(c)
+                assert ops.field_muls == 3 * (n - 1) + 6 + _nonzero_digits(c)
+            assert harn_verify(releases, params)
+
+
+def test_release_refuses_a_roster_that_repeats_its_x():
+    rng = random.Random(15)
+    params, tokens = harn_init(2, 4, FIXTURE, rng)
+    roster = [tok.x for tok in tokens]
+    for idx in range(4):
+        repeated = roster[:idx] + [roster[idx]] + roster[idx:]
+        with pytest.raises(ValueError, match=f"duplicate x-coordinate {idx + 1}"):
+            harn_release(tokens[idx], repeated, params)
+
+
+@pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
+def test_verify_matches_field_element_product(modulus):
+    """The verdict is prod(e_i) == g^s taken over FieldElements, with its m
+    multiplications tallied; one release times g turns it."""
+    rng = random.Random(16)
+    for _ in range(5):
+        n = rng.randrange(2, min(9, modulus.q.value - 2) + 1)
+        t = rng.randrange(1, n + 1)
+        params, tokens = harn_init(t, n, modulus, rng)
         roster = [tok.x for tok in tokens]
-        for idx, tok in enumerate(tokens):
-            c = (
-                params.d1 * tok.y1 * lagrange_coeff(idx, roster, params.w1)
-                + params.d2 * tok.y2 * lagrange_coeff(idx, roster, params.w2)
-            ).residue
+        releases = [harn_release(tok, roster, params) for tok in tokens]
+        bad = releases[:]
+        k = rng.randrange(n)
+        bad[k] = HarnRelease(bad[k].member_id, bad[k].x, bad[k].e * modulus.g)
+        # t of the n releases: the verdict of whatever their product is
+        for rels, want in ((releases, True), (bad, False), (releases[:t], None)):
+            product = FieldElement(1, modulus.p)
+            with MulCounter() as ref_ops:
+                for rel in rels:
+                    product = product * rel.e
             with MulCounter() as ops:
-                rel = harn_release(tok, roster, params)
-            assert rel.e == modulus.g.pow(c)
-            assert ops.field_muls == 2 * (2 * n - 1) + 4 + _nonzero_digits(c)
+                verdict = harn_verify(rels, params)
+            assert verdict == (product == params.verification_target)
+            assert want is None or verdict == want
+            assert ops.field_muls == ref_ops.field_muls == len(rels)
 
 
 def _interp_at(points, at, q):
@@ -153,8 +209,6 @@ def test_tiny_frozen_example():
         modulus=TINY, threshold=2, f1=f1, f2=f2, w1=w1, w2=w2, d1=d1, d2=d2,
         s=s, verification_target=TINY.g.pow(s.residue),
     )
-    from gaskit.gas_harn import HarnToken
-
     xs = [FieldElement(1, q), FieldElement(2, q)]
     tokens = [
         HarnToken("U1", xs[0], f1.evaluate(xs[0]), f2.evaluate(xs[0])),
@@ -183,6 +237,16 @@ def test_params_validation():
             d1=FieldElement(3, q), d2=FieldElement(6, q),
             s=FieldElement(9, q), verification_target=TINY.g.pow(9),
         )
+    # every value of F_q must be one, and g^s one of Z_p
+    good = dict(modulus=TINY, threshold=2, f1=f1, f2=f2,
+                w1=FieldElement(5, q), w2=FieldElement(8, q),
+                d1=FieldElement(3, q), d2=FieldElement(6, q),
+                s=FieldElement(3, q), verification_target=TINY.g.pow(3))
+    HarnParams(**good)
+    for name in ("w1", "w2", "d1", "d2", "s", "verification_target"):
+        moved = FieldElement(good[name].residue, Prime(29))
+        with pytest.raises(ValueError, match="must live mod q"):
+            HarnParams(**{**good, name: moved})
 
 
 @pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
@@ -289,7 +353,7 @@ def test_member_cost_grows_linearly_with_roster():
             harn_release(tokens[0], roster[:m], params)
         counts.append(ops.field_muls)
     assert counts[0] < counts[1] < counts[2]
-    # the Lagrange products contribute ~4 multiplications per roster member
+    # the Lagrange products contribute ~3 multiplications per roster member
     assert counts[2] - counts[1] > 2 * (200 - 50)
 
 

@@ -227,7 +227,7 @@ ACCEPTANCE_LINES = {
     3: "91495daf8c1c604036481a45609750654efc2d06d9a0c7db66e80f9067a38ad4",
     4: "45068822ff56bf001bbb3233fe61cd9d411a555d2c5272d4f33e225c4f4d542b",
     5: "f7424d9f02d43a3ee4a5aa1399c34acbcad055b7339219b7a55052b6176dd869",
-    6: "5491107ce9a30119ec1c6b7006fa5f6e03e6c8133ecfb43c6eb3908830612c1e",
+    6: "978bc1f7b2f5ff542772cea8cdbdaaadecc6f42fe58784274bb6384d422e8c47",  # harn muls [69, 191, 640]
     7: "b45632acf5b7f7bb9c860acdb8fcf5ceffe630802ace3d75fd19f92282ae9f28",
     8: "1a3fe1bc5710aece89a29add358b9ebd8fdd1440aa960e4434d1670645cf8f41",
     9: "1832c5f27ab0900b948a667a3a2014cd7d96489f1ad049837b4196f9b939f662",

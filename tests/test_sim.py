@@ -313,6 +313,16 @@ def test_event_log_off_leaves_every_other_field(scheme):
     assert {**recorded.to_dict(), "events": []} == bare.to_dict()
 
 
+@pytest.mark.parametrize("scheme", sim.SCHEME_CHOICES)
+def test_event_log_off_does_no_log_work(scheme, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("logged with the event log off")
+
+    monkeypatch.setattr(sim._Run, "log", refuse)
+    with sim.event_log(False):  # lost frames and retried rounds too
+        assert sim.run(tiny(scheme, loss=0.3, seed=4)).events == []
+
+
 def test_calibrations_build_no_event_log(monkeypatch):
     reports, run = [], sim.run
     monkeypatch.setattr(sim, "run", lambda scn: reports.append(run(scn)) or reports[-1])

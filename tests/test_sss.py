@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gaskit.ec import builtin_curve
-from gaskit.field import FieldElement, Prime
+from gaskit.field import FieldElement, MulCounter, Prime
 from gaskit.gas_core import gm_init
 from gaskit.sss import (
     SecretPolynomial,
@@ -64,6 +64,35 @@ def test_polynomial_invariants():
         SecretPolynomial((el(5), el(0)))
     with pytest.raises(ValueError):
         SecretPolynomial(())
+
+
+def _horner_reference(poly, x):
+    """f(x) by Horner over FieldElements, one tallied multiplication a step."""
+    acc = FieldElement(0, poly.field)
+    for coeff in reversed(poly.coefficients):
+        acc = acc * x + coeff
+    return acc
+
+
+@pytest.mark.parametrize("curve", ["test2017", "secp160r1"])
+def test_evaluate_matches_field_element_horner(curve):
+    q = builtin_curve(curve).scalar_field()
+    rng = random.Random(17)
+    polys = [sample_polynomial(1, q.random_element(rng), rng)]
+    polys += [sample_polynomial(rng.randrange(2, 30), q.random_element(rng), rng)
+              for _ in range(20)]
+    for poly in polys:
+        for x in [q.element(0), q.element(1), q.element(q.value - 1)] + [
+            q.random_element(rng) for _ in range(5)
+        ]:
+            with MulCounter() as ref_ops:
+                want = _horner_reference(poly, x)
+            with MulCounter() as ops:
+                got = poly.evaluate(x)
+            assert got == want
+            assert ops.field_muls == ref_ops.field_muls == poly.threshold
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        polys[-1].evaluate(FieldElement(1, F17))
 
 
 # --- issuing -----------------------------------------------------------------
