@@ -113,9 +113,10 @@ def replay_attack(rotate: bool, seed: int = 11) -> Finding:
     that swaps the seat's public-share frame for the recorded one.  Without
     rotation the stale frame still passes confirmation (the point is
     unchanged), but the seat's pairwise keys are not its peers', so the
-    first peer to open its seal names it.  After rotation even confirmation
-    rejects the frame: it is of the old epoch, and the recipients' decode
-    refuses it.
+    first peer to open its seal names it.  With rotation each seat opens
+    its new share from the GM's sealed bundle under the group key it
+    recovered, and even confirmation rejects the frame: it is of the old
+    epoch, and the recipients' decode refuses it.
     """
     rng, config, shares = _setup_group(seed)
     victim = shares[1].member_id
@@ -124,15 +125,22 @@ def replay_attack(rotate: bool, seed: int = 11) -> Finding:
     recorded_frame = recorded[1]  # broadcast in roster order: the victim's
 
     notes: list[str] = []
+    seats = list(shares)
     if rotate:
         group_key = gas_core.exchange_group_key(states, rng)
         rotation = gas_core.rotate_credentials(config, group_key, rng)
+        # the GM keeps its plaintext shares for gm_verify; each seat opens its own
         config, shares = rotation.config, rotation.shares
+        seats = [
+            gas_core.open_rotated_share(
+                mid, states[mid].group_key, rotation.encrypted_bundle[mid], config
+            )
+            for mid in config.member_ids
+        ]
         notes.append(f"credentials rotated to epoch {config.epoch}")
 
     # target round: the attacker sits in the victim's seat without f(x_i)
-    seats = list(shares)
-    seats[1] = guessed_share(shares[1], rng)
+    seats[1] = guessed_share(seats[1], rng)
 
     def swap(frame: bytes) -> bytes:
         msg_type, _, sender, _ = wire.decode_frame(frame)
@@ -372,9 +380,7 @@ def build_honest_transcript(
         secrets["group key"] = group_key.to_bytes()
         for state in states.values():
             for peer, key in state.pairwise_keys.items():
-                secrets[f"pairwise {min(state.member_id, peer)}-{max(state.member_id, peer)}"] = (
-                    key.key_bytes
-                )
+                secrets[f"pairwise {min(state.member_id, peer)}-{max(state.member_id, peer)}"] = key
     elif scheme == "harn":
         modulus = gas_harn.builtin_harn_modulus("harn-1024-160")
         params, tokens = gas_harn.harn_init(t, m, modulus, rng)

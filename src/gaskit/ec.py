@@ -1,7 +1,7 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
 Points cross the API in affine coordinates (`CurvePoint` over
-`FieldElement`); `add` is the chord-tangent law on them.  `scalar_mul`,
+`FieldElement`, infinity as `CurvePoint(None, None)`).  `scalar_mul`,
 `_multi_scalar_jacobian` and `scalar_mul_many` work on plain integers, record
 one TEM per scalar multiplication, and tally their field multiplications in
 bulk once per call.  There are three loops:
@@ -69,7 +69,6 @@ __all__ = [
     "CurveParams",
     "is_on_curve",
     "affine_point",
-    "add",
     "scalar_mul",
     "scalar_mul_many",
     "brute_force_order",
@@ -104,10 +103,6 @@ class CurvePoint:
     def __reduce__(self):
         # pickle and copy rebuild through __init__, not the raising __setattr__
         return CurvePoint, (self.x, self.y)
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return _INFINITY
 
     @property
     def is_infinity(self) -> bool:
@@ -185,11 +180,6 @@ class CurveParams:
         if self.subgroup_order is None:
             raise ValueError(f"curve {self.name or '<anonymous>'} has no subgroup_order")
         return cached_prime(self.subgroup_order)
-
-    def point(self, x: int, y: int) -> CurvePoint:
-        return CurvePoint(
-            FieldElement(x, self.modulus), FieldElement(y, self.modulus)
-        )
 
     @cached_property
     def _generator_table(self) -> list[list[tuple[int, int] | None]]:
@@ -288,34 +278,6 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
     if not is_on_curve(pt, curve):
         raise ValueError(f"point {pt!r} is not on curve {curve.name or '<anonymous>'}")
-
-
-def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
-    """Chord-tangent group law; infinity is the identity.
-
-    Tallies the affine formula's field multiplications: 3 for an addition,
-    6 for a doubling (the one inversion is not counted).
-    """
-    _require_on_curve(p1, curve)
-    _require_on_curve(p2, curve)
-    if p1.is_infinity:
-        return p2
-    if p2.is_infinity:
-        return p1
-    p = curve.modulus.value
-    x1, y1, x2, y2 = p1.x.residue, p1.y.residue, p2.x.residue, p2.y.residue
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return _INFINITY
-        # doubling: lambda = (3x^2 + A) / (2y)
-        lam = (3 * x1 * x1 + curve.a.residue) * pow(2 * y1, -1, p) % p
-        muls = 6
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        muls = 3
-    x3 = (lam * lam - x1 - x2) % p
-    tally_muls(muls)
-    return curve.point(x3, lam * (x1 - x3) - y1)
 
 
 # Field multiplications per Jacobian formula, tallied in bulk by scalar_mul.

@@ -56,7 +56,6 @@ __all__ = [
     "GroupConfig",
     "PublicShare",
     "MemberState",
-    "SymmetricKey",
     "RotationResult",
     "gm_init",
     "make_public_share",
@@ -134,17 +133,6 @@ def _pack_fields(*fields: bytes) -> bytes:
 
 def _kdf(label: bytes, *fields: bytes) -> bytes:
     return hashlib.sha256(label + _pack_fields(*fields)).digest()
-
-
-@dataclass(frozen=True)
-class SymmetricKey:
-    """Pairwise cipher key; derived, never transmitted."""
-
-    key_bytes: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.key_bytes) != 32:
-            raise ValueError("key must be 32 bytes")
 
 
 @dataclass(frozen=True, init=False)
@@ -240,7 +228,7 @@ class MemberState:
     share: Share
     config: GroupConfig
     received_public_shares: dict[str, PublicShare] = dc_field(default_factory=dict)
-    pairwise_keys: dict[str, SymmetricKey] = dc_field(default_factory=dict)
+    pairwise_keys: dict[str, bytes] = dc_field(default_factory=dict)  # peer id -> K
     group_key: FieldElement | None = None
 
     @property
@@ -423,18 +411,18 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
 # ---------------------------------------------------------------------------
 # Key agreement stage
 
-def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> SymmetricKey:
-    """K = SHA-256 over the label, x(shared) and the two ids in sorted order."""
+def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> bytes:
+    """The 32-byte cipher key K = SHA-256 over the label, x(shared) and the
+    two ids in sorted order; derived, never transmitted."""
     if shared.is_infinity:
         raise ValueError("degenerate shared point; re-keying required")
     id_a, id_b = sorted((member_a, member_b))
-    key = _kdf(
+    return _kdf(
         _PAIRWISE_LABEL,
         shared.x.to_bytes(),
         id_a.encode("utf-8"),
         id_b.encode("utf-8"),
     )
-    return SymmetricKey(key)
 
 
 def ensure_pairwise_keys(state: MemberState) -> None:
@@ -500,7 +488,7 @@ def encrypt_share_for_peer(
         ensure_pairwise_keys(state)
         key = state.pairwise_keys[peer_id]
     return _seal(
-        key.key_bytes,
+        key,
         _share_aad(state.config.epoch, state.member_id, peer_id),
         state.share.y.to_bytes(),
         rng,
@@ -522,9 +510,9 @@ def key_agreement_round(
     ensure_pairwise_keys(state)
     shares = [state.share]
     for sender in sorted(incoming):
-        if sender not in state.pairwise_keys:
+        key = state.pairwise_keys.get(sender)
+        if key is None:
             raise UnknownMemberError(f"ciphertext from unknown peer {sender!r}")
-        key = state.pairwise_keys[sender].key_bytes
         aad = _share_aad(config.epoch, sender, state.member_id)
         try:
             y = q.from_bytes(_open(key, aad, incoming[sender]))

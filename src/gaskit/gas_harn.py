@@ -267,13 +267,17 @@ def harn_release(
     inversion.  Tallies 3(m-1) + 6 multiplications for a roster of m: the
     weights' 3(m-1) + 2 and the 4 products that form c_i; then the nonzero
     digits of c_i in `g_pow`.  ValueError when x_i is not on the roster or
-    appears on it twice.
+    when any x appears on it twice, found with one set: a repeated x_r would
+    otherwise enter both weights twice and give a wrong c_i.
     """
     if len(roster_xs) < params.threshold:
         raise ThresholdError(
             f"roster of {len(roster_xs)} is below threshold {params.threshold}"
         )
     xs = [x.residue for x in roster_xs]
+    if len(set(xs)) != len(xs):
+        repeated = next(x for i, x in enumerate(xs) if x in xs[:i])
+        raise ValueError(f"duplicate x-coordinate {repeated} in the roster")
     try:
         idx = xs.index(token.x.residue)
     except ValueError:

@@ -236,12 +236,6 @@ class SimReport:
     def authenticated(self) -> bool:
         return self.outcome == "authenticated"
 
-    def node(self, member_id: str) -> NodeReport:
-        for rep in self.per_node:
-            if rep.member_id == member_id:
-                return rep
-        raise KeyError(member_id)
-
     def representative_member(self) -> NodeReport:
         for rep in self.per_node:
             if rep.role == "member":
@@ -716,14 +710,11 @@ def chien_model_row(m: int, base: Scenario | None = None) -> str:
     return cost_model.csv_row("chien", m, tmulq, spent, auth_time)
 
 
-def preset(name: str, base: Scenario | None = None) -> tuple[list[str], list[SimReport]]:
+def preset(name: str) -> tuple[list[str], list[SimReport]]:
     """The two published comparison settings: m=10 (fig3) and m=50 (fig4)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {PRESETS}")
-    m = 10 if name == "paper-fig3" else 50
-    if base is None:
-        base = Scenario(scheme="proposed-centralized", m=m)
-    return sweep(["harn", "chien", "proposed-centralized"], [m], base)
+    return sweep(["harn", "chien", "proposed-centralized"], [10 if name == "paper-fig3" else 50])
 
 
 # ---------------------------------------------------------------------------

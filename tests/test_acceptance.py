@@ -17,9 +17,10 @@ from fractions import Fraction
 import pytest
 
 from gaskit import attacks, cost_model, gas_core, gas_harn, sim
-from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
+from gaskit.ec import CurvePoint, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff_at_zero
 from gaskit.sss import ThresholdError, issue_shares, reconstruct, sample_polynomial, verify_commitment
+from oracle import add
 from test_golden import ACCEPTANCE_LINES
 
 TEST2017 = builtin_curve("test2017")
@@ -265,7 +266,7 @@ def test_criterion_9_property_suites():
 
     # EC group law vs repeated addition (500 scalars)
     g = TEST2017.generator
-    acc = CurvePoint.infinity()
+    acc = CurvePoint(None, None)
     table = []
     for k in range(100):
         table.append(acc)

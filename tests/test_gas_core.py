@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
 from gaskit.attacks import _recorder
-from gaskit.ec import CurvePoint, add, builtin_curve, scalar_mul
+from gaskit.ec import CurvePoint, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
@@ -33,6 +33,7 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
+from oracle import add, curve_point
 from test_ec import _interleaved_muls, _multi_scalar_mul, _negate, _prime_above, _test2017_torsion
 
 CURVE = builtin_curve("test2017")
@@ -117,7 +118,7 @@ def test_make_public_share_matches_repeated_addition():
     _, config, shares = setup_group()
     state = MemberState(share=shares[2], config=config)
     ps = make_public_share(state)
-    acc = CurvePoint.infinity()
+    acc = CurvePoint(None, None)
     for _ in range(shares[2].y.residue):
         acc = add(acc, config.curve.generator, CURVE)
     assert ps.point == acc
@@ -429,7 +430,7 @@ def test_pairwise_key_matches_bruteforce_ecdh_oracle():
     states, public_shares = run_confirmation(config, shares)
     # discrete-log both public points by exhaustive search on the 37-subgroup
     def dlog(point):
-        acc = CurvePoint.infinity()
+        acc = CurvePoint(None, None)
         for k in range(37):
             if acc == point:
                 return k
@@ -448,9 +449,9 @@ def test_pairwise_key_matches_bruteforce_ecdh_oracle():
         + len(idb.encode()).to_bytes(2, "big") + idb.encode()
     ).digest()
     gas_core.ensure_pairwise_keys(states["U1"])
-    assert states["U1"].pairwise_keys["U2"].key_bytes == expected
-    assert _reference_key(shares[0], public_shares[1], config).key_bytes == expected
-    assert pairwise_key(shared, "U2", "U1").key_bytes == expected
+    assert states["U1"].pairwise_keys["U2"] == expected
+    assert _reference_key(shares[0], public_shares[1], config) == expected
+    assert pairwise_key(shared, "U2", "U1") == expected
 
 
 def test_pairwise_key_not_attacker_computable_combination():
@@ -475,6 +476,16 @@ def test_key_agreement_end_to_end():
     key = exchange_group_key(states, rng)
     assert verify_commitment(key, config.commitment)
     assert all(st.group_key == key for st in states.values())
+    # both ends of every channel of an honest session hold the same 32 bytes
+    for curve_name, m in (("test2017", 8), ("secp160r1", 5)):
+        config, shares = gm_init(3, m, builtin_curve(curve_name), rng)
+        states, _ = run_confirmation(config, shares)
+        exchange_group_key(states, rng)
+        for a, state in states.items():
+            assert len(state.pairwise_keys) == m - 1
+            for b, k_ab in state.pairwise_keys.items():
+                assert type(k_ab) is bytes and len(k_ab) == 32
+                assert k_ab == states[b].pairwise_keys[a]
 
 
 def test_encrypt_for_peer_derives_every_missing_key_in_one_batch():
@@ -598,7 +609,7 @@ def test_key_agreement_names_peer_whose_plaintext_is_not_a_scalar(forge):
     }[forge]
     # authentic under the U3-U1 key, so only the plaintext is at fault
     forged = gas_core._seal(
-        states["U1"].pairwise_keys["U3"].key_bytes,
+        states["U1"].pairwise_keys["U3"],
         gas_core._share_aad(config.epoch, "U3", "U1"),
         plaintext,
         rng,
@@ -899,7 +910,7 @@ def test_public_share_frame_refuses_the_small_subgroup():
     _, public_shares = run_confirmation(config, shares)
     torsion = _test2017_torsion()
     assert sorted(torsion) == [1, 5, 11, 55]
-    T = CURVE.point(1981, 1664)
+    T = curve_point(CURVE, 1981, 1664)
     assert T in torsion[5]
     small = [pt for order in (5, 11, 55) for pt in torsion[order]]
     shifted = [add(ps.point, pt, CURVE) for ps in public_shares for pt in small]
@@ -927,7 +938,7 @@ def test_public_share_is_immutable_hashable_and_never_infinity():
     with pytest.raises(AttributeError):
         ps.extra = 1
     with pytest.raises(ValueError, match="infinity"):
-        PublicShare("U1", CurvePoint.infinity())
+        PublicShare("U1", CurvePoint(None, None))
 
 
 def test_public_share_equality_contract():
@@ -942,7 +953,7 @@ def test_public_share_equality_contract():
     assert len({ps, copy}) == 1
     # equal only with the same id and the same residues over the same field
     assert ps != PublicShare("U2", ps.point)
-    assert ps != PublicShare(ps.member_id, CURVE.point(x, -y))
+    assert ps != PublicShare(ps.member_id, curve_point(CURVE, x, -y))
     other = Prime(2027)
     for fx, fy in ((other, other), (other, CURVE.modulus), (CURVE.modulus, other)):
         moved = PublicShare(ps.member_id, CurvePoint(FieldElement(x, fx), FieldElement(y, fy)))

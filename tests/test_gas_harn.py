@@ -154,6 +154,16 @@ def test_release_refuses_a_roster_that_repeats_its_x():
             harn_release(tokens[idx], repeated, params)
 
 
+def test_release_refuses_a_roster_that_repeats_another_x():
+    # [x1, x2, x2, x3]: x2 would enter x1's weights twice, a wrong c_1
+    rng = random.Random(15)
+    params, tokens = harn_init(2, 3, TINY, rng)
+    x1, x2, x3 = (tok.x for tok in tokens)
+    for idx in (0, 2):
+        with pytest.raises(ValueError, match="duplicate x-coordinate 2 in the roster"):
+            harn_release(tokens[idx], [x1, x2, x2, x3], params)
+
+
 @pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
 def test_verify_matches_field_element_product(modulus):
     """The verdict is prod(e_i) == g^s taken over FieldElements, with its m

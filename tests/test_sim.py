@@ -190,7 +190,7 @@ def test_per_node_report_consistency():
     for node in rep.per_node:
         assert node.total_j == pytest.approx(node.compute_j + node.radio_j)
         assert node.tmulq_count >= 0
-    gm = rep.node("GM")
+    (gm,) = [node for node in rep.per_node if node.member_id == "GM"]
     assert gm.role == "gm"
     # GM verifies every share: m TEM events worth of work
     assert gm.tmulq_count == 5 * 1189
