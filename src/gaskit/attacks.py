@@ -35,7 +35,6 @@ from .sss import guessed_share, roster_ids, verify_commitment
 
 __all__ = [
     "ATTACK_NAMES",
-    "AdversaryScript",
     "Finding",
     "replay_attack",
     "dos_invalid_share",
@@ -48,28 +47,19 @@ __all__ = [
 
 ATTACK_NAMES = ("replay", "dos-invalid-share", "node-compromise", "eavesdrop", "flood")
 
-_CAPABILITIES = ("eavesdrop", "inject", "replay", "compromise")
-
-
-@dataclass(frozen=True)
-class AdversaryScript:
-    """What the adversary can do and the steps it takes, for the record."""
-
-    capability: str
-    actions: tuple[str, ...]
-    target: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.capability not in _CAPABILITIES:
-            raise ValueError(f"unknown capability {self.capability!r}")
-
 
 @dataclass
 class Finding:
-    """One scenario's expected-vs-observed verdict."""
+    """One scenario's expected-vs-observed verdict.
+
+    `capability`, `target` and `actions` record what the adversary can do,
+    whom it aims at (None for the whole group) and the steps it takes.
+    """
 
     name: str
-    script: AdversaryScript
+    capability: str
+    target: str | None
+    actions: tuple[str, ...]
     expected: dict
     observed: dict
     notes: list[str] = dc_field(default_factory=list)
@@ -81,9 +71,9 @@ class Finding:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "capability": self.script.capability,
-            "target": self.script.target,
-            "actions": list(self.script.actions),
+            "capability": self.capability,
+            "target": self.target,
+            "actions": list(self.actions),
             "expected": self.expected,
             "observed": self.observed,
             "matched": self.matched,
@@ -183,14 +173,12 @@ def replay_attack(rotate: bool, seed: int = 11) -> Finding:
     }
     return Finding(
         name="replay",
-        script=AdversaryScript(
-            capability="replay",
-            target=victim,
-            actions=(
-                "record public-share frame in epoch 1",
-                "re-inject it in the target round",
-                "attempt key agreement without f(x_i)",
-            ),
+        capability="replay",
+        target=victim,
+        actions=(
+            "record public-share frame in epoch 1",
+            "re-inject it in the target round",
+            "attempt key agreement without f(x_i)",
         ),
         expected=expected,
         observed=observed,
@@ -210,11 +198,15 @@ def dos_invalid_share(
     """One participant broadcasts a random point every round.
 
     The simulator seats U3 with a guessed share, whose point it broadcasts
-    in place of f(x_i)P.
+    in place of f(x_i)P.  The centralized GM names U3 and re-runs with the
+    other m - 1 members, which authenticate only if they still reach t.
     """
     if mode not in ("centralized", "decentralized"):
         raise ValueError("mode must be centralized or decentralized")
     attacker = "U3"
+    if m < 3:
+        raise ValueError(f"dos-invalid-share seats its attacker as {attacker}, "
+                         f"so m must be >= 3, got {m}")
     scheme = "proposed-centralized" if mode == "centralized" else "proposed-decentralized"
     scenario = sim.Scenario(
         scheme=scheme,
@@ -226,8 +218,14 @@ def dos_invalid_share(
     )
     with sim.event_log(False):
         report = sim.run(scenario)
-    if mode == "centralized":
+    if mode == "centralized" and m - 1 >= t:
         expected = {"authenticated": True, "culprits": [attacker]}
+    elif mode == "centralized":
+        expected = {
+            "authenticated": False,
+            "failure_reason": "below-threshold-after-isolation",
+            "culprits": [attacker],
+        }
     else:
         expected = {"authenticated": False, "failure_reason": "denial-of-authentication"}
     observed = {
@@ -243,11 +241,9 @@ def dos_invalid_share(
     ]
     return Finding(
         name="dos-invalid-share",
-        script=AdversaryScript(
-            capability="inject",
-            target=attacker,
-            actions=("broadcast a random on-curve point in every confirmation round",),
-        ),
+        capability="inject",
+        target=attacker,
+        actions=("broadcast a random on-curve point in every confirmation round",),
         expected=expected,
         observed=observed,
         notes=notes,
@@ -296,11 +292,9 @@ def node_compromise(rotate_excluding_victim: bool = False, seed: int = 23) -> Fi
     }
     return Finding(
         name="node-compromise",
-        script=AdversaryScript(
-            capability="compromise",
-            target=victim,
-            actions=("obtain the victim's share", "run confirmation and key agreement"),
-        ),
+        capability="compromise",
+        target=victim,
+        actions=("obtain the victim's share", "run confirmation and key agreement"),
         expected=expected,
         observed=observed,
         notes=notes,
@@ -312,6 +306,8 @@ def node_compromise(rotate_excluding_victim: bool = False, seed: int = 23) -> Fi
 
 def flood_congestion(m: int = 30, seed: int = 9) -> Finding:
     """All members transmit in the same window; the confirmation point clogs."""
+    if m < 2:  # one sender cannot queue behind another
+        raise ValueError(f"flood needs at least two senders, so m must be >= 2, got {m}")
     base = dict(
         scheme="proposed-decentralized",
         m=m,
@@ -334,10 +330,9 @@ def flood_congestion(m: int = 30, seed: int = 9) -> Finding:
     }
     return Finding(
         name="flood",
-        script=AdversaryScript(
-            capability="inject",
-            actions=("all members transmit in the same slot window",),
-        ),
+        capability="inject",
+        target=None,
+        actions=("all members transmit in the same slot window",),
         expected=expected,
         observed=observed,
         notes=["no quantitative mitigation exists; metrics only"],
@@ -429,9 +424,9 @@ def eavesdrop_secrecy_check(
         notes.append(f"needles too short to scan reliably: {skipped}")
     return Finding(
         name="eavesdrop",
-        script=AdversaryScript(
-            capability="eavesdrop", actions=("record all frames", "scan for secrets")
-        ),
+        capability="eavesdrop",
+        target=None,
+        actions=("record all frames", "scan for secrets"),
         expected={"leak_count": 0},
         observed=observed,
         notes=notes,

@@ -5,12 +5,11 @@ cost table), ``simulate`` (one scenario or a builtin preset), ``sweep``
 (scheme x group-size grid), ``attack`` (adversary scenarios as JSON
 findings) and ``gen-params`` (parameter-set generation).
 
-Data goes to stdout, diagnostics to stderr.  ``GAS_SEED`` overrides the
-default seed of any command that takes one.
+Data goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 for success; 1 when ``demo`` fails to authenticate or an
-``attack`` verdict does not match; 2 for any bad argument, file, parameter
-set or ``GAS_SEED``, reported as one ``gaskit: <message>`` line on stderr.
+``attack`` verdict does not match; 2 for any bad argument, file or
+parameter set, reported as one ``gaskit: <message>`` line on stderr.
 ``main`` turns every `ValueError` and `OSError` a command raises into exit 2.
 Output already printed stays: with ``--events`` on an unwritable path the
 CSV is on stdout when the command exits 2.
@@ -31,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import random
 import sys
 
@@ -43,15 +41,6 @@ __all__ = ["main"]
 
 MAX_M_VALUES = 100  # in --m-list or --m-range; the paper's figures use 5
 MAX_P_BITS = 2048  # Harn's p; the paper uses 1024, and 2048 takes about 10 s to generate
-
-
-def _default_seed(fallback: int | None) -> int | None:
-    env = os.environ.get("GAS_SEED")
-    if env is None:
-        return fallback
-    if not env.strip().lstrip("+-").isdecimal():
-        raise ValueError(f"GAS_SEED must be an integer, got {env!r}")
-    return int(env)
 
 
 def _err(msg: str) -> None:
@@ -66,7 +55,7 @@ def _point_str(pt) -> str:
 
 
 def _cmd_demo(args) -> int:
-    rng = random.Random(_default_seed(args.seed))
+    rng = random.Random(args.seed)
     if not 1 <= args.t <= args.m <= args.n:
         raise ValueError(f"need 1 <= t <= m <= n, got t={args.t} m={args.m} n={args.n}")
     if args.n > sim.MAX_GROUP_SIZE:
@@ -165,7 +154,7 @@ def _scenario_from_args(args) -> sim.Scenario:
         scheme=args.scheme,
         m=args.m,
         t=args.t,
-        seed=_default_seed(args.seed),
+        seed=args.seed,
         loss=args.loss,
         schedule=args.schedule,
     )
@@ -210,9 +199,7 @@ def _cmd_sweep(args) -> int:
     ms = [int(m) for m in args.m_list.split(",") if m.strip()]
     if len(ms) > MAX_M_VALUES:
         raise ValueError(f"--m-list holds at most {MAX_M_VALUES} values, got {len(ms)}")
-    base = sim.Scenario(
-        scheme="proposed-centralized", m=1, seed=_default_seed(args.seed)
-    )
+    base = sim.Scenario(scheme="proposed-centralized", m=1, seed=args.seed)
     with sim.event_log(args.events is not None):
         rows, reports = sim.sweep(schemes, ms, base, jobs=args.jobs)
     print(cost_model.csv_header())
@@ -228,9 +215,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_attack(args) -> int:
     kwargs = {"rotate": args.rotate}
-    seed = _default_seed(args.seed)
-    if seed is not None:
-        kwargs["seed"] = seed
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     if args.mode is not None:
         kwargs["mode"] = args.mode
     if args.m is not None:
@@ -255,7 +241,7 @@ def _gen_prime(bits: int, rng: random.Random) -> int:
 
 
 def _cmd_gen_params(args) -> int:
-    rng = random.Random(_default_seed(args.seed))
+    rng = random.Random(args.seed)
     if args.kind == "harn":
         if args.p_bits > MAX_P_BITS:
             raise ValueError(f"--p-bits must be at most {MAX_P_BITS}, got {args.p_bits}")

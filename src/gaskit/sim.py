@@ -687,26 +687,28 @@ def sweep(
 # ---------------------------------------------------------------------------
 # Chien baseline: cost-model-only row (the pairing step is not implemented)
 
-def chien_model_row(m: int, base: Scenario | None = None) -> str:
-    """Synthesize the Chien datapoint under the same timeline assumptions."""
+def chien_model_row(m: int, base: Scenario) -> str:
+    """Synthesize the Chien datapoint under the same timeline assumptions.
+
+    Of `base` only the curve, compute rate and joules are read, not its m.
+    """
     if m > MAX_GROUP_SIZE:  # sized by roster_ids(m); runs are bounded by validate
         raise ScenarioError(f"m must be <= {MAX_GROUP_SIZE}, got {m}")
-    scn = base if base is not None else Scenario(scheme="proposed-centralized", m=m)
-    g = resolve_curve(scn.curve_ref).generator
+    g = resolve_curve(base.curve_ref).generator
     point = wire.encode_point_payload(g.x.to_bytes(), g.y.to_bytes())  # a public share's size
     frame_len = lambda mid: len(wire.encode_frame(wire.PUBLIC_SHARE, 1, mid, point))
     ids = roster_ids(m)
     release = lambda mm: cost_model.TEM_TMULQ + cost_model.CHIEN_LAGRANGE_PER_X * (mm - 1)
-    rate = scn.compute_rate
+    rate = base.compute_rate
     auth_time = (
         sum(release(m) / rate + frame_len(mid) * 8.0 / BITRATE for mid in ids)
         + cost_model.CHIEN_VERIFY_TAIL / rate
     )
     tmulq = cost_model.per_user_cost("chien", m)
     spent = cost_model.energy(
-        tmulq, scn.joules_per_tmulq, frame_len(ids[0]), sum(frame_len(mid) for mid in ids[1:])
+        tmulq, base.joules_per_tmulq, frame_len(ids[0]), sum(frame_len(mid) for mid in ids[1:])
     )
-    _require_finite(scn, [auth_time], [spent.total_j])
+    _require_finite(base, [auth_time], [spent.total_j])
     return cost_model.csv_row("chien", m, tmulq, spent, auth_time)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from gaskit import sim
 from gaskit.attacks import (
-    AdversaryScript,
     build_honest_transcript,
     dos_invalid_share,
     eavesdrop_secrecy_check,
@@ -13,12 +12,6 @@ from gaskit.attacks import (
     replay_attack,
     run_attack,
 )
-
-
-def test_adversary_script_validation():
-    AdversaryScript(capability="replay", actions=("record", "inject"))
-    with pytest.raises(ValueError, match="capability"):
-        AdversaryScript(capability="teleport", actions=())
 
 
 def test_replay_without_rotation():
@@ -48,6 +41,17 @@ def test_dos_centralized_isolates():
     assert finding.matched
     assert finding.observed["culprits"] == ["U3"]
     assert finding.observed["authenticated"] is True
+
+
+@pytest.mark.parametrize(("m", "t", "authenticated"), [(3, 3, False), (4, 4, False), (4, 3, True)])
+def test_dos_centralized_expects_threshold_after_isolation(m, t, authenticated):
+    """Isolating U3 leaves m - 1 members, who authenticate only if m - 1 >= t."""
+    finding = dos_invalid_share(m=m, t=t, mode="centralized")
+    assert finding.matched
+    assert finding.observed["culprits"] == ["U3"]
+    assert finding.observed["authenticated"] is authenticated
+    expected_reason = None if authenticated else "below-threshold-after-isolation"
+    assert finding.observed["failure_reason"] == expected_reason
 
 
 def test_dos_zero_attackers_baseline():

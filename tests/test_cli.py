@@ -444,47 +444,36 @@ def test_gen_params_harn_small(capsys):
     assert (p, q) == (10649301062938260071, 3097603021)
 
 
-# --- seeding ------------------------------------------------------------------------
-
-def test_gas_seed_env_override(capsys, monkeypatch):
-    _, out_default, _ = run_cli(capsys, "demo", "--seed", "1")
-    monkeypatch.setenv("GAS_SEED", "999")
-    _, out_env, _ = run_cli(capsys, "demo", "--seed", "1")
-    assert out_default != out_env
-    monkeypatch.setenv("GAS_SEED", "1")
-    _, out_env1, _ = run_cli(capsys, "demo", "--seed", "7")
-    assert out_env1 == out_default
-
-
 # --- exit codes -----------------------------------------------------------------------
 
 SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
              "--curve", "builtin:test2017")
 
 
-@pytest.mark.parametrize(("argv", "env", "problem"), [
-    pytest.param(("demo", "--n", "40"), None,
+@pytest.mark.parametrize(("argv", "problem"), [
+    pytest.param(("demo", "--n", "40"),
                  "group size 40 needs 40 distinct nonzero x values", id="demo-n-over-field"),
-    pytest.param(("demo", "--scheme", "harn", "--n", "20"), None,
+    pytest.param(("demo", "--scheme", "harn", "--n", "20"),
                  "group size 20 does not fit in F_11", id="demo-harn-n-over-field"),
-    pytest.param(("demo", "--curve", "{dir}"), None, "Is a directory: {dir}",
+    pytest.param(("demo", "--curve", "{dir}"), "Is a directory: {dir}",
                  id="demo-curve-directory"),
-    pytest.param(("simulate", "--scenario", "{dir}"), None, "Is a directory: {dir}",
+    pytest.param(("simulate", "--scenario", "{dir}"), "Is a directory: {dir}",
                  id="simulate-scenario-directory"),
     pytest.param(("gen-params", "--kind", "curve", "--modulus", "1000003", "--a", "1",
-                  "--b", "1", "--gx", "0", "--gy", "1"), None,
+                  "--b", "1", "--gx", "0", "--gy", "1"),
                  "modulus 1000003 too large to enumerate", id="gen-params-modulus-too-large"),
-    pytest.param((*SMALL_SIM, "--events", "{dir}/missing/x.json"), None,
+    pytest.param((*SMALL_SIM, "--events", "{dir}/missing/x.json"),
                  "file not found: {dir}/missing/x.json", id="simulate-events-unwritable"),
-    pytest.param(("demo",), "x", "GAS_SEED must be an integer, got 'x'", id="gas-seed-x"),
     pytest.param(("simulate", "--scheme", "harn", "--m", "4", "--harn", "{dir}/nope.json"),
-                 None, "gaskit: file not found: {dir}/nope.json", id="simulate-harn-missing"),
-    pytest.param(("sweep", "--jobs", "0"), None, "jobs must be >= 1, got 0", id="sweep-jobs-0"),
+                 "gaskit: file not found: {dir}/nope.json", id="simulate-harn-missing"),
+    pytest.param(("sweep", "--jobs", "0"), "jobs must be >= 1, got 0", id="sweep-jobs-0"),
+    pytest.param(("attack", "--name", "dos-invalid-share", "--m", "2"),
+                 "seats its attacker as U3, so m must be >= 3, got 2", id="attack-dos-m-2"),
+    pytest.param(("attack", "--name", "flood", "--m", "1"),
+                 "flood needs at least two senders, so m must be >= 2, got 1",
+                 id="attack-flood-m-1"),
 ])
-def test_bad_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv, env,
-                                               problem):
-    if env is not None:
-        monkeypatch.setenv("GAS_SEED", env)
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, problem):
     code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     if "--events" in argv:  # the CSV is printed before the event log is written

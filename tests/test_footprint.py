@@ -30,7 +30,6 @@ def _run(argv):
     """(exit code, whether `cryptography` was imported) of one CLI command."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("GAS_SEED", None)
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
                          text=True, env=env, check=True, timeout=120).stdout
     code, loaded = out.split()

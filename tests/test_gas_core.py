@@ -1,6 +1,7 @@
 """Protocol state machine: confirmation, pairwise keys, key agreement, rotation."""
 
 import dataclasses
+import itertools
 import random
 import sys
 
@@ -816,6 +817,27 @@ def test_rotation_bundle_round_trip_and_access_control():
     wrong_key = key + FieldElement(1, config.scalar_field)
     with pytest.raises(RotationError):
         open_rotated_share("U1", wrong_key, rotation.encrypted_bundle["U1"], rotation.config)
+
+
+def test_rotation_to_a_reduced_roster_deals_only_its_members():
+    rng, config, shares = setup_group(t=3, n=5, seed=39)
+    states, _ = run_confirmation(config, shares)
+    key = exchange_group_key(states, rng)
+    reduced = tuple(entry for entry in config.roster if entry[0] != "U2")
+    rotation = rotate_credentials(config, key, rng, roster=reduced)
+    assert rotation.config.member_ids == ["U1", "U3", "U4", "U5"]
+    assert [(s.member_id, s.x.residue) for s in rotation.shares] == [
+        ("U1", 1), ("U3", 3), ("U4", 4), ("U5", 5)
+    ]
+    assert "U2" not in rotation.encrypted_bundle
+    opened = [
+        open_rotated_share(mid, key, rotation.encrypted_bundle[mid], rotation.config)
+        for mid in rotation.config.member_ids
+    ]
+    assert opened == rotation.shares
+    for chosen in itertools.combinations(opened, 3):
+        secret = reconstruct(list(chosen), 3)
+        assert verify_commitment(secret, rotation.config.commitment)
 
 
 def _seal_rotated_share(key, config, member_id, plaintext):

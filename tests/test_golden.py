@@ -7,7 +7,7 @@ refactor of `sim`, `attacks` or `cli` must leave every digest unchanged;
 a change that is meant to alter output must re-record the digest and say
 why.
 
-Every attack case is also run under ``GAS_SEED`` 2 and 3.  Its JSON holds
+Every attack case is also run with ``--seed`` 2 and 3.  Its JSON holds
 verdicts, member ids and counts, none of which moves with the seed, so each
 seed must print the default seed's bytes.  No CLI output shows a nonce: the
 frames of `attacks.build_honest_transcript` are pinned on their own, which
@@ -238,10 +238,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(name, tmp_path, capsys):
-    """(exit code, stdout digest, events digest or None) of one case."""
+def run_case(name, tmp_path, capsys, *extra):
+    """(exit code, stdout digest, events digest or None) of one case, `extra` appended."""
     argv, _, _, events_digest = CASES[name]
-    argv = list(argv)
+    argv = [*argv, *extra]
     events = tmp_path / "events.json"
     if events_digest is not None:
         argv += ["--events", str(events)]
@@ -255,16 +255,15 @@ def run_case(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_pinned(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GAS_SEED", raising=False)
+def test_output_pinned(name, tmp_path, capsys):
     assert run_case(name, tmp_path, capsys) == CASES[name][1:]
 
 
 @pytest.mark.parametrize("seed", ["2", "3"])
 @pytest.mark.parametrize("name", ATTACK_CASES)
-def test_attack_pinned_under_gas_seed(name, seed, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GAS_SEED", seed)
-    assert run_case(name, tmp_path, capsys) == CASES[name][1:]
+def test_attack_pinned_under_gas_seed(name, seed, tmp_path, capsys):
+    """The GAS group dealt from another ``--seed`` gives the same attack JSON."""
+    assert run_case(name, tmp_path, capsys, "--seed", seed) == CASES[name][1:]
 
 
 @pytest.mark.parametrize("scheme", sorted(TRANSCRIPTS))

@@ -282,7 +282,7 @@ def test_preset_fig3_shape():
 
 
 def test_chien_model_row_values():
-    row = sim.chien_model_row(50)
+    row = sim.chien_model_row(50, sim.Scenario(scheme="proposed-centralized", m=50))
     parts = row.split(",")
     assert parts[0] == "chien" and parts[1] == "50"
     assert int(parts[2]) == 7 * 50 + 6785
