@@ -23,20 +23,27 @@ bulk once per call.  There are three loops:
   doublings.  Tallies 25 per NAF table, 8 per doubling where a = -3 mod p
   (secp160r1, P-256) and 10 otherwise, 11 per mixed addition and 4 to
   return to affine;
-* lockstep, for `scalar_mul_many`, k P_i for one k and many points (a
-  member's pairwise ECDH): k is recoded once, in the same way, and every
-  point runs its digits together in affine coordinates, each doubling or
-  addition taking all points' denominators from one inversion.  Tallies,
-  per point, 7 per doubling and 6 per addition.
+* lockstep, for `scalar_mul_many` and its form on ints, `_mul_many`, k P_i
+  for one k and many points (a member's pairwise ECDH): k is recoded once,
+  in the same way, and every point runs its digits together in affine
+  coordinates, each doubling or addition taking all points' denominators
+  from one inversion.  Tallies, per point, 7 per doubling and 6 per
+  addition.
 
 Both build their NAF tables with `_odd_multiples`.  A point of order 2, 3,
 5 or 7 has none: the interleaved loop then runs every term on binary
 digits, and the lockstep hands every point to `scalar_mul`.
 
 A verifier that only compares its result with a given point keeps it in
-Jacobian coordinates: `_jacobian_is` tests X = x Z^2 and Y = y Z^3 with the
-4 multiplications of the return to affine, tallied the same, and no
-inversion.  `gas_core.gm_verify` and `decentralized_verify` use it.
+Jacobian coordinates: `_jacobian_at` tests X = x Z^2 and Y = y Z^3 on the
+point's integers with the 4 multiplications of the return to affine,
+tallied the same, and no inversion; `_jacobian_is` does so for a
+`CurvePoint`.  `gas_core.gm_verify` and `decentralized_verify` use them.
+
+A point from outside is checked once, on its integers, by
+`check_affine_point`; `affine_point` builds the `CurvePoint` of integers
+that pass.  `gas_core` keeps received public shares as integers and calls
+the check alone.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -60,7 +67,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, MulCounter, Prime, _reduced, active_counter, cached_prime,
+    FieldElement, Prime, _reduced, active_counter, cached_prime,
     json_int, json_object, json_str, tally_muls,
 )
 
@@ -68,6 +75,7 @@ __all__ = [
     "CurvePoint",
     "CurveParams",
     "is_on_curve",
+    "check_affine_point",
     "affine_point",
     "scalar_mul",
     "scalar_mul_many",
@@ -81,7 +89,7 @@ __all__ = [
 
 _BRUTE_FORCE_LIMIT = 10**6
 
-# Largest subgroup order n whose points `affine_point` looks up in a set
+# Largest subgroup order n whose points `check_affine_point` looks up in a set
 # (test2017's n is 37); above it, or with no group order, it multiplies by n.
 _SUBGROUP_LIST_MAX = 1 << 16
 
@@ -236,15 +244,16 @@ def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
     return x.modulus.value == p == y.modulus.value and _satisfies(x.residue, y.residue, curve)
 
 
-def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
-    """The affine point (x, y) of two integers read from the wire.
+def check_affine_point(x: int, y: int, curve: CurveParams) -> None:
+    """Refuse the integers (x, y) read from the wire unless they are an
+    affine point of the generator's subgroup.
 
-    The one check of a point from outside; the public-share decoder calls
-    it on the two integers it reads.  ValueError unless both lie in [0, p),
-    satisfy the curve's equation and, when `subgroup_order` n is set, lie
-    in the generator's subgroup, all tested before the point is built; its
-    coordinates are elements of `curve.modulus` itself.  Infinity has no
-    affine encoding, so it never passes.
+    The one check of a point from outside, on plain ints: the public-share
+    decoder calls it on the two integers it reads, and `affine_point` before
+    it builds the point.  ValueError unless both lie in [0, p), satisfy the
+    curve's equation and, when `subgroup_order` n is set, lie in the
+    generator's subgroup.  Infinity has no affine encoding, so it never
+    passes.
 
     The subgroup test refuses a point of small order, such as test2017's
     T = (1981, 1664) of order 5, from which a peer could learn the other
@@ -254,9 +263,8 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
     is None (n above 2^16, or no group order), n * (x, y) must be
     infinity; neither is tallied.
     """
-    fp = curve.modulus
     if not _satisfies(x, y, curve):
-        p = fp.value
+        p = curve.modulus.value
         if 0 <= x < p and 0 <= y < p:
             raise ValueError(f"point ({x}, {y}) is off-curve")
         raise ValueError(f"{y if 0 <= x < p else x} out of field range [0, {p})")
@@ -267,11 +275,19 @@ def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
         n = curve.subgroup_order
         outside = (
             n is not None and curve.order != n
-            and _interleaved([(n, x, y)], curve.a.residue, fp.value)[2]
+            and _interleaved([(n, x, y)], curve.a.residue, curve.modulus.value)[2]
         )
     if outside:
         raise ValueError(f"point ({x}, {y}) is outside the subgroup of order "
                          f"{curve.subgroup_order}")
+
+
+def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
+    """The affine point (x, y) of two integers read from the wire, once
+    `check_affine_point` has passed them; its coordinates are elements of
+    `curve.modulus` itself."""
+    check_affine_point(x, y, curve)
+    fp = curve.modulus
     return _point(_reduced(x, fp), _reduced(y, fp))
 
 
@@ -579,7 +595,7 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
         X, Y, Z, muls = _interleaved(
             [(k, pt.x.residue, pt.y.residue)], curve.a.residue, curve.modulus.value
         )
-    return _affine_result(X, Y, Z, muls, curve, counter)
+    return _affine_result(X, Y, Z, muls, curve)
 
 
 def _generator_jacobian(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
@@ -650,16 +666,28 @@ def scalar_mul_many(k: int, points: list[CurvePoint], curve: CurveParams) -> lis
     for pt in points:
         _require_on_curve(pt, curve)
     finite = [(pt.x.residue, pt.y.residue) for pt in points if k and not pt.is_infinity]
-    xys, muls = _lockstep(k, finite, curve.a.residue, curve.modulus.value) if finite else ([], 0)
+    xys = _mul_many(k, finite, len(points), curve)
     if xys is None:
         return [scalar_mul(k, pt, curve) for pt in points]
-    counter = active_counter()
-    if counter is not None:
-        counter.ec_scalar_muls += len(points)
-        counter.field_muls += muls
     fp = curve.modulus
     found = iter([_point(_reduced(x, fp), _reduced(y, fp)) for x, y in xys])
     return [next(found) if k and not pt.is_infinity else _INFINITY for pt in points]
+
+
+def _mul_many(
+    k: int, points: list[tuple[int, int]], tems: int, curve: CurveParams
+) -> list[tuple[int, int]] | None:
+    """The lockstep of `scalar_mul_many` on plain ints: k * (x, y) for every
+    point, k >= 1, each point affine and on the curve, unchecked.  Records
+    `tems` TEMs and the tally, or, when a step meets a zero denominator,
+    records nothing and returns None for the caller's per-point fallback."""
+    xys, muls = _lockstep(k, points, curve.a.residue, curve.modulus.value) if points else ([], 0)
+    if xys is not None:
+        counter = active_counter()
+        if counter is not None:
+            counter.ec_scalar_muls += tems
+            counter.field_muls += muls
+    return xys
 
 
 def _lockstep(
@@ -718,20 +746,19 @@ def _affine_step(
     return out
 
 
-def _affine_result(
-    X: int, Y: int, Z: int, muls: int, curve: CurveParams, counter: MulCounter | None
-) -> CurvePoint:
-    """The affine point of (X : Y : Z); tallies muls and the return to affine."""
+def _affine_xy(X: int, Y: int, Z: int, muls: int, p: int) -> tuple[int, int] | None:
+    """The affine ints of (X : Y : Z), None for infinity; tallies muls and
+    the return to affine."""
+    xy = _to_affine(X, Y, Z, p)
+    tally_muls(muls if xy is None else muls + _TO_AFFINE_MULS)
+    return xy
+
+
+def _affine_result(X: int, Y: int, Z: int, muls: int, curve: CurveParams) -> CurvePoint:
+    """`_affine_xy` of (X : Y : Z) as a point, with its tally."""
     fp = curve.modulus
-    xy = _to_affine(X, Y, Z, fp.value)
-    if xy is None:
-        result = _INFINITY
-    else:
-        result = _point(_reduced(xy[0], fp), _reduced(xy[1], fp))
-        muls += _TO_AFFINE_MULS
-    if counter is not None:
-        counter.field_muls += muls
-    return result
+    xy = _affine_xy(X, Y, Z, muls, fp.value)
+    return _INFINITY if xy is None else _point(_reduced(xy[0], fp), _reduced(xy[1], fp))
 
 
 def _jacobian_is(X: int, Y: int, Z: int, muls: int, pt: CurvePoint, curve: CurveParams) -> bool:
@@ -739,19 +766,32 @@ def _jacobian_is(X: int, Y: int, Z: int, muls: int, pt: CurvePoint, curve: Curve
     inversion; tallies what it would.
 
     A finite pt equals (X/Z^2, Y/Z^3) iff both its coordinates are elements
-    of the curve's prime p, Z != 0, X = x Z^2 and Y = y Z^3 (mod p): 4
+    of the curve's prime p and `_jacobian_at` its residues.  Infinity (Z = 0)
+    equals only infinity.
+    """
+    x, y, p = pt.x, pt.y, curve.modulus.value
+    if x is None:
+        return _jacobian_at(X, Y, Z, muls, None, None, p)
+    return (_jacobian_at(X, Y, Z, muls, x.residue, y.residue, p)
+            and x.modulus.value == p == y.modulus.value)
+
+
+def _jacobian_at(
+    X: int, Y: int, Z: int, muls: int, x: int | None, y: int | None, p: int
+) -> bool:
+    """Whether (X : Y : Z) is the affine (x, y) mod p, or infinity for x =
+    None, on plain ints: Z != 0, X = x Z^2 and Y = y Z^3 (mod p), 4
     multiplications, the 4 of the return to affine, tallied whatever the
-    verdict.  Infinity (Z = 0) equals only infinity.
+    verdict.  Z = 0 tallies only muls.
     """
     if not Z:
         tally_muls(muls)
-        return pt.x is None
+        return x is None
     tally_muls(muls + _TO_AFFINE_MULS)
-    x, y, p = pt.x, pt.y, curve.modulus.value
-    if x is None or x.modulus.value != p or y.modulus.value != p:
+    if x is None:
         return False
     ZZ = Z * Z % p
-    return (x.residue * ZZ - X) % p == 0 and (y.residue * ZZ * Z - Y) % p == 0
+    return (x * ZZ - X) % p == 0 and (y * ZZ * Z - Y) % p == 0
 
 
 def brute_force_order(curve: CurveParams) -> int:

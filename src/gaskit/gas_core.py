@@ -11,6 +11,13 @@ authenticated encryption, reconstruct s and check it against H(s).
 The secret sharing field is the curve's subgroup order, so shares act
 directly as scalars and the decentralized sum identity is exact.
 
+A public share is plain ints from the wire to ECDH.  The decoder checks
+the two integers it reads once (`ec.check_affine_point`: range, curve
+equation, subgroup) and keeps them in the `PublicShare`; framing,
+`receive_public_share`, both verifiers and `ensure_pairwise_keys` read the
+ints, and `PublicShare.point` builds a `CurvePoint` only for callers at the
+API (the demo's print, the attack scenarios, tests).
+
 The AEAD library (`cryptography`, with its bundled OpenSSL) is imported at
 the first seal or open, not with this module: commands that never encrypt
 (`simulate`, `sweep`, `cost`, `gen-params`) never load it.  Its two names,
@@ -30,10 +37,10 @@ from typing import Mapping
 
 from . import wire
 from .ec import (
-    CurveParams, CurvePoint, _generator_jacobian, _jacobian_is, _multi_scalar_jacobian,
-    affine_point, is_on_curve, scalar_mul, scalar_mul_many,
+    CurveParams, CurvePoint, _affine_xy, _generator_jacobian, _jacobian_at, _jacobian_is,
+    _mul_many, _multi_scalar_jacobian, _satisfies, check_affine_point, is_on_curve, scalar_mul,
 )
-from .field import FieldElement, Prime, lagrange_weights
+from .field import FieldElement, Prime, _reduced, lagrange_weights
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff_at_zero  # noqa: F401
 from .sss import (
@@ -135,37 +142,84 @@ def _kdf(label: bytes, *fields: bytes) -> bytes:
     return hashlib.sha256(label + _pack_fields(*fields)).digest()
 
 
-@dataclass(frozen=True, init=False)
 class PublicShare:
     """Broadcast confirmation value f(x_i)*P together with the sender id.
 
-    Frozen, with the generated hash and repr.  `__init__` is written out:
-    it fills the instance dict directly, where the generated one calls
-    `object.__setattr__` once per field.  So is `__eq__`, which compares
-    the fields without building the generated one's two tuples.
+    An immutable value of plain ints: `member_id`, the affine coordinates
+    `x` and `y`, and the `Prime` each lives in, `x_field` and `y_field`.  A
+    decoded or computed share holds the curve's own `curve.modulus` in both.
+    The hot consumers (framing, `receive_public_share`, both verifiers and
+    the pairwise ECDH) read the ints; `point` builds a `CurvePoint` on each
+    access, for callers at the API.
+
+    `PublicShare(member_id, point)` takes any finite point and refuses
+    infinity; it does not check the point against a curve.  The decoder
+    checks the ints (`ec.check_affine_point`), and builds the share without
+    a `CurvePoint`.  Two shares are equal when their ids, residues and
+    primes' values are; hash, repr, pickle and copy are those of the
+    (member_id, point) pair.
     """
 
-    member_id: str
-    point: CurvePoint
+    __slots__ = ("member_id", "x", "y", "x_field", "y_field")
 
-    def __init__(self, member_id: str, point: CurvePoint) -> None:
-        if point.x is None:
+    def __new__(cls, member_id: str, point: CurvePoint) -> PublicShare:
+        x, y = point.x, point.y
+        if x is None:
             raise ValueError("public share point must not be infinity")
-        fields = self.__dict__
-        fields["member_id"] = member_id
-        fields["point"] = point
+        return _public_share(member_id, x.residue, y.residue, x.modulus, y.modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PublicShare is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __new__, not the raising __setattr__
+        return PublicShare, (self.member_id, self.point)
+
+    @property
+    def point(self) -> CurvePoint:
+        return CurvePoint(_reduced(self.x, self.x_field), _reduced(self.y, self.y_field))
+
+    def _same(self, other: PublicShare) -> bool:
+        return (
+            self.member_id == other.member_id and self.x == other.x and self.y == other.y
+            and self.x_field.value == other.x_field.value
+            and self.y_field.value == other.y_field.value
+        )
 
     def __eq__(self, other) -> bool:
-        # `CurvePoint.__eq__` inline, where neither point is infinity
-        if other.__class__ is not self.__class__:
+        if other.__class__ is not PublicShare:
             return NotImplemented
-        pt, opt = self.point, other.point
-        x, y, ox, oy = pt.x, pt.y, opt.x, opt.y
-        return (
-            self.member_id == other.member_id
-            and x.residue == ox.residue and y.residue == oy.residue
-            and x.modulus.value == ox.modulus.value and y.modulus.value == oy.modulus.value
-        )
+        return self._same(other)
+
+    def __ne__(self, other) -> bool:
+        if other.__class__ is not PublicShare:
+            return NotImplemented
+        return not self._same(other)
+
+    def __hash__(self) -> int:
+        # the hash of the (member_id, point) pair: a tuple hashes its items'
+        # hashes, and a FieldElement hashes as its (residue, prime) pair
+        return hash((self.member_id, ((self.x, self.x_field.value), (self.y, self.y_field.value))))
+
+    def __repr__(self) -> str:
+        return f"PublicShare(member_id={self.member_id!r}, point=CurvePoint({self.x}, {self.y}))"
+
+
+# The slots' own setters, which `_public_share` calls because `__setattr__` raises.
+_set_member_id, _set_x, _set_y, _set_x_field, _set_y_field = (
+    PublicShare.__dict__[name].__set__ for name in PublicShare.__slots__
+)
+
+
+def _public_share(member_id: str, x: int, y: int, fx: Prime, fy: Prime) -> PublicShare:
+    """The share of the affine ints x over fx and y over fy, unchecked."""
+    ps = object.__new__(PublicShare)
+    _set_member_id(ps, member_id)
+    _set_x(ps, x)
+    _set_y(ps, y)
+    _set_x_field(ps, fx)
+    _set_y_field(ps, fy)
+    return ps
 
 
 @dataclass(frozen=True)
@@ -240,14 +294,15 @@ class MemberState:
 
         A different point under an id already held raises
         `PeerAuthenticationError` naming that id: the stored point may
-        already have keyed a pairwise channel.  The point is not checked
-        again: a decoded share passed `affine_point`, and one built in
-        process comes from `scalar_mul`.
+        already have keyed a pairwise channel.  The shares are compared on
+        their ints.  The point is not checked again: a decoded share passed
+        `check_affine_point`, and one from `make_public_share` is a multiple
+        of the generator.
         """
         if ps.member_id not in self.config._x_by_id:
             raise UnknownMemberError(f"member {ps.member_id!r} not in roster")
         held = self.received_public_shares.setdefault(ps.member_id, ps)
-        if held is not ps and held.point != ps.point:
+        if held is not ps and held != ps:
             raise PeerAuthenticationError(
                 ps.member_id, f"conflicting public share from {ps.member_id}"
             )
@@ -318,14 +373,25 @@ def gm_init(
 
 
 def make_public_share(state: MemberState) -> PublicShare:
-    """Compute f(x_i)*P - the member's entire confirmation-stage compute."""
+    """Compute f(x_i)*P - the member's entire confirmation-stage compute.
+
+    The fixed-base multiple of the generator and its return to affine, as
+    `scalar_mul` runs them and with its tally (1 TEM, the fixed-base muls
+    and 4), kept as ints.  ValueError if f(x_i) is 0 mod the subgroup
+    order: a share is never infinity.
+    """
     curve = state.config.curve
-    point = scalar_mul(state.share.y.residue, curve.generator, curve)
-    return PublicShare(member_id=state.member_id, point=point)
+    fp = curve.modulus
+    xy = _affine_xy(*_generator_jacobian(state.share.y.residue, curve), fp.value)
+    if xy is None:
+        raise ValueError("public share point must not be infinity")
+    return _public_share(state.member_id, *xy, fp, fp)
 
 
 def public_share_frame(ps: PublicShare, epoch: int) -> bytes:
-    payload = wire.encode_point_payload(ps.point.x.to_bytes(), ps.point.y.to_bytes())
+    payload = wire.encode_point_payload(
+        ps.x.to_bytes(ps.x_field.byte_length, "big"), ps.y.to_bytes(ps.y_field.byte_length, "big")
+    )
     return wire.encode_frame(wire.PUBLIC_SHARE, epoch, ps.member_id, payload)
 
 
@@ -333,15 +399,18 @@ def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, Publi
     """The (epoch, share) of a public-share frame of the config's epoch.
 
     ValueError for any other message type, a frame of another epoch, or a
-    point that does not decode to one on the curve.  One pass: the frame
-    through `wire.decode_public_share`, its coordinates through
-    `affine_point`.
+    point that does not decode to one of the generator's subgroup.  One
+    pass: the frame through `wire.decode_public_share`, its coordinates
+    through `ec.check_affine_point`; the share keeps them as ints over
+    `curve.modulus`, with no `CurvePoint` built.
     """
     curve = config.curve
-    epoch, member_id, x, y = wire.decode_public_share(buf, curve.modulus.byte_length)
+    fp = curve.modulus
+    epoch, member_id, x, y = wire.decode_public_share(buf, fp.byte_length)
     if epoch != config.epoch:
         raise ValueError(f"public-share frame of epoch {epoch}, config is epoch {config.epoch}")
-    return epoch, PublicShare(member_id, affine_point(x, y, curve))
+    check_affine_point(x, y, curve)
+    return epoch, _public_share(member_id, x, y, fp, fp)
 
 
 def gm_verify(
@@ -353,10 +422,13 @@ def gm_verify(
 
     Returns a verdict per received member id; the round is accepted iff all
     verdicts are true.  Each f(x_i)*P stays in Jacobian coordinates and is
-    compared with the received point by `ec._jacobian_is`, which saves the
-    inversion of a return to affine and tallies the same 4 multiplications.
+    compared with the received share's ints by `ec._jacobian_at`, which
+    saves the inversion of a return to affine and tallies the same 4
+    multiplications; a share whose coordinates are not both of the curve's
+    prime is then refused.
     """
     curve = config.curve
+    p = curve.modulus.value
     by_id = {s.member_id: s for s in gm_shares}
     seen: set[str] = set()
     verdicts: dict[str, bool] = {}
@@ -368,7 +440,10 @@ def gm_verify(
         seen.add(ps.member_id)
         expected = _generator_jacobian(by_id[ps.member_id].y.residue, curve)
         # equal to the on-curve `expected`, so on the curve too
-        verdicts[ps.member_id] = _jacobian_is(*expected, ps.point, curve)
+        verdicts[ps.member_id] = (
+            _jacobian_at(*expected, ps.x, ps.y, p)
+            and ps.x_field.value == p == ps.y_field.value
+        )
     return verdicts
 
 
@@ -382,7 +457,8 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     term's scalar is then C(m, i), at most 2^(m-1), where about half of them
     would be as long as q.  The m terms and their sum are one run of
     `ec._multi_scalar_jacobian`, on integers: m TEMs under shared doublings,
-    and each point checked once, here.  The sum stays in Jacobian
+    and each share checked once, here, on its ints: both coordinates of the
+    curve's prime, and the curve equation.  The sum stays in Jacobian
     coordinates and is compared with Q by `ec._jacobian_is`, as in
     `gm_verify`.
     """
@@ -395,17 +471,16 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member in received shares")
     xs = [config.roster_x(mid).residue for mid in ids]
+    curve = config.curve
     for ps in received:
-        if not is_on_curve(ps.point, config.curve):
+        if not _on_curve(ps, curve):
             raise ValueError(f"public share from {ps.member_id} is off-curve")
-    q, p = config.scalar_field.value, config.curve.modulus.value
+    q, p = config.scalar_field.value, curve.modulus.value
     terms = []  # every weight is nonzero: the roster's xs are distinct and nonzero
     for w, ps in zip(lagrange_weights(xs, 0, q), received):
-        x, y = ps.point.x.residue, ps.point.y.residue
+        x, y = ps.x, ps.y
         terms.append((q - w, x, -y % p) if w > q >> 1 else (w, x, y))
-    return _jacobian_is(
-        *_multi_scalar_jacobian(terms, m, config.curve), config.group_public_key, config.curve
-    )
+    return _jacobian_is(*_multi_scalar_jacobian(terms, m, curve), config.group_public_key, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -416,38 +491,66 @@ def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> bytes:
     two ids in sorted order; derived, never transmitted."""
     if shared.is_infinity:
         raise ValueError("degenerate shared point; re-keying required")
+    return _pairwise_kdf(shared.x.to_bytes(), member_a, member_b)
+
+
+def _pairwise_kdf(x: bytes, member_a: str, member_b: str) -> bytes:
+    """`pairwise_key` of the shared point's encoded x."""
     id_a, id_b = sorted((member_a, member_b))
-    return _kdf(
-        _PAIRWISE_LABEL,
-        shared.x.to_bytes(),
-        id_a.encode("utf-8"),
-        id_b.encode("utf-8"),
-    )
+    return _kdf(_PAIRWISE_LABEL, x, id_a.encode("utf-8"), id_b.encode("utf-8"))
 
 
 def ensure_pairwise_keys(state: MemberState) -> None:
     """Derive every missing pairwise key, in `received_public_shares` order.
 
-    ECDH: the key with peer j is `pairwise_key` of y_i * (y_j P).  The
-    member's one scalar y_i multiplies all peers' points in one
-    `scalar_mul_many` call.  A degenerate shared point (infinity) raises
-    `PeerAuthenticationError` naming the peer whose point made it, after
-    the keys of the peers before it are stored.  An off-curve peer point
-    raises ValueError before any key is stored (decoded public shares are
-    already on the curve).
+    ECDH on the shares' ints: the key with peer j is `pairwise_key` of
+    y_i * (y_j P).  Where each point is checked: a decoded share passed
+    `ec.check_affine_point` (range, curve equation, subgroup) in
+    `public_share_from_frame`; here each peer's share is checked again for
+    the curve's prime and equation, since one stored by hand passed no
+    decoder, and an off-curve one raises ValueError naming the peer before
+    any key is stored.  The member's one scalar y_i then multiplies all
+    peers' points in one lockstep pass (`ec._mul_many`, one TEM per peer),
+    which checks nothing more.  With one peer, or when a point of small
+    order meets a zero denominator, every point goes through `scalar_mul`
+    instead, as in `ec.scalar_mul_many`.  A degenerate shared point
+    (infinity) raises `PeerAuthenticationError` naming the peer whose point
+    made it, after the keys of the peers before it are stored.
     """
     peers = [
         ps for mid, ps in state.received_public_shares.items()
         if mid != state.member_id and mid not in state.pairwise_keys
     ]
-    shared = scalar_mul_many(state.share.y.residue, [ps.point for ps in peers], state.config.curve)
-    for ps, point in zip(peers, shared):
-        if point.is_infinity:
+    curve = state.config.curve
+    for ps in peers:
+        if not _on_curve(ps, curve):
+            raise ValueError(
+                f"public share from {ps.member_id} is not on curve {curve.name or '<anonymous>'}"
+            )
+    k = state.share.y.residue
+    shared = (
+        _mul_many(k, [(ps.x, ps.y) for ps in peers], len(peers), curve)
+        if k and len(peers) > 1 else None
+    )
+    if shared is None:  # one peer, k = 0, or a point of small order
+        points = [scalar_mul(k, ps.point, curve) for ps in peers]
+        shared = [None if pt.is_infinity else (pt.x.residue, pt.y.residue) for pt in points]
+    width = curve.modulus.byte_length
+    for ps, xy in zip(peers, shared):
+        if xy is None:
             raise PeerAuthenticationError(
                 ps.member_id,
                 f"degenerate shared point with {ps.member_id}; re-keying required",
             )
-        state.pairwise_keys[ps.member_id] = pairwise_key(point, state.member_id, ps.member_id)
+        state.pairwise_keys[ps.member_id] = _pairwise_kdf(
+            xy[0].to_bytes(width, "big"), state.member_id, ps.member_id
+        )
+
+
+def _on_curve(ps: PublicShare, curve: CurveParams) -> bool:
+    """`ec.is_on_curve` of the share's point, on its ints."""
+    p = curve.modulus.value
+    return ps.x_field.value == p == ps.y_field.value and _satisfies(ps.x, ps.y, curve)
 
 
 def _share_aad(epoch: int, sender: str, recipient: str) -> bytes:

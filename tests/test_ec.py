@@ -27,7 +27,7 @@ from gaskit.ec import (
     scalar_mul,
     scalar_mul_many,
 )
-from gaskit.field import FieldElement, MulCounter, Prime, active_counter, is_probable_prime
+from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime
 from oracle import add, curve_point
 
 TEST2017 = builtin_curve("test2017")
@@ -699,7 +699,7 @@ def _multi_scalar_mul(terms, curve):
     runs, returned to affine as `scalar_mul` returns: one TEM per term."""
     ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
     X, Y, Z, muls = _multi_scalar_jacobian(ints, len(terms), curve)
-    return _affine_result(X, Y, Z, muls, curve, active_counter())
+    return _affine_result(X, Y, Z, muls, curve)
 
 
 def test_odd_multiples_match_reference_and_refuse_orders_2_3_5_7():

@@ -1,7 +1,9 @@
 """Protocol state machine: confirmation, pairwise keys, key agreement, rotation."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import sys
 
@@ -347,24 +349,25 @@ def test_decentralized_verify_tally_pinned(curve, t, n, counts):
 
 
 def test_decentralized_verify_checks_each_point_once(monkeypatch):
-    # its own loop, which names the peer, is the only on-curve check
+    # its own loop, which names the peer, is the only on-curve check: one
+    # test of the curve equation per share, on the share's ints
     import gaskit.ec
 
     calls = []
-    real = gaskit.ec.is_on_curve
+    real = gaskit.ec._satisfies
 
-    def counted(pt, curve):
-        calls.append(pt)
-        return real(pt, curve)
+    def counted(x, y, curve):
+        calls.append((x, y))
+        return real(x, y, curve)
 
-    monkeypatch.setattr(gaskit.ec, "is_on_curve", counted)
-    monkeypatch.setattr(gas_core, "is_on_curve", counted)
+    monkeypatch.setattr(gaskit.ec, "_satisfies", counted)
+    monkeypatch.setattr(gas_core, "_satisfies", counted)
     for name, t, n in (("test2017", 3, 7), ("secp160r1", 4, 9)):
         config, shares = gm_init(t, n, builtin_curve(name), random.Random(41))
         _, public_shares = run_confirmation(config, shares)
         calls.clear()
         assert decentralized_verify(config, public_shares)
-        assert calls == [ps.point for ps in public_shares]
+        assert calls == [(ps.x, ps.y) for ps in public_shares]
 
 
 def test_decentralized_accepts_when_gm_accepts():
@@ -983,6 +986,40 @@ def test_public_share_equality_contract():
     # anything that is not a share compares unequal, with no error
     for alien in ((ps.member_id, ps.point), None, ps.point, ps.member_id):
         assert ps != alien and alien != ps and not ps == alien
+
+
+def test_public_share_pickles_and_copies_as_the_same_value():
+    # a slotted share whose __setattr__ raises needs its own __reduce__
+    _, config, shares = setup_group()
+    computed = make_public_share(MemberState(share=shares[0], config=config))
+    _, decoded = public_share_from_frame(public_share_frame(computed, config.epoch), config)
+    for ps in (computed, decoded):
+        copies = [pickle.loads(pickle.dumps(ps, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(ps), copy.deepcopy(ps)]
+        for other in copies:
+            assert other == ps and not other != ps
+            assert hash(other) == hash(ps) and repr(other) == repr(ps)
+
+
+def test_torsion_public_share_is_refused_at_decode_and_in_run_confirmation():
+    # test2017's T = (1981, 1664) has order 5; T + C_i has order 185.  As a
+    # member's public share on the wire, each is refused by the decoder,
+    # and so by every receiver inside run_confirmation
+    _, config, shares = setup_group()
+    _, honest = run_confirmation(config, shares)
+    T = curve_point(CURVE, 1981, 1664)
+    for ps in honest:
+        for pt in (T, add(ps.point, T, CURVE)):
+            frame = public_share_frame(PublicShare(ps.member_id, pt), config.epoch)
+            with pytest.raises(ValueError, match="outside the subgroup of order 37"):
+                public_share_from_frame(frame, config)
+
+            def swap(sent, sender=ps.member_id, frame=frame):
+                return frame if wire.decode_frame(sent).member_id == sender else sent
+
+            with pytest.raises(ValueError, match="outside the subgroup of order 37"):
+                run_confirmation(config, shares, tap=swap)
 
 
 def test_public_share_frame_of_another_epoch_is_refused():

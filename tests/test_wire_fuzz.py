@@ -106,9 +106,15 @@ def _outcome(decode, buf, config):
 
 def _assert_same_outcome(buf, config):
     got = _outcome(gas_core.public_share_from_frame, buf, config)
-    assert got == _outcome(_reference_decode, buf, config)
+    want = _outcome(_reference_decode, buf, config)
+    assert got == want
     if got is not ValueError:
-        point = got[1].point
+        # the decoded share's ints are the reference chain's residues, and
+        # the point built from them has the curve's own modulus in both
+        ps, ref = got[1], want[1].point
+        assert (ps.x, ps.y) == (ref.x.residue, ref.y.residue)
+        assert ps.x_field is ps.y_field is config.curve.modulus
+        point = ps.point
         assert point.x.modulus is config.curve.modulus
         assert point.y.modulus is config.curve.modulus
 
