@@ -2,9 +2,9 @@
 
 Points cross the API in affine coordinates (`CurvePoint` over
 `FieldElement`, infinity as `CurvePoint(None, None)`).  `scalar_mul`,
-`_multi_scalar_jacobian` and `scalar_mul_many` work on plain integers, record
-one TEM per scalar multiplication, and tally their field multiplications in
-bulk once per call.  There are three loops:
+`_multi_scalar_jacobian` and `_mul_many` work on plain integers, record one
+TEM per scalar multiplication, and tally their field multiplications in bulk
+once per call.  There are three loops:
 
 * fixed base, for `scalar_mul` of the curve's own generator when
   `subgroup_order` is set: k is reduced mod n and split into 3-bit digits,
@@ -23,16 +23,16 @@ bulk once per call.  There are three loops:
   doublings.  Tallies 25 per NAF table, 8 per doubling where a = -3 mod p
   (secp160r1, P-256) and 10 otherwise, 11 per mixed addition and 4 to
   return to affine;
-* lockstep, for `scalar_mul_many` and its form on ints, `_mul_many`, k P_i
-  for one k and many points (a member's pairwise ECDH): k is recoded once,
-  in the same way, and every point runs its digits together in affine
-  coordinates, each doubling or addition taking all points' denominators
-  from one inversion.  Tallies, per point, 7 per doubling and 6 per
-  addition.
+* lockstep, for `_mul_many`, k P_i for one k and many points (a member's
+  pairwise ECDH): k is recoded once, in the same way, and every point runs
+  its digits together in affine coordinates, each doubling or addition
+  taking all points' denominators from one inversion.  Tallies, per point,
+  7 per doubling and 6 per addition.
 
 Both build their NAF tables with `_odd_multiples`.  A point of order 2, 3,
 5 or 7 has none: the interleaved loop then runs every term on binary
-digits, and the lockstep hands every point to `scalar_mul`.
+digits, and the lockstep, like any of its steps that meets a zero
+denominator, returns None for its caller's per-point fallback.
 
 A verifier that only compares its result with a given point keeps it in
 Jacobian coordinates: `_jacobian_at` tests X = x Z^2 and Y = y Z^3 on the
@@ -41,9 +41,8 @@ tallied the same, and no inversion; `_jacobian_is` does so for a
 `CurvePoint`.  `gas_core.gm_verify` and `decentralized_verify` use them.
 
 A point from outside is checked once, on its integers, by
-`check_affine_point`; `affine_point` builds the `CurvePoint` of integers
-that pass.  `gas_core` keeps received public shares as integers and calls
-the check alone.
+`check_affine_point`; `gas_core` keeps received public shares as those
+integers.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -76,9 +75,7 @@ __all__ = [
     "CurveParams",
     "is_on_curve",
     "check_affine_point",
-    "affine_point",
     "scalar_mul",
-    "scalar_mul_many",
     "brute_force_order",
     "builtin_curve",
     "load_curve",
@@ -249,11 +246,10 @@ def check_affine_point(x: int, y: int, curve: CurveParams) -> None:
     affine point of the generator's subgroup.
 
     The one check of a point from outside, on plain ints: the public-share
-    decoder calls it on the two integers it reads, and `affine_point` before
-    it builds the point.  ValueError unless both lie in [0, p), satisfy the
-    curve's equation and, when `subgroup_order` n is set, lie in the
-    generator's subgroup.  Infinity has no affine encoding, so it never
-    passes.
+    decoder calls it on the two integers it reads.  ValueError unless both
+    lie in [0, p), satisfy the curve's equation and, when `subgroup_order`
+    n is set, lie in the generator's subgroup.  Infinity has no affine
+    encoding, so it never passes.
 
     The subgroup test refuses a point of small order, such as test2017's
     T = (1981, 1664) of order 5, from which a peer could learn the other
@@ -280,15 +276,6 @@ def check_affine_point(x: int, y: int, curve: CurveParams) -> None:
     if outside:
         raise ValueError(f"point ({x}, {y}) is outside the subgroup of order "
                          f"{curve.subgroup_order}")
-
-
-def affine_point(x: int, y: int, curve: CurveParams) -> CurvePoint:
-    """The affine point (x, y) of two integers read from the wire, once
-    `check_affine_point` has passed them; its coordinates are elements of
-    `curve.modulus` itself."""
-    check_affine_point(x, y, curve)
-    fp = curve.modulus
-    return _point(_reduced(x, fp), _reduced(y, fp))
 
 
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
@@ -639,67 +626,34 @@ def _multi_scalar_jacobian(
     return _interleaved(terms, curve.a.residue, curve.modulus.value)
 
 
-def scalar_mul_many(k: int, points: list[CurvePoint], curve: CurveParams) -> list[CurvePoint]:
-    """[k * P for P in points], each what `scalar_mul(k, P, curve)` returns.
-
-    Records one TEM per point.  k >= 0 and every point on the curve, or
-    ValueError before any TEM is counted; k is not reduced, and fewer than
-    2 points are `scalar_mul` itself.  Otherwise k is recoded once, as in
-    `scalar_mul`'s variable base, and all points run its digits in
-    lockstep in affine coordinates: on the width-4 NAF, the table of
-    `_odd_multiples` comes first, and each accumulator starts from its
-    point's multiple of the top digit.  Every shared doubling or addition
-    takes all points' 1/(2y) or 1/(x2 - x) from one inversion (Montgomery,
-    Math. Comp. 48, 1987), so there is no return to affine.  Tallies, once
-    on return, 7 per point and doubling (4 for the formula, 3 for its
-    share of the batch inversion) and 6 per point and addition, 25 of them
-    per NAF table; a secp160r1 TEM tallies about 1.3k.  A zero denominator
-    means some point met infinity, P + P or P - P, which only a point of
-    small order does (for one of prime order n, 1 <= k < n never does):
-    the pass is then dropped, untallied, and every point goes through
-    `scalar_mul`.
-    """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    if len(points) < 2:
-        return [scalar_mul(k, pt, curve) for pt in points]
-    for pt in points:
-        _require_on_curve(pt, curve)
-    finite = [(pt.x.residue, pt.y.residue) for pt in points if k and not pt.is_infinity]
-    xys = _mul_many(k, finite, len(points), curve)
-    if xys is None:
-        return [scalar_mul(k, pt, curve) for pt in points]
-    fp = curve.modulus
-    found = iter([_point(_reduced(x, fp), _reduced(y, fp)) for x, y in xys])
-    return [next(found) if k and not pt.is_infinity else _INFINITY for pt in points]
-
-
 def _mul_many(
-    k: int, points: list[tuple[int, int]], tems: int, curve: CurveParams
+    k: int, points: list[tuple[int, int]], curve: CurveParams
 ) -> list[tuple[int, int]] | None:
-    """The lockstep of `scalar_mul_many` on plain ints: k * (x, y) for every
-    point, k >= 1, each point affine and on the curve, unchecked.  Records
-    `tems` TEMs and the tally, or, when a step meets a zero denominator,
-    records nothing and returns None for the caller's per-point fallback."""
-    xys, muls = _lockstep(k, points, curve.a.residue, curve.modulus.value) if points else ([], 0)
-    if xys is not None:
-        counter = active_counter()
-        if counter is not None:
-            counter.ec_scalar_muls += tems
-            counter.field_muls += muls
-    return xys
+    """[k * (x, y) for (x, y) in points] as affine ints, each what
+    `scalar_mul` returns for that point, or None.
 
-
-def _lockstep(
-    k: int, points: list[tuple[int, int]], a: int, p: int
-) -> tuple[list[tuple[int, int]] | None, int]:
-    """k * (x, y) for every point, k >= 1, as affine ints, and the muls; None
-    if a step meets infinity, P + P or P - P (a zero denominator)."""
+    k >= 1, not reduced, and every point affine and on the curve, unchecked.
+    k is recoded once, as in `scalar_mul`'s variable base, and all points
+    run its digits in lockstep in affine coordinates: on the width-4 NAF,
+    the table of `_odd_multiples` comes first, and each accumulator starts
+    from its point's multiple of the top digit.  Every shared doubling or
+    addition takes all points' 1/(2y) or 1/(x2 - x) from one inversion
+    (Montgomery, Math. Comp. 48, 1987), so there is no return to affine.
+    Records one TEM per point and tallies, once on return, 7 per point and
+    doubling (4 for the formula, 3 for its share of the batch inversion)
+    and 6 per point and addition, 25 of them per NAF table; a secp160r1 TEM
+    tallies about 1.3k.  A zero denominator means some running multiple
+    met infinity, P + P or P - P: a point of small order can do that, and
+    so, rarely, can one of prime order n (on secp160r1, k = n - 14 does).
+    The pass then records nothing and returns None, for the caller's
+    per-point fallback.
+    """
+    a, p = curve.a.residue, curve.modulus.value
     if k.bit_length() >= _NAF_MIN_BITS:
         digits = _naf4(k)
         table = _odd_multiples(points, a, p)
         if table is None:
-            return None, 0
+            return None
         muls = _NAF_TABLE_MULS
     else:
         digits = _binary(k)
@@ -715,7 +669,11 @@ def _lockstep(
             at -= 1
         if acc and d:
             acc = _affine_step(acc, table[d], a, p)
-    return acc, muls * len(points)
+    counter = active_counter()
+    if acc is not None and counter is not None:
+        counter.ec_scalar_muls += len(points)
+        counter.field_muls += muls * len(points)
+    return acc
 
 
 def _affine_step(

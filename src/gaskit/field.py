@@ -5,7 +5,7 @@ coordinates, Harn tokens and releases.  Multiplications are the cost unit of
 the whole toolkit, so `FieldElement.__mul__` and `pow` report into whatever
 `MulCounter` is active in the current execution context.  The hot paths
 compute on plain integers instead and tally the multiplications they did in
-bulk, once per call: the curve group (`ec.scalar_mul`, `ec.scalar_mul_many`),
+bulk, once per call: the curve group (`ec.scalar_mul`, `ec._mul_many`),
 the Lagrange weights (`lagrange_weight`, one node's at several points from
 one inversion, for a Harn release; `lagrange_weights`, all of a set from one
 `batch_inverse`, for the verifiers), Horner dealing
@@ -168,7 +168,7 @@ class MulCounter:
     `field_muls` gets one per `FieldElement` multiplication and, in one step
     per call, the multiplications of the plain-int paths: the formula counts
     of each `ec.scalar_mul`, `ec._multi_scalar_jacobian` or
-    `ec.scalar_mul_many`, the (k + 1)(m - 1) + k of each `lagrange_weight`
+    `ec._mul_many`, the (k + 1)(m - 1) + k of each `lagrange_weight`
     at k points (2m - 1 at one, 3m - 1 at a Harn release's two), the
     m^2 + 6m of each `lagrange_weights`, the t of each Horner evaluation of
     a degree t - 1 polynomial, the bitlen - 1 + popcount of each `pow_mod`,

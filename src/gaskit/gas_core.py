@@ -486,16 +486,11 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
 # ---------------------------------------------------------------------------
 # Key agreement stage
 
-def pairwise_key(shared: CurvePoint, member_a: str, member_b: str) -> bytes:
-    """The 32-byte cipher key K = SHA-256 over the label, x(shared) and the
-    two ids in sorted order; derived, never transmitted."""
-    if shared.is_infinity:
-        raise ValueError("degenerate shared point; re-keying required")
-    return _pairwise_kdf(shared.x.to_bytes(), member_a, member_b)
-
-
-def _pairwise_kdf(x: bytes, member_a: str, member_b: str) -> bytes:
-    """`pairwise_key` of the shared point's encoded x."""
+def pairwise_key(x: bytes, member_a: str, member_b: str) -> bytes:
+    """The 32-byte cipher key K = SHA-256 over the label, x (the shared
+    ECDH point's x, `byte_length` bytes big-endian, as
+    `FieldElement.to_bytes` encodes it) and the two ids in sorted order;
+    derived, never transmitted."""
     id_a, id_b = sorted((member_a, member_b))
     return _kdf(_PAIRWISE_LABEL, x, id_a.encode("utf-8"), id_b.encode("utf-8"))
 
@@ -503,20 +498,27 @@ def _pairwise_kdf(x: bytes, member_a: str, member_b: str) -> bytes:
 def ensure_pairwise_keys(state: MemberState) -> None:
     """Derive every missing pairwise key, in `received_public_shares` order.
 
-    ECDH on the shares' ints: the key with peer j is `pairwise_key` of
-    y_i * (y_j P).  Where each point is checked: a decoded share passed
-    `ec.check_affine_point` (range, curve equation, subgroup) in
-    `public_share_from_frame`; here each peer's share is checked again for
-    the curve's prime and equation, since one stored by hand passed no
-    decoder, and an off-curve one raises ValueError naming the peer before
-    any key is stored.  The member's one scalar y_i then multiplies all
-    peers' points in one lockstep pass (`ec._mul_many`, one TEM per peer),
-    which checks nothing more.  With one peer, or when a point of small
-    order meets a zero denominator, every point goes through `scalar_mul`
-    instead, as in `ec.scalar_mul_many`.  A degenerate shared point
-    (infinity) raises `PeerAuthenticationError` naming the peer whose point
-    made it, after the keys of the peers before it are stored.
+    ECDH on the shares' ints: the key with peer j is `pairwise_key` of the
+    x of y_i * (y_j P).  A member whose own y_i is 0 is refused first, with
+    ValueError naming it, before any TEM is counted.  Where each point is
+    checked: a decoded share passed `ec.check_affine_point` (range, curve
+    equation, subgroup) in `public_share_from_frame`; here each peer's
+    share is checked again for the curve's prime and equation, since one
+    stored by hand passed no decoder, and an off-curve one raises
+    ValueError naming the peer before any key is stored.  The member's one
+    scalar y_i then multiplies all peers' points in one lockstep pass
+    (`ec._mul_many`, one TEM per peer), which checks nothing more.  With
+    one peer, or when a step of that pass meets a zero denominator, every
+    point goes through `scalar_mul` instead.  A point of small order can
+    meet one, and so, rarely, can an honest point of prime order: on
+    secp160r1 the scalar n - 14 does, n the subgroup order.  A degenerate
+    shared point (infinity) raises `PeerAuthenticationError` naming the
+    peer whose point made it, after the keys of the peers before it are
+    stored.
     """
+    k = state.share.y.residue
+    if not k:
+        raise ValueError(f"own share of {state.member_id} is 0; it keys no channel")
     peers = [
         ps for mid, ps in state.received_public_shares.items()
         if mid != state.member_id and mid not in state.pairwise_keys
@@ -527,12 +529,8 @@ def ensure_pairwise_keys(state: MemberState) -> None:
             raise ValueError(
                 f"public share from {ps.member_id} is not on curve {curve.name or '<anonymous>'}"
             )
-    k = state.share.y.residue
-    shared = (
-        _mul_many(k, [(ps.x, ps.y) for ps in peers], len(peers), curve)
-        if k and len(peers) > 1 else None
-    )
-    if shared is None:  # one peer, k = 0, or a point of small order
+    shared = _mul_many(k, [(ps.x, ps.y) for ps in peers], curve) if len(peers) > 1 else None
+    if shared is None:  # one peer, or a lockstep step met a zero denominator
         points = [scalar_mul(k, ps.point, curve) for ps in peers]
         shared = [None if pt.is_infinity else (pt.x.residue, pt.y.residue) for pt in points]
     width = curve.modulus.byte_length
@@ -542,7 +540,7 @@ def ensure_pairwise_keys(state: MemberState) -> None:
                 ps.member_id,
                 f"degenerate shared point with {ps.member_id}; re-keying required",
             )
-        state.pairwise_keys[ps.member_id] = _pairwise_kdf(
+        state.pairwise_keys[ps.member_id] = pairwise_key(
             xy[0].to_bytes(width, "big"), state.member_id, ps.member_id
         )
 

@@ -1,7 +1,7 @@
 """Reference point arithmetic that only the tests use.
 
-The package only computes scalar multiples (`ec.scalar_mul`,
-`ec.scalar_mul_many`) and never adds two given points, so the affine
+The package only computes scalar multiples (`ec.scalar_mul`, and
+`ec._mul_many` on ints) and never adds two given points, so the affine
 chord-tangent law and the constructor of a point from two ints live here.
 Infinity is `CurvePoint(None, None)`.
 """

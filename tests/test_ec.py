@@ -15,17 +15,17 @@ from gaskit.ec import (
     _double,
     _double_a3,
     _jacobian_is,
+    _mul_many,
     _multi_scalar_jacobian,
     _naf4,
     _odd_multiples,
-    affine_point,
     brute_force_order,
     builtin_curve,
+    check_affine_point,
     curve_from_dict,
     curve_to_dict,
     is_on_curve,
     scalar_mul,
-    scalar_mul_many,
 )
 from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime
 from oracle import add, curve_point
@@ -886,7 +886,7 @@ def test_jacobian_is_matches_affine_equality(name):
 
 
 def _lockstep_digits(k):
-    """The digits `scalar_mul_many` runs, one per position, least significant
+    """The digits `_mul_many` runs, one per position, least significant
     first: `_ref_naf4` from 32 bits on, binary below."""
     return _ref_naf4(k) if k.bit_length() >= 32 else [int(b) for b in bin(k)[:1:-1]]
 
@@ -914,14 +914,12 @@ def _lockstep_runs(k, order):
 
 
 def _lockstep_muls(k, count):
-    """Tally of a `scalar_mul_many` of `count` finite points whose lockstep
-    runs through: per point 7 per affine doubling and 6 per affine addition,
-    on a width-4 NAF first one doubling and three additions for the table
+    """Tally of a `_mul_many` of `count` points whose lockstep runs
+    through: per point 7 per affine doubling and 6 per affine addition, on
+    a width-4 NAF first one doubling and three additions for the table
     of P, 3P, 5P, 7P, then one of each per position and nonzero digit after
     the top one.  The same on every curve: the affine doubling does not
     depend on a."""
-    if not k or not count:
-        return 0
     digits = _lockstep_digits(k)
     nonzero = sum(1 for d in digits if d)
     table = 7 + 3 * 6 if k.bit_length() >= 32 else 0
@@ -929,21 +927,21 @@ def _lockstep_muls(k, count):
 
 
 def _assert_many_is_per_point(k, pts, orders, curve):
-    """`scalar_mul_many` equals per-point `scalar_mul` in values and TEMs;
-    its tally is the lockstep recount when every point's pass runs through
-    and the per-point tallies otherwise.  Returns whether it ran through."""
-    with MulCounter() as want_ops:
-        want = [scalar_mul(k, pt, curve) for pt in pts]
+    """`_mul_many` of k >= 1 and finite points: when every point's pass runs
+    through, per-point `scalar_mul` in values, one TEM per point and the
+    lockstep recount as its tally; otherwise None, with nothing recorded.
+    Returns whether it ran through."""
     with MulCounter() as ops:
-        got = scalar_mul_many(k, pts, curve)
-    assert got == want, (k, pts)
-    assert ops.ec_scalar_muls == want_ops.ec_scalar_muls == len(pts)
-    finite = [order for pt, order in zip(pts, orders) if not pt.is_infinity]
-    runs = len(pts) < 2 or not k or all(_lockstep_runs(k, order) for order in finite)
-    if len(pts) >= 2 and runs:
-        assert ops.field_muls == _lockstep_muls(k, len(finite)), (k, pts)
+        got = _mul_many(k, [(pt.x.residue, pt.y.residue) for pt in pts], curve)
+    runs = all(_lockstep_runs(k, order) for order in orders)
+    if runs:
+        assert [curve_point(curve, x, y) for x, y in got] == [
+            scalar_mul(k, pt, curve) for pt in pts], (k, pts)
+        assert ops.ec_scalar_muls == len(pts)
+        assert ops.field_muls == _lockstep_muls(k, len(pts)), (k, pts)
     else:
-        assert ops.field_muls == want_ops.field_muls, (k, pts)
+        assert got is None, (k, pts)
+        assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
     return runs
 
 
@@ -952,30 +950,46 @@ def test_scalar_mul_many_matches_scalar_mul(name):
     curve = builtin_curve(name)
     n = curve.subgroup_order
     rng = random.Random("many" + name)
-    if name == "toy5":  # infinity and orders 2, 3 and 6: most k fall back
-        pts = _toy5_points()
-        orders = [_order(pt, curve) if not pt.is_infinity else 1 for pt in pts]
+    if name == "toy5":  # orders 2, 3 and 6: most k return None
+        pts = _toy5_points()[1:]  # without infinity
+        orders = [_order(pt, curve) for pt in pts]
     else:
         pts = [scalar_mul(rng.randrange(1, n), curve.generator, curve) for _ in range(6)]
         orders = [n] * len(pts)
-    scalars = [0, 1, 2, n - 1, n, n + 1, rng.randrange(3, 2**12), rng.getrandbits(160) | 1 << 159]
+    scalars = [1, 2, n - 1, n, n + 1, rng.randrange(3, 2**12), rng.getrandbits(160) | 1 << 159]
     for k in scalars:
         assert _assert_many_is_per_point(k, [], [], curve)
         for count in (1, 2, len(pts)):
             runs = _assert_many_is_per_point(k, pts[:count], orders[:count], curve)
-            if name != "toy5" and 1 <= k < n:  # prime order: never degenerates
+            if name != "toy5" and k < n:  # prime order: these k run through
                 assert runs
-    # the generator and infinity among the points
+    # the generator among the points
     if name != "toy5":
         k = rng.getrandbits(160) | 1 << 159
-        mixed = [pts[0], curve.generator, CurvePoint(None, None), pts[1]]
-        _assert_many_is_per_point(k, mixed, [n, n, 1, n], curve)
+        _assert_many_is_per_point(k, [pts[0], curve.generator, pts[1]], [n, n, n], curve)
+
+
+def test_mul_many_meets_a_zero_denominator_at_a_prime_order_point():
+    # secp160r1's n = 7 mod 16: the NAF of n - 14 drives the running
+    # multiple of a point of prime order onto +-d, a zero denominator, with
+    # no small order involved; of k = n - 1 ... n - 39 only n - 14 does
+    curve = builtin_curve("secp160r1")
+    n = curve.subgroup_order
+    rng = random.Random("n-14")
+    pts = [scalar_mul(rng.randrange(1, n), curve.generator, curve) for _ in range(3)]
+    xys = [(pt.x.residue, pt.y.residue) for pt in pts]
+    with MulCounter() as ops:
+        assert _mul_many(n - 14, xys, curve) is None
+    assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
+    # in the code and in the recount's model alike
+    assert [j for j in range(1, 40) if _mul_many(n - j, xys, curve) is None] == [14]
+    assert [j for j in range(1, 40) if not _lockstep_runs(n - j, n)] == [14]
 
 
 def test_scalar_mul_many_falls_back_on_torsion_points():
     # test2017's 5-, 11- and 55-torsion among honest points of order 37:
-    # the lockstep meets infinity, P + P or P - P and every point goes
-    # through scalar_mul; short, NAF and order-spanning scalars
+    # the lockstep meets infinity, P + P or P - P and returns None; short,
+    # NAF and order-spanning scalars
     rng = random.Random("many-torsion")
     by_order = _test2017_torsion()
     honest = [scalar_mul(rng.randrange(1, 37), TEST2017.generator, TEST2017) for _ in range(3)]
@@ -984,21 +998,12 @@ def test_scalar_mul_many_falls_back_on_torsion_points():
         for torsion in by_order[order][:3]:
             pts = [honest[0], torsion, honest[1], honest[2]]
             orders = [37, order, 37, 37]
-            for k in list(range(3 * order)) + _long_scalars(rng, order):
+            for k in list(range(1, 3 * order)) + _long_scalars(rng, order):
                 if _assert_many_is_per_point(k, pts, orders, TEST2017):
                     ran += 1
                 else:
                     fell_back += 1
     assert fell_back > 200 and ran > 200
-
-
-def test_scalar_mul_many_refuses_bad_input_before_counting():
-    g = TEST2017.generator
-    off = curve_point(TEST2017, 0, 7)
-    for k, pts in ((3, [g, off]), (3, [off, g]), (3, [off]), (-1, [g, g]), (-1, [g]), (-1, [])):
-        with MulCounter() as ops, pytest.raises(ValueError):
-            scalar_mul_many(k, pts, TEST2017)
-        assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
 
 
 def test_curve_point_equality_contract():
@@ -1048,8 +1053,7 @@ def test_curve_point_pickles_and_copies_as_an_immutable_equal():
 def test_affine_point_accepts_exactly_the_affine_points(curve):
     # toy5 (order 6) publishes a generator of order n = 3: its points of
     # order 2 and 6 are on the curve but refused; a3-mod-23 publishes no n
-    fp = curve.modulus
-    p, a, b = fp.value, curve.a.residue, curve.b.residue
+    p, a, b = curve.modulus.value, curve.a.residue, curve.b.residue
     affine = {(x, y) for x in range(p) for y in range(p)
               if (y * y - x**3 - a * x - b) % p == 0}
     assert len(affine) + 1 == brute_force_order(curve)  # plus infinity
@@ -1058,20 +1062,18 @@ def test_affine_point_accepts_exactly_the_affine_points(curve):
     for x in range(p):
         for y in range(p):
             if (x, y) in subgroup:
-                pt = affine_point(x, y, curve)
-                assert pt == curve_point(curve, x, y)
-                assert pt.x.modulus is fp and pt.y.modulus is fp
+                check_affine_point(x, y, curve)
             elif (x, y) in affine:
                 with pytest.raises(ValueError, match="outside the subgroup"):
-                    affine_point(x, y, curve)
+                    check_affine_point(x, y, curve)
             else:
                 with pytest.raises(ValueError, match="off-curve"):
-                    affine_point(x, y, curve)
+                    check_affine_point(x, y, curve)
     # -1 and p would reduce to valid coordinates; decoding refuses them first
     for x, y in affine:
         for bad in ((-1, y), (p, y), (x, -1), (x, p)):
             with pytest.raises(ValueError, match="out of field range"):
-                affine_point(*bad, curve)
+                check_affine_point(*bad, curve)
 
 
 @pytest.mark.parametrize("curve", [
@@ -1079,15 +1081,17 @@ def test_affine_point_accepts_exactly_the_affine_points(curve):
     curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}),
 ], ids=["toy5", "a3-mod-23"])
 def test_is_on_curve_is_affine_points_predicate_on_both_fields(curve):
-    # a subgroup point is on the curve iff `affine_point` accepts its
+    # a subgroup point is on the curve iff `check_affine_point` accepts its
     # residues and both coordinates are elements of the curve's own prime,
-    # y as well as x; `affine_point` accepts no point outside the subgroup
+    # y as well as x; `check_affine_point` accepts no point outside the
+    # subgroup
     fp = curve.modulus
     other = _prime_above(fp.value)
     for x in range(fp.value):
         for y in range(fp.value):
             try:
-                accepted = affine_point(x, y, curve) == curve_point(curve, x, y)
+                check_affine_point(x, y, curve)
+                accepted = True
             except ValueError:
                 accepted = False
             on_curve = is_on_curve(curve_point(curve, x, y), curve)
@@ -1101,8 +1105,8 @@ def test_is_on_curve_is_affine_points_predicate_on_both_fields(curve):
 @pytest.mark.parametrize("check", ["listed", "no-order", "n-above-list"])
 def test_affine_point_subgroup_check_on_each_path(check, monkeypatch):
     # test2017's subgroup (n = 37) is listed; with no group order, or with n
-    # above the listing's limit, affine_point multiplies by n instead, and
-    # refuses and accepts the same points.  No path tallies.
+    # above the listing's limit, check_affine_point multiplies by n instead,
+    # and refuses and accepts the same points.  No path tallies.
     from gaskit import ec
 
     curve = dataclasses.replace(TEST2017, order=None if check == "no-order" else 2035)
@@ -1113,10 +1117,10 @@ def test_affine_point_subgroup_check_on_each_path(check, monkeypatch):
     mixed = [add(pt, curve.generator, curve) for pt in torsion]
     with MulCounter() as ops:
         for pt in subgroup:
-            assert affine_point(pt.x.residue, pt.y.residue, curve) == pt
+            check_affine_point(pt.x.residue, pt.y.residue, curve)
         for pt in torsion + mixed:
             with pytest.raises(ValueError, match="outside the subgroup of order 37"):
-                affine_point(pt.x.residue, pt.y.residue, curve)
+                check_affine_point(pt.x.residue, pt.y.residue, curve)
     assert (ops.field_muls, ops.ec_scalar_muls) == (0, 0)
     assert (curve._subgroup_xs is None) == (check != "listed")
     if check == "listed":
@@ -1130,5 +1134,5 @@ def test_affine_point_with_cofactor_1_runs_no_subgroup_check(monkeypatch):
     curve = dataclasses.replace(builtin_curve("secp160r1"))
     monkeypatch.setattr(ec, "_interleaved", None)  # the n * C path would fail
     g = curve.generator
-    assert affine_point(g.x.residue, g.y.residue, curve) == g
+    check_affine_point(g.x.residue, g.y.residue, curve)
     assert curve._subgroup_xs is None

@@ -408,9 +408,12 @@ def test_receive_public_share_refuses_a_conflicting_point(peer):
 # --- pairwise keys ------------------------------------------------------------------
 
 def _reference_key(own, peer, config):
-    """ECDH one peer at a time: K from y_i * (y_j P), as `ensure_pairwise_keys` batches it."""
+    """ECDH one peer at a time: K from y_i * (y_j P), as `ensure_pairwise_keys`
+    batches it; ValueError for a degenerate shared point."""
     shared = scalar_mul(own.y.residue, peer.point, config.curve)
-    return pairwise_key(shared, own.member_id, peer.member_id)
+    if shared.is_infinity:
+        raise ValueError("degenerate shared point")
+    return pairwise_key(shared.x.to_bytes(), own.member_id, peer.member_id)
 
 
 def test_pairwise_key_symmetry():
@@ -455,7 +458,7 @@ def test_pairwise_key_matches_bruteforce_ecdh_oracle():
     gas_core.ensure_pairwise_keys(states["U1"])
     assert states["U1"].pairwise_keys["U2"] == expected
     assert _reference_key(shares[0], public_shares[1], config) == expected
-    assert pairwise_key(shared, "U2", "U1") == expected
+    assert pairwise_key(shared.x.to_bytes(), "U2", "U1") == expected
 
 
 def test_pairwise_key_not_attacker_computable_combination():
@@ -597,6 +600,37 @@ def test_ensure_pairwise_keys_raises_at_the_same_peer_as_per_peer_derivation():
     with pytest.raises(ValueError, match="not on curve"):
         gas_core.ensure_pairwise_keys(states["U2"])
     assert states["U2"].pairwise_keys == {}
+
+
+@pytest.mark.parametrize("curve_name", ["test2017", "secp160r1"])
+def test_ensure_pairwise_keys_refuses_a_zero_own_share_first(curve_name):
+    # y_i = 0 makes every shared point infinity; the fault is the member's
+    # own share, so it is named before any TEM is counted, not a peer
+    config, shares = gm_init(3, 5, builtin_curve(curve_name), random.Random(3))
+    states, _ = run_confirmation(config, shares)
+    u1 = states["U1"]
+    u1.share = Share(shares[0].x, FieldElement(0, config.scalar_field), "U1")
+    with MulCounter() as ops, pytest.raises(ValueError, match="U1"):
+        gas_core.ensure_pairwise_keys(u1)
+    assert ops.ec_scalar_muls == 0 and u1.pairwise_keys == {}
+
+
+def test_ensure_pairwise_keys_falls_back_at_a_prime_order_zero_denominator():
+    # on secp160r1 the lockstep of y_i = n - 14 meets a zero denominator
+    # with honest points of prime order; the per-peer fallback then derives
+    # every key, one TEM per peer
+    curve = builtin_curve("secp160r1")
+    config, shares = gm_init(3, 5, curve, random.Random(31))
+    states, _ = run_confirmation(config, shares)
+    u1 = states["U1"]
+    y = FieldElement(curve.subgroup_order - 14, config.scalar_field)
+    u1.share = Share(shares[0].x, y, "U1")
+    with MulCounter() as ops:
+        gas_core.ensure_pairwise_keys(u1)
+    assert ops.ec_scalar_muls == 4
+    want, culprit = _per_peer_keys(u1)
+    assert culprit is None and len(want) == 4
+    assert u1.pairwise_keys == want
 
 
 @pytest.mark.parametrize("forge", ["y_plus_q", "y_padded", "empty"])

@@ -13,7 +13,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gaskit import gas_core, wire  # noqa: E402
-from gaskit.ec import affine_point, builtin_curve  # noqa: E402
+from gaskit.ec import builtin_curve, check_affine_point  # noqa: E402
+from oracle import curve_point  # noqa: E402
 
 _DEALT = {
     name: gas_core.gm_init(3, 5, builtin_curve(name), random.Random(name))
@@ -92,9 +93,10 @@ def _reference_decode(buf, config):
     if frame.epoch != config.epoch:
         raise ValueError("another epoch")
     x, y = wire.decode_point_payload(frame.payload)
-    fp = config.curve.modulus
-    point = affine_point(fp.from_bytes(x).residue, fp.from_bytes(y).residue, config.curve)
-    return frame.epoch, gas_core.PublicShare(frame.member_id, point)
+    curve = config.curve
+    x, y = curve.modulus.from_bytes(x).residue, curve.modulus.from_bytes(y).residue
+    check_affine_point(x, y, curve)
+    return frame.epoch, gas_core.PublicShare(frame.member_id, curve_point(curve, x, y))
 
 
 def _outcome(decode, buf, config):
