@@ -42,7 +42,8 @@ tallied the same, and no inversion; `_jacobian_is` does so for a
 
 A point from outside is checked once, on its integers, by
 `check_affine_point`; `gas_core` keeps received public shares as those
-integers.
+integers; on test2017, whose small subgroup is listed, an honest point
+costs one set lookup.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -86,8 +87,8 @@ __all__ = [
 
 _BRUTE_FORCE_LIMIT = 10**6
 
-# Largest subgroup order n whose points `check_affine_point` looks up in a set
-# (test2017's n is 37); above it, or with no group order, it multiplies by n.
+# Largest subgroup order n whose points (x, y) `check_affine_point` looks up
+# in a set (test2017's n = 37); above it, or with no group order, it multiplies by n.
 _SUBGROUP_LIST_MAX = 1 << 16
 
 
@@ -192,27 +193,24 @@ class CurveParams:
         return _build_generator_table(self)
 
     @cached_property
-    def _subgroup_xs(self) -> frozenset[int] | None:
-        """The x of every affine point of the generator's subgroup, or None.
+    def _subgroup_points(self) -> frozenset[tuple[int, int]] | None:
+        """Every affine point (x, y) of the generator's subgroup, or None.
 
-        x alone decides membership for a point on the curve: the only other
-        point with its x is its negative, which is in the subgroup exactly
-        when it is.  Listed when the cofactor, order // subgroup_order, is
-        above 1 and the subgroup order n is at most `_SUBGROUP_LIST_MAX`:
-        built on first use, untallied, from 2G, 3G, ..., (n - 1)G, each the
-        one before plus the generator.  test2017 lists the 18 x of its 36
-        points.  None otherwise.
+        Listed when the cofactor, order // subgroup_order, is above 1 and
+        the subgroup order n is at most `_SUBGROUP_LIST_MAX`: built on first
+        use, untallied, from 2G, 3G, ..., (n - 1)G, each the one before plus
+        the generator.  test2017 lists its 36 points.  None otherwise.
         """
         n = self.subgroup_order
         if n is None or self.order is None or self.order // n <= 1 or n > _SUBGROUP_LIST_MAX:
             return None
         p, a = self.modulus.value, self.a.residue
         g = [(self.generator.x.residue, self.generator.y.residue)]
-        xs, acc = {g[0][0]}, g
+        points, acc = set(g), g
         for k in range(2, n):  # k G = (k - 1) G + G, doubling G for k = 2
             acc = _affine_step(acc, None if k == 2 else g, a, p)
-            xs.add(acc[0][0])
-        return frozenset(xs)
+            points.add(acc[0])
+        return frozenset(points)
 
 
 def is_probable_subgroup(curve: CurveParams) -> bool:
@@ -254,28 +252,26 @@ def check_affine_point(x: int, y: int, curve: CurveParams) -> None:
     The subgroup test refuses a point of small order, such as test2017's
     T = (1981, 1664) of order 5, from which a peer could learn the other
     side's ECDH scalar mod 5 (SEC 1 v2, section 3.2.2).  With cofactor 1
-    (order = n, as on secp160r1) every point passes it at no cost.
-    Otherwise x is looked up in `CurveParams._subgroup_xs`, or, when that
-    is None (n above 2^16, or no group order), n * (x, y) must be
-    infinity; neither is tallied.
+    (order = n, as on secp160r1) every point passes it at no cost.  A pair
+    in `CurveParams._subgroup_points` passes every step: one set lookup
+    accepts it, and any other runs the steps, which name its fault.
+    Unlisted (n above 2^16, or no group order), n * (x, y) must be infinity.
+    Nothing here is tallied.
     """
+    points = curve._subgroup_points
+    if points is not None and (x, y) in points:
+        return
     if not _satisfies(x, y, curve):
         p = curve.modulus.value
         if 0 <= x < p and 0 <= y < p:
             raise ValueError(f"point ({x}, {y}) is off-curve")
         raise ValueError(f"{y if 0 <= x < p else x} out of field range [0, {p})")
-    xs = curve._subgroup_xs
-    if xs is not None:
-        outside = x not in xs
-    else:
-        n = curve.subgroup_order
-        outside = (
-            n is not None and curve.order != n
-            and _interleaved([(n, x, y)], curve.a.residue, curve.modulus.value)[2]
-        )
-    if outside:
-        raise ValueError(f"point ({x}, {y}) is outside the subgroup of order "
-                         f"{curve.subgroup_order}")
+    n = curve.subgroup_order
+    if points is not None or (
+        n is not None and curve.order != n
+        and _interleaved([(n, x, y)], curve.a.residue, curve.modulus.value)[2]
+    ):
+        raise ValueError(f"point ({x}, {y}) is outside the subgroup of order {n}")
 
 
 def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:

@@ -11,12 +11,12 @@ authenticated encryption, reconstruct s and check it against H(s).
 The secret sharing field is the curve's subgroup order, so shares act
 directly as scalars and the decentralized sum identity is exact.
 
-A public share is plain ints from the wire to ECDH.  The decoder checks
-the two integers it reads once (`ec.check_affine_point`: range, curve
-equation, subgroup) and keeps them in the `PublicShare`; framing,
-`receive_public_share`, both verifiers and `ensure_pairwise_keys` read the
-ints, and `PublicShare.point` builds a `CurvePoint` only for callers at the
-API (the demo's print, the attack scenarios, tests).
+A public share is plain ints from the wire to ECDH: one pack out
+(`wire.encode_public_share`); one unpack, one check of the two integers
+(`ec.check_affine_point`: range, curve equation, subgroup) and one
+`tuple.__new__` in.  The verifiers and `ensure_pairwise_keys` read the
+ints; `PublicShare.point` builds a `CurvePoint` only for callers at the API
+(the demo's print, the attack scenarios, tests).
 
 The AEAD library (`cryptography`, with its bundled OpenSSL) is imported at
 the first seal or open, not with this module: commands that never encrypt
@@ -33,6 +33,7 @@ import hashlib
 import random
 import sys
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Mapping
 
 from . import wire
@@ -142,84 +143,69 @@ def _kdf(label: bytes, *fields: bytes) -> bytes:
     return hashlib.sha256(label + _pack_fields(*fields)).digest()
 
 
-class PublicShare:
+class PublicShare(tuple):
     """Broadcast confirmation value f(x_i)*P together with the sender id.
 
     An immutable value of plain ints: `member_id`, the affine coordinates
     `x` and `y`, and the `Prime` each lives in, `x_field` and `y_field`.  A
     decoded or computed share holds the curve's own `curve.modulus` in both.
-    The hot consumers (framing, `receive_public_share`, both verifiers and
-    the pairwise ECDH) read the ints; `point` builds a `CurvePoint` on each
+    The hot consumers read the ints; `point` builds a `CurvePoint` on each
     access, for callers at the API.
 
     `PublicShare(member_id, point)` takes any finite point and refuses
-    infinity; it does not check the point against a curve.  The decoder
-    checks the ints (`ec.check_affine_point`), and builds the share without
-    a `CurvePoint`.  Two shares are equal when their ids, residues and
-    primes' values are; hash, repr, pickle and copy are those of the
-    (member_id, point) pair.
+    infinity; it does not check the point against a curve.  Two shares are
+    equal when their ids, residues and primes' values are, and a share
+    equals nothing else, a bare tuple included; hash, repr, pickle and copy
+    are those of the (member_id, point) pair.  The tuple base is an
+    implementation detail, so that a share is built with one
+    `tuple.__new__` and compares with tuple equality: no package code
+    indexes or unpacks a share, and assigning to it raises AttributeError.
     """
 
-    __slots__ = ("member_id", "x", "y", "x_field", "y_field")
+    __slots__ = ()
+
+    member_id = property(itemgetter(0))
+    x = property(itemgetter(1))
+    y = property(itemgetter(2))
+    x_field = property(itemgetter(3))
+    y_field = property(itemgetter(4))
 
     def __new__(cls, member_id: str, point: CurvePoint) -> PublicShare:
         x, y = point.x, point.y
         if x is None:
             raise ValueError("public share point must not be infinity")
-        return _public_share(member_id, x.residue, y.residue, x.modulus, y.modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PublicShare is immutable")
+        return _new_share(PublicShare, (member_id, x.residue, y.residue, x.modulus, y.modulus))
 
     def __reduce__(self):
-        # pickle and copy rebuild through __new__, not the raising __setattr__
+        # pickle and copy rebuild through __new__, not from the tuple's items
         return PublicShare, (self.member_id, self.point)
 
     @property
     def point(self) -> CurvePoint:
         return CurvePoint(_reduced(self.x, self.x_field), _reduced(self.y, self.y_field))
 
-    def _same(self, other: PublicShare) -> bool:
-        return (
-            self.member_id == other.member_id and self.x == other.x and self.y == other.y
-            and self.x_field.value == other.x_field.value
-            and self.y_field.value == other.y_field.value
-        )
-
+    # A `Prime` compares by value, so tuple equality is the share's.  A bare
+    # tuple's own comparison would read the share's items, so it gets False.
     def __eq__(self, other) -> bool:
-        if other.__class__ is not PublicShare:
-            return NotImplemented
-        return self._same(other)
+        if other.__class__ is PublicShare:
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
     def __ne__(self, other) -> bool:
-        if other.__class__ is not PublicShare:
-            return NotImplemented
-        return not self._same(other)
+        if other.__class__ is PublicShare:
+            return _tuple_ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self) -> int:
-        # the hash of the (member_id, point) pair: a tuple hashes its items'
-        # hashes, and a FieldElement hashes as its (residue, prime) pair
-        return hash((self.member_id, ((self.x, self.x_field.value), (self.y, self.y_field.value))))
+        return hash((self.member_id, self.point))
 
     def __repr__(self) -> str:
         return f"PublicShare(member_id={self.member_id!r}, point=CurvePoint({self.x}, {self.y}))"
 
 
-# The slots' own setters, which `_public_share` calls because `__setattr__` raises.
-_set_member_id, _set_x, _set_y, _set_x_field, _set_y_field = (
-    PublicShare.__dict__[name].__set__ for name in PublicShare.__slots__
-)
-
-
-def _public_share(member_id: str, x: int, y: int, fx: Prime, fy: Prime) -> PublicShare:
-    """The share of the affine ints x over fx and y over fy, unchecked."""
-    ps = object.__new__(PublicShare)
-    _set_member_id(ps, member_id)
-    _set_x(ps, x)
-    _set_y(ps, y)
-    _set_x_field(ps, fx)
-    _set_y_field(ps, fy)
-    return ps
+# The share of its five items (member_id, x, y, x_field, y_field), unchecked.
+_new_share = tuple.__new__
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
 
 
 @dataclass(frozen=True)
@@ -385,14 +371,15 @@ def make_public_share(state: MemberState) -> PublicShare:
     xy = _affine_xy(*_generator_jacobian(state.share.y.residue, curve), fp.value)
     if xy is None:
         raise ValueError("public share point must not be infinity")
-    return _public_share(state.member_id, *xy, fp, fp)
+    return _new_share(PublicShare, (state.member_id, *xy, fp, fp))
 
 
 def public_share_frame(ps: PublicShare, epoch: int) -> bytes:
-    payload = wire.encode_point_payload(
-        ps.x.to_bytes(ps.x_field.byte_length, "big"), ps.y.to_bytes(ps.y_field.byte_length, "big")
+    """The share's frame, packed in one step by `wire.encode_public_share`."""
+    return wire.encode_public_share(
+        epoch, ps.member_id,
+        ps.x.to_bytes(ps.x_field.byte_length, "big"), ps.y.to_bytes(ps.y_field.byte_length, "big"),
     )
-    return wire.encode_frame(wire.PUBLIC_SHARE, epoch, ps.member_id, payload)
 
 
 def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, PublicShare]:
@@ -410,7 +397,7 @@ def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, Publi
     if epoch != config.epoch:
         raise ValueError(f"public-share frame of epoch {epoch}, config is epoch {config.epoch}")
     check_affine_point(x, y, curve)
-    return epoch, _public_share(member_id, x, y, fp, fp)
+    return epoch, _new_share(PublicShare, (member_id, x, y, fp, fp))
 
 
 def gm_verify(

@@ -13,10 +13,11 @@ Payloads::
 
 `decode_frame` returns a `Frame`, an immutable `NamedTuple` of the four
 header and payload fields.  The decoders take `bytes` and return slices of
-it, so each field is copied once.  `decode_public_share` reads a whole
-public-share frame with one unpack instead, both coordinates as integers
-of a fixed width; it refuses what `decode_frame` and `decode_point_payload`
-refuse, and a coordinate of any other width.
+it, so each field is copied once.  A public-share frame is packed whole by
+`encode_public_share` and read whole by `decode_public_share`, through one
+`struct.Struct` per (member id length, coordinate width); the decoder
+refuses what `decode_frame` and `decode_point_payload` refuse, and a
+coordinate of any other width.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "Frame",
     "encode_frame",
     "decode_frame",
+    "encode_public_share",
     "decode_public_share",
     "encode_point_payload",
     "decode_point_payload",
@@ -51,8 +53,7 @@ _MSG_TYPES = (PUBLIC_SHARE, ENCRYPTED_SHARE, HARN_RELEASE, VERDICT)
 
 _HEADER = struct.Struct(">BIB")  # type, epoch, member id length
 _U16 = struct.Struct(">H")  # a length prefix
-# coordinate width -> the struct of a whole public-share frame per member id
-# length, built on first use
+# coordinate width -> member id length -> public-share frame struct, built on first use
 _PUBLIC_SHARES: dict[int, list[struct.Struct | None]] = {}
 
 
@@ -90,18 +91,33 @@ def decode_frame(buf: bytes) -> Frame:
     return _new_frame(Frame, (msg_type, epoch, buf[6:end].decode(), buf[end:]))
 
 
+def _public_share_struct(mid_len: int, width: int) -> struct.Struct:
+    """The struct of a public-share frame: `mid_len` id bytes, `width` per coordinate."""
+    structs = _PUBLIC_SHARES.get(width) or _PUBLIC_SHARES.setdefault(width, [None] * 256)
+    frame = structs[mid_len]
+    if frame is None:
+        frame = structs[mid_len] = struct.Struct(f">BIB{mid_len}sH{width}sH{width}s")
+    return frame
+
+
+def encode_public_share(epoch: int, member_id: str, x: bytes, y: bytes) -> bytes:
+    """`encode_frame(PUBLIC_SHARE, epoch, member_id, encode_point_payload(x, y))`,
+    packed with one struct; unequal widths and fields out of range go those
+    two steps, which raise ValueError as they say."""
+    mid = member_id.encode("utf-8")
+    width = len(x)
+    if len(y) != width or len(mid) > 255 or width > 0xFFFF or not 0 <= epoch < 2**32:
+        return encode_frame(PUBLIC_SHARE, epoch, member_id, encode_point_payload(x, y))
+    frame = _public_share_struct(len(mid), width)
+    return frame.pack(PUBLIC_SHARE, epoch, len(mid), mid, width, x, width, y)
+
+
 def decode_public_share(buf: bytes, width: int) -> tuple[int, str, int, int]:
-    """(epoch, member id, x, y) of a public-share frame whose coordinates
-    are `width` bytes each, read with one unpack of a struct built once per
-    (member id length, width); ValueError for any other frame, named step
-    by step.
-    """
+    """(epoch, member id, x, y) of a public-share frame whose coordinates are
+    `width` bytes each, in one unpack; ValueError for any other, named step by step."""
     if len(buf) < 6:
         raise ValueError("truncated frame header")
-    structs = _PUBLIC_SHARES.get(width) or _PUBLIC_SHARES.setdefault(width, [None] * 256)
-    frame = structs[buf[5]]
-    if frame is None:
-        frame = structs[buf[5]] = struct.Struct(f">BIB{buf[5]}sH{width}sH{width}s")
+    frame = _public_share_struct(buf[5], width)
     if len(buf) == frame.size:
         msg_type, epoch, _, mid, x_len, x, y_len, y = frame.unpack(buf)
         if msg_type == PUBLIC_SHARE and x_len == width == y_len:

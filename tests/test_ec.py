@@ -1122,10 +1122,42 @@ def test_affine_point_subgroup_check_on_each_path(check, monkeypatch):
             with pytest.raises(ValueError, match="outside the subgroup of order 37"):
                 check_affine_point(pt.x.residue, pt.y.residue, curve)
     assert (ops.field_muls, ops.ec_scalar_muls) == (0, 0)
-    assert (curve._subgroup_xs is None) == (check != "listed")
+    assert (curve._subgroup_points is None) == (check != "listed")
     if check == "listed":
-        assert curve._subgroup_xs == {pt.x.residue for pt in subgroup}
-        assert len(curve._subgroup_xs) == 18
+        assert curve._subgroup_points == {(pt.x.residue, pt.y.residue) for pt in subgroup}
+        assert len(curve._subgroup_points) == 36
+
+
+def test_listed_affine_point_check_matches_the_multiply_by_n_check(monkeypatch):
+    # every affine point of test2017, the torsion included, and pairs off
+    # the curve or out of range: the listing accepts the same pairs as the
+    # n * (x, y) path and refuses the others with the same message
+    from gaskit import ec
+
+    p = TEST2017.modulus.value
+    pairs = [(pt.x.residue, pt.y.residue) for pt in _test2017_points()]
+    pairs += [bad for x, y in pairs[::7] for bad in ((p, y), (x, -1), (x, y + 1), (x + 1, y))]
+
+    def outcomes(curve):
+        def outcome(x, y):
+            try:
+                check_affine_point(x, y, curve)
+            except ValueError as e:
+                return str(e)
+            return None
+        return [outcome(x, y) for x, y in pairs]
+
+    listed = dataclasses.replace(TEST2017)
+    listed_outcomes = outcomes(listed)
+    assert listed._subgroup_points is not None
+    monkeypatch.setattr(ec, "_SUBGROUP_LIST_MAX", 0)
+    multiplied = dataclasses.replace(TEST2017)
+    assert outcomes(multiplied) == listed_outcomes
+    assert multiplied._subgroup_points is None
+    assert listed_outcomes.count(None) == 36
+    assert {msg.split(")")[-1] for msg in listed_outcomes if msg and msg.startswith("point")} == {
+        " is off-curve", " is outside the subgroup of order 37"}
+    assert any(msg and "out of field range" in msg for msg in listed_outcomes)
 
 
 def test_affine_point_with_cofactor_1_runs_no_subgroup_check(monkeypatch):
@@ -1135,4 +1167,4 @@ def test_affine_point_with_cofactor_1_runs_no_subgroup_check(monkeypatch):
     monkeypatch.setattr(ec, "_interleaved", None)  # the n * C path would fail
     g = curve.generator
     check_affine_point(g.x.residue, g.y.residue, curve)
-    assert curve._subgroup_xs is None
+    assert curve._subgroup_points is None

@@ -1017,9 +1017,11 @@ def test_public_share_equality_contract():
     for fx, fy in ((other, other), (other, CURVE.modulus), (CURVE.modulus, other)):
         moved = PublicShare(ps.member_id, CurvePoint(FieldElement(x, fx), FieldElement(y, fy)))
         assert moved != ps and ps != moved
-    # anything that is not a share compares unequal, with no error
-    for alien in ((ps.member_id, ps.point), None, ps.point, ps.member_id):
-        assert ps != alien and alien != ps and not ps == alien
+    # anything that is not a share compares unequal, with no error; the
+    # plain tuple of a share's fields too
+    fields = (ps.member_id, ps.x, ps.y, ps.x_field, ps.y_field)
+    for alien in ((ps.member_id, ps.point), None, ps.point, ps.member_id, fields):
+        assert ps != alien and alien != ps and not ps == alien and not alien == ps
 
 
 def test_public_share_pickles_and_copies_as_the_same_value():

@@ -215,3 +215,57 @@ def test_public_share_decode_reads_every_member_id_length(name):
         assert gas_core.public_share_from_frame(frame, config) == (config.epoch, ps)
         for buf in (frame[:-1], frame + b"\x00", frame[:6 + len(member_id.encode()) - 1]):
             _assert_same_outcome(buf, config)
+
+
+# --- the one-pack public-share encoder against the two steps it replaced -----
+
+def _encoded(encode, *args):
+    try:
+        return encode(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _two_step_encode(epoch, member_id, x, y):
+    return wire.encode_frame(wire.PUBLIC_SHARE, epoch, member_id, wire.encode_point_payload(x, y))
+
+
+# member ids of 0 to 255 UTF-8 bytes, multi-byte characters included: a
+# character cut by the 255-byte limit is dropped whole
+_encodable_ids = st.one_of(
+    st.text(max_size=255).map(lambda s: s.encode()[:255].decode("utf-8", "ignore")),
+    st.sampled_from(("", "U" * 255, "é" * 127 + "U", "€" * 85)),
+)
+
+
+@st.composite
+def _coordinates(draw):
+    x = draw(st.binary(max_size=40))
+    if draw(st.booleans()):
+        return x, draw(st.binary(min_size=len(x), max_size=len(x)))
+    return x, draw(st.binary(max_size=40))
+
+
+@_fuzz
+@given(st.one_of(st.sampled_from((0, 2**32 - 1)), st.integers(0, 2**32 - 1)),
+       _encodable_ids, _coordinates())
+def test_encode_public_share_matches_the_two_step_frame(epoch, member_id, xy):
+    x, y = xy
+    frame = wire.encode_public_share(epoch, member_id, x, y)
+    assert frame == _two_step_encode(epoch, member_id, x, y)
+    if len(x) == len(y):
+        assert wire.decode_public_share(frame, len(x)) == (
+            epoch, member_id, int.from_bytes(x, "big"), int.from_bytes(y, "big"))
+
+
+@pytest.mark.parametrize("epoch, member_id, x, y", [
+    (-1, "U1", b"\x01\x02", b"\x03\x04"),
+    (2**32, "U1", b"\x01\x02", b"\x03\x04"),
+    (1, "U" * 256, b"\x01\x02", b"\x03\x04"),
+    (1, "é" * 128, b"\x01", b"\x02\x03"),
+    (1, "U1", bytes(0x10000), bytes(0x10000)),
+])
+def test_encode_public_share_raises_as_the_two_step_frame(epoch, member_id, x, y):
+    got = _encoded(wire.encode_public_share, epoch, member_id, x, y)
+    assert got.startswith("ValueError: ")
+    assert got == _encoded(_two_step_encode, epoch, member_id, x, y)
