@@ -45,7 +45,15 @@ __all__ = [
     "run_attack",
 ]
 
-ATTACK_NAMES = ("replay", "dos-invalid-share", "node-compromise", "eavesdrop", "flood")
+# The options each scenario takes, by keyword; the CLI's are these with "--".
+_OPTIONS = {
+    "replay": ("rotate", "seed"),
+    "dos-invalid-share": ("m", "t", "mode", "seed"),
+    "node-compromise": ("rotate", "seed"),
+    "eavesdrop": ("scheme", "m", "t", "leaky", "seed"),
+    "flood": ("m", "seed"),
+}
+ATTACK_NAMES = tuple(_OPTIONS)
 
 
 @dataclass
@@ -437,10 +445,18 @@ def eavesdrop_secrecy_check(
 # CLI entry
 
 def run_attack(name: str, **kwargs) -> list[Finding]:
-    """Run one named scenario; options it does not take are ignored.
+    """Run one named scenario.
 
     Each option left out (seed included) keeps the scenario's own default.
+    ValueError for an unknown name, or one naming each given option that
+    the scenario does not take (`_OPTIONS`), such as m for replay.
     """
+    if name not in _OPTIONS:
+        raise ValueError(f"unknown attack {name!r}; valid names: {', '.join(ATTACK_NAMES)}")
+    refused = [key for key in kwargs if key not in _OPTIONS[name]]
+    if refused:
+        raise ValueError(f"attack {name} does not take {', '.join('--' + k for k in refused)}")
+
     def given(*keys: str) -> dict:
         return {k: kwargs[k] for k in keys if k in kwargs}
 
@@ -461,6 +477,4 @@ def run_attack(name: str, **kwargs) -> list[Finding]:
             finding.expected = {"leak_count": 1}
             finding.notes.append("negative control: one raw share deliberately leaked")
         return [finding]
-    if name == "flood":
-        return [flood_congestion(**given("m", "seed"))]
-    raise ValueError(f"unknown attack {name!r}; valid names: {', '.join(ATTACK_NAMES)}")
+    return [flood_congestion(**given("m", "seed"))]

@@ -214,17 +214,9 @@ def _cmd_sweep(args) -> int:
 # attack
 
 def _cmd_attack(args) -> int:
-    kwargs = {"rotate": args.rotate}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
-    if args.m is not None:
-        kwargs["m"] = args.m
-    if args.t is not None:
-        kwargs["t"] = args.t
-    if args.leaky:
-        kwargs["leaky"] = True
+    # only the options given: `run_attack` refuses one its scenario does not take
+    kwargs = {key: value for key in ("rotate", "mode", "m", "t", "leaky", "seed")
+              if (value := getattr(args, key)) is not None}
     findings = attacks.run_attack(args.name, **kwargs)
     print(json.dumps([f.to_dict() for f in findings], indent=1))
     return 0 if all(f.matched for f in findings) else 1
@@ -351,12 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run an adversary scenario (JSON findings)")
     p.add_argument("--name", required=True,
                    help=f"one of: {', '.join(attacks.ATTACK_NAMES)}")
-    p.add_argument("--rotate", action="store_true",
-                   help="rotate credentials before/after the attack where applicable")
+    p.add_argument("--rotate", action="store_true", default=None,
+                   help="rotate credentials before/after the attack (replay, node-compromise)")
     p.add_argument("--mode", choices=("centralized", "decentralized"), default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--leaky", action="store_true",
+    p.add_argument("--leaky", action="store_true", default=None,
                    help="eavesdrop negative control: leak one raw share")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_attack)

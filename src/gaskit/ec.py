@@ -7,12 +7,15 @@ TEM per scalar multiplication, and tally their field multiplications in bulk
 once per call.  There are three loops:
 
 * fixed base, for `scalar_mul` of the curve's own generator when
-  `subgroup_order` is set: k is reduced mod n and split into 3-bit digits,
+  `subgroup_order` is set: k is reduced mod n and split into w-bit digits,
   and one precomputed affine point per nonzero digit is added, with no
-  doublings.  The table (ceil(bitlen(n)/3) rows of 7 points; 54 rows,
-  about 60 KB, for secp160r1) is built once per `CurveParams`, on the first
-  such call, and is held on that instance.  Tallies 11 per mixed addition
-  and 4 to return to affine;
+  doublings.  A member's multiple runs on w = `_WINDOW` (3), the table of
+  ceil(bitlen(n)/3) rows of 7 points (54 rows, about 60 KB, for
+  secp160r1); `gas_core.gm_verify`'s recomputations run on w =
+  `_GM_WINDOW` (8), ceil(bitlen(n)/8) rows of 255 points (21 rows, about
+  0.8 MB, for secp160r1).  Each table is built once per `CurveParams`, on
+  its first use, and is held on that instance.  Tallies 11 per mixed
+  addition and 4 to return to affine;
 * interleaved, for `_multi_scalar_jacobian`, sum k_i P_i, and for
   `scalar_mul` of any other point as its one term: each k_i is recoded as a
   width-4 NAF over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
@@ -67,7 +70,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, Prime, _reduced, active_counter, cached_prime,
+    FieldElement, Prime, _reduced, active_counter, batch_inverse, cached_prime,
     json_int, json_object, json_str, tally_muls,
 )
 
@@ -180,6 +183,12 @@ class CurveParams:
         if self.subgroup_order is not None:
             if not is_probable_subgroup(self):
                 raise ValueError("subgroup_order does not annihilate the generator")
+            try:  # cached, so `scalar_field` reuses this test
+                cached_prime(self.subgroup_order)
+            except ValueError:
+                raise ValueError(
+                    f"subgroup_order {self.subgroup_order} is not a prime >= 3"
+                ) from None
 
     def scalar_field(self) -> Prime:
         """The prime scalar ring; requires a published subgroup order."""
@@ -190,7 +199,13 @@ class CurveParams:
     @cached_property
     def _generator_table(self) -> list[list[tuple[int, int] | None]]:
         """Fixed-base table of `scalar_mul`, built on first use; see there."""
-        return _build_generator_table(self)
+        return _build_generator_table(self, _WINDOW)
+
+    @cached_property
+    def _gm_table(self) -> list[list[tuple[int, int] | None]]:
+        """The `_GM_WINDOW` fixed-base table of `gas_core.gm_verify`, built
+        on its first check, never at load."""
+        return _build_generator_table(self, _GM_WINDOW)
 
     @cached_property
     def _subgroup_points(self) -> frozenset[tuple[int, int]] | None:
@@ -291,10 +306,19 @@ _AFFINE_DOUBLE_MULS = 4 + 3  # lambda = (3x^2 + a) / 2y, then x3 and y3
 _AFFINE_ADD_MULS = 3 + 3  # lambda = (y2 - y) / (x2 - x), then x3 and y3
 _NAF_TABLE_MULS = _AFFINE_DOUBLE_MULS + 3 * _AFFINE_ADD_MULS  # per point: 2P, 3P, 5P, 7P
 
-# Digit width of the fixed-base path.  4-bit windows are faster still, but
-# then a secp160r1 TEM can tally fewer than a third of the modeled 1189
-# field multiplications, the floor tests/test_cost_model.py holds.
+# Digit width of a member's fixed-base path.  4-bit windows are faster
+# still, but then a secp160r1 TEM can tally fewer than a third of the
+# modeled 1189 field multiplications, the floor tests/test_cost_model.py
+# holds for a device.
 _WINDOW = 3
+
+# Digit width of the GM's fixed-base table, for `gas_core.gm_verify`.  The
+# GM is no device of that model (the simulator gives it `GM_SPEEDUP`), and
+# its table is built once per curve and process.  Measured on secp160r1
+# (CPython 3.11, 2-vCPU KVM guest), per check, table build and table size:
+# w = 6 87 us, 11 ms, 0.24 MB; w = 7 76 us, 19 ms, 0.43 MB; w = 8 66 us,
+# 34 ms, 0.81 MB; w = 3, the members' table, 161 us.
+_GM_WINDOW = 8
 
 # Shortest scalar, in bits, on the variable-base width-4 NAF path.  Below it
 # the NAF's precompute costs more than it saves, and binary double-and-add
@@ -356,7 +380,8 @@ def _madd(
     if not H:
         if R:
             return X, Y, 0, _MADD_CHECK_MULS
-        return (*_double(x2, y2, 1, a, p), _MADD_CHECK_MULS + _DOUBLE_MULS)
+        dbl, dbl_muls = _doubling(a, p)
+        return (*dbl(x2, y2, 1, a, p), _MADD_CHECK_MULS + dbl_muls)
     HH = H * H % p
     HHH = H * HH % p
     V = X * HH % p
@@ -471,20 +496,24 @@ def _interleaved(
     return X, Y, Z, muls
 
 
-def _fixed_base(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
-    """k * G from the generator table: (X, Y, Z, muls).
+def _fixed_base(
+    k: int, curve: CurveParams, table: list[list[tuple[int, int] | None]]
+) -> tuple[int, int, int, int]:
+    """k * G from a generator table of `_build_generator_table`, its rows of
+    2^w entries: (X, Y, Z, muls).
 
     The general case of `_madd` runs inline; the first addition (Z = 0) and
     P + P or P + (-P) (H = 0) go through `_madd` itself.
     """
     p, a = curve.modulus.value, curve.a.residue
-    mask = (1 << _WINDOW) - 1
+    mask = len(table[0]) - 1
+    window = mask.bit_length()
     k %= curve.subgroup_order
     X, Y, Z = 1, 1, 0
     muls = 0
-    for row in curve._generator_table:
+    for row in table:
         entry = row[k & mask]
-        k >>= _WINDOW
+        k >>= window
         if entry is None:
             continue
         x2, y2 = entry
@@ -506,26 +535,50 @@ def _fixed_base(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
     return X, Y, Z, muls
 
 
-def _build_generator_table(curve: CurveParams) -> list[list[tuple[int, int] | None]]:
-    """Rows T[j][d] = d * 2^(3j) * G for d < 8, affine, None for infinity.
+def _build_generator_table(
+    curve: CurveParams, window: int
+) -> list[list[tuple[int, int] | None]]:
+    """Rows T[j][d] = d * B_j, B_j = 2^(wj) * G, for d < 2^w and w = window,
+    affine, None for infinity; ceil(bitlen(n)/w) rows.
 
-    Row 0 comes from the variable-base path, each later row from three
-    doublings of the one before, and each entry returns to affine with its
-    own inversion.  Tallies nothing.
+    Each B_j is w doublings of the one before, and all return to affine
+    with one `field.batch_inverse`; then each row runs d B_j = (d - 1) B_j
+    + B_j, one mixed addition per entry, and returns to affine with one
+    `field.batch_inverse`.  B_j is never infinity: n is an odd prime.
+    Tallies nothing.
     """
     p, a = curve.modulus.value, curve.a.residue
-    gx, gy = curve.generator.x.residue, curve.generator.y.residue
-    rows = -(-curve.subgroup_order.bit_length() // _WINDOW)
-    row = [(1, 1, 0)] + [
-        _interleaved([(d, gx, gy)], a, p)[:3] for d in range(1, 1 << _WINDOW)
-    ]
+    dbl, _ = _doubling(a, p)
+    rows = -(-curve.subgroup_order.bit_length() // window)
+    bases = [(curve.generator.x.residue, curve.generator.y.residue, 1)]
+    for _ in range(rows - 1):
+        X, Y, Z = bases[-1]
+        for _ in range(window):
+            X, Y, Z = dbl(X, Y, Z, a, p)
+        bases.append((X, Y, Z))
     table = []
-    for j in range(rows):
-        if j:
-            for _ in range(_WINDOW):
-                row = [_double(X, Y, Z, a, p) for X, Y, Z in row]
-        table.append([_to_affine(X, Y, Z, p) for X, Y, Z in row])
+    for bx, by in _batch_to_affine(bases, p):
+        row = [(1, 1, 0), (bx, by, 1)]
+        X, Y, Z = row[1]
+        for _ in range((1 << window) - 2):
+            X, Y, Z, _ = _madd(X, Y, Z, bx, by, a, p)
+            row.append((X, Y, Z))
+        table.append(_batch_to_affine(row, p))
     return table
+
+
+def _batch_to_affine(
+    points: list[tuple[int, int, int]], p: int
+) -> list[tuple[int, int] | None]:
+    """`_to_affine` of every Jacobian point, with one inversion for all."""
+    out = []
+    for (X, Y, Z), z_inv in zip(points, batch_inverse([Z for _, _, Z in points], p)):
+        if not Z:
+            out.append(None)
+            continue
+        zz_inv = z_inv * z_inv % p
+        out.append((X * zz_inv % p, Y * zz_inv * z_inv % p))
+    return out
 
 
 def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
@@ -536,12 +589,14 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     inversion at the end returns to affine coordinates.
 
     * Fixed base, when pt equals `curve.generator` and `subgroup_order` n is
-      set: k mod n is split into 3-bit digits d_j, and the precomputed
-      affine point d_j * 2^(3j) * G of each nonzero digit is added with a
-      mixed addition, with no doublings (fixed-base windowing,
+      set: k mod n is split into 3-bit digits d_j (`_WINDOW`), and the
+      precomputed affine point d_j * 2^(3j) * G of each nonzero digit is
+      added with a mixed addition, with no doublings (fixed-base windowing,
       Brickell-Gordon-McCurley-Wilson, EUROCRYPT'92).  The first such call
       on a `CurveParams` builds its table of ceil(bitlen(n)/3) rows of 7
-      points (about 11 ms for secp160r1), untallied.
+      points (about 4 ms for secp160r1), untallied.  This is a member's
+      TEM, the modeled device cost; `gas_core.gm_verify` runs the same loop
+      on the GM's 8-bit table (`_GM_WINDOW`), not from here.
     * Variable base, for any other point: the loop of
       `_multi_scalar_jacobian` with one term.  k of 32 bits or more is
       recoded as a width-4 NAF, whose nonzero digits are odd, below 8 in
@@ -573,7 +628,7 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     if k == 0 or pt.is_infinity:
         return _INFINITY
     if generator and curve.subgroup_order is not None:
-        X, Y, Z, muls = _fixed_base(k, curve)
+        X, Y, Z, muls = _fixed_base(k, curve, curve._generator_table)
     else:
         X, Y, Z, muls = _interleaved(
             [(k, pt.x.residue, pt.y.residue)], curve.a.residue, curve.modulus.value
@@ -581,14 +636,17 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     return _affine_result(X, Y, Z, muls, curve)
 
 
-def _generator_jacobian(k: int, curve: CurveParams) -> tuple[int, int, int, int]:
+def _generator_jacobian(
+    k: int, curve: CurveParams, gm: bool = False
+) -> tuple[int, int, int, int]:
     """k * G for k >= 0, as `scalar_mul` runs it on a curve with
     `subgroup_order` set, up to its return to affine: (X, Y, Z, muls), with
-    the TEM recorded."""
+    the TEM recorded.  With `gm`, the same point from the GM's wider table
+    (`CurveParams._gm_table`), in fewer mixed additions."""
     counter = active_counter()
     if counter is not None:
         counter.ec_scalar_muls += 1
-    return _fixed_base(k, curve)
+    return _fixed_base(k, curve, curve._gm_table if gm else curve._generator_table)
 
 
 def _multi_scalar_jacobian(

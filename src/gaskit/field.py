@@ -177,12 +177,15 @@ class MulCounter:
     table, like the generator table of `ec`, is built untallied);
     inversions are not counted.  A scalar
     multiplication tallies the formulas it ran, so the same TEM counts
-    differently by path: about 509 on average on secp160r1 for the
-    generator (fixed-base table), about 1.6k for any other point (width-4
-    NAF, its per-call table included).  The variable-base count lies
-    within 3x of the modeled 1189 for every scalar of 47 to 329 bits;
-    about 1 random generator scalar in 10^4 tallies 389 or less, under
-    1189/3.  `ec._multi_scalar_jacobian` records one TEM per term, but its
+    differently by path: about 509 on average on secp160r1 for a member's
+    multiple of the generator (3-bit fixed-base table, the modeled device
+    cost), about 213 for the GM's recomputation of it in
+    `gas_core.gm_verify` (its own 8-bit table, about 0.8 MB, built once per
+    curve per process and outside the per-device model), about 1.6k for any
+    other point (width-4 NAF, its per-call table included).  The
+    variable-base count lies within 3x of the modeled 1189 for every scalar
+    of 47 to 329 bits; about 1 random member's generator scalar in 10^4
+    tallies 389 or less, under 1189/3.  `ec._multi_scalar_jacobian` records one TEM per term, but its
     terms share one run of doublings: m random secp160r1 terms tally about
     382 each for their tables and additions, plus about 1.3k for the
     doublings, once.  `gas_core.decentralized_verify` passes it short signed weights

@@ -2,8 +2,8 @@
 
 The package only computes scalar multiples (`ec.scalar_mul`, and
 `ec._mul_many` on ints) and never adds two given points, so the affine
-chord-tangent law and the constructor of a point from two ints live here.
-Infinity is `CurvePoint(None, None)`.
+chord-tangent law, double-and-add over it and the constructor of a point
+from two ints live here.  Infinity is `CurvePoint(None, None)`.
 """
 
 from gaskit.ec import CurveParams, CurvePoint, _require_on_curve
@@ -42,3 +42,15 @@ def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
     x3 = (lam * lam - x1 - x2) % p
     tally_muls(muls)
     return curve_point(curve, x3, lam * (x1 - x3) - y1)
+
+
+def mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
+    """k * pt for k >= 0 by right-to-left double-and-add over `add`."""
+    acc = CurvePoint(None, None)
+    while k:
+        if k & 1:
+            acc = add(acc, pt, curve)
+        k >>= 1
+        if k:
+            pt = add(pt, pt, curve)
+    return acc

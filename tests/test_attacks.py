@@ -132,7 +132,12 @@ def test_run_attack_dispatch():
     leaky = run_attack("eavesdrop", leaky=True)[0]
     assert leaky.expected == {"leak_count": 1} and leaky.matched
     with pytest.raises(ValueError, match="unknown attack"):
-        run_attack("bogus")
+        run_attack("bogus", m=3)
+    # an option the scenario does not take is named, not ignored
+    with pytest.raises(ValueError, match="attack replay does not take --m, --leaky$"):
+        run_attack("replay", m=3, leaky=True)
+    with pytest.raises(ValueError, match="attack flood does not take --scheme$"):
+        run_attack("flood", scheme="harn")
 
 
 def test_finding_serialization():

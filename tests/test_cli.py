@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gaskit import cli, cost_model, gas_core, sim
+from gaskit import cli, cost_model, ec, gas_core, sim
 from gaskit.cli import main
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
@@ -57,6 +57,16 @@ def test_demo_harn(capsys):
 def test_demo_unknown_curve(capsys):
     code, _, err = run_cli(capsys, "demo", "--curve", "builtin:nope")
     assert code == 2 and "unknown builtin curve" in err
+
+
+def test_demo_refuses_a_composite_subgroup_order(capsys, tmp_path):
+    # it used to load and fail at first use as "modulus 2035 is not prime"
+    data = dict(ec.curve_to_dict(ec.builtin_curve("test2017")), subgroup_order="2035")
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "demo", "--curve", str(path))
+    assert (code, out) == (2, "")
+    assert err == "gaskit: subgroup_order 2035 is not a prime >= 3\n"
 
 
 # --- cost -----------------------------------------------------------------
@@ -371,6 +381,23 @@ def test_attack_unknown_name(capsys):
     code, out, err = run_cli(capsys, "attack", "--name", "bogus")
     assert code == 2
     assert "replay" in err and "eavesdrop" in err  # lists valid names
+
+
+@pytest.mark.parametrize("argv", [
+    ("replay", "--m", "3"), ("replay", "--t", "2"), ("replay", "--mode", "centralized"),
+    ("node-compromise", "--m", "3"), ("node-compromise", "--t", "2"),
+    ("node-compromise", "--mode", "decentralized"),
+    ("flood", "--t", "2"), ("flood", "--mode", "centralized"),
+    ("dos-invalid-share", "--rotate"), ("eavesdrop", "--rotate"), ("flood", "--rotate"),
+    ("replay", "--leaky"), ("node-compromise", "--leaky"), ("dos-invalid-share", "--leaky"),
+    ("flood", "--leaky"),
+])
+def test_attack_refuses_an_option_its_scenario_does_not_take(capsys, argv):
+    # each used to run the scenario's defaults and exit 0
+    name, option = argv[0], argv[1]
+    code, out, err = run_cli(capsys, "attack", "--name", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"gaskit: attack {name} does not take {option}\n"
 
 
 def test_attack_eavesdrop_leaky_negative_control(capsys):

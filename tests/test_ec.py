@@ -8,12 +8,15 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ec as crypto_ec
 
 from gaskit.ec import (
+    _GM_WINDOW,
     _NAF_MIN_BITS,
+    BUILTIN_CURVES,
     CurveParams,
     CurvePoint,
     _affine_result,
     _double,
     _double_a3,
+    _interleaved,
     _jacobian_is,
     _mul_many,
     _multi_scalar_jacobian,
@@ -28,7 +31,7 @@ from gaskit.ec import (
     scalar_mul,
 )
 from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime
-from oracle import add, curve_point
+from oracle import add, curve_point, mul
 
 TEST2017 = builtin_curve("test2017")
 TOY5 = builtin_curve("toy5")
@@ -229,7 +232,7 @@ def _interleaved_muls(terms, curve):
     additions, 7 + 3 * 6.  One shared doubling per position under the
     highest top digit: 8 when the curve has a = -3, 10 otherwise.  Per
     nonzero digit, in term order at each position: nothing into infinity,
-    4 + 10 for P + P, 4 for P + (-P), 11 otherwise.  Then 4 to return a
+    4 and a doubling for P + P, 4 for P + (-P), 11 otherwise.  Then 4 to return a
     finite sum to affine."""
     p = curve.modulus.value
     terms = [(k, pt) for k, pt in terms if k and not pt.is_infinity]
@@ -261,7 +264,7 @@ def _interleaved_muls(terms, curve):
             if acc.is_infinity:
                 pass
             elif acc == addend:
-                muls += 4 + 10
+                muls += 4 + dbl
             elif acc == _negate(addend):
                 muls += 4
             else:
@@ -349,6 +352,18 @@ def test_subgroup_order_validated():
             del data["order"]
         with pytest.raises(ValueError, match="annihilate"):
             curve_from_dict(data)
+
+
+def test_subgroup_order_must_be_prime():
+    # 2035 = 5 * 11 * 37 is the group order itself: it annihilates G and
+    # divides the order, so only the primality test refuses it at load
+    data = dict(curve_to_dict(TEST2017), subgroup_order="2035")
+    with pytest.raises(ValueError, match="subgroup_order 2035 is not a prime"):
+        curve_from_dict(data)
+    # (4, 0) of toy5 has order 2: prime, but below a field modulus's 3
+    data = dict(curve_to_dict(TOY5), Gx="4", Gy="0", subgroup_order="2")
+    with pytest.raises(ValueError, match="subgroup_order 2 is not a prime >= 3"):
+        curve_from_dict(data)
 
 
 def test_curve_from_dict_refuses_a_non_object():
@@ -586,13 +601,14 @@ def _fresh_curve(name):
     return curve_from_dict(curve_to_dict(builtin_curve(name)), name=name)
 
 
-def _fixed_base_muls(k, curve):
-    """Tally of k * G on the fixed-base path when no P + P or P + (-P) occurs."""
+def _fixed_base_muls(k, curve, window=3):
+    """Tally of k * G on the fixed-base path of that window when no P + P or
+    P + (-P) occurs."""
     k %= curve.subgroup_order
     digits = 0
     while k:
-        digits += bool(k & 7)
-        k >>= 3
+        digits += bool(k % (1 << window))
+        k >>= window
     return 11 * (digits - 1) + 4 if digits else 0
 
 
@@ -628,6 +644,45 @@ def test_fixed_base_tally_and_config_roundtrip():
             got = scalar_mul(k, g, curve)
         assert got == _ref_scalar_mul(k % n, curve.generator, curve)
         assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(k, curve))
+
+
+@pytest.mark.parametrize("name", BUILTIN_CURVES)
+def test_gm_table_rows_match_oracle(name):
+    # T[j][d] = d * B_j with B_0 = G and B_j = 2^w B_(j-1): the batched
+    # build checked entry by entry, None where a multiple wraps to infinity
+    curve = _fresh_curve(name)
+    table = curve._gm_table
+    n = curve.subgroup_order
+    assert len(table) == -(-n.bit_length() // _GM_WINDOW)
+    base = curve.generator
+    for j, row in enumerate(table):
+        if j:
+            for _ in range(_GM_WINDOW):
+                base = add(base, base, curve)
+        assert len(row) == 1 << _GM_WINDOW and row[0] is None
+        want = CurvePoint(None, None)
+        for d, entry in enumerate(row[1:], start=1):
+            want = add(want, base, curve)
+            got = CurvePoint(None, None) if entry is None else curve_point(curve, *entry)
+            assert got == want, (j, d)
+    # on the small curves n < 2^w, so row 0 holds n G = O and more
+    wrapped = [d for d, entry in enumerate(table[0]) if d and entry is None]
+    assert wrapped == list(range(n, 1 << _GM_WINDOW, n))
+    assert (len(wrapped) > 0) == (name != "secp160r1")
+
+
+def test_madd_doubles_p_plus_p_with_the_curves_formula():
+    # two equal terms meet P + P in `_madd`: on secp160r1 (a = -3) it
+    # doubles with dbl-2001-b, 4 + 8 multiplications, not the general 4 + 10
+    curve = builtin_curve("secp160r1")
+    p, a = curve.modulus.value, curve.a.residue
+    g = curve.generator
+    gx, gy = g.x.residue, g.y.residue
+    # k = 1: G + G; k = 3: G + G, one doubling, then two general additions
+    for k, muls in [(1, 4 + 8), (3, 4 + 8 + 8 + 2 * 11)]:
+        X, Y, Z, got = _interleaved([(k, gx, gy), (k, gx, gy)], a, p)
+        assert got == muls
+        assert _affine_result(X, Y, Z, 0, curve) == mul(2 * k, g, curve)
 
 
 # --- the width-4 NAF variable-base path -------------------------------------------------

@@ -12,7 +12,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from gaskit import gas_core, wire
 from gaskit.attacks import _recorder
-from gaskit.ec import CurvePoint, builtin_curve, scalar_mul
+from gaskit.ec import _GM_WINDOW, BUILTIN_CURVES, CurvePoint, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_weights
 from gaskit.gas_core import (
     CommitmentMismatchError,
@@ -36,8 +36,11 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
-from oracle import add, curve_point
-from test_ec import _interleaved_muls, _multi_scalar_mul, _negate, _prime_above, _test2017_torsion
+from oracle import add, curve_point, mul
+from test_ec import (
+    _fixed_base_muls, _interleaved_muls, _multi_scalar_mul, _negate, _prime_above,
+    _test2017_torsion,
+)
 
 CURVE = builtin_curve("test2017")
 
@@ -270,7 +273,8 @@ def test_decentralized_verify_threshold_and_membership():
 def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     # gm_verify and decentralized_verify compare a Jacobian result with the
     # point they check: each verdict is the affine `==`'s, and gm_verify
-    # tallies per member what `scalar_mul` of its share does
+    # tallies per member the GM table's mixed additions, one per nonzero
+    # 8-bit digit of the share but the first, and the 4 of the comparison
     config, shares = gm_init(3, 6, builtin_curve(name), random.Random(61))
     _, honest = run_confirmation(config, shares)
     curve = config.curve
@@ -286,12 +290,12 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     wrong_id = PublicShare(first.member_id, second.point)
     for ps, accepted in [*((ps, True) for ps in honest), (negated, False), (foreign, False),
                          (foreign_y, False), (wrong_id, False)]:
-        with MulCounter() as want_ops:
-            want = scalar_mul(by_id[ps.member_id].y.residue, curve.generator, curve) == ps.point
+        y = by_id[ps.member_id].y.residue
+        want = scalar_mul(y, curve.generator, curve) == ps.point
         with MulCounter() as ops:
             got = gm_verify(config, shares, [ps])
         assert got == {ps.member_id: want} == {ps.member_id: accepted}
-        assert (ops.ec_scalar_muls, ops.field_muls) == (1, want_ops.field_muls)
+        assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(y, curve, _GM_WINDOW))
     # every share negated: the weighted sum is -Q, of Q's x
     all_negated = [PublicShare(ps.member_id, CurvePoint(ps.point.x, -ps.point.y))
                    for ps in honest]
@@ -314,6 +318,45 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     for ps in (foreign, foreign_y):
         with pytest.raises(ValueError, match="off-curve"):
             decentralized_verify(config, [ps, *honest[1:]])
+
+
+@pytest.mark.parametrize("name", BUILTIN_CURVES)
+def test_gm_verify_expected_point_matches_oracle_at_boundary_scalars(name):
+    # a share of y = 1, 2^w - 1, 2^w or n - 1 (w the GM table's window, the
+    # scalars reduced mod n): gm_verify accepts the oracle's y * P and
+    # refuses (y + 1) * P.  On test2017 and toy5, n < 2^w, so the GM
+    # table's one row holds entries that wrap to infinity.
+    curve = builtin_curve(name)
+    config, shares = gm_init(1, 2, curve, random.Random(31))
+    q, n, g = config.scalar_field, curve.subgroup_order, curve.generator
+    for y in (1, 2**_GM_WINDOW - 1, 2**_GM_WINDOW, n - 1):
+        share = dataclasses.replace(shares[0], y=FieldElement(y % n, q))
+        for k, accepted in ((y, True), (y + 1, False)):
+            point = mul(k, g, curve)
+            if point.is_infinity:  # k = 0 mod n: no public share encodes it
+                continue
+            ps = PublicShare(share.member_id, point)
+            with MulCounter() as ops:
+                assert gm_verify(config, [share], [ps]) == {share.member_id: accepted}
+            assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(y, curve, _GM_WINDOW))
+    wraps = any(entry is None for entry in curve._gm_table[0][1:])
+    assert wraps == (name != "secp160r1")
+
+
+def test_gm_table_is_built_on_the_first_check_only():
+    # loading, the scalar field, dealing and a member's public share leave
+    # the GM's table unbuilt; the first gm_verify builds it on the curve
+    for name in BUILTIN_CURVES:
+        curve = builtin_curve.__wrapped__(name)  # a fresh load, past the cache
+        assert curve is not builtin_curve(name)
+        assert "_gm_table" not in vars(curve)
+        curve.scalar_field()
+        config, shares = gm_init(1, 2, curve, random.Random(3))
+        state = MemberState(share=shares[0], config=config)
+        ps = make_public_share(state)
+        assert "_gm_table" not in vars(curve)
+        assert gm_verify(config, shares, [ps]) == {ps.member_id: True}
+        assert "_gm_table" in vars(curve)
 
 
 def _lagrange_terms(config, received):
@@ -1097,18 +1140,24 @@ def test_wired_session_counts_pinned():
         ]
     assert opened == rotation.shares
     assert ops.ec_scalar_muls == m * m + 2 * m + 2 == 82
-    # every step but the ECDH and decentralized_verify tallies 1292.  Each
-    # member's m - 1 shared points run the binary digits of its y (under 6
-    # bits) in lockstep: 7 per point and doubling, 6 per point and addition.
-    # decentralized_verify: its m weights from one batch inversion
-    # (m^2 + 6m) and its interleaved sum of signed terms, recounted
+    # every step but gm_verify, the ECDH and decentralized_verify tallies
+    # 1194.  gm_verify takes each y < 37 from one entry of the GM's 8-bit
+    # table, 4 per member, where `make_public_share`'s 3-bit table adds 11
+    # for each of the 6 y's with two nonzero 3-bit digits.
+    ys = [s.y.residue for s in shares]
+    assert sum(1 for y in ys if y & 7 and y >> 3) == 6
+    gm = sum(_fixed_base_muls(y, CURVE, _GM_WINDOW) for y in ys)
+    assert gm == 4 * m
+    # Each member's m - 1 shared points run the binary digits of its y
+    # (under 6 bits) in lockstep: 7 per point and doubling, 6 per point and
+    # addition.  decentralized_verify: its m weights from one batch
+    # inversion (m^2 + 6m) and its interleaved sum of signed terms, recounted
     ecdh = sum(
-        (m - 1) * (7 * (y.bit_length() - 1) + 6 * (bin(y).count("1") - 1))
-        for y in (s.y.residue for s in shares)
+        (m - 1) * (7 * (y.bit_length() - 1) + 6 * (bin(y).count("1") - 1)) for y in ys
     )
     assert ecdh == 2009
     interleaved = _interleaved_muls(_lagrange_terms(config, received), CURVE)
-    assert ops.field_muls == 1292 + ecdh + m * m + 6 * m + interleaved
+    assert ops.field_muls == 1194 + gm + ecdh + m * m + 6 * m + interleaved
 
 
 def test_config_epoch_fits_the_frame_header():
