@@ -21,8 +21,11 @@ per proposed run; without it the CSV is the same and no log is built.
 Work is bounded at validation, before any is done: a group (``demo
 --n``, ``simulate --m``, every ``sweep`` m) of at most
 `sim.MAX_GROUP_SIZE` members, at most `MAX_M_VALUES` values in
-``--m-list`` or ``--m-range`` and a Harn ``--p-bits`` of at most
-`MAX_P_BITS`.  Anything above exits 2.
+``--m-list`` or ``--m-range``, a Harn ``--p-bits`` of at most
+`gas_harn.MAX_P_BITS` (2048), and in a parameter file, before any
+primality test, a curve's ``p`` and ``subgroup_order`` of at most
+`ec.MAX_CURVE_BITS` (521) bits and a Harn modulus's ``p`` and ``q`` of at
+most `gas_harn.MAX_P_BITS`.  Anything above exits 2.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import sys
 from . import attacks, cost_model, gas_core, gas_harn, sim
 from .ec import CurveParams, CurvePoint, brute_force_order, curve_to_dict, scalar_mul
 from .field import Prime, is_probable_prime
+from .gas_harn import MAX_P_BITS
 
 __all__ = ["main"]
 
 MAX_M_VALUES = 100  # in --m-list or --m-range; the paper's figures use 5
-MAX_P_BITS = 2048  # Harn's p; the paper uses 1024, and 2048 takes about 10 s to generate
 
 
 def _err(msg: str) -> None:

@@ -19,7 +19,6 @@ Per-user totals as a function of group size m:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "SCHEMES",
@@ -28,7 +27,6 @@ __all__ = [
     "TMULP_IN_TMULQ",
     "TEM_TMULQ",
     "per_user_cost",
-    "savings_ratio",
     "EnergyBreakdown",
     "energy",
     "CSV_FIELDS",
@@ -68,11 +66,6 @@ def per_user_cost(scheme: str, m: int, harn_slope: str = "text") -> int:
     if scheme == "chien":
         return CHIEN_LAGRANGE_PER_X * m + CHIEN_BASE
     raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
-
-
-def savings_ratio(m: int) -> Fraction:
-    """Energy saving of the proposed scheme against Chien's (exact)."""
-    return 1 - Fraction(per_user_cost("proposed", m), per_user_cost("chien", m))
 
 
 @dataclass(frozen=True)

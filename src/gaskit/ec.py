@@ -13,9 +13,10 @@ once per call.  There are three loops:
   ceil(bitlen(n)/3) rows of 7 points (54 rows, about 60 KB, for
   secp160r1); `gas_core.gm_verify`'s recomputations run on w =
   `_GM_WINDOW` (8), ceil(bitlen(n)/8) rows of 255 points (21 rows, about
-  0.8 MB, for secp160r1).  Each table is built once per `CurveParams`, on
-  its first use, and is held on that instance.  Tallies 11 per mixed
-  addition and 4 to return to affine;
+  0.8 MB, for secp160r1).  In each, the top row stops at the top digit of
+  n - 1 (secp160r1: 2 of 7 points, 1 of 255).  Each table is built once
+  per `CurveParams`, on its first use, and is held on that instance.
+  Tallies 11 per mixed addition and 4 to return to affine;
 * interleaved, for `_multi_scalar_jacobian`, sum k_i P_i, and for
   `scalar_mul` of any other point as its one term: each k_i is recoded as a
   width-4 NAF over the affine odd multiples P_i, 3P_i, 5P_i, 7P_i when it has
@@ -40,8 +41,8 @@ denominator, returns None for its caller's per-point fallback.
 A verifier that only compares its result with a given point keeps it in
 Jacobian coordinates: `_jacobian_at` tests X = x Z^2 and Y = y Z^3 on the
 point's integers with the 4 multiplications of the return to affine,
-tallied the same, and no inversion; `_jacobian_is` does so for a
-`CurvePoint`.  `gas_core.gm_verify` and `decentralized_verify` use them.
+tallied the same, and no inversion.  `gas_core.gm_verify` and
+`decentralized_verify` use it.
 
 A point from outside is checked once, on its integers, by
 `check_affine_point`; `gas_core` keeps received public shares as those
@@ -86,9 +87,14 @@ __all__ = [
     "curve_from_dict",
     "curve_to_dict",
     "BUILTIN_CURVES",
+    "MAX_CURVE_BITS",
 ]
 
 _BRUTE_FORCE_LIMIT = 10**6
+
+# Bit length cap of a curve file's p and subgroup_order (P-521), checked
+# before any primality test: Miller-Rabin costs about 7x per doubling.
+MAX_CURVE_BITS = 521
 
 # Largest subgroup order n whose points (x, y) `check_affine_point` looks up
 # in a set (test2017's n = 37); above it, or with no group order, it multiplies by n.
@@ -157,7 +163,8 @@ class CurveParams:
     """y^2 = x^3 + Ax + B over F_p, plus a published generator.
 
     `order` is the full group order (optional until computed for toy
-    curves); `subgroup_order` is the prime order of the generator, the
+    curves), which must lie in the Hasse interval |order - p - 1| <= 2
+    sqrt(p); `subgroup_order` is the prime order of the generator, the
     modulus protocol scalars are drawn from.
     """
 
@@ -180,6 +187,10 @@ class CurveParams:
             raise ValueError("generator must not be the point at infinity")
         if self.order is not None and self.order < 1:
             raise ValueError(f"group order must be >= 1, got {self.order}")
+        if self.order is not None and (self.order - p - 1) ** 2 > 4 * p:
+            raise ValueError(
+                f"order {self.order} is outside the Hasse interval p + 1 +- 2 sqrt(p), p = {p}"
+            )
         if self.subgroup_order is not None:
             if not is_probable_subgroup(self):
                 raise ValueError("subgroup_order does not annihilate the generator")
@@ -497,17 +508,16 @@ def _interleaved(
 
 
 def _fixed_base(
-    k: int, curve: CurveParams, table: list[list[tuple[int, int] | None]]
+    k: int, curve: CurveParams, table: list[list[tuple[int, int] | None]], window: int
 ) -> tuple[int, int, int, int]:
-    """k * G from a generator table of `_build_generator_table`, its rows of
-    2^w entries: (X, Y, Z, muls).
+    """k * G from the generator table `_build_generator_table` built with
+    this window: (X, Y, Z, muls).
 
     The general case of `_madd` runs inline; the first addition (Z = 0) and
     P + P or P + (-P) (H = 0) go through `_madd` itself.
     """
     p, a = curve.modulus.value, curve.a.residue
-    mask = len(table[0]) - 1
-    window = mask.bit_length()
+    mask = (1 << window) - 1
     k %= curve.subgroup_order
     X, Y, Z = 1, 1, 0
     muls = 0
@@ -539,7 +549,9 @@ def _build_generator_table(
     curve: CurveParams, window: int
 ) -> list[list[tuple[int, int] | None]]:
     """Rows T[j][d] = d * B_j, B_j = 2^(wj) * G, for d < 2^w and w = window,
-    affine, None for infinity; ceil(bitlen(n)/w) rows.
+    affine, None for infinity; ceil(bitlen(n)/w) rows.  The top row stops
+    at the largest top digit of a scalar below n, (n - 1) >> w(rows - 1):
+    `_fixed_base` reduces k mod n, so it never reads further.
 
     Each B_j is w doublings of the one before, and all return to affine
     with one `field.batch_inverse`; then each row runs d B_j = (d - 1) B_j
@@ -549,7 +561,9 @@ def _build_generator_table(
     """
     p, a = curve.modulus.value, curve.a.residue
     dbl, _ = _doubling(a, p)
-    rows = -(-curve.subgroup_order.bit_length() // window)
+    n = curve.subgroup_order
+    rows = -(-n.bit_length() // window)
+    top = (n - 1) >> window * (rows - 1)
     bases = [(curve.generator.x.residue, curve.generator.y.residue, 1)]
     for _ in range(rows - 1):
         X, Y, Z = bases[-1]
@@ -557,10 +571,10 @@ def _build_generator_table(
             X, Y, Z = dbl(X, Y, Z, a, p)
         bases.append((X, Y, Z))
     table = []
-    for bx, by in _batch_to_affine(bases, p):
+    for j, (bx, by) in enumerate(_batch_to_affine(bases, p)):
         row = [(1, 1, 0), (bx, by, 1)]
         X, Y, Z = row[1]
-        for _ in range((1 << window) - 2):
+        for _ in range((top + 1 if j == rows - 1 else 1 << window) - 2):
             X, Y, Z, _ = _madd(X, Y, Z, bx, by, a, p)
             row.append((X, Y, Z))
         table.append(_batch_to_affine(row, p))
@@ -594,9 +608,10 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
       added with a mixed addition, with no doublings (fixed-base windowing,
       Brickell-Gordon-McCurley-Wilson, EUROCRYPT'92).  The first such call
       on a `CurveParams` builds its table of ceil(bitlen(n)/3) rows of 7
-      points (about 4 ms for secp160r1), untallied.  This is a member's
-      TEM, the modeled device cost; `gas_core.gm_verify` runs the same loop
-      on the GM's 8-bit table (`_GM_WINDOW`), not from here.
+      points, the top one shorter (about 4 ms for secp160r1), untallied.
+      This is a member's TEM, the modeled device cost; `gas_core.gm_verify`
+      runs the same loop on the GM's 8-bit table (`_GM_WINDOW`), not from
+      here.
     * Variable base, for any other point: the loop of
       `_multi_scalar_jacobian` with one term.  k of 32 bits or more is
       recoded as a width-4 NAF, whose nonzero digits are odd, below 8 in
@@ -628,7 +643,7 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     if k == 0 or pt.is_infinity:
         return _INFINITY
     if generator and curve.subgroup_order is not None:
-        X, Y, Z, muls = _fixed_base(k, curve, curve._generator_table)
+        X, Y, Z, muls = _fixed_base(k, curve, curve._generator_table, _WINDOW)
     else:
         X, Y, Z, muls = _interleaved(
             [(k, pt.x.residue, pt.y.residue)], curve.a.residue, curve.modulus.value
@@ -646,7 +661,8 @@ def _generator_jacobian(
     counter = active_counter()
     if counter is not None:
         counter.ec_scalar_muls += 1
-    return _fixed_base(k, curve, curve._gm_table if gm else curve._generator_table)
+    table, window = (curve._gm_table, _GM_WINDOW) if gm else (curve._generator_table, _WINDOW)
+    return _fixed_base(k, curve, table, window)
 
 
 def _multi_scalar_jacobian(
@@ -773,21 +789,6 @@ def _affine_result(X: int, Y: int, Z: int, muls: int, curve: CurveParams) -> Cur
     return _INFINITY if xy is None else _point(_reduced(xy[0], fp), _reduced(xy[1], fp))
 
 
-def _jacobian_is(X: int, Y: int, Z: int, muls: int, pt: CurvePoint, curve: CurveParams) -> bool:
-    """Whether `_affine_result` of (X : Y : Z) would equal pt, without its
-    inversion; tallies what it would.
-
-    A finite pt equals (X/Z^2, Y/Z^3) iff both its coordinates are elements
-    of the curve's prime p and `_jacobian_at` its residues.  Infinity (Z = 0)
-    equals only infinity.
-    """
-    x, y, p = pt.x, pt.y, curve.modulus.value
-    if x is None:
-        return _jacobian_at(X, Y, Z, muls, None, None, p)
-    return (_jacobian_at(X, Y, Z, muls, x.residue, y.residue, p)
-            and x.modulus.value == p == y.modulus.value)
-
-
 def _jacobian_at(
     X: int, Y: int, Z: int, muls: int, x: int | None, y: int | None, p: int
 ) -> bool:
@@ -830,12 +831,16 @@ BUILTIN_CURVES = ("test2017", "secp160r1", "toy5")
 
 def curve_from_dict(data: dict, name: str = "") -> CurveParams:
     data = json_object(data, "curve file", ("p", "A", "B", "Gx", "Gy"))
-    p = Prime(json_int(data["p"], "p"))
-    a, b, gx, gy = (p.element(json_int(data[k], k)) for k in ("A", "B", "Gx", "Gy"))
+    p = json_int(data["p"], "p")
     order, sub = (
         None if data.get(k) is None else json_int(data[k], k)
         for k in ("order", "subgroup_order")
     )
+    for key, value in (("p", p), ("subgroup_order", sub)):
+        if value is not None and value.bit_length() > MAX_CURVE_BITS:
+            raise ValueError(f"{key} has {value.bit_length()} bits, above {MAX_CURVE_BITS}")
+    p = Prime(p)
+    a, b, gx, gy = (p.element(json_int(data[k], k)) for k in ("A", "B", "Gx", "Gy"))
     label = "" if data.get("name") is None else json_str(data["name"], "name")
     return CurveParams(
         a=a,

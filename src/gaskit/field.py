@@ -2,7 +2,7 @@
 
 `FieldElement` is the checked type at API boundaries: shares, curve
 coordinates, Harn tokens and releases.  Multiplications are the cost unit of
-the whole toolkit, so `FieldElement.__mul__` and `pow` report into whatever
+the whole toolkit, so `FieldElement.__mul__` and `pow_mod` report into whatever
 `MulCounter` is active in the current execution context.  The hot paths
 compute on plain integers instead and tally the multiplications they did in
 bulk, once per call: the curve group (`ec.scalar_mul`, `ec._mul_many`),
@@ -271,9 +271,6 @@ class FieldElement:
         tally_muls(1)
         return FieldElement(self.residue * other.residue, self.modulus)
 
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.residue, self.modulus)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
@@ -292,10 +289,6 @@ class FieldElement:
         if self.residue == 0:
             raise ZeroDivisionError("inverse of zero")
         return FieldElement(pow(self.residue, -1, self.modulus.value), self.modulus)
-
-    def pow(self, exp: int) -> "FieldElement":
-        """base**exp; tallies what `pow_mod` tallies."""
-        return _reduced(pow_mod(self.residue, exp, self.modulus.value), self.modulus)
 
     def to_bytes(self) -> bytes:
         """Canonical encoding: big-endian, fixed width of the modulus."""

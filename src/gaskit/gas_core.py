@@ -38,7 +38,7 @@ from typing import Mapping
 
 from . import wire
 from .ec import (
-    CurveParams, CurvePoint, _affine_xy, _generator_jacobian, _jacobian_at, _jacobian_is,
+    CurveParams, CurvePoint, _affine_xy, _generator_jacobian, _jacobian_at,
     _mul_many, _multi_scalar_jacobian, _satisfies, check_affine_point, is_on_curve, scalar_mul,
 )
 from .field import FieldElement, Prime, _reduced, lagrange_weights
@@ -449,8 +449,8 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     `ec._multi_scalar_jacobian`, on integers: m TEMs under shared doublings,
     and each share checked once, here, on its ints: both coordinates of the
     curve's prime, and the curve equation.  The sum stays in Jacobian
-    coordinates and is compared with Q by `ec._jacobian_is`, as in
-    `gm_verify`.
+    coordinates and is compared with Q's ints by `ec._jacobian_at`, as in
+    `gm_verify`; `GroupConfig` checked Q's coordinates when it was built.
     """
     m = len(received)
     if m < config.threshold:
@@ -470,7 +470,9 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     for w, ps in zip(lagrange_weights(xs, 0, q), received):
         x, y = ps.x, ps.y
         terms.append((q - w, x, -y % p) if w > q >> 1 else (w, x, y))
-    return _jacobian_is(*_multi_scalar_jacobian(terms, m, curve), config.group_public_key, curve)
+    Q = config.group_public_key
+    qx, qy = (None, None) if Q.is_infinity else (Q.x.residue, Q.y.residue)
+    return _jacobian_at(*_multi_scalar_jacobian(terms, m, curve), qx, qy, p)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ __all__ = [
     "derive_generator",
     "release_frame",
     "BUILTIN_HARN_MODULI",
+    "MAX_P_BITS",
 ]
 
 BUILTIN_HARN_MODULI = ("harn-tiny", "harn-1024-160")
@@ -202,10 +203,19 @@ def load_harn_modulus(path) -> HarnModulus:
         return _modulus_from_dict(json.load(fh))
 
 
+# Bit length cap of a Harn p and q, from a file or `gaskit gen-params
+# --p-bits`, checked before any primality test.  The paper uses 1024; 2048
+# takes about 10 s to generate.
+MAX_P_BITS = 2048
+
+
 def _modulus_from_dict(data: dict) -> HarnModulus:
     data = json_object(data, "Harn modulus", ("p", "q"))
-    p = Prime(json_int(data["p"], "p"))
-    q = Prime(json_int(data["q"], "q"))
+    p, q = json_int(data["p"], "p"), json_int(data["q"], "q")
+    for key, value in (("p", p), ("q", q)):
+        if value.bit_length() > MAX_P_BITS:
+            raise ValueError(f"{key} has {value.bit_length()} bits, above {MAX_P_BITS}")
+    p, q = Prime(p), Prime(q)
     g = derive_generator(p, q) if data.get("g") is None else p.element(json_int(data["g"], "g"))
     return HarnModulus(p=p, q=q, g=g)
 

@@ -67,8 +67,6 @@ __all__ = [
     "event_log",
     "sweep",
     "derive_seed",
-    "calibrate_compute_rate",
-    "calibrate_joules_per_tmulq",
     "chien_model_row",
     "preset",
     "PRESETS",
@@ -80,7 +78,7 @@ SCHEME_CHOICES = ("harn", "proposed-centralized", "proposed-decentralized")
 SCHEDULE_CHOICES = ("slotted", "staggered", "flood")
 PRESETS = ("paper-fig3", "paper-fig4")
 
-# One-point calibrations, frozen (see calibrate_* and the test suite):
+# One-point calibrations, frozen (the test suite derives both again):
 # compute rate makes proposed-centralized at m=10 authenticate in 1.3 s;
 # joules_per_tmulq then puts that run's member node at 0.014 J.
 DEFAULT_COMPUTE_RATE = 9267.3278634885  # T_mul,q per second per member node
@@ -717,55 +715,3 @@ def preset(name: str) -> tuple[list[str], list[SimReport]]:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {PRESETS}")
     return sweep(["harn", "chien", "proposed-centralized"], [10 if name == "paper-fig3" else 50])
-
-
-# ---------------------------------------------------------------------------
-# One-point calibrations
-
-def calibrate_compute_rate(
-    target_s: float = 1.3, m: int = 10, base: Scenario | None = None
-) -> float:
-    """Find the compute rate putting proposed-centralized@m at target_s.
-
-    auth time is affine in 1/rate under a fixed schedule, so two probe runs
-    solve it exactly; a verification run guards the affine assumption.
-    """
-    if base is None:
-        base = Scenario(scheme="proposed-centralized", m=m)
-    probe = replace(base, scheme="proposed-centralized", m=m, t=None)
-
-    def auth(rate: float) -> float:
-        with event_log(False):
-            return run(replace(probe, compute_rate=rate)).auth_time_s
-
-    r1, r2 = 1000.0, 2000.0
-    t1, t2 = auth(r1), auth(r2)
-    # t = A + C / rate
-    c = (t1 - t2) / (1.0 / r1 - 1.0 / r2)
-    a = t1 - c / r1
-    if target_s <= a:
-        raise ValueError(f"target {target_s}s is below the airtime floor {a}s")
-    rate = c / (target_s - a)
-    check = auth(rate)
-    if not math.isclose(check, target_s, rel_tol=1e-6):
-        lo, hi = rate / 64, rate * 64
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if auth(mid) > target_s:
-                lo = mid
-            else:
-                hi = mid
-        rate = (lo + hi) / 2
-    return rate
-
-
-def calibrate_joules_per_tmulq(
-    target_j: float = 0.014, m: int = 10, base: Scenario | None = None
-) -> float:
-    """Fit joules/T_mul,q so a member node of proposed@m totals target_j."""
-    if base is None:
-        base = Scenario(scheme="proposed-centralized", m=m)
-    probe = replace(base, scheme="proposed-centralized", m=m, t=None)
-    with event_log(False):
-        rep = run(probe).representative_member()
-    return target_j / (rep.tmulq_count + rep.bytes_tx + rep.bytes_rx)

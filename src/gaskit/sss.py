@@ -50,10 +50,6 @@ class SecretPolynomial:
             raise ValueError("leading coefficient must be nonzero")
 
     @property
-    def threshold(self) -> int:
-        return len(self.coefficients)
-
-    @property
     def secret(self) -> FieldElement:
         return self.coefficients[0]
 

@@ -15,6 +15,13 @@ def curve_point(curve: CurveParams, x: int, y: int) -> CurvePoint:
     return CurvePoint(FieldElement(x, curve.modulus), FieldElement(y, curve.modulus))
 
 
+def negate(pt: CurvePoint) -> CurvePoint:
+    """-pt = (x, -y); infinity for infinity."""
+    if pt.is_infinity:
+        return pt
+    return CurvePoint(pt.x, FieldElement(-pt.y.residue, pt.y.modulus))
+
+
 def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
     """Chord-tangent group law; infinity is the identity.
 

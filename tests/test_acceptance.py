@@ -20,6 +20,7 @@ from gaskit import attacks, cost_model, gas_core, gas_harn, sim
 from gaskit.ec import CurvePoint, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff_at_zero
 from gaskit.sss import ThresholdError, issue_shares, reconstruct, sample_polynomial, verify_commitment
+from calibration import calibrate_compute_rate, calibrate_joules_per_tmulq, savings_ratio
 from oracle import add
 from test_golden import ACCEPTANCE_LINES
 
@@ -57,17 +58,17 @@ def test_criterion_1_cost_model_reproduction():
 def test_criterion_2_savings_claim():
     start = time.monotonic()
     ok = all(
-        cost_model.savings_ratio(m) >= Fraction(80, 100) for m in range(1, 1001)
+        savings_ratio(m) >= Fraction(80, 100) for m in range(1, 1001)
     )
     elapsed = time.monotonic() - start
     _report(2, "savings ratio >= 0.80 for all m in [1, 1000]", ok and elapsed < 1.0,
-            f"min at m=1: {float(cost_model.savings_ratio(1)):.4f}")
+            f"min at m=1: {float(savings_ratio(1)):.4f}")
 
 
 def test_criterion_3_simulation_ratios():
     start = time.monotonic()
     # one-point time calibration on (proposed, m=10, 1.3 s)
-    rate = sim.calibrate_compute_rate(1.3, 10)
+    rate = calibrate_compute_rate(1.3, 10)
     base = sim.Scenario(scheme="proposed-centralized", m=10, compute_rate=rate)
     assert sim.run(base).auth_time_s == pytest.approx(1.3, rel=1e-6)
 
@@ -80,7 +81,7 @@ def test_criterion_3_simulation_ratios():
     ok_ratio = 5.0 * 0.8 <= ratio <= 5.0 * 1.2
 
     # one-point energy calibration on (proposed, m=10, 0.014 J)
-    jpt = sim.calibrate_joules_per_tmulq(0.014, 10, base=base)
+    jpt = calibrate_joules_per_tmulq(0.014, 10, base=base)
     ebase = replace(base, joules_per_tmulq=jpt)
     e_prop = sim.run(replace(ebase, m=50, t=None)).representative_member().total_j
     e_harn = sim.run(replace(ebase, scheme="harn", m=50, t=None)).representative_member().total_j

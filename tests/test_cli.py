@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gaskit import cli, cost_model, ec, gas_core, sim
+from gaskit import cli, cost_model, ec, field, gas_core, sim
 from gaskit.cli import main
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
@@ -67,6 +67,30 @@ def test_demo_refuses_a_composite_subgroup_order(capsys, tmp_path):
     code, out, err = run_cli(capsys, "demo", "--curve", str(path))
     assert (code, out) == (2, "")
     assert err == "gaskit: subgroup_order 2035 is not a prime >= 3\n"
+
+
+def test_demo_refuses_an_order_outside_the_hasse_interval(capsys, tmp_path):
+    # cofactor 1, a lie: it used to switch off the subgroup test, so the
+    # order-5 point (1981, 1664) passed and the demo exited 0
+    data = dict(ec.curve_to_dict(ec.builtin_curve("test2017")), order="37")
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "demo", "--curve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("gaskit: order 37 is outside the Hasse interval")
+
+
+def test_demo_refuses_a_curve_file_above_the_bit_cap(capsys, tmp_path, monkeypatch):
+    # 64 Miller-Rabin rounds on this Mersenne prime ran for minutes
+    def refuse(n):
+        raise AssertionError("primality test before the bit cap")
+
+    monkeypatch.setattr(field, "is_probable_prime", refuse)
+    data = dict(ec.curve_to_dict(ec.builtin_curve("test2017")), p=str(2**9689 - 1))
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "demo", "--curve", str(path))
+    assert (code, out, err) == (2, "", "gaskit: p has 9689 bits, above 521\n")
 
 
 # --- cost -----------------------------------------------------------------

@@ -12,8 +12,8 @@ from gaskit.cost_model import (
     csv_row,
     energy,
     per_user_cost,
-    savings_ratio,
 )
+from calibration import savings_ratio
 
 
 def test_published_constants():

@@ -7,17 +7,20 @@ import random
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec as crypto_ec
 
+from gaskit import field
 from gaskit.ec import (
     _GM_WINDOW,
     _NAF_MIN_BITS,
+    _WINDOW,
     BUILTIN_CURVES,
     CurveParams,
     CurvePoint,
     _affine_result,
     _double,
     _double_a3,
+    _fixed_base,
     _interleaved,
-    _jacobian_is,
+    _jacobian_at,
     _mul_many,
     _multi_scalar_jacobian,
     _naf4,
@@ -31,7 +34,7 @@ from gaskit.ec import (
     scalar_mul,
 )
 from gaskit.field import FieldElement, MulCounter, Prime, is_probable_prime
-from oracle import add, curve_point, mul
+from oracle import add, curve_point, mul, negate
 
 TEST2017 = builtin_curve("test2017")
 TOY5 = builtin_curve("toy5")
@@ -52,7 +55,7 @@ def test_identity_and_inverse():
     inf = CurvePoint(None, None)
     assert add(p, inf, TEST2017) == p
     assert add(inf, p, TEST2017) == p
-    assert add(p, _negate(p), TEST2017) == inf
+    assert add(p, negate(p), TEST2017) == inf
 
 
 def test_doubling_matches_hand_oracle():
@@ -260,12 +263,12 @@ def _interleaved_muls(terms, curve):
             if not d:
                 continue
             addend = _ref_scalar_mul(abs(d), pt, curve)
-            addend = addend if d > 0 else _negate(addend)
+            addend = addend if d > 0 else negate(addend)
             if acc.is_infinity:
                 pass
             elif acc == addend:
                 muls += 4 + dbl
-            elif acc == _negate(addend):
+            elif acc == negate(addend):
                 muls += 4
             else:
                 muls += 11
@@ -385,6 +388,49 @@ def test_curve_from_dict_refuses_zero_and_negative_orders(key, value, problem):
         curve_from_dict(data)
 
 
+@pytest.mark.parametrize("order", [37, 4070, 1924, 2109])
+def test_curve_from_dict_refuses_an_order_outside_the_hasse_interval(order):
+    # multiples of n = 37 all: 37 (cofactor 1) would switch off the subgroup
+    # test, and 1924 and 2109 are the nearest multiples outside p + 1 +- 2 sqrt(p)
+    data = dict(curve_to_dict(TEST2017), order=str(order))
+    with pytest.raises(ValueError, match=f"order {order} is outside the Hasse interval"):
+        curve_from_dict(data)
+    with pytest.raises(ValueError, match="Hasse"):
+        dataclasses.replace(TEST2017, order=order)
+
+
+def test_curve_from_dict_accepts_every_multiple_of_n_inside_the_hasse_interval():
+    # n^2 <= 16p on test2017, so four multiples of 37 fit, the true order
+    # 2035 one of them; the points are not counted
+    p = TEST2017.modulus.value
+    inside = [k * 37 for k in range(1, 100) if (k * 37 - p - 1) ** 2 <= 4 * p]
+    assert inside == [1961, 1998, TEST2017_ORDER, 2072]
+    for order in inside:
+        assert curve_from_dict(dict(curve_to_dict(TEST2017), order=str(order))).order == order
+
+
+@pytest.mark.parametrize(("key", "value", "bits"), [
+    ("p", 2**521 + 1, 522),
+    ("p", 2**9689 - 1, 9689),  # a Mersenne prime
+    ("subgroup_order", 2**600 + 1, 601),
+], ids=["p-522", "p-9689", "subgroup_order-601"])
+def test_curve_from_dict_caps_bits_before_any_primality_test(monkeypatch, key, value, bits):
+    def refuse(n):
+        raise AssertionError(f"primality test of a {n.bit_length()}-bit number")
+
+    monkeypatch.setattr(field, "is_probable_prime", refuse)
+    data = dict(curve_to_dict(TEST2017), **{key: str(value)})
+    with pytest.raises(ValueError, match=f"^{key} has {bits} bits, above 521$"):
+        curve_from_dict(data)
+
+
+def test_curve_from_dict_lets_a_521_bit_p_through_the_cap():
+    # the Mersenne prime 2^521 - 1 is P-521's p; the file fails later, on G
+    data = dict(curve_to_dict(TEST2017), p=str(2**521 - 1), order=None, subgroup_order=None)
+    with pytest.raises(ValueError, match="generator is not on the curve"):
+        curve_from_dict(data)
+
+
 def test_curve_from_dict_reads_name_as_a_string():
     data = dict(curve_to_dict(TEST2017), name=[1])
     with pytest.raises(ValueError, match=r"name must be a string, got \[1\]"):
@@ -423,12 +469,6 @@ def _ref_add(p1, p2, curve):
     x3 = lam * lam - p1.x - p2.x
     y3 = lam * (p1.x - x3) - p1.y
     return CurvePoint(x3, y3)
-
-
-def _negate(pt):
-    if pt.is_infinity:
-        return pt
-    return CurvePoint(pt.x, -pt.y)
 
 
 def _ref_scalar_mul(k, pt, curve):
@@ -546,7 +586,7 @@ def test_add_matches_reference_and_its_tally(name):
     else:
         bound = curve.order or curve.subgroup_order
         pts = [scalar_mul(rng.randrange(1, bound), curve.generator, curve) for _ in range(6)]
-        pts += [CurvePoint(None, None)] + [_negate(pt) for pt in pts[:2]]
+        pts += [CurvePoint(None, None)] + [negate(pt) for pt in pts[:2]]
     for p1 in pts:
         for p2 in pts:
             with MulCounter() as ops:
@@ -653,22 +693,36 @@ def test_gm_table_rows_match_oracle(name):
     curve = _fresh_curve(name)
     table = curve._gm_table
     n = curve.subgroup_order
-    assert len(table) == -(-n.bit_length() // _GM_WINDOW)
+    rows = -(-n.bit_length() // _GM_WINDOW)
+    assert len(table) == rows
+    # the top row stops at the top digit of n - 1, the largest that a
+    # scalar reduced mod n has: on the small curves n < 2^w, so one row of
+    # n entries; on secp160r1 (161 bits) a 21st row of 2
+    top = (n - 1) >> _GM_WINDOW * (rows - 1)
+    assert len(table[-1]) == top + 1 == {"secp160r1": 2}.get(name, n)
     base = curve.generator
     for j, row in enumerate(table):
         if j:
             for _ in range(_GM_WINDOW):
                 base = add(base, base, curve)
-        assert len(row) == 1 << _GM_WINDOW and row[0] is None
+        assert len(row) == (top + 1 if j == rows - 1 else 1 << _GM_WINDOW)
+        assert row[0] is None
         want = CurvePoint(None, None)
         for d, entry in enumerate(row[1:], start=1):
             want = add(want, base, curve)
             got = CurvePoint(None, None) if entry is None else curve_point(curve, *entry)
             assert got == want, (j, d)
-    # on the small curves n < 2^w, so row 0 holds n G = O and more
-    wrapped = [d for d, entry in enumerate(table[0]) if d and entry is None]
-    assert wrapped == list(range(n, 1 << _GM_WINDOW, n))
-    assert (len(wrapped) > 0) == (name != "secp160r1")
+
+
+@pytest.mark.parametrize("name", BUILTIN_CURVES)
+def test_fixed_base_reads_the_last_entry_of_each_table(name):
+    # n - 1 has the top digit the short top row ends at, on the members'
+    # table and on the GM's
+    curve = _fresh_curve(name)
+    n = curve.subgroup_order
+    want = _ref_scalar_mul(n - 1, curve.generator, curve)
+    for table, window in ((curve._generator_table, _WINDOW), (curve._gm_table, _GM_WINDOW)):
+        assert _affine_result(*_fixed_base(n - 1, curve, table, window), curve) == want
 
 
 def test_madd_doubles_p_plus_p_with_the_curves_formula():
@@ -787,7 +841,7 @@ def test_odd_multiples_match_reference_and_refuse_orders_2_3_5_7():
             assert sorted(table) == [-7, -5, -3, -1, 1, 3, 5, 7]
             for d, column in table.items():
                 want = [_ref_scalar_mul(abs(d), pts[i], curve) for i in batch]
-                want = [pt if d > 0 else _negate(pt) for pt in want]
+                want = [pt if d > 0 else negate(pt) for pt in want]
                 assert column == [(pt.x.residue, pt.y.residue) for pt in want], (d, batch)
 
 
@@ -831,7 +885,7 @@ def test_multi_scalar_mul_edge_terms(name):
     pt, other = (scalar_mul(rng.randrange(1, n), curve.generator, curve) for _ in range(2))
     short, long = rng.randrange(2, 2**12), rng.getrandbits(160) | 1 << 159
     inf = CurvePoint(None, None)
-    cancelling = [[(k, pt), (k, _negate(pt))] for k in (short, long)]
+    cancelling = [[(k, pt), (k, negate(pt))] for k in (short, long)]
     cases = cancelling + [
         [],
         [(0, pt)],
@@ -912,31 +966,29 @@ def _prime_above(p):
 
 
 @pytest.mark.parametrize("name", ["test2017", "secp160r1"])
-def test_jacobian_is_matches_affine_equality(name):
-    # (X : Y : Z) against an affine point without inverting Z: every
-    # Jacobian form of P equals P and nothing else, and the 4 multiplications
-    # of the return to affine are tallied whatever the verdict
+def test_jacobian_at_matches_affine_equality(name):
+    # (X : Y : Z) against an affine point's ints, x = None for infinity,
+    # without inverting Z: every Jacobian form of P equals P and nothing
+    # else, and the 4 multiplications of the return to affine are tallied
+    # whatever the verdict
     curve = builtin_curve(name)
     p, n = curve.modulus.value, curve.subgroup_order
     rng = random.Random("jacobian" + name)
     pt, other = (scalar_mul(rng.randrange(2, n), curve.generator, curve) for _ in range(2))
-    foreign = _prime_above(p)
     candidates = [
-        pt, _negate(pt), other, CurvePoint(None, None),
-        CurvePoint(*(foreign.element(c.residue) for c in (pt.x, pt.y))),
-        CurvePoint(pt.x, foreign.element(pt.y.residue)),
-    ]
-    x, y = pt.x.residue, pt.y.residue
+        (c.x.residue, c.y.residue) for c in (pt, negate(pt), other)
+    ] + [(None, None)]
+    x, y = candidates[0]
     for z in (1, 2, p - 1, rng.randrange(2, p)):
         jacobian = (x * z * z % p, y * z**3 % p, z)
         for cand in candidates:
             with MulCounter() as ops:
-                got = _jacobian_is(*jacobian, 7, cand, curve)
-            assert got == (cand == pt), (z, cand)
+                got = _jacobian_at(*jacobian, 7, *cand, p)
+            assert got == (cand == (x, y)), (z, cand)
             assert ops.field_muls == 7 + 4
     for cand in candidates:
         with MulCounter() as ops:
-            assert _jacobian_is(1, 1, 0, 7, cand, curve) == cand.is_infinity
+            assert _jacobian_at(1, 1, 0, 7, *cand, p) == (cand[0] is None)
         assert ops.field_muls == 7
 
 

@@ -1,4 +1,5 @@
-"""Which commands load the AEAD library.
+"""The package's footprint: which commands load the AEAD library, and no
+definition that nothing calls.
 
 `gaskit.gas_core` imports `cryptography` (and its bundled OpenSSL, several
 megabytes resident) at the first seal or open, not when gaskit is imported.
@@ -6,6 +7,7 @@ Each case runs one CLI command in a fresh interpreter and reports whether
 the library ended up in `sys.modules`.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -57,3 +59,23 @@ def test_gas_core_resolves_only_the_aead_names_lazily():
         gas_core.nope
     assert gas_core.InvalidTag.__module__ == "cryptography.exceptions"
     assert "InvalidTag" in vars(gas_core)  # kept after the first access
+
+
+def test_every_definition_has_a_use_in_the_package():
+    # a function or class whose name the package reads nowhere, as a name,
+    # an attribute or an import, has no caller but the tests: its own `def`
+    # and its `__all__` string do not count.  Dunder methods are called by
+    # the language, not by name.
+    defined, used = [], set()
+    for path in sorted((SRC / "gaskit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [name for name in defined if name.split(".")[1] not in used] == []

@@ -36,9 +36,9 @@ from gaskit.gas_core import (
     run_confirmation,
 )
 from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
-from oracle import add, curve_point, mul
+from oracle import add, curve_point, mul, negate
 from test_ec import (
-    _fixed_base_muls, _interleaved_muls, _multi_scalar_mul, _negate, _prime_above,
+    _fixed_base_muls, _interleaved_muls, _multi_scalar_mul, _prime_above,
     _test2017_torsion,
 )
 
@@ -218,7 +218,7 @@ def test_decentralized_verify_rejects_corruption():
     first, second = public_shares[:2]
     curve = config.curve
     bad_point = scalar_mul(rng.randrange(1, curve.subgroup_order), curve.generator, curve)
-    negated = CurvePoint(first.point.x, -first.point.y)
+    negated = negate(first.point)
     for corrupt in (
         [PublicShare(first.member_id, bad_point), second],
         [PublicShare(first.member_id, second.point), PublicShare(second.member_id, first.point)],
@@ -245,7 +245,7 @@ def test_decentralized_verify_tampered_share_in_a_flipped_term(name, t, n, flipp
     for i in flipped:
         honest = public_shares[i]
         shifted = add(honest.point, curve.generator, curve)
-        negated = CurvePoint(honest.point.x, -honest.point.y)
+        negated = negate(honest.point)
         for bad in (shifted, negated):
             tampered = list(public_shares)
             tampered[i] = PublicShare(honest.member_id, bad)
@@ -283,7 +283,7 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     first, second = honest[:2]
     x, y = first.point.x, first.point.y
     other = _prime_above(p)
-    negated = PublicShare(first.member_id, CurvePoint(x, -y))
+    negated = PublicShare(first.member_id, negate(first.point))
     foreign = PublicShare(first.member_id, CurvePoint(other.element(x.residue),
                                                       other.element(y.residue)))
     foreign_y = PublicShare(first.member_id, CurvePoint(x, other.element(y.residue)))
@@ -297,11 +297,10 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
         assert got == {ps.member_id: want} == {ps.member_id: accepted}
         assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(y, curve, _GM_WINDOW))
     # every share negated: the weighted sum is -Q, of Q's x
-    all_negated = [PublicShare(ps.member_id, CurvePoint(ps.point.x, -ps.point.y))
-                   for ps in honest]
+    all_negated = [PublicShare(ps.member_id, negate(ps.point)) for ps in honest]
     weights = lagrange_weights([config.roster_x(ps.member_id).residue for ps in honest], 0, q)
     minus_q = _multi_scalar_mul([(w, ps.point) for w, ps in zip(weights, all_negated)], curve)
-    assert minus_q == CurvePoint(config.group_public_key.x, -config.group_public_key.y)
+    assert minus_q == negate(config.group_public_key)
     m = len(honest)
     for received, accepted in [
         (honest, True),
@@ -325,7 +324,7 @@ def test_gm_verify_expected_point_matches_oracle_at_boundary_scalars(name):
     # a share of y = 1, 2^w - 1, 2^w or n - 1 (w the GM table's window, the
     # scalars reduced mod n): gm_verify accepts the oracle's y * P and
     # refuses (y + 1) * P.  On test2017 and toy5, n < 2^w, so the GM
-    # table's one row holds entries that wrap to infinity.
+    # table's one row stops at (n - 1) P and no entry wraps to infinity.
     curve = builtin_curve(name)
     config, shares = gm_init(1, 2, curve, random.Random(31))
     q, n, g = config.scalar_field, curve.subgroup_order, curve.generator
@@ -339,8 +338,7 @@ def test_gm_verify_expected_point_matches_oracle_at_boundary_scalars(name):
             with MulCounter() as ops:
                 assert gm_verify(config, [share], [ps]) == {share.member_id: accepted}
             assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(y, curve, _GM_WINDOW))
-    wraps = any(entry is None for entry in curve._gm_table[0][1:])
-    assert wraps == (name != "secp160r1")
+    assert all(entry is not None for row in curve._gm_table for entry in row[1:])
 
 
 def test_gm_table_is_built_on_the_first_check_only():
@@ -370,7 +368,7 @@ def _lagrange_terms(config, received):
         for j, x_j in enumerate(xs):
             if j != i:
                 lam = lam * x_j * pow(x_j - xs[i], -1, q) % q
-        terms.append((q - lam, _negate(ps.point)) if 2 * lam > q else (lam, ps.point))
+        terms.append((q - lam, negate(ps.point)) if 2 * lam > q else (lam, ps.point))
     return terms
 
 

@@ -6,12 +6,14 @@ import re
 
 import pytest
 
-from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff
+from gaskit import field
+from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff, pow_mod
 from gaskit.gas_harn import (
     HarnModulus,
     HarnParams,
     HarnRelease,
     HarnToken,
+    MAX_P_BITS,
     builtin_harn_modulus,
     derive_generator,
     harn_init,
@@ -27,6 +29,11 @@ FIXTURE = builtin_harn_modulus("harn-1024-160")
 
 def _is_safe_pair(modulus):
     return modulus.p.value - 1 == 2 * modulus.q.value
+
+
+def _g_to(modulus, e):
+    """g^e mod p by square-and-multiply, not from the table of `g_pow`."""
+    return FieldElement(pow_mod(modulus.g.residue, e, modulus.p.value), modulus.p)
 
 
 def _nonzero_digits(e):
@@ -101,7 +108,7 @@ def test_params_check_does_not_build_the_table():
         modulus=modulus, threshold=2, f1=f1, f2=f2,
         w1=FieldElement(5, q), w2=FieldElement(8, q),
         d1=FieldElement(3, q), d2=FieldElement(6, q),
-        s=FieldElement(3, q), verification_target=modulus.g.pow(3),
+        s=FieldElement(3, q), verification_target=_g_to(modulus, 3),
     )
     assert "_g_table" not in vars(modulus)
 
@@ -139,7 +146,7 @@ def test_release_matches_field_element_reference(modulus):
                 ).residue
                 with MulCounter() as ops:
                     releases.append(harn_release(tok, roster, params))
-                assert releases[-1].e == modulus.g.pow(c)
+                assert releases[-1].e == _g_to(modulus, c)
                 assert ops.field_muls == 3 * (n - 1) + 6 + _nonzero_digits(c)
             assert harn_verify(releases, params)
 
@@ -217,7 +224,7 @@ def test_tiny_frozen_example():
     assert s.residue == 3
     params = HarnParams(
         modulus=TINY, threshold=2, f1=f1, f2=f2, w1=w1, w2=w2, d1=d1, d2=d2,
-        s=s, verification_target=TINY.g.pow(s.residue),
+        s=s, verification_target=_g_to(TINY, s.residue),
     )
     xs = [FieldElement(1, q), FieldElement(2, q)]
     tokens = [
@@ -238,20 +245,20 @@ def test_params_validation():
         HarnParams(
             modulus=TINY, threshold=2, f1=f1, f2=f2,
             w1=FieldElement(5, q), w2=FieldElement(8, q),
-            d1=zero, d2=zero, s=zero, verification_target=TINY.g.pow(0),
+            d1=zero, d2=zero, s=zero, verification_target=_g_to(TINY, 0),
         )
     with pytest.raises(ValueError, match="inconsistent"):
         HarnParams(
             modulus=TINY, threshold=2, f1=f1, f2=f2,
             w1=FieldElement(5, q), w2=FieldElement(8, q),
             d1=FieldElement(3, q), d2=FieldElement(6, q),
-            s=FieldElement(9, q), verification_target=TINY.g.pow(9),
+            s=FieldElement(9, q), verification_target=_g_to(TINY, 9),
         )
     # every value of F_q must be one, and g^s one of Z_p
     good = dict(modulus=TINY, threshold=2, f1=f1, f2=f2,
                 w1=FieldElement(5, q), w2=FieldElement(8, q),
                 d1=FieldElement(3, q), d2=FieldElement(6, q),
-                s=FieldElement(3, q), verification_target=TINY.g.pow(3))
+                s=FieldElement(3, q), verification_target=_g_to(TINY, 3))
     HarnParams(**good)
     for name in ("w1", "w2", "d1", "d2", "s", "verification_target"):
         moved = FieldElement(good[name].residue, Prime(29))
@@ -376,6 +383,23 @@ def test_modulus_file_rejects_g_outside_field(tmp_path):
         path.write_text(json.dumps({"p": "23", "q": "11", "g": str(g)}))
         with pytest.raises(ValueError, match="out of field range"):
             load_harn_modulus(path)
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_modulus_file_caps_bits_before_any_primality_test(tmp_path, monkeypatch, key):
+    def refuse(n):
+        raise AssertionError(f"primality test of a {n.bit_length()}-bit number")
+
+    monkeypatch.setattr(field, "is_probable_prime", refuse)
+    path = tmp_path / "harn.json"
+    path.write_text(json.dumps({"p": "23", "q": "11", key: str(2**4096 + 1)}))
+    with pytest.raises(ValueError, match=f"^{key} has 4097 bits, above {MAX_P_BITS}$"):
+        load_harn_modulus(path)
+    # at the cap the primality test runs: 2^2047 + 1 is a multiple of 3
+    monkeypatch.undo()
+    path.write_text(json.dumps({"p": "23", "q": "11", key: str(2**2047 + 1)}))
+    with pytest.raises(ValueError, match="is not prime"):
+        load_harn_modulus(path)
 
 
 @pytest.mark.parametrize(("key", "bad"), [("p", 23.9), ("q", 11.0), ("g", True)])

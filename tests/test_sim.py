@@ -7,6 +7,7 @@ import pytest
 from gaskit import sim
 from gaskit.cost_model import csv_header
 from gaskit.sim import Scenario, ScenarioError
+from calibration import calibrate_compute_rate, calibrate_joules_per_tmulq
 
 
 def tiny(scheme="proposed-centralized", **kw):
@@ -210,14 +211,14 @@ def test_events_are_consistent_with_counts():
 # --- calibration and the published datapoints ---------------------------------------
 
 def test_default_rate_reproduces_calibration():
-    rate = sim.calibrate_compute_rate(1.3, 10)
+    rate = calibrate_compute_rate(1.3, 10)
     assert rate == pytest.approx(sim.DEFAULT_COMPUTE_RATE, rel=1e-9)
     rep = sim.run(Scenario(scheme="proposed-centralized", m=10))
     assert rep.auth_time_s == pytest.approx(1.3, rel=1e-9)
 
 
 def test_default_jpt_reproduces_calibration():
-    jpt = sim.calibrate_joules_per_tmulq(0.014, 10)
+    jpt = calibrate_joules_per_tmulq(0.014, 10)
     assert jpt == pytest.approx(sim.DEFAULT_JOULES_PER_TMULQ, rel=1e-12)
     rep = sim.run(Scenario(scheme="proposed-centralized", m=10))
     assert rep.representative_member().total_j == pytest.approx(0.014, rel=1e-9)
@@ -326,8 +327,8 @@ def test_event_log_off_does_no_log_work(scheme, monkeypatch):
 def test_calibrations_build_no_event_log(monkeypatch):
     reports, run = [], sim.run
     monkeypatch.setattr(sim, "run", lambda scn: reports.append(run(scn)) or reports[-1])
-    sim.calibrate_joules_per_tmulq()
-    sim.calibrate_compute_rate()
+    calibrate_joules_per_tmulq()
+    calibrate_compute_rate()
     assert len(reports) == 4 and all(rep.events == [] for rep in reports)
 
 
