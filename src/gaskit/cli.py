@@ -22,10 +22,11 @@ Work is bounded at validation, before any is done: a group (``demo
 --n``, ``simulate --m``, every ``sweep`` m) of at most
 `sim.MAX_GROUP_SIZE` members, at most `MAX_M_VALUES` values in
 ``--m-list`` or ``--m-range``, a Harn ``--p-bits`` of at most
-`gas_harn.MAX_P_BITS` (2048), and in a parameter file, before any
-primality test, a curve's ``p`` and ``subgroup_order`` of at most
-`ec.MAX_CURVE_BITS` (521) bits and a Harn modulus's ``p`` and ``q`` of at
-most `gas_harn.MAX_P_BITS`.  Anything above exits 2.
+`gas_harn.MAX_P_BITS` (2048), and before any primality test a curve
+``--modulus`` of at most 10^6 and, in a parameter file, a curve's ``p``
+and ``subgroup_order`` of at most `ec.MAX_CURVE_BITS` (521) bits and a
+Harn modulus's ``p`` and ``q`` of at most `gas_harn.MAX_P_BITS`.  Anything
+above exits 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import json
 import random
 import sys
 
-from . import attacks, cost_model, gas_core, gas_harn, sim
+from . import attacks, cost_model, ec, gas_core, gas_harn, sim
 from .ec import CurveParams, CurvePoint, brute_force_order, curve_to_dict, scalar_mul
 from .field import Prime, is_probable_prime
 from .gas_harn import MAX_P_BITS
@@ -262,6 +263,8 @@ def _cmd_gen_params(args) -> int:
         out = {"name": f"harn-{args.p_bits}-{args.q_bits}", "p": str(p), "q": str(q),
                "g": str(g.residue)}
     else:  # curve
+        if args.modulus > ec._BRUTE_FORCE_LIMIT:  # before Prime's primality test
+            raise ValueError(f"modulus {args.modulus} too large to enumerate")
         p = Prime(args.modulus)
         a, b, gx, gy = map(p.element, (args.a, args.b, args.gx, args.gy))
         curve = CurveParams(a=a, b=b, modulus=p, generator=CurvePoint(gx, gy),

@@ -45,9 +45,9 @@ tallied the same, and no inversion.  `gas_core.gm_verify` and
 `decentralized_verify` use it.
 
 A point from outside is checked once, on its integers, by
-`check_affine_point`; `gas_core` keeps received public shares as those
-integers; on test2017, whose small subgroup is listed, an honest point
-costs one set lookup.
+`check_affine_point`, where `gas_core` makes a public share or a config,
+and is kept as those integers; on test2017, whose small subgroup is
+listed, an honest point costs one set lookup.
 
 Protocol scalars are expected to live modulo `CurveParams.subgroup_order`:
 the builtin parameter sets publish a generator of that prime-order
@@ -266,14 +266,15 @@ def is_on_curve(pt: CurvePoint, curve: CurveParams) -> bool:
 
 
 def check_affine_point(x: int, y: int, curve: CurveParams) -> None:
-    """Refuse the integers (x, y) read from the wire unless they are an
-    affine point of the generator's subgroup.
+    """Refuse the integers (x, y) unless they are an affine point of the
+    generator's subgroup.
 
-    The one check of a point from outside, on plain ints: the public-share
-    decoder calls it on the two integers it reads.  ValueError unless both
-    lie in [0, p), satisfy the curve's equation and, when `subgroup_order`
-    n is set, lie in the generator's subgroup.  Infinity has no affine
-    encoding, so it never passes.
+    The one check of a point from outside, on plain ints, in `gas_core`'s
+    `public_share_from_frame`, `PublicShare(member_id, point, curve)` and
+    `GroupConfig` (on Q), which name the point's owner.  ValueError unless
+    both lie in [0, p), satisfy the curve's equation and, when
+    `subgroup_order` n is set, lie in the generator's subgroup.  Infinity
+    has no affine encoding, so it never passes.
 
     The subgroup test refuses a point of small order, such as test2017's
     T = (1981, 1664) of order 5, from which a peer could learn the other

@@ -15,8 +15,9 @@ A public share is plain ints from the wire to ECDH: one pack out
 (`wire.encode_public_share`); one unpack, one check of the two integers
 (`ec.check_affine_point`: range, curve equation, subgroup) and one
 `tuple.__new__` in.  The verifiers and `ensure_pairwise_keys` read the
-ints; `PublicShare.point` builds a `CurvePoint` only for callers at the API
-(the demo's print, the attack scenarios, tests).
+ints and check nothing again (see `PublicShare`); `PublicShare.point`
+builds a `CurvePoint` only for callers at the API (the demo's print, the
+attack scenarios, tests).
 
 The AEAD library (`cryptography`, with its bundled OpenSSL) is imported at
 the first seal or open, not with this module: commands that never encrypt
@@ -39,7 +40,7 @@ from typing import Mapping
 from . import wire
 from .ec import (
     CurveParams, CurvePoint, _affine_xy, _generator_jacobian, _jacobian_at,
-    _mul_many, _multi_scalar_jacobian, _satisfies, check_affine_point, is_on_curve, scalar_mul,
+    _mul_many, _multi_scalar_jacobian, check_affine_point, scalar_mul,
 )
 from .field import FieldElement, Prime, _reduced, lagrange_weights
 # Not called here; the benchmark's tracer binds it by name in this module.
@@ -147,18 +148,19 @@ class PublicShare(tuple):
     """Broadcast confirmation value f(x_i)*P together with the sender id.
 
     An immutable value of plain ints: `member_id`, the affine coordinates
-    `x` and `y`, and the `Prime` each lives in, `x_field` and `y_field`.  A
-    decoded or computed share holds the curve's own `curve.modulus` in both.
-    The hot consumers read the ints; `point` builds a `CurvePoint` on each
-    access, for callers at the API.
+    `x` and `y`, and `field`, the curve's `curve.modulus`.  Each share is
+    checked once, where it is made: `PublicShare(member_id, point, curve)`
+    refuses infinity, a coordinate that is not of `curve.modulus` and what
+    `ec.check_affine_point` refuses, `public_share_from_frame` the last,
+    each with ValueError naming the member; `make_public_share` computes a
+    multiple of the generator.  The hot consumers read the ints; `point`
+    builds a `CurvePoint` on each access, for callers at the API.
 
-    `PublicShare(member_id, point)` takes any finite point and refuses
-    infinity; it does not check the point against a curve.  Two shares are
-    equal when their ids, residues and primes' values are, and a share
-    equals nothing else, a bare tuple included; hash, repr, pickle and copy
-    are those of the (member_id, point) pair.  The tuple base is an
-    implementation detail, so that a share is built with one
-    `tuple.__new__` and compares with tuple equality: no package code
+    Two shares are equal when their ids, residues and primes' values are,
+    and a share equals nothing else, a bare tuple included.  Hash, pickle
+    and copy are those of the checked items; the curve is not pickled.  The
+    tuple base is an implementation detail, so that a share is built with
+    one `tuple.__new__` and compares with tuple equality: no package code
     indexes or unpacks a share, and assigning to it raises AttributeError.
     """
 
@@ -167,22 +169,19 @@ class PublicShare(tuple):
     member_id = property(itemgetter(0))
     x = property(itemgetter(1))
     y = property(itemgetter(2))
-    x_field = property(itemgetter(3))
-    y_field = property(itemgetter(4))
+    field = property(itemgetter(3))
 
-    def __new__(cls, member_id: str, point: CurvePoint) -> PublicShare:
-        x, y = point.x, point.y
-        if x is None:
-            raise ValueError("public share point must not be infinity")
-        return _new_share(PublicShare, (member_id, x.residue, y.residue, x.modulus, y.modulus))
+    def __new__(cls, member_id: str, point: CurvePoint, curve: CurveParams) -> PublicShare:
+        x, y = _point_xy(f"public share of {member_id}", point, curve)
+        return _new_share(PublicShare, (member_id, x, y, curve.modulus))
 
     def __reduce__(self):
-        # pickle and copy rebuild through __new__, not from the tuple's items
-        return PublicShare, (self.member_id, self.point)
+        # pickle and copy rebuild from the items, not through the checking __new__
+        return _new_share, (PublicShare, tuple(self))
 
     @property
     def point(self) -> CurvePoint:
-        return CurvePoint(_reduced(self.x, self.x_field), _reduced(self.y, self.y_field))
+        return CurvePoint(_reduced(self.x, self.field), _reduced(self.y, self.field))
 
     # A `Prime` compares by value, so tuple equality is the share's.  A bare
     # tuple's own comparison would read the share's items, so it gets False.
@@ -196,25 +195,40 @@ class PublicShare(tuple):
             return _tuple_ne(self, other)
         return True if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.member_id, self.point))
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return f"PublicShare(member_id={self.member_id!r}, point=CurvePoint({self.x}, {self.y}))"
 
 
-# The share of its five items (member_id, x, y, x_field, y_field), unchecked.
+# The share of its four items (member_id, x, y, field), unchecked.
 _new_share = tuple.__new__
 _tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+def _point_xy(owner: str, point: CurvePoint, curve: CurveParams) -> tuple[int, int]:
+    """The ints of a finite point of `curve.modulus` that
+    `ec.check_affine_point` accepts; ValueError naming `owner` otherwise."""
+    x, y, p = point.x, point.y, curve.modulus.value
+    try:
+        if x is None:
+            raise ValueError("point must not be infinity")
+        if not x.modulus.value == p == y.modulus.value:
+            raise ValueError(f"coordinates must be elements of F_{p}")
+        check_affine_point(x.residue, y.residue, curve)
+    except ValueError as exc:
+        raise ValueError(f"{owner}: {exc}") from None
+    return x.residue, y.residue
 
 
 @dataclass(frozen=True)
 class GroupConfig:
     """The GM's published bundle; holds no secret material.
 
-    P is the curve's generator.  `__post_init__` holds every check: Q on
-    the curve, the epoch in the frame header's u32 range, distinct member
-    ids, distinct roster x's in [1, q) and 1 <= t <= n.
+    P is the curve's generator.  `__post_init__` holds every check: Q a
+    point of the generator's subgroup, as `PublicShare` checks its point,
+    the epoch in the frame header's u32 range, distinct member ids,
+    distinct roster x's in [1, q) and 1 <= t <= n.
     """
 
     curve: CurveParams
@@ -227,8 +241,7 @@ class GroupConfig:
     _x_by_id: dict[str, FieldElement] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_on_curve(self.group_public_key, self.curve):
-            raise ValueError("Q is not on the curve")
+        _point_xy("Q", self.group_public_key, self.curve)
         if not 0 <= self.epoch < 2**32:  # the frame header's u32
             raise ValueError(f"epoch {self.epoch} out of u32 range")
         ids = [mid for mid, _ in self.roster]
@@ -281,9 +294,8 @@ class MemberState:
         A different point under an id already held raises
         `PeerAuthenticationError` naming that id: the stored point may
         already have keyed a pairwise channel.  The shares are compared on
-        their ints.  The point is not checked again: a decoded share passed
-        `check_affine_point`, and one from `make_public_share` is a multiple
-        of the generator.
+        their ints.  The point is not checked again: every `PublicShare`
+        was checked when it was made.
         """
         if ps.member_id not in self.config._x_by_id:
             raise UnknownMemberError(f"member {ps.member_id!r} not in roster")
@@ -363,22 +375,22 @@ def make_public_share(state: MemberState) -> PublicShare:
 
     The fixed-base multiple of the generator and its return to affine, as
     `scalar_mul` runs them and with its tally (1 TEM, the fixed-base muls
-    and 4), kept as ints.  ValueError if f(x_i) is 0 mod the subgroup
-    order: a share is never infinity.
+    and 4), kept as ints.  ValueError naming the member if f(x_i) is 0 mod
+    the subgroup order: a share is never infinity.
     """
     curve = state.config.curve
     fp = curve.modulus
     xy = _affine_xy(*_generator_jacobian(state.share.y.residue, curve), fp.value)
     if xy is None:
-        raise ValueError("public share point must not be infinity")
-    return _new_share(PublicShare, (state.member_id, *xy, fp, fp))
+        raise ValueError(f"public share of {state.member_id}: point must not be infinity")
+    return _new_share(PublicShare, (state.member_id, *xy, fp))
 
 
 def public_share_frame(ps: PublicShare, epoch: int) -> bytes:
     """The share's frame, packed in one step by `wire.encode_public_share`."""
     return wire.encode_public_share(
         epoch, ps.member_id,
-        ps.x.to_bytes(ps.x_field.byte_length, "big"), ps.y.to_bytes(ps.y_field.byte_length, "big"),
+        ps.x.to_bytes(ps.field.byte_length, "big"), ps.y.to_bytes(ps.field.byte_length, "big"),
     )
 
 
@@ -386,9 +398,10 @@ def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, Publi
     """The (epoch, share) of a public-share frame of the config's epoch.
 
     ValueError for any other message type, a frame of another epoch, or a
-    point that does not decode to one of the generator's subgroup.  One
-    pass: the frame through `wire.decode_public_share`, its coordinates
-    through `ec.check_affine_point`; the share keeps them as ints over
+    point that does not decode to one of the generator's subgroup, named
+    as the constructor names it (`public share of U3: ...`).  One pass: the
+    frame through `wire.decode_public_share`, its coordinates through
+    `ec.check_affine_point`; the share keeps them as ints over
     `curve.modulus`, with no `CurvePoint` built.
     """
     curve = config.curve
@@ -396,8 +409,11 @@ def public_share_from_frame(buf: bytes, config: GroupConfig) -> tuple[int, Publi
     epoch, member_id, x, y = wire.decode_public_share(buf, fp.byte_length)
     if epoch != config.epoch:
         raise ValueError(f"public-share frame of epoch {epoch}, config is epoch {config.epoch}")
-    check_affine_point(x, y, curve)
-    return epoch, _new_share(PublicShare, (member_id, x, y, fp, fp))
+    try:  # the message is built only for a refused point: this runs per frame
+        check_affine_point(x, y, curve)
+    except ValueError as exc:
+        raise ValueError(f"public share of {member_id}: {exc}") from None
+    return epoch, _new_share(PublicShare, (member_id, x, y, fp))
 
 
 def gm_verify(
@@ -414,8 +430,7 @@ def gm_verify(
     213 multiplications per member on secp160r1, against about 509.  It
     stays in Jacobian coordinates and is compared with the received share's
     ints by `ec._jacobian_at`, which saves the inversion of a return to
-    affine and tallies the same 4 multiplications; a share whose
-    coordinates are not both of the curve's prime is then refused.
+    affine and tallies the same 4 multiplications; nothing is checked again.
     """
     curve = config.curve
     p = curve.modulus.value
@@ -429,11 +444,7 @@ def gm_verify(
             raise ValueError(f"duplicate public share from {ps.member_id!r}")
         seen.add(ps.member_id)
         expected = _generator_jacobian(by_id[ps.member_id].y.residue, curve, gm=True)
-        # equal to the on-curve `expected`, so on the curve too
-        verdicts[ps.member_id] = (
-            _jacobian_at(*expected, ps.x, ps.y, p)
-            and ps.x_field.value == p == ps.y_field.value
-        )
+        verdicts[ps.member_id] = _jacobian_at(*expected, ps.x, ps.y, p)
     return verdicts
 
 
@@ -446,11 +457,10 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     default roster x = 1..m, L_i(0) = +-C(m, i), so on secp160r1 every
     term's scalar is then C(m, i), at most 2^(m-1), where about half of them
     would be as long as q.  The m terms and their sum are one run of
-    `ec._multi_scalar_jacobian`, on integers: m TEMs under shared doublings,
-    and each share checked once, here, on its ints: both coordinates of the
-    curve's prime, and the curve equation.  The sum stays in Jacobian
-    coordinates and is compared with Q's ints by `ec._jacobian_at`, as in
-    `gm_verify`; `GroupConfig` checked Q's coordinates when it was built.
+    `ec._multi_scalar_jacobian`, on integers: m TEMs under shared
+    doublings.  The sum stays in Jacobian coordinates and is compared with
+    Q's ints by `ec._jacobian_at`, as in `gm_verify`; nothing is checked
+    again, and `GroupConfig` refused an infinite Q.
     """
     m = len(received)
     if m < config.threshold:
@@ -462,17 +472,13 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
         raise ValueError("duplicate member in received shares")
     xs = [config.roster_x(mid).residue for mid in ids]
     curve = config.curve
-    for ps in received:
-        if not _on_curve(ps, curve):
-            raise ValueError(f"public share from {ps.member_id} is off-curve")
     q, p = config.scalar_field.value, curve.modulus.value
     terms = []  # every weight is nonzero: the roster's xs are distinct and nonzero
     for w, ps in zip(lagrange_weights(xs, 0, q), received):
         x, y = ps.x, ps.y
         terms.append((q - w, x, -y % p) if w > q >> 1 else (w, x, y))
     Q = config.group_public_key
-    qx, qy = (None, None) if Q.is_infinity else (Q.x.residue, Q.y.residue)
-    return _jacobian_at(*_multi_scalar_jacobian(terms, m, curve), qx, qy, p)
+    return _jacobian_at(*_multi_scalar_jacobian(terms, m, curve), Q.x.residue, Q.y.residue, p)
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +498,17 @@ def ensure_pairwise_keys(state: MemberState) -> None:
 
     ECDH on the shares' ints: the key with peer j is `pairwise_key` of the
     x of y_i * (y_j P).  A member whose own y_i is 0 is refused first, with
-    ValueError naming it, before any TEM is counted.  Where each point is
-    checked: a decoded share passed `ec.check_affine_point` (range, curve
-    equation, subgroup) in `public_share_from_frame`; here each peer's
-    share is checked again for the curve's prime and equation, since one
-    stored by hand passed no decoder, and an off-curve one raises
-    ValueError naming the peer before any key is stored.  The member's one
-    scalar y_i then multiplies all peers' points in one lockstep pass
-    (`ec._mul_many`, one TEM per peer), which checks nothing more.  With
-    one peer, or when a step of that pass meets a zero denominator, every
-    point goes through `scalar_mul` instead.  A point of small order can
-    meet one, and so, rarely, can an honest point of prime order: on
-    secp160r1 the scalar n - 14 does, n the subgroup order.  A degenerate
-    shared point (infinity) raises `PeerAuthenticationError` naming the
-    peer whose point made it, after the keys of the peers before it are
-    stored.
+    ValueError naming it, before any TEM is counted.  No peer's point is
+    checked again (see `PublicShare`).  The member's one scalar y_i
+    multiplies all peers' points in one lockstep pass (`ec._mul_many`, one
+    TEM per peer).  With one peer, or when a step of that pass meets a zero
+    denominator, each point runs instead as the one term of
+    `ec._multi_scalar_jacobian`, with `scalar_mul`'s variable-base value,
+    TEM and tally.  An honest point of prime order can, rarely, meet one:
+    on secp160r1 the scalar n - 14 does, n the subgroup order.  A
+    degenerate shared point (infinity) raises `PeerAuthenticationError`
+    naming the peer whose point made it, after the keys of the peers
+    before it are stored.
     """
     k = state.share.y.residue
     if not k:
@@ -516,15 +518,11 @@ def ensure_pairwise_keys(state: MemberState) -> None:
         if mid != state.member_id and mid not in state.pairwise_keys
     ]
     curve = state.config.curve
-    for ps in peers:
-        if not _on_curve(ps, curve):
-            raise ValueError(
-                f"public share from {ps.member_id} is not on curve {curve.name or '<anonymous>'}"
-            )
+    p = curve.modulus.value
     shared = _mul_many(k, [(ps.x, ps.y) for ps in peers], curve) if len(peers) > 1 else None
     if shared is None:  # one peer, or a lockstep step met a zero denominator
-        points = [scalar_mul(k, ps.point, curve) for ps in peers]
-        shared = [None if pt.is_infinity else (pt.x.residue, pt.y.residue) for pt in points]
+        shared = [_affine_xy(*_multi_scalar_jacobian([(k, ps.x, ps.y)], 1, curve), p)
+                  for ps in peers]
     width = curve.modulus.byte_length
     for ps, xy in zip(peers, shared):
         if xy is None:
@@ -535,12 +533,6 @@ def ensure_pairwise_keys(state: MemberState) -> None:
         state.pairwise_keys[ps.member_id] = pairwise_key(
             xy[0].to_bytes(width, "big"), state.member_id, ps.member_id
         )
-
-
-def _on_curve(ps: PublicShare, curve: CurveParams) -> bool:
-    """`ec.is_on_curve` of the share's point, on its ints."""
-    p = curve.modulus.value
-    return ps.x_field.value == p == ps.y_field.value and _satisfies(ps.x, ps.y, curve)
 
 
 def _share_aad(epoch: int, sender: str, recipient: str) -> bytes:

@@ -93,6 +93,20 @@ def test_demo_refuses_a_curve_file_above_the_bit_cap(capsys, tmp_path, monkeypat
     assert (code, out, err) == (2, "", "gaskit: p has 9689 bits, above 521\n")
 
 
+@pytest.mark.parametrize("modulus", [1000003, 2**1279 - 1, 2**4423 - 1],
+                         ids=["1000003", "M1279", "M4423"])
+def test_gen_params_refuses_a_modulus_above_enumeration_before_any_primality_test(
+        capsys, monkeypatch, modulus):
+    # the point count enumerates the field; a Mersenne prime's primality
+    # test used to run first, 2.4 s at 2^2203 - 1, before the same exit 2
+    def refuse(n):
+        raise AssertionError("primality test before the enumeration limit")
+
+    monkeypatch.setattr(field, "is_probable_prime", refuse)
+    code, out, err = run_cli(capsys, "gen-params", "--kind", "curve", "--modulus", str(modulus))
+    assert (code, out, err) == (2, "", f"gaskit: modulus {modulus} too large to enumerate\n")
+
+
 # --- cost -----------------------------------------------------------------
 
 def test_cost_csv_golden(capsys):

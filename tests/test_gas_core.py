@@ -1,10 +1,12 @@
 """Protocol state machine: confirmation, pairwise keys, key agreement, rotation."""
 
+import collections
 import copy
 import dataclasses
 import itertools
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -164,7 +166,7 @@ def test_gm_verify_flags_random_point():
     point = expected
     while point == expected:
         point = scalar_mul(rng.randrange(1, 37), config.curve.generator, CURVE)
-    forged = [ps if ps.member_id != "U2" else PublicShare("U2", point)
+    forged = [ps if ps.member_id != "U2" else PublicShare("U2", point, CURVE)
               for ps in public_shares]
     verdicts = gm_verify(config, shares, forged)
     assert verdicts == {"U1": True, "U2": False, "U3": True, "U4": True, "U5": True}
@@ -173,7 +175,7 @@ def test_gm_verify_flags_random_point():
 def test_gm_verify_unknown_and_duplicate():
     _, config, shares = setup_group()
     _, public_shares = run_confirmation(config, shares)
-    ghost = PublicShare("U99", public_shares[0].point)
+    ghost = PublicShare("U99", public_shares[0].point, CURVE)
     with pytest.raises(UnknownMemberError):
         gm_verify(config, shares, [ghost])
     with pytest.raises(ValueError, match="duplicate"):
@@ -207,7 +209,7 @@ def test_decentralized_verify_rejects_corruption():
     bad_point = honest_point
     while bad_point == honest_point:
         bad_point = scalar_mul(rng.randrange(1, 37), config.curve.generator, CURVE)
-    tampered = [PublicShare("U1", bad_point)] + public_shares[1:]
+    tampered = [PublicShare("U1", bad_point, CURVE)] + public_shares[1:]
     assert not decentralized_verify(config, tampered)
     # on secp160r1 the weights take the width-4 NAF: a tampered share, two
     # members' points swapped, a negated share
@@ -220,9 +222,10 @@ def test_decentralized_verify_rejects_corruption():
     bad_point = scalar_mul(rng.randrange(1, curve.subgroup_order), curve.generator, curve)
     negated = negate(first.point)
     for corrupt in (
-        [PublicShare(first.member_id, bad_point), second],
-        [PublicShare(first.member_id, second.point), PublicShare(second.member_id, first.point)],
-        [PublicShare(first.member_id, negated), second],
+        [PublicShare(first.member_id, bad_point, curve), second],
+        [PublicShare(first.member_id, second.point, curve),
+         PublicShare(second.member_id, first.point, curve)],
+        [PublicShare(first.member_id, negated, curve), second],
     ):
         assert not decentralized_verify(config, corrupt + public_shares[2:])
 
@@ -248,7 +251,7 @@ def test_decentralized_verify_tampered_share_in_a_flipped_term(name, t, n, flipp
         negated = negate(honest.point)
         for bad in (shifted, negated):
             tampered = list(public_shares)
-            tampered[i] = PublicShare(honest.member_id, bad)
+            tampered[i] = PublicShare(honest.member_id, bad, curve)
             assert not decentralized_verify(config, tampered)
     # a t-subset holding flipped shares has other weights, and is accepted
     chosen = [public_shares[i] for i in flipped[:t]]
@@ -263,7 +266,7 @@ def test_decentralized_verify_threshold_and_membership():
         decentralized_verify(config, public_shares[:2])
     with pytest.raises(UnknownMemberError):
         decentralized_verify(
-            config, public_shares[:2] + [PublicShare("U99", public_shares[0].point)]
+            config, public_shares[:2] + [PublicShare("U99", public_shares[0].point, CURVE)]
         )
     with pytest.raises(ValueError, match="duplicate"):
         decentralized_verify(config, [public_shares[0]] * 3)
@@ -283,13 +286,16 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
     first, second = honest[:2]
     x, y = first.point.x, first.point.y
     other = _prime_above(p)
-    negated = PublicShare(first.member_id, negate(first.point))
-    foreign = PublicShare(first.member_id, CurvePoint(other.element(x.residue),
-                                                      other.element(y.residue)))
-    foreign_y = PublicShare(first.member_id, CurvePoint(x, other.element(y.residue)))
-    wrong_id = PublicShare(first.member_id, second.point)
-    for ps, accepted in [*((ps, True) for ps in honest), (negated, False), (foreign, False),
-                         (foreign_y, False), (wrong_id, False)]:
+    negated = PublicShare(first.member_id, negate(first.point), curve)
+    wrong_id = PublicShare(first.member_id, second.point, curve)
+    # a coordinate of another prime, though its residue satisfies the
+    # equation, is refused where the share is made, not by a verifier
+    for foreign in (CurvePoint(other.element(x.residue), other.element(y.residue)),
+                    CurvePoint(x, other.element(y.residue))):
+        with pytest.raises(ValueError, match=f"^public share of {first.member_id}: "
+                                             f"coordinates must be elements of F_{p}$"):
+            PublicShare(first.member_id, foreign, curve)
+    for ps, accepted in [*((ps, True) for ps in honest), (negated, False), (wrong_id, False)]:
         y = by_id[ps.member_id].y.residue
         want = scalar_mul(y, curve.generator, curve) == ps.point
         with MulCounter() as ops:
@@ -297,7 +303,7 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
         assert got == {ps.member_id: want} == {ps.member_id: accepted}
         assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(y, curve, _GM_WINDOW))
     # every share negated: the weighted sum is -Q, of Q's x
-    all_negated = [PublicShare(ps.member_id, negate(ps.point)) for ps in honest]
+    all_negated = [PublicShare(ps.member_id, negate(ps.point), curve) for ps in honest]
     weights = lagrange_weights([config.roster_x(ps.member_id).residue for ps in honest], 0, q)
     minus_q = _multi_scalar_mul([(w, ps.point) for w, ps in zip(weights, all_negated)], curve)
     assert minus_q == negate(config.group_public_key)
@@ -306,17 +312,13 @@ def test_verifiers_compare_in_jacobian_coordinates_as_affine_points(name):
         (honest, True),
         ([negated, *honest[1:]], False),
         ([wrong_id, *honest[1:]], False),
-        ([wrong_id, PublicShare(second.member_id, first.point), *honest[2:]], False),
+        ([wrong_id, PublicShare(second.member_id, first.point, curve), *honest[2:]], False),
         (all_negated, False),
     ]:
         with MulCounter() as ops:
             assert decentralized_verify(config, received) is accepted
         interleaved = _interleaved_muls(_lagrange_terms(config, received), curve)
         assert (ops.ec_scalar_muls, ops.field_muls) == (m, m * m + 6 * m + interleaved)
-    # a y of another prime too, though its residue satisfies the equation
-    for ps in (foreign, foreign_y):
-        with pytest.raises(ValueError, match="off-curve"):
-            decentralized_verify(config, [ps, *honest[1:]])
 
 
 @pytest.mark.parametrize("name", BUILTIN_CURVES)
@@ -334,7 +336,7 @@ def test_gm_verify_expected_point_matches_oracle_at_boundary_scalars(name):
             point = mul(k, g, curve)
             if point.is_infinity:  # k = 0 mod n: no public share encodes it
                 continue
-            ps = PublicShare(share.member_id, point)
+            ps = PublicShare(share.member_id, point, curve)
             with MulCounter() as ops:
                 assert gm_verify(config, [share], [ps]) == {share.member_id: accepted}
             assert (ops.ec_scalar_muls, ops.field_muls) == (1, _fixed_base_muls(y, curve, _GM_WINDOW))
@@ -389,26 +391,43 @@ def test_decentralized_verify_tally_pinned(curve, t, n, counts):
     assert (ops.field_muls, ops.ec_scalar_muls) == (weight_muls + interleaved, tems)
 
 
-def test_decentralized_verify_checks_each_point_once(monkeypatch):
-    # its own loop, which names the peer, is the only on-curve check: one
-    # test of the curve equation per share, on the share's ints
+def test_each_public_share_is_checked_once_where_it_is_made(monkeypatch):
+    # an honest session per curve: one `check_affine_point` per decoded
+    # frame, and none in the verifiers or the pairwise ECDH, which read the
+    # checked ints.  test2017's honest points are one set lookup each, with
+    # no test of the curve equation; secp160r1's are one test each.
     import gaskit.ec
 
-    calls = []
-    real = gaskit.ec._satisfies
+    for name in ("_on_curve", "_satisfies", "is_on_curve"):
+        assert not hasattr(gas_core, name)
+    counts = collections.Counter()
 
-    def counted(x, y, curve):
-        calls.append((x, y))
-        return real(x, y, curve)
+    def counted(owner, name, key):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(gaskit.ec, "_satisfies", counted)
-    monkeypatch.setattr(gas_core, "_satisfies", counted)
-    for name, t, n in (("test2017", 3, 7), ("secp160r1", 4, 9)):
-        config, shares = gm_init(t, n, builtin_curve(name), random.Random(41))
-        _, public_shares = run_confirmation(config, shares)
-        calls.clear()
-        assert decentralized_verify(config, public_shares)
-        assert calls == [(ps.x, ps.y) for ps in public_shares]
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return wrapper
+
+    counted(gas_core, "public_share_from_frame", "frames")
+    check = counted(gaskit.ec, "check_affine_point", "checks")
+    monkeypatch.setattr(gas_core, "check_affine_point", check)
+    counted(gaskit.ec, "_satisfies", "equations")
+    for name, t, m in (("test2017", 4, 9), ("secp160r1", 3, 6)):
+        config, shares = gm_init(t, m, builtin_curve(name), random.Random(41))
+        counts.clear()
+        states, received = run_confirmation(config, shares)
+        assert counts["frames"] == m * m  # each of m frames, by m - 1 peers and the GM
+        assert counts["checks"] == counts["frames"]
+        assert counts["equations"] == (0 if name == "test2017" else m * m)
+        counts.clear()
+        assert all(gm_verify(config, shares, received).values())
+        assert decentralized_verify(config, received)
+        exchange_group_key(states, random.Random(5))
+        assert not counts
 
 
 def test_decentralized_accepts_when_gm_accepts():
@@ -426,7 +445,7 @@ def test_receive_public_share_same_point_again_is_a_no_op():
     u1 = states["U1"]
     held = dict(u1.received_public_shares)
     for ps in public_shares:
-        u1.receive_public_share(PublicShare(ps.member_id, ps.point))
+        u1.receive_public_share(PublicShare(ps.member_id, ps.point, config.curve))
     assert u1.received_public_shares == held
 
 
@@ -440,7 +459,7 @@ def test_receive_public_share_refuses_a_conflicting_point(peer):
     held = u1.received_public_shares[peer]
     other = add(held.point, config.curve.generator, CURVE)
     with pytest.raises(PeerAuthenticationError) as exc:
-        u1.receive_public_share(PublicShare(peer, other))
+        u1.receive_public_share(PublicShare(peer, other, CURVE))
     assert exc.value.peer_id == peer
     assert u1.received_public_shares[peer] is held
     assert u1.pairwise_keys["U2"] == key_before
@@ -510,7 +529,7 @@ def test_pairwise_key_not_attacker_computable_combination():
     joint = add(public_shares[0].point, public_shares[1].point, CURVE)
     bogus = _reference_key(
         Share(x=shares[0].x, y=FieldElement(1, config.scalar_field), member_id="U1"),
-        PublicShare("U2", joint),
+        PublicShare("U2", joint, CURVE),
         config,
     )
     assert real != bogus
@@ -613,16 +632,20 @@ def test_ensure_pairwise_keys_matches_per_peer_derivation(curve_name):
 def test_ensure_pairwise_keys_raises_at_the_same_peer_as_per_peer_derivation():
     # T = (1981, 1664) has order 5.  U1's y = 35 makes y T and y 2T
     # infinity, stored under U3 and U6; U5's y = 3 does not, but T still
-    # sends its batch through the per-point fallback
+    # sends its batch through the per-point fallback.  No checked share
+    # holds T, so the two are built unchecked, to reach the degenerate
+    # shared point's PeerAuthenticationError.
     rng = random.Random(5)
     config, shares = gm_init(4, 8, CURVE, rng)
     assert [s.y.residue for s in shares][0:5:4] == [35, 3]
     states, _ = run_confirmation(config, shares)
     torsion = CurvePoint(*map(CURVE.modulus.element, (1981, 1664)))
+    double = add(torsion, torsion, CURVE)
     for mid in ("U1", "U5"):
         received = states[mid].received_public_shares
-        received["U3"] = PublicShare("U3", torsion)
-        received["U6"] = PublicShare("U6", add(torsion, torsion, CURVE))
+        for peer, pt in (("U3", torsion), ("U6", double)):
+            received[peer] = gas_core._new_share(
+                PublicShare, (peer, pt.x.residue, pt.y.residue, CURVE.modulus))
     want, culprit = _per_peer_keys(states["U1"])
     assert culprit == "U3" and list(want) == ["U2"]
     with pytest.raises(PeerAuthenticationError, match="degenerate shared point") as exc:
@@ -633,14 +656,6 @@ def test_ensure_pairwise_keys_raises_at_the_same_peer_as_per_peer_derivation():
     assert culprit is None and len(want) == 7
     gas_core.ensure_pairwise_keys(states["U5"])
     assert states["U5"].pairwise_keys == want
-    # an off-curve point is refused before any key is stored, where the
-    # per-peer loop would have stored U2's first
-    received = states["U2"].received_public_shares
-    received["U3"] = PublicShare("U3", CurvePoint(*map(CURVE.modulus.element, (1, 1))))
-    assert list(_per_peer_keys(states["U2"])[0]) == ["U1"]
-    with pytest.raises(ValueError, match="not on curve"):
-        gas_core.ensure_pairwise_keys(states["U2"])
-    assert states["U2"].pairwise_keys == {}
 
 
 @pytest.mark.parametrize("curve_name", ["test2017", "secp160r1"])
@@ -1015,9 +1030,11 @@ def test_public_share_frame_refuses_the_small_subgroup():
     small = [pt for order in (5, 11, 55) for pt in torsion[order]]
     shifted = [add(ps.point, pt, CURVE) for ps in public_shares for pt in small]
     for pt in [T, *small, *shifted]:
-        frame = public_share_frame(PublicShare("U1", pt), config.epoch)
+        frame = wire.encode_public_share(config.epoch, "U1", pt.x.to_bytes(), pt.y.to_bytes())
         with pytest.raises(ValueError, match="outside the subgroup of order 37"):
             public_share_from_frame(frame, config)
+        with pytest.raises(ValueError, match="^public share of U1: .* outside the subgroup"):
+            PublicShare("U1", pt, CURVE)
     # every honest share still decodes, and the listing is built untallied
     with MulCounter() as ops:
         for ps in public_shares:
@@ -1025,20 +1042,80 @@ def test_public_share_frame_refuses_the_small_subgroup():
     assert (ops.field_muls, ops.ec_scalar_muls) == (0, 0)
 
 
+def test_public_share_frame_names_its_member_when_the_point_is_refused():
+    _, config, _ = setup_group()
+    g = config.curve.generator
+    for (x, y), fault in (((0, 7), "point (0, 7) is off-curve"),
+                          ((5000, 6), "5000 out of field range [0, 2017)"),
+                          ((1981, 1664), "point (1981, 1664) is outside the subgroup of order 37"),
+                          ((g.x.residue, g.y.residue), None)):
+        frame = wire.encode_public_share(1, "U3", x.to_bytes(2, "big"), y.to_bytes(2, "big"))
+        if fault is None:
+            assert public_share_from_frame(frame, config)[1].member_id == "U3"
+            continue
+        with pytest.raises(ValueError) as decoded:
+            public_share_from_frame(frame, config)
+        assert str(decoded.value) == f"public share of U3: {fault}"
+        if x < 2017:  # the constructor takes elements of F_2017 only
+            with pytest.raises(ValueError) as built:
+                PublicShare("U3", curve_point(CURVE, x, y), CURVE)
+            assert str(built.value) == str(decoded.value)
+
+
+def test_public_share_constructor_refuses_a_point_outside_the_subgroup():
+    # a share built by hand passes the decoder's check: a torsion point,
+    # which used to key a channel on one of 4 values computable from T
+    # (SEC 1 v2, 3.2.2), an off-curve point and a point over another prime
+    # are refused before any member can store them
+    _, config, shares = setup_group()
+    u1 = MemberState(share=shares[0], config=config)
+    T = curve_point(CURVE, 1981, 1664)
+    C2 = make_public_share(MemberState(share=shares[1], config=config))
+    other = Prime(2027)
+    for pt, fault in (
+        (T, "point (1981, 1664) is outside the subgroup of order 37"),
+        (add(C2.point, T, CURVE), "outside the subgroup of order 37"),
+        (curve_point(CURVE, 1, 1), "point (1, 1) is off-curve"),
+        (CurvePoint(other.element(C2.x), other.element(C2.y)),
+         "coordinates must be elements of F_2017"),
+        (CurvePoint(None, None), "point must not be infinity"),
+    ):
+        with pytest.raises(ValueError, match=f"^public share of U2: .*{re.escape(fault)}$"):
+            u1.receive_public_share(PublicShare("U2", pt, CURVE))
+    assert u1.received_public_shares == {}
+    u1.receive_public_share(C2)
+    gas_core.ensure_pairwise_keys(u1)
+    assert u1.pairwise_keys == {"U2": _reference_key(shares[0], C2, config)}
+
+
+def test_config_refuses_a_group_public_key_outside_the_subgroup():
+    _, config, _ = setup_group()
+    for Q, fault in ((curve_point(CURVE, 1981, 1664),
+                      "point (1981, 1664) is outside the subgroup of order 37"),
+                     (CurvePoint(None, None), "point must not be infinity"),
+                     (curve_point(CURVE, 1, 1), "point (1, 1) is off-curve")):
+        with pytest.raises(ValueError, match=f"^Q: {re.escape(fault)}$"):
+            dataclasses.replace(config, group_public_key=Q)
+    negated = negate(config.group_public_key)
+    assert dataclasses.replace(config, group_public_key=negated).group_public_key == negated
+
+
 def test_public_share_is_immutable_hashable_and_never_infinity():
     _, config, _ = setup_group()
     point = scalar_mul(5, config.curve.generator, CURVE)
-    ps = PublicShare("U1", point)
-    assert ps == PublicShare(member_id="U1", point=scalar_mul(5, config.curve.generator, CURVE))
-    assert ps != PublicShare("U2", point) and ps != ("U1", point)
-    assert hash(ps) == hash(PublicShare("U1", point)) and len({ps, PublicShare("U1", point)}) == 1
+    ps = PublicShare("U1", point, CURVE)
+    assert ps == PublicShare(member_id="U1", point=scalar_mul(5, config.curve.generator, CURVE),
+                             curve=CURVE)
+    assert ps != PublicShare("U2", point, CURVE) and ps != ("U1", point)
+    assert hash(ps) == hash(PublicShare("U1", point, CURVE))
+    assert len({ps, PublicShare("U1", point, CURVE)}) == 1
     assert repr(ps) == f"PublicShare(member_id='U1', point={point!r})"
     with pytest.raises(AttributeError):
         ps.member_id = "U2"
     with pytest.raises(AttributeError):
         ps.extra = 1
-    with pytest.raises(ValueError, match="infinity"):
-        PublicShare("U1", CurvePoint(None, None))
+    with pytest.raises(ValueError, match="^public share of U1: point must not be infinity$"):
+        PublicShare("U1", CurvePoint(None, None), CURVE)
 
 
 def test_public_share_equality_contract():
@@ -1052,15 +1129,16 @@ def test_public_share_equality_contract():
     assert copy == ps and ps == copy and not copy != ps and hash(copy) == hash(ps)
     assert len({ps, copy}) == 1
     # equal only with the same id and the same residues over the same field
-    assert ps != PublicShare("U2", ps.point)
-    assert ps != PublicShare(ps.member_id, curve_point(CURVE, x, -y))
+    assert ps != PublicShare("U2", ps.point, CURVE)
+    assert ps != PublicShare(ps.member_id, curve_point(CURVE, x, -y), CURVE)
+    # the same residues over another prime make no share of this curve
     other = Prime(2027)
     for fx, fy in ((other, other), (other, CURVE.modulus), (CURVE.modulus, other)):
-        moved = PublicShare(ps.member_id, CurvePoint(FieldElement(x, fx), FieldElement(y, fy)))
-        assert moved != ps and ps != moved
+        with pytest.raises(ValueError, match=f"^public share of {ps.member_id}: coordinates"):
+            PublicShare(ps.member_id, CurvePoint(FieldElement(x, fx), FieldElement(y, fy)), CURVE)
     # anything that is not a share compares unequal, with no error; the
     # plain tuple of a share's fields too
-    fields = (ps.member_id, ps.x, ps.y, ps.x_field, ps.y_field)
+    fields = (ps.member_id, ps.x, ps.y, ps.field)
     for alien in ((ps.member_id, ps.point), None, ps.point, ps.member_id, fields):
         assert ps != alien and alien != ps and not ps == alien and not alien == ps
 
@@ -1088,7 +1166,8 @@ def test_torsion_public_share_is_refused_at_decode_and_in_run_confirmation():
     T = curve_point(CURVE, 1981, 1664)
     for ps in honest:
         for pt in (T, add(ps.point, T, CURVE)):
-            frame = public_share_frame(PublicShare(ps.member_id, pt), config.epoch)
+            frame = wire.encode_public_share(
+                config.epoch, ps.member_id, pt.x.to_bytes(), pt.y.to_bytes())
             with pytest.raises(ValueError, match="outside the subgroup of order 37"):
                 public_share_from_frame(frame, config)
 
@@ -1218,7 +1297,7 @@ def test_decentralized_soundness_by_enumeration():
     accepted_points = []
     point = config.curve.generator
     for k in range(1, 37):  # every non-infinity point of the 37-subgroup
-        candidate = PublicShare("U1", point)
+        candidate = PublicShare("U1", point, CURVE)
         if decentralized_verify(config, [candidate] + honest_rest):
             accepted_points.append(point)
         point = add(point, config.curve.generator, CURVE)

@@ -31,7 +31,7 @@ _any_bytes = st.binary(max_size=300)
 # these get past the header to the payload, range and on-curve checks
 _VALID_FRAMES = [
     gas_core.public_share_frame(
-        gas_core.PublicShare("U1", config.group_public_key), config.epoch
+        gas_core.PublicShare("U1", config.group_public_key, config.curve), config.epoch
     )
     for config in _CONFIGS.values()
 ]
@@ -96,7 +96,7 @@ def _reference_decode(buf, config):
     curve = config.curve
     x, y = curve.modulus.from_bytes(x).residue, curve.modulus.from_bytes(y).residue
     check_affine_point(x, y, curve)
-    return frame.epoch, gas_core.PublicShare(frame.member_id, curve_point(curve, x, y))
+    return frame.epoch, gas_core.PublicShare(frame.member_id, curve_point(curve, x, y), curve)
 
 
 def _outcome(decode, buf, config):
@@ -115,7 +115,7 @@ def _assert_same_outcome(buf, config):
         # the point built from them has the curve's own modulus in both
         ps, ref = got[1], want[1].point
         assert (ps.x, ps.y) == (ref.x.residue, ref.y.residue)
-        assert ps.x_field is ps.y_field is config.curve.modulus
+        assert ps.field is config.curve.modulus
         point = ps.point
         assert point.x.modulus is config.curve.modulus
         assert point.y.modulus is config.curve.modulus
@@ -210,7 +210,7 @@ def test_public_share_decode_reads_every_member_id_length(name):
     config = _CONFIGS[name]
     point = _PUBLIC_SHARES[name][0].point
     for member_id in ("", "U", "Ü", "U" * 127, "é" * 127 + "U"):
-        ps = gas_core.PublicShare(member_id, point)
+        ps = gas_core.PublicShare(member_id, point, config.curve)
         frame = gas_core.public_share_frame(ps, config.epoch)
         assert gas_core.public_share_from_frame(frame, config) == (config.epoch, ps)
         for buf in (frame[:-1], frame + b"\x00", frame[:6 + len(member_id.encode()) - 1]):
