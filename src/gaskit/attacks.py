@@ -25,6 +25,7 @@ recorded ones.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -40,20 +41,11 @@ __all__ = [
     "dos_invalid_share",
     "node_compromise",
     "flood_congestion",
+    "eavesdrop",
     "eavesdrop_secrecy_check",
     "build_honest_transcript",
     "run_attack",
 ]
-
-# The options each scenario takes, by keyword; the CLI's are these with "--".
-_OPTIONS = {
-    "replay": ("rotate", "seed"),
-    "dos-invalid-share": ("m", "t", "mode", "seed"),
-    "node-compromise": ("rotate", "seed"),
-    "eavesdrop": ("scheme", "m", "t", "leaky", "seed"),
-    "flood": ("m", "seed"),
-}
-ATTACK_NAMES = tuple(_OPTIONS)
 
 
 @dataclass
@@ -103,7 +95,7 @@ def _setup_group(seed: int):
 # ---------------------------------------------------------------------------
 # Replay
 
-def replay_attack(rotate: bool, seed: int = 11) -> Finding:
+def replay_attack(rotate: bool = False, seed: int = 11) -> Finding:
     """Replay a recorded public-share frame in a later authentication round.
 
     The attacker records the victim's frame in epoch 1, then takes the
@@ -261,12 +253,13 @@ def dos_invalid_share(
 # ---------------------------------------------------------------------------
 # Node compromise (Vulnerability 2)
 
-def node_compromise(rotate_excluding_victim: bool = False, seed: int = 23) -> Finding:
+def node_compromise(rotate: bool = False, seed: int = 23) -> Finding:
     """Attacker holding a member's share impersonates it end to end.
 
     The victim's seat on the session drivers holds the stolen share, so the
     point it delivers is the forged one and the group key it recovers is the
-    attacker's.
+    attacker's.  `rotate` then rotates credentials to a roster without the
+    victim, under which the stolen share's point is refused.
     """
     rng, config, shares = _setup_group(seed)
     victim = shares[1].member_id
@@ -280,7 +273,7 @@ def node_compromise(rotate_excluding_victim: bool = False, seed: int = 23) -> Fi
 
     post_rotation_rejected = None
     notes = ["compromise of the private share defeats the scheme (known limitation)"]
-    if rotate_excluding_victim:
+    if rotate:
         reduced = tuple(entry for entry in config.roster if entry[0] != victim)
         rotation = gas_core.rotate_credentials(config, recovered, rng, roster=reduced)
         try:
@@ -291,7 +284,7 @@ def node_compromise(rotate_excluding_victim: bool = False, seed: int = 23) -> Fi
         notes.append("rotation excluding the victim invalidates the stolen share")
 
     expected = {"confirmation_accepted": True, "key_recovered": True}
-    if rotate_excluding_victim:
+    if rotate:
         expected["post_rotation_rejected"] = True
     observed = {
         "confirmation_accepted": confirmation_accepted,
@@ -441,40 +434,51 @@ def eavesdrop_secrecy_check(
     )
 
 
+def eavesdrop(
+    scheme: str = "proposed",
+    m: int = 4,
+    t: int = 3,
+    seed: int = 17,
+    leaky: bool = False,
+) -> Finding:
+    """Scan `build_honest_transcript`'s frames with `eavesdrop_secrecy_check`.
+
+    With `leaky` (the negative control) exactly one leak is expected.
+    """
+    frames, secrets, _ = build_honest_transcript(scheme, m, t, seed, leaky)
+    finding = eavesdrop_secrecy_check(frames, secrets)
+    if leaky:
+        finding.expected = {"leak_count": 1}
+        finding.notes.append("negative control: one raw share deliberately leaked")
+    return finding
+
+
 # ---------------------------------------------------------------------------
 # CLI entry
+
+# Each scenario's options are the parameters of its function; the CLI's
+# `attack` flags are these with "--".
+_SCENARIOS = {
+    "replay": replay_attack,
+    "dos-invalid-share": dos_invalid_share,
+    "node-compromise": node_compromise,
+    "eavesdrop": eavesdrop,
+    "flood": flood_congestion,
+}
+ATTACK_NAMES = tuple(_SCENARIOS)
+
 
 def run_attack(name: str, **kwargs) -> list[Finding]:
     """Run one named scenario.
 
     Each option left out (seed included) keeps the scenario's own default.
     ValueError for an unknown name, or one naming each given option that
-    the scenario does not take (`_OPTIONS`), such as m for replay.
+    is not a parameter of the scenario's function, such as m for replay.
     """
-    if name not in _OPTIONS:
+    if name not in _SCENARIOS:
         raise ValueError(f"unknown attack {name!r}; valid names: {', '.join(ATTACK_NAMES)}")
-    refused = [key for key in kwargs if key not in _OPTIONS[name]]
+    scenario = _SCENARIOS[name]
+    refused = [key for key in kwargs if key not in inspect.signature(scenario).parameters]
     if refused:
         raise ValueError(f"attack {name} does not take {', '.join('--' + k for k in refused)}")
-
-    def given(*keys: str) -> dict:
-        return {k: kwargs[k] for k in keys if k in kwargs}
-
-    rotate = kwargs.get("rotate", False)
-    if name == "replay":
-        return [replay_attack(rotate, **given("seed"))]
-    if name == "dos-invalid-share":
-        return [dos_invalid_share(**given("m", "t", "mode", "seed"))]
-    if name == "node-compromise":
-        return [node_compromise(rotate, **given("seed"))]
-    if name == "eavesdrop":
-        leaky = kwargs.get("leaky", False)
-        frames, secrets, _ = build_honest_transcript(
-            leaky=leaky, **given("scheme", "m", "t", "seed")
-        )
-        finding = eavesdrop_secrecy_check(frames, secrets)
-        if leaky:
-            finding.expected = {"leak_count": 1}
-            finding.notes.append("negative control: one raw share deliberately leaked")
-        return [finding]
-    return [flood_congestion(**given("m", "seed"))]
+    return [scenario(**kwargs)]

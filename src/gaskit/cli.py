@@ -218,9 +218,9 @@ def _cmd_sweep(args) -> int:
 # attack
 
 def _cmd_attack(args) -> int:
-    # only the options given: `run_attack` refuses one its scenario does not take
-    kwargs = {key: value for key in ("rotate", "mode", "m", "t", "leaky", "seed")
-              if (value := getattr(args, key)) is not None}
+    # every flag the user set (the others are absent from `args`):
+    # `run_attack` refuses one its scenario does not take
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "name")}
     findings = attacks.run_attack(args.name, **kwargs)
     print(json.dumps([f.to_dict() for f in findings], indent=1))
     return 0 if all(f.matched for f in findings) else 1
@@ -346,17 +346,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the reports with their event logs as JSON to this path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("attack", help="run an adversary scenario (JSON findings)")
+    # a flag left out is absent from args, so the scenario keeps its default
+    p = sub.add_parser("attack", help="run an adversary scenario (JSON findings)",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--name", required=True,
                    help=f"one of: {', '.join(attacks.ATTACK_NAMES)}")
-    p.add_argument("--rotate", action="store_true", default=None,
+    p.add_argument("--rotate", action="store_true",
                    help="rotate credentials before/after the attack (replay, node-compromise)")
-    p.add_argument("--mode", choices=("centralized", "decentralized"), default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--leaky", action="store_true", default=None,
+    p.add_argument("--mode", choices=("centralized", "decentralized"))
+    p.add_argument("--scheme", choices=("proposed", "harn"),
+                   help="the scheme whose frames eavesdrop scans")
+    p.add_argument("--m", type=int)
+    p.add_argument("--t", type=int)
+    p.add_argument("--leaky", action="store_true",
                    help="eavesdrop negative control: leak one raw share")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("gen-params", help="generate parameter files (JSON to stdout)")

@@ -165,7 +165,9 @@ class CurveParams:
     `order` is the full group order (optional until computed for toy
     curves), which must lie in the Hasse interval |order - p - 1| <= 2
     sqrt(p); `subgroup_order` is the prime order of the generator, the
-    modulus protocol scalars are drawn from.
+    modulus protocol scalars are drawn from.  Where n^2 <= 16p, more than
+    one multiple of n fits that interval, so a stated order must equal
+    `brute_force_order`, and p above its limit is refused.
     """
 
     a: FieldElement
@@ -200,6 +202,16 @@ class CurveParams:
                 raise ValueError(
                     f"subgroup_order {self.subgroup_order} is not a prime >= 3"
                 ) from None
+            n = self.subgroup_order
+            if self.order is not None and n * n <= 16 * p:
+                if p > _BRUTE_FORCE_LIMIT:
+                    raise ValueError(
+                        f"order {self.order} cannot be checked: n = {n} leaves several "
+                        f"multiples in the Hasse interval and p = {p} is too large to count"
+                    )
+                count = brute_force_order(self)
+                if count != self.order:
+                    raise ValueError(f"order {self.order} is not the point count {count}")
 
     def scalar_field(self) -> Prime:
         """The prime scalar ring; requires a published subgroup order."""
@@ -790,20 +802,16 @@ def _affine_result(X: int, Y: int, Z: int, muls: int, curve: CurveParams) -> Cur
     return _INFINITY if xy is None else _point(_reduced(xy[0], fp), _reduced(xy[1], fp))
 
 
-def _jacobian_at(
-    X: int, Y: int, Z: int, muls: int, x: int | None, y: int | None, p: int
-) -> bool:
-    """Whether (X : Y : Z) is the affine (x, y) mod p, or infinity for x =
-    None, on plain ints: Z != 0, X = x Z^2 and Y = y Z^3 (mod p), 4
-    multiplications, the 4 of the return to affine, tallied whatever the
-    verdict.  Z = 0 tallies only muls.
+def _jacobian_at(X: int, Y: int, Z: int, muls: int, x: int, y: int, p: int) -> bool:
+    """Whether (X : Y : Z) is the affine (x, y) mod p, on plain ints: Z !=
+    0, X = x Z^2 and Y = y Z^3 (mod p), 4 multiplications, the 4 of the
+    return to affine, tallied whatever the verdict.  Z = 0 (infinity) is
+    no affine point, and tallies only muls.
     """
     if not Z:
         tally_muls(muls)
-        return x is None
-    tally_muls(muls + _TO_AFFINE_MULS)
-    if x is None:
         return False
+    tally_muls(muls + _TO_AFFINE_MULS)
     ZZ = Z * Z % p
     return (x * ZZ - X) % p == 0 and (y * ZZ * Z - Y) % p == 0
 

@@ -339,17 +339,12 @@ def _deal_group(
 
 
 def gm_init(
-    t: int,
-    n: int,
-    curve: CurveParams,
-    rng: random.Random,
-    random_xs: bool = False,
+    t: int, n: int, curve: CurveParams, rng: random.Random
 ) -> tuple[GroupConfig, list[Share]]:
     """Initialization phase: deal shares, publish Q = s*P and H(s).
 
     Shares are returned for out-of-band delivery; the secret itself is not
-    retained anywhere in the config.  Member x's default to the member
-    index + 1; `random_xs` draws distinct random nonzero values instead.
+    retained anywhere in the config.  Member x's are the member index + 1.
     """
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t} n={n}")
@@ -359,14 +354,7 @@ def gm_init(
             f"group size {n} needs {n} distinct nonzero x values, "
             f"but the scalar field has only {q.value - 1}"
         )
-    if random_xs:  # rng.sample needs len(range(1, q)), above sys.maxsize on secp160r1
-        drawn: dict[int, None] = {}
-        while len(drawn) < n:
-            drawn[rng.randrange(1, q.value)] = None
-        xs = list(drawn)
-    else:
-        xs = [i + 1 for i in range(n)]
-    roster = tuple(zip(roster_ids(n), xs))
+    roster = tuple(zip(roster_ids(n), range(1, n + 1)))
     return _deal_group(curve, t, roster, rng, epoch=1)
 
 

@@ -161,9 +161,6 @@ class Scenario:
         if problems:
             raise ScenarioError("; ".join(problems))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
         if not isinstance(data, Mapping):

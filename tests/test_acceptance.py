@@ -236,14 +236,10 @@ def test_criterion_8_attack_suite_verdicts():
         attacks.dos_invalid_share(mode="decentralized"),
         attacks.dos_invalid_share(mode="centralized"),
         attacks.node_compromise(),
-        attacks.node_compromise(rotate_excluding_victim=True),
+        attacks.node_compromise(rotate=True),
+        attacks.eavesdrop("proposed", m=4, t=3),
     ]
-    frames, secrets, _ = attacks.build_honest_transcript("proposed", m=4, t=3)
-    findings.append(attacks.eavesdrop_secrecy_check(frames, secrets))
-    leaky_frames, leaky_secrets, _ = attacks.build_honest_transcript(
-        "proposed", m=4, t=3, leaky=True
-    )
-    control = attacks.eavesdrop_secrecy_check(leaky_frames, leaky_secrets)
+    control = attacks.eavesdrop("proposed", m=4, t=3, leaky=True)
     control_ok = control.observed["leak_count"] == 1
     all_matched = all(f.matched for f in findings)
     elapsed = time.monotonic() - start

@@ -70,7 +70,7 @@ def test_node_compromise_succeeds():
 
 
 def test_node_compromise_defeated_by_exclusion_rotation():
-    finding = node_compromise(rotate_excluding_victim=True)
+    finding = node_compromise(rotate=True)
     assert finding.matched
     assert finding.observed["post_rotation_rejected"] is True
 

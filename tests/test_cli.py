@@ -1,11 +1,13 @@
 """CLI: transcript shapes, CSV goldens, exit codes, seeding."""
 
+import argparse
+import inspect
 import json
 import tracemalloc
 
 import pytest
 
-from gaskit import cli, cost_model, ec, field, gas_core, sim
+from gaskit import attacks, cli, cost_model, ec, field, gas_core, sim
 from gaskit.cli import main
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
@@ -78,6 +80,16 @@ def test_demo_refuses_an_order_outside_the_hasse_interval(capsys, tmp_path):
     code, out, err = run_cli(capsys, "demo", "--curve", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("gaskit: order 37 is outside the Hasse interval")
+
+
+def test_demo_refuses_an_order_other_than_the_point_count(capsys, tmp_path):
+    # a multiple of n = 37 inside the Hasse interval: it used to load, and
+    # the demo exited 0
+    data = dict(ec.curve_to_dict(ec.builtin_curve("test2017")), order="1961")
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "demo", "--curve", str(path))
+    assert (code, out, err) == (2, "", "gaskit: order 1961 is not the point count 2035\n")
 
 
 def test_demo_refuses_a_curve_file_above_the_bit_cap(capsys, tmp_path, monkeypatch):
@@ -429,13 +441,27 @@ def test_attack_unknown_name(capsys):
     ("dos-invalid-share", "--rotate"), ("eavesdrop", "--rotate"), ("flood", "--rotate"),
     ("replay", "--leaky"), ("node-compromise", "--leaky"), ("dos-invalid-share", "--leaky"),
     ("flood", "--leaky"),
+    ("replay", "--scheme", "harn"), ("node-compromise", "--scheme", "harn"),
+    ("dos-invalid-share", "--scheme", "proposed"), ("flood", "--scheme", "harn"),
 ])
 def test_attack_refuses_an_option_its_scenario_does_not_take(capsys, argv):
-    # each used to run the scenario's defaults and exit 0
+    # each used to run the scenario's defaults and exit 0; --scheme was
+    # refused by the parser for every scenario, eavesdrop included
     name, option = argv[0], argv[1]
     code, out, err = run_cli(capsys, "attack", "--name", *argv)
     assert (code, out) == (2, "")
     assert err == f"gaskit: attack {name} does not take {option}\n"
+
+
+def test_attack_flags_are_the_scenarios_parameters():
+    # a scenario's options live in its function's signature alone: every
+    # parameter has an attack flag, and every flag but --name is a parameter
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in subparsers.choices["attack"]._actions if a.option_strings}
+    params = {name for fn in attacks._SCENARIOS.values()
+              for name in inspect.signature(fn).parameters}
+    assert flags - {"help", "name"} == params
 
 
 def test_attack_eavesdrop_leaky_negative_control(capsys):

@@ -399,14 +399,36 @@ def test_curve_from_dict_refuses_an_order_outside_the_hasse_interval(order):
         dataclasses.replace(TEST2017, order=order)
 
 
-def test_curve_from_dict_accepts_every_multiple_of_n_inside_the_hasse_interval():
-    # n^2 <= 16p on test2017, so four multiples of 37 fit, the true order
-    # 2035 one of them; the points are not counted
+def test_curve_from_dict_refuses_an_order_other_than_the_point_count():
+    # n^2 <= 16p on test2017, so four multiples of 37 fit the Hasse
+    # interval; the points are counted, and only the true order 2035 loads
     p = TEST2017.modulus.value
     inside = [k * 37 for k in range(1, 100) if (k * 37 - p - 1) ** 2 <= 4 * p]
     assert inside == [1961, 1998, TEST2017_ORDER, 2072]
-    for order in inside:
-        assert curve_from_dict(dict(curve_to_dict(TEST2017), order=str(order))).order == order
+    assert curve_from_dict(curve_to_dict(TEST2017)).order == TEST2017_ORDER
+    for order in (1961, 1998, 2072):
+        with pytest.raises(ValueError, match=f"^order {order} is not the point count 2035$"):
+            curve_from_dict(dict(curve_to_dict(TEST2017), order=str(order)))
+        with pytest.raises(ValueError, match=f"^order {order} is not"):
+            dataclasses.replace(TEST2017, order=order)
+
+
+def test_curve_params_refuses_an_order_it_cannot_count():
+    # y^2 = x^3 + x over p = 1000003 = 3 mod 4 is supersingular, of order
+    # p + 1 = 4 * 53^2 * 89: n = 53 leaves 75 multiples in the Hasse
+    # interval, and p is above the point count's 10^6 limit
+    fp = Prime(1000003)
+    p, order = fp.value, fp.value + 1
+    x = next(x for x in range(1, p) if pow(x**3 + x, (p - 1) // 2, p) == 1)
+    y = pow(x**3 + x, (p + 1) // 4, p)
+    curve = CurveParams(a=fp.element(1), b=fp.element(0), modulus=fp,
+                        generator=CurvePoint(fp.element(x), fp.element(y)))
+    gen = scalar_mul(order // 53, curve.generator, curve)
+    assert not gen.is_infinity
+    with pytest.raises(ValueError, match=f"^order {order} cannot be checked: n = 53 "):
+        dataclasses.replace(curve, generator=gen, order=order, subgroup_order=53)
+    # without a stated order the n (x, y) subgroup test stands alone
+    assert dataclasses.replace(curve, generator=gen, subgroup_order=53).order is None
 
 
 @pytest.mark.parametrize(("key", "value", "bits"), [
@@ -967,17 +989,15 @@ def _prime_above(p):
 
 @pytest.mark.parametrize("name", ["test2017", "secp160r1"])
 def test_jacobian_at_matches_affine_equality(name):
-    # (X : Y : Z) against an affine point's ints, x = None for infinity,
-    # without inverting Z: every Jacobian form of P equals P and nothing
-    # else, and the 4 multiplications of the return to affine are tallied
-    # whatever the verdict
+    # (X : Y : Z) against an affine point's ints, without inverting Z:
+    # every Jacobian form of P equals P and nothing else, infinity equals
+    # no affine point, and the 4 multiplications of the return to affine
+    # are tallied whatever the verdict
     curve = builtin_curve(name)
     p, n = curve.modulus.value, curve.subgroup_order
     rng = random.Random("jacobian" + name)
     pt, other = (scalar_mul(rng.randrange(2, n), curve.generator, curve) for _ in range(2))
-    candidates = [
-        (c.x.residue, c.y.residue) for c in (pt, negate(pt), other)
-    ] + [(None, None)]
+    candidates = [(c.x.residue, c.y.residue) for c in (pt, negate(pt), other)]
     x, y = candidates[0]
     for z in (1, 2, p - 1, rng.randrange(2, p)):
         jacobian = (x * z * z % p, y * z**3 % p, z)
@@ -988,7 +1008,7 @@ def test_jacobian_at_matches_affine_equality(name):
             assert ops.field_muls == 7 + 4
     for cand in candidates:
         with MulCounter() as ops:
-            assert _jacobian_at(1, 1, 0, 7, *cand, p) == (cand[0] is None)
+            assert _jacobian_at(1, 1, 0, 7, *cand, p) is False
         assert ops.field_muls == 7
 
 

@@ -9,6 +9,7 @@ extra) and are skipped where it is not installed.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 
 import pytest
 
@@ -39,8 +40,8 @@ _values = st.one_of(
 )
 
 _SCENARIOS = [
-    sim.Scenario(scheme=scheme, m=4, t=2, curve_ref="builtin:test2017",
-                 harn_ref="builtin:harn-tiny").to_dict()
+    asdict(sim.Scenario(scheme=scheme, m=4, t=2, curve_ref="builtin:test2017",
+                        harn_ref="builtin:harn-tiny"))
     for scheme in sim.SCHEME_CHOICES
 ]
 _SCENARIO_VALUES = st.one_of(

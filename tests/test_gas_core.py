@@ -37,7 +37,9 @@ from gaskit.gas_core import (
     rotate_credentials,
     run_confirmation,
 )
-from gaskit.sss import Share, ThresholdError, commit, reconstruct, verify_commitment
+from gaskit.sss import (
+    Share, ThresholdError, commit, reconstruct, roster_ids, verify_commitment,
+)
 from oracle import add, curve_point, mul, negate
 from test_ec import (
     _fixed_base_muls, _interleaved_muls, _multi_scalar_mul, _prime_above,
@@ -51,6 +53,15 @@ def setup_group(t=3, n=5, seed=7):
     rng = random.Random(seed)
     config, shares = gm_init(t, n, CURVE, rng)
     return rng, config, shares
+
+
+def random_roster_group(t, n, curve, rng):
+    """`gm_init`'s group, dealt on n distinct random nonzero x's, not 1..n;
+    drawn one at a time, as rng.sample cannot take the range on secp160r1."""
+    xs: dict[int, None] = {}
+    while len(xs) < n:
+        xs[rng.randrange(1, curve.subgroup_order)] = None
+    return gas_core._deal_group(curve, t, tuple(zip(roster_ids(n), xs)), rng, epoch=1)
 
 
 # --- initialization -----------------------------------------------------------
@@ -95,7 +106,7 @@ def test_config_invariants():
 
 
 def test_roster_index_answers_for_its_own_roster():
-    config, _ = gm_init(18, 36, CURVE, random.Random(3), random_xs=True)
+    config, _ = random_roster_group(18, 36, CURVE, random.Random(3))
     assert [config.roster_x(mid).residue for mid, _ in config.roster] == [
         x for _, x in config.roster
     ]
@@ -1258,22 +1269,12 @@ def test_config_rejects_roster_x_outside_scalar_field():
     assert dataclasses.replace(config, roster=tuple(zip(config.member_ids, [1, 2, q - 1])))
 
 
-def test_gm_init_random_xs():
-    rng = random.Random(41)
-    config, shares = gm_init(3, 8, CURVE, rng, random_xs=True)
-    xs = [x for _, x in config.roster]
-    assert len(set(xs)) == 8 and all(0 < x < 37 for x in xs)
-    assert xs != list(range(1, 9))  # actually randomized under this seed
-    s = reconstruct(shares[:3], 3)
-    assert scalar_mul(s.residue, config.curve.generator, CURVE) == config.group_public_key
-
-
 def test_random_roster_session_on_secp160r1():
     # q - 1 > sys.maxsize, a range rng.sample cannot take; the session then
     # runs through confirmation, both verifies and the batched key agreement
     rng = random.Random(16)
     curve = builtin_curve("secp160r1")
-    config, shares = gm_init(3, 5, curve, rng, random_xs=True)
+    config, shares = random_roster_group(3, 5, curve, rng)
     xs = [x for _, x in config.roster]
     assert len(set(xs)) == 5 and all(0 < x < curve.subgroup_order for x in xs)
     assert max(xs) > sys.maxsize

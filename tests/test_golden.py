@@ -154,6 +154,13 @@ CASES = {
         "38fcef629e8eb5ea9c53c0d16d494076f59451d0d04c53955b23fdb82a4d219c",
         None,
     ),
+    # the scan of Harn's releases, through the attack flag --scheme
+    "attack-eavesdrop-harn": (
+        ["attack", "--name", "eavesdrop", "--scheme", "harn"],
+        0,
+        "1da078c262b08b97afa39835f5644ae9f2283bc12fd896047c121263d79dca7f",
+        None,
+    ),
     "gen-params-curve": (
         ["gen-params", "--kind", "curve"],
         0,

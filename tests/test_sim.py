@@ -1,6 +1,7 @@
 """Simulator: determinism, conservation, calibration, schedule behavior."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -69,10 +70,10 @@ def test_scenario_rejects_harn_flood_and_decentralized_gm():
 
 def test_scenario_dict_roundtrip(tmp_path):
     scn = tiny(seed=9, loss=0.1)
-    again = Scenario.from_dict(scn.to_dict())
+    again = Scenario.from_dict(asdict(scn))
     assert again == scn
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps(scn.to_dict()))
+    path.write_text(json.dumps(asdict(scn)))
     assert Scenario.from_json_file(path) == scn
     with pytest.raises(ScenarioError, match="unknown scenario fields"):
         Scenario.from_dict({"scheme": "harn", "m": 3, "warp": 9})
