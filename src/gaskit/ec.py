@@ -1,17 +1,17 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
 Points cross the API in affine coordinates (`CurvePoint` over
-`FieldElement`, infinity as `CurvePoint(None, None)`).  `scalar_mul`,
-`_multi_scalar_jacobian` and `_mul_many` work on plain integers, record one
-TEM per scalar multiplication, and tally their field multiplications in bulk
-once per call.  There are three loops:
+`FieldElement`, infinity as `CurvePoint(None, None)`).  `scalar_mul` picks
+the loop for a point.  The loops' entries work on plain integers, record one
+TEM per scalar multiplication (`field.tally_tems`) and tally their field
+multiplications in bulk once per call.  There are three loops:
 
-* fixed base, for `scalar_mul` of the curve's own generator when
-  `subgroup_order` is set: k is reduced mod n and split into w-bit digits,
-  and one precomputed affine point per nonzero digit is added, with no
-  doublings.  A member's multiple runs on w = `_WINDOW` (3), the table of
-  ceil(bitlen(n)/3) rows of 7 points (54 rows, about 60 KB, for
-  secp160r1); `gas_core.gm_verify`'s recomputations run on w =
+* fixed base, for `_generator_jacobian`, a multiple of the curve's own
+  generator when `subgroup_order` is set: k is reduced mod n and split into
+  w-bit digits, and one precomputed affine point per nonzero digit is
+  added, with no doublings.  A member's multiple runs on w = `_WINDOW` (3),
+  the table of ceil(bitlen(n)/3) rows of 7 points (54 rows, about 60 KB,
+  for secp160r1); `gas_core.gm_verify`'s recomputations run on w =
   `_GM_WINDOW` (8), ceil(bitlen(n)/8) rows of 255 points (21 rows, about
   0.8 MB, for secp160r1).  In each, the top row stops at the top digit of
   n - 1 (secp160r1: 2 of 7 points, 1 of 255).  Each table is built once
@@ -27,16 +27,17 @@ once per call.  There are three loops:
   doublings.  Tallies 25 per NAF table, 8 per doubling where a = -3 mod p
   (secp160r1, P-256) and 10 otherwise, 11 per mixed addition and 4 to
   return to affine;
-* lockstep, for `_mul_many`, k P_i for one k and many points (a member's
-  pairwise ECDH): k is recoded once, in the same way, and every point runs
-  its digits together in affine coordinates, each doubling or addition
-  taking all points' denominators from one inversion.  Tallies, per point,
-  7 per doubling and 6 per addition.
+* lockstep, for `_mul_many`, k P_i for one k and two or more points (a
+  member's pairwise ECDH): k is recoded once, in the same way, and every
+  point runs its digits together in affine coordinates, each doubling or
+  addition taking all points' denominators from one inversion.  Tallies,
+  per point, 7 per doubling and 6 per addition.
 
 Both build their NAF tables with `_odd_multiples`.  A point of order 2, 3,
 5 or 7 has none: the interleaved loop then runs every term on binary
 digits, and the lockstep, like any of its steps that meets a zero
-denominator, returns None for its caller's per-point fallback.
+denominator, gives up untallied: `_mul_many` then runs each point as a
+one-term interleaved loop, as it does a lone point.
 
 A verifier that only compares its result with a given point keeps it in
 Jacobian coordinates: `_jacobian_at` tests X = x Z^2 and Y = y Z^3 on the
@@ -71,8 +72,8 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, Prime, _reduced, active_counter, batch_inverse, cached_prime,
-    json_int, json_object, json_str, tally_muls,
+    FieldElement, Prime, _reduced, batch_inverse, cached_prime, json_int,
+    json_object, json_str, tally_muls, tally_tems,
 )
 
 __all__ = [
@@ -194,7 +195,11 @@ class CurveParams:
                 f"order {self.order} is outside the Hasse interval p + 1 +- 2 sqrt(p), p = {p}"
             )
         if self.subgroup_order is not None:
-            if not is_probable_subgroup(self):
+            n, g = self.subgroup_order, self.generator
+            # The variable-base loop on purpose: the fixed-base loop reduces k
+            # mod subgroup_order, which is what this check has yet to justify.
+            if (n < 1 or _interleaved([(n, g.x.residue, g.y.residue)], self.a.residue, p)[2]
+                    or self.order is not None and self.order % n):
                 raise ValueError("subgroup_order does not annihilate the generator")
             try:  # cached, so `scalar_field` reuses this test
                 cached_prime(self.subgroup_order)
@@ -202,7 +207,6 @@ class CurveParams:
                 raise ValueError(
                     f"subgroup_order {self.subgroup_order} is not a prime >= 3"
                 ) from None
-            n = self.subgroup_order
             if self.order is not None and n * n <= 16 * p:
                 if p > _BRUTE_FORCE_LIMIT:
                     raise ValueError(
@@ -249,16 +253,6 @@ class CurveParams:
             acc = _affine_step(acc, None if k == 2 else g, a, p)
             points.add(acc[0])
         return frozenset(points)
-
-
-def is_probable_subgroup(curve: CurveParams) -> bool:
-    # The variable-base path on purpose: the fixed-base path reduces k mod
-    # subgroup_order, which is what this check has yet to justify.
-    n, g = curve.subgroup_order, curve.generator
-    p, a = curve.modulus.value, curve.a.residue
-    if n < 1 or _interleaved([(n, g.x.residue, g.y.residue)], a, p)[2]:
-        return False
-    return curve.order is None or curve.order % n == 0
 
 
 def _satisfies(x: int, y: int, curve: CurveParams) -> bool:
@@ -311,11 +305,6 @@ def check_affine_point(x: int, y: int, curve: CurveParams) -> None:
         and _interleaved([(n, x, y)], curve.a.residue, curve.modulus.value)[2]
     ):
         raise ValueError(f"point ({x}, {y}) is outside the subgroup of order {n}")
-
-
-def _require_on_curve(pt: CurvePoint, curve: CurveParams) -> None:
-    if not is_on_curve(pt, curve):
-        raise ValueError(f"point {pt!r} is not on curve {curve.name or '<anonymous>'}")
 
 
 # Field multiplications per Jacobian formula, tallied in bulk by scalar_mul.
@@ -413,15 +402,6 @@ def _madd(
     return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p, _MADD_MULS
 
 
-def _to_affine(X: int, Y: int, Z: int, p: int) -> tuple[int, int] | None:
-    """(X/Z^2, Y/Z^3) after one inversion, or None for Z = 0 (infinity)."""
-    if not Z:
-        return None
-    z_inv = pow(Z, -1, p)
-    zz_inv = z_inv * z_inv % p
-    return X * zz_inv % p, Y * zz_inv * z_inv % p
-
-
 def _binary(k: int) -> list[tuple[int, int]]:
     """The set bits of k >= 1 as (position, 1), least significant first."""
     return [(pos, 1) for pos in range(k.bit_length()) if k >> pos & 1]
@@ -474,7 +454,7 @@ def _odd_multiples(
 def _interleaved(
     terms: list[tuple[int, int, int]], a: int, p: int
 ) -> tuple[int, int, int, int]:
-    """sum k * (x, y) over terms (k, x, y) with k >= 1: (X, Y, Z, muls).
+    """sum k * (x, y) over terms (k, x, y), k >= 1, infinity for none: (X, Y, Z, muls).
 
     Each k is recoded on its own: from `_NAF_MIN_BITS` bits on for one term,
     `_SHARED_NAF_MIN_BITS` for more, as a width-4 NAF over its point's
@@ -597,7 +577,7 @@ def _build_generator_table(
 def _batch_to_affine(
     points: list[tuple[int, int, int]], p: int
 ) -> list[tuple[int, int] | None]:
-    """`_to_affine` of every Jacobian point, with one inversion for all."""
+    """`_affine_xy` of every Jacobian point, untallied, with one inversion for all."""
     out = []
     for (X, Y, Z), z_inv in zip(points, batch_inverse([Z for _, _, Z in points], p)):
         if not Z:
@@ -609,7 +589,8 @@ def _batch_to_affine(
 
 
 def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
-    """k * pt.  Records one TEM in the active `MulCounter`.
+    """k * pt.  Records one TEM in the active `MulCounter`, itself for k = 0
+    or infinity, else in the loop it picks; returns via `_affine_result`.
 
     The running point is Jacobian (X : Y : Z), standing for (X/Z^2, Y/Z^3),
     with Z = 0 the point at infinity (Cohen-Miyaji-Ono, ASIACRYPT'98); one
@@ -648,20 +629,15 @@ def scalar_mul(k: int, pt: CurvePoint, curve: CurveParams) -> CurvePoint:
     if k < 0:
         raise ValueError("scalar must be non-negative")
     generator = pt is curve.generator or pt == curve.generator
-    if not generator:  # the generator was checked when the curve was built
-        _require_on_curve(pt, curve)
-    counter = active_counter()
-    if counter is not None:
-        counter.ec_scalar_muls += 1
+    if not generator and not is_on_curve(pt, curve):  # the generator was, at load
+        raise ValueError(f"point {pt!r} is not on curve {curve.name or '<anonymous>'}")
     if k == 0 or pt.is_infinity:
+        tally_tems(1)
         return _INFINITY
     if generator and curve.subgroup_order is not None:
-        X, Y, Z, muls = _fixed_base(k, curve, curve._generator_table, _WINDOW)
-    else:
-        X, Y, Z, muls = _interleaved(
-            [(k, pt.x.residue, pt.y.residue)], curve.a.residue, curve.modulus.value
-        )
-    return _affine_result(X, Y, Z, muls, curve)
+        return _affine_result(*_generator_jacobian(k, curve), curve)
+    terms = [(k, pt.x.residue, pt.y.residue)]
+    return _affine_result(*_multi_scalar_jacobian(terms, curve), curve)
 
 
 def _generator_jacobian(
@@ -671,19 +647,17 @@ def _generator_jacobian(
     `subgroup_order` set, up to its return to affine: (X, Y, Z, muls), with
     the TEM recorded.  With `gm`, the same point from the GM's wider table
     (`CurveParams._gm_table`), in fewer mixed additions."""
-    counter = active_counter()
-    if counter is not None:
-        counter.ec_scalar_muls += 1
+    tally_tems(1)
     table, window = (curve._gm_table, _GM_WINDOW) if gm else (curve._generator_table, _WINDOW)
     return _fixed_base(k, curve, table, window)
 
 
 def _multi_scalar_jacobian(
-    terms: list[tuple[int, int, int]], tems: int, curve: CurveParams
+    terms: list[tuple[int, int, int]], curve: CurveParams
 ) -> tuple[int, int, int, int]:
     """sum k_i * (x_i, y_i) over terms (k_i, x_i, y_i), every k_i >= 1 and
     (x_i, y_i) on the curve, unchecked, up to the return to affine:
-    (X, Y, Z, muls), with `tems` TEMs recorded.
+    (X, Y, Z, muls), with one TEM recorded per term.
 
     No k_i is reduced or negated, and the generator gets no fixed-base path
     here.  A caller whose points all have prime order n can pass a k above
@@ -701,21 +675,34 @@ def _multi_scalar_jacobian(
     term and `_affine_result`, this is `scalar_mul` of a point other than
     the generator, in value and in tally.
     """
-    counter = active_counter()
-    if counter is not None:
-        counter.ec_scalar_muls += tems
-    if not terms:
-        return 1, 1, 0, 0
+    tally_tems(len(terms))
     return _interleaved(terms, curve.a.residue, curve.modulus.value)
 
 
 def _mul_many(
     k: int, points: list[tuple[int, int]], curve: CurveParams
-) -> list[tuple[int, int]] | None:
+) -> list[tuple[int, int] | None]:
     """[k * (x, y) for (x, y) in points] as affine ints, each what
-    `scalar_mul` returns for that point, or None.
+    `scalar_mul` returns for that point, None for infinity.
 
     k >= 1, not reduced, and every point affine and on the curve, unchecked.
+    Two or more points run `_lockstep`, one TEM per point.  One point, and
+    every point when a step of that pass meets a zero denominator, runs
+    instead as the one term of `_multi_scalar_jacobian`, with `scalar_mul`'s
+    variable-base value, TEM and tally.
+    """
+    shared = _lockstep(k, points, curve) if len(points) > 1 else None
+    if shared is None:
+        p = curve.modulus.value
+        shared = [_affine_xy(*_multi_scalar_jacobian([(k, x, y)], curve), p) for x, y in points]
+    return shared
+
+
+def _lockstep(
+    k: int, points: list[tuple[int, int]], curve: CurveParams
+) -> list[tuple[int, int]] | None:
+    """`_mul_many`'s pass over its points, or None.
+
     k is recoded once, as in `scalar_mul`'s variable base, and all points
     run its digits in lockstep in affine coordinates: on the width-4 NAF,
     the table of `_odd_multiples` comes first, and each accumulator starts
@@ -728,7 +715,7 @@ def _mul_many(
     tallies about 1.3k.  A zero denominator means some running multiple
     met infinity, P + P or P - P: a point of small order can do that, and
     so, rarely, can one of prime order n (on secp160r1, k = n - 14 does).
-    The pass then records nothing and returns None, for the caller's
+    The pass then records nothing and returns None, for `_mul_many`'s
     per-point fallback.
     """
     a, p = curve.a.residue, curve.modulus.value
@@ -752,10 +739,9 @@ def _mul_many(
             at -= 1
         if acc and d:
             acc = _affine_step(acc, table[d], a, p)
-    counter = active_counter()
-    if acc is not None and counter is not None:
-        counter.ec_scalar_muls += len(points)
-        counter.field_muls += muls * len(points)
+    if acc is not None:
+        tally_tems(len(points))
+        tally_muls(muls * len(points))
     return acc
 
 
@@ -788,11 +774,14 @@ def _affine_step(
 
 
 def _affine_xy(X: int, Y: int, Z: int, muls: int, p: int) -> tuple[int, int] | None:
-    """The affine ints of (X : Y : Z), None for infinity; tallies muls and
-    the return to affine."""
-    xy = _to_affine(X, Y, Z, p)
-    tally_muls(muls if xy is None else muls + _TO_AFFINE_MULS)
-    return xy
+    """The affine ints (X/Z^2, Y/Z^3) of (X : Y : Z) after one inversion,
+    None for Z = 0 (infinity); tallies muls and the return to affine."""
+    tally_muls(muls + _TO_AFFINE_MULS if Z else muls)
+    if not Z:
+        return None
+    z_inv = pow(Z, -1, p)
+    zz_inv = z_inv * z_inv % p
+    return X * zz_inv % p, Y * zz_inv * z_inv % p
 
 
 def _affine_result(X: int, Y: int, Z: int, muls: int, curve: CurveParams) -> CurvePoint:
@@ -817,14 +806,20 @@ def _jacobian_at(X: int, Y: int, Z: int, muls: int, x: int, y: int, p: int) -> b
 
 
 def brute_force_order(curve: CurveParams) -> int:
-    """Point count by exhaustive enumeration (test oracle, modulus <= 1e6)."""
+    """Point count by exhaustive enumeration (test oracle, modulus <= 1e6),
+    run once per (p, A, B) in a process: `gaskit gen-params` counts a curve,
+    and the `CurveParams` it builds with that order reuses the count."""
     p = curve.modulus.value
     if p > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"modulus {p} too large to enumerate")
+    return _point_count(p, curve.a.residue, curve.b.residue)
+
+
+@lru_cache(maxsize=16)
+def _point_count(p: int, a: int, b: int) -> int:
     square_counts = [0] * p
     for y in range(p):
         square_counts[y * y % p] += 1
-    a, b = curve.a.residue, curve.b.residue
     count = 1  # infinity
     for x in range(p):
         count += square_counts[(x * x * x + a * x + b) % p]

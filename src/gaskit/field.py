@@ -27,7 +27,6 @@ __all__ = [
     "Prime",
     "FieldElement",
     "MulCounter",
-    "active_counter",
     "batch_inverse",
     "is_probable_prime",
     "json_int",
@@ -39,6 +38,7 @@ __all__ = [
     "lagrange_weights",
     "pow_mod",
     "tally_muls",
+    "tally_tems",
 ]
 
 _MR_ROUNDS = 64
@@ -157,7 +157,7 @@ def cached_prime(value: int) -> Prime:
 
 # The active counter is confined to one execution context (one simulated
 # node); `contextvars` keeps it isolated across threads/tasks.
-_ACTIVE: contextvars.ContextVar["MulCounter | None"] = contextvars.ContextVar(
+_ACTIVE: contextvars.ContextVar[MulCounter | None] = contextvars.ContextVar(
     "gaskit_mul_counter", default=None
 )
 
@@ -223,15 +223,18 @@ class MulCounter:
         return f"MulCounter(field_muls={self.field_muls}, ec_scalar_muls={self.ec_scalar_muls})"
 
 
-def active_counter() -> MulCounter | None:
-    return _ACTIVE.get()
-
-
 def tally_muls(n: int) -> None:
     """Add n field multiplications, done on plain ints, to the active counter."""
     counter = _ACTIVE.get()
     if counter is not None:
         counter.field_muls += n
+
+
+def tally_tems(n: int) -> None:
+    """Add n TEMs (EC scalar multiplications) to the active counter."""
+    counter = _ACTIVE.get()
+    if counter is not None:
+        counter.ec_scalar_muls += n
 
 
 class FieldElement:

@@ -466,7 +466,7 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
         x, y = ps.x, ps.y
         terms.append((q - w, x, -y % p) if w > q >> 1 else (w, x, y))
     Q = config.group_public_key
-    return _jacobian_at(*_multi_scalar_jacobian(terms, m, curve), Q.x.residue, Q.y.residue, p)
+    return _jacobian_at(*_multi_scalar_jacobian(terms, curve), Q.x.residue, Q.y.residue, p)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +488,13 @@ def ensure_pairwise_keys(state: MemberState) -> None:
     x of y_i * (y_j P).  A member whose own y_i is 0 is refused first, with
     ValueError naming it, before any TEM is counted.  No peer's point is
     checked again (see `PublicShare`).  The member's one scalar y_i
-    multiplies all peers' points in one lockstep pass (`ec._mul_many`, one
-    TEM per peer).  With one peer, or when a step of that pass meets a zero
-    denominator, each point runs instead as the one term of
-    `ec._multi_scalar_jacobian`, with `scalar_mul`'s variable-base value,
-    TEM and tally.  An honest point of prime order can, rarely, meet one:
-    on secp160r1 the scalar n - 14 does, n the subgroup order.  A
-    degenerate shared point (infinity) raises `PeerAuthenticationError`
-    naming the peer whose point made it, after the keys of the peers
-    before it are stored.
+    multiplies all peers' points in one call of `ec._mul_many`, one TEM per
+    peer: a lockstep pass over two or more, which `ec` itself replaces by
+    per-point multiplications for one peer or at a zero denominator (on
+    secp160r1 an honest point meets one at the scalar n - 14, n the
+    subgroup order).  A degenerate shared point (infinity) raises
+    `PeerAuthenticationError` naming the peer whose point made it, after
+    the keys of the peers before it are stored.
     """
     k = state.share.y.residue
     if not k:
@@ -506,13 +504,8 @@ def ensure_pairwise_keys(state: MemberState) -> None:
         if mid != state.member_id and mid not in state.pairwise_keys
     ]
     curve = state.config.curve
-    p = curve.modulus.value
-    shared = _mul_many(k, [(ps.x, ps.y) for ps in peers], curve) if len(peers) > 1 else None
-    if shared is None:  # one peer, or a lockstep step met a zero denominator
-        shared = [_affine_xy(*_multi_scalar_jacobian([(k, ps.x, ps.y)], 1, curve), p)
-                  for ps in peers]
     width = curve.modulus.byte_length
-    for ps, xy in zip(peers, shared):
+    for ps, xy in zip(peers, _mul_many(k, [(ps.x, ps.y) for ps in peers], curve)):
         if xy is None:
             raise PeerAuthenticationError(
                 ps.member_id,

@@ -6,7 +6,7 @@ chord-tangent law, double-and-add over it and the constructor of a point
 from two ints live here.  Infinity is `CurvePoint(None, None)`.
 """
 
-from gaskit.ec import CurveParams, CurvePoint, _require_on_curve
+from gaskit.ec import CurveParams, CurvePoint, is_on_curve
 from gaskit.field import FieldElement, tally_muls
 
 
@@ -29,8 +29,9 @@ def add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:
     field multiplications: 3 for an addition, 6 for a doubling (the one
     inversion is not counted).
     """
-    _require_on_curve(p1, curve)
-    _require_on_curve(p2, curve)
+    for pt in (p1, p2):
+        if not is_on_curve(pt, curve):
+            raise ValueError(f"point {pt!r} is not on curve {curve.name or '<anonymous>'}")
     if p1.is_infinity:
         return p2
     if p2.is_infinity:

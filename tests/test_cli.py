@@ -485,6 +485,17 @@ def test_gen_params_curve_rederives_builtin(capsys):
     assert (data["Gx"], data["Gy"]) == ("1368", "374")
 
 
+def test_gen_params_curve_counts_the_points_once(capsys):
+    # the command counts the curve's points to find n, and the parameters it
+    # builds with that order, where n^2 <= 16p, check it against the count:
+    # one enumeration serves both
+    ec._point_count.cache_clear()
+    code, _, _ = run_cli(capsys, "gen-params", "--kind", "curve")
+    assert code == 0
+    info = ec._point_count.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_gen_params_curve_rejects_values_outside_field(capsys):
     # --a 2023 = 6 mod 2017 would pass and be written out as "2023";
     # a negative value is refused too, so a = -3 is given as p - 3

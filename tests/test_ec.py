@@ -21,6 +21,7 @@ from gaskit.ec import (
     _fixed_base,
     _interleaved,
     _jacobian_at,
+    _lockstep,
     _mul_many,
     _multi_scalar_jacobian,
     _naf4,
@@ -210,6 +211,21 @@ def test_scalar_mul_counts_one_tem():
     with MulCounter() as ops:
         scalar_mul(k, pt, curve)
     assert (ops.ec_scalar_muls, ops.field_muls) == (1, _naf_a3_muls(k))
+
+
+def test_scalar_mul_of_zero_or_infinity_counts_one_tem_and_no_field_mul():
+    # k = 0 of the generator on the fixed base, and of another point or of a
+    # generator without subgroup_order on the variable base; infinity on a
+    # curve with subgroup_order and on one without: one TEM, no loop
+    bare = dataclasses.replace(TEST2017, order=None, subgroup_order=None)
+    inf = CurvePoint(None, None)
+    pt = scalar_mul(5, TEST2017.generator, TEST2017)
+    cases = [(0, TEST2017.generator, TEST2017), (0, pt, TEST2017), (0, bare.generator, bare),
+             (0, inf, TEST2017), (7, inf, TEST2017), (7, inf, bare)]
+    for k, point, curve in cases:
+        with MulCounter() as ops:
+            assert scalar_mul(k, point, curve).is_infinity
+        assert (ops.ec_scalar_muls, ops.field_muls) == (1, 0), (k, point)
 
 
 def _ref_naf4(k):
@@ -827,9 +843,12 @@ def _ref_multi(terms, curve):
 def _multi_scalar_mul(terms, curve):
     """sum k_i P_i over terms (k_i >= 0, P_i on the curve) through
     `ec._multi_scalar_jacobian`, the loop `gas_core.decentralized_verify`
-    runs, returned to affine as `scalar_mul` returns: one TEM per term."""
+    runs, returned to affine as `scalar_mul` returns: one TEM per term.
+    A term with k = 0 or infinity is dropped before the loop, which takes
+    k >= 1 and finite points, and counts its one TEM as `scalar_mul` does."""
     ints = [(k, pt.x.residue, pt.y.residue) for k, pt in terms if k and not pt.is_infinity]
-    X, Y, Z, muls = _multi_scalar_jacobian(ints, len(terms), curve)
+    field.tally_tems(len(terms) - len(ints))
+    X, Y, Z, muls = _multi_scalar_jacobian(ints, curve)
     return _affine_result(X, Y, Z, muls, curve)
 
 
@@ -1013,7 +1032,7 @@ def test_jacobian_at_matches_affine_equality(name):
 
 
 def _lockstep_digits(k):
-    """The digits `_mul_many` runs, one per position, least significant
+    """The digits `_lockstep` runs, one per position, least significant
     first: `_ref_naf4` from 32 bits on, binary below."""
     return _ref_naf4(k) if k.bit_length() >= 32 else [int(b) for b in bin(k)[:1:-1]]
 
@@ -1041,7 +1060,7 @@ def _lockstep_runs(k, order):
 
 
 def _lockstep_muls(k, count):
-    """Tally of a `_mul_many` of `count` points whose lockstep runs
+    """Tally of a `_lockstep` of `count` points that runs
     through: per point 7 per affine doubling and 6 per affine addition, on
     a width-4 NAF first one doubling and three additions for the table
     of P, 3P, 5P, 7P, then one of each per position and nonzero digit after
@@ -1054,12 +1073,12 @@ def _lockstep_muls(k, count):
 
 
 def _assert_many_is_per_point(k, pts, orders, curve):
-    """`_mul_many` of k >= 1 and finite points: when every point's pass runs
+    """`_lockstep` of k >= 1 and finite points: when every point's pass runs
     through, per-point `scalar_mul` in values, one TEM per point and the
     lockstep recount as its tally; otherwise None, with nothing recorded.
     Returns whether it ran through."""
     with MulCounter() as ops:
-        got = _mul_many(k, [(pt.x.residue, pt.y.residue) for pt in pts], curve)
+        got = _lockstep(k, [(pt.x.residue, pt.y.residue) for pt in pts], curve)
     runs = all(_lockstep_runs(k, order) for order in orders)
     if runs:
         assert [curve_point(curve, x, y) for x, y in got] == [
@@ -1106,10 +1125,10 @@ def test_mul_many_meets_a_zero_denominator_at_a_prime_order_point():
     pts = [scalar_mul(rng.randrange(1, n), curve.generator, curve) for _ in range(3)]
     xys = [(pt.x.residue, pt.y.residue) for pt in pts]
     with MulCounter() as ops:
-        assert _mul_many(n - 14, xys, curve) is None
+        assert _lockstep(n - 14, xys, curve) is None
     assert (ops.ec_scalar_muls, ops.field_muls) == (0, 0)
     # in the code and in the recount's model alike
-    assert [j for j in range(1, 40) if _mul_many(n - j, xys, curve) is None] == [14]
+    assert [j for j in range(1, 40) if _lockstep(n - j, xys, curve) is None] == [14]
     assert [j for j in range(1, 40) if not _lockstep_runs(n - j, n)] == [14]
 
 
@@ -1131,6 +1150,41 @@ def test_scalar_mul_many_falls_back_on_torsion_points():
                 else:
                     fell_back += 1
     assert fell_back > 200 and ran > 200
+
+
+def test_mul_many_runs_one_point_and_a_failed_lockstep_as_scalar_mul():
+    # one point, and every point of a lockstep pass that meets a zero
+    # denominator, give what `scalar_mul` gives each point, None for
+    # infinity, with its TEMs and tally; two or more points whose pass runs
+    # through give the lockstep's values and tally, one TEM per point
+    secp = builtin_curve("secp160r1")
+    n = secp.subgroup_order
+    rng = random.Random("mul-many")
+    pts = [scalar_mul(rng.randrange(1, n), secp.generator, secp) for _ in range(3)]
+    torsion = _test2017_torsion()[5][0]  # order 5: 5T and 10T are infinity
+    honest = scalar_mul(3, TEST2017.generator, TEST2017)
+    cases = [(secp, k, pts[:1]) for k in (1, 2**31, rng.randrange(2**159, n), n - 14)]
+    cases += [(secp, n - 14, pts), (TEST2017, 5, [honest, torsion]),
+              (TEST2017, 10, [torsion]), (TEST2017, 3, [torsion])]
+    for curve, k, group in cases:
+        xys = [(pt.x.residue, pt.y.residue) for pt in group]
+        assert len(group) == 1 or _lockstep(k, xys, curve) is None
+        with MulCounter() as ops:
+            got = _mul_many(k, xys, curve)
+        with MulCounter() as want_ops:
+            want = [scalar_mul(k, pt, curve) for pt in group]
+        assert got == [None if w.is_infinity else (w.x.residue, w.y.residue) for w in want]
+        assert (ops.ec_scalar_muls, ops.field_muls) == (
+            want_ops.ec_scalar_muls, want_ops.field_muls), (k, group)
+        assert ops.ec_scalar_muls == len(group)
+    k = rng.randrange(2**159, n)
+    with MulCounter() as ops:
+        got = _mul_many(k, [(pt.x.residue, pt.y.residue) for pt in pts], secp)
+    with MulCounter() as want_ops:
+        assert got == _lockstep(k, [(pt.x.residue, pt.y.residue) for pt in pts], secp)
+    assert (ops.ec_scalar_muls, ops.field_muls) == (
+        want_ops.ec_scalar_muls, want_ops.field_muls) == (3, _lockstep_muls(k, 3))
+    assert _mul_many(k, [], secp) == []
 
 
 def test_curve_point_equality_contract():
