@@ -359,6 +359,8 @@ def build_honest_transcript(
     deliberately broken broadcast of a raw private share (negative control
     for the scanner).
     """
+    if m > sim.MAX_GROUP_SIZE:  # before the dealing, whose work grows with m
+        raise ValueError(f"m must be <= {sim.MAX_GROUP_SIZE}, got {m}")
     rng = random.Random(seed)
     frames: list[bytes] = []
     secrets: dict[str, bytes] = {}

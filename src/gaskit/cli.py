@@ -14,12 +14,17 @@ parameter set, reported as one ``gaskit: <message>`` line on stderr.
 Output already printed stays: with ``--events`` on an unwritable path the
 CSV is on stdout when the command exits 2.
 
+``simulate``'s flags are `sim.Scenario` fields (``--curve`` and ``--harn``
+set ``curve_ref`` and ``harn_ref``); a flag left out keeps the field's
+default.  ``--scenario`` names a whole scenario, so it takes no other
+scenario flag, only ``--events``.
+
 ``simulate`` and ``sweep`` build the simulator's event log only under
 ``--events`` (`sim.event_log`): m^2 + 2m + 2 events per Harn run, 3m + 3
 per proposed run; without it the CSV is the same and no log is built.
 
 Work is bounded at validation, before any is done: a group (``demo
---n``, ``simulate --m``, every ``sweep`` m) of at most
+--n``, ``simulate --m``, ``attack --m``, every ``sweep`` m) of at most
 `sim.MAX_GROUP_SIZE` members, at most `MAX_M_VALUES` values in
 ``--m-list`` or ``--m-range``, a Harn ``--p-bits`` of at most
 `gas_harn.MAX_P_BITS` (2048), and before any primality test a curve
@@ -60,8 +65,9 @@ def _point_str(pt) -> str:
 
 def _cmd_demo(args) -> int:
     rng = random.Random(args.seed)
-    if not 1 <= args.t <= args.m <= args.n:
-        raise ValueError(f"need 1 <= t <= m <= n, got t={args.t} m={args.m} n={args.n}")
+    m = args.n if args.m is None else args.m
+    if not 1 <= args.t <= m <= args.n:
+        raise ValueError(f"need 1 <= t <= m <= n, got t={args.t} m={m} n={args.n}")
     if args.n > sim.MAX_GROUP_SIZE:
         raise ValueError(f"n must be <= {sim.MAX_GROUP_SIZE}, got {args.n}")
     if args.scheme == "proposed":
@@ -73,7 +79,7 @@ def _cmd_demo(args) -> int:
         print(f"group: n={args.n}, threshold t={args.t}, epoch {config.epoch}")
         print(f"published: P={_point_str(curve.generator)} "
               f"Q={_point_str(config.group_public_key)} H(s)={config.commitment.hex()[:16]}...")
-        participants = [s.member_id for s in shares[: args.m]]
+        participants = [s.member_id for s in shares[:m]]
         states, public_shares = gas_core.run_confirmation(config, shares, participants)
         print("== Confirmation Phase ==")
         for ps in public_shares:
@@ -89,7 +95,7 @@ def _cmd_demo(args) -> int:
             return 1
         print("Authentication is complete.")
         print("== Group Key Agreement Stage ==")
-        print(f"members exchange encrypted shares (m={args.m})")
+        print(f"members exchange encrypted shares (m={m})")
         try:
             gas_core.exchange_group_key(states, rng)
         except gas_core.ProtocolError as exc:
@@ -104,7 +110,7 @@ def _cmd_demo(args) -> int:
     print("== Initialization Phase ==")
     print(f"harn parameters: p={modulus.p.value} q={modulus.q.value} g={modulus.g.residue}")
     print(f"group: n={args.n}, threshold t={args.t}")
-    participants = tokens[: args.m]
+    participants = tokens[:m]
     roster_xs = [tok.x for tok in participants]
     print("== Release Phase ==")
     releases = []
@@ -153,38 +159,26 @@ def _cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate / sweep
 
-def _scenario_from_args(args) -> sim.Scenario:
-    fields = dict(
-        scheme=args.scheme,
-        m=args.m,
-        t=args.t,
-        seed=args.seed,
-        loss=args.loss,
-        schedule=args.schedule,
-    )
-    if args.curve is not None:
-        fields["curve_ref"] = args.curve
-    if args.harn is not None:
-        fields["harn_ref"] = args.harn
-    return sim.Scenario(**fields)
-
-
 def _write_events(path: str, reports: list[sim.SimReport]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([rep.to_dict() for rep in reports], fh, indent=1)
 
 
 def _cmd_simulate(args) -> int:
-    with sim.event_log(args.events is not None):
-        if args.scenario is not None and args.scenario.startswith("builtin:"):
-            rows, reports = sim.preset(args.scenario.split(":", 1)[1])
+    # every flag the user set (the others are absent from `args`); all but
+    # --scenario and --events are `sim.Scenario` fields, with their defaults
+    fields = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    ref, events = fields.pop("scenario", None), fields.pop("events", None)
+    if ref is not None and fields:
+        flags = ", ".join("--" + k.removesuffix("_ref") for k in fields)
+        raise ValueError(f"--scenario takes no other scenario flag, got {flags}")
+    if ref is None and not {"scheme", "m"} <= fields.keys():
+        raise ValueError("either --scenario or both --scheme and --m are required")
+    with sim.event_log(events is not None):
+        if ref is not None and ref.startswith("builtin:"):
+            rows, reports = sim.preset(ref.split(":", 1)[1])
         else:
-            if args.scenario is not None:
-                scenario = sim.Scenario.from_json_file(args.scenario)
-            elif args.scheme is None or args.m is None:
-                raise ValueError("either --scenario or both --scheme and --m are required")
-            else:
-                scenario = _scenario_from_args(args)
+            scenario = sim.Scenario(**fields) if ref is None else sim.Scenario.from_json_file(ref)
             report = sim.run(scenario)
             rows, reports = [report.csv_row()], [report]
     print(cost_model.csv_header())
@@ -193,8 +187,8 @@ def _cmd_simulate(args) -> int:
     for rep in reports:
         if not rep.authenticated:
             _err(f"{rep.scheme}@{rep.m}: failed ({rep.failure_reason})")
-    if args.events:
-        _write_events(args.events, reports)
+    if events:
+        _write_events(events, reports)
     return 0
 
 
@@ -320,18 +314,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--harn-slope", choices=cost_model.HARN_SLOPES, default="text")
     p.set_defaults(func=_cmd_cost)
 
-    p = sub.add_parser("simulate", help="run one scenario (CSV report)")
-    p.add_argument("--scenario", default=None,
-                   help="scenario JSON file or builtin:{paper-fig3,paper-fig4}")
-    p.add_argument("--scheme", choices=sim.SCHEME_CHOICES, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--loss", type=float, default=0.0)
-    p.add_argument("--schedule", choices=sim.SCHEDULE_CHOICES, default="slotted")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--harn", default=None)
-    p.add_argument("--events", default=None,
+    # a flag left out is absent from args, so the scenario keeps its default
+    p = sub.add_parser("simulate", help="run one scenario (CSV report)",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--scenario", help="scenario JSON file or builtin:{paper-fig3,paper-fig4}; "
+                   "takes no other scenario flag")
+    p.add_argument("--scheme", choices=sim.SCHEME_CHOICES)
+    p.add_argument("--m", type=int)
+    p.add_argument("--t", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--loss", type=float)
+    p.add_argument("--schedule", choices=sim.SCHEDULE_CHOICES)
+    p.add_argument("--curve", dest="curve_ref")
+    p.add_argument("--harn", dest="harn_ref")
+    p.add_argument("--events",
                    help="write the reports with their event logs as JSON to this path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -381,8 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "demo" and args.m is None:
-        args.m = args.n
     try:
         return args.func(args)
     except OSError as exc:  # an unreadable or unwritable file

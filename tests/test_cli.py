@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from gaskit import attacks, cli, cost_model, ec, field, gas_core, sim
+from gaskit import attacks, cli, cost_model, ec, field, gas_core, gas_harn, sim
 from gaskit.cli import main
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
@@ -328,6 +328,17 @@ def test_simulate_refuses_an_adversary_outside_the_group(capsys, tmp_path, schem
     assert "adversary member_id must be one of U1..U4, got 'U99'" in err
 
 
+def test_simulate_flags_are_scenario_fields():
+    # every default lives in `sim.Scenario`: no simulate flag declares one,
+    # and every flag but --scenario and --events names a field
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices["simulate"]._actions if a.option_strings]
+    assert all(a.default is argparse.SUPPRESS for a in actions)
+    flags = {a.dest for a in actions} - {"help", "scenario", "events"}
+    assert flags <= set(sim.Scenario.__dataclass_fields__)
+
+
 def test_simulate_requires_scheme_or_scenario(capsys):
     code, _, err = run_cli(capsys, "simulate")
     assert code == 2
@@ -400,6 +411,12 @@ def _unreachable(*args, **kwargs):
                  "m must be <= 1000, got 1001", id="simulate-harn-m"),
     pytest.param(("simulate", "--scheme", "proposed-centralized", "--m", "100000"), sim,
                  "_run_proposed", "m must be <= 1000, got 100000", id="simulate-proposed-m"),
+    # a real session: refused before the dealing
+    pytest.param(("attack", "--name", "eavesdrop", "--m", "100000", "--t", "3"), gas_core,
+                 "gm_init", "m must be <= 1000, got 100000", id="attack-eavesdrop-m"),
+    pytest.param(("attack", "--name", "eavesdrop", "--scheme", "harn", "--m", "100000",
+                  "--t", "3"), gas_harn, "harn_init", "m must be <= 1000, got 100000",
+                 id="attack-eavesdrop-harn-m"),
 ])
 def test_work_above_the_bounds_exits_2_before_any_work(capsys, monkeypatch, argv, owner,
                                                       work, problem):
@@ -561,6 +578,10 @@ SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
                  id="demo-curve-directory"),
     pytest.param(("simulate", "--scenario", "{dir}"), "Is a directory: {dir}",
                  id="simulate-scenario-directory"),
+    # the file sets every field, so a scenario flag beside it is refused
+    pytest.param(("simulate", "--scenario", "{dir}/scn.json", "--m", "5"),
+                 "--scenario takes no other scenario flag, got --m",
+                 id="simulate-scenario-with-m"),
     pytest.param(("gen-params", "--kind", "curve", "--modulus", "1000003", "--a", "1",
                   "--b", "1", "--gx", "0", "--gy", "1"),
                  "modulus 1000003 too large to enumerate", id="gen-params-modulus-too-large"),
@@ -576,6 +597,9 @@ SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
                  id="attack-flood-m-1"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, problem):
+    (tmp_path / "scn.json").write_text(json.dumps(
+        {"scheme": "proposed-centralized", "m": 4, "curve_ref": "builtin:test2017"}
+    ))
     code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     if "--events" in argv:  # the CSV is printed before the event log is written
