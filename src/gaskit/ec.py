@@ -72,7 +72,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .field import (
-    FieldElement, Prime, _reduced, batch_inverse, cached_prime, json_int,
+    FieldElement, Prime, batch_inverse, cached_prime, json_int,
     json_object, json_str, tally_muls, tally_tems,
 )
 
@@ -102,18 +102,24 @@ MAX_CURVE_BITS = 521
 _SUBGROUP_LIST_MAX = 1 << 16
 
 
+@dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
 class CurvePoint:
-    """Affine point (x, y) or the point at infinity."""
+    """Affine point (x, y), equal by value, or the point at infinity, equal only to itself."""
 
-    __slots__ = ("x", "y")
+    x: FieldElement | None
+    y: FieldElement | None
 
     def __init__(self, x: FieldElement | None, y: FieldElement | None):
         if (x is None) != (y is None):
             raise ValueError("both coordinates or neither")
-        _set_x(self, x)
-        _set_y(self, y)
+        # object's setter, past the raising `__setattr__`
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __setattr__(self, name, value):
+        raise AttributeError("CurvePoint is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("CurvePoint is immutable")
 
     def __reduce__(self):
@@ -124,39 +130,13 @@ class CurvePoint:
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def __eq__(self, other) -> bool:
-        # `FieldElement.__eq__` on both coordinates, inline
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        x, y, ox, oy = self.x, self.y, other.x, other.y
-        if x is None or ox is None:  # infinity equals only infinity
-            return x is ox
-        return (
-            x.residue == ox.residue and y.residue == oy.residue
-            and x.modulus.value == ox.modulus.value and y.modulus.value == oy.modulus.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
     def __repr__(self) -> str:
         if self.is_infinity:
             return "CurvePoint(infinity)"
         return f"CurvePoint({self.x.residue}, {self.y.residue})"
 
 
-# The slots' own setters, which `__init__` calls because `__setattr__` raises.
-_set_x = CurvePoint.x.__set__
-_set_y = CurvePoint.y.__set__
 _INFINITY = CurvePoint(None, None)
-
-
-def _point(x: FieldElement, y: FieldElement) -> CurvePoint:
-    """The finite point (x, y) of two coordinates, without `__init__`'s check."""
-    pt = object.__new__(CurvePoint)
-    _set_x(pt, x)
-    _set_y(pt, y)
-    return pt
 
 
 @dataclass(frozen=True)
@@ -788,7 +768,9 @@ def _affine_result(X: int, Y: int, Z: int, muls: int, curve: CurveParams) -> Cur
     """`_affine_xy` of (X : Y : Z) as a point, with its tally."""
     fp = curve.modulus
     xy = _affine_xy(X, Y, Z, muls, fp.value)
-    return _INFINITY if xy is None else _point(_reduced(xy[0], fp), _reduced(xy[1], fp))
+    if xy is None:
+        return _INFINITY
+    return CurvePoint(FieldElement(xy[0], fp), FieldElement(xy[1], fp))
 
 
 def _jacobian_at(X: int, Y: int, Z: int, muls: int, x: int, y: int, p: int) -> bool:

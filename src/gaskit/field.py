@@ -131,7 +131,7 @@ class Prime:
         """The field element `value`; ValueError unless 0 <= value < p."""
         if not 0 <= value < self.value:
             raise ValueError(f"{value} out of field range [0, {self.value})")
-        return _reduced(value, self)
+        return FieldElement(value, self)
 
     def from_bytes(self, data: bytes) -> "FieldElement":
         """Checked inverse of `FieldElement.to_bytes`: exactly `byte_length` bytes."""
@@ -140,7 +140,7 @@ class Prime:
         value = int.from_bytes(data, "big")
         if value >= self.value:  # unsigned, so never below 0
             raise ValueError(f"{value} out of field range [0, {self.value})")
-        return _reduced(value, self)
+        return FieldElement(value, self)
 
     def random_element(self, rng: random.Random) -> "FieldElement":
         return FieldElement(rng.randrange(self.value), self)
@@ -237,16 +237,21 @@ def tally_tems(n: int) -> None:
         counter.ec_scalar_muls += n
 
 
+@dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
 class FieldElement:
-    """Residue modulo a prime. Immutable; cross-modulus operations raise."""
+    """Residue modulo a prime, equal by value. Immutable; cross-modulus operations raise."""
 
-    __slots__ = ("residue", "modulus")
+    residue: int
+    modulus: Prime
 
     def __init__(self, residue: int, modulus: Prime):
         _set_modulus(self, modulus)
         _set_residue(self, residue % modulus.value)
 
     def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("FieldElement is immutable")
 
     def __reduce__(self):
@@ -274,16 +279,6 @@ class FieldElement:
         tally_muls(1)
         return FieldElement(self.residue * other.residue, self.modulus)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.residue == other.residue
-            and self.modulus.value == other.modulus.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.residue, self.modulus.value))
-
     def __repr__(self) -> str:
         return f"FieldElement({self.residue} mod {self.modulus.value})"
 
@@ -301,15 +296,6 @@ class FieldElement:
 # The slots' own setters, which `__init__` calls because `__setattr__` raises.
 _set_residue = FieldElement.residue.__set__
 _set_modulus = FieldElement.modulus.__set__
-_new = object.__new__
-
-
-def _reduced(residue: int, modulus: Prime) -> FieldElement:
-    """The element of a residue already in [0, p), without reducing it again."""
-    el = _new(FieldElement)
-    _set_modulus(el, modulus)
-    _set_residue(el, residue)
-    return el
 
 
 def pow_mod(base: int, exp: int, p: int) -> int:

@@ -42,7 +42,7 @@ from .ec import (
     CurveParams, CurvePoint, _affine_xy, _generator_jacobian, _jacobian_at,
     _mul_many, _multi_scalar_jacobian, check_affine_point, scalar_mul,
 )
-from .field import FieldElement, Prime, _reduced, lagrange_weights
+from .field import FieldElement, Prime, lagrange_weights
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff_at_zero  # noqa: F401
 from .sss import (
@@ -181,7 +181,7 @@ class PublicShare(tuple):
 
     @property
     def point(self) -> CurvePoint:
-        return CurvePoint(_reduced(self.x, self.field), _reduced(self.y, self.field))
+        return CurvePoint(FieldElement(self.x, self.field), FieldElement(self.y, self.field))
 
     # A `Prime` compares by value, so tuple equality is the share's.  A bare
     # tuple's own comparison would read the share's items, so it gets False.

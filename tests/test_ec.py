@@ -1210,6 +1210,22 @@ def test_curve_point_equality_contract():
     assert inf != None and inf != (None, None)  # noqa: E711
 
 
+def test_field_element_equality_contract():
+    cached = field.cached_prime(37)
+    fresh = Prime(37)  # equal to the cached modulus, not the same instance
+    assert fresh is not cached
+    a, same = FieldElement(5, cached), FieldElement(5, fresh)
+    assert a == same and not a != same and hash(a) == hash(same)
+    assert len({a, same, cached.element(5), FieldElement(42, fresh)}) == 1
+    # the same residue over another prime is another element
+    other = FieldElement(5, Prime(41))
+    assert a != other and other != a and not a == other
+    assert a != FieldElement(6, fresh) and FieldElement(6, fresh) != a
+    # anything that is not an element compares unequal, with no error
+    for alien in (5, (5, 37), (5, fresh), None, TEST2017.generator):
+        assert a != alien and alien != a and not a == alien
+
+
 def test_curve_point_pickles_and_copies_as_an_immutable_equal():
     import copy
     import pickle
@@ -1221,6 +1237,10 @@ def test_curve_point_pickles_and_copies_as_an_immutable_equal():
             assert again.is_infinity == pt.is_infinity
             with pytest.raises(AttributeError, match="immutable"):
                 again.x = None
+            for name in ("x", "y"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(again, name)
+            assert again == pt
     assert scalar_mul(5, copy.deepcopy(TEST2017.generator), TEST2017) == scalar_mul(
         5, TEST2017.generator, TEST2017)
 

@@ -190,6 +190,9 @@ def test_field_element_pickles_and_copies_as_an_immutable_equal():
             assert again.modulus.byte_length == x.modulus.byte_length
             with pytest.raises(AttributeError, match="immutable"):
                 again.residue = 5
+            for name in ("residue", "modulus"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(again, name)
             assert (again * x).residue == x.residue**2 % x.modulus.value
 
 
