@@ -214,7 +214,7 @@ def dos_invalid_share(
         t=t,
         seed=seed,
         curve_ref="builtin:test2017",
-        adversary={"kind": "invalid-share", "member_id": attacker},
+        adversary=attacker,
     )
     with sim.event_log(False):
         report = sim.run(scenario)

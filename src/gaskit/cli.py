@@ -149,9 +149,9 @@ def _cmd_cost(args) -> int:
     for m in ms:
         for scheme in cost_model.SCHEMES:
             tmulq = cost_model.per_user_cost(scheme, m, harn_slope=args.harn_slope)
-            spent = cost_model.energy(tmulq, sim.DEFAULT_JOULES_PER_TMULQ, 0, 0)
+            spent = cost_model.energy(tmulq, sim.JOULES_PER_TMULQ, 0, 0)
             print(cost_model.csv_row(
-                scheme, m, tmulq, spent, tmulq / sim.DEFAULT_COMPUTE_RATE
+                scheme, m, tmulq, spent, tmulq / sim.COMPUTE_RATE
             ))
     return 0
 

@@ -16,8 +16,10 @@ Two ledgers run side by side:
   from `cost_model` (T_mul,q units), so a node's simulated work matches the
   published per-user totals exactly.
 
-Energy per node = joules_per_tmulq * (tmulq + bytes sent + bytes received):
+Energy per node = `JOULES_PER_TMULQ` * (tmulq + bytes sent + bytes received):
 a radio byte costs one T_mul,q, so one calibration point fixes both scales.
+`COMPUTE_RATE` and `JOULES_PER_TMULQ` are module constants, as the
+channel's are; no scenario sets them.
 
 Each run records an event log (`SimReport.events`: every compute step,
 frame and decision) unless it runs inside ``event_log(False)``; then it
@@ -52,8 +54,8 @@ from .sss import guessed_share, roster_ids
 __all__ = [
     "SCHEME_CHOICES",
     "SCHEDULE_CHOICES",
-    "DEFAULT_COMPUTE_RATE",
-    "DEFAULT_JOULES_PER_TMULQ",
+    "COMPUTE_RATE",
+    "JOULES_PER_TMULQ",
     "BITRATE",
     "GM_SPEEDUP",
     "MAX_RETRIES",
@@ -80,9 +82,9 @@ PRESETS = ("paper-fig3", "paper-fig4")
 
 # One-point calibrations, frozen (the test suite derives both again):
 # compute rate makes proposed-centralized at m=10 authenticate in 1.3 s;
-# joules_per_tmulq then puts that run's member node at 0.014 J.
-DEFAULT_COMPUTE_RATE = 9267.3278634885  # T_mul,q per second per member node
-DEFAULT_JOULES_PER_TMULQ = 1.12e-05  # joules (0.014 J / (1189 + 61 byte-equivalents))
+# the joules per T_mul,q then put that run's member node at 0.014 J.
+COMPUTE_RATE = 9267.3278634885  # T_mul,q per second per member node
+JOULES_PER_TMULQ = 1.12e-05  # joules (0.014 J / (1189 + 61 byte-equivalents))
 
 # The node model the published figures assume, the same in every run.
 BITRATE = 1_000_000.0  # channel bits per second
@@ -106,14 +108,12 @@ class Scenario:
     scheme: str
     m: int
     t: int | None = None
-    compute_rate: float = DEFAULT_COMPUTE_RATE
-    joules_per_tmulq: float = DEFAULT_JOULES_PER_TMULQ
     schedule: str = "slotted"
     loss: float = 0.0
     seed: int = 1
     curve_ref: str = "builtin:secp160r1"
     harn_ref: str = "builtin:harn-1024-160"
-    adversary: dict | None = None
+    adversary: str | None = None  # the member whose seat holds an invalid share
 
     def resolved_threshold(self) -> int:
         return self.t if self.t is not None else max(1, math.ceil(self.m / 2))
@@ -134,30 +134,18 @@ class Scenario:
             problems.append(f"m must be <= {MAX_GROUP_SIZE}, got {self.m}")
         if self.t is not None and not 1 <= self.t <= self.m:
             problems.append(f"t must satisfy 1 <= t <= m, got t={self.t} m={self.m}")
-        numbers = {"compute_rate": self.compute_rate,
-                   "joules_per_tmulq": self.joules_per_tmulq, "loss": self.loss}
-        not_finite = [name for name, v in numbers.items() if not math.isfinite(v)]
-        problems += [f"{name} must be finite" for name in not_finite]
-        for name in ("compute_rate", "joules_per_tmulq"):
-            if name not in not_finite and getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive")
-        if "loss" not in not_finite and not 0.0 <= self.loss <= 1.0:
+        if not math.isfinite(self.loss):
+            problems.append("loss must be finite")
+        elif not 0.0 <= self.loss <= 1.0:
             problems.append(f"loss must be in [0, 1], got {self.loss}")
         if self.schedule not in SCHEDULE_CHOICES:
             problems.append(f"schedule must be one of {SCHEDULE_CHOICES}")
         if self.scheme == "harn" and self.schedule != "slotted":
             problems.append("harn supports only the slotted schedule")
-        if self.adversary is not None:
-            unknown = sorted(set(self.adversary) - {"kind", "member_id"})
-            if unknown:
-                problems.append(f"unknown adversary keys: {unknown}")
-            kind = self.adversary.get("kind")
-            if kind not in ("invalid-share",):
-                problems.append(f"unknown adversary kind {kind!r}")
-            rogue = self.adversary.get("member_id", "U1")
-            # gm_init, harn_init ids; an m over the bound is reported above
-            if self.m <= MAX_GROUP_SIZE and rogue not in roster_ids(self.m):
-                problems.append(f"adversary member_id must be one of U1..U{self.m}, got {rogue!r}")
+        # gm_init, harn_init ids; an m over the bound is reported above
+        if (self.adversary is not None and self.m <= MAX_GROUP_SIZE
+                and self.adversary not in roster_ids(self.m)):
+            problems.append(f"adversary must be one of U1..U{self.m}, got {self.adversary!r}")
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -306,7 +294,7 @@ class _Run:
 
     def node_speed(self, member_id: str) -> float:
         factor = GM_SPEEDUP if member_id == "GM" else 1.0
-        return self.scn.compute_rate * factor
+        return COMPUTE_RATE * factor
 
     def compute(self, member_id: str, tmulq: int, start: float, kind: str) -> float:
         """Run `tmulq` of work on the node's CPU from `start`; returns end time."""
@@ -354,12 +342,9 @@ class _Run:
         scn = self.scn
         for rep in self.nodes.values():
             spent = cost_model.energy(
-                rep.tmulq_count, scn.joules_per_tmulq, rep.bytes_tx, rep.bytes_rx
+                rep.tmulq_count, JOULES_PER_TMULQ, rep.bytes_tx, rep.bytes_rx
             )
             rep.compute_j, rep.radio_j, rep.total_j = spent.compute_j, spent.radio_j, spent.total_j
-        _require_finite(
-            scn, [auth_time, *self.node_busy.values()], [r.total_j for r in self.nodes.values()]
-        )
         return SimReport(
             scheme=scn.scheme,
             m=scn.m,
@@ -379,22 +364,6 @@ class _Run:
         )
 
 
-def _require_finite(scn: Scenario, times: list[float], joules: list[float]) -> None:
-    """ScenarioError naming the field whose finite value made a result overflow.
-
-    Every time is work / `compute_rate` plus airtime, and every energy is
-    `joules_per_tmulq` times a count, so an infinite one comes from that field.
-    """
-    if not all(map(math.isfinite, times)):
-        raise ScenarioError(
-            f"compute_rate {scn.compute_rate!r} is too small: the run's times overflow"
-        )
-    if not all(map(math.isfinite, joules)):
-        raise ScenarioError(
-            f"joules_per_tmulq {scn.joules_per_tmulq!r} is too large: the run's energy overflows"
-        )
-
-
 def resolve_curve(ref: str) -> CurveParams:
     """A curve from ``builtin:<name>`` or a parameter file path."""
     if ref.startswith("builtin:"):
@@ -407,11 +376,6 @@ def resolve_harn(ref: str) -> HarnModulus:
     if ref.startswith("builtin:"):
         return builtin_harn_modulus(ref.split(":", 1)[1])
     return load_harn_modulus(ref)
-
-
-def _adversary_member(scn: Scenario) -> str | None:
-    # validate admits one kind, "invalid-share", and only a dealt member id
-    return None if scn.adversary is None else scn.adversary.get("member_id", "U1")
 
 
 def _run_proposed(scn: Scenario) -> SimReport:
@@ -432,8 +396,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
 
     # each member's whole confirmation compute: f(x_i)P, once; the attacker
     # lacks f(x_i) and broadcasts the point of a guessed share in its place
-    rogue = _adversary_member(scn)
-    seats = [guessed_share(s, rng) if s.member_id == rogue else s for s in shares]
+    seats = [guessed_share(s, rng) if s.member_id == scn.adversary else s for s in shares]
     frames = {
         s.member_id: gas_core.public_share_frame(
             gas_core.make_public_share(gas_core.MemberState(share=s, config=config)), config.epoch
@@ -561,11 +524,9 @@ def _run_harn(scn: Scenario) -> SimReport:
     releases = {
         tok.member_id: gas_harn.harn_release(tok, roster_xs, params) for tok in tokens
     }
-    rogue = _adversary_member(scn)
-    if rogue is not None:
-        bad = releases[rogue]
-        releases = dict(releases)
-        releases[rogue] = gas_harn.HarnRelease(
+    if scn.adversary is not None:  # its release carries one extra factor g
+        bad = releases[scn.adversary]
+        releases[scn.adversary] = gas_harn.HarnRelease(
             member_id=bad.member_id, x=bad.x, e=bad.e * params.modulus.g
         )
     frames = {mid: gas_harn.release_frame(rel) for mid, rel in releases.items()}
@@ -683,7 +644,7 @@ def sweep(
 def chien_model_row(m: int, base: Scenario) -> str:
     """Synthesize the Chien datapoint under the same timeline assumptions.
 
-    Of `base` only the curve, compute rate and joules are read, not its m.
+    Of `base` only the curve is read.
     """
     if m > MAX_GROUP_SIZE:  # sized by roster_ids(m); runs are bounded by validate
         raise ScenarioError(f"m must be <= {MAX_GROUP_SIZE}, got {m}")
@@ -692,16 +653,14 @@ def chien_model_row(m: int, base: Scenario) -> str:
     frame_len = lambda mid: len(wire.encode_frame(wire.PUBLIC_SHARE, 1, mid, point))
     ids = roster_ids(m)
     release = lambda mm: cost_model.TEM_TMULQ + cost_model.CHIEN_LAGRANGE_PER_X * (mm - 1)
-    rate = base.compute_rate
     auth_time = (
-        sum(release(m) / rate + frame_len(mid) * 8.0 / BITRATE for mid in ids)
-        + cost_model.CHIEN_VERIFY_TAIL / rate
+        sum(release(m) / COMPUTE_RATE + frame_len(mid) * 8.0 / BITRATE for mid in ids)
+        + cost_model.CHIEN_VERIFY_TAIL / COMPUTE_RATE
     )
     tmulq = cost_model.per_user_cost("chien", m)
     spent = cost_model.energy(
-        tmulq, base.joules_per_tmulq, frame_len(ids[0]), sum(frame_len(mid) for mid in ids[1:])
+        tmulq, JOULES_PER_TMULQ, frame_len(ids[0]), sum(frame_len(mid) for mid in ids[1:])
     )
-    _require_finite(base, [auth_time], [spent.total_j])
     return cost_model.csv_row("chien", m, tmulq, spent, auth_time)
 
 

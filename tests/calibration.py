@@ -1,14 +1,19 @@
 """How the frozen constants and the savings claim are derived.
 
-`sim.DEFAULT_COMPUTE_RATE` and `sim.DEFAULT_JOULES_PER_TMULQ` are one-point
-calibrations, and the package only reads them; the tests derive them again
-here.  `savings_ratio` is the exact energy saving of the proposed scheme
-against Chien's, from the per-user cost formulas.
+`sim.COMPUTE_RATE` and `sim.JOULES_PER_TMULQ` are one-point calibrations,
+and the package only reads them; the tests derive them again here.  A run's
+times depend on `COMPUTE_RATE` alone, so `calibrate_compute_rate` patches
+that module constant (`unittest.mock.patch.object`) for each probe run.  A
+run's T_mul,q and byte counts depend on neither constant, so
+`calibrate_joules_per_tmulq` divides the target by one run's counts.
+`savings_ratio` is the exact energy saving of the proposed scheme against
+Chien's, from the per-user cost formulas.
 """
 
 import math
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 from gaskit import sim
 from gaskit.cost_model import per_user_cost
@@ -32,8 +37,8 @@ def calibrate_compute_rate(
     probe = replace(base, scheme="proposed-centralized", m=m, t=None)
 
     def auth(rate: float) -> float:
-        with sim.event_log(False):
-            return sim.run(replace(probe, compute_rate=rate)).auth_time_s
+        with sim.event_log(False), mock.patch.object(sim, "COMPUTE_RATE", rate):
+            return sim.run(probe).auth_time_s
 
     r1, r2 = 1000.0, 2000.0
     t1, t2 = auth(r1), auth(r2)

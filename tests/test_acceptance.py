@@ -13,6 +13,7 @@ import re
 import time
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -69,23 +70,26 @@ def test_criterion_3_simulation_ratios():
     start = time.monotonic()
     # one-point time calibration on (proposed, m=10, 1.3 s)
     rate = calibrate_compute_rate(1.3, 10)
-    base = sim.Scenario(scheme="proposed-centralized", m=10, compute_rate=rate)
-    assert sim.run(base).auth_time_s == pytest.approx(1.3, rel=1e-6)
+    base = sim.Scenario(scheme="proposed-centralized", m=10)
+    with mock.patch.object(sim, "COMPUTE_RATE", rate):
+        assert sim.run(base).auth_time_s == pytest.approx(1.3, rel=1e-6)
 
-    p50 = sim.run(replace(base, m=50, t=None)).auth_time_s
-    ok_p50 = 6.9 * 0.75 <= p50 <= 6.9 * 1.25
+        p50 = sim.run(replace(base, m=50, t=None)).auth_time_s
+        ok_p50 = 6.9 * 0.75 <= p50 <= 6.9 * 1.25
 
-    h10 = sim.run(replace(base, scheme="harn", m=10, t=None)).auth_time_s
-    h50 = sim.run(replace(base, scheme="harn", m=50, t=None)).auth_time_s
-    ratio = h50 / h10
-    ok_ratio = 5.0 * 0.8 <= ratio <= 5.0 * 1.2
+        h10 = sim.run(replace(base, scheme="harn", m=10, t=None)).auth_time_s
+        h50 = sim.run(replace(base, scheme="harn", m=50, t=None)).auth_time_s
+        ratio = h50 / h10
+        ok_ratio = 5.0 * 0.8 <= ratio <= 5.0 * 1.2
 
-    # one-point energy calibration on (proposed, m=10, 0.014 J)
-    jpt = calibrate_joules_per_tmulq(0.014, 10, base=base)
-    ebase = replace(base, joules_per_tmulq=jpt)
-    e_prop = sim.run(replace(ebase, m=50, t=None)).representative_member().total_j
-    e_harn = sim.run(replace(ebase, scheme="harn", m=50, t=None)).representative_member().total_j
-    chien_row = sim.chien_model_row(50, replace(ebase, m=50))
+        # one-point energy calibration on (proposed, m=10, 0.014 J)
+        jpt = calibrate_joules_per_tmulq(0.014, 10, base=base)
+        with mock.patch.object(sim, "JOULES_PER_TMULQ", jpt):
+            e_prop, e_harn = (
+                sim.run(replace(base, scheme=scheme, m=50, t=None)).representative_member().total_j
+                for scheme in ("proposed-centralized", "harn")
+            )
+            chien_row = sim.chien_model_row(50, replace(base, m=50))
     e_chien = float(chien_row.split(",")[5])
     ok_order = e_prop < e_chien < e_harn
     ok_energy_ratio = e_prop / e_harn <= 0.2

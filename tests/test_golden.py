@@ -292,7 +292,7 @@ def test_invalid_share_adversary_pinned():
     ):
         report = sim.run(sim.Scenario(
             scheme=scheme, m=7, t=3, schedule=schedule, loss=0.2, seed=seed, curve_ref=curve,
-            adversary={"kind": "invalid-share", "member_id": "U4"},
+            adversary="U4",
         ))
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == ADVERSARY_REPORTS
