@@ -50,9 +50,9 @@ from .sss import (
     Share,
     ThresholdError,
     commit,
-    dealer_polynomial_with_nonzero_shares,
     reconstruct,
     roster_ids,
+    sample_polynomial,
     verify_commitment,
 )
 
@@ -320,22 +320,30 @@ def _deal_group(
     rng: random.Random,
     epoch: int,
 ) -> tuple[GroupConfig, list[Share]]:
+    """The dealer: a degree-(t-1) polynomial over the scalar field, one share per roster seat.
+
+    Redraws the secret while it is 0, and the whole polynomial while any
+    share is 0 (that share's public point would be infinity); gives up
+    after 1000 draws.  `GroupConfig` checks the roster's x's.
+    """
     q = curve.scalar_field()
     xs = [FieldElement(x, q) for _, x in roster]
-    ids = [mid for mid, _ in roster]
-    poly, shares = dealer_polynomial_with_nonzero_shares(t, q, xs, rng)
-    shares = [Share(s.x, s.y, mid) for s, mid in zip(shares, ids)]
-    secret = poly.secret
+    for _ in range(1000):
+        secret = q.random_element(rng)
+        if secret.residue == 0:
+            continue
+        poly = sample_polynomial(t, secret, rng)
+        ys = [poly.evaluate(x) for x in xs]
+        if all(y.residue for y in ys):
+            break
+    else:
+        raise ValueError(
+            f"could not find a polynomial with nonzero shares for {len(xs)} members"
+            f" over F_{q.value}"
+        )
     q_point = scalar_mul(secret.residue, curve.generator, curve)
-    config = GroupConfig(
-        curve=curve,
-        group_public_key=q_point,
-        commitment=commit(secret),
-        threshold=t,
-        roster=roster,
-        epoch=epoch,
-    )
-    return config, shares
+    config = GroupConfig(curve, q_point, commit(secret), t, roster, epoch)
+    return config, [Share(x, y, mid) for (mid, _), x, y in zip(roster, xs, ys)]
 
 
 def gm_init(
@@ -343,8 +351,10 @@ def gm_init(
 ) -> tuple[GroupConfig, list[Share]]:
     """Initialization phase: deal shares, publish Q = s*P and H(s).
 
-    Shares are returned for out-of-band delivery; the secret itself is not
-    retained anywhere in the config.  Member x's are the member index + 1.
+    `_deal_group` deals them: a nonzero secret and nonzero shares, the
+    polynomial redrawn whole until they are.  Member ids are `roster_ids(n)`
+    and x's the member index + 1.  Shares are returned for out-of-band
+    delivery; the secret itself is not retained anywhere in the config.
     """
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t} n={n}")
@@ -612,8 +622,11 @@ def rotate_credentials(
 ) -> RotationResult:
     """Deal a fresh polynomial and wrap each new share under the group key.
 
-    Old public shares become invalid because every f(x_i) changes.  Pass a
-    reduced `roster` to exclude compromised members from the new epoch.
+    `_deal_group` deals as `gm_init` does, under the same rules, with ids
+    and x's from `roster` (default: the config's).  Old public shares become
+    invalid because every f(x_i) changes.  Pass a reduced `roster` to
+    exclude compromised members from the new epoch; its x's must be
+    distinct and in [1, q), as `GroupConfig` checks.
     """
     new_epoch = config.epoch + 1
     new_roster = roster if roster is not None else config.roster

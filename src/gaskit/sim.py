@@ -631,7 +631,7 @@ def sweep(
         reports = [run(scn) for scn in scenarios]
     simulated = iter(reports)
     rows = [
-        chien_model_row(m, base) if scheme == "chien" else next(simulated).csv_row()
+        chien_model_row(m, base.curve_ref) if scheme == "chien" else next(simulated).csv_row()
         for scheme in schemes
         for m in ms
     ]
@@ -641,14 +641,11 @@ def sweep(
 # ---------------------------------------------------------------------------
 # Chien baseline: cost-model-only row (the pairing step is not implemented)
 
-def chien_model_row(m: int, base: Scenario) -> str:
-    """Synthesize the Chien datapoint under the same timeline assumptions.
-
-    Of `base` only the curve is read.
-    """
+def chien_model_row(m: int, curve_ref: str) -> str:
+    """Synthesize the Chien datapoint on `curve_ref` under the same timeline assumptions."""
     if m > MAX_GROUP_SIZE:  # sized by roster_ids(m); runs are bounded by validate
         raise ScenarioError(f"m must be <= {MAX_GROUP_SIZE}, got {m}")
-    g = resolve_curve(base.curve_ref).generator
+    g = resolve_curve(curve_ref).generator
     point = wire.encode_point_payload(g.x.to_bytes(), g.y.to_bytes())  # a public share's size
     frame_len = lambda mid: len(wire.encode_frame(wire.PUBLIC_SHARE, 1, mid, point))
     ids = roster_ids(m)

@@ -1,10 +1,15 @@
 """Shamir secret sharing over a prime field.
 
-A dealer embeds the group secret as the constant term of a random
-polynomial of degree exactly t-1 and hands each member one evaluation
+The group secret is the constant term of a random polynomial of degree
+exactly t-1 (`sample_polynomial`), and each member holds one evaluation
 point.  Any t points reconstruct the secret by Lagrange interpolation at
 zero; the dealer also publishes a hash commitment so reconstructors can
 check what they recovered.
+
+The proposed scheme's shares are dealt in one place, `gas_core._deal_group`,
+at initialization and at every rotation: a nonzero secret, every share
+nonzero (else the whole polynomial is redrawn), and each share's id and x
+taken from the group's roster.
 """
 
 from __future__ import annotations
@@ -22,15 +27,12 @@ __all__ = [
     "Share",
     "SecretCommitment",
     "sample_polynomial",
-    "issue_shares",
     "roster_ids",
     "guessed_share",
     "reconstruct",
     "commit",
     "verify_commitment",
 ]
-
-_REDRAW_LIMIT = 1000
 
 
 class ThresholdError(ValueError):
@@ -122,24 +124,6 @@ def roster_ids(n: int) -> list[str]:
     return [f"U{i + 1}" for i in range(n)]
 
 
-def issue_shares(poly: SecretPolynomial, xs: list[FieldElement]) -> list[Share]:
-    """Evaluate the polynomial at each x (Horner); x's distinct and nonzero.
-
-    The shares carry the `roster_ids` of len(xs) members, in order.
-    """
-    seen: set[int] = set()
-    for x in xs:
-        if x.residue == 0:
-            raise ValueError("x=0 would reveal the secret")
-        if x.residue in seen:
-            raise ValueError(f"duplicate x-coordinate {x.residue}")
-        seen.add(x.residue)
-    return [
-        Share(x=x, y=poly.evaluate(x), member_id=mid)
-        for x, mid in zip(xs, roster_ids(len(xs)))
-    ]
-
-
 def guessed_share(share: Share, rng: random.Random) -> Share:
     """The share of an attacker who lacks `share` but plays its member's seat.
 
@@ -173,30 +157,3 @@ def commit(secret: FieldElement) -> SecretCommitment:
 
 def verify_commitment(candidate: FieldElement, commitment: SecretCommitment) -> bool:
     return hmac.compare_digest(commit(candidate).digest, commitment.digest)
-
-
-def dealer_polynomial_with_nonzero_shares(
-    t: int,
-    secret_field: Prime,
-    xs: list[FieldElement],
-    rng: random.Random,
-) -> tuple[SecretPolynomial, list[Share]]:
-    """Draw a polynomial whose secret and every issued share are nonzero.
-
-    A zero share would map to the point at infinity when broadcast, which
-    the protocol layer rejects; re-drawing keeps honest runs on small
-    fields from tripping over that edge.
-    """
-    for _ in range(_REDRAW_LIMIT):
-        secret = secret_field.random_element(rng)
-        if secret.residue == 0:
-            continue
-        poly = sample_polynomial(t, secret, rng)
-        shares = issue_shares(poly, xs)
-        if all(s.y.residue != 0 for s in shares):
-            return poly, shares
-    raise ValueError(
-        f"could not find a polynomial with nonzero shares for {len(xs)} members"
-        f" over F_{secret_field.value}"
-    )
-

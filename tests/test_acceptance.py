@@ -20,10 +20,11 @@ import pytest
 from gaskit import attacks, cost_model, gas_core, gas_harn, sim
 from gaskit.ec import CurvePoint, builtin_curve, scalar_mul
 from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff_at_zero
-from gaskit.sss import ThresholdError, issue_shares, reconstruct, sample_polynomial, verify_commitment
+from gaskit.sss import ThresholdError, reconstruct, sample_polynomial, verify_commitment
 from calibration import calibrate_compute_rate, calibrate_joules_per_tmulq, savings_ratio
 from oracle import add
 from test_golden import ACCEPTANCE_LINES
+from test_sss import shares_at
 
 TEST2017 = builtin_curve("test2017")
 SECP160R1 = builtin_curve("secp160r1")
@@ -89,7 +90,7 @@ def test_criterion_3_simulation_ratios():
                 sim.run(replace(base, scheme=scheme, m=50, t=None)).representative_member().total_j
                 for scheme in ("proposed-centralized", "harn")
             )
-            chien_row = sim.chien_model_row(50, replace(base, m=50))
+            chien_row = sim.chien_model_row(50, base.curve_ref)
     e_chien = float(chien_row.split(",")[5])
     ok_order = e_prop < e_chien < e_harn
     ok_energy_ratio = e_prop / e_harn <= 0.2
@@ -139,7 +140,7 @@ def test_criterion_5_threshold_soundness():
     q = Prime(37)
     rng = random.Random(50)
     poly = sample_polynomial(3, q.random_element(rng), rng)
-    observed = issue_shares(poly, [FieldElement(5, q), FieldElement(11, q)])
+    observed = shares_at(poly, [FieldElement(5, q), FieldElement(11, q)])
     attained = set()
     for d in range(37):
         for a1 in range(37):
@@ -156,7 +157,7 @@ def test_criterion_5_threshold_soundness():
         rngt = random.Random(51 + t)
         polyt = sample_polynomial(t, q257.random_element(rngt), rngt)
         xs = [FieldElement(v, q257) for v in range(2, 2 + t - 1)]
-        obs = issue_shares(polyt, xs)
+        obs = shares_at(polyt, xs)
         nodes = [FieldElement(0, q257)] + [s.x for s in obs]
         from gaskit.field import lagrange_coeff
 

@@ -566,6 +566,22 @@ def test_gen_params_harn_small(capsys):
     assert (p, q) == (10649301062938260071, 3097603021)
 
 
+def test_generated_harn_file_runs_demo_and_simulate(capsys, tmp_path):
+    # --harn FILE: the modulus gen-params writes is loaded from the file
+    code, out, _ = run_cli(capsys, "gen-params", "--kind", "harn",
+                           "--p-bits", "64", "--q-bits", "32", "--seed", "4")
+    assert code == 0
+    path = tmp_path / "harn.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "demo", "--scheme", "harn", "--harn", str(path),
+                           "--t", "3", "--n", "5")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "simulate", "--scheme", "harn", "--m", "5",
+                           "--harn", str(path))
+    assert code == 0
+    assert out.startswith(CSV_HEADER + "\nharn,5,")
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",

@@ -226,7 +226,7 @@ def test_sweep_interleaves_modeled_chien_rows():
         ["harn", "3"], ["harn", "5"], ["chien", "3"], ["chien", "5"],
         ["proposed-centralized", "3"], ["proposed-centralized", "5"],
     ]
-    assert rows[2:4] == [sim.chien_model_row(3, base), sim.chien_model_row(5, base)]
+    assert rows[2:4] == [sim.chien_model_row(m, base.curve_ref) for m in (3, 5)]
     # reports are for the simulator runs only, in row order
     assert [(rep.scheme, rep.m) for rep in reports] == [
         ("harn", 3), ("harn", 5), ("proposed-centralized", 3), ("proposed-centralized", 5),
@@ -255,7 +255,7 @@ def test_preset_fig3_shape():
 
 
 def test_chien_model_row_values():
-    row = sim.chien_model_row(50, sim.Scenario(scheme="proposed-centralized", m=50))
+    row = sim.chien_model_row(50, "builtin:secp160r1")
     parts = row.split(",")
     assert parts[0] == "chien" and parts[1] == "50"
     assert int(parts[2]) == 7 * 50 + 6785

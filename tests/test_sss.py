@@ -6,16 +6,15 @@ import pytest
 
 from gaskit.ec import builtin_curve
 from gaskit.field import FieldElement, MulCounter, Prime
-from gaskit.gas_core import gm_init
+from gaskit.gas_core import gm_init, rotate_credentials
 from gaskit.sss import (
     SecretPolynomial,
     Share,
     ThresholdError,
     commit,
-    dealer_polynomial_with_nonzero_shares,
     guessed_share,
-    issue_shares,
     reconstruct,
+    roster_ids,
     sample_polynomial,
     verify_commitment,
 )
@@ -32,12 +31,17 @@ def poly_5_3():
     return SecretPolynomial((el(5), el(3)))  # f(x) = 5 + 3x mod 17
 
 
+def shares_at(poly, xs):
+    """The shares f(x) at `xs`, with the ids `roster_ids` gives len(xs) members."""
+    return [Share(x, poly.evaluate(x), mid) for x, mid in zip(xs, roster_ids(len(xs)))]
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_t1_constant():
     rng = random.Random(0)
     poly = sample_polynomial(1, el(9), rng)
-    shares = issue_shares(poly, [el(1), el(4), el(11)])
+    shares = shares_at(poly, [el(1), el(4), el(11)])
     assert all(s.y.residue == 9 for s in shares)
 
 
@@ -95,20 +99,10 @@ def test_evaluate_matches_field_element_horner(curve):
         polys[-1].evaluate(FieldElement(1, F17))
 
 
-# --- issuing -----------------------------------------------------------------
+# --- evaluating ----------------------------------------------------------------
 
-def test_issue_shares_frozen_example():
-    shares = issue_shares(poly_5_3(), [el(1), el(2)])
-    assert [(s.x.residue, s.y.residue) for s in shares] == [(1, 8), (2, 11)]
-    assert [s.member_id for s in shares] == ["U1", "U2"]
-
-
-def test_issue_rejects_zero_and_duplicate_x():
-    with pytest.raises(ValueError, match="reveal"):
-        issue_shares(poly_5_3(), [el(0)])
-    with pytest.raises(ValueError, match="duplicate"):
-        issue_shares(poly_5_3(), [el(2), el(2)])
-    assert issue_shares(poly_5_3(), []) == []
+def test_evaluate_frozen_example():
+    assert [poly_5_3().evaluate(el(x)).residue for x in (1, 2)] == [8, 11]
 
 
 def test_share_type_rejects_zero_x():
@@ -119,7 +113,7 @@ def test_share_type_rejects_zero_x():
 # --- reconstruction ----------------------------------------------------------
 
 def test_reconstruct_frozen_example():
-    shares = issue_shares(poly_5_3(), [el(1), el(2)])
+    shares = shares_at(poly_5_3(), [el(1), el(2)])
     assert reconstruct(shares, 2).residue == 5  # 8*2 + 11*16 mod 17
 
 
@@ -129,7 +123,7 @@ def test_reconstruct_t1_single_share():
 
 
 def test_reconstruct_below_threshold():
-    shares = issue_shares(poly_5_3(), [el(1)])
+    shares = shares_at(poly_5_3(), [el(1)])
     with pytest.raises(ThresholdError):
         reconstruct(shares, 2)
 
@@ -149,7 +143,7 @@ def test_round_trip_many_cases():
         secret = q.random_element(rng)
         poly = sample_polynomial(t, secret, rng)
         xs_vals = rng.sample(range(1, q.value), m)
-        shares = issue_shares(poly, [FieldElement(v, q) for v in xs_vals])
+        shares = shares_at(poly, [FieldElement(v, q) for v in xs_vals])
         assert reconstruct(shares, t) == secret
 
 
@@ -157,7 +151,7 @@ def test_reconstruct_order_and_subset_independent():
     rng = random.Random(3)
     q = F37
     poly = sample_polynomial(3, el(21, q), rng)
-    shares = issue_shares(poly, [FieldElement(v, q) for v in (1, 2, 3, 4, 5)])
+    shares = shares_at(poly, [FieldElement(v, q) for v in (1, 2, 3, 4, 5)])
     secret = reconstruct(shares, 3)
     shuffled = shares[:]
     rng.shuffle(shuffled)
@@ -170,7 +164,7 @@ def test_single_corruption_changes_result():
     rng = random.Random(4)
     q = F37
     poly = sample_polynomial(3, el(21, q), rng)
-    shares = issue_shares(poly, [FieldElement(v, q) for v in (2, 9, 30)])
+    shares = shares_at(poly, [FieldElement(v, q) for v in (2, 9, 30)])
     true = reconstruct(shares, 3)
     for i in range(3):
         bad = shares[:]
@@ -197,7 +191,7 @@ def test_threshold_secrecy_exhaustive_f37():
     q = F37
     rng = random.Random(5)
     poly = sample_polynomial(3, q.random_element(rng), rng)
-    observed = issue_shares(poly, [FieldElement(1, q), FieldElement(2, q)])
+    observed = shares_at(poly, [FieldElement(1, q), FieldElement(2, q)])
     attained = set()
     attained_exact_degree = set()
     for d in range(37):
@@ -221,7 +215,7 @@ def test_threshold_secrecy_constructive_f257():
     q = Prime(257)
     rng = random.Random(6)
     poly = sample_polynomial(3, q.random_element(rng), rng)
-    observed = issue_shares(poly, [FieldElement(3, q), FieldElement(7, q)])
+    observed = shares_at(poly, [FieldElement(3, q), FieldElement(7, q)])
     nodes = [FieldElement(0, q)] + [s.x for s in observed]
     for candidate in range(257):
         ys = [FieldElement(candidate, q)] + [s.y for s in observed]
@@ -234,18 +228,69 @@ def test_threshold_secrecy_constructive_f257():
         assert value_at(FieldElement(0, q)).residue == candidate
 
 
-# --- dealer with nonzero shares -------------------------------------------------
+# --- the dealer (gas_core._deal_group, through gm_init and rotate_credentials) ---
+
+TEST2017 = builtin_curve("test2017")
+
+
+def _check_dealt(config, shares):
+    """Ids and x's from the roster, nonzero shares and secret, and H(s) matches."""
+    assert [(s.member_id, s.x.residue) for s in shares] == list(config.roster)
+    assert all(s.y.residue != 0 for s in shares)
+    secret = reconstruct(shares[:3], 3)
+    assert secret.residue != 0
+    assert verify_commitment(secret, config.commitment)
+    return secret
+
 
 def test_dealer_avoids_zero_shares():
-    q = F37
-    xs = [FieldElement(v, q) for v in range(1, 13)]
     for seed in range(50):
         rng = random.Random(seed)
-        poly, shares = dealer_polynomial_with_nonzero_shares(3, q, xs, rng)
-        assert poly.secret.residue != 0
-        assert all(s.y.residue != 0 for s in shares)
-        assert reconstruct(shares[:3], 3) == poly.secret
+        config, shares = gm_init(3, 12, TEST2017, rng)
+        assert config.roster == tuple(zip(roster_ids(12), range(1, 13)))
+        key = _check_dealt(config, shares)
+        rotation = rotate_credentials(config, key, rng)
+        assert rotation.config.roster == config.roster
+        _check_dealt(rotation.config, rotation.shares)
 
+
+def test_dealer_redraws_the_whole_polynomial_after_a_zero_share():
+    # seed 1's first polynomial has f(11) = 0, so the dealer draws again
+    rng = random.Random(1)
+    q = TEST2017.scalar_field()
+    first = sample_polynomial(3, q.random_element(rng), rng)
+    assert [first.evaluate(q.element(x)).residue for x in range(1, 13)].count(0) == 1
+    _, shares = gm_init(3, 12, TEST2017, random.Random(1))
+    assert [s.y.residue for s in shares] == [8, 36, 1, 14, 1, 36, 8, 28, 22, 27, 6, 33]
+
+
+def test_dealer_gives_up_after_1000_draws():
+    class ZeroRng(random.Random):
+        calls = 0
+
+        def randrange(self, *args, **kwargs):
+            self.calls += 1
+            return 0
+
+    rng = ZeroRng()
+    with pytest.raises(ValueError, match=r"^could not find a polynomial with nonzero shares "
+                                         r"for 3 members over F_37$"):
+        gm_init(2, 3, TEST2017, rng)
+    assert rng.calls == 1000
+
+
+def test_rotation_roster_rejects_bad_x():
+    # a caller's roster is the one way outside input reaches the dealer;
+    # x = 0, a repeated x and x >= q (which would wrap onto 0 or 1) are refused
+    rng = random.Random(8)
+    config, shares = gm_init(2, 3, TEST2017, rng)
+    key = reconstruct(shares, 2)
+    for xs in [(0, 2, 3), (1, 2, 2), (1, 2, 37), (2, 3, 38)]:
+        roster = tuple(zip(roster_ids(3), xs))
+        with pytest.raises(ValueError, match=r"roster x values must be distinct and in \[1, 37\)"):
+            rotate_credentials(config, key, rng, roster=roster)
+    with pytest.raises(ValueError, match="threshold 2 out of range for 0 members"):
+        rotate_credentials(config, key, rng, roster=())
 
 
 # --- an attacker's guessed share --------------------------------------------------
