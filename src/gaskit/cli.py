@@ -25,13 +25,13 @@ per proposed run; without it the CSV is the same and no log is built.
 
 Work is bounded at validation, before any is done: a group (``demo
 --n``, ``simulate --m``, ``attack --m``, every ``sweep`` m) of at most
-`sim.MAX_GROUP_SIZE` members, at most `MAX_M_VALUES` values in
-``--m-list`` or ``--m-range``, a Harn ``--p-bits`` of at most
-`gas_harn.MAX_P_BITS` (2048), and before any primality test a curve
-``--modulus`` of at most 10^6 and, in a parameter file, a curve's ``p``
-and ``subgroup_order`` of at most `ec.MAX_CURVE_BITS` (521) bits and a
-Harn modulus's ``p`` and ``q`` of at most `gas_harn.MAX_P_BITS`.  Anything
-above exits 2.
+`sim.MAX_GROUP_SIZE` members, one to `MAX_M_VALUES` values in
+``--m-list`` or ``--m-range``, one ``--schemes`` name or more, a Harn
+``--p-bits`` of at most `gas_harn.MAX_P_BITS` (2048), and before any
+primality test a curve ``--modulus`` of at most 10^6 and, in a parameter
+file, a curve's ``p`` and ``subgroup_order`` of at most
+`ec.MAX_CURVE_BITS` (521) bits and a Harn modulus's ``p`` and ``q`` of at
+most `gas_harn.MAX_P_BITS`.  Anything outside exits 2.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def _parse_m_range(spec: str) -> list[int]:
     if step <= 0 or a < 1:
         raise ValueError("m-range needs a >= 1 and step >= 1")
     ms = range(a, b + 1, step)
+    if not ms:
+        raise ValueError(f"--m-range {spec} holds no value")
     if len(ms) > MAX_M_VALUES:
         raise ValueError(f"--m-range holds at most {MAX_M_VALUES} values, got {len(ms)}")
     return list(ms)
@@ -195,6 +197,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     ms = [int(m) for m in args.m_list.split(",") if m.strip()]
+    if not schemes:
+        raise ValueError("--schemes names no scheme")
+    if not ms:
+        raise ValueError("--m-list holds no value")
     if len(ms) > MAX_M_VALUES:
         raise ValueError(f"--m-list holds at most {MAX_M_VALUES} values, got {len(ms)}")
     base = sim.Scenario(scheme="proposed-centralized", m=1, seed=args.seed)

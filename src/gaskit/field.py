@@ -2,17 +2,17 @@
 
 `FieldElement` is the checked type at API boundaries: shares, curve
 coordinates, Harn tokens and releases.  Multiplications are the cost unit of
-the whole toolkit, so `FieldElement.__mul__` and `pow_mod` report into whatever
+the whole toolkit, so `FieldElement.__mul__` reports into whatever
 `MulCounter` is active in the current execution context.  The hot paths
 compute on plain integers instead and tally the multiplications they did in
 bulk, once per call: the curve group (`ec.scalar_mul`, `ec._mul_many`),
 the Lagrange weights (`lagrange_weight`, one node's at several points from
 one inversion, for a Harn release; `lagrange_weights`, all of a set from one
 `batch_inverse`, for the verifiers), Horner dealing
-(`sss.SecretPolynomial.evaluate`) and Harn's g^c, parameter check and
-product check.  Inversions are *not* counted anywhere: they are tracked as separate
-unit operations in the cost model, matching how the per-user operation
-counts are broken down.
+(`sss.SecretPolynomial.evaluate`) and Harn's g^s, g^c and product check.
+Inversions are *not* counted anywhere: they are tracked as separate unit
+operations in the cost model, matching how the per-user operation counts
+are broken down.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "lagrange_coeff_at_zero",
     "lagrange_weight",
     "lagrange_weights",
-    "pow_mod",
     "tally_muls",
     "tally_tems",
 ]
@@ -171,9 +170,9 @@ class MulCounter:
     `ec._mul_many`, the (k + 1)(m - 1) + k of each `lagrange_weight`
     at k points (2m - 1 at one, 3m - 1 at a Harn release's two), the
     m^2 + 6m of each `lagrange_weights`, the t of each Horner evaluation of
-    a degree t - 1 polynomial, the bitlen - 1 + popcount of each `pow_mod`,
-    the m of a Harn product check (`gas_harn.harn_verify`) and, for Harn's
-    g^c (`HarnModulus.g_pow`), one per nonzero 4-bit digit of c (its
+    a degree t - 1 polynomial, the m of a Harn product check
+    (`gas_harn.harn_verify`) and, for Harn's g^s and g^c
+    (`HarnModulus.g_pow`), one per nonzero 4-bit digit of the exponent (its
     table, like the generator table of `ec`, is built untallied);
     inversions are not counted.  A scalar
     multiplication tallies the formulas it ran, so the same TEM counts
@@ -296,15 +295,6 @@ class FieldElement:
 # The slots' own setters, which `__init__` calls because `__setattr__` raises.
 _set_residue = FieldElement.residue.__set__
 _set_modulus = FieldElement.modulus.__set__
-
-
-def pow_mod(base: int, exp: int, p: int) -> int:
-    """base**exp mod p on plain ints; tallies square-and-multiply's bitlen-1 + popcount muls."""
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    if exp:
-        tally_muls(exp.bit_length() - 1 + exp.bit_count())
-    return pow(base, exp, p)
 
 
 def batch_inverse(zs: list[int], p: int) -> list[int]:

@@ -620,13 +620,15 @@ def rotate_credentials(
     rng: random.Random,
     roster: tuple[tuple[str, int], ...] | None = None,
 ) -> RotationResult:
-    """Deal a fresh polynomial and wrap each new share under the group key.
+    """Deal a fresh polynomial and wrap each new share's y under the group key.
 
     `_deal_group` deals as `gm_init` does, under the same rules, with ids
-    and x's from `roster` (default: the config's).  Old public shares become
-    invalid because every f(x_i) changes.  Pass a reduced `roster` to
-    exclude compromised members from the new epoch; its x's must be
-    distinct and in [1, q), as `GroupConfig` checks.
+    and x's from `roster` (default: the config's).  Each bundle entry seals
+    y alone, as `encrypt_share_for_peer` does: the member's x is public, on
+    the new config's roster.  Old public shares become invalid because
+    every f(x_i) changes.  Pass a reduced `roster` to exclude compromised
+    members from the new epoch; its x's must be distinct and in [1, q), as
+    `GroupConfig` checks.
     """
     new_epoch = config.epoch + 1
     new_roster = roster if roster is not None else config.roster
@@ -638,7 +640,7 @@ def rotate_credentials(
         bundle[share.member_id] = _seal(
             _rotation_key(group_key, new_epoch, share.member_id),
             _share_aad(new_epoch, "GM", share.member_id),
-            wire.encode_point_payload(share.x.to_bytes(), share.y.to_bytes()),
+            share.y.to_bytes(),
             rng,
         )
     return RotationResult(config=new_config, shares=new_shares, encrypted_bundle=bundle)
@@ -650,11 +652,11 @@ def open_rotated_share(
     payload: bytes,
     new_config: GroupConfig,
 ) -> Share:
-    """Decrypt a member's new share and check it against the new roster.
+    """Decrypt a member's new y; its x is the member's x on the new roster.
 
     Raises `RotationError` when the payload does not authenticate or is
-    malformed, when x or y is not a canonical element of the scalar field,
-    or when x is not the member's roster x.
+    malformed, or when y is not a canonical element of the scalar field
+    (not exactly `byte_length` bytes, or not below q).
     """
     epoch, q = new_config.epoch, new_config.scalar_field
     try:
@@ -663,15 +665,10 @@ def open_rotated_share(
             _share_aad(epoch, "GM", member_id),
             payload,
         )
-        x, y = map(q.from_bytes, wire.decode_point_payload(plaintext))
+        y = q.from_bytes(plaintext)
     except ValueError as exc:
         raise RotationError(f"cannot open rotated share for {member_id}") from exc
-    roster_x = new_config.roster_x(member_id)
-    if x != roster_x:
-        raise RotationError(
-            f"rotated share for {member_id} has x={x.residue}, roster has {roster_x.residue}"
-        )
-    return Share(x=roster_x, y=y, member_id=member_id)
+    return Share(new_config.roster_x(member_id), y, member_id)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ and public evaluation points w_1, w_2 define the group secret
 
     s = d_1*f_1(w_1) + d_2*f_2(w_2)  (mod q),
 
-with g^s mod p published as the verification target.  Each member releases
+with g^s mod p published as the verification target; `HarnParams` derives
+both from f_j, w_j and d_j when it is built.  Each member releases
 e_i = g^{c_i} where c_i mixes its two private evaluations with Lagrange
 terms taken *at* w_j; the product of all m releases telescopes to g^s when
 everyone is honest.
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from importlib import resources
 
 from . import wire
 from .field import (
-    FieldElement, Prime, json_int, json_object, lagrange_weight, pow_mod, tally_muls,
+    FieldElement, Prime, json_int, json_object, lagrange_weight, tally_muls,
 )
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff  # noqa: F401
@@ -150,6 +151,12 @@ class HarnRelease:
 
 @dataclass(frozen=True)
 class HarnParams:
+    """Harn's dealt parameters: f_1, f_2 and the public w_j, d_j.
+
+    `s` = d_1*f_1(w_1) + d_2*f_2(w_2) and `verification_target` = g^s mod p
+    (from the generator's table) are derived when it is built, never passed in.
+    """
+
     modulus: HarnModulus
     threshold: int
     f1: SecretPolynomial
@@ -158,22 +165,18 @@ class HarnParams:
     w2: FieldElement
     d1: FieldElement
     d2: FieldElement
-    s: FieldElement
-    verification_target: FieldElement  # g^s mod p
+    s: FieldElement = dc_field(init=False)
+    verification_target: FieldElement = dc_field(init=False)  # g^s mod p
 
     def __post_init__(self) -> None:
-        q, p = self.modulus.q, self.modulus.p
-        if self.verification_target.modulus != p or any(
-            v.modulus != q for v in (self.w1, self.w2, self.d1, self.d2, self.s)
-        ):
-            raise ValueError("w_j, d_j and s must live mod q, the verification target mod p")
+        q = self.modulus.q
+        if any(v.modulus != q for v in (self.w1, self.w2, self.d1, self.d2)):
+            raise ValueError("w_j and d_j must live mod q")
         if self.d1.residue == 0 and self.d2.residue == 0:
             raise ValueError("d1 = d2 = 0 makes the secret degenerate")
-        if _group_secret(self.f1, self.f2, self.w1, self.w2, self.d1, self.d2) != self.s.residue:
-            raise ValueError("s is inconsistent with d_j * f_j(w_j)")
-        g, s = self.modulus.g.residue, self.s.residue
-        if pow_mod(g, s, p.value) != self.verification_target.residue:
-            raise ValueError("verification target is not g^s")
+        s = _group_secret(self.f1, self.f2, self.w1, self.w2, self.d1, self.d2)
+        object.__setattr__(self, "s", q.element(s))
+        object.__setattr__(self, "verification_target", self.modulus.g_pow(s))
 
 
 def _group_secret(
@@ -248,18 +251,8 @@ def harn_init(
     d1, d2 = q.random_element(rng), q.random_element(rng)
     while d1.residue == 0 and d2.residue == 0:
         d1, d2 = q.random_element(rng), q.random_element(rng)
-    s = q.element(_group_secret(f1, f2, w1, w2, d1, d2))
     params = HarnParams(
-        modulus=modulus,
-        threshold=t,
-        f1=f1,
-        f2=f2,
-        w1=w1,
-        w2=w2,
-        d1=d1,
-        d2=d2,
-        s=s,
-        verification_target=modulus.g_pow(s.residue),
+        modulus=modulus, threshold=t, f1=f1, f2=f2, w1=w1, w2=w2, d1=d1, d2=d2
     )
     tokens = [
         HarnToken(member_id=mid, x=x, y1=f1.evaluate(x), y2=f2.evaluate(x))

@@ -165,10 +165,16 @@ def test_cost_table_slope(capsys):
     assert any(l.startswith("harn,10,1558,") for l in out.splitlines())
 
 
-def test_cost_empty_range_header_only(capsys):
-    code, out, _ = run_cli(capsys, "cost", "--m-range", "50:10:10")
-    assert code == 0
-    assert out.strip() == CSV_HEADER
+@pytest.mark.parametrize(("argv", "problem"), [
+    pytest.param(("cost", "--m-range", "50:10:10"), "--m-range 50:10:10 holds no value",
+                 id="cost-m-range"),
+    pytest.param(("sweep", "--m-list", ""), "--m-list holds no value", id="sweep-m-list"),
+    pytest.param(("sweep", "--schemes", ""), "--schemes names no scheme", id="sweep-schemes"),
+])
+def test_empty_grid_exits_2(capsys, argv, problem):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"gaskit: {problem}\n"
 
 
 def test_cost_malformed_range(capsys):

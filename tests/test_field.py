@@ -18,7 +18,6 @@ from gaskit.field import (
     lagrange_coeff_at_zero,
     lagrange_weight,
     lagrange_weights,
-    pow_mod,
 )
 
 F17 = Prime(17)
@@ -64,16 +63,6 @@ def test_inv_examples():
     assert el(1).inv().residue == 1
     with pytest.raises(ZeroDivisionError):
         el(0).inv()
-
-
-def test_pow_examples():
-    assert pow_mod(7, 0, 2027) == 1
-    assert pow_mod(2, 4, 17) == 16
-    # Fermat's little theorem
-    rng = random.Random(1)
-    for q in (F17, F2027):
-        for _ in range(20):
-            assert pow_mod(rng.randrange(1, q.value), q.value - 1, q.value) == 1
 
 
 def test_lagrange_examples():
@@ -232,15 +221,6 @@ def test_lagrange_partition_of_unity():
         assert total.residue == 1
 
 
-def test_pow_additivity():
-    rng = random.Random(7)
-    q = F2027
-    for _ in range(500):
-        g, p = rng.randrange(1, q.value), q.value
-        a, b = rng.randrange(0, 5000), rng.randrange(0, 5000)
-        assert pow_mod(g, a + b, p) == pow_mod(g, a, p) * pow_mod(g, b, p) % p
-
-
 def test_lagrange_coeff_general_point():
     # interpolating f(x) = x at "at" must reproduce "at"
     q = Prime(37)
@@ -260,30 +240,6 @@ def test_counter_counts_muls():
         el(2) * el(3)
     assert ops.field_muls == 2
     assert ops.ec_scalar_muls == 0
-
-
-def test_counter_pow_square_and_multiply():
-    # exp = 0b1101: bitlen-1 squarings + popcount multiplies
-    with MulCounter() as ops:
-        pow_mod(3, 0b1101, 17)
-    assert ops.field_muls == (4 - 1) + 3
-    with MulCounter() as ops:
-        pow_mod(3, 0, 17)
-    assert ops.field_muls == 0
-    # the same tally as a square-and-multiply loop, and the same value
-    rng = random.Random(5)
-    for exp in [0, 1, 2, 3, 2**16 - 1, 2**16] + [rng.getrandbits(200) for _ in range(20)]:
-        muls, e = 0, exp
-        while e:
-            muls += e & 1
-            e >>= 1
-            muls += e > 0
-        with MulCounter() as ops:
-            got = pow_mod(3, exp, 2027)
-        assert ops.field_muls == muls
-        assert got == pow(3, exp, 2027)
-    with pytest.raises(ValueError, match="non-negative"):
-        pow_mod(3, -1, 2027)
 
 
 def test_counter_ignores_inversions():

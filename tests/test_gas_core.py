@@ -952,9 +952,26 @@ def _seal_rotated_share(key, config, member_id, plaintext):
     return wire.encode_encrypted_payload(nonce, ct)
 
 
+@pytest.mark.parametrize("curve_name", ["test2017", "secp160r1"])
+def test_rotation_bundle_seals_y_alone(curve_name):
+    """Every entry opened under its rotation key is the new y, byte_length bytes."""
+    rng = random.Random(41)
+    config, _ = gm_init(3, 5, builtin_curve(curve_name), rng)
+    key = FieldElement(7, config.scalar_field)
+    rotation = rotate_credentials(config, key, rng)
+    epoch = rotation.config.epoch
+    for share in rotation.shares:
+        plaintext = gas_core._open(
+            gas_core._rotation_key(key, epoch, share.member_id),
+            gas_core._share_aad(epoch, "GM", share.member_id),
+            rotation.encrypted_bundle[share.member_id],
+        )
+        assert len(plaintext) == config.scalar_field.byte_length
+        assert plaintext == share.y.to_bytes()
+
+
 @pytest.mark.parametrize(
-    "forge",
-    ["x_plus_q", "y_plus_q", "x_equals_q", "x_padded", "other_members_x", "malformed"],
+    "forge", ["y_plus_q", "y_equals_q", "y_padded", "y_truncated", "malformed"]
 )
 def test_open_rotated_share_rejects_forged_payload(forge):
     rng, config, shares = setup_group(t=2, n=3, seed=39)
@@ -963,27 +980,19 @@ def test_open_rotated_share_rejects_forged_payload(forge):
     rotation = rotate_credentials(config, key, rng)
     share = rotation.shares[0]
     q = rotation.config.scalar_field
-
-    def point(x, y):
-        return wire.encode_point_payload(
-            x.to_bytes(q.byte_length, "big"), y.to_bytes(q.byte_length, "big")
-        )
-
-    x, y = share.x.residue, share.y.residue
-    forged = {
-        "x_plus_q": point(x + q.value, y),  # would reduce to the roster x
-        "y_plus_q": point(x, y + q.value),  # would reduce to the dealt y
-        "x_equals_q": point(q.value, y),
-        "x_padded": wire.encode_point_payload(  # non-canonical width
-            b"\x00" + x.to_bytes(q.byte_length, "big"), y.to_bytes(q.byte_length, "big")
-        ),
-        "other_members_x": point(rotation.shares[1].x.residue, y),
-        "malformed": b"\x00",
-    }[forge]
-    # the honest values sealed the same way open, so only the forgery differs
-    honest = _seal_rotated_share(key, rotation.config, share.member_id, point(x, y))
+    y, width = share.y.residue, q.byte_length
+    # the honest y sealed the same way opens, so only the forgery differs
+    honest = _seal_rotated_share(key, rotation.config, share.member_id, share.y.to_bytes())
     assert open_rotated_share(share.member_id, key, honest, rotation.config) == share
-    payload = _seal_rotated_share(key, rotation.config, share.member_id, forged)
+    if forge == "malformed":  # no encrypted-share payload at all
+        payload = b"\x00"
+    else:
+        payload = _seal_rotated_share(key, rotation.config, share.member_id, {
+            "y_plus_q": (y + q.value).to_bytes(width, "big"),  # would reduce to the dealt y
+            "y_equals_q": q.value.to_bytes(width, "big"),
+            "y_padded": y.to_bytes(width + 1, "big"),  # non-canonical width
+            "y_truncated": y.to_bytes(width, "big")[1:],
+        }[forge])
     with pytest.raises(RotationError):
         open_rotated_share(share.member_id, key, payload, rotation.config)
 

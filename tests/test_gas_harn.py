@@ -7,13 +7,14 @@ import re
 import pytest
 
 from gaskit import field
-from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff, pow_mod
+from gaskit.field import FieldElement, MulCounter, Prime, lagrange_coeff
 from gaskit.gas_harn import (
     HarnModulus,
     HarnParams,
     HarnRelease,
     HarnToken,
     MAX_P_BITS,
+    _group_secret,
     builtin_harn_modulus,
     derive_generator,
     harn_init,
@@ -32,8 +33,8 @@ def _is_safe_pair(modulus):
 
 
 def _g_to(modulus, e):
-    """g^e mod p by square-and-multiply, not from the table of `g_pow`."""
-    return FieldElement(pow_mod(modulus.g.residue, e, modulus.p.value), modulus.p)
+    """g^e mod p by the builtin `pow`, not from the table of `g_pow`."""
+    return FieldElement(pow(modulus.g.residue, e, modulus.p.value), modulus.p)
 
 
 def _nonzero_digits(e):
@@ -99,18 +100,23 @@ def test_g_pow_matches_pow(modulus):
         assert ops.field_muls == _nonzero_digits(e % q)
 
 
-def test_params_check_does_not_build_the_table():
+def test_params_derive_g_s_from_the_table():
+    """Building the params computes g^s with `g_pow`, so the table exists
+    after it; the tally is f_1(w_1) and f_2(w_2) (t each), the two
+    products d_j * f_j(w_j) and the one nonzero digit of s = 3."""
     modulus = builtin_harn_modulus("harn-tiny")
     q = modulus.q
     f1 = SecretPolynomial((FieldElement(4, q), FieldElement(7, q)))
     f2 = SecretPolynomial((FieldElement(9, q), FieldElement(2, q)))
-    HarnParams(
-        modulus=modulus, threshold=2, f1=f1, f2=f2,
-        w1=FieldElement(5, q), w2=FieldElement(8, q),
-        d1=FieldElement(3, q), d2=FieldElement(6, q),
-        s=FieldElement(3, q), verification_target=_g_to(modulus, 3),
-    )
-    assert "_g_table" not in vars(modulus)
+    with MulCounter() as ops:
+        params = HarnParams(
+            modulus=modulus, threshold=2, f1=f1, f2=f2,
+            w1=FieldElement(5, q), w2=FieldElement(8, q),
+            d1=FieldElement(3, q), d2=FieldElement(6, q),
+        )
+    assert "_g_table" in vars(modulus)
+    assert ops.field_muls == 2 * 2 + 2 + 1
+    assert params.verification_target == _g_to(modulus, 3)
 
 
 def _random_roster(params, n, rng):
@@ -223,9 +229,9 @@ def test_tiny_frozen_example():
     s = d1 * f1.evaluate(w1) + d2 * f2.evaluate(w2)
     assert s.residue == 3
     params = HarnParams(
-        modulus=TINY, threshold=2, f1=f1, f2=f2, w1=w1, w2=w2, d1=d1, d2=d2,
-        s=s, verification_target=_g_to(TINY, s.residue),
+        modulus=TINY, threshold=2, f1=f1, f2=f2, w1=w1, w2=w2, d1=d1, d2=d2
     )
+    assert params.s == s and params.verification_target == _g_to(TINY, 3)
     xs = [FieldElement(1, q), FieldElement(2, q)]
     tokens = [
         HarnToken("U1", xs[0], f1.evaluate(xs[0]), f2.evaluate(xs[0])),
@@ -244,26 +250,35 @@ def test_params_validation():
     with pytest.raises(ValueError, match="degenerate"):
         HarnParams(
             modulus=TINY, threshold=2, f1=f1, f2=f2,
-            w1=FieldElement(5, q), w2=FieldElement(8, q),
-            d1=zero, d2=zero, s=zero, verification_target=_g_to(TINY, 0),
+            w1=FieldElement(5, q), w2=FieldElement(8, q), d1=zero, d2=zero,
         )
-    with pytest.raises(ValueError, match="inconsistent"):
-        HarnParams(
-            modulus=TINY, threshold=2, f1=f1, f2=f2,
-            w1=FieldElement(5, q), w2=FieldElement(8, q),
-            d1=FieldElement(3, q), d2=FieldElement(6, q),
-            s=FieldElement(9, q), verification_target=_g_to(TINY, 9),
-        )
-    # every value of F_q must be one, and g^s one of Z_p
+    # every w_j and d_j must be a value of F_q
     good = dict(modulus=TINY, threshold=2, f1=f1, f2=f2,
                 w1=FieldElement(5, q), w2=FieldElement(8, q),
-                d1=FieldElement(3, q), d2=FieldElement(6, q),
-                s=FieldElement(3, q), verification_target=_g_to(TINY, 3))
-    HarnParams(**good)
-    for name in ("w1", "w2", "d1", "d2", "s", "verification_target"):
+                d1=FieldElement(3, q), d2=FieldElement(6, q))
+    for name in ("w1", "w2", "d1", "d2"):
         moved = FieldElement(good[name].residue, Prime(29))
         with pytest.raises(ValueError, match="must live mod q"):
             HarnParams(**{**good, name: moved})
+    # s and g^s are derived, never passed in
+    params = HarnParams(**good)
+    s = _group_secret(f1, f2, good["w1"], good["w2"], good["d1"], good["d2"])
+    assert params.s == FieldElement(s, q)
+    assert params.verification_target == FieldElement(pow(3, s, 23), TINY.p)
+    for name, value in (("s", params.s), ("verification_target", params.verification_target)):
+        with pytest.raises(TypeError, match=name):
+            HarnParams(**good, **{name: value})
+
+
+@pytest.mark.parametrize(("modulus", "t", "n"), [(TINY, 2, 4), (FIXTURE, 3, 6)],
+                         ids=["tiny", "1024/160"])
+def test_init_tally(modulus, t, n):
+    """2nt for the n tokens' two Horner evaluations, 2t for f_j(w_j), the
+    2 products d_j * f_j(w_j) and the nonzero digits of s in `g_pow`."""
+    for seed in range(5):
+        with MulCounter() as ops:
+            params, _ = harn_init(t, n, modulus, random.Random(seed))
+        assert ops.field_muls == 2 * n * t + 2 * t + 2 + _nonzero_digits(params.s.residue)
 
 
 @pytest.mark.parametrize("modulus", [TINY, FIXTURE], ids=["tiny", "1024/160"])
