@@ -31,7 +31,9 @@ Work is bounded at validation, before any is done: a group (``demo
 primality test a curve ``--modulus`` of at most 10^6 and, in a parameter
 file, a curve's ``p`` and ``subgroup_order`` of at most
 `ec.MAX_CURVE_BITS` (521) bits and a Harn modulus's ``p`` and ``q`` of at
-most `gas_harn.MAX_P_BITS`.  Anything outside exits 2.
+most `gas_harn.MAX_P_BITS`; an input file of at most `jsonfile.MAX_FILE_BYTES`
+(64 KiB, checked before parsing) and nested no deeper than the parser
+takes.  Anything outside exits 2.
 """
 
 from __future__ import annotations

@@ -66,15 +66,11 @@ Builtin parameter sets (see ``data/``):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 
-from .field import (
-    FieldElement, Prime, batch_inverse, cached_prime, json_int,
-    json_object, json_str, tally_muls, tally_tems,
-)
+from .field import FieldElement, Prime, batch_inverse, cached_prime, tally_muls, tally_tems
+from .jsonfile import json_int, json_object, json_str, read_builtin, read_json
 
 __all__ = [
     "CurvePoint",
@@ -855,14 +851,11 @@ def curve_to_dict(curve: CurveParams) -> dict:
 
 
 def load_curve(path) -> CurveParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return curve_from_dict(data, name=str(path))
+    return curve_from_dict(read_json(path), name=str(path))
 
 
 @lru_cache(maxsize=None)
 def builtin_curve(name: str) -> CurveParams:
     if name not in BUILTIN_CURVES:
         raise ValueError(f"unknown builtin curve {name!r}; valid: {BUILTIN_CURVES}")
-    text = resources.files("gaskit.data").joinpath(f"{name}.json").read_text("utf-8")
-    return curve_from_dict(json.loads(text), name=name)
+    return curve_from_dict(read_builtin(f"{name}.json"), name=name)

@@ -29,9 +29,6 @@ __all__ = [
     "MulCounter",
     "batch_inverse",
     "is_probable_prime",
-    "json_int",
-    "json_object",
-    "json_str",
     "lagrange_coeff",
     "lagrange_coeff_at_zero",
     "lagrange_weight",
@@ -71,45 +68,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def json_int(value: object, name: str) -> int:
-    """An integer read from a JSON file: an int, or the decimal string of one.
-
-    The string form is what the writers emit, ``str(n)``: ASCII digits with
-    an optional leading minus sign.  Anything else raises ValueError,
-    including the floats and booleans that ``int()`` would silently truncate
-    or coerce (``1.9`` -> 1, ``true`` -> 1).
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        digits = value[1:] if value.startswith("-") else value
-        if digits.isascii() and digits.isdigit():
-            return int(value)
-    raise ValueError(f"{name} must be an integer or a decimal string, got {value!r}")
-
-
-# The shapes around those integers.  Each raises ValueError, never the
-# KeyError, TypeError or AttributeError that indexing or unpacking the
-# wrong shape would.  An optional key counts as absent only when it is
-# missing or null: readers test ``data.get(key) is None``.
-
-def json_object(value: object, name: str, required: tuple[str, ...]) -> dict:
-    """A JSON object that holds every key in `required`."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    missing = [key for key in required if key not in value]
-    if missing:
-        raise ValueError(f"{name} missing fields: {missing}")
-    return value
-
-
-def json_str(value: object, name: str) -> str:
-    """A JSON string, such as a curve's name."""
-    if not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,18 +28,15 @@ releases as residues mod p.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from importlib import resources
 
 from . import wire
-from .field import (
-    FieldElement, Prime, json_int, json_object, lagrange_weight, tally_muls,
-)
+from .field import FieldElement, Prime, lagrange_weight, tally_muls
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .field import lagrange_coeff  # noqa: F401
+from .jsonfile import json_int, json_object, read_builtin, read_json
 from .sss import SecretPolynomial, ThresholdError, roster_ids, sample_polynomial
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
 ]
 
 BUILTIN_HARN_MODULI = ("harn-tiny", "harn-1024-160")
-_FILES = {"harn-tiny": "harn_tiny.json", "harn-1024-160": "harn_1024_160.json"}
 
 _GENERATOR_BASE = 7
 _G_WINDOW = 4  # bits per digit of a `g_pow` exponent
@@ -197,13 +193,11 @@ def _group_secret(
 def builtin_harn_modulus(name: str) -> HarnModulus:
     if name not in BUILTIN_HARN_MODULI:
         raise ValueError(f"unknown builtin {name!r}; valid: {BUILTIN_HARN_MODULI}")
-    text = resources.files("gaskit.data").joinpath(_FILES[name]).read_text("utf-8")
-    return _modulus_from_dict(json.loads(text))
+    return _modulus_from_dict(read_builtin(f"{name}.json"))
 
 
 def load_harn_modulus(path) -> HarnModulus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _modulus_from_dict(json.load(fh))
+    return _modulus_from_dict(read_json(path))
 
 
 # Bit length cap of a Harn p and q, from a file or `gaskit gen-params

@@ -36,7 +36,6 @@ import contextlib
 import contextvars
 import functools
 import hashlib
-import json
 import math
 import random
 import types
@@ -49,6 +48,7 @@ from .ec import CurveParams, builtin_curve, load_curve
 # Not called here; the benchmark's tracer binds it by name in this module.
 from .ec import scalar_mul  # noqa: F401
 from .gas_harn import HarnModulus, builtin_harn_modulus, load_harn_modulus
+from .jsonfile import read_json
 from .sss import guessed_share, roster_ids
 
 __all__ = [
@@ -164,8 +164,7 @@ class Scenario:
 
     @classmethod
     def from_json_file(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 _FIELD_HINTS = typing.get_type_hints(Scenario)

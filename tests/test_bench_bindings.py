@@ -17,7 +17,7 @@ from gaskit import gas_core, sim
 
 GASBENCH = Path(__file__).resolve().parents[1] / "gasbench"
 MODULES = ("attacks", "cli", "cost_model", "ec", "field", "gas_core", "gas_harn",
-           "sim", "sss", "wire")
+           "jsonfile", "sim", "sss", "wire")
 SMALL = sim.Scenario(scheme="proposed-centralized", m=4, curve_ref="builtin:test2017")
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from gaskit import attacks, cli, cost_model, ec, field, gas_core, gas_harn, sim
 from gaskit.cli import main
+from gaskit.jsonfile import MAX_FILE_BYTES
 
 CSV_HEADER = "scheme,m,tmulq,compute_J,radio_J,total_J,auth_time_s"
 
@@ -128,6 +129,16 @@ def test_demo_refuses_a_curve_file_above_the_bit_cap(capsys, tmp_path, monkeypat
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "demo", "--curve", str(path))
     assert (code, out, err) == (2, "", "gaskit: p has 9689 bits, above 521\n")
+
+
+def test_a_curve_file_of_exactly_the_byte_bound_loads(capsys, tmp_path):
+    text = json.dumps(ec.curve_to_dict(ec.builtin_curve("test2017")))
+    path = tmp_path / "curve.json"
+    path.write_text(text + " " * (MAX_FILE_BYTES - len(text)))
+    assert path.stat().st_size == MAX_FILE_BYTES
+    runs = [run_cli(capsys, "simulate", "--scheme", "proposed-decentralized", "--m", "12",
+                    "--t", "4", "--curve", curve) for curve in (str(path), "builtin:test2017")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 @pytest.mark.parametrize("modulus", [1000003, 2**1279 - 1, 2**4423 - 1],
@@ -615,6 +626,24 @@ SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
     pytest.param(("simulate", "--scheme", "harn", "--m", "4", "--harn", "{dir}/nope.json"),
                  "gaskit: file not found: {dir}/nope.json", id="simulate-harn-missing"),
     pytest.param(("sweep", "--jobs", "0"), "jobs must be >= 1, got 0", id="sweep-jobs-0"),
+    # 2000 nested objects parse to a RecursionError, which used to escape as
+    # a traceback and exit 1; a file over the bound is refused unparsed
+    *(pytest.param(argv, "gaskit: {dir}/deep.json: JSON nested too deeply", id=f"{name}-deep")
+      for name, argv in [
+          ("demo-curve", ("demo", "--curve", "{dir}/deep.json")),
+          ("demo-harn", ("demo", "--scheme", "harn", "--harn", "{dir}/deep.json")),
+          ("simulate-scenario", ("simulate", "--scenario", "{dir}/deep.json")),
+          ("simulate-harn", ("simulate", "--scheme", "harn", "--m", "5", "--harn",
+                             "{dir}/deep.json")),
+      ]),
+    *(pytest.param(argv, f"gaskit: {{dir}}/big.json: file is larger than {MAX_FILE_BYTES} bytes",
+                   id=f"{name}-oversize")
+      for name, argv in [
+          ("demo-curve", ("demo", "--curve", "{dir}/big.json")),
+          ("simulate-harn", ("simulate", "--scheme", "harn", "--m", "5", "--harn",
+                             "{dir}/big.json")),
+          ("simulate-scenario", ("simulate", "--scenario", "{dir}/big.json")),
+      ]),
     pytest.param(("attack", "--name", "dos-invalid-share", "--m", "2"),
                  "seats its attacker as U3, so m must be >= 3, got 2", id="attack-dos-m-2"),
     pytest.param(("attack", "--name", "flood", "--m", "1"),
@@ -625,6 +654,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, problem):
     (tmp_path / "scn.json").write_text(json.dumps(
         {"scheme": "proposed-centralized", "m": 4, "curve_ref": "builtin:test2017"}
     ))
+    (tmp_path / "deep.json").write_text('{"a": ' * 2000 + "1" + "}" * 2000)
+    (tmp_path / "big.json").write_text("x" * (MAX_FILE_BYTES + 1))  # not JSON either
     code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     if "--events" in argv:  # the CSV is printed before the event log is written

@@ -11,14 +11,12 @@ from gaskit.field import (
     Prime,
     batch_inverse,
     is_probable_prime,
-    json_int,
-    json_object,
-    json_str,
     lagrange_coeff,
     lagrange_coeff_at_zero,
     lagrange_weight,
     lagrange_weights,
 )
+from gaskit.jsonfile import json_int, json_object, json_str
 
 F17 = Prime(17)
 F2027 = Prime(2027)
@@ -42,6 +40,25 @@ def test_prime_rejects_composites():
         Prime(15)
     with pytest.raises(ValueError):
         Prime(2)  # < 3
+
+
+M61, M89, M127 = 2**61 - 1, 2**89 - 1, 2**127 - 1  # Mersenne primes
+
+
+@pytest.mark.parametrize("n", [2, M61, M89, M127])
+def test_is_probable_prime_accepts_2_and_mersenne_primes(n):
+    assert is_probable_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    0, 9, 25,
+    41041,  # a Carmichael number
+    3215031751,  # a strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # a strong pseudoprime to every prime base up to 37
+    M61 * M89,
+])
+def test_is_probable_prime_refuses_pseudoprimes(n):
+    assert not is_probable_prime(n)
 
 
 # --- frozen operation examples ---------------------------------------------

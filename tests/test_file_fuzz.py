@@ -73,6 +73,21 @@ def _mutations(base, values):
     return st.lists(st.tuples(keys, values), max_size=3).map(apply)
 
 
+def _deep(base):
+    """JSON text nested 500 to 5000 deep, as the whole file or as one key's
+    value in `base`: bytes, since ``json.dumps`` would itself recurse."""
+    def text(depth, brackets, key):
+        opener, closer = brackets
+        nested = opener * depth + "1" + closer * depth
+        if key is None:
+            return nested.encode()
+        fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in base.items() if k != key]
+        return ("{" + ", ".join([*fields, f"{json.dumps(key)}: {nested}"]) + "}").encode()
+
+    return st.builds(text, st.integers(500, 5000), st.sampled_from([("[", "]"), ('{"a": ', "}")]),
+                     st.none() | st.sampled_from(sorted(base)))
+
+
 def _small_group(data):
     m = data.get("m") if isinstance(data, dict) else None
     return not (type(m) is int and m > 6)
@@ -80,7 +95,7 @@ def _small_group(data):
 
 def _simulate(tmp_path_factory, data, *argv):
     path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["simulate", *(str(path) if a is None else a for a in argv)])
@@ -91,13 +106,13 @@ def _simulate(tmp_path_factory, data, *argv):
 
 @_fuzz
 @given(st.one_of(_json, *(_mutations(s, _SCENARIO_VALUES) for s in _SCENARIOS))
-       .filter(_small_group))
+       .filter(_small_group) | _deep(_SCENARIOS[0]))
 def test_fuzz_scenario_file(tmp_path_factory, data):
     _simulate(tmp_path_factory, data, "--scenario", None)
 
 
 @_fuzz
-@given(st.one_of(_json, _mutations(_CURVE, _values)),
+@given(st.one_of(_json, _mutations(_CURVE, _values), _deep(_CURVE)),
        st.sampled_from(["proposed-centralized", "proposed-decentralized"]),
        st.integers(1, 6))
 def test_fuzz_curve_file(tmp_path_factory, data, scheme, m):
@@ -105,6 +120,7 @@ def test_fuzz_curve_file(tmp_path_factory, data, scheme, m):
 
 
 @_fuzz
-@given(st.one_of(_json, _mutations(_HARN, _values), _SMALL_HARN), st.integers(1, 6))
+@given(st.one_of(_json, _mutations(_HARN, _values), _SMALL_HARN, _deep(_HARN)),
+       st.integers(1, 6))
 def test_fuzz_harn_modulus_file(tmp_path_factory, data, m):
     _simulate(tmp_path_factory, data, "--scheme", "harn", "--m", str(m), "--harn", None)
