@@ -626,8 +626,12 @@ SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
     pytest.param(("simulate", "--scheme", "harn", "--m", "4", "--harn", "{dir}/nope.json"),
                  "gaskit: file not found: {dir}/nope.json", id="simulate-harn-missing"),
     pytest.param(("sweep", "--jobs", "0"), "jobs must be >= 1, got 0", id="sweep-jobs-0"),
-    # 2000 nested objects parse to a RecursionError, which used to escape as
-    # a traceback and exit 1; a file over the bound is refused unparsed
+    # 32000 nested arrays (64,001 bytes, under the bound) parse to a
+    # RecursionError, which used to escape as a traceback and exit 1. The
+    # depth the parser takes depends on the interpreter: about 1000 through
+    # 3.11 (the recursion limit), several thousand from 3.12 (a separate C
+    # limit), so the file nests as deep as the bound allows. A file over the
+    # bound is refused unparsed
     *(pytest.param(argv, "gaskit: {dir}/deep.json: JSON nested too deeply", id=f"{name}-deep")
       for name, argv in [
           ("demo-curve", ("demo", "--curve", "{dir}/deep.json")),
@@ -654,7 +658,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, problem):
     (tmp_path / "scn.json").write_text(json.dumps(
         {"scheme": "proposed-centralized", "m": 4, "curve_ref": "builtin:test2017"}
     ))
-    (tmp_path / "deep.json").write_text('{"a": ' * 2000 + "1" + "}" * 2000)
+    (tmp_path / "deep.json").write_text("[" * 32000 + "1" + "]" * 32000)
     (tmp_path / "big.json").write_text("x" * (MAX_FILE_BYTES + 1))  # not JSON either
     code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2

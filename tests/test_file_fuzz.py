@@ -74,18 +74,21 @@ def _mutations(base, values):
 
 
 def _deep(base):
-    """JSON text nested 500 to 5000 deep, as the whole file or as one key's
-    value in `base`: bytes, since ``json.dumps`` would itself recurse."""
-    def text(depth, brackets, key):
-        opener, closer = brackets
+    """JSON text nested from 500 deep to about as deep as the 64 KiB file
+    bound allows, as the whole file or as one key's value in `base`: bytes,
+    since ``json.dumps`` would itself recurse.  From Python 3.12 the parser
+    takes several thousand levels, so only the deep end reaches its refusal
+    there."""
+    def text(depth, opener, closer, key):
         nested = opener * depth + "1" + closer * depth
         if key is None:
             return nested.encode()
         fields = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in base.items() if k != key]
         return ("{" + ", ".join([*fields, f"{json.dumps(key)}: {nested}"]) + "}").encode()
 
-    return st.builds(text, st.integers(500, 5000), st.sampled_from([("[", "]"), ('{"a": ', "}")]),
-                     st.none() | st.sampled_from(sorted(base)))
+    keys = st.none() | st.sampled_from(sorted(base))
+    return (st.builds(text, st.integers(500, 32000), st.just("["), st.just("]"), keys)
+            | st.builds(text, st.integers(500, 9000), st.just('{"a": '), st.just("}"), keys))
 
 
 def _small_group(data):
