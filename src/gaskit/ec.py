@@ -812,7 +812,8 @@ BUILTIN_CURVES = ("test2017", "secp160r1", "toy5")
 
 
 def curve_from_dict(data: dict, name: str = "") -> CurveParams:
-    data = json_object(data, "curve file", ("p", "A", "B", "Gx", "Gy"))
+    data = json_object(data, "curve file", ("p", "A", "B", "Gx", "Gy"),
+                       ("order", "subgroup_order", "name"))
     p = json_int(data["p"], "p")
     order, sub = (
         None if data.get(k) is None else json_int(data[k], k)

@@ -458,17 +458,16 @@ def decentralized_verify(config: GroupConfig, received: list[PublicShare]) -> bo
     `ec._multi_scalar_jacobian`, on integers: m TEMs under shared
     doublings.  The sum stays in Jacobian coordinates and is compared with
     Q's ints by `ec._jacobian_at`, as in `gm_verify`; nothing is checked
-    again, and `GroupConfig` refused an infinite Q.
+    again, and `GroupConfig` refused an infinite Q.  A repeated member
+    repeats its roster x, which `lagrange_weights` refuses with ValueError
+    before any TEM.
     """
     m = len(received)
     if m < config.threshold:
         raise ThresholdError(
             f"m must be equal or larger than t (m={m}, t={config.threshold})"
         )
-    ids = [ps.member_id for ps in received]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate member in received shares")
-    xs = [config.roster_x(mid).residue for mid in ids]
+    xs = [config.roster_x(ps.member_id).residue for ps in received]
     curve = config.curve
     q, p = config.scalar_field.value, curve.modulus.value
     terms = []  # every weight is nonzero: the roster's xs are distinct and nonzero
@@ -717,7 +716,10 @@ def exchange_group_key(
     for a delivered frame of another type, of another epoch than its
     recipient's config, or naming another sender.  Then every member opens
     what reached it with `key_agreement_round`, which raises as it says.
+    ValueError for an empty `states`.
     """
+    if not states:
+        raise ValueError("the group is empty: no member to agree on a key")
     inboxes: dict[str, dict[str, bytes]] = {mid: {} for mid in states}
     for sender, state in states.items():
         for mid, peer in states.items():
@@ -733,6 +735,6 @@ def exchange_group_key(
                                  f"{epoch} from {claimed} is not {sender}'s encrypted share")
             inboxes[mid][sender] = payload
     keys = {key_agreement_round(states[mid], inboxes[mid]) for mid in states}
-    if len(keys) != 1:  # pragma: no cover - agreement invariant
+    if len(keys) != 1:  # agreement invariant: each key matched its group's H(s)
         raise ProtocolError("members recovered different group keys")
     return keys.pop()

@@ -207,7 +207,7 @@ MAX_P_BITS = 2048
 
 
 def _modulus_from_dict(data: dict) -> HarnModulus:
-    data = json_object(data, "Harn modulus", ("p", "q"))
+    data = json_object(data, "Harn modulus", ("p", "q"), ("g", "name"))
     p, q = json_int(data["p"], "p"), json_int(data["q"], "q")
     for key, value in (("p", p), ("q", q)):
         if value.bit_length() > MAX_P_BITS:

@@ -56,13 +56,19 @@ def json_int(value: object, name: str) -> int:
 # wrong shape would.  An optional key counts as absent only when it is
 # missing or null: readers test ``data.get(key) is None``.
 
-def json_object(value: object, name: str, required: tuple[str, ...]) -> dict:
-    """A JSON object that holds every key in `required`."""
+def json_object(
+    value: object, name: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """A JSON object with every key in `required` and no key outside `required`
+    and `optional`: a misspelled optional key is refused, not read as absent."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
     missing = [key for key in required if key not in value]
     if missing:
         raise ValueError(f"{name} missing fields: {missing}")
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{name} has unknown fields: {unknown}")
     return value
 
 

@@ -412,8 +412,7 @@ def _run_proposed(scn: Scenario) -> SimReport:
     participants = list(member_ids)
     culprits: list[str] = []
 
-    for round_no in range(MAX_RETRIES + 1):
-        rounds = round_no + 1
+    for rounds in range(1, MAX_RETRIES + 2):
         if run.recording:
             run.log(run.now, "round-start", verifier, round=rounds,
                     participants=len(participants))
@@ -502,11 +501,8 @@ def _run_proposed(scn: Scenario) -> SimReport:
                     rounds, verifier, culprits,
                 )
 
-        if round_no == MAX_RETRIES:
-            reason = "no-progress" if missing else "denial-of-authentication"
-            return run.finish("failed", reason, decision_at, rounds, verifier, culprits)
-
-    raise AssertionError("unreachable")
+    reason = "no-progress" if missing else "denial-of-authentication"
+    return run.finish("failed", reason, decision_at, rounds, verifier, culprits)
 
 
 def _run_harn(scn: Scenario) -> SimReport:
@@ -535,8 +531,7 @@ def _run_harn(scn: Scenario) -> SimReport:
     )
     accum_cost = cost_model.HARN_ACCUM_PER_MSG
 
-    for round_no in range(MAX_RETRIES + 1):
-        rounds = round_no + 1
+    for rounds in range(1, MAX_RETRIES + 2):
         if run.recording:
             run.log(run.now, "round-start", member_ids[0], round=rounds,
                     participants=len(member_ids))
@@ -568,11 +563,9 @@ def _run_harn(scn: Scenario) -> SimReport:
                     missing=missing)
         if accepted:
             return run.finish("authenticated", None, decision_at, rounds, "all", [])
-        if round_no == MAX_RETRIES:
-            reason = "no-progress" if missing else "denial-of-authentication"
-            return run.finish("failed", reason, decision_at, rounds, "all", [])
 
-    raise AssertionError("unreachable")
+    reason = "no-progress" if missing else "denial-of-authentication"
+    return run.finish("failed", reason, decision_at, rounds, "all", [])
 
 
 def run(scenario: Scenario) -> SimReport:

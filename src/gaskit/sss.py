@@ -138,12 +138,11 @@ def guessed_share(share: Share, rng: random.Random) -> Share:
 
 
 def reconstruct(shares: list[Share], t: int) -> FieldElement:
-    """Interpolate the constant term from m >= t shares."""
+    """Interpolate the constant term from m >= t shares; `lagrange_coeff`
+    refuses a repeated x with ValueError."""
     if len(shares) < t:
         raise ThresholdError(f"need at least {t} shares, got {len(shares)}")
     xs = [s.x for s in shares]
-    if len({x.residue for x in xs}) != len(xs):
-        raise ValueError("duplicate x-coordinates in share set")
     acc = FieldElement(0, xs[0].modulus)
     for i, share in enumerate(shares):
         acc = acc + share.y * lagrange_coeff_at_zero(i, xs)

@@ -125,10 +125,7 @@ def decode_public_share(buf: bytes, width: int) -> tuple[int, str, int, int]:
     msg_type, epoch, mid_len = _HEADER.unpack_from(buf)
     if msg_type != PUBLIC_SHARE:
         raise ValueError(f"expected public-share frame, got type {msg_type}")
-    end = 6 + mid_len
-    if len(buf) < end:
-        raise ValueError("truncated member id")
-    x, y = decode_point_payload(buf[end:])  # names a malformed payload
+    x, y = decode_point_payload(buf[6 + mid_len:])  # names a bad payload or a cut id
     raise ValueError(f"expected {width} bytes per coordinate, got {len(x)} and {len(y)}")
 
 

@@ -147,3 +147,16 @@ def test_finding_serialization():
     assert data["matched"] is True
     assert data["capability"] == "replay"
     assert isinstance(data["actions"], list)
+
+
+def test_attack_parameters_outside_the_choices_are_refused():
+    with pytest.raises(ValueError, match="^mode must be centralized or decentralized$"):
+        dos_invalid_share(mode="x")
+    with pytest.raises(ValueError, match="^unknown scheme 'x'$"):
+        build_honest_transcript(scheme="x")
+
+
+def test_eavesdrop_skips_needles_too_short_to_scan():
+    finding = eavesdrop_secrecy_check([b"\x00ab\x00abcd"], {"short": b"ab", "long": b"abcd"})
+    assert finding.observed["leaks"] == [{"secret": "long", "frame": 0, "offset": 4}]
+    assert finding.notes == ["needles too short to scan reliably: ['short']"]

@@ -648,6 +648,18 @@ SMALL_SIM = ("simulate", "--scheme", "proposed-centralized", "--m", "4",
                              "{dir}/big.json")),
           ("simulate-scenario", ("simulate", "--scenario", "{dir}/big.json")),
       ]),
+    # a misspelled optional key is refused, not read as absent
+    pytest.param(("demo", "--curve", "{dir}/ordr.json"),
+                 "gaskit: curve file has unknown fields: ['ordr']", id="demo-curve-unknown-key"),
+    pytest.param(("demo", "--scheme", "harn", "--harn", "{dir}/G.json"),
+                 "gaskit: Harn modulus has unknown fields: ['G']", id="demo-harn-unknown-key"),
+    pytest.param(("cost", "--m-range", "0:10:1"), "m-range needs a >= 1 and step >= 1",
+                 id="cost-m-range-from-0"),
+    # (1981, 1664) is a point of order 5 on test2017's curve: the cofactor
+    # 2035 / 37 = 55 takes it to infinity
+    pytest.param(("gen-params", "--kind", "curve", "--gx", "1981", "--gy", "1664"),
+                 "base point collapses under cofactor clearing; pick another",
+                 id="gen-params-curve-collapse"),
     pytest.param(("attack", "--name", "dos-invalid-share", "--m", "2"),
                  "seats its attacker as U3, so m must be >= 3, got 2", id="attack-dos-m-2"),
     pytest.param(("attack", "--name", "flood", "--m", "1"),
@@ -660,6 +672,11 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, problem):
     ))
     (tmp_path / "deep.json").write_text("[" * 32000 + "1" + "]" * 32000)
     (tmp_path / "big.json").write_text("x" * (MAX_FILE_BYTES + 1))  # not JSON either
+    curve = ec.curve_to_dict(ec.builtin_curve("test2017"))
+    curve["ordr"] = curve.pop("order")
+    (tmp_path / "ordr.json").write_text(json.dumps(curve))
+    harn = {"name": "harn-tiny", "p": "23", "q": "11", "G": "3"}
+    (tmp_path / "G.json").write_text(json.dumps(harn))
     code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     if "--events" in argv:  # the CSV is printed before the event log is written

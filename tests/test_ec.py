@@ -1369,3 +1369,25 @@ def test_affine_point_with_cofactor_1_runs_no_subgroup_check(monkeypatch):
     g = curve.generator
     check_affine_point(g.x.residue, g.y.residue, curve)
     assert curve._subgroup_points is None
+
+
+def test_curve_point_takes_both_coordinates_or_neither():
+    x = TEST2017.modulus.element(1368)
+    for xy in ((x, None), (None, x)):
+        with pytest.raises(ValueError, match="^both coordinates or neither$"):
+            CurvePoint(*xy)
+    assert repr(CurvePoint(None, None)) == "CurvePoint(infinity)"
+    assert repr(TEST2017.generator) == "CurvePoint(1368, 374)"
+
+
+def test_curve_params_refuse_infinity_as_the_generator():
+    with pytest.raises(ValueError, match="^generator must not be the point at infinity$"):
+        dataclasses.replace(TEST2017, generator=CurvePoint(None, None))
+
+
+def test_scalar_field_needs_a_subgroup_order():
+    for curve, name in ((dataclasses.replace(TEST2017, subgroup_order=None), "test2017"),
+                        (curve_from_dict({"p": "23", "A": "20", "B": "4", "Gx": "0", "Gy": "2"}),
+                         "<anonymous>")):
+        with pytest.raises(ValueError, match=f"^curve {name} has no subgroup_order$"):
+            curve.scalar_field()

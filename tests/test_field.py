@@ -317,13 +317,28 @@ def test_json_int_takes_ints_and_decimal_strings_only():
 def test_json_shapes_raise_value_error():
     record = {"p": "23", "q": "11"}
     assert json_object(record, "modulus", ("p", "q")) is record
+    assert json_object(dict(record, g="3"), "modulus", ("p", "q"), ("g", "name"))
     assert json_str("U1", "member id") == "U1"
     for bad, problem in [
         (lambda: json_object([1, 2], "modulus", ("p",)), "modulus must be a JSON object, got list"),
         (lambda: json_object({"q": "11"}, "modulus", ("p", "q")),
          "modulus missing fields: ['p']"),
+        # a key outside the required and optional ones, such as a misspelling
+        (lambda: json_object(dict(record, G="3"), "modulus", ("p", "q"), ("g",)),
+         "modulus has unknown fields: ['G']"),
+        (lambda: json_object(dict(record, pad="", G=None), "modulus", ("p", "q")),
+         "modulus has unknown fields: ['G', 'pad']"),
         (lambda: json_str(5, "member id"), "member id must be a string, got 5"),
         (lambda: json_str(None, "member id"), "member id must be a string, got None"),
     ]:
         with pytest.raises(ValueError, match=re.escape(problem)):
             bad()
+
+
+def test_reprs():
+    q = Prime(37)
+    assert repr(q) == "Prime(37)"
+    assert repr(q.element(5)) == "FieldElement(5 mod 37)"
+    with MulCounter() as ops:
+        q.element(5) * q.element(6)
+    assert repr(ops) == "MulCounter(field_muls=1, ec_scalar_muls=0)"

@@ -279,8 +279,11 @@ def test_decentralized_verify_threshold_and_membership():
         decentralized_verify(
             config, public_shares[:2] + [PublicShare("U99", public_shares[0].point, CURVE)]
         )
-    with pytest.raises(ValueError, match="duplicate"):
-        decentralized_verify(config, [public_shares[0]] * 3)
+    # the repeated id's repeated roster x is refused by `lagrange_weights`
+    with MulCounter() as ops:
+        with pytest.raises(ValueError, match="^duplicate x-coordinate 1$"):
+            decentralized_verify(config, [public_shares[0]] * 3)
+    assert ops.ec_scalar_muls == 0
 
 
 @pytest.mark.parametrize("name", ["test2017", "secp160r1"])
@@ -1328,3 +1331,35 @@ def test_small_completeness_sweep():
                 assert decentralized_verify(config, pss)
                 key = exchange_group_key(states, rng)
                 assert verify_commitment(key, config.commitment)
+
+
+# --- each input refused once, by the check that owns it -----------------------
+
+def test_group_config_refuses_duplicate_member_ids():
+    _, config, _ = setup_group()
+    with pytest.raises(ValueError, match="^duplicate member ids in roster$"):
+        dataclasses.replace(config, roster=(("U1", 1), ("U1", 2)), threshold=2)
+
+
+def test_receive_public_share_refuses_a_member_outside_the_roster():
+    _, config, shares = setup_group()
+    states, public_shares = run_confirmation(config, shares)
+    ghost = PublicShare("U99", public_shares[0].point, CURVE)
+    with pytest.raises(UnknownMemberError, match="^member 'U99' not in roster$"):
+        states["U1"].receive_public_share(ghost)
+    assert "U99" not in states["U1"].received_public_shares
+
+
+def test_key_agreement_round_refuses_a_ciphertext_from_an_unknown_sender():
+    rng, config, shares = setup_group(t=2, n=4, seed=25)
+    states, _ = run_confirmation(config, shares)
+    good = encrypt_share_for_peer(states["U2"], "U1", rng)
+    with pytest.raises(UnknownMemberError, match="^ciphertext from unknown peer 'U99'$"):
+        key_agreement_round(states["U1"], {"U2": good, "U99": good})
+    assert states["U1"].group_key is None
+
+
+def test_exchange_group_key_refuses_an_empty_group():
+    # not "members recovered different group keys": no member recovered any
+    with pytest.raises(ValueError, match="^the group is empty: no member to agree on a key$"):
+        exchange_group_key({}, random.Random(1))

@@ -446,3 +446,32 @@ def test_modulus_file_derives_g_when_missing_or_null(tmp_path):
     for data in ({"p": "23", "q": "11"}, {"p": "23", "q": "11", "g": None}):
         path.write_text(json.dumps(data))
         assert load_harn_modulus(path) == TINY
+
+
+def test_harn_modulus_refuses_a_generator_mod_another_prime():
+    tiny = builtin_harn_modulus("harn-tiny")
+    with pytest.raises(ValueError, match="^generator must live mod p$"):
+        HarnModulus(p=tiny.p, q=tiny.q, g=FieldElement(3, Prime(47)))
+
+
+def test_builtin_harn_modulus_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown builtin 'nope'; valid: ('harn-tiny', 'harn-1024-160')")):
+        builtin_harn_modulus("nope")
+
+
+def test_harn_verify_refuses_a_release_mod_another_p():
+    tiny = builtin_harn_modulus("harn-tiny")
+    params, tokens = harn_init(2, 3, tiny, random.Random(1))
+    xs = [tok.x for tok in tokens]
+    releases = [harn_release(tok, xs, params) for tok in tokens]
+    good = releases[1]
+    releases[1] = HarnRelease(good.member_id, good.x, FieldElement(good.e.residue, Prime(47)))
+    with pytest.raises(ValueError, match="^release of U2 does not live mod p = 23$"):
+        harn_verify(releases, params)
+
+
+def test_derive_generator_refuses_a_base_that_collapses_to_1():
+    # 7^((19 - 1) / 3) = 7^6 = 1 mod 19, so 7 yields no generator of order 3
+    with pytest.raises(ValueError, match="^base 7 collapses to 1 for p=19, q=3$"):
+        derive_generator(Prime(19), Prime(3))

@@ -34,6 +34,17 @@ def test_scenario_validation_lists_all_problems():
     assert "scheme" in msg and "m must" in msg and "loss" in msg
 
 
+@pytest.mark.parametrize(("changes", "problem"), [
+    ({"m": 4, "t": 5}, "t must satisfy 1 <= t <= m, got t=5 m=4"),
+    ({"schedule": "x"}, "schedule must be one of ('slotted', 'staggered', 'flood')"),
+])
+def test_scenario_names_a_bad_threshold_or_schedule(changes, problem):
+    scn = Scenario(scheme="proposed-centralized", **{"m": 10, **changes})
+    with pytest.raises(ScenarioError) as exc:
+        scn.validate()
+    assert str(exc.value) == problem
+
+
 def test_scenario_numbers_must_be_finite():
     for loss in (float("nan"), float("-inf")):
         with pytest.raises(ScenarioError) as exc:
@@ -400,6 +411,9 @@ def test_single_member_group():
     rep = sim.run(tiny("proposed-decentralized", m=1, t=1))
     assert rep.authenticated
     assert rep.verifier == "U1"
+    # no member besides the verifier: the CSV row reports the first node
+    assert rep.representative_member() is rep.per_node[0]
+    assert rep.per_node[0].role == "verifier"
 
 
 def test_derive_seed_stable():

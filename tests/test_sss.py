@@ -8,6 +8,7 @@ from gaskit.ec import builtin_curve
 from gaskit.field import FieldElement, MulCounter, Prime
 from gaskit.gas_core import gm_init, rotate_credentials
 from gaskit.sss import (
+    SecretCommitment,
     SecretPolynomial,
     Share,
     ThresholdError,
@@ -132,6 +133,13 @@ def test_reconstruct_duplicate_x():
     s = Share(x=el(1), y=el(8), member_id="U1")
     with pytest.raises(ValueError, match="duplicate"):
         reconstruct([s, s], 2)
+    # `lagrange_coeff` refuses the repeat where its loop meets it: the first
+    # weight tallies its two products for x = 2, then meets x = 1 again
+    s2 = Share(x=el(2), y=el(3), member_id="U2")
+    with MulCounter() as ops:
+        with pytest.raises(ValueError, match="^duplicate x-coordinate 1$"):
+            reconstruct([s, s2, s], 2)
+    assert ops.field_muls == 2
 
 
 def test_round_trip_many_cases():
@@ -314,3 +322,19 @@ def test_guessed_share_keeps_the_seat_and_misses_y():
             assert (guess.x, guess.member_id) == (share.x, share.member_id)
             assert 1 <= guess.y.residue < q and guess.y != share.y
             assert guess.y.modulus == share.y.modulus
+
+
+def test_sample_polynomial_threshold_reaches_q_minus_1():
+    q = Prime(37)
+    rng = random.Random(3)
+    poly = sample_polynomial(36, q.element(5), rng)
+    assert len(poly.coefficients) == 36 and poly.secret == q.element(5)
+    assert poly.coefficients[-1].residue != 0
+    with pytest.raises(ValueError, match=r"^threshold 37 exceeds field capacity \(q=37\)$"):
+        sample_polynomial(37, q.element(5), rng)
+
+
+def test_commitment_digest_must_be_32_bytes():
+    assert SecretCommitment(bytes(32)).hex() == "00" * 32
+    with pytest.raises(ValueError, match="^commitment digest must be 32 bytes$"):
+        SecretCommitment(bytes(31))

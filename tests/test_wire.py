@@ -23,6 +23,8 @@ def test_frame_golden_bytes():
     buf = wire.encode_frame(wire.PUBLIC_SHARE, 2, "U1", b"hi")
     assert buf.hex() == "010000000202" + "5531".lower() + b"hi".hex()
     assert len(buf) == 6 + 2 + 2
+    # type=4, epoch=1, id len=2, "GM", accepted=1
+    assert wire.encode_frame(wire.VERDICT, 1, "GM", b"\x01") == b"\x04\x00\x00\x00\x01\x02GM\x01"
 
 
 def test_frame_header_validation():
@@ -75,3 +77,33 @@ def test_encrypted_payload_validation():
         wire.decode_encrypted_payload(good[:-1])
     with pytest.raises(ValueError, match="truncated"):
         wire.decode_encrypted_payload(b"\x00" * 5)
+    # a ciphertext one byte over the length prefix is refused by name, never
+    # left to struct's own error
+    ct = b"\xaa" * 0xFFFF
+    assert wire.decode_encrypted_payload(wire.encode_encrypted_payload(bytes(12), ct)) == (
+        bytes(12), ct)
+    with pytest.raises(ValueError, match="^ciphertext longer than u16 length prefix allows$"):
+        wire.encode_encrypted_payload(bytes(12), bytes(0x10000))
+
+
+def test_point_payload_u16_bound():
+    x, y = b"\x01" * 0xFFFF, b"\x02" * 0xFFFF
+    payload = wire.encode_point_payload(x, y)
+    assert len(payload) == 2 * (2 + 0xFFFF)
+    assert wire.decode_point_payload(payload) == (x, y)
+    for x, y in ((bytes(0x10000), b""), (b"", bytes(0x10000))):
+        with pytest.raises(ValueError, match="^field longer than u16 length prefix allows$"):
+            wire.encode_point_payload(x, y)
+
+
+def test_header_only_frame_has_an_empty_id_and_payload():
+    buf = bytes([wire.VERDICT, 0, 0, 0, 1, 0])
+    assert wire.decode_frame(buf) == wire.Frame(wire.VERDICT, 1, "", b"")
+
+
+def test_public_share_frame_cut_inside_its_id_is_refused():
+    # the id runs past the end, so no payload is left for the point
+    frame = wire.encode_public_share(1, "U12", b"\x07", b"\x08")
+    for cut in (7, 8):  # six header bytes, then one or two of "U12"
+        with pytest.raises(ValueError, match="^truncated payload$"):
+            wire.decode_public_share(frame[:cut], 1)
